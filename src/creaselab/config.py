@@ -26,7 +26,7 @@ _SCHEMA: dict[str, Any] = {
         },
         True,
     ),
-    "quadrature": ({"sphere_order": (int, False), "radial_order": (int, False)}, False),
+    "quadrature": ({"sphere_order": (int, False)}, False),
     "radii": (list, False),
     "grid": ({"n_minus": (int, False), "n_plus": (int, False), "r_max": (float, False)}, False),
     "tolerances": (
@@ -44,7 +44,6 @@ _SCHEMA: dict[str, Any] = {
         False,
     ),
     "ensembles": ({"n_spinors": (int, False)}, False),
-    "solver": ({"method": (str, False)}, False),
     "flux_check": (bool, False),
     "seed": (int, False),
     "out_dir": (str, False),
@@ -99,14 +98,12 @@ class RunConfig:
     base: str | None = None
     base_params: dict = field(default_factory=dict)
     sphere_order: int = 16
-    radial_order: int = 32
     radii: tuple = (50.0, 100.0, 200.0)
     n_minus: int = 256
     n_plus: int = 1024
     r_max: float = 400.0
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
     n_spinors: int = 4
-    solver_method: str = "direct"
     flux_check: bool = False
     seed: int = 0
     out_dir: str = "."
@@ -121,7 +118,10 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    data = yaml.safe_load(text)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a mapping")
     _check_section(data, _SCHEMA, "")
@@ -133,13 +133,8 @@ def parse_config(text: str) -> RunConfig:
     radii = data.get("radii", [50.0, 100.0, 200.0])
     if len(radii) < 1 or any(not isinstance(r, (int, float)) for r in radii):
         raise ConfigError("radii must be a nonempty list of numbers")
-    for name, val in (("sphere_order", quad.get("sphere_order", 16)),
-                      ("radial_order", quad.get("radial_order", 32))):
-        if not 4 <= val <= 256:
-            raise ConfigError(f"{name} must be within 4..256")
-    method = data.get("solver", {}).get("method", "direct")
-    if method not in ("direct", "cg"):
-        raise ConfigError(f"solver.method must be direct or cg, got {method!r}")
+    if not 4 <= quad.get("sphere_order", 16) <= 256:
+        raise ConfigError("sphere_order must be within 4..256")
     return RunConfig(
         catalog_name=cat["name"],
         catalog_params=dict(cat.get("params", {})),
@@ -147,14 +142,12 @@ def parse_config(text: str) -> RunConfig:
         base=cat.get("base"),
         base_params=dict(cat.get("base_params", {})),
         sphere_order=int(quad.get("sphere_order", 16)),
-        radial_order=int(quad.get("radial_order", 32)),
         radii=tuple(float(r) for r in radii),
         n_minus=int(grid.get("n_minus", 256)),
         n_plus=int(grid.get("n_plus", 1024)),
         r_max=float(grid.get("r_max", 400.0)),
         tolerances=tols,
         n_spinors=int(data.get("ensembles", {}).get("n_spinors", 4)),
-        solver_method=method,
         flux_check=bool(data.get("flux_check", False)),
         seed=int(data.get("seed", 0)),
         out_dir=str(data.get("out_dir", ".")),

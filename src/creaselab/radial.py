@@ -33,12 +33,13 @@ The boundary-value problem (both interior equations, the transmission
 rotation at the crease, odd-parity regularity V(0) = 0, and a Dirichlet
 approximation psi(r_max) = psi_inf of the decay condition) is solved by
 minimizing the quadrature-weighted residual norm over the affine space
-satisfying the constraints exactly.
+satisfying the constraints exactly, through a sparse LU factorization of
+the normal equations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import Callable
 
@@ -326,15 +327,26 @@ def derivative_matrix(m: int, h: float) -> sp.csr_matrix:
     """4th-order first-derivative matrix on a uniform grid of m nodes."""
     if m < 6:
         raise RadialError("need at least 6 nodes per side")
-    D = sp.lil_matrix((m, m))
     c = 1.0 / (12.0 * h)
-    for i in range(2, m - 2):
-        D[i, i - 2 : i + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) * c
-    D[0, 0:5] = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) * c
-    D[1, 0:5] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) * c
-    D[m - 2, m - 5 : m] = -np.array([1.0, -6.0, 18.0, -10.0, -3.0]) * c
-    D[m - 1, m - 5 : m] = -np.array([-3.0, 16.0, -36.0, 48.0, -25.0]) * c
-    return D.tocsr()
+    # centered rows 2..m-3 (the zero center weight is not stored)
+    mid = np.arange(2, m - 2)
+    offsets = np.array([-2, -1, 1, 2])
+    rows = [np.repeat(mid, 4)]
+    cols = [(mid[:, None] + offsets[None, :]).ravel()]
+    vals = [np.tile(np.array([1.0, -8.0, 8.0, -1.0]) * c, len(mid))]
+    # one-sided rows at both ends
+    for i, start, stencil in (
+        (0, 0, np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) * c),
+        (1, 0, np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) * c),
+        (m - 2, m - 5, -np.array([1.0, -6.0, 18.0, -10.0, -3.0]) * c),
+        (m - 1, m - 5, -np.array([-3.0, 16.0, -36.0, 48.0, -25.0]) * c),
+    ):
+        rows.append(np.full(5, i))
+        cols.append(np.arange(start, start + 5))
+        vals.append(stencil)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
+    )
 
 
 def _hat_weights(r: np.ndarray, moment: int = 0) -> np.ndarray:
@@ -444,37 +456,52 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     eyeI = sp.identity(I, format="csr")
     tau_s = sp.csr_matrix(tau)
 
-    def side_rows(side: SideCoefficients, r, skip_first: bool):
-        m = len(r)
-        h = r[1] - r[0]
-        D = derivative_matrix(m, h)
-        rr = r.copy()
-        if skip_first:
-            rr = rr.copy()
-            rr[0] = rr[1]  # dummy value; rows at node 0 are dropped below
+    def side_blocks(side: SideCoefficients, r, skip_first: bool):
+        """Weighted residual rows, |nabla-bar|^2 form and row weights of one side.
+
+        Coefficients at r = 0 take their node-1 value; skip_first gives
+        node 0 zero weight, so its residual rows are dropped and it adds
+        nothing to the form.
+        """
+        rr = np.where(r > 0, r, r[1])
         F = sp.diags(side.F(rr))
+        FD = (F @ derivative_matrix(len(r), r[1] - r[0])).tocsr()
+        w = _hat_weights(r, moment=0) * side.volume_factor(rr) * unit_sphere_volume(side.data.n)
+        if skip_first:
+            w[0] = 0.0
+
         ell = sp.diags(side.ell(rr))
         m_c = sp.diags(side.m_c(rr))
         trk = sp.diags(0.5 * side.trk(rr))
-        FD = (F @ D).tocsr()
         # r1 = F V' + ell V + (trk/2) tau U ; r2 = F U' - m_c U + (trk/2) tau V
         r1 = sp.hstack([sp.kron(trk, tau_s), sp.kron(FD + ell, eyeI)], format="csr")
         r2 = sp.hstack([sp.kron(FD - m_c, eyeI), sp.kron(trk, tau_s)], format="csr")
-        w = _hat_weights(r, moment=0) * side.volume_factor(np.where(r > 0, r, r[1])) \
-            * unit_sphere_volume(side.data.n)
-        w = np.where(r > 0, w, 0.0)
-        if skip_first:
-            w[0] = 0.0
         keep = np.repeat(w > 0, I)
         weights = np.sqrt(np.repeat(w, I))
         rows = sp.vstack([r1, r2], format="csr")
         keep2 = np.concatenate([keep, keep])
         weights2 = np.concatenate([weights, weights])
         Wd = sp.diags(weights2[keep2])
-        return (Wd @ rows[keep2]).tocsr(), w
+        residual = (Wd @ rows[keep2]).tocsr()
 
-    rows_m, w_m = side_rows(problem.minus, r_m, skip_first=True)
-    rows_p, w_p = side_rows(problem.plus, r_p, skip_first=False)
+        kn = sp.diags(0.5 * side.data.profile.kappa_n(rr))
+        kt = sp.diags(0.5 * side.data.profile.kappa_t(rr))
+        gr = sp.diags(side.G(rr) / rr - 0.5 * side.mu_c(rr))
+        muh = sp.diags(0.5 * side.mu_c(rr))
+        P = sp.hstack([sp.kron(FD, eyeI), sp.kron(kn, tau_s)], format="csr")
+        Q = sp.hstack([sp.kron(kn, tau_s), sp.kron(FD, eyeI)], format="csr")
+        Pt = sp.hstack([sp.kron(kt, tau_s), sp.kron(gr, eyeI)], format="csr")
+        Qt = sp.hstack([sp.kron(muh, eyeI), -sp.kron(kt, tau_s)], format="csr")
+        wI = np.repeat(w, I)
+        n1 = side.data.n - 1
+        grad = sum(
+            (op.T @ sp.diags(wgt * wI) @ op)
+            for op, wgt in ((P, 1.0), (Q, 1.0), (Pt, float(n1)), (Qt, float(n1)))
+        )
+        return residual, grad.tocsr(), w
+
+    rows_m, Gm, w_m = side_blocks(problem.minus, r_m, skip_first=True)
+    rows_p, Gp, w_p = side_blocks(problem.plus, r_p, skip_first=False)
 
     Lm, Lp = 2 * Mm * I, 2 * Mp * I
     L = Lm + Lp
@@ -487,53 +514,41 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     )
 
     # ---- constraint elimination ------------------------------------------
-    # full vector layout: [U_-, V_-, U_+, V_+] node-major inside each block
-    def gidx(side: str, block: int, node: int) -> int:
-        if side == "minus":
-            return (block * Mm + node) * I
-        return Lm + (block * Mp + node) * I
+    # full vector layout: [U_-, V_-, U_+, V_+] node-major inside each block.
+    # Eliminated unknowns are affine in the free ones: S = diag(is_free) + C on
+    # the free columns, with C the couplings of the eliminated unknowns.
+    u_m_tr, v_m_tr = (Mm - 1) * I, (2 * Mm - 1) * I  # minus trace
+    u_p_tr, v_p_tr = Lm, Lm + Mp * I  # plus trace
+    u_m_0, v_m_0 = 0, Mm * I  # origin
+    u_p_end, v_p_end = Lm + (Mp - 1) * I, Lm + (2 * Mp - 1) * I  # r_max
+    comp = np.arange(I)
 
+    # transmission: minus trace (in possibly prerotated variables) from plus trace
     f_eff = problem.angle - minus_prerotation
     R_eff = _mode_rotation_blocks(rep, f_eff)
-    A0 = math.cosh(0.5 * minus_prerotation)
-    B0 = math.sinh(0.5 * minus_prerotation)
-
-    eliminated: dict[int, tuple[list[tuple[int, float]], int]] = {}
-    # transmission: minus trace (in possibly prerotated variables) from plus trace
-    u_m_tr, v_m_tr = gidx("minus", 0, Mm - 1), gidx("minus", 1, Mm - 1)
-    u_p_tr, v_p_tr = gidx("plus", 0, 0), gidx("plus", 1, 0)
-    for c in range(I):
-        row_u = [(u_p_tr + k, R_eff[c, k]) for k in range(I) if R_eff[c, k] != 0.0]
-        row_u += [(v_p_tr + k, R_eff[c, I + k]) for k in range(I) if R_eff[c, I + k] != 0.0]
-        eliminated[u_m_tr + c] = (row_u, -1)
-        row_v = [(u_p_tr + k, R_eff[I + c, k]) for k in range(I) if R_eff[I + c, k] != 0.0]
-        row_v += [(v_p_tr + k, R_eff[I + c, I + k]) for k in range(I) if R_eff[I + c, I + k] != 0.0]
-        eliminated[v_m_tr + c] = (row_v, -1)
+    trace_m = np.concatenate([u_m_tr + comp, v_m_tr + comp])
+    trace_p = np.concatenate([u_p_tr + comp, v_p_tr + comp])
     # origin parity: V_-(0) = 0 in original variables; for prerotated unknowns
     # A0 Vt(0) + B0 tau Ut(0) = 0  =>  Vt(0) = -(B0/A0) tau Ut(0)
-    u_m_0, v_m_0 = gidx("minus", 0, 0), gidx("minus", 1, 0)
-    coef = -B0 / A0
-    for c in range(I):
-        row = [(u_m_0 + k, coef * tau[c, k]) for k in range(I) if coef * tau[c, k] != 0.0]
-        eliminated[v_m_0 + c] = (row, -1)
-    # Dirichlet truncation at r_max
-    u_p_end, v_p_end = gidx("plus", 0, Mp - 1), gidx("plus", 1, Mp - 1)
-    b_cols = np.zeros((L, I))
-    for c in range(I):
-        eliminated[u_p_end + c] = ([], c)  # equals psi_inf component c
-        eliminated[v_p_end + c] = ([], -1)
+    A0 = math.cosh(0.5 * minus_prerotation)
+    B0 = math.sinh(0.5 * minus_prerotation)
+    parity = (-B0 / A0) * tau
+    c_rows = np.concatenate([np.repeat(trace_m, 2 * I), np.repeat(v_m_0 + comp, I)])
+    c_cols = np.concatenate([np.tile(trace_p, 2 * I), np.tile(u_m_0 + comp, I)])
+    c_vals = np.concatenate([R_eff.ravel(), parity.ravel()])
+    coupled = c_vals != 0.0
 
-    free = [i for i in range(L) if i not in eliminated]
-    free_pos = {g: p for p, g in enumerate(free)}
-    S = sp.lil_matrix((L, len(free)))
-    for p, g in enumerate(free):
-        S[g, p] = 1.0
-    for g, (couplings, psi_col) in eliminated.items():
-        for col, val in couplings:
-            S[g, free_pos[col]] += val
-        if psi_col >= 0:
-            b_cols[g, psi_col] = 1.0
-    S = S.tocsr()
+    # Dirichlet truncation at r_max: U_+(r_max) = psi_inf, V_+(r_max) = 0
+    is_free = np.ones(L, dtype=bool)
+    is_free[np.concatenate([trace_m, v_m_0 + comp, u_p_end + comp, v_p_end + comp])] = False
+    free = np.flatnonzero(is_free)
+    free_col = np.cumsum(is_free) - 1  # column of each free unknown in S
+    S_rows = np.concatenate([free, c_rows[coupled]])
+    S_cols = free_col[np.concatenate([free, c_cols[coupled]])]
+    S_vals = np.concatenate([np.ones(len(free)), c_vals[coupled]])
+    S = sp.csr_matrix((S_vals, (S_rows, S_cols)), shape=(L, len(free)))
+    b_cols = np.zeros((L, I))
+    b_cols[u_p_end + comp, comp] = 1.0
 
     # minus-side prerotation: residual rows act on original variables,
     # original = R0 (prerotated), applied blockwise on the minus side
@@ -546,35 +561,6 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     A = (A_full @ S).tocsr()
 
     # ---- quadratic forms for the Poincare estimate and bulk integrals -----
-    def side_grad_rows(side: SideCoefficients, r, skip_first: bool):
-        m = len(r)
-        h = r[1] - r[0]
-        D = derivative_matrix(m, h)
-        rr = np.where(r > 0, r, r[1])
-        F = sp.diags(side.F(rr))
-        kn = sp.diags(0.5 * side.data.profile.kappa_n(rr))
-        kt = sp.diags(0.5 * side.data.profile.kappa_t(rr))
-        gr = sp.diags(side.G(rr) / rr - 0.5 * side.mu_c(rr))
-        muh = sp.diags(0.5 * side.mu_c(rr))
-        FD = (F @ D).tocsr()
-        P = sp.hstack([sp.kron(FD, eyeI), sp.kron(kn, tau_s)], format="csr")
-        Q = sp.hstack([sp.kron(kn, tau_s), sp.kron(FD, eyeI)], format="csr")
-        Pt = sp.hstack([sp.kron(kt, tau_s), sp.kron(gr, eyeI)], format="csr")
-        Qt = sp.hstack([sp.kron(muh, eyeI), -sp.kron(kt, tau_s)], format="csr")
-        w = _hat_weights(r, moment=0) * side.volume_factor(rr) * unit_sphere_volume(side.data.n)
-        if skip_first:
-            w = w.copy()
-            w[0] = 0.0
-        wI = np.repeat(w, I)
-        n1 = side.data.n - 1
-        G = sum(
-            (op.T @ sp.diags(wgt * wI) @ op)
-            for op, wgt in ((P, 1.0), (Q, 1.0), (Pt, float(n1)), (Qt, float(n1)))
-        )
-        return G.tocsr(), w
-
-    Gm, _ = side_grad_rows(problem.minus, r_m, skip_first=True)
-    Gp, _ = side_grad_rows(problem.plus, r_p, skip_first=False)
     grad_form = sp.block_diag([Gm, Gp], format="csr")
 
     rho0 = 0.5 * cd.r0
@@ -614,8 +600,6 @@ class RadialSolution:
     transmission_defect: float
     origin_defect: float
     origin_slope: float
-    iteration_log: list[float] = field(default_factory=list)
-    method: str = "direct"
 
     @property
     def residual_norm(self) -> float:
@@ -636,49 +620,17 @@ class RadialSolution:
         return d
 
 
-def _cg_normal_equations(A: sp.csr_matrix, rhs: np.ndarray, tol: float, maxiter: int):
-    """Jacobi-preconditioned CG on the normal equations, logging ||A x - rhs||."""
-    N = (A.conj().T @ A).tocsr()
-    d = N.diagonal().real
-    d[d <= 0] = 1.0
-    Minv = 1.0 / d
-    b = A.conj().T @ rhs
-    x = np.zeros_like(b)
-    r = b - N @ x
-    z = Minv * r
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    log = [float(np.linalg.norm(A @ x - rhs))]
-    b_norm = float(np.linalg.norm(rhs)) or 1.0
-    for _ in range(maxiter):
-        Np = N @ p
-        alpha = rz / np.vdot(p, Np).real
-        x = x + alpha * p
-        r = r - alpha * Np
-        log.append(float(np.linalg.norm(A @ x - rhs)))
-        if log[-1] <= tol * b_norm:
-            break
-        z = Minv * r
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, log
-
-
 def solve(
     problem: RadialProblem,
     psi_inf: np.ndarray,
     grid: RadialGrid,
-    method: str = "direct",
-    cg_tol: float = 1e-12,
-    cg_maxiter: int = 20000,
     system: AssembledSystem | None = None,
 ) -> RadialSolution:
     """Least-squares solution of the discretized transmission problem.
 
-    Minimizes the weighted residual norm over the affine constraint space,
-    via a sparse factorization of the normal equations ("direct") or
-    preconditioned conjugate gradients with a residual log ("cg").
+    Minimizes the weighted residual norm over the affine constraint space
+    through a sparse LU factorization of the normal equations, and records
+    the smallest singular value of the reduced operator on the system.
     """
     psi_inf = np.asarray(psi_inf, dtype=complex)
     if psi_inf.shape != (problem.rep.dim,):
@@ -688,28 +640,20 @@ def solve(
     b = system.b_dirichlet_cols @ psi_inf
     rhs = -(system.A_full @ b)
 
-    if method == "direct":
-        N = (system.A.conj().T @ system.A).tocsc()
-        lu = spla.splu(N)
-        bn = system.A.conj().T @ rhs
-        x = lu.solve(bn.real.astype(float)) + 1j * lu.solve(bn.imag.astype(float))
-        log = [float(np.linalg.norm(system.A @ x - rhs))]
-        # cheap full-rank diagnostic: inverse power iteration on N
-        v = np.random.default_rng(0).normal(size=N.shape[0])
+    N = (system.A.conj().T @ system.A).tocsc()
+    lu = spla.splu(N)
+    bn = system.A.conj().T @ rhs
+    x = lu.solve(bn.real.astype(float)) + 1j * lu.solve(bn.imag.astype(float))
+    # cheap full-rank diagnostic: inverse power iteration on N
+    v = np.random.default_rng(0).normal(size=N.shape[0])
+    v /= np.linalg.norm(v)
+    for _ in range(8):
+        v = lu.solve(v)
         v /= np.linalg.norm(v)
-        for _ in range(8):
-            v = lu.solve(v)
-            v /= np.linalg.norm(v)
-        lam_min = float(v @ (N @ v))
-        system.smallest_singular_value = math.sqrt(max(lam_min, 0.0))
-        if not np.isfinite(x).all():
-            raise RadialError("direct solve produced non-finite values (rank deficiency?)")
-    elif method == "cg":
-        x, log = _cg_normal_equations(system.A, rhs, cg_tol, cg_maxiter)
-        if log[-1] > 1e-6 * (np.linalg.norm(rhs) + 1.0):
-            raise RadialError(f"CG failed to converge: residual history tail {log[-5:]}")
-    else:
-        raise RadialError(f"unknown solver method {method!r}")
+    lam_min = float(v @ (N @ v))
+    system.smallest_singular_value = math.sqrt(max(lam_min, 0.0))
+    if not np.isfinite(x).all():
+        raise RadialError("direct solve produced non-finite values (rank deficiency?)")
 
     full = system.S @ x + b
     if system.minus_prerotation != 0.0:
@@ -749,7 +693,7 @@ def solve(
         system=system, psi_inf=psi_inf, u_minus=um, v_minus=vm, u_plus=up, v_plus=vp,
         residual_norm_minus=res_m, residual_norm_plus=res_p, solution_norm=sol_norm,
         transmission_defect=trans_defect, origin_defect=origin_defect,
-        origin_slope=float(np.max(slope)), iteration_log=list(log), method=method,
+        origin_slope=float(np.max(slope)),
     )
 
 
@@ -897,21 +841,22 @@ def mass_gap(sol: RadialSolution, mass: MassReport, tol: float = 1e-6) -> MassGa
 # Poincare estimate
 
 
-def poincare_estimate(problem: RadialProblem, grid: RadialGrid, system: AssembledSystem | None = None) -> float:
+def poincare_estimate(problem: RadialProblem, grid: RadialGrid) -> float:
     """Smallest Rayleigh quotient ||nabla-bar psi||^2 / ||psi/rho||^2 on the kernel.
 
     The quotient runs over the discrete constraint space with zero
     asymptotic datum; rho = sqrt(r^2 + (r0/2)^2) is the positive extension
     of the radial weight.  The estimate is the reciprocal square of the
-    constant in the weighted Poincare inequality.
+    constant in the weighted Poincare inequality.  ARPACK starts from a
+    fixed vector, so the estimate is reproducible to the last digit.
     """
-    if system is None:
-        system = assemble(problem, grid)
+    system = assemble(problem, grid)
     G = (system.S.T @ system.grad_form @ system.S).tocsc()
     M = (system.S.T @ system.mass_form @ system.S).tocsc()
     G = (G + G.T) * 0.5
     M = (M + M.T) * 0.5
-    vals = spla.eigsh(G, k=1, M=M, sigma=0.0, which="LM", return_eigenvectors=False)
+    v0 = np.random.default_rng(0).normal(size=G.shape[0])
+    vals = spla.eigsh(G, k=1, M=M, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False)
     lam = float(vals[0])
     if lam <= 0.0:
         raise RadialError(f"Poincare estimate not positive: {lam:.3e}")
