@@ -45,11 +45,6 @@ class BartnikData:
     def size(self) -> int:
         return self.H.shape[0]
 
-    @property
-    def induced_radius(self) -> np.ndarray:
-        n = self.tangent.shape[-1]
-        return self.area_element ** (1.0 / (n - 1))
-
     def causal_length_squared(self) -> np.ndarray:
         """H^2 - trk^2, invariant under hyperbolic rotations."""
         return self.H**2 - self.trk**2

@@ -9,7 +9,6 @@ three-dimensional.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -314,28 +313,34 @@ def _angle_from_spec(spec) -> CreaseAngle:
 
 
 def catalog(name: str, **params):
-    """Model lookup by name; returns InitialData or CreasedData."""
+    """Model lookup by name; returns InitialData or CreasedData.
+
+    Every parameter must be one the model reads; leftovers are an error.
+    """
     try:
         if name == "minkowski_slice":
-            return minkowski_slice()
-        if name == "schwarzschild_isotropic":
-            return schwarzschild_isotropic(params.pop("m"))
-        if name == "schwarzschild_exterior_area_radius":
-            return schwarzschild_exterior_area_radius(params.pop("m"))
-        if name == "miao_corner":
-            return miao_corner(params.pop("m"), params.pop("rho0"))
-        if name == "trivial_crease":
-            return trivial_crease(params.pop("r0", 1.0))
-        if name == "graph_slice":
-            return graph_slice(
+            model = minkowski_slice()
+        elif name == "schwarzschild_isotropic":
+            model = schwarzschild_isotropic(params.pop("m"))
+        elif name == "schwarzschild_exterior_area_radius":
+            model = schwarzschild_exterior_area_radius(params.pop("m"))
+        elif name == "miao_corner":
+            model = miao_corner(params.pop("m"), params.pop("rho0"))
+        elif name == "trivial_crease":
+            model = trivial_crease(params.pop("r0", 1.0))
+        elif name == "graph_slice":
+            model = graph_slice(
                 params.pop("amplitude", 0.4), params.pop("center", 4.5), params.pop("width", 1.0)
             )
-        if name == "rotated_crease":
+        elif name == "rotated_crease":
             base = params.pop("base")
             if isinstance(base, str):
-                base_params = params.pop("base_params", {})
-                base = catalog(base, **base_params)
-            return rotated_crease(base, _angle_from_spec(params.pop("f")))
+                base = catalog(base, **params.pop("base_params", {}))
+            model = rotated_crease(base, _angle_from_spec(params.pop("f")))
+        else:
+            raise GeometryError(f"unknown catalog model {name!r}")
     except KeyError as exc:
         raise GeometryError(f"catalog model {name!r} is missing parameter {exc}") from exc
-    raise GeometryError(f"unknown catalog model {name!r}")
+    if params:
+        raise GeometryError(f"catalog model {name!r} has no parameter {', '.join(sorted(params))}")
+    return model

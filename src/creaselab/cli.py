@@ -143,28 +143,26 @@ def cmd_identities(config: RunConfig, out_dir: str):
     data = _exterior_data(entry)
     a = max(3.0, data.chart.r_min + 0.5)
     region = ("annulus", a, a + 3.0)
-    worst_lsw = 0.0
-    for _ in range(config.n_spinors):
-        fld = random_polynomial_field(rep, rng, degree=2, scale=0.2)
-        res = lsw_residual(data, rep, fld, region, order=config.sphere_order)
-        worst_lsw = max(worst_lsw, abs(res.residual) / (abs(res.bulk) + 1.0))
+    # every spinor of the ensemble in one batch: the geometry is evaluated once
+    fld = random_polynomial_field(rep, rng, (config.n_spinors,), degree=2, scale=0.2)
+    res = lsw_residual(data, rep, fld, region, order=config.sphere_order)
+    worst_lsw = float(np.max(np.abs(res.residual) / (np.abs(res.bulk) + 1.0)))
     results["lsw"] = {"region": list(region[1:]), "max_scaled_residual": worst_lsw}
     flags["lsw"] = worst_lsw <= config.tol("identity_rel")
 
     if isinstance(entry, CreasedData):
-        worst_crease = 0.0
-        bound_ok = True
-        for _ in range(config.n_spinors):
-            a0 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-            a1 = 0.2 * (rng.normal(size=(3, rep.dim)) + 1j * rng.normal(size=(3, rep.dim)))
+        # rows per spinor: Re a0, Im a0, Re a1 (3 rows), Im a1 (3 rows), drawn in that order
+        z = rng.normal(size=(config.n_spinors, 8, rep.dim))
+        a0 = z[:, 0] + 1j * z[:, 1]
+        a1 = 0.2 * (z[:, 2:5] + 1j * z[:, 5:8])
 
-            def psi(theta, phi, a0=a0, a1=a1):
-                om = unit_vectors(np.asarray(theta), np.asarray(phi))
-                return a0[None, :] + om @ a1
+        def psi(theta, phi):
+            om = unit_vectors(np.asarray(theta), np.asarray(phi))
+            return a0[:, None, :] + om @ a1
 
-            res = crease_boundary_terms(entry, rep, psi, order=config.sphere_order)
-            worst_crease = max(worst_crease, res.mismatch / (abs(res.formula) + 1e-12))
-            bound_ok = bound_ok and res.direct <= res.bound + 1e-10
+        res = crease_boundary_terms(entry, rep, psi, order=config.sphere_order)
+        worst_crease = float(np.max(res.mismatch / (np.abs(res.formula) + 1e-12)))
+        bound_ok = bool(np.all(res.direct <= res.bound + 1e-10))
         results["crease_boundary"] = {"max_relative_mismatch": worst_crease, "bound_respected": bound_ok}
         flags["crease_boundary"] = worst_crease <= config.tol("crease_identity_rel") and bound_ok
 
@@ -184,9 +182,10 @@ def cmd_solve(config: RunConfig, out_dir: str):
     mass = adm_energy_momentum(cd.plus, config.radii, order=config.sphere_order)
     gap = mass_gap(sol, mass, tol=config.tol("gap_rel") * 10.0)
     # the Poincare check compares a grid of 128..512 intervals per side with
-    # its half rounded to an even count, so both grids pass RadialGrid.validate
+    # its half rounded to an even count, so both grids pass RadialGrid.validate;
+    # both end at 200, or at twice the crease radius when that is farther
     fine = [max(min(n, 512), 128) for n in (config.n_minus, config.n_plus)]
-    r_max = min(config.r_max, 200.0)
+    r_max = min(config.r_max, max(200.0, 2.0 * cd.r0))
     lam = poincare_estimate(problem, RadialGrid(*fine, r_max=r_max))
     lam_coarse = poincare_estimate(problem, RadialGrid(*(2 * (n // 4) for n in fine), r_max=r_max))
 

@@ -64,7 +64,6 @@ class CliffordRep:
     dim: int
     gamma: np.ndarray = field(repr=False)
     tau: np.ndarray = field(repr=False)
-    block_convention: str = "X(psi1+psi2) = (X psi1)+(-X psi2); tau(psi1+psi2) = psi2+psi1"
 
     def gamma_of(self, index: int) -> np.ndarray:
         """Matrix of the 1-based frame label e_index."""

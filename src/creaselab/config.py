@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 from typing import Any
 
 import yaml
@@ -135,6 +136,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("radii must be a nonempty list of numbers")
     if not 4 <= quad.get("sphere_order", 16) <= 256:
         raise ConfigError("sphere_order must be within 4..256")
+    for name, value in tols.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"tolerances.{name} must be finite and positive, got {value!r}")
+    if data.get("ensembles", {}).get("n_spinors", 4) < 1:
+        raise ConfigError("ensembles.n_spinors must be at least 1")
     return RunConfig(
         catalog_name=cat["name"],
         catalog_params=dict(cat.get("params", {})),
@@ -156,22 +162,31 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def build_catalog_entry(config: RunConfig):
-    """Instantiate the configured catalog model (data or creased data)."""
+    """Instantiate the configured catalog model (data or creased data).
+
+    An unknown model, a missing or unknown parameter, or parameter values
+    the model rejects (GeometryError) or cannot convert are configuration
+    errors.
+    """
     from .catalog import catalog
 
     params = dict(config.catalog_params)
     if config.catalog_name == "rotated_crease":
         if config.base is None or config.angle is None:
             raise ConfigError("rotated_crease needs catalog.base and catalog.angle")
-        return catalog(
-            "rotated_crease",
-            base=config.base,
-            base_params=config.base_params,
-            f=config.angle,
-        )
-    return catalog(config.catalog_name, **params)
+        if params:
+            raise ConfigError("rotated_crease takes catalog.base_params, not catalog.params")
+        params = {"base": config.base, "base_params": config.base_params, "f": config.angle}
+    try:
+        return catalog(config.catalog_name, **params)
+    except (ValueError, TypeError) as exc:  # GeometryError is a ValueError
+        raise ConfigError(str(exc)) from exc

@@ -113,26 +113,6 @@ class InitialData:
     label: str = ""
     profile: RadialProfile | None = None
 
-    def metric(self, x: np.ndarray) -> np.ndarray:
-        pts, single = as_points(x, self.n)
-        out = self.g(pts)
-        return out[0] if single else out
-
-    def curvature(self, x: np.ndarray) -> np.ndarray:
-        pts, single = as_points(x, self.n)
-        out = self.k(pts)
-        return out[0] if single else out
-
-    def metric_deriv(self, x: np.ndarray) -> np.ndarray:
-        pts, single = as_points(x, self.n)
-        out = self.dg(pts)
-        return out[0] if single else out
-
-    def curvature_deriv(self, x: np.ndarray) -> np.ndarray:
-        pts, single = as_points(x, self.n)
-        out = self.dk(pts)
-        return out[0] if single else out
-
 
 @dataclass(frozen=True)
 class CreaseAngle:
@@ -424,12 +404,6 @@ class HypersurfaceGeometry:
     beta: np.ndarray  # (m, n-1), beta_alpha = k(nu, t_alpha)
     area_element: np.ndarray  # dA = area_element * dOmega
     orientation: str
-
-    @property
-    def induced_radius(self) -> np.ndarray:
-        # valid for round induced metrics (every catalog crease)
-        n = self.x.shape[-1]
-        return self.area_element ** (1.0 / (n - 1))
 
 
 def _normal_derivative(data: InitialData, pts: np.ndarray) -> np.ndarray:

@@ -17,6 +17,13 @@ convention integrand
 covers every use: the minus-side crease term takes nu = outward, the
 plus-side crease term takes nu = inward, and large coordinate spheres
 take nu = outward.
+
+Spinor operands may carry leading batch axes: components (..., m, I) on a
+point batch of m nodes (see `spinorfields`).  The metric, frames, spin
+coefficients, constraint fields, sphere frames and spin lifts depend only
+on the nodes, so each is computed once per point batch whatever the
+number of spinors, and every spinor result gains the same leading axes.
+Unbatched spinors give unbatched (scalar) results.
 """
 
 from __future__ import annotations
@@ -61,13 +68,14 @@ class TransmissionPreconditionError(IntegralsError):
 IMAG_TOL = 1e-9
 
 
-def real_checked(value: complex, scale: float = 1.0, label: str = "integral") -> float:
-    """Return the real part, asserting the imaginary part is quadrature noise."""
-    value = complex(value)
-    bound = IMAG_TOL * (abs(value.real) + abs(scale))
-    if abs(value.imag) > bound:
-        raise IntegralsError(f"{label} has non-negligible imaginary part {value.imag:.3e}")
-    return value.real
+def real_checked(value, scale=1.0, label: str = "integral"):
+    """Return the real part, asserting the imaginary part is quadrature noise (elementwise)."""
+    value = np.asarray(value, dtype=complex)
+    bad = np.abs(value.imag) > IMAG_TOL * (np.abs(value.real) + np.abs(scale))
+    if np.any(bad):
+        worst = np.max(np.abs(value.imag[bad]))
+        raise IntegralsError(f"{label} has non-negligible imaginary part {worst:.3e}")
+    return value.real[()]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +247,7 @@ def adm_energy_momentum(data: InitialData, radii: Sequence[float], order: int = 
 
 def bulk_spin_coefficients(data: InitialData, x: np.ndarray, step: float | None = None) -> np.ndarray:
     """W[m, a, j, l] = g(nabla_{e_a} e_j, e_l) for the deterministic bulk frame."""
-    pts, single = np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(x).ndim == 1
+    pts = np.asarray(x, dtype=float)
     n = data.n
     if step is None:
         h = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -254,8 +262,7 @@ def bulk_spin_coefficients(data: InitialData, x: np.ndarray, step: float | None 
         dx[:, i] = h
         dframe[..., i] = (bulk_frame(data, pts + dx) - bulk_frame(data, pts - dx)) / (2.0 * h)
     cov = dframe + np.einsum("mpiq,mjq->mjpi", gamma, frame)
-    W = np.einsum("mai,mjpi,mpq,mlq->majl", frame, cov, g, frame)
-    return W[0] if single else W
+    return np.einsum("mai,mjpi,mpq,mlq->majl", frame, cov, g, frame)
 
 
 def _pair_products(rep: CliffordRep):
@@ -265,30 +272,22 @@ def _pair_products(rep: CliffordRep):
 
 
 def sen_derivatives(data: InitialData, rep: CliffordRep, field: SpinorField, x: np.ndarray) -> np.ndarray:
-    """Spacetime-connection derivatives in all frame directions; (m, I, n).
+    """Spacetime-connection derivatives in all frame directions; (..., m, I, n).
 
     nabla-bar_a psi = e_a(c) + 1/4 W_{jl}(e_a) Gamma^j Gamma^l c
                       + 1/2 k(e_a, e_j) Gamma^j tau c.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    single = np.asarray(x).ndim == 1
+    pts = np.asarray(x, dtype=float)
     frame = bulk_frame(data, pts)
     c = field.evaluate(pts)
-    dc = field.frame_derivatives(data, pts, frame=frame)
     W = bulk_spin_coefficients(data, pts)
     kf = np.einsum("mai,mij,mbj->mab", frame, data.k(pts), frame)
     gg, gt = _pair_products(rep)
-    spin = 0.25 * np.einsum("majl,jlIK,mK->mIa", W, gg, c)
-    kterm = 0.5 * np.einsum("maj,jIK,mK->mIa", kf, gt, c)
-    out = dc + spin + kterm
-    return out[0] if single else out
-
-
-def sen_derivative(data: InitialData, rep: CliffordRep, field: SpinorField, x: np.ndarray, direction: int) -> np.ndarray:
-    """Single frame direction (1-based) of the spacetime connection."""
-    if not 1 <= direction <= data.n:
-        raise IntegralsError(f"frame direction {direction} outside 1..{data.n}")
-    return sen_derivatives(data, rep, field, x)[..., direction - 1]
+    # summed in place: a batch of spinors holds few arrays of its size at once
+    out = np.asarray(field.frame_derivatives(data, pts, frame=frame), dtype=complex)
+    out += 0.25 * np.einsum("majl,jlIK,...mK->...mIa", W, gg, c)
+    out += 0.5 * np.einsum("maj,jIK,...mK->...mIa", kf, gt, c)
+    return out
 
 
 def dirac_witten_apply(data: InitialData, rep: CliffordRep, field: SpinorField, x: np.ndarray) -> np.ndarray:
@@ -302,14 +301,6 @@ def dirac_witten_apply(data: InitialData, rep: CliffordRep, field: SpinorField, 
 
 
 ANGLE_STEP = 3e-4  # tuned for the 4th-order angular stencil (truncation vs roundoff)
-
-
-def _fd4(values: Sequence[np.ndarray], step) -> np.ndarray:
-    """4th-order first derivative from values at (-2h, -h, +h, +2h)."""
-    m2, m1, p1, p2 = values
-    num = m2 - 8.0 * m1 + 8.0 * p1 - p2
-    s = np.asarray(step, dtype=float)
-    return num / (12.0 * s.reshape(s.shape + (1,) * (num.ndim - s.ndim)))
 
 
 def sphere_gauge_closure(data: InitialData, rep: CliffordRep, field: SpinorField, r0: float, grid: SphereGrid):
@@ -336,7 +327,7 @@ def sphere_gauge_closure(data: InitialData, rep: CliffordRep, field: SpinorField
         pts = r0 * unit_vectors(theta, np.asarray(phi))
         sigma = anchored_spin_lift(rep, O_anchor, bulk_to_sphere_rotation(pts))
         c_b = field.evaluate(pts)
-        return np.einsum("mji,mj->mi", np.conj(sigma), c_b)
+        return np.einsum("mji,...mj->...mi", np.conj(sigma), c_b)
 
     return psi
 
@@ -352,7 +343,8 @@ def boundary_term_density(
 ):
     """Per-node boundary integrand and induced-area weights on |x| = r0.
 
-    psi_sphere(theta, phi) returns adapted sphere-frame components.  With
+    psi_sphere(theta, phi) returns adapted sphere-frame components (..., m, I),
+    and the density gains the same leading axes.  With
     nu = nu_sign * outward unit normal, the density is the outward-
     convention combination <psi, D psi - H/2 psi - 1/2[(tr k) nu -
     k(nu,t_a) t^a] tau psi>; H, k(nu,.) and the boundary Dirac operator
@@ -376,20 +368,23 @@ def boundary_term_density(
 
     c0 = np.asarray(psi_sphere(theta, phi), dtype=complex)
 
-    # tangential derivatives of the frame and of psi via 4th-order angle stencils
-    def snap(th, ph):
-        o = unit_vectors(th, ph)
-        p = r0 * o
-        return sphere_frame(data, p).tangent, np.asarray(psi_sphere(th, ph), dtype=complex)
+    # tangential derivatives of the frame and of psi via 4th-order angle stencils;
+    # the sum m2 - 8 m1 + 8 p1 - p2 is accumulated point by point, so a single
+    # shifted copy of the (batched) spinor is alive at a time
+    def fd4(angles, h):
+        t_sum = c_sum = None
+        for d, w in ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0)):
+            th, ph = angles(d)
+            t_d = sphere_frame(data, r0 * unit_vectors(th, ph)).tangent
+            c_d = np.asarray(psi_sphere(th, ph), dtype=complex)
+            t_sum = t_d if t_sum is None else t_sum + w * t_d
+            c_sum = c_d if c_sum is None else c_sum + w * c_d
+        return t_sum / (12.0 * h[..., None, None]), c_sum / (12.0 * h[..., None])
 
     # phi variation slows like sin(theta) near the poles; widen the step there
     step_phi = step / np.maximum(np.sin(theta), 0.05)
-    t_th, c_th = zip(*(snap(theta + d * step, phi) for d in (-2.0, -1.0, 1.0, 2.0)))
-    t_ph, c_ph = zip(*(snap(theta, phi + d * step_phi) for d in (-2.0, -1.0, 1.0, 2.0)))
-    dt_dtheta = _fd4(t_th, step)
-    dt_dphi = _fd4(t_ph, step_phi)
-    dc_dtheta = _fd4(c_th, step)
-    dc_dphi = _fd4(c_ph, step_phi)
+    dt_dtheta, dc_dtheta = fd4(lambda d: (theta + d * step, phi), np.asarray(step))
+    dt_dphi, dc_dphi = fd4(lambda d: (theta, phi + d * step_phi), step_phi)
 
     # coordinates of t_alpha in the (theta, phi) parameter basis
     from .spheregrid import theta_phi_tangents
@@ -399,42 +394,44 @@ def boundary_term_density(
     a_co = np.einsum("mai,mi->ma", t, e_th) / r0
     b_co = np.einsum("mai,mi->ma", t, e_ph_raw) / (r0 * sin2[:, None])
 
-    # D_{t_alpha} of tangent-frame components and spinor components
+    # D_{t_alpha} of tangent-frame components
     Dt = a_co[:, :, None, None] * dt_dtheta[:, None, :, :] + b_co[:, :, None, None] * dt_dphi[:, None, :, :]
-    Dc = a_co[:, :, None] * dc_dtheta[:, None, :] + b_co[:, :, None] * dc_dphi[:, None, :]
     # Dt[m, alpha, beta, i]: derivative along t_alpha of component i of t_beta
 
     cov = Dt + np.einsum("mai,mpiq,mbq->mabp", t, gamma_chr, t)
     omega_sigma = np.einsum("mabp,mpq,mcq->mabc", cov, g, t)  # w_{bc}(t_a), tangential
 
+    # spinor connection along t_alpha: D_{t_alpha} c + 1/4 w_{bc}(t_alpha) Gamma^b Gamma^c c
     gg, gt = _pair_products(rep)
-    spin = 0.25 * np.einsum("mabc,bcIK,mK->maI", omega_sigma, gg[: n - 1, : n - 1], c0)
-    nabla_sigma = Dc + spin  # (m, alpha, I)
+    nabla_sigma = a_co[:, :, None] * dc_dtheta[..., :, None, :] + b_co[:, :, None] * dc_dphi[..., :, None, :]
+    del dc_dtheta, dc_dphi
+    nabla_sigma += 0.25 * np.einsum("mabc,bcIK,...mK->...maI", omega_sigma, gg[: n - 1, : n - 1], c0)
 
     # D psi = nu . e^alpha nabla^Sigma_alpha psi
-    contracted = np.einsum("aIK,maK->mI", rep.gamma[: n - 1], nabla_sigma)
-    dirac_b = nu_sign * np.einsum("IK,mK->mI", rep.gamma[n - 1], contracted)
+    contracted = np.einsum("aIK,...maK->...mI", rep.gamma[: n - 1], nabla_sigma)
+    dirac_b = nu_sign * np.einsum("IK,...mK->...mI", rep.gamma[n - 1], contracted)
 
     gt_n = rep.gamma[n - 1] @ rep.tau
-    tau_part = nu_sign * trk[:, None] * np.einsum("IK,mK->mI", gt_n, c0) - np.einsum(
-        "ma,aIK,mK->mI", beta, gt[: n - 1], c0
+    tau_part = nu_sign * trk[:, None] * np.einsum("IK,...mK->...mI", gt_n, c0) - np.einsum(
+        "ma,aIK,...mK->...mI", beta, gt[: n - 1], c0
     )
     # The boundary Dirac term is symmetrized pointwise: its anti-Hermitian
     # part is an exact tangential divergence with vanishing surface
     # integral, so Re<psi, D psi> integrates to the same value while the
     # remaining (algebraic, Hermitian) terms keep the imaginary-part
     # sanity check meaningful.
-    dirac_density = np.einsum("mI,mI->m", np.conj(c0), dirac_b).real
+    dirac_density = np.einsum("...mI,...mI->...m", np.conj(c0), dirac_b).real
     algebraic_vec = -0.5 * H[:, None] * c0 - 0.5 * tau_part
-    density = dirac_density + np.einsum("mI,mI->m", np.conj(c0), algebraic_vec)
+    density = dirac_density + np.einsum("...mI,...mI->...m", np.conj(c0), algebraic_vec)
     weights = hg.area_element * grid.weights
     return density, weights
 
 
 def boundary_flux(data, rep, r0, order, psi_sphere, nu_sign=1):
+    """Integral of the boundary density over |x| = r0; one value per batch member."""
     grid = sphere_grid(order)
     density, weights = boundary_term_density(data, rep, r0, grid, psi_sphere, nu_sign=nu_sign)
-    return complex(np.sum(density * weights))
+    return np.sum(density * weights, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +440,14 @@ def boundary_flux(data, rep, r0, order, psi_sphere, nu_sign=1):
 
 @dataclass(frozen=True)
 class WittenFlux:
-    value: float
-    imag_part: float
+    value: float | np.ndarray  # one entry per batch member of psi_inf
+    imag_part: float | np.ndarray
     radius: float
     order: int
 
 
 def witten_flux(data: InitialData, rep: CliffordRep, psi_inf: np.ndarray, r: float, order: int = 24) -> WittenFlux:
-    """Boundary spinor flux of an asymptotically constant spinor at radius r.
+    """Boundary spinor flux of asymptotically constant spinors (..., I) at radius r.
 
     In the limit of large r this converges to
     (n-1) omega_{n-1} / 2 * (E |psi_inf|^2 - <psi_inf, P_i e^i tau psi_inf>).
@@ -462,10 +459,11 @@ def witten_flux(data: InitialData, rep: CliffordRep, psi_inf: np.ndarray, r: flo
     grid = sphere_grid(order)
     psi = sphere_gauge_closure(data, rep, field, r, grid)
     val = boundary_flux(data, rep, r, order, psi, nu_sign=1)
-    scale = float(np.vdot(psi_inf, psi_inf).real)
+    psi_inf = np.asarray(psi_inf, dtype=complex)
+    scale = np.einsum("...I,...I->...", np.conj(psi_inf), psi_inf).real
     return WittenFlux(
         value=real_checked(val, scale=scale, label="witten flux"),
-        imag_part=float(val.imag),
+        imag_part=val.imag[()],
         radius=float(r),
         order=order,
     )
@@ -485,34 +483,25 @@ def flux_fit_energy_momentum(data: InitialData, rep: CliffordRep, r: float, orde
     The flux of a constant spinor tends to C (E |psi|^2 - <psi, M psi>)
     with C = (n-1) omega_{n-1}/2 and M = P_i Gamma^i tau Hermitian and
     traceless; basis and pairwise fluxes determine E and M, and P_i is
-    recovered by projecting M onto the Clifford directions.
+    recovered by projecting M onto the Clifford directions.  All
+    polarization spinors go through one batched flux evaluation.
     """
     n = data.n
     C = (n - 1) * unit_sphere_volume(n) / 2.0
     dim = rep.dim
     basis = np.eye(dim, dtype=complex)
+    l, mdx = np.triu_indices(dim, k=1)
+    spinors = np.concatenate([basis, basis[l] + basis[mdx], basis[l] + 1j * basis[mdx]])
+    F = witten_flux(data, rep, spinors, r, order=order).value / C
+    diag, f_re, f_im = F[:dim], F[dim : dim + len(l)], F[dim + len(l) :]
 
-    def F(psi):
-        return witten_flux(data, rep, psi, r, order=order).value / C
-
-    diag = np.array([F(basis[l]) for l in range(dim)])
     E_fit = float(np.mean(diag))
-    M = np.zeros((dim, dim), dtype=complex)
-    for l in range(dim):
-        M[l, l] = E_fit - diag[l]
-    for l in range(dim):
-        for mdx in range(l + 1, dim):
-            f_re = F(basis[l] + basis[mdx])
-            f_im = F(basis[l] + 1j * basis[mdx])
-            # F(u) = E|u|^2 - <u, M u>: the two pairings isolate Re and Im of M_lm
-            re_lm = 0.5 * (diag[l] + diag[mdx] - f_re)
-            im_lm = 0.5 * (diag[l] + diag[mdx] - f_im)
-            M[l, mdx] = re_lm - 1j * im_lm
-            M[mdx, l] = np.conj(M[l, mdx])
-    P_fit = np.empty(n)
-    for i in range(n):
-        direction = rep.gamma[i] @ rep.tau
-        P_fit[i] = float(np.real(np.trace(M @ direction.conj().T)) / dim)
+    M = np.diag(E_fit - diag).astype(complex)
+    # F(u) = E|u|^2 - <u, M u>: the two pairings isolate Re and Im of M_lm
+    M[l, mdx] = 0.5 * (diag[l] + diag[mdx] - f_re) - 0.5j * (diag[l] + diag[mdx] - f_im)
+    M[mdx, l] = np.conj(M[l, mdx])
+    directions = np.einsum("iIK,KL->iIL", rep.gamma, rep.tau)
+    P_fit = np.einsum("IK,iIK->i", M, np.conj(directions)).real / dim
     return E_fit, P_fit
 
 
@@ -522,12 +511,14 @@ def flux_fit_energy_momentum(data: InitialData, rep: CliffordRep, r: float, orde
 
 @dataclass(frozen=True)
 class LswResult:
-    bulk: float
-    boundary: float
-    residual: float
-    dirichlet: float
-    dirac_sq: float
-    matter: float
+    """Identity terms; arrays with the field's batch shape for a batched field."""
+
+    bulk: float | np.ndarray
+    boundary: float | np.ndarray
+    residual: float | np.ndarray
+    dirichlet: float | np.ndarray
+    dirac_sq: float | np.ndarray
+    matter: float | np.ndarray
 
 
 def lsw_residual(
@@ -550,24 +541,26 @@ def lsw_residual(
     pts, w_flat = volume_quadrature(region, r_order, order)
     g = data.g(pts)
     dV = np.sqrt(np.linalg.det(g)) * w_flat
-
-    sen = sen_derivatives(data, rep, field, pts)
-    dw = np.einsum("aIK,mKa->mI", rep.gamma, sen)
-    c = field.evaluate(pts)
+    # spinor-independent fields first, so they peak before the spinor arrays exist
     cons = constraint_fields(data, pts)
     frame = bulk_frame(data, pts)
     j_frame = np.einsum("mi,mai->ma", cons.J, frame)
     _, gt = _pair_products(rep)
-    jtau = np.einsum("ma,aIK,mK->mI", j_frame, gt, c)
 
-    dir_term = np.einsum("mIa,mIa->m", np.conj(sen), sen).real
-    dw_term = np.einsum("mI,mI->m", np.conj(dw), dw).real
-    matter = 0.5 * (cons.mu * np.einsum("mI,mI->m", np.conj(c), c).real
-                    + np.einsum("mI,mI->m", np.conj(c), jtau).real)
+    # each spinor term is integrated at once and its arrays dropped, to keep the batch's peak low
+    c = field.evaluate(pts)
+    jtau = np.einsum("ma,aIK,...mK->...mI", j_frame, gt, c)
+    matter = 0.5 * (cons.mu * np.einsum("...mI,...mI->...m", np.conj(c), c).real
+                    + np.einsum("...mI,...mI->...m", np.conj(c), jtau).real)
+    matter_int = np.sum(matter * dV, axis=-1)
+    del jtau, matter
 
-    dirichlet = float(np.sum(dir_term * dV))
-    dirac_sq = float(np.sum(dw_term * dV))
-    matter_int = float(np.sum(matter * dV))
+    sen = sen_derivatives(data, rep, field, pts)
+    dirichlet = np.sum(np.einsum("...mIa,...mIa->...m", np.conj(sen), sen).real * dV, axis=-1)
+    dw = np.einsum("aIK,...mKa->...mI", rep.gamma, sen)
+    del sen
+    dirac_sq = np.sum(np.einsum("...mI,...mI->...m", np.conj(dw), dw).real * dV, axis=-1)
+    del dw
     bulk = dirichlet - dirac_sq + matter_int
 
     kind = region[0]
@@ -596,20 +589,25 @@ def lsw_residual(
 
 @dataclass(frozen=True)
 class CreaseBoundaryResult:
-    direct: float
-    formula: float
-    bound: float
-    i_minus: float
-    i_plus: float
-    transmission_defect: float
+    """Crease terms; arrays with the traces' batch shape for batched traces."""
+
+    direct: float | np.ndarray
+    formula: float | np.ndarray
+    bound: float | np.ndarray
+    i_minus: float | np.ndarray
+    i_plus: float | np.ndarray
+    transmission_defect: float | np.ndarray
 
     @property
-    def mismatch(self) -> float:
+    def mismatch(self) -> float | np.ndarray:
         return abs(self.direct - self.formula)
 
 
 def transmission_matrix_nodes(rep: CliffordRep, angle_values: np.ndarray) -> np.ndarray:
-    """Nodal spinor rotation cosh(f/2) + sinh(f/2) eps_+ in the adapted gauge."""
+    """Nodal spinor rotation cosh(f/2) + sinh(f/2) eps_+ in the adapted gauge; (m, I, I).
+
+    Apply it to (batched) traces c with einsum("mIK,...mK->...mI", rot, c).
+    """
     n = rep.n
     eps = rep.gamma[n - 1] @ rep.tau
     A = np.cosh(0.5 * angle_values)
@@ -629,7 +627,8 @@ def crease_boundary_terms(
     """Crease boundary terms: direct one-sided integrals vs the jump formula.
 
     `psi_plus` (and `psi_minus`, defaulting to the transmission image of
-    psi_plus) give adapted-frame components on the crease sphere.  The
+    psi_plus) give adapted-frame components (..., m, I) on the crease
+    sphere; every result has the traces' leading batch shape.  The
     traces must satisfy the transmission condition; the contract is
     |direct - formula| small, direct <= bound, and bound <= 0 whenever the
     crease margin is nonnegative.
@@ -642,16 +641,16 @@ def crease_boundary_terms(
 
     def psi_minus_default(th, ph):
         rot = transmission_matrix_nodes(rep, angle_at(th, ph))
-        return np.einsum("mIK,mK->mI", rot, np.asarray(psi_plus(th, ph), dtype=complex))
+        return np.einsum("mIK,...mK->...mI", rot, np.asarray(psi_plus(th, ph), dtype=complex))
 
     pm = psi_minus if psi_minus is not None else psi_minus_default
 
     c_plus = np.asarray(psi_plus(grid.theta, grid.phi), dtype=complex)
     c_minus = np.asarray(pm(grid.theta, grid.phi), dtype=complex)
     rot = transmission_matrix_nodes(rep, angle_at(grid.theta, grid.phi))
-    defect = float(np.max(np.abs(c_minus - np.einsum("mIK,mK->mI", rot, c_plus))))
-    if defect > defect_tol:
-        raise TransmissionPreconditionError(defect, defect_tol)
+    defect = np.max(np.abs(c_minus - np.einsum("mIK,...mK->...mI", rot, c_plus)), axis=(-2, -1))
+    if np.any(defect > defect_tol):
+        raise TransmissionPreconditionError(float(np.max(defect)), defect_tol)
 
     i_minus = boundary_flux(cd.minus, rep, r0, order, pm, nu_sign=1)
     i_plus = boundary_flux(cd.plus, rep, r0, order, psi_plus, nu_sign=-1)
@@ -666,16 +665,16 @@ def crease_boundary_terms(
 
     gt_n = rep.gamma[rep.n - 1] @ rep.tau
     _, gt = _pair_products(rep)
-    psi_sq = np.einsum("mI,mI->m", np.conj(c_plus), c_plus).real
-    vec = jump_tau[:, None] * np.einsum("IK,mK->mI", gt_n, c_plus) - np.einsum(
-        "ma,aIK,mK->mI", bd, gt[: rep.n - 1], c_plus
+    psi_sq = np.einsum("...mI,...mI->...m", np.conj(c_plus), c_plus).real
+    vec = jump_tau[:, None] * np.einsum("IK,...mK->...mI", gt_n, c_plus) - np.einsum(
+        "ma,aIK,...mK->...mI", bd, gt[: rep.n - 1], c_plus
     )
-    formula_density = 0.5 * (psi_sq * jump_nu + np.einsum("mI,mI->m", np.conj(c_plus), vec))
+    formula_density = 0.5 * (psi_sq * jump_nu + np.einsum("...mI,...mI->...m", np.conj(c_plus), vec))
     dA = bp.area_element * grid.weights
-    formula = real_checked(np.sum(formula_density * dA), scale=1.0, label="crease formula")
+    formula = real_checked(np.sum(formula_density * dA, axis=-1), scale=1.0, label="crease formula")
 
     bound_density = 0.5 * psi_sq * (jump_nu + np.sqrt(jump_tau**2 + bd_norm**2))
-    bound = float(np.sum(bound_density * dA))
+    bound = np.sum(bound_density * dA, axis=-1)
 
     direct = real_checked(i_minus + i_plus, scale=abs(formula) + 1.0, label="crease direct term")
     return CreaseBoundaryResult(

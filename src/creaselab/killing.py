@@ -13,15 +13,14 @@ spinors rather than attempting any global construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 from typing import Callable
 
 import numpy as np
 
 from .cliffords import CliffordRep
-from .geometry import CreasedData, GeometryError, InitialData, bulk_frame, christoffel
+from .geometry import CreasedData, GeometryError, InitialData, bulk_frame
 from .integrals import bulk_spin_coefficients, transmission_matrix_nodes
-from .spheregrid import sphere_grid, unit_vectors
+from .spheregrid import sphere_grid
 from .spinorfields import SpinorField
 
 
@@ -215,7 +214,6 @@ class DevelopmentMetric:
 
     data: InitialData
     ls: LapseShift
-    t_independent: bool = True
 
     def evaluate(self, t: float, x: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=float))

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp

@@ -110,9 +110,6 @@ class SphericalHarmonicFit:
             out = out + c * term(l, m, theta, phi)
         return out
 
-    def evaluate(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return np.real(self._basis_sum(theta, phi, _sph_harm))
-
     def d_theta(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
         def term(l, m, th, ph):
             # d/dtheta Y_lm = m cot(theta) Y_lm + sqrt((l-m)(l+m+1)) e^{-i phi} Y_{l,m+1}

@@ -2,7 +2,10 @@
 
 A spinor field is a closure for its component functions relative to the
 deterministic bulk Gram-Schmidt frame, with an optional analytic Cartesian
-gradient (central differences with a declared step otherwise).  Changing
+gradient (central differences with a declared step otherwise).  Components
+may carry leading batch axes: a field of K spinors maps a point batch
+(m, n) to values (K, m, I) and gradients (K, m, I, n), so everything that
+depends only on the points is computed once for the whole batch.  Changing
 between two orthonormal frames of the same metric lifts the relating
 SO(3) rotation to the spinor representation; the lift is closed-form via
 the axis-angle of the rotation.
@@ -16,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .cliffords import CliffordRep
-from .geometry import GeometryError, InitialData, as_points, bulk_frame
+from .geometry import GeometryError, InitialData, bulk_frame
 
 
 class SpinGaugeError(GeometryError):
@@ -120,24 +123,13 @@ def anchored_spin_lift(rep: CliffordRep, O_anchor: np.ndarray, O: np.ndarray) ->
     return sigma0 @ spin_lift(rep, rel)
 
 
-def check_spin_lift(rep: CliffordRep, O: np.ndarray, sigma: np.ndarray) -> float:
-    """Max defect of the defining intertwining relation (diagnostic)."""
-    worst = 0.0
-    sig_inv = np.conj(np.swapaxes(sigma, -1, -2))
-    for j in range(3):
-        lhs = sigma @ rep.gamma[j] @ sig_inv
-        rhs = np.einsum("...i,ikl->...kl", O[..., :, j], rep.gamma)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 @dataclass
 class SpinorField:
     """Spinor components in the deterministic bulk frame, with derivatives.
 
-    `values` maps points (m, n) to components (m, I); `cartesian_gradient`,
-    when given, maps points to (m, I, n) partials d_i c.  Directional frame
-    derivatives fall back to central differences with `fd_step`.
+    `values` maps points (m, n) to components (..., m, I); `cartesian_gradient`,
+    when given, maps points to (..., m, I, n) partials d_i c.  Directional
+    frame derivatives fall back to central differences with `fd_step`.
     """
 
     rep: CliffordRep
@@ -147,45 +139,35 @@ class SpinorField:
     label: str = ""
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        pts, single = as_points(x, self.rep.n)
-        out = np.asarray(self.values(pts), dtype=complex)
-        return out[0] if single else out
+        return np.asarray(self.values(np.asarray(x, dtype=float)), dtype=complex)
 
     def frame_derivatives(self, data: InitialData, x: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
-        """e_a(c) for all frame directions; shape (m, I, n)."""
-        pts, single = as_points(x, self.rep.n)
+        """e_a(c) for all frame directions; shape (..., m, I, n)."""
+        pts = np.asarray(x, dtype=float)
         if frame is None:
             frame = bulk_frame(data, pts)
         if self.cartesian_gradient is not None:
             grad = np.asarray(self.cartesian_gradient(pts), dtype=complex)
-            out = np.einsum("mIi,mai->mIa", grad, frame)
-        else:
-            h = self.fd_step
-            cols = []
-            for a in range(self.rep.n):
-                v = frame[:, a, :]
-                cols.append((self.values(pts + h * v) - self.values(pts - h * v)) / (2.0 * h))
-            out = np.stack(cols, axis=-1)
-        return out[0] if single else out
-
-    def derivative(self, data: InitialData, x: np.ndarray, direction: int) -> np.ndarray:
-        """Directional derivative along the 1-based frame direction e_direction."""
-        if not 1 <= direction <= self.rep.n:
-            raise GeometryError(f"frame direction {direction} outside 1..{self.rep.n}")
-        allof = self.frame_derivatives(data, x)
-        return allof[..., direction - 1]
+            return np.einsum("...mIi,mai->...mIa", grad, frame)
+        h = self.fd_step
+        cols = []
+        for a in range(self.rep.n):
+            v = frame[:, a, :]
+            cols.append((self.values(pts + h * v) - self.values(pts - h * v)) / (2.0 * h))
+        return np.stack(cols, axis=-1)
 
 
 def constant_spinor_field(rep: CliffordRep, components: np.ndarray, label: str = "constant") -> SpinorField:
+    """Constant components (..., I); leading axes batch several spinors."""
     comp = np.asarray(components, dtype=complex)
-    if comp.shape != (rep.dim,):
+    if comp.shape[-1:] != (rep.dim,):
         raise GeometryError(f"constant spinor needs {rep.dim} components")
 
     def values(x):
-        return np.broadcast_to(comp, (np.shape(x)[0], rep.dim)).copy()
+        return np.broadcast_to(comp[..., None, :], comp.shape[:-1] + (np.shape(x)[0], rep.dim)).copy()
 
     def gradient(x):
-        return np.zeros((np.shape(x)[0], rep.dim, rep.n), dtype=complex)
+        return np.zeros(comp.shape[:-1] + (np.shape(x)[0], rep.dim, rep.n), dtype=complex)
 
     return SpinorField(rep=rep, values=values, cartesian_gradient=gradient, label=label)
 
@@ -193,22 +175,21 @@ def constant_spinor_field(rep: CliffordRep, components: np.ndarray, label: str =
 def polynomial_spinor_field(
     rep: CliffordRep, coeffs: np.ndarray, exponents: np.ndarray, label: str = "polynomial"
 ) -> SpinorField:
-    """Components c_I(x) = sum_t coeffs[I, t] * prod_i x_i^exponents[t, i]."""
+    """Components c_I(x) = sum_t coeffs[..., I, t] * prod_i x_i^exponents[t, i]."""
     coeffs = np.asarray(coeffs, dtype=complex)
     exponents = np.asarray(exponents, dtype=int)
     nterms = exponents.shape[0]
-    if coeffs.shape != (rep.dim, nterms):
-        raise GeometryError("coefficient array must have shape (I, nterms)")
+    if coeffs.shape[-2:] != (rep.dim, nterms):
+        raise GeometryError("coefficient array must have shape (..., I, nterms)")
 
     def monomials(x):
         return np.prod(x[:, None, :] ** exponents[None, :, :], axis=-1)  # (m, t)
 
     def values(x):
-        return np.einsum("It,mt->mI", coeffs, monomials(x))
+        return np.einsum("...It,mt->...mI", coeffs, monomials(x))
 
     def gradient(x):
-        m = x.shape[0]
-        out = np.zeros((m, rep.dim, rep.n), dtype=complex)
+        out = np.zeros(coeffs.shape[:-2] + (x.shape[0], rep.dim, rep.n), dtype=complex)
         for i in range(rep.n):
             e = exponents.copy()
             mask = e[:, i] > 0
@@ -218,16 +199,25 @@ def polynomial_spinor_field(
             fac = e2[:, i].astype(float)
             e2[:, i] -= 1
             mono = np.prod(x[:, None, :] ** e2[None, :, :], axis=-1)
-            out[..., i] = np.einsum("It,mt->mI", coeffs[:, mask] * fac[None, :], mono)
+            out[..., i] = np.einsum("...It,mt->...mI", coeffs[..., mask] * fac, mono)
         return out
 
     return SpinorField(rep=rep, values=values, cartesian_gradient=gradient, label=label)
 
 
 def random_polynomial_field(
-    rep: CliffordRep, rng: np.random.Generator, degree: int = 2, scale: float = 0.1, label: str = "random-poly"
+    rep: CliffordRep,
+    rng: np.random.Generator,
+    shape: tuple[int, ...],
+    degree: int = 2,
+    scale: float = 0.1,
+    label: str = "random-poly",
 ) -> SpinorField:
-    """Random low-degree polynomial spinor, scaled so values stay order one."""
+    """Random low-degree polynomial spinors, scaled so values stay order one.
+
+    `shape` is the batch shape, () for a single spinor.  A batch consumes
+    the generator exactly as the same number of single draws in sequence.
+    """
     exps = []
     for total in range(degree + 1):
         for a in range(total + 1):
@@ -235,7 +225,8 @@ def random_polynomial_field(
                 exps.append((a, b, total - a - b))
     exponents = np.asarray(exps, dtype=int)
     damp = scale ** np.sum(exponents, axis=1)
-    coeffs = (rng.normal(size=(rep.dim, len(exps))) + 1j * rng.normal(size=(rep.dim, len(exps)))) * damp
+    z = rng.normal(size=tuple(shape) + (2, rep.dim, len(exps)))  # real and imaginary parts
+    coeffs = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) * damp
     return polynomial_spinor_field(rep, coeffs, exponents, label=label)
 
 

@@ -59,6 +59,28 @@ def test_rotated_crease_identity_nonconstant_angle():
         assert res.direct <= 1e-10
 
 
+def test_batched_traces_match_single_traces():
+    rc = rotated_crease(miao_corner(1.0, 4.0), CreaseAngle.cos_theta(0.2))
+    rng = np.random.default_rng(6)
+    a0 = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    a1 = 0.3 * (rng.normal(size=(3, 3, 4)) + 1j * rng.normal(size=(3, 3, 4)))
+
+    def traces(k):
+        def psi(theta, phi):
+            om = unit_vectors(np.asarray(theta), np.asarray(phi))
+            return a0[k][..., None, :] + om @ a1[k]
+
+        return psi
+
+    batch = crease_boundary_terms(rc, REP, traces(slice(None)), order=12)
+    for k in range(3):
+        one = crease_boundary_terms(rc, REP, traces(k), order=12)
+        for name in ("direct", "formula", "bound", "i_minus", "i_plus", "transmission_defect", "mismatch"):
+            single = getattr(one, name)
+            assert np.ndim(single) == 0
+            assert abs(getattr(batch, name)[k] - single) <= 1e-13 * (abs(one.formula) + 1.0), name
+
+
 def test_transmission_precondition_fires():
     mc = miao_corner(1.0, 4.0)
     rng = np.random.default_rng(3)

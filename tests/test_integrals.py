@@ -19,7 +19,6 @@ from creaselab.integrals import (
     flux_fit_energy_momentum,
     flux_mass_pairing,
     lsw_residual,
-    sen_derivative,
     sen_derivatives,
     sphere_integral,
     volume_quadrature,
@@ -176,7 +175,7 @@ def test_sen_constant_on_flat():
 def test_sen_reduces_to_spin_derivative_when_k_zero():
     data = schwarzschild_isotropic(1.0)
     rng = np.random.default_rng(5)
-    fld = random_polynomial_field(REP, rng, degree=2, scale=0.2)
+    fld = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
     pts = np.array([[3.0, 1.0, 0.5]])
     sen = sen_derivatives(data, REP, fld, pts)
     # re-assemble the pure spin derivative: k = 0 means no tau coupling
@@ -191,7 +190,7 @@ def test_sen_reduces_to_spin_derivative_when_k_zero():
 def test_sen_step_halving_oracle():
     data = graph_slice()
     rng = np.random.default_rng(11)
-    analytic = random_polynomial_field(REP, rng, degree=2, scale=0.2)
+    analytic = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
     fd_half = SpinorField(rep=REP, values=analytic.values, cartesian_gradient=None, fd_step=5e-7)
     pts = np.array([[4.0, 1.0, 1.5], [3.5, -2.0, 0.7], [5.0, 0.1, -0.4]])
     a = sen_derivatives(data, REP, analytic, pts)
@@ -200,22 +199,31 @@ def test_sen_step_halving_oracle():
 
 
 def test_sen_single_direction_accessor():
+    # direction i of the connection is the slice sen_derivatives(...)[..., i - 1];
+    # check each slice against a hand-assembled derivative along the frame vector e_i
     data = graph_slice()
     rng = np.random.default_rng(2)
-    fld = random_polynomial_field(REP, rng, degree=1, scale=0.3)
+    fld = random_polynomial_field(REP, rng, (), degree=1, scale=0.3)
     pts = np.array([[4.0, 0.5, 1.0]])
     allof = sen_derivatives(data, REP, fld, pts)
+    frame = bulk_frame(data, pts)[0]
+    W = bulk_spin_coefficients(data, pts)[0]
+    kf = frame @ data.k(pts)[0] @ frame.T
+    c = fld.evaluate(pts)[0]
+    h = 1e-6
     for i in (1, 2, 3):
-        assert np.allclose(sen_derivative(data, REP, fld, pts, i), allof[..., i - 1])
-    with pytest.raises(IntegralsError):
-        sen_derivative(data, REP, fld, pts, 4)
+        e = frame[i - 1]
+        along = (fld.evaluate(pts + h * e)[0] - fld.evaluate(pts - h * e)[0]) / (2.0 * h)
+        conn = sum(0.25 * W[i - 1, j, l] * REP.gamma[j] @ REP.gamma[l] for j in range(3) for l in range(3))
+        conn = conn + sum(0.5 * kf[i - 1, j] * REP.gamma[j] @ REP.tau for j in range(3))
+        assert np.max(np.abs(allof[0, :, i - 1] - (along + conn @ c))) < 1e-8
 
 
 def test_dirac_witten_linearity():
     data = graph_slice()
     rng = np.random.default_rng(7)
-    f1 = random_polynomial_field(REP, rng, degree=2, scale=0.2)
-    f2 = random_polynomial_field(REP, rng, degree=2, scale=0.2)
+    f1 = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
+    f2 = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
     a, b = 1.3 - 0.2j, -0.7j
     combo = SpinorField(
         rep=REP,
@@ -243,8 +251,8 @@ def test_dirac_witten_formal_self_adjointness():
 def test_dirac_witten_green_identity_with_boundary():
     flat = minkowski_slice()
     rng = np.random.default_rng(3)
-    f1 = random_polynomial_field(REP, rng, degree=2, scale=0.3)
-    f2 = random_polynomial_field(REP, rng, degree=2, scale=0.3)
+    f1 = random_polynomial_field(REP, rng, (), degree=2, scale=0.3)
+    f2 = random_polynomial_field(REP, rng, (), degree=2, scale=0.3)
     pts, w = volume_quadrature(("ball", 2.0), 32, 16)
     dw1 = dirac_witten_apply(flat, REP, f1, pts)
     dw2 = dirac_witten_apply(flat, REP, f2, pts)
@@ -292,6 +300,19 @@ def test_witten_flux_decay_rate():
     assert rate > 0.8  # q' > 0, empirically ~ 1
 
 
+def test_witten_flux_batch_matches_single_spinors():
+    data = schwarzschild_isotropic(1.0)
+    rng = np.random.default_rng(12)
+    spinors = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    batch = witten_flux(data, REP, spinors, 50.0, order=12)
+    assert batch.value.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = witten_flux(data, REP, spinors[idx], 50.0, order=12)
+        assert np.ndim(single.value) == 0
+        assert abs(batch.value[idx] - single.value) <= 1e-13 * abs(single.value)
+        assert abs(batch.imag_part[idx] - single.imag_part) <= 1e-13 * abs(single.value)
+
+
 def test_flux_fit_matches_adm():
     data = schwarzschild_isotropic(1.0)
     adm = adm_energy_momentum(data, [50.0, 100.0, 200.0], order=24)
@@ -319,10 +340,27 @@ def test_lsw_identity_annulus(maker):
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(3):
-        fld = random_polynomial_field(REP, rng, degree=2, scale=0.2)
+        fld = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
         res = lsw_residual(data, REP, fld, ("annulus", 3.0, 6.0), order=16)
         worst = max(worst, abs(res.residual) / (abs(res.bulk) + 1.0))
     assert worst <= 1e-6
+
+
+def test_lsw_batch_matches_single_spinors():
+    data = graph_slice()
+    region = ("annulus", 3.0, 6.0)
+    batch = random_polynomial_field(REP, np.random.default_rng(8), (3,), degree=2, scale=0.2)
+    res = lsw_residual(data, REP, batch, region, order=8, r_order=16)
+    rng = np.random.default_rng(8)  # the batch consumes the generator like three draws in a row
+    pts = np.array([[4.0, 1.0, -0.5], [3.2, 0.1, 2.0]])
+    for k in range(3):
+        single = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
+        assert np.array_equal(batch.evaluate(pts)[k], single.evaluate(pts))
+        one = lsw_residual(data, REP, single, region, order=8, r_order=16)
+        scale = abs(one.bulk) + 1.0
+        for name in ("bulk", "boundary", "residual", "dirichlet", "dirac_sq", "matter"):
+            assert np.ndim(getattr(one, name)) == 0
+            assert abs(getattr(res, name)[k] - getattr(one, name)) <= 1e-13 * scale, name
 
 
 def test_lsw_identity_synthetic_full_terms():
@@ -344,7 +382,7 @@ def test_lsw_identity_synthetic_full_terms():
         k=kfun, dk=dkfun, kind="asymptotically-flat-exterior", q=None, label="synthetic-k",
     )
     rng = np.random.default_rng(4)
-    fld = random_polynomial_field(REP, rng, degree=2, scale=0.3)
+    fld = random_polynomial_field(REP, rng, (), degree=2, scale=0.3)
     res = lsw_residual(synth, REP, fld, ("ball", 2.0), order=12)
     assert abs(res.residual) <= 1e-6 * (abs(res.bulk) + 1.0)
 
@@ -354,7 +392,7 @@ def test_lsw_quadrature_order_refinement():
     # residual there is pure quadrature error and must decay spectrally
     data = graph_slice()
     rng = np.random.default_rng(9)
-    fld = random_polynomial_field(REP, rng, degree=2, scale=0.2)
+    fld = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
     coarse = abs(lsw_residual(data, REP, fld, ("ball", 6.0), order=12, r_order=24).residual)
     fine = abs(lsw_residual(data, REP, fld, ("ball", 6.0), order=12, r_order=48).residual)
     assert coarse > 1e-6  # under-resolved on purpose

@@ -210,7 +210,7 @@ def test_development_metric_components():
     g4 = dev.evaluate(1.3, pt)
     q = float(ls.lorentz_length_squared(pt[None])[0])
     assert g4[0, 0] == pytest.approx(-q, abs=1e-13)
-    assert np.allclose(g4[1:, 1:], FLAT.metric(pt), atol=1e-14)
+    assert np.allclose(g4[1:, 1:], FLAT.g(pt[None])[0], atol=1e-14)
     # timelike Killing direction wherever u > |Y|
     assert g4[0, 0] < 0.0
     # t-independence
