@@ -1,9 +1,9 @@
 """Closed-form initial data models and creased gluings.
 
-Every model ships analytic first derivatives and, when spherically
-symmetric, the radial profile used by the transmission solver.  All
-closures are vectorized over point batches (m, 3); the catalog is
-three-dimensional.
+Every model ships analytic first derivatives of g and k, analytic second
+derivatives of g (`InitialData.d2g`), and, when spherically symmetric,
+the radial profile used by the transmission solver.  All closures are
+vectorized over point batches (m, 3); the catalog is three-dimensional.
 """
 
 from __future__ import annotations
@@ -51,6 +51,39 @@ def _radial_tensor_deriv(x, u, du, v, dv):
     return out
 
 
+def _radial_tensor_deriv2(x, u, du, d2u, v, dv, d2v):
+    """d_m d_l of the radial tensor; index order [..., i, j, l, m].
+
+    With g = u delta + w x x^T and w = v / r^2:
+    d_m d_l g_ij = delta_ij U_lm + x_i x_j W_lm + w'(omega_m D_ijl + omega_l D_ijm)
+                   + w (delta_il delta_jm + delta_im delta_jl),
+    where D_ijl = delta_il x_j + x_i delta_jl, U_lm = u'' omega_l omega_m
+    + u' (delta_lm - omega_l omega_m) / r, and W is U with w for u.  The
+    Kronecker terms are added on index slices, not as full outer products.
+    """
+    r = _radii(x)
+    om = x / r[:, None]
+    w = v / r**2
+    dw = dv / r**2 - 2.0 * v / r**3
+    d2w = d2v / r**2 - 4.0 * dv / r**3 + 6.0 * v / r**4
+    P = om[:, :, None] * om[:, None, :]
+    Q = (np.eye(3) - P) / r[:, None, None]
+    U = d2u[:, None, None] * P + du[:, None, None] * Q
+    W = d2w[:, None, None] * P + dw[:, None, None] * Q
+    out = (x[:, :, None] * x[:, None, :])[:, :, :, None, None] * W[:, None, None, :, :]
+    xo = dw[:, None, None] * x[:, :, None] * om[:, None, :]  # w' x_a omega_b
+    for a in range(3):
+        out[:, a, a] += U
+        out[:, a, :, a, :] += xo  # w' delta_il x_j omega_m
+        out[:, :, a, a, :] += xo  # w' x_i delta_jl omega_m
+        out[:, a, :, :, a] += xo  # w' delta_im x_j omega_l
+        out[:, :, a, :, a] += xo  # w' x_i delta_jm omega_l
+        for b in range(3):
+            out[:, a, b, a, b] += w
+            out[:, a, b, b, a] += w
+    return out
+
+
 def _zero_tensor(x):
     m = np.shape(x)[0]
     return np.zeros((m, 3, 3))
@@ -66,17 +99,20 @@ def _radial_data(
     kind: str,
     label: str,
     q: float | None,
-    metric_uv,  # r -> (u, du, v, dv) for g = u delta + v P
+    metric_uv,  # r -> (u, du, d2u, v, dv, d2v) for g = u delta + v P
     curv_uv=None,  # r -> (u, du, v, dv) for k, or None for k = 0
     profile: RadialProfile | None = None,
 ) -> InitialData:
     def g(x):
-        u, du, v, dv = metric_uv(_radii(x))
+        u, _, _, v, _, _ = metric_uv(_radii(x))
         return _radial_tensor(x, u, v)
 
     def dg(x):
-        u, du, v, dv = metric_uv(_radii(x))
+        u, du, _, v, dv, _ = metric_uv(_radii(x))
         return _radial_tensor_deriv(x, u, du, v, dv)
+
+    def d2g(x):
+        return _radial_tensor_deriv2(x, *metric_uv(_radii(x)))
 
     if curv_uv is None:
         k, dk = _zero_tensor, _zero_tensor_deriv
@@ -90,7 +126,7 @@ def _radial_data(
             return _radial_tensor_deriv(x, u, du, v, dv)
 
     return InitialData(n=3, chart=chart, g=g, k=k, dg=dg, dk=dk, kind=kind, q=q,
-                       label=label, profile=profile)
+                       label=label, profile=profile, d2g=d2g)
 
 
 def _validate_positive_definite(data: InitialData, radii) -> None:
@@ -108,7 +144,7 @@ def _validate_positive_definite(data: InitialData, radii) -> None:
 
 
 def minkowski_slice() -> InitialData:
-    ones = lambda r: (np.ones_like(r), np.zeros_like(r), np.zeros_like(r), np.zeros_like(r))
+    ones = lambda r: (np.ones_like(r),) + (np.zeros_like(r),) * 5
     profile = RadialProfile(
         A=lambda r: np.ones_like(r), B=lambda r: np.ones_like(r),
         dA=lambda r: np.zeros_like(r), dB=lambda r: np.zeros_like(r),
@@ -134,7 +170,9 @@ def schwarzschild_isotropic(m: float) -> InitialData:
     def metric_uv(r):
         p = phi(r)
         dp = -m / (2.0 * r**2)
-        return p**4, 4.0 * p**3 * dp, np.zeros_like(r), np.zeros_like(r)
+        d2p = m / r**3
+        zero = np.zeros_like(r)
+        return p**4, 4.0 * p**3 * dp, 12.0 * p**2 * dp**2 + 4.0 * p**3 * d2p, zero, zero, zero
 
     profile = RadialProfile(
         A=lambda r: phi(r) ** 2,
@@ -164,7 +202,9 @@ def schwarzschild_exterior_area_radius(m: float, r_min: float | None = None) -> 
     def metric_uv(r):
         alpha = 2.0 * m / (r - 2.0 * m)
         dalpha = -2.0 * m / (r - 2.0 * m) ** 2
-        return np.ones_like(r), np.zeros_like(r), alpha, dalpha
+        d2alpha = 4.0 * m / (r - 2.0 * m) ** 3
+        zero = np.zeros_like(r)
+        return np.ones_like(r), zero, zero, alpha, dalpha, d2alpha
 
     def A(r):
         return 1.0 / np.sqrt(1.0 - 2.0 * m / r)
@@ -194,6 +234,7 @@ def flat_ball(r0: float) -> InitialData:
     return InitialData(
         n=3, chart=Chart("ball", 0.0, float(r0)), g=data.g, k=data.k, dg=data.dg, dk=data.dk,
         kind="compact-interior", q=None, label=f"flat_ball(r0={r0:g})", profile=data.profile,
+        d2g=data.d2g,
     )
 
 
@@ -208,7 +249,7 @@ def miao_corner(m: float, rho0: float) -> CreasedData:
     plus = InitialData(
         n=3, chart=Chart("exterior", rho0, math.inf), g=exterior.g, k=exterior.k,
         dg=exterior.dg, dk=exterior.dk, kind="asymptotically-flat-exterior", q=1.0,
-        label=exterior.label + f"|r>={rho0:g}", profile=exterior.profile,
+        label=exterior.label + f"|r>={rho0:g}", profile=exterior.profile, d2g=exterior.d2g,
     )
     return CreasedData(
         minus=flat_ball(rho0),
@@ -225,7 +266,7 @@ def trivial_crease(r0: float = 1.0) -> CreasedData:
     plus = InitialData(
         n=3, chart=Chart("exterior", float(r0), math.inf), g=flat.g, k=flat.k,
         dg=flat.dg, dk=flat.dk, kind="asymptotically-flat-exterior", q=math.inf,
-        label="minkowski_slice", profile=flat.profile,
+        label="minkowski_slice", profile=flat.profile, d2g=flat.d2g,
     )
     return CreasedData(
         minus=flat_ball(r0), plus=plus, r0=float(r0),
@@ -255,8 +296,9 @@ def graph_slice(amplitude: float = 0.4, center: float = 4.5, width: float = 1.0)
         return a * np.exp(-(s**2)) * (4.0 * s**2 - 2.0) / w**2
 
     def metric_uv(r):
-        hp = h1(r)
-        return np.ones_like(r), np.zeros_like(r), -(hp**2), -2.0 * hp * h2(r)
+        hp, hpp = h1(r), h2(r)
+        zero = np.zeros_like(r)
+        return np.ones_like(r), zero, zero, -(hp**2), -2.0 * hp * hpp, -2.0 * hpp**2 - 2.0 * hp * h3(r)
 
     # k = Hess(h)/W w.r.t. the future timelike normal (convention pinned in
     # the README sheet); the slice is vacuum for either global k sign

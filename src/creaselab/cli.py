@@ -37,7 +37,7 @@ from .killing import (
     riemann_norm,
 )
 from .radial import RadialGrid, assemble, mass_gap, poincare_estimate, reduce_radial, solve
-from .reports import render_report, write_atomic, write_csv
+from .reports import NonFiniteReportError, render_report, write_atomic, write_csv
 from .spheregrid import unit_vectors
 from .spinorfields import constant_spinor_field, random_polynomial_field
 
@@ -330,15 +330,15 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         results, passed, flags = COMMANDS[args.command](config, out_dir)
+        report = render_report(args.command, config.echo(), results, passed, flags)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except GeometryError as exc:
+    except (GeometryError, NonFiniteReportError) as exc:
         print(f"numeric/internal error: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - started
 
-    report = render_report(args.command, config.echo(), results, passed, flags)
     write_atomic(os.path.join(out_dir, "report.json"), report)
     meta = f'{{"wall_clock_seconds": {elapsed:.3f}}}\n'
     write_atomic(os.path.join(out_dir, "report_meta.json"), meta)

@@ -68,6 +68,8 @@ def _check_section(data: dict, schema: dict, path: str) -> None:
         elif spec is float:
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"{path}{key} must be a number")
+            if not math.isfinite(val):
+                raise ConfigError(f"{path}{key} must be finite, got {val!r}")
         elif spec is int:
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ConfigError(f"{path}{key} must be an integer")
@@ -132,8 +134,8 @@ def parse_config(text: str) -> RunConfig:
     tols = dict(_DEFAULT_TOLERANCES)
     tols.update(data.get("tolerances", {}))
     radii = data.get("radii", [50.0, 100.0, 200.0])
-    if len(radii) < 1 or any(not isinstance(r, (int, float)) for r in radii):
-        raise ConfigError("radii must be a nonempty list of numbers")
+    if len(radii) < 1 or any(not isinstance(r, (int, float)) or not math.isfinite(r) for r in radii):
+        raise ConfigError("radii must be a nonempty list of finite numbers")
     if not 4 <= quad.get("sphere_order", 16) <= 256:
         raise ConfigError("sphere_order must be within 4..256")
     for name, value in tols.items():
@@ -173,12 +175,17 @@ def load_config(path: str) -> RunConfig:
 def build_catalog_entry(config: RunConfig):
     """Instantiate the configured catalog model (data or creased data).
 
-    An unknown model, a missing or unknown parameter, or parameter values
-    the model rejects (GeometryError) or cannot convert are configuration
-    errors.
+    An unknown model, a missing or unknown parameter, a non-finite
+    parameter value, or parameter values the model rejects (GeometryError)
+    or cannot convert are configuration errors.
     """
     from .catalog import catalog
+    from .reports import nonfinite_path
 
+    for where, values in (("catalog.params", config.catalog_params), ("catalog.base_params", config.base_params)):
+        bad = nonfinite_path(values, where)
+        if bad is not None:
+            raise ConfigError(f"{bad} must be finite")
     params = dict(config.catalog_params)
     if config.catalog_name == "rotated_crease":
         if config.base is None or config.angle is None:

@@ -1,9 +1,15 @@
 """Charts, initial-data fields, frames, constraints, and induced boundary geometry.
 
 An initial data set is a chart in Cartesian coordinates together with
-vectorized closures for the metric g, the extrinsic curvature k, and their
-first partial derivatives.  Point batches have shape (m, n); tensors append
-index axes, with the derivative index last: dg[..., i, j, l] = d_l g_ij.
+vectorized closures for the metric g, the extrinsic curvature k, their
+first partial derivatives and, optionally, the second partial derivatives
+of g.  Point batches have shape (m, n); tensors append index axes, with
+the derivative indices last: dg[..., i, j, l] = d_l g_ij and
+d2g[..., i, j, l, m] = d_m d_l g_ij.
+
+Curvature uses d2g when the data provide it (every catalog model does);
+otherwise it falls back to central differences of dg, and only then does
+the constraint error estimate come from a Richardson step-doubling pass.
 
 Conventions (fixed here, imported everywhere else):
   * k is taken with respect to the future timelike normal, signed so that
@@ -100,7 +106,12 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Metric/extrinsic-curvature fields with derivative access on a chart."""
+    """Metric/extrinsic-curvature fields with derivative access on a chart.
+
+    `d2g`, when given, returns d2g[..., i, j, l, m] = d_m d_l g_ij in closed
+    form; without it, second derivatives of g come from central differences
+    of `dg` (`second_metric_derivative`).
+    """
 
     n: int
     chart: Chart
@@ -112,6 +123,7 @@ class InitialData:
     q: float | None = None
     label: str = ""
     profile: RadialProfile | None = None
+    d2g: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -182,13 +194,19 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 
 def christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[..., k, i, j] = 1/2 g^{kl} (dg_jl,i + dg_il,j - dg_ij,l)."""
-    ginv = inverse_metric(g)
-    term = np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg) - np.einsum("...ijl->...lij", dg)
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
+    return 0.5 * np.einsum("...kl,...lij->...kij", inverse_metric(g), _lowered_christoffel_terms(dg))
+
+
+def _lowered_christoffel_terms(dg: np.ndarray) -> np.ndarray:
+    """dg_jl,i + dg_il,j - dg_ij,l in the order [..., l, i, j] (2 Gamma_{l,ij})."""
+    return np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg) - np.einsum("...ijl->...lij", dg)
 
 
 def second_metric_derivative(data: InitialData, x: np.ndarray, step=None) -> np.ndarray:
-    """d2g[..., i, j, l, m] = d_m d_l g_ij by central differences on dg."""
+    """d2g[..., i, j, l, m] = d_m d_l g_ij by central differences on dg.
+
+    The fallback for data without a closed-form `d2g`, and its test oracle.
+    """
     pts, single = as_points(x, data.n)
     n = data.n
     if step is None:
@@ -205,30 +223,33 @@ def second_metric_derivative(data: InitialData, x: np.ndarray, step=None) -> np.
 
 
 def scalar_curvature(data: InitialData, x: np.ndarray, step=None) -> np.ndarray:
+    """Scalar curvature of g from first and second metric derivatives.
+
+    Second derivatives are the closed-form `data.d2g` when present, else
+    central differences of dg with the given step (`second_metric_derivative`).
+    Only traces of d Gamma enter R, so it is assembled from pairwise
+    contractions of rank-3 and rank-4 arrays:
+
+        R = g^ij g^kl (d_k d_i g_jl - d_k d_l g_ij) + 1/2 g^ij tr(H_i H_j)
+            + (c - u)_m Gamma^m - g^ij Gamma^k_jm Gamma^m_ik
+
+    with H_i = g^-1 d_i g, c_i = tr(H_i)/2 = Gamma^k_ki, u_b = (H_k)^k_b
+    and Gamma^m = g^ij Gamma^m_ij.
+    """
     pts, single = as_points(x, data.n)
     g = data.g(pts)
     dg = data.dg(pts)
-    d2g = second_metric_derivative(data, pts, step=step)
+    d2g = data.d2g(pts) if data.d2g is not None else second_metric_derivative(data, pts, step=step)
     ginv = inverse_metric(g)
-    gamma = christoffel(g, dg)
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, _lowered_christoffel_terms(dg))
+    H = np.einsum("...ka,...abj->...jkb", ginv, dg)  # H[..., j, :, :] = g^-1 d_j g
 
-    dginv = -np.einsum("...ka,...abm,...bl->...klm", ginv, dg, ginv)
-    term = (
-        np.einsum("...jlim->...lijm", d2g)
-        + np.einsum("...iljm->...lijm", d2g)
-        - np.einsum("...ijlm->...lijm", d2g)
-    )
-    dgamma = 0.5 * (
-        np.einsum("...klm,...lij->...kijm", dginv, np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg) - np.einsum("...ijl->...lij", dg))
-        + np.einsum("...kl,...lijm->...kijm", ginv, term)
-    )
-    ric = (
-        np.einsum("...kijk->...ij", dgamma)
-        - np.einsum("...kkji->...ij", dgamma)
-        + np.einsum("...kkm,...mij->...ij", gamma, gamma)
-        - np.einsum("...kim,...mkj->...ij", gamma, gamma)
-    )
-    r = np.einsum("...ij,...ij->...", ginv, ric)
+    second = np.einsum("...ij,...jlik->...lk", ginv, d2g) - np.einsum("...ij,...ijlk->...lk", ginv, d2g)
+    r = np.einsum("...kl,...lk->...", ginv, second)
+    r += 0.5 * np.einsum("...ij,...ji->...", ginv, np.einsum("...jkb,...ibk->...ji", H, H))
+    c_minus_u = 0.5 * np.einsum("...ikk->...i", H) - np.einsum("...kkb->...b", H)
+    r += np.einsum("...m,...m->...", c_minus_u, np.einsum("...ij,...mij->...m", ginv, gamma))
+    r -= np.einsum("...kmi,...mik->...", np.einsum("...ij,...kjm->...kmi", ginv, gamma), gamma)
     return r[0] if single else r
 
 
@@ -236,7 +257,7 @@ def scalar_curvature(data: InitialData, x: np.ndarray, step=None) -> np.ndarray:
 class ConstraintValues:
     mu: np.ndarray
     J: np.ndarray  # coordinate covector components, shape (..., n)
-    error_estimate: np.ndarray
+    error_estimate: np.ndarray  # finite-difference error estimate of R; 0 with closed-form d2g
 
     def momentum_norm(self, data: InitialData, x: np.ndarray) -> np.ndarray:
         pts, single = as_points(x, data.n)
@@ -250,9 +271,11 @@ def constraint_fields(data: InitialData, x: np.ndarray) -> ConstraintValues:
     """Energy and momentum densities of the constraint equations.
 
     mu = (R + (tr k)^2 - |k|^2)/2 and J = div(k - (tr k) g).  The momentum
-    density is fully analytic given dg and dk; the scalar curvature needs
-    one central-difference level on dg, and the returned error estimate is
-    a Richardson difference of that step.
+    density is fully analytic given dg and dk.  The scalar curvature is
+    analytic when the data carry a closed-form d2g, and the error estimate
+    is then 0; otherwise R takes one central-difference level on dg, and
+    the error estimate is a Richardson difference of that step.  Either
+    way the points must keep the difference stencil inside the chart.
     """
     pts, single = as_points(x, data.n)
     r = np.linalg.norm(pts, axis=1)
@@ -269,25 +292,28 @@ def constraint_fields(data: InitialData, x: np.ndarray) -> ConstraintValues:
     ginv = inverse_metric(g)
     gamma = christoffel(g, dg)
 
-    trk = np.einsum("...ij,...ij->...", ginv, k)
-    ksq = np.einsum("...ia,...jb,...ij,...ab->...", ginv, ginv, k, k)
+    kmix = ginv @ k  # k^i_j
+    kup = kmix @ ginv  # k^{ij}
+    trk = np.einsum("...ii->...", kmix)
+    ksq = np.einsum("...ij,...ji->...", kmix, kmix)
 
     r_scal = scalar_curvature(data, pts)
-    # Richardson step-doubling estimate of the finite-difference error in R.
-    r_coarse = scalar_curvature(data, pts, step=2.0 * h)
-    err = np.abs(r_scal - r_coarse) / 3.0 + 1e-14
+    if data.d2g is None:
+        # Richardson step-doubling estimate of the finite-difference error in R.
+        r_coarse = scalar_curvature(data, pts, step=2.0 * h)
+        err = np.abs(r_scal - r_coarse) / 3.0 + 1e-14
+    else:
+        err = np.zeros_like(r_scal)
 
     mu = 0.5 * (r_scal + trk**2 - ksq)
 
     # J_i = g^{jl} (d_l pi_ji - Gamma^m_{lj} pi_mi - Gamma^m_{li} pi_jm)
     pi = k - trk[..., None, None] * g
-    dtrk = -np.einsum("...am,...mpl,...pb,...ab->...l", ginv, dg, ginv, k) + np.einsum(
-        "...ab,...abl->...l", ginv, dk
-    )
+    dtrk = np.einsum("...ab,...abl->...l", ginv, dk) - np.einsum("...ab,...abl->...l", kup, dg)
     dpi = dk - dtrk[..., None, None, :] * g[..., :, :, None] - trk[..., None, None, None] * dg
     J = np.einsum("...jl,...jil->...i", ginv, dpi)
-    J -= np.einsum("...jl,...mlj,...mi->...i", ginv, gamma, pi)
-    J -= np.einsum("...jl,...mli,...jm->...i", ginv, gamma, pi)
+    J -= np.einsum("...m,...mi->...i", np.einsum("...jl,...mlj->...m", ginv, gamma), pi)
+    J -= np.einsum("...lm,...mli->...i", ginv @ pi, gamma)
 
     if single:
         return ConstraintValues(mu=mu[0], J=J[0], error_estimate=err[0])
@@ -534,19 +560,3 @@ def fit_decay(data: InitialData, radii, order: int = 12) -> DecayFit:
         radii=tuple(radii),
         max_deviation=tuple(devs),
     )
-
-
-def verify_crease_match(cd: CreasedData, order: int = 12) -> float:
-    """Max mismatch of the two induced sphere metrics at quadrature nodes."""
-    grid = sphere_grid(order)
-    pts = cd.r0 * grid.nodes
-    theta, phi = grid.theta, grid.phi
-    d_theta, d_phi = theta_phi_tangents(theta, phi)
-    mism = 0.0
-    gm = cd.minus.g(pts)
-    gp = cd.plus.g(pts)
-    for a in (d_theta, d_phi):
-        for b in (d_theta, d_phi):
-            va = np.einsum("...i,...ij,...j->...", cd.r0 * a, gm - gp, cd.r0 * b)
-            mism = max(mism, float(np.max(np.abs(va))))
-    return mism

@@ -245,24 +245,26 @@ def adm_energy_momentum(data: InitialData, radii: Sequence[float], order: int = 
 # spin coefficients and the Dirac-Witten operator in the bulk frame
 
 
-def bulk_spin_coefficients(data: InitialData, x: np.ndarray, step: float | None = None) -> np.ndarray:
-    """W[m, a, j, l] = g(nabla_{e_a} e_j, e_l) for the deterministic bulk frame."""
+def bulk_spin_coefficients(data: InitialData, x: np.ndarray) -> np.ndarray:
+    """W[m, a, j, l] = g(nabla_{e_a} e_j, e_l) for the deterministic bulk frame.
+
+    Gram-Schmidt on the coordinate basis in fixed order gives frame rows F
+    with F g F^T = I and F lower-triangular, so F = L^{-1} for the Cholesky
+    factor g = L L^T, and d_i F = -Phi(F d_i g F^T) F, where Phi keeps the
+    strict lower triangle and halves the diagonal.  With the frame
+    components G[a, j, l] = (d_{e_a} g)(e_j, e_l) of dg, the frame
+    derivative gives -Phi(G_a) and the Christoffel symbols the rest:
+    W_ajl = -Phi(G_a)_jl + 1/2 (G_ajl + G_jla - G_laj).
+    """
     pts = np.asarray(x, dtype=float)
     n = data.n
-    if step is None:
-        h = float(np.finfo(float).eps) ** (1.0 / 3.0)
-    else:
-        h = float(step)
     frame = bulk_frame(data, pts)
-    g = data.g(pts)
-    gamma = christoffel(g, data.dg(pts))
-    dframe = np.empty(pts.shape[:1] + (n, n, n))
-    for i in range(n):
-        dx = np.zeros_like(pts)
-        dx[:, i] = h
-        dframe[..., i] = (bulk_frame(data, pts + dx) - bulk_frame(data, pts - dx)) / (2.0 * h)
-    cov = dframe + np.einsum("mpiq,mjq->mjpi", gamma, frame)
-    return np.einsum("mai,mjpi,mpq,mlq->majl", frame, cov, g, frame)
+    # one frame index at a time: G[m, a, j, l] = e_a^i e_j^p e_l^q d_i g_pq
+    G = np.einsum("mpqi,mai->mapq", data.dg(pts), frame)
+    G = np.einsum("mapq,mjp->majq", G, frame)
+    G = np.einsum("majq,mlq->majl", G, frame)
+    phi = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+    return 0.5 * (G + np.einsum("mjla->majl", G) - np.einsum("mlaj->majl", G)) - phi * G
 
 
 def _pair_products(rep: CliffordRep):
@@ -278,15 +280,17 @@ def sen_derivatives(data: InitialData, rep: CliffordRep, field: SpinorField, x: 
                       + 1/2 k(e_a, e_j) Gamma^j tau c.
     """
     pts = np.asarray(x, dtype=float)
+    n, dim = data.n, rep.dim
     frame = bulk_frame(data, pts)
     c = field.evaluate(pts)
     W = bulk_spin_coefficients(data, pts)
-    kf = np.einsum("mai,mij,mbj->mab", frame, data.k(pts), frame)
+    kf = frame @ data.k(pts) @ np.swapaxes(frame, -1, -2)
     gg, gt = _pair_products(rep)
-    # summed in place: a batch of spinors holds few arrays of its size at once
+    # the connection's algebraic part as one (m, a, I, K) operator, applied once to the batch
+    conn = (0.25 * W.reshape(-1, n * n) @ gg.reshape(n * n, dim * dim)
+            + 0.5 * kf.reshape(-1, n) @ gt.reshape(n, dim * dim))
     out = np.asarray(field.frame_derivatives(data, pts, frame=frame), dtype=complex)
-    out += 0.25 * np.einsum("majl,jlIK,...mK->...mIa", W, gg, c)
-    out += 0.5 * np.einsum("maj,jIK,...mK->...mIa", kf, gt, c)
+    out += np.einsum("maIK,...mK->...mIa", conn.reshape(W.shape[:2] + (dim, dim)), c)
     return out
 
 
@@ -549,7 +553,7 @@ def lsw_residual(
 
     # each spinor term is integrated at once and its arrays dropped, to keep the batch's peak low
     c = field.evaluate(pts)
-    jtau = np.einsum("ma,aIK,...mK->...mI", j_frame, gt, c)
+    jtau = np.einsum("mIK,...mK->...mI", (j_frame @ gt.reshape(data.n, -1)).reshape(-1, rep.dim, rep.dim), c)
     matter = 0.5 * (cons.mu * np.einsum("...mI,...mI->...m", np.conj(c), c).real
                     + np.einsum("...mI,...mI->...m", np.conj(c), jtau).real)
     matter_int = np.sum(matter * dV, axis=-1)

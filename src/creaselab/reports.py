@@ -8,6 +8,7 @@ wall-clock timing goes to a separate sidecar file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -36,7 +37,29 @@ def _plain(obj):
     return obj
 
 
+class NonFiniteReportError(ValueError):
+    """A report value is NaN or infinite; the message names its key path."""
+
+
+def nonfinite_path(obj, path: str = "") -> str | None:
+    """Key path of the first non-finite float in nested dicts and lists, in sorted key order."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), obj[k]) for k in sorted(obj, key=str))
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub, value in items:
+        found = nonfinite_path(value, sub)
+        if found is not None:
+            return found
+    return None
+
+
 def render_report(command: str, config_echo: dict, results: dict, passed: bool, flags: dict) -> str:
+    """Deterministic JSON text; NonFiniteReportError if any number is not finite."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
@@ -46,7 +69,10 @@ def render_report(command: str, config_echo: dict, results: dict, passed: bool, 
         "flags": _plain(flags),
         "passed": bool(passed),
     }
-    return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    bad = nonfinite_path(doc)
+    if bad is not None:
+        raise NonFiniteReportError(f"non-finite number in the report at {bad}")
+    return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": "), allow_nan=False) + "\n"
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -1,14 +1,19 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from creaselab import cli
+from creaselab.reports import NonFiniteReportError, render_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SOLVE_SMALL = CONFIGS / "solve-small.yaml"
 IDENTITIES_SMALL = CONFIGS / "identities-small.yaml"
+CREASE_CHECK_SMALL = CONFIGS / "crease-check-small.yaml"
+RIGIDITY_SMALL = CONFIGS / "rigidity-small.yaml"
 
 
 def _run(command, config_path, out_dir) -> int:
@@ -133,3 +138,67 @@ def test_solve_with_crease_radius_beyond_200(tmp_path):
     assert _run("solve", _write_config(tmp_path, "wide.yaml", doc), tmp_path / "out") == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert all(report["flags"].values())
+
+
+@pytest.mark.parametrize("command,config", [("crease-check", CREASE_CHECK_SMALL), ("rigidity", RIGIDITY_SMALL)])
+def test_small_config_report_is_byte_reproducible(tmp_path, command, config):
+    assert _run(command, config, tmp_path / "a") == 0
+    assert _run(command, config, tmp_path / "b") == 0
+    first = (tmp_path / "a" / "report.json").read_bytes()
+    assert first == (tmp_path / "b" / "report.json").read_bytes()
+    assert all(json.loads(first)["flags"].values())
+
+
+def test_crease_check_with_negative_margin_exits_1(tmp_path):
+    doc = {
+        "catalog": {"name": "rotated_crease", "base": "miao_corner", "base_params": {"m": 1.0, "rho0": 5.0},
+                    "angle": {"type": "cos_theta", "amplitude": 0.6}},
+        "quadrature": {"sphere_order": 12},
+    }
+    assert _run("crease-check", _write_config(tmp_path, "rotated.yaml", doc), tmp_path / "out") == 1
+    results = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["results"]
+    assert results["min_margin"] == pytest.approx(-0.089, abs=1e-3)
+    assert results["dec_creased"] is False
+
+
+@pytest.mark.parametrize(
+    "command,doc,message",
+    [
+        ("adm", {"catalog": {"name": "schwarzschild_isotropic", "params": {"m": math.nan}}}, "catalog.params.m"),
+        ("identities", {"catalog": {"name": "graph_slice", "params": {"center": math.inf}}}, "catalog.params.center"),
+        ("crease-check", {"catalog": {"name": "rotated_crease", "base": "miao_corner",
+                                      "base_params": {"m": 1.0, "rho0": -math.inf},
+                                      "angle": {"type": "constant", "value": 0.3}}}, "catalog.base_params.rho0"),
+        ("crease-check", {"catalog": {"name": "rotated_crease", "base": "miao_corner",
+                                      "base_params": {"m": 1.0, "rho0": 4.0},
+                                      "angle": {"type": "cos_theta", "amplitude": math.nan}}},
+         "catalog.angle.amplitude"),
+        ("solve", {"catalog": {"name": "miao_corner", "params": {"m": 1.0, "rho0": 4.0}},
+                   "grid": {"r_max": math.inf}}, "grid.r_max"),
+        ("adm", {"catalog": {"name": "minkowski_slice"}, "radii": [50.0, math.nan]}, "radii"),
+    ],
+)
+def test_nonfinite_input_exits_2(tmp_path, capsys, command, doc, message):
+    assert _run(command, _write_config(tmp_path, "nonfinite.yaml", doc), tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_render_report_names_first_nonfinite_key():
+    results = {"lsw": {"region": [3.0, 6.0], "max_scaled_residual": np.float64(np.nan)}, "zz": math.inf}
+    with pytest.raises(NonFiniteReportError, match=r"results\.lsw\.max_scaled_residual"):
+        render_report("identities", {}, results, True, {})
+    with pytest.raises(NonFiniteReportError, match=r"results\.P\[1\]"):
+        render_report("adm", {}, {"P": np.array([0.0, -np.inf])}, True, {})
+    text = render_report("adm", {}, {"P": [0.0, 1.5]}, True, {"ok": np.bool_(True)})
+    assert json.loads(text)["results"]["P"] == [0.0, 1.5]
+
+
+def test_nonfinite_result_exits_3_without_report(tmp_path, capsys, monkeypatch):
+    def nan_identities(config, out_dir):
+        return {"lsw": {"max_scaled_residual": float("nan")}}, False, {"lsw": False}
+
+    monkeypatch.setitem(cli.COMMANDS, "identities", nan_identities)
+    assert _run("identities", IDENTITIES_SMALL, tmp_path / "out") == 3
+    assert "results.lsw.max_scaled_residual" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()

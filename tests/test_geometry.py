@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from creaselab.catalog import (
     catalog,
+    flat_ball,
     graph_slice,
     miao_corner,
     minkowski_slice,
@@ -13,15 +15,20 @@ from creaselab.catalog import (
     trivial_crease,
 )
 from creaselab.geometry import (
+    Chart,
     GeometryError,
+    InitialData,
     bulk_frame,
     constraint_fields,
     fit_decay,
     hypersurface_geometry,
+    scalar_curvature,
+    second_metric_derivative,
     sphere_frame,
     unit_sphere_volume,
-    verify_crease_match,
 )
+from creaselab.integrals import volume_quadrature
+from creaselab.spheregrid import sphere_grid, theta_phi_tangents
 
 
 def sample_points(rng, m, rlo, rhi):
@@ -72,6 +79,91 @@ def test_vacuum_constraint_residuals(maker, rlo, rhi):
     assert np.max(c.momentum_norm(data, pts)) < 1e-6
     # graph slices are vacuum Minkowski slices: mu >= |J| holds within noise
     assert np.all(c.mu >= c.momentum_norm(data, pts) - 1e-7)
+
+
+# every catalog model with the radii of its chart to sample (interior points only)
+CATALOG_SIDES = [
+    ("minkowski_slice", lambda: minkowski_slice(), 0.5, 10.0),
+    ("schwarzschild_isotropic", lambda: schwarzschild_isotropic(1.0), 1.0, 12.0),
+    ("schwarzschild_exterior_area_radius", lambda: schwarzschild_exterior_area_radius(1.0), 3.0, 12.0),
+    ("flat_ball", lambda: flat_ball(3.0), 0.5, 2.8),
+    ("miao_corner.minus", lambda: miao_corner(1.0, 3.0).minus, 0.5, 2.8),
+    ("miao_corner.plus", lambda: miao_corner(1.0, 3.0).plus, 3.2, 12.0),
+    ("trivial_crease.minus", lambda: trivial_crease(2.0).minus, 0.5, 1.8),
+    ("trivial_crease.plus", lambda: trivial_crease(2.0).plus, 2.2, 8.0),
+    ("graph_slice", lambda: graph_slice(), 1.0, 9.0),
+    ("graph_slice(0.3, 4.2, 0.8)", lambda: graph_slice(0.3, 4.2, 0.8), 2.0, 7.0),
+]
+
+
+@pytest.mark.parametrize("name,maker,rlo,rhi", CATALOG_SIDES, ids=[c[0] for c in CATALOG_SIDES])
+def test_closed_form_d2g_matches_finite_differences(name, maker, rlo, rhi):
+    data = maker()
+    assert data.d2g is not None
+    pts = sample_points(np.random.default_rng(17), 60, rlo, rhi)
+    d2g = data.d2g(pts)
+    assert d2g.shape == (60, 3, 3, 3, 3)
+    roundoff = 1e-15 * (np.max(np.abs(d2g)) + 1.0)
+    assert np.max(np.abs(d2g - np.swapaxes(d2g, 1, 2))) < roundoff  # symmetric in i, j
+    assert np.max(np.abs(d2g - np.swapaxes(d2g, 3, 4))) < roundoff  # and in l, m
+    fd = second_metric_derivative(data, pts)
+    assert np.max(np.abs(d2g - fd)) <= 1e-8 * np.max(np.abs(d2g))
+
+
+def test_scalar_curvature_of_conformally_flat_metric():
+    # g = phi^4 delta has R = -8 phi^-5 Laplacian(phi); this phi is not spherically symmetric
+    a = np.array([0.05, -0.02, 0.03])
+    eye = np.eye(3)
+
+    def phi(x):
+        return 1.0 + 0.1 * np.sum(x**2, axis=-1) + x @ a
+
+    def dg(x):
+        return (4.0 * phi(x) ** 3)[:, None, None, None] * eye[None, :, :, None] * (0.2 * x + a)[:, None, None, :]
+
+    def d2g(x):
+        p, dp = phi(x), 0.2 * x + a
+        hess = 12.0 * (p**2)[:, None, None] * dp[:, :, None] * dp[:, None, :] + 0.8 * (p**3)[:, None, None] * eye
+        return eye[None, :, :, None, None] * hess[:, None, None, :, :]
+
+    zero = minkowski_slice()
+    data = InitialData(
+        n=3, chart=Chart("exterior", 0.0, math.inf), g=lambda x: (phi(x) ** 4)[:, None, None] * eye,
+        k=zero.k, dg=dg, dk=zero.dk, kind="asymptotically-flat-exterior", label="conformally-flat", d2g=d2g,
+    )
+    pts = sample_points(np.random.default_rng(21), 30, 0.5, 3.0)
+    expected = -8.0 * 0.6 / phi(pts) ** 5
+    assert np.max(np.abs(scalar_curvature(data, pts) - expected)) < 1e-12
+    assert np.max(np.abs(scalar_curvature(dataclasses.replace(data, d2g=None), pts) - expected)) < 1e-7
+
+
+def test_finite_difference_fallback_without_d2g():
+    # data without d2g take the central-difference path and keep the Richardson estimate
+    data = schwarzschild_isotropic(1.0)
+    fallback = dataclasses.replace(data, d2g=None)
+    pts = sample_points(np.random.default_rng(8), 40, 2.0, 10.0)
+    assert np.max(np.abs(scalar_curvature(data, pts) - scalar_curvature(fallback, pts))) < 1e-8
+    exact, approx = constraint_fields(data, pts), constraint_fields(fallback, pts)
+    assert np.max(exact.error_estimate) == 0.0
+    assert np.all(approx.error_estimate > 0.0) and np.max(approx.error_estimate) < 1e-7
+    assert np.max(np.abs(exact.mu - approx.mu)) < 1e-8
+    assert np.max(np.abs(exact.J - approx.J)) == 0.0  # J never needs second derivatives
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [minkowski_slice, lambda: schwarzschild_isotropic(1.0), lambda: schwarzschild_exterior_area_radius(1.0),
+     graph_slice],
+    ids=["minkowski_slice", "schwarzschild_isotropic", "schwarzschild_exterior_area_radius", "graph_slice"],
+)
+def test_vacuum_constraints_at_lsw_nodes_are_roundoff(maker):
+    # the volume nodes `identities` integrates over: annulus [a, a + 3], radial order 24, sphere order 16
+    data = maker()
+    a = max(3.0, data.chart.r_min + 0.5)
+    pts, _ = volume_quadrature(("annulus", a, a + 3.0), 24, 16)
+    c = constraint_fields(data, pts)
+    assert np.max(np.abs(c.mu)) <= 1e-13
+    assert np.max(c.momentum_norm(data, pts)) <= 1e-13
 
 
 def test_schwarzschild_isotropic_point_example():
@@ -137,8 +229,18 @@ def test_graph_slice_with_constant_slope_is_flat():
 
 
 def test_miao_corner_crease_match():
+    # both sides induce the same metric on the crease sphere: compare
+    # cd.minus.g and cd.plus.g on the sphere's (theta, phi) tangents
     mc = miao_corner(1.0, 4.0)
-    assert verify_crease_match(mc, order=16) < 1e-12
+    grid = sphere_grid(16)
+    pts = mc.r0 * grid.nodes
+    tangents = [mc.r0 * t for t in theta_phi_tangents(grid.theta, grid.phi)]
+    jump = mc.minus.g(pts) - mc.plus.g(pts)
+    for a in tangents:
+        for b in tangents:
+            assert np.max(np.abs(np.einsum("mi,mij,mj->m", a, jump, b))) < 1e-12
+    # the normal-normal component does jump across the corner
+    assert np.max(np.abs(np.einsum("mi,mij,mj->m", grid.nodes, jump, grid.nodes))) > 0.1
 
 
 def test_fit_decay_schwarzschild():

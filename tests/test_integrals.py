@@ -7,10 +7,11 @@ from creaselab.catalog import (
     graph_slice,
     miao_corner,
     minkowski_slice,
+    schwarzschild_exterior_area_radius,
     schwarzschild_isotropic,
 )
 from creaselab.cliffords import build_rep
-from creaselab.geometry import Chart, InitialData, bulk_frame
+from creaselab.geometry import Chart, InitialData, bulk_frame, christoffel
 from creaselab.integrals import (
     IntegralsError,
     adm_energy_momentum,
@@ -162,6 +163,45 @@ def test_spin_coefficients_antisymmetric():
     pts = np.array([[2.0, 1.0, -0.5], [4.0, 0.2, 0.9]])
     W = bulk_spin_coefficients(data, pts)
     assert np.max(np.abs(W + np.swapaxes(W, 2, 3))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: schwarzschild_isotropic(1.0), lambda: schwarzschild_exterior_area_radius(1.0), graph_slice,
+     lambda: miao_corner(1.0, 3.0).plus],
+    ids=["schwarzschild_isotropic", "schwarzschild_exterior_area_radius", "graph_slice", "miao_corner.plus"],
+)
+def test_spin_coefficients_match_frame_differences(maker):
+    # oracle: differentiate the Gram-Schmidt frame by central differences
+    data = maker()
+    pts = np.array([[3.5, 1.0, -0.5], [4.0, -2.0, 1.5], [0.5, 4.5, 3.0], [-5.0, 0.3, 2.2]])
+    h = 1e-5
+    frame = bulk_frame(data, pts)
+    dframe = np.stack(
+        [(bulk_frame(data, pts + h * e) - bulk_frame(data, pts - h * e)) / (2.0 * h) for e in np.eye(3)], axis=-1
+    )
+    cov = dframe + np.einsum("mpiq,mjq->mjpi", christoffel(data.g(pts), data.dg(pts)), frame)
+    oracle = np.einsum("mai,mjpi,mpq,mlq->majl", frame, cov, data.g(pts), frame)
+    assert np.max(np.abs(bulk_spin_coefficients(data, pts) - oracle)) < 1e-9
+
+
+def test_sen_fused_operator_matches_unfused_contraction():
+    data = graph_slice()
+    rng = np.random.default_rng(13)
+    fld = random_polynomial_field(REP, rng, (3,), degree=2, scale=0.3)
+    pts = np.array([[4.0, 1.0, 1.5], [3.5, -2.0, 0.7], [5.0, 0.1, -0.4], [-1.0, 4.2, 2.0]])
+    frame = bulk_frame(data, pts)
+    W = bulk_spin_coefficients(data, pts)
+    kf = np.einsum("mai,mij,mbj->mab", frame, data.k(pts), frame)
+    gg = np.einsum("jIK,lKL->jlIL", REP.gamma, REP.gamma)
+    gt = np.einsum("jIK,KL->jIL", REP.gamma, REP.tau)
+    c = fld.evaluate(pts)
+    unfused = (fld.frame_derivatives(data, pts, frame=frame)
+               + 0.25 * np.einsum("majl,jlIK,...mK->...mIa", W, gg, c)
+               + 0.5 * np.einsum("maj,jIK,...mK->...mIa", kf, gt, c))
+    fused = sen_derivatives(data, REP, fld, pts)
+    assert fused.shape == unfused.shape == (3, 4, REP.dim, 3)
+    assert np.max(np.abs(fused - unfused)) < 1e-14 * max(1.0, np.max(np.abs(unfused)))
 
 
 def test_sen_constant_on_flat():
