@@ -194,6 +194,7 @@ def cmd_solve(config: RunConfig, out_dir: str):
         "oracle": {
             "operator_defect": problem.oracle.operator_defect,
             "gradient_defect": problem.oracle.gradient_defect,
+            "radii_checked": problem.oracle.radii_checked,
         },
         "solver": {
             "relative_residual": sol.relative_residual,
@@ -203,7 +204,8 @@ def cmd_solve(config: RunConfig, out_dir: str):
             "smallest_singular_value": system.smallest_singular_value,
         },
         "mass": mass.to_dict(),
-        "gap": gap.to_dict(),
+        # closure: the gap identity's defect, unnormalized so a zero flux keeps it finite
+        "gap": {**gap.to_dict(), "closure": gap.gap + gap.crease_term},
         "poincare": {"estimate": lam, "coarse": lam_coarse},
     }
     flags = {
@@ -229,7 +231,7 @@ def cmd_solve(config: RunConfig, out_dir: str):
         write_csv(
             os.path.join(out_dir, f"psi_{side}.csv"),
             ["r", "abs_U", "abs_V"],
-            [(r[i], float(np.linalg.norm(U[i])), float(np.linalg.norm(V[i]))) for i in range(len(r))],
+            np.column_stack([r, np.linalg.norm(U, axis=1), np.linalg.norm(V, axis=1)]),
         )
     return results, passed, flags
 

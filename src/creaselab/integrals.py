@@ -179,9 +179,17 @@ def _extrapolate_sequence(radii: np.ndarray, vals: np.ndarray, fallback_p: float
     p_lo, p_hi = 0.05, 8.0
     f_lo, f_hi = ratio_of(p_lo) - target, ratio_of(p_hi) - target
     if f_lo * f_hi < 0.0:
-        from scipy.optimize import brentq
-
-        p = float(brentq(lambda q: ratio_of(q) - target, p_lo, p_hi))
+        # bisection until the midpoint is an endpoint: deterministic, full precision
+        p = 0.5 * (p_lo + p_hi)
+        while p_lo < p < p_hi:
+            f = ratio_of(p) - target
+            if f == 0.0:
+                break
+            if (f < 0.0) == (f_lo < 0.0):
+                p_lo, f_lo = p, f
+            else:
+                p_hi = p
+            p = 0.5 * (p_lo + p_hi)
     elif fallback_p is not None and np.isfinite(fallback_p):
         p = float(fallback_p)
     else:

@@ -452,65 +452,90 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
         raise RadialError("r_max outside the exterior chart")
 
     tau = rep.tau.real
-    eyeI = sp.identity(I, format="csr")
     tau_s = sp.csr_matrix(tau)
+    comp = np.arange(I)
+    one = (comp, comp, np.ones(I))
+    tau_nz = np.nonzero(tau)
+    tau_c = (*tau_nz, tau[tau_nz])
+    Lm, Lp = 2 * Mm * I, 2 * Mp * I
+    L = Lm + Lp
 
-    def side_blocks(side: SideCoefficients, r, skip_first: bool):
-        """Weighted residual rows, |nabla-bar|^2 form and row weights of one side.
+    def scale_rows(mat, weights):
+        mat.data *= np.repeat(weights, np.diff(mat.indptr))
+        return mat
 
-        Coefficients at r = 0 take their node-1 value; skip_first gives
-        node 0 zero weight, so its residual rows are dropped and it adds
-        nothing to the form.
+    def side_blocks(side: SideCoefficients, r, skip_first: bool, col0: int):
+        """Weighted residual rows, gradient rows with their form weights, node weights of one side.
+
+        Columns are those of the full stacked vector, this side's starting
+        at col0.  Coefficients at r = 0 take their node-1 value; skip_first
+        gives node 0 zero weight, so its residual and gradient rows are
+        dropped and it adds nothing to the form.
         """
+        M = len(r)
         rr = np.where(r > 0, r, r[1])
-        F = sp.diags(side.F(rr))
-        FD = (F @ derivative_matrix(len(r), r[1] - r[0])).tocsr()
         w = _hat_weights(r, moment=0) * side.volume_factor(rr) * unit_sphere_volume(side.data.n)
         if skip_first:
             w[0] = 0.0
+        keep = np.flatnonzero(w > 0)
+        K = len(keep)
+        rk = rr[keep]
+        D = derivative_matrix(M, r[1] - r[0])[keep].tocoo()
+        FD = (D.row, D.col, side.F(rk)[D.row] * D.data)
 
-        ell = sp.diags(side.ell(rr))
-        m_c = sp.diags(side.m_c(rr))
-        trk = sp.diags(0.5 * side.trk(rr))
+        def diag(d):
+            return np.arange(K), keep, d
+
+        def block_rows(*eqs):
+            """CSR of the equations' rows, K I each, over the full vector.
+
+            Each equation is a list of (column half U/V, node matrix as a COO
+            triple, I x I factor as a COO triple); each term enters as the
+            Kronecker product of its factors, and duplicate entries add up.
+            """
+            rows, cols, vals = [], [], []
+            for eq, terms in enumerate(eqs):
+                for half, (xr, xc, xv), (sa, sb, sv) in terms:
+                    rows.append((((eq * K + xr) * I)[:, None] + sa).ravel())
+                    cols.append(((col0 + (half * M + xc) * I)[:, None] + sb).ravel())
+                    vals.append((xv[:, None] * sv).ravel())
+            out = sp.csr_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(len(eqs) * K * I, L),
+            )
+            out.eliminate_zeros()
+            return out
+
+        trk = diag(0.5 * side.trk(rk))
         # r1 = F V' + ell V + (trk/2) tau U ; r2 = F U' - m_c U + (trk/2) tau V
-        r1 = sp.hstack([sp.kron(trk, tau_s), sp.kron(FD + ell, eyeI)], format="csr")
-        r2 = sp.hstack([sp.kron(FD - m_c, eyeI), sp.kron(trk, tau_s)], format="csr")
-        keep = np.repeat(w > 0, I)
-        weights = np.sqrt(np.repeat(w, I))
-        rows = sp.vstack([r1, r2], format="csr")
-        keep2 = np.concatenate([keep, keep])
-        weights2 = np.concatenate([weights, weights])
-        Wd = sp.diags(weights2[keep2])
-        residual = (Wd @ rows[keep2]).tocsr()
-
-        kn = sp.diags(0.5 * side.data.profile.kappa_n(rr))
-        kt = sp.diags(0.5 * side.data.profile.kappa_t(rr))
-        gr = sp.diags(side.G(rr) / rr - 0.5 * side.mu_c(rr))
-        muh = sp.diags(0.5 * side.mu_c(rr))
-        P = sp.hstack([sp.kron(FD, eyeI), sp.kron(kn, tau_s)], format="csr")
-        Q = sp.hstack([sp.kron(kn, tau_s), sp.kron(FD, eyeI)], format="csr")
-        Pt = sp.hstack([sp.kron(kt, tau_s), sp.kron(gr, eyeI)], format="csr")
-        Qt = sp.hstack([sp.kron(muh, eyeI), -sp.kron(kt, tau_s)], format="csr")
-        wI = np.repeat(w, I)
-        n1 = side.data.n - 1
-        grad = sum(
-            (op.T @ sp.diags(wgt * wI) @ op)
-            for op, wgt in ((P, 1.0), (Q, 1.0), (Pt, float(n1)), (Qt, float(n1)))
+        residual = block_rows(
+            [(0, trk, tau_c), (1, FD, one), (1, diag(side.ell(rk)), one)],
+            [(0, FD, one), (0, diag(-side.m_c(rk)), one), (1, trk, tau_c)],
         )
-        return residual, grad.tocsr(), w
+        w_rows = np.repeat(w[keep], I)
+        residual = scale_rows(residual, np.tile(np.sqrt(w_rows), 2))
 
-    rows_m, Gm, w_m = side_blocks(problem.minus, r_m, skip_first=True)
-    rows_p, Gp, w_p = side_blocks(problem.plus, r_p, skip_first=False)
+        p = side.data.profile
+        kn = diag(0.5 * p.kappa_n(rk))
+        kt = diag(0.5 * p.kappa_t(rk))
+        # P = F U' + kn tau V, Q = kn tau U + F V', Pt = kt tau U + gr V, Qt = muh U - kt tau V
+        grad_rows = block_rows(
+            [(0, FD, one), (1, kn, tau_c)],
+            [(0, kn, tau_c), (1, FD, one)],
+            [(0, kt, tau_c), (1, diag(side.G(rk) / rk - 0.5 * side.mu_c(rk)), one)],
+            [(0, diag(0.5 * side.mu_c(rk)), one), (1, diag(-0.5 * p.kappa_t(rk)), tau_c)],
+        )
+        n1 = float(side.data.n - 1)
+        return residual, grad_rows, np.concatenate([w_rows, w_rows, n1 * w_rows, n1 * w_rows]), w
 
-    Lm, Lp = 2 * Mm * I, 2 * Mp * I
-    L = Lm + Lp
-    A_full = sp.vstack(
-        [
-            sp.hstack([rows_m, sp.csr_matrix((rows_m.shape[0], Lp))]),
-            sp.hstack([sp.csr_matrix((rows_p.shape[0], Lm)), rows_p]),
-        ],
-        format="csr",
-    )
+    rows_m, grad_m, gw_m, w_m = side_blocks(problem.minus, r_m, skip_first=True, col0=0)
+    rows_p, grad_p, gw_p, w_p = side_blocks(problem.plus, r_p, skip_first=False, col0=Lm)
+    A_full = sp.vstack([rows_m, rows_p], format="csr")
+    # |nabla-bar|^2 form B^T W B over both sides, B the stacked gradient rows
+    B = sp.vstack([grad_m, grad_p], format="csr")
+    del grad_m, grad_p
+    grad_form = (scale_rows(B.copy(), np.concatenate([gw_m, gw_p])).T @ B).tocsr()
+    del B
 
     # ---- constraint elimination ------------------------------------------
     # full vector layout: [U_-, V_-, U_+, V_+] node-major inside each block.
@@ -520,7 +545,6 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     u_p_tr, v_p_tr = Lm, Lm + Mp * I  # plus trace
     u_m_0, v_m_0 = 0, Mm * I  # origin
     u_p_end, v_p_end = Lm + (Mp - 1) * I, Lm + (2 * Mp - 1) * I  # r_max
-    comp = np.arange(I)
 
     # transmission: minus trace (in possibly prerotated variables) from plus trace
     f_eff = problem.angle - minus_prerotation
@@ -559,9 +583,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
         A_full = (A_full @ T).tocsr()
     A = (A_full @ S).tocsr()
 
-    # ---- quadratic forms for the Poincare estimate and bulk integrals -----
-    grad_form = sp.block_diag([Gm, Gp], format="csr")
-
+    # ---- mass form for the Poincare estimate -------------------------------
     rho0 = 0.5 * cd.r0
     mass_diag = []
     for side, r in ((problem.minus, r_m), (problem.plus, r_p)):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,9 @@ def sphere_grid(order: int) -> SphereGrid:
 
 
 def _sph_harm(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    # imported here so that no CLI start pays for scipy.special; only this fallback needs it
+    from scipy.special import sph_harm_y
+
     return sph_harm_y(l, m, theta, phi)
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +38,31 @@ def test_solve_report_is_byte_reproducible(tmp_path):
     assert _run("solve", SOLVE_SMALL, tmp_path / "b") == 0
     first = (tmp_path / "a" / "report.json").read_bytes()
     assert first == (tmp_path / "b" / "report.json").read_bytes()
-    solver = json.loads(first)["results"]["solver"]
+    results = json.loads(first)["results"]
+    solver = results["solver"]
     assert solver["smallest_singular_value"] > 0.0
     assert "method" not in solver and "iterations" not in solver
+    gap = results["gap"]
+    assert gap["closure"] == gap["gap"] + gap["crease_term"]
+    assert results["oracle"]["radii_checked"] == 20
+
+
+def test_adm_leaves_scipy_optimize_and_special_unloaded(tmp_path):
+    # a fresh interpreter, so no other test has imported either module
+    doc = {"catalog": {"name": "schwarzschild_isotropic", "params": {"m": 1.0}},
+           "radii": [50.0, 100.0, 200.0], "quadrature": {"sphere_order": 16}}
+    path = _write_config(tmp_path, "adm-schwarzschild.yaml", doc)
+    script = (
+        "import sys\n"
+        "import creaselab.cli as cli\n"
+        f"assert cli.main(['adm', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_solve_poincare_grids_valid_when_half_is_odd(tmp_path):

@@ -14,6 +14,7 @@ from creaselab.cliffords import build_rep
 from creaselab.geometry import Chart, InitialData, bulk_frame, christoffel
 from creaselab.integrals import (
     IntegralsError,
+    _extrapolate_sequence,
     adm_energy_momentum,
     bulk_spin_coefficients,
     dirac_witten_apply,
@@ -152,6 +153,51 @@ def test_adm_rotation_invariance():
 def test_adm_radii_validation():
     with pytest.raises(IntegralsError):
         adm_energy_momentum(minkowski_slice(), [20.0, 10.0], order=8)
+
+
+def _decay(radii, V, c, p):
+    radii = np.asarray(radii, dtype=float)
+    return radii, V + c * radii**-p
+
+
+@pytest.mark.parametrize("p", [0.6, 1.0, 1.7, 3.2])
+def test_extrapolate_sequence_non_geometric_radii(p):
+    c = 2.5 * 30.0**p  # the tail is 2.5 at the first radius
+    radii, vals = _decay([30.0, 70.0, 200.0], 0.83, c, p)
+    limit, p_fit, tail = _extrapolate_sequence(radii, vals, fallback_p=None)
+    assert abs(p_fit - p) <= 1e-12
+    assert abs(limit - 0.83) <= 1e-12 * 0.83
+    assert tail == pytest.approx(c * 200.0**-p, rel=1e-9)
+
+
+def test_extrapolate_sequence_geometric_radii():
+    # ratio 2 between radii: the decay exponent is log2 of the ratio of differences
+    radii, vals = _decay([50.0, 100.0, 200.0], 1.0, -0.4, 1.3)
+    d1, d2 = vals[0] - vals[1], vals[1] - vals[2]
+    limit, p_fit, _ = _extrapolate_sequence(radii, vals, fallback_p=2.0)
+    assert p_fit == pytest.approx(math.log2(d1 / d2), abs=1e-12)
+    assert limit == pytest.approx(1.0, rel=1e-12)
+
+
+def test_extrapolate_sequence_without_sign_change():
+    # p = 10 lies outside the bracket [0.05, 8]: the declared exponent is used when finite
+    radii, vals = _decay([2.0, 4.0, 8.0], 1.0, 1.0, 10.0)
+    d2 = vals[1] - vals[2]
+    limit, p_fit, tail = _extrapolate_sequence(radii, vals, fallback_p=2.0)
+    c = d2 / (4.0**-2 - 8.0**-2)
+    assert p_fit == 2.0
+    assert limit == vals[2] - c * 8.0**-2
+    assert tail == abs(c * 8.0**-2)
+    for fallback in (None, float("nan")):
+        assert _extrapolate_sequence(radii, vals, fallback) == (vals[2], None, abs(d2))
+
+
+def test_extrapolate_sequence_early_returns():
+    assert _extrapolate_sequence(np.array([10.0, 20.0]), np.array([1.5, 1.25]), 1.0) == (1.25, None, 0.0)
+    radii = np.array([10.0, 20.0, 40.0])
+    # not monotone, then converged to roundoff: the last value, no exponent
+    assert _extrapolate_sequence(radii, np.array([1.0, 1.2, 1.1]), 1.0) == (1.1, None, pytest.approx(0.1))
+    assert _extrapolate_sequence(radii, np.array([1.0, 1.0, 1.0]), 1.0) == (1.0, None, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,104 @@ def test_constraint_map_satisfies_constraints(miao_problem, prerotation):
         assert np.max(np.abs(vp[-1])) <= 1e-14
 
 
+def _with_extrinsic_curvature(problem):
+    """The problem with nonzero kappa_n, kappa_t on both sides, so every tau block is exercised."""
+    import dataclasses
+
+    from creaselab.geometry import RadialProfile
+
+    def side(s, a):
+        p = s.data.profile
+        profile = RadialProfile(
+            A=p.A, B=p.B, dA=p.dA, dB=p.dB,
+            kappa_n=lambda r: a / (1.0 + r**2),
+            kappa_t=lambda r: -0.7 * a * r / (1.0 + r**2),
+        )
+        return dataclasses.replace(s, data=dataclasses.replace(s.data, profile=profile))
+
+    return dataclasses.replace(problem, minus=side(problem.minus, 0.03), plus=side(problem.plus, 0.05))
+
+
+def _kron_side_blocks(side, r, skip_first):
+    """Reference build of one side's weighted residual rows and |nabla-bar|^2 form,
+    one kron/hstack block per term and one triple product per gradient block."""
+    import scipy.sparse as sp
+
+    from creaselab.geometry import unit_sphere_volume
+    from creaselab.radial import _hat_weights
+
+    I = REP.dim
+    eyeI = sp.identity(I, format="csr")
+    tau_s = sp.csr_matrix(REP.tau.real)
+    rr = np.where(r > 0, r, r[1])
+    F = sp.diags(side.F(rr))
+    FD = (F @ derivative_matrix(len(r), r[1] - r[0])).tocsr()
+    w = _hat_weights(r, moment=0) * side.volume_factor(rr) * unit_sphere_volume(side.data.n)
+    if skip_first:
+        w[0] = 0.0
+    ell = sp.diags(side.ell(rr))
+    m_c = sp.diags(side.m_c(rr))
+    trk = sp.diags(0.5 * side.trk(rr))
+    r1 = sp.hstack([sp.kron(trk, tau_s), sp.kron(FD + ell, eyeI)], format="csr")
+    r2 = sp.hstack([sp.kron(FD - m_c, eyeI), sp.kron(trk, tau_s)], format="csr")
+    keep2 = np.concatenate([np.repeat(w > 0, I)] * 2)
+    weights2 = np.concatenate([np.sqrt(np.repeat(w, I))] * 2)
+    residual = (sp.diags(weights2[keep2]) @ sp.vstack([r1, r2], format="csr")[keep2]).tocsr()
+
+    kn = sp.diags(0.5 * side.data.profile.kappa_n(rr))
+    kt = sp.diags(0.5 * side.data.profile.kappa_t(rr))
+    gr = sp.diags(side.G(rr) / rr - 0.5 * side.mu_c(rr))
+    muh = sp.diags(0.5 * side.mu_c(rr))
+    P = sp.hstack([sp.kron(FD, eyeI), sp.kron(kn, tau_s)], format="csr")
+    Q = sp.hstack([sp.kron(kn, tau_s), sp.kron(FD, eyeI)], format="csr")
+    Pt = sp.hstack([sp.kron(kt, tau_s), sp.kron(gr, eyeI)], format="csr")
+    Qt = sp.hstack([sp.kron(muh, eyeI), -sp.kron(kt, tau_s)], format="csr")
+    wI = np.repeat(w, I)
+    n1 = float(side.data.n - 1)
+    grad = sum(op.T @ sp.diags(wgt * wI) @ op for op, wgt in ((P, 1.0), (Q, 1.0), (Pt, n1), (Qt, n1)))
+    return residual, grad.tocsr()
+
+
+@pytest.mark.parametrize("prerotation", [0.0, 0.45])
+@pytest.mark.parametrize("n_minus,n_plus,r_max", [(64, 128, 40.0), (256, 1024, 400.0)])
+def test_assemble_matches_kron_reference(miao_problem, n_minus, n_plus, r_max, prerotation):
+    """The one-pass COO assembly equals the blockwise kron/hstack build."""
+    import scipy.sparse as sp
+
+    from creaselab.geometry import unit_sphere_volume
+    from creaselab.radial import _hat_weights
+
+    problem = _with_extrinsic_curvature(miao_problem)
+    system = assemble(problem, RadialGrid(n_minus, n_plus, r_max), minus_prerotation=prerotation)
+    I, Mm, Mp = system.layout()
+    rows_m, Gm = _kron_side_blocks(problem.minus, system.r_minus, skip_first=True)
+    rows_p, Gp = _kron_side_blocks(problem.plus, system.r_plus, skip_first=False)
+    A_full = sp.block_diag([rows_m, rows_p], format="csr")
+    if prerotation:
+        a0, b0 = math.cosh(0.5 * prerotation), math.sinh(0.5 * prerotation)
+        tau_big = sp.kron(sp.identity(Mm), sp.csr_matrix(REP.tau.real))
+        R0 = sp.bmat([[a0 * sp.identity(Mm * I), b0 * tau_big], [b0 * tau_big, a0 * sp.identity(Mm * I)]])
+        A_full = A_full @ sp.block_diag([R0, sp.identity(2 * Mp * I)])
+    mass = []
+    for side, r in ((problem.minus, system.r_minus), (problem.plus, system.r_plus)):
+        rr = np.where(r > 0, r, r[1])
+        prof = side.data.profile
+        w2 = _hat_weights(r, moment=2) * prof.A(rr) * prof.B(rr) ** 2 * unit_sphere_volume(3)
+        mass.append(np.tile(np.repeat(w2 / (r**2 + (0.5 * problem.cd.r0) ** 2), I), 2))
+    reference = {
+        "A_full": A_full,
+        "A": A_full @ system.S,
+        "grad_form": sp.block_diag([Gm, Gp]),
+        "mass_form": sp.diags(np.concatenate(mass), format="csr"),
+    }
+    assert Gm.nnz and abs(Gm).max() > 0.0
+    for name, want in reference.items():
+        got, want = getattr(system, name).tocsr(), want.tocsr()
+        assert got.shape == want.shape, name
+        # entrywise: a relative bound on the largest entry would hide the small tau blocks
+        assert (abs(got - want) - 1e-14 * abs(want)).max() <= 0.0, name
+
+
 def test_grid_validation():
     with pytest.raises(RadialError):
         RadialGrid(n_minus=32, n_plus=64, r_max=10.0).validate()
