@@ -42,10 +42,6 @@ from .spheregrid import unit_vectors
 from .spinorfields import constant_spinor_field, random_polynomial_field
 
 
-class HypothesisFailure(Exception):
-    pass
-
-
 def _require_creased(entry) -> CreasedData:
     if not isinstance(entry, CreasedData):
         raise ConfigError("this command needs a creased catalog entry")
@@ -54,6 +50,12 @@ def _require_creased(entry) -> CreasedData:
 
 def _exterior_data(entry) -> InitialData:
     return entry.plus if isinstance(entry, CreasedData) else entry
+
+
+def _require_radii_in_chart(config: RunConfig, data: InitialData) -> None:
+    """The ADM spheres must lie in the data's chart: a config error, checked before any computation."""
+    if not np.all(data.chart.contains(np.asarray(config.radii))):
+        raise ConfigError(f"radii {list(config.radii)} leave the chart [{data.chart.r_min:g}, {data.chart.r_max:g}]")
 
 
 def cmd_crease_check(config: RunConfig, out_dir: str):
@@ -85,6 +87,7 @@ def cmd_crease_check(config: RunConfig, out_dir: str):
 
 def cmd_adm(config: RunConfig, out_dir: str):
     data = _exterior_data(build_catalog_entry(config))
+    _require_radii_in_chart(config, data)
     rep = adm_energy_momentum(data, config.radii, order=config.sphere_order)
     results = {"label": data.label, "mass_report": rep.to_dict()}
     flags = {"monotone": rep.monotone}
@@ -172,6 +175,9 @@ def cmd_identities(config: RunConfig, out_dir: str):
 
 def cmd_solve(config: RunConfig, out_dir: str):
     cd = _require_creased(build_catalog_entry(config))
+    if not config.r_max > cd.r0:
+        raise ConfigError(f"grid.r_max {config.r_max:g} must exceed the crease radius {cd.r0:g}")
+    _require_radii_in_chart(config, cd.plus)
     rep = build_rep(3)
     problem = reduce_radial(cd, rep)
     grid = RadialGrid(n_minus=config.n_minus, n_plus=config.n_plus, r_max=config.r_max)

@@ -51,6 +51,10 @@ _SCHEMA: dict[str, Any] = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_section(data: dict, schema: dict, path: str) -> None:
     for key in data:
         if key not in schema:
@@ -66,7 +70,7 @@ def _check_section(data: dict, schema: dict, path: str) -> None:
                 raise ConfigError(f"{path}{key} must be a mapping")
             _check_section(val, spec, f"{path}{key}.")
         elif spec is float:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
+            if not _is_number(val):
                 raise ConfigError(f"{path}{key} must be a number")
             if not math.isfinite(val):
                 raise ConfigError(f"{path}{key} must be finite, got {val!r}")
@@ -134,8 +138,14 @@ def parse_config(text: str) -> RunConfig:
     tols = dict(_DEFAULT_TOLERANCES)
     tols.update(data.get("tolerances", {}))
     radii = data.get("radii", [50.0, 100.0, 200.0])
-    if len(radii) < 1 or any(not isinstance(r, (int, float)) or not math.isfinite(r) for r in radii):
-        raise ConfigError("radii must be a nonempty list of finite numbers")
+    # the ADM limit extrapolates from the last three radii
+    if (len(radii) < 3 or any(not _is_number(r) or not math.isfinite(r) for r in radii)
+            or any(b <= a for a, b in zip(radii, radii[1:]))):
+        raise ConfigError("radii must be a strictly increasing list of at least 3 finite numbers")
+    for where in ("params", "base_params"):
+        flag = next((key for key, value in cat.get(where, {}).items() if isinstance(value, bool)), None)
+        if flag is not None:
+            raise ConfigError(f"catalog.{where}.{flag} must be a number, not a boolean")
     if not 4 <= quad.get("sphere_order", 16) <= 256:
         raise ConfigError("sphere_order must be within 4..256")
     for name, value in tols.items():

@@ -11,6 +11,15 @@ Curvature uses d2g when the data provide it (every catalog model does);
 otherwise it falls back to central differences of dg, and only then does
 the constraint error estimate come from a Richardson step-doubling pass.
 
+Field bundles: `PointFields` holds one data set's fields on one point
+batch -- the points, g, g^-1, dg, Gamma, k, dk, d2g (None without a closed
+form), the bulk frame and the adapted sphere frame -- each evaluated on
+first use and then kept.  The layer functions take `(data, x)` with x
+points or a bundle of the same data: given points they build the bundle
+(`as_fields`), given one they read it.  A bundle lives only as long as its
+batch: made for one set of nodes, passed down the calls on them, dropped
+with them; nothing is cached across batches.
+
 Conventions (fixed here, imported everywhere else):
   * k is taken with respect to the future timelike normal, signed so that
     the catalog's Minkowski graph slices satisfy the vacuum constraints.
@@ -28,6 +37,7 @@ Conventions (fixed here, imported everywhere else):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 import math
 from typing import Callable
 
@@ -192,14 +202,55 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
-def christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+def christoffel(data: InitialData, x) -> np.ndarray:
     """Gamma[..., k, i, j] = 1/2 g^{kl} (dg_jl,i + dg_il,j - dg_ij,l)."""
-    return 0.5 * np.einsum("...kl,...lij->...kij", inverse_metric(g), _lowered_christoffel_terms(dg))
+    f, single = as_fields(data, x)
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", f.ginv, _lowered_christoffel_terms(f.dg))
+    return gamma[0] if single else gamma
 
 
 def _lowered_christoffel_terms(dg: np.ndarray) -> np.ndarray:
     """dg_jl,i + dg_il,j - dg_ij,l in the order [..., l, i, j] (2 Gamma_{l,ij})."""
     return np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg) - np.einsum("...ijl->...lij", dg)
+
+
+@dataclass(frozen=True, eq=False)
+class PointFields:
+    """One data set's fields on one point batch x (m, n), each evaluated once.
+
+    Attributes are computed on first access by the functions a caller with
+    raw points would use, kept (and shared by every reader, so never written
+    in place) unless `release`d, as a finished stage's fields on a large
+    batch are, so that they do not add to the next stage's peak memory.
+    """
+
+    data: InitialData
+    x: np.ndarray
+
+    g = cached_property(lambda self: self.data.g(self.x))
+    ginv = cached_property(lambda self: inverse_metric(self.g))
+    dg = cached_property(lambda self: self.data.dg(self.x))
+    gamma = cached_property(lambda self: christoffel(self.data, self))
+    k = cached_property(lambda self: self.data.k(self.x))
+    dk = cached_property(lambda self: self.data.dk(self.x))
+    d2g = cached_property(lambda self: None if self.data.d2g is None else self.data.d2g(self.x))
+    frame = cached_property(lambda self: bulk_frame(self.data, self))  # bulk Gram-Schmidt frame
+    sphere = cached_property(lambda self: sphere_frame(self.data, self))  # adapted coordinate-sphere frame
+
+    def release(self, *names: str) -> None:
+        """Stop keeping the named fields once their last reader is done; a later read evaluates them again."""
+        for name in names:
+            self.__dict__.pop(name, None)
+
+
+def as_fields(data: InitialData, x) -> tuple[PointFields, bool]:
+    """The field bundle of x (built unless x is one already) and whether x was a single point."""
+    if isinstance(x, PointFields):
+        if x.data is not data:
+            raise GeometryError("field bundle belongs to another data set")
+        return x, False
+    pts, single = as_points(x, data.n)
+    return PointFields(data, pts), single
 
 
 def second_metric_derivative(data: InitialData, x: np.ndarray, step=None) -> np.ndarray:
@@ -222,7 +273,7 @@ def second_metric_derivative(data: InitialData, x: np.ndarray, step=None) -> np.
     return out[0] if single else out
 
 
-def scalar_curvature(data: InitialData, x: np.ndarray, step=None) -> np.ndarray:
+def scalar_curvature(data: InitialData, x, step=None) -> np.ndarray:
     """Scalar curvature of g from first and second metric derivatives.
 
     Second derivatives are the closed-form `data.d2g` when present, else
@@ -236,12 +287,9 @@ def scalar_curvature(data: InitialData, x: np.ndarray, step=None) -> np.ndarray:
     with H_i = g^-1 d_i g, c_i = tr(H_i)/2 = Gamma^k_ki, u_b = (H_k)^k_b
     and Gamma^m = g^ij Gamma^m_ij.
     """
-    pts, single = as_points(x, data.n)
-    g = data.g(pts)
-    dg = data.dg(pts)
-    d2g = data.d2g(pts) if data.d2g is not None else second_metric_derivative(data, pts, step=step)
-    ginv = inverse_metric(g)
-    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, _lowered_christoffel_terms(dg))
+    f, single = as_fields(data, x)
+    d2g = f.d2g if data.d2g is not None else second_metric_derivative(data, f.x, step=step)
+    ginv, dg, gamma = f.ginv, f.dg, f.gamma
     H = np.einsum("...ka,...abj->...jkb", ginv, dg)  # H[..., j, :, :] = g^-1 d_j g
 
     second = np.einsum("...ij,...jlik->...lk", ginv, d2g) - np.einsum("...ij,...ijlk->...lk", ginv, d2g)
@@ -259,15 +307,14 @@ class ConstraintValues:
     J: np.ndarray  # coordinate covector components, shape (..., n)
     error_estimate: np.ndarray  # finite-difference error estimate of R; 0 with closed-form d2g
 
-    def momentum_norm(self, data: InitialData, x: np.ndarray) -> np.ndarray:
-        pts, single = as_points(x, data.n)
-        ginv = inverse_metric(data.g(pts))
+    def momentum_norm(self, data: InitialData, x) -> np.ndarray:
+        f, single = as_fields(data, x)
         J = self.J if self.J.ndim == 2 else self.J[None, :]
-        val = np.sqrt(np.einsum("...ij,...i,...j->...", ginv, J, J))
+        val = np.sqrt(np.einsum("...ij,...i,...j->...", f.ginv, J, J))
         return val[0] if single else val
 
 
-def constraint_fields(data: InitialData, x: np.ndarray) -> ConstraintValues:
+def constraint_fields(data: InitialData, x) -> ConstraintValues:
     """Energy and momentum densities of the constraint equations.
 
     mu = (R + (tr k)^2 - |k|^2)/2 and J = div(k - (tr k) g).  The momentum
@@ -277,30 +324,25 @@ def constraint_fields(data: InitialData, x: np.ndarray) -> ConstraintValues:
     the error estimate is a Richardson difference of that step.  Either
     way the points must keep the difference stencil inside the chart.
     """
-    pts, single = as_points(x, data.n)
-    r = np.linalg.norm(pts, axis=1)
+    f, single = as_fields(data, x)
+    r = np.linalg.norm(f.x, axis=1)
     scale = np.maximum(1.0, r)
     h = FD_STEP_SCALE * scale
     data.chart.require(r - 2.0 * h, what="constraint stencil")
     if np.isfinite(data.chart.r_max):
         data.chart.require(r + 2.0 * h, what="constraint stencil")
 
-    g = data.g(pts)
-    dg = data.dg(pts)
-    k = data.k(pts)
-    dk = data.dk(pts)
-    ginv = inverse_metric(g)
-    gamma = christoffel(g, dg)
+    g, dg, k, dk, ginv, gamma = f.g, f.dg, f.k, f.dk, f.ginv, f.gamma
 
     kmix = ginv @ k  # k^i_j
     kup = kmix @ ginv  # k^{ij}
     trk = np.einsum("...ii->...", kmix)
     ksq = np.einsum("...ij,...ji->...", kmix, kmix)
 
-    r_scal = scalar_curvature(data, pts)
+    r_scal = scalar_curvature(data, f)
     if data.d2g is None:
         # Richardson step-doubling estimate of the finite-difference error in R.
-        r_coarse = scalar_curvature(data, pts, step=2.0 * h)
+        r_coarse = scalar_curvature(data, f, step=2.0 * h)
         err = np.abs(r_scal - r_coarse) / 3.0 + 1e-14
     else:
         err = np.zeros_like(r_scal)
@@ -324,14 +366,14 @@ def constraint_fields(data: InitialData, x: np.ndarray) -> ConstraintValues:
 # deterministic orthonormal frames
 
 
-def bulk_frame(data: InitialData, x: np.ndarray) -> np.ndarray:
+def bulk_frame(data: InitialData, x) -> np.ndarray:
     """Gram-Schmidt frame on the coordinate basis; rows are e_1 .. e_n."""
-    pts, single = as_points(x, data.n)
-    g = data.g(pts)
+    f, single = as_fields(data, x)
+    g = f.g
     n = data.n
-    frame = np.zeros(pts.shape[:1] + (n, n))
+    frame = np.zeros(f.x.shape[:1] + (n, n))
     for i in range(n):
-        v = np.zeros(pts.shape[:1] + (n,))
+        v = np.zeros(f.x.shape[:1] + (n,))
         v[:, i] = 1.0
         for j in range(i):
             proj = np.einsum("...a,...ab,...b->...", frame[:, j], g, v)
@@ -361,19 +403,18 @@ class SphereFrame:
         return self.frame[:, -1, :]
 
 
-def outward_unit_normal(data: InitialData, x: np.ndarray) -> np.ndarray:
+def outward_unit_normal(data: InitialData, x) -> np.ndarray:
     """g-unit normal of the coordinate sphere through x, pointing outward."""
-    pts, single = as_points(x, data.n)
-    r = np.linalg.norm(pts, axis=1)
-    omega = pts / r[:, None]
-    ginv = inverse_metric(data.g(pts))
-    u = np.einsum("...ij,...j->...i", ginv, omega)
+    f, single = as_fields(data, x)
+    r = np.linalg.norm(f.x, axis=1)
+    omega = f.x / r[:, None]
+    u = np.einsum("...ij,...j->...i", f.ginv, omega)
     s = np.einsum("...i,...i->...", omega, u)
     nu = u / np.sqrt(s)[:, None]
     return nu[0] if single else nu
 
 
-def sphere_frame(data: InitialData, x: np.ndarray, skip_tol: float = 1e-8) -> SphereFrame:
+def sphere_frame(data: InitialData, x, skip_tol: float = 1e-8) -> SphereFrame:
     """Adapted frame at points of a coordinate sphere (vectorized).
 
     Tangential candidates are the Euclidean projections of the coordinate
@@ -381,12 +422,12 @@ def sphere_frame(data: InitialData, x: np.ndarray, skip_tol: float = 1e-8) -> Sp
     whose residual drops below `skip_tol` (relative) are skipped, which
     happens only on measure-zero degeneracy sets avoided by the grids.
     """
-    pts, single = as_points(x, data.n)
+    f, _ = as_fields(data, x)
     n = data.n
-    m = pts.shape[0]
-    r = np.linalg.norm(pts, axis=1)
-    omega = pts / r[:, None]
-    g = data.g(pts)
+    m = f.x.shape[0]
+    r = np.linalg.norm(f.x, axis=1)
+    omega = f.x / r[:, None]
+    g = f.g
 
     accepted = np.zeros((m, n - 1, n))
     count = np.zeros(m, dtype=int)
@@ -406,7 +447,7 @@ def sphere_frame(data: InitialData, x: np.ndarray, skip_tol: float = 1e-8) -> Sp
     if np.any(count < n - 1):
         raise GeometryError("tangential frame construction degenerated at a node")
 
-    nu = outward_unit_normal(data, pts)
+    nu = outward_unit_normal(data, f)
     frame = np.concatenate([accepted, nu[:, None, :]], axis=1)
     # enforce positive orientation by flipping the last tangential vector
     neg = np.linalg.det(frame) < 0.0
@@ -432,16 +473,14 @@ class HypersurfaceGeometry:
     orientation: str
 
 
-def _normal_derivative(data: InitialData, pts: np.ndarray) -> np.ndarray:
+def _normal_derivative(f: PointFields) -> np.ndarray:
     """dN[..., j, i] = d_i N^j for the outward unit normal field N."""
-    r = np.linalg.norm(pts, axis=1)
-    omega = pts / r[:, None]
-    g = data.g(pts)
-    dg = data.dg(pts)
-    ginv = inverse_metric(g)
+    r = np.linalg.norm(f.x, axis=1)
+    omega = f.x / r[:, None]
+    dg, ginv = f.dg, f.ginv
     u = np.einsum("...jl,...l->...j", ginv, omega)
     s = np.einsum("...l,...l->...", omega, u)
-    domega = (np.eye(data.n)[None] - omega[:, :, None] * omega[:, None, :]) / r[:, None, None]
+    domega = (np.eye(f.data.n)[None] - omega[:, :, None] * omega[:, None, :]) / r[:, None, None]
     dginv = -np.einsum("...ja,...abi,...bl->...jli", ginv, dg, ginv)
     du = np.einsum("...jli,...l->...ji", dginv, omega) + np.einsum("...jl,...li->...ji", ginv, domega)
     ds = np.einsum("...jli,...j,...l->...i", dginv, omega, omega) + 2.0 * np.einsum(
@@ -465,14 +504,12 @@ def hypersurface_geometry(
         raise GeometryError(f"orientation must be outward or inward, got {orientation!r}")
     sign = 1.0 if orientation == "outward" else -1.0
 
-    g = data.g(pts)
-    k = data.k(pts)
-    gamma = christoffel(g, data.dg(pts))
-    sf = sphere_frame(data, pts)
-    t = sf.tangent
-    nu = sign * sf.normal_out
+    f = PointFields(data, pts)
+    g, k, gamma = f.g, f.k, f.gamma
+    t = f.sphere.tangent
+    nu = sign * f.sphere.normal_out
 
-    dn = sign * _normal_derivative(data, pts)
+    dn = sign * _normal_derivative(f)
     cov = dn + np.einsum("...jil,...l->...ji", gamma, nu)  # nabla_i nu^j
     # H = sum_alpha g(nabla_{t_alpha} nu, t_alpha)
     Hval = np.einsum("...ai,...ji,...jl,...al->...", t, cov, g, t)
@@ -481,8 +518,7 @@ def hypersurface_geometry(
     beta = np.einsum("...i,...ij,...aj->...a", nu, k, t)
 
     # positive-definiteness and degeneracy guards
-    eig_ok = np.all(np.linalg.eigvalsh(g) > 0.0)
-    if not eig_ok:
+    if not np.all(np.linalg.eigvalsh(g) > 0.0):
         raise GeometryError("metric not positive definite on the sphere")
 
     theta = np.arccos(np.clip(om[:, 2], -1.0, 1.0))
@@ -498,65 +534,8 @@ def hypersurface_geometry(
         raise GeometryError("degenerate induced metric on the sphere")
     area_element = np.sqrt(det) / np.sin(theta)
 
-    out = HypersurfaceGeometry(
-        x=pts,
-        nu=nu,
-        tangent=t,
-        H=Hval,
-        trk=trk,
-        beta=beta,
-        area_element=area_element,
-        orientation=orientation,
-    )
+    fields = dict(x=pts, nu=nu, tangent=t, H=Hval, trk=trk, beta=beta, area_element=area_element)
     if single:
-        return HypersurfaceGeometry(
-            x=pts[0], nu=nu[0], tangent=t[0], H=Hval[0], trk=trk[0], beta=beta[0],
-            area_element=area_element[0], orientation=orientation,
-        )
-    return out
+        fields = {name: value[0] for name, value in fields.items()}
+    return HypersurfaceGeometry(orientation=orientation, **fields)
 
-
-# ---------------------------------------------------------------------------
-# asymptotic decay fit
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    q_est: float
-    c_est: float
-    exact_flat: bool
-    residual: float
-    radii: tuple[float, ...]
-    max_deviation: tuple[float, ...]
-
-
-def fit_decay(data: InitialData, radii, order: int = 12) -> DecayFit:
-    """Least-squares log-log fit of max |g - delta| against the radius."""
-    radii = [float(r) for r in radii]
-    if len(radii) < 3:
-        raise GeometryError("fit_decay needs at least 3 radii")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise GeometryError("radii must be strictly increasing")
-    if data.kind != "asymptotically-flat-exterior":
-        raise GeometryError("fit_decay applies to exterior data")
-    grid = sphere_grid(order)
-    devs = []
-    eye = np.eye(data.n)
-    for r in radii:
-        g = data.g(r * grid.nodes)
-        devs.append(float(np.max(np.abs(g - eye))))
-    if max(devs) == 0.0:
-        return DecayFit(q_est=math.inf, c_est=0.0, exact_flat=True, residual=0.0,
-                        radii=tuple(radii), max_deviation=tuple(devs))
-    lr = np.log(np.asarray(radii))
-    ld = np.log(np.asarray(devs))
-    coeffs, res = np.polyfit(lr, ld, 1, full=True)[:2]
-    resid = float(res[0]) if len(res) else 0.0
-    return DecayFit(
-        q_est=float(-coeffs[0]),
-        c_est=float(math.exp(coeffs[1])),
-        exact_flat=False,
-        residual=resid,
-        radii=tuple(radii),
-        max_deviation=tuple(devs),
-    )

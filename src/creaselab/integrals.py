@@ -23,7 +23,13 @@ point batch of m nodes (see `spinorfields`).  The metric, frames, spin
 coefficients, constraint fields, sphere frames and spin lifts depend only
 on the nodes, so each is computed once per point batch whatever the
 number of spinors, and every spinor result gains the same leading axes.
-Unbatched spinors give unbatched (scalar) results.
+Unbatched spinors give unbatched (scalar) results.  Each batch of nodes --
+the LSW volume grid, a sphere grid, each angle-stencil shift of it -- gets
+one `geometry.PointFields` bundle, built where the batch is made and
+passed to every function that works on those nodes (boundary_term_density
+hands each stencil batch's bundle to the sphere closure); it is dropped
+with the batch, and lsw_residual releases the constraint-only fields
+(d2g, dk, Gamma, g^-1) before the spinor arrays exist.
 """
 
 from __future__ import annotations
@@ -40,15 +46,13 @@ from .geometry import (
     CreasedData,
     GeometryError,
     InitialData,
-    bulk_frame,
-    christoffel,
+    PointFields,
+    as_fields,
     constraint_fields,
     hypersurface_geometry,
-    inverse_metric,
-    sphere_frame,
     unit_sphere_volume,
 )
-from .spheregrid import SphereGrid, sphere_grid, unit_vectors
+from .spheregrid import SphereGrid, sphere_grid, theta_phi_tangents, unit_vectors
 from .spinorfields import SpinorField, anchored_spin_lift, rotation_between_frames
 
 
@@ -218,16 +222,12 @@ def adm_energy_momentum(data: InitialData, radii: Sequence[float], order: int = 
 
     e_vals, p_vals = [], []
     for r in radii:
-        pts = r * grid.nodes
-        dg = data.dg(pts)
-        g = data.g(pts)
-        k = data.k(pts)
-        ginv = inverse_metric(g)
-        trk = np.einsum("mij,mij->m", ginv, k)
-        t1 = np.einsum("miji->mj", dg)
-        t2 = np.einsum("miij->mj", dg)
+        f = PointFields(data, r * grid.nodes)
+        trk = np.einsum("mij,mij->m", f.ginv, f.k)
+        t1 = np.einsum("miji->mj", f.dg)
+        t2 = np.einsum("miij->mj", f.dg)
         e_int = np.einsum("mj,mj->m", t1 - t2, grid.nodes)
-        p_int = np.einsum("mij,mj->mi", k - trk[:, None, None] * g, grid.nodes)
+        p_int = np.einsum("mij,mj->mi", f.k - trk[:, None, None] * f.g, grid.nodes)
         e_vals.append(r ** (n - 1) * grid.integrate(e_int) * norm_e)
         p_vals.append(r ** (n - 1) * np.einsum("m,mi->i", grid.weights, p_int) * norm_p)
     e_vals = np.asarray(e_vals)
@@ -253,7 +253,7 @@ def adm_energy_momentum(data: InitialData, radii: Sequence[float], order: int = 
 # spin coefficients and the Dirac-Witten operator in the bulk frame
 
 
-def bulk_spin_coefficients(data: InitialData, x: np.ndarray) -> np.ndarray:
+def bulk_spin_coefficients(data: InitialData, x) -> np.ndarray:
     """W[m, a, j, l] = g(nabla_{e_a} e_j, e_l) for the deterministic bulk frame.
 
     Gram-Schmidt on the coordinate basis in fixed order gives frame rows F
@@ -264,13 +264,12 @@ def bulk_spin_coefficients(data: InitialData, x: np.ndarray) -> np.ndarray:
     derivative gives -Phi(G_a) and the Christoffel symbols the rest:
     W_ajl = -Phi(G_a)_jl + 1/2 (G_ajl + G_jla - G_laj).
     """
-    pts = np.asarray(x, dtype=float)
+    f, _ = as_fields(data, x)
     n = data.n
-    frame = bulk_frame(data, pts)
-    # one frame index at a time: G[m, a, j, l] = e_a^i e_j^p e_l^q d_i g_pq
-    G = np.einsum("mpqi,mai->mapq", data.dg(pts), frame)
-    G = np.einsum("mapq,mjp->majq", G, frame)
-    G = np.einsum("majq,mlq->majl", G, frame)
+    frame = f.frame
+    frame_t = np.swapaxes(frame, -1, -2)[:, None]
+    # G[m, a, j, l] = e_a^i e_j^p e_l^q d_i g_pq: F (d_{e_a} g) F^T for each a, as matrix products
+    G = frame[:, None] @ np.moveaxis(f.dg @ frame_t, -1, 1) @ frame_t
     phi = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
     return 0.5 * (G + np.einsum("mjla->majl", G) - np.einsum("mlaj->majl", G)) - phi * G
 
@@ -281,31 +280,42 @@ def _pair_products(rep: CliffordRep):
     return gg, gt
 
 
-def sen_derivatives(data: InitialData, rep: CliffordRep, field: SpinorField, x: np.ndarray) -> np.ndarray:
+def sen_derivatives(
+    data: InitialData, rep: CliffordRep, field: SpinorField, x, values: np.ndarray | None = None
+) -> np.ndarray:
     """Spacetime-connection derivatives in all frame directions; (..., m, I, n).
 
     nabla-bar_a psi = e_a(c) + 1/4 W_{jl}(e_a) Gamma^j Gamma^l c
                       + 1/2 k(e_a, e_j) Gamma^j tau c.
+    `values`, when the caller has them, are the field's components c at x.
     """
-    pts = np.asarray(x, dtype=float)
+    f, _ = as_fields(data, x)
     n, dim = data.n, rep.dim
-    frame = bulk_frame(data, pts)
-    c = field.evaluate(pts)
-    W = bulk_spin_coefficients(data, pts)
-    kf = frame @ data.k(pts) @ np.swapaxes(frame, -1, -2)
+    c = field.evaluate(f.x) if values is None else values
+    W = bulk_spin_coefficients(data, f)
+    kf = f.frame @ f.k @ np.swapaxes(f.frame, -1, -2)
     gg, gt = _pair_products(rep)
-    # the connection's algebraic part as one (m, a, I, K) operator, applied once to the batch
-    conn = (0.25 * W.reshape(-1, n * n) @ gg.reshape(n * n, dim * dim)
-            + 0.5 * kf.reshape(-1, n) @ gt.reshape(n, dim * dim))
-    out = np.asarray(field.frame_derivatives(data, pts, frame=frame), dtype=complex)
-    out += np.einsum("maIK,...mK->...mIa", conn.reshape(W.shape[:2] + (dim, dim)), c)
+    # the connection's algebraic part as one (m, a I, K) operator, applied once to the batch
+    conn = 0.25 * W.reshape(-1, n * n) @ gg.reshape(n * n, dim * dim)
+    conn += 0.5 * kf.reshape(-1, n) @ gt.reshape(n, dim * dim)
+    conn = conn.reshape(-1, n * dim, dim)
+    del W, kf
+    out = np.asarray(field.frame_derivatives(data, f), dtype=complex)
+    # the product lands in out's (..., m, a, I) memory
+    np.swapaxes(out, -1, -2)[...] += (conn @ c[..., None]).reshape(c.shape[:-1] + (n, dim))
     return out
 
 
-def dirac_witten_apply(data: InitialData, rep: CliffordRep, field: SpinorField, x: np.ndarray) -> np.ndarray:
+def _gamma_contract(rep: CliffordRep, sen: np.ndarray) -> np.ndarray:
+    """Gamma^a applied to frame derivatives (..., I, n) and summed over a: one product over (a, K)."""
+    n, dim = rep.n, rep.dim
+    by_direction = np.swapaxes(sen, -1, -2).reshape(sen.shape[:-2] + (n * dim,))
+    return by_direction @ np.swapaxes(rep.gamma, -1, -2).reshape(n * dim, dim)
+
+
+def dirac_witten_apply(data: InitialData, rep: CliffordRep, field: SpinorField, x) -> np.ndarray:
     """Frame-contracted spacetime connection, e^a nabla-bar_a psi."""
-    sen = sen_derivatives(data, rep, field, x)
-    return np.einsum("aIK,...Ka->...I", rep.gamma, sen)
+    return _gamma_contract(rep, sen_derivatives(data, rep, field, x))
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +330,22 @@ def sphere_gauge_closure(data: InitialData, rep: CliffordRep, field: SpinorField
 
     The bulk-to-sphere rotation sweeps through every angle over the sphere,
     so the spin lift is anchored at the grid nodes; the returned closure
-    accepts angle arrays congruent to the grid (the grid itself and small
-    angular displacements of it).
+    (see `boundary_term_density`) accepts angle arrays congruent to the grid
+    (the grid itself and small angular displacements of it) and reads the
+    frames from the nodes' field bundle.
     """
 
-    def bulk_to_sphere_rotation(pts):
-        g = data.g(pts)
-        F_s = sphere_frame(data, pts).frame
-        F_b = bulk_frame(data, pts)
-        return rotation_between_frames(g, frame_from=F_s, frame_to=F_b)
+    def bulk_to_sphere_rotation(f: PointFields):
+        return rotation_between_frames(f.g, frame_from=f.sphere.frame, frame_to=f.frame)
 
-    O_anchor = bulk_to_sphere_rotation(r0 * grid.nodes)
+    O_anchor = bulk_to_sphere_rotation(PointFields(data, r0 * grid.nodes))
 
-    def psi(theta, phi):
-        theta = np.asarray(theta)
-        if theta.shape[0] != grid.size:
+    def psi(theta, phi, fields):
+        if np.shape(theta)[0] != grid.size:
             raise IntegralsError("sphere-gauge closure evaluated off its anchor grid")
-        pts = r0 * unit_vectors(theta, np.asarray(phi))
-        sigma = anchored_spin_lift(rep, O_anchor, bulk_to_sphere_rotation(pts))
-        c_b = field.evaluate(pts)
+        f, _ = as_fields(data, fields)
+        sigma = anchored_spin_lift(rep, O_anchor, bulk_to_sphere_rotation(f))
+        c_b = field.evaluate(f.x)
         return np.einsum("mji,...mj->...mi", np.conj(sigma), c_b)
 
     return psi
@@ -349,14 +356,17 @@ def boundary_term_density(
     rep: CliffordRep,
     r0: float,
     grid: SphereGrid,
-    psi_sphere: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    psi_sphere: Callable[[np.ndarray, np.ndarray, PointFields], np.ndarray],
     nu_sign: int = 1,
     step: float = ANGLE_STEP,
 ):
     """Per-node boundary integrand and induced-area weights on |x| = r0.
 
-    psi_sphere(theta, phi) returns adapted sphere-frame components (..., m, I),
-    and the density gains the same leading axes.  With
+    psi_sphere(theta, phi, fields) returns adapted sphere-frame components
+    (..., m, I) at the nodes r0 * omega(theta, phi), whose field bundle
+    `fields` it may read; the density gains the same leading axes.  Each
+    angle-stencil batch's bundle, and so its sphere frame, is built once
+    here and shared with psi_sphere.  With
     nu = nu_sign * outward unit normal, the density is the outward-
     convention combination <psi, D psi - H/2 psi - 1/2[(tr k) nu -
     k(nu,t_a) t^a] tau psi>; H, k(nu,.) and the boundary Dirac operator
@@ -367,18 +377,16 @@ def boundary_term_density(
         raise IntegralsError("boundary quadrature is implemented for n = 3")
     theta, phi = grid.theta, grid.phi
     om = grid.nodes
-    pts = r0 * om
-
-    sf = sphere_frame(data, pts)
-    t = sf.tangent  # (m, 2, 3)
-    g = data.g(pts)
-    gamma_chr = christoffel(g, data.dg(pts))
+    f = PointFields(data, r0 * om)
+    t = f.sphere.tangent  # (m, 2, 3)
+    g = f.g
+    gamma_chr = f.gamma
     hg = hypersurface_geometry(data, r0, om, orientation="outward")
     H = nu_sign * hg.H
     trk = hg.trk
     beta = nu_sign * hg.beta
 
-    c0 = np.asarray(psi_sphere(theta, phi), dtype=complex)
+    c0 = np.asarray(psi_sphere(theta, phi, f), dtype=complex)
 
     # tangential derivatives of the frame and of psi via 4th-order angle stencils;
     # the sum m2 - 8 m1 + 8 p1 - p2 is accumulated point by point, so a single
@@ -387,8 +395,9 @@ def boundary_term_density(
         t_sum = c_sum = None
         for d, w in ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0)):
             th, ph = angles(d)
-            t_d = sphere_frame(data, r0 * unit_vectors(th, ph)).tangent
-            c_d = np.asarray(psi_sphere(th, ph), dtype=complex)
+            f_d = PointFields(data, r0 * unit_vectors(th, ph))
+            t_d = f_d.sphere.tangent
+            c_d = np.asarray(psi_sphere(th, ph, f_d), dtype=complex)
             t_sum = t_d if t_sum is None else t_sum + w * t_d
             c_sum = c_d if c_sum is None else c_sum + w * c_d
         return t_sum / (12.0 * h[..., None, None]), c_sum / (12.0 * h[..., None])
@@ -399,8 +408,6 @@ def boundary_term_density(
     dt_dphi, dc_dphi = fd4(lambda d: (theta, phi + d * step_phi), step_phi)
 
     # coordinates of t_alpha in the (theta, phi) parameter basis
-    from .spheregrid import theta_phi_tangents
-
     e_th, e_ph_raw = theta_phi_tangents(theta, phi)
     sin2 = np.sin(theta) ** 2
     a_co = np.einsum("mai,mi->ma", t, e_th) / r0
@@ -551,25 +558,25 @@ def lsw_residual(
     if r_order is None:
         r_order = max(24, order)
     pts, w_flat = volume_quadrature(region, r_order, order)
-    g = data.g(pts)
-    dV = np.sqrt(np.linalg.det(g)) * w_flat
+    f = PointFields(data, pts)
+    dV = np.sqrt(np.linalg.det(f.g)) * w_flat
     # spinor-independent fields first, so they peak before the spinor arrays exist
-    cons = constraint_fields(data, pts)
-    frame = bulk_frame(data, pts)
-    j_frame = np.einsum("mi,mai->ma", cons.J, frame)
+    cons = constraint_fields(data, f)
+    f.release("d2g", "dk", "gamma", "ginv")  # read only by the constraints
+    j_frame = np.einsum("mi,mai->ma", cons.J, f.frame)
     _, gt = _pair_products(rep)
 
     # each spinor term is integrated at once and its arrays dropped, to keep the batch's peak low
     c = field.evaluate(pts)
-    jtau = np.einsum("mIK,...mK->...mI", (j_frame @ gt.reshape(data.n, -1)).reshape(-1, rep.dim, rep.dim), c)
+    jtau = ((j_frame @ gt.reshape(data.n, -1)).reshape(-1, rep.dim, rep.dim) @ c[..., None])[..., 0]
     matter = 0.5 * (cons.mu * np.einsum("...mI,...mI->...m", np.conj(c), c).real
                     + np.einsum("...mI,...mI->...m", np.conj(c), jtau).real)
     matter_int = np.sum(matter * dV, axis=-1)
     del jtau, matter
 
-    sen = sen_derivatives(data, rep, field, pts)
+    sen = sen_derivatives(data, rep, field, f, values=c)
     dirichlet = np.sum(np.einsum("...mIa,...mIa->...m", np.conj(sen), sen).real * dV, axis=-1)
-    dw = np.einsum("aIK,...mKa->...mI", rep.gamma, sen)
+    dw = _gamma_contract(rep, sen)
     del sen
     dirac_sq = np.sum(np.einsum("...mI,...mI->...m", np.conj(dw), dw).real * dV, axis=-1)
     del dw
@@ -664,8 +671,9 @@ def crease_boundary_terms(
     if np.any(defect > defect_tol):
         raise TransmissionPreconditionError(float(np.max(defect)), defect_tol)
 
-    i_minus = boundary_flux(cd.minus, rep, r0, order, pm, nu_sign=1)
-    i_plus = boundary_flux(cd.plus, rep, r0, order, psi_plus, nu_sign=-1)
+    # the traces need no geometry: they ignore the field bundle boundary_term_density passes
+    i_minus = boundary_flux(cd.minus, rep, r0, order, lambda th, ph, _: pm(th, ph), nu_sign=1)
+    i_plus = boundary_flux(cd.plus, rep, r0, order, lambda th, ph, _: psi_plus(th, ph), nu_sign=-1)
 
     bm = bartnik_from_data(cd.minus, r0, order=order, side="minus")
     bp = bartnik_from_data(cd.plus, r0, order=order, side="plus")

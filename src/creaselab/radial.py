@@ -180,12 +180,6 @@ class OracleReport:
     gradient_defect: float
     radii_checked: int
 
-    def __str__(self):
-        return (
-            f"reduction oracle: operator defect {self.operator_defect:.3e}, "
-            f"gradient-norm defect {self.gradient_defect:.3e} at {self.radii_checked} radii"
-        )
-
 
 @dataclass(frozen=True)
 class RadialProblem:

@@ -89,7 +89,5 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
     write_atomic(path, "\n".join(lines) + "\n")

@@ -5,7 +5,11 @@ deterministic bulk Gram-Schmidt frame, with an optional analytic Cartesian
 gradient (central differences with a declared step otherwise).  Components
 may carry leading batch axes: a field of K spinors maps a point batch
 (m, n) to values (K, m, I) and gradients (K, m, I, n), so everything that
-depends only on the points is computed once for the whole batch.  Changing
+depends only on the points is computed once for the whole batch.
+Frame derivatives are stored direction-major, (..., m, n, I) in memory,
+and handed out as (..., m, I, n) views: every contraction over the
+direction or the spinor index is then one matrix product on contiguous
+memory, without copying a spinor array to change its layout.  Changing
 between two orthonormal frames of the same metric lifts the relating
 SO(3) rotation to the spinor representation; the lift is closed-form via
 the axis-angle of the rotation.
@@ -19,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .cliffords import CliffordRep
-from .geometry import GeometryError, InitialData, bulk_frame
+from .geometry import GeometryError, InitialData, as_fields
 
 
 class SpinGaugeError(GeometryError):
@@ -141,20 +145,19 @@ class SpinorField:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.values(np.asarray(x, dtype=float)), dtype=complex)
 
-    def frame_derivatives(self, data: InitialData, x: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
-        """e_a(c) for all frame directions; shape (..., m, I, n)."""
-        pts = np.asarray(x, dtype=float)
-        if frame is None:
-            frame = bulk_frame(data, pts)
+    def frame_derivatives(self, data: InitialData, x) -> np.ndarray:
+        """e_a(c) for all frame directions at points or a field bundle x; shape (..., m, I, n)."""
+        f, _ = as_fields(data, x)
+        pts, frame = f.x, f.frame
         if self.cartesian_gradient is not None:
             grad = np.asarray(self.cartesian_gradient(pts), dtype=complex)
-            return np.einsum("...mIi,mai->...mIa", grad, frame)
+            return np.swapaxes(frame @ np.swapaxes(grad, -1, -2), -1, -2)
         h = self.fd_step
         cols = []
         for a in range(self.rep.n):
             v = frame[:, a, :]
             cols.append((self.values(pts + h * v) - self.values(pts - h * v)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        return np.swapaxes(np.stack(cols, axis=-2), -1, -2)
 
 
 def constant_spinor_field(rep: CliffordRep, components: np.ndarray, label: str = "constant") -> SpinorField:
@@ -181,26 +184,28 @@ def polynomial_spinor_field(
     nterms = exponents.shape[0]
     if coeffs.shape[-2:] != (rep.dim, nterms):
         raise GeometryError("coefficient array must have shape (..., I, nterms)")
+    n = rep.n
+    axes = np.arange(n)
+    # coefficients as a real (..., t, 2I) matrix (interleaved real and imaginary parts), so a real
+    # monomial matrix multiplies it without a complex copy and the product views as complex
+    coeffs_ri = np.ascontiguousarray(np.swapaxes(coeffs, -1, -2)).view(float)
+    # d_i x^e = e_i x^(e - delta_i): exponents and factors per direction i
+    lowered = [np.maximum(exponents - np.eye(n, dtype=int)[i], 0) for i in range(n)]
 
-    def monomials(x):
-        return np.prod(x[:, None, :] ** exponents[None, :, :], axis=-1)  # (m, t)
+    def powers(x):  # powers[m, i, e] = x_i^e
+        pw = np.ones(x.shape + (int(exponents.max(initial=0)) + 1,))
+        pw[..., 1:] = x[..., None]
+        return np.cumprod(pw, axis=-1)
 
     def values(x):
-        return np.einsum("...It,mt->...mI", coeffs, monomials(x))
+        mono = np.prod(powers(x)[:, axes, exponents], axis=-1)  # (m, t)
+        return (mono @ coeffs_ri).view(complex)
 
     def gradient(x):
-        out = np.zeros(coeffs.shape[:-2] + (x.shape[0], rep.dim, rep.n), dtype=complex)
-        for i in range(rep.n):
-            e = exponents.copy()
-            mask = e[:, i] > 0
-            if not np.any(mask):
-                continue
-            e2 = e[mask].copy()
-            fac = e2[:, i].astype(float)
-            e2[:, i] -= 1
-            mono = np.prod(x[:, None, :] ** e2[None, :, :], axis=-1)
-            out[..., i] = np.einsum("...It,mt->...mI", coeffs[..., mask] * fac, mono)
-        return out
+        pw = powers(x)
+        dmono = np.stack([exponents[:, i] * np.prod(pw[:, axes, lowered[i]], axis=-1) for i in range(n)], axis=1)
+        grad = (dmono.reshape(-1, nterms) @ coeffs_ri).view(complex)  # (..., m n, I)
+        return np.swapaxes(grad.reshape(grad.shape[:-2] + (x.shape[0], n, rep.dim)), -1, -2)
 
     return SpinorField(rep=rep, values=values, cartesian_gradient=gradient, label=label)
 

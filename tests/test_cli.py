@@ -227,3 +227,61 @@ def test_nonfinite_result_exits_3_without_report(tmp_path, capsys, monkeypatch):
     assert _run("identities", IDENTITIES_SMALL, tmp_path / "out") == 3
     assert "results.lsw.max_scaled_residual" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": 1.0}}, "radii": [50.0]}, "at least 3"),
+        ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": 1.0}}, "radii": [200.0, 100.0, 50.0]},
+         "strictly increasing"),
+        ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": True}}}, "catalog.params.m"),
+        ({"catalog": {"name": "rotated_crease", "base": "miao_corner", "base_params": {"m": 1.0, "rho0": True},
+                      "angle": {"type": "constant", "value": 0.3}}}, "catalog.base_params.rho0"),
+    ],
+    ids=["one-radius", "decreasing-radii", "boolean-param", "boolean-base-param"],
+)
+def test_parse_time_contract_exits_2(tmp_path, capsys, doc, message):
+    # E is extrapolated from the last three radii, and a boolean is not a model parameter
+    assert _run("adm", _write_config(tmp_path, "bad.yaml", doc), tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,doc,message",
+    [
+        ("solve", {"grid": {"n_minus": 64, "n_plus": 128, "r_max": 2.5}}, "must exceed the crease radius"),
+        ("adm", {"radii": [1.0, 2.0, 3.0]}, "leave the chart"),
+        ("solve", {"radii": [1.0, 2.0, 3.0]}, "leave the chart"),
+    ],
+    ids=["solve-r_max-inside-crease", "adm-radii-inside-chart", "solve-radii-inside-chart"],
+)
+def test_run_time_config_errors_exit_2(tmp_path, capsys, command, doc, message):
+    config = {"catalog": {"name": "miao_corner", "params": {"m": 1.0, "rho0": 3.0}}, **doc}
+    assert _run(command, _write_config(tmp_path, "bad.yaml", config), tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,config,names",
+    [("solve", SOLVE_SMALL, ["psi_minus.csv", "psi_plus.csv"]),
+     ("crease-check", CREASE_CHECK_SMALL, ["crease_margin.csv"])],
+)
+def test_csv_matches_per_value_formatting(tmp_path, monkeypatch, command, config, names):
+    # reference: each value formatted on its own as repr(float(v))
+    expected = {}
+    write_csv = cli.write_csv
+
+    def recording_write_csv(path, header, rows):
+        rows = list(rows)
+        lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+        expected[os.path.basename(path)] = "\n".join(lines) + "\n"
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", recording_write_csv)
+    assert _run(command, config, tmp_path) == 0
+    assert sorted(expected) == names
+    for name in names:
+        assert (tmp_path / name).read_text(encoding="utf-8") == expected[name]

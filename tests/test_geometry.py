@@ -20,7 +20,6 @@ from creaselab.geometry import (
     InitialData,
     bulk_frame,
     constraint_fields,
-    fit_decay,
     hypersurface_geometry,
     scalar_curvature,
     second_metric_derivative,
@@ -241,32 +240,6 @@ def test_miao_corner_crease_match():
             assert np.max(np.abs(np.einsum("mi,mij,mj->m", a, jump, b))) < 1e-12
     # the normal-normal component does jump across the corner
     assert np.max(np.abs(np.einsum("mi,mij,mj->m", grid.nodes, jump, grid.nodes))) > 0.1
-
-
-def test_fit_decay_schwarzschild():
-    fd = fit_decay(schwarzschild_isotropic(1.0), [20.0, 40.0, 80.0, 160.0])
-    assert 0.95 <= fd.q_est <= 1.05
-    assert not fd.exact_flat
-
-
-def test_fit_decay_flat_sentinel():
-    fd = fit_decay(minkowski_slice(), [20.0, 40.0, 80.0])
-    assert fd.exact_flat
-    assert fd.max_deviation == (0.0, 0.0, 0.0)
-
-
-def test_fit_decay_miao_exterior():
-    mc = miao_corner(1.0, 4.0)
-    fd = fit_decay(mc.plus, [20.0, 40.0, 80.0])
-    assert abs(fd.q_est - 1.0) < 0.1
-
-
-def test_fit_decay_argument_errors():
-    data = schwarzschild_isotropic(1.0)
-    with pytest.raises(GeometryError):
-        fit_decay(data, [10.0, 20.0])
-    with pytest.raises(GeometryError):
-        fit_decay(data, [20.0, 10.0, 40.0])
 
 
 @pytest.mark.parametrize("maker", [schwarzschild_isotropic, schwarzschild_exterior_area_radius])

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from creaselab import geometry
 from creaselab.catalog import (
     graph_slice,
     miao_corner,
@@ -11,7 +14,7 @@ from creaselab.catalog import (
     schwarzschild_isotropic,
 )
 from creaselab.cliffords import build_rep
-from creaselab.geometry import Chart, InitialData, bulk_frame, christoffel
+from creaselab.geometry import Chart, InitialData, bulk_frame, christoffel, constraint_fields, scalar_curvature
 from creaselab.integrals import (
     IntegralsError,
     _extrapolate_sequence,
@@ -30,6 +33,7 @@ from creaselab.spheregrid import sphere_grid
 from creaselab.spinorfields import (
     SpinorField,
     constant_spinor_field,
+    polynomial_spinor_field,
     radial_bump_field,
     random_polynomial_field,
     rotation_between_frames,
@@ -226,7 +230,7 @@ def test_spin_coefficients_match_frame_differences(maker):
     dframe = np.stack(
         [(bulk_frame(data, pts + h * e) - bulk_frame(data, pts - h * e)) / (2.0 * h) for e in np.eye(3)], axis=-1
     )
-    cov = dframe + np.einsum("mpiq,mjq->mjpi", christoffel(data.g(pts), data.dg(pts)), frame)
+    cov = dframe + np.einsum("mpiq,mjq->mjpi", christoffel(data, pts), frame)
     oracle = np.einsum("mai,mjpi,mpq,mlq->majl", frame, cov, data.g(pts), frame)
     assert np.max(np.abs(bulk_spin_coefficients(data, pts) - oracle)) < 1e-9
 
@@ -242,7 +246,7 @@ def test_sen_fused_operator_matches_unfused_contraction():
     gg = np.einsum("jIK,lKL->jlIL", REP.gamma, REP.gamma)
     gt = np.einsum("jIK,KL->jIL", REP.gamma, REP.tau)
     c = fld.evaluate(pts)
-    unfused = (fld.frame_derivatives(data, pts, frame=frame)
+    unfused = (fld.frame_derivatives(data, pts)
                + 0.25 * np.einsum("majl,jlIK,...mK->...mIa", W, gg, c)
                + 0.5 * np.einsum("maj,jIK,...mK->...mIa", kf, gt, c))
     fused = sen_derivatives(data, REP, fld, pts)
@@ -265,8 +269,7 @@ def test_sen_reduces_to_spin_derivative_when_k_zero():
     pts = np.array([[3.0, 1.0, 0.5]])
     sen = sen_derivatives(data, REP, fld, pts)
     # re-assemble the pure spin derivative: k = 0 means no tau coupling
-    frame = bulk_frame(data, pts)
-    dc = fld.frame_derivatives(data, pts, frame=frame)
+    dc = fld.frame_derivatives(data, pts)
     W = bulk_spin_coefficients(data, pts)
     gg = np.einsum("jIK,lKL->jlIL", REP.gamma, REP.gamma)
     spin = 0.25 * np.einsum("majl,jlIK,mK->mIa", W, gg, fld.evaluate(pts))
@@ -483,3 +486,156 @@ def test_lsw_quadrature_order_refinement():
     fine = abs(lsw_residual(data, REP, fld, ("ball", 6.0), order=12, r_order=48).residual)
     assert coarse > 1e-6  # under-resolved on purpose
     assert fine < 1e-2 * coarse
+
+
+# ---------------------------------------------------------------------------
+# one field bundle per point batch, checked against straightforward references
+
+
+def _synthetic_matter_data():
+    """graph_slice's metric with k = 0.3 x1 delta: R, mu and J all nonzero, d2g in closed form."""
+    base = graph_slice()
+
+    def kfun(x):
+        return 0.3 * x[:, 0, None, None] * np.broadcast_to(np.eye(3), (x.shape[0], 3, 3))
+
+    def dkfun(x):
+        out = np.zeros((x.shape[0], 3, 3, 3))
+        out[:, :, :, 0] = 0.3 * np.eye(3)[None]
+        return out
+
+    return dataclasses.replace(base, k=kfun, dk=dkfun, label="graph-metric-synthetic-k")
+
+
+def _reference_constraints(data, pts):
+    """mu and J from the full Ricci tensor, with plain einsums on the closures."""
+    g, dg, d2g, k, dk = data.g(pts), data.dg(pts), data.d2g(pts), data.k(pts), data.dk(pts)
+    ginv = np.linalg.inv(g)
+    low = np.einsum("mjli->mlij", dg) + np.einsum("milj->mlij", dg) - np.einsum("mijl->mlij", dg)
+    gamma = 0.5 * np.einsum("mkl,mlij->mkij", ginv, low)
+    dlow = (np.einsum("mjlin->mlijn", d2g) + np.einsum("miljn->mlijn", d2g)
+            - np.einsum("mijln->mlijn", d2g))
+    dginv = -np.einsum("mka,mabn,mbl->mkln", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("mkln,mlij->mkijn", dginv, low) + np.einsum("mkl,mlijn->mkijn", ginv, dlow))
+    ricci = (np.einsum("mkijk->mij", dgamma) - np.einsum("mkikj->mij", dgamma)
+             + np.einsum("mkkl,mlij->mij", gamma, gamma) - np.einsum("mkjl,mlik->mij", gamma, gamma))
+    R = np.einsum("mij,mij->m", ginv, ricci)
+    trk = np.einsum("mij,mij->m", ginv, k)
+    mu = 0.5 * (R + trk**2 - np.einsum("mia,mab,mbj,mji->m", ginv, k, ginv, k))
+    pi = k - trk[:, None, None] * g
+    dtrk = np.einsum("mab,mabl->ml", ginv, dk) - np.einsum("mac,mcd,mdb,mabl->ml", ginv, k, ginv, dg)
+    dpi = dk - np.einsum("ml,mij->mijl", dtrk, g) - trk[:, None, None, None] * dg
+    J = (np.einsum("mjl,mjil->mi", ginv, dpi) - np.einsum("mjl,mklj,mki->mi", ginv, gamma, pi)
+         - np.einsum("mjl,mkli,mjk->mi", ginv, gamma, pi))
+    return R, mu, J
+
+
+def _reference_polynomial(coeffs, exponents, pts):
+    """Values (..., m, I) and Cartesian gradients (..., m, I, n) of a polynomial spinor, term by term."""
+    mono = np.prod(pts[:, None, :] ** exponents[None], axis=-1)
+    values = np.einsum("...It,mt->...mI", coeffs, mono)
+    grads = []
+    for i in range(3):
+        lowered = np.maximum(exponents - np.eye(3, dtype=int)[i], 0)
+        dmono = exponents[:, i] * np.prod(pts[:, None, :] ** lowered[None], axis=-1)
+        grads.append(np.einsum("...It,mt->...mI", coeffs, dmono))
+    return values, np.stack(grads, axis=-1)
+
+
+def _reference_sen(data, coeffs, exponents, pts):
+    """Sen derivatives (..., m, I, a) from the frame F = L^-1 of the Cholesky factor, term by term."""
+    g, dg, k = data.g(pts), data.dg(pts), data.k(pts)
+    F = np.linalg.inv(np.linalg.cholesky(g))
+    G = np.einsum("mai,mjp,mlq,mpqi->majl", F, F, F, dg)
+    phi = np.tril(np.ones((3, 3)), -1) + 0.5 * np.eye(3)
+    W = 0.5 * (G + np.einsum("mjla->majl", G) - np.einsum("mlaj->majl", G)) - phi * G
+    kf = np.einsum("mai,mij,mbj->mab", F, k, F)
+    gg = np.einsum("jIK,lKL->jlIL", REP.gamma, REP.gamma)
+    gt = np.einsum("jIK,KL->jIL", REP.gamma, REP.tau)
+    c, grad = _reference_polynomial(coeffs, exponents, pts)
+    return c, (np.einsum("...mIi,mai->...mIa", grad, F)
+               + 0.25 * np.einsum("majl,jlIK,...mK->...mIa", W, gg, c)
+               + 0.5 * np.einsum("maj,jIK,...mK->...mIa", kf, gt, c))
+
+
+def _batched_polynomial(seed):
+    exponents = np.array([(a, b, t - a - b) for t in range(3) for a in range(t + 1) for b in range(t - a + 1)])
+    z = np.random.default_rng(seed).normal(size=(2, 3, REP.dim, len(exponents)))
+    coeffs = (z[0] + 1j * z[1]) * 0.2 ** exponents.sum(axis=1)
+    return coeffs, exponents, polynomial_spinor_field(REP, coeffs, exponents)
+
+
+def test_constraint_fields_match_full_ricci_reference():
+    data = _synthetic_matter_data()
+    pts, _ = volume_quadrature(("annulus", 3.0, 6.0), 8, 8)
+    R, mu, J = _reference_constraints(data, pts)
+    cons = constraint_fields(data, pts)
+    assert np.max(np.abs(R)) > 1e-3 and np.max(np.abs(J)) > 1e-3
+    assert np.max(np.abs(scalar_curvature(data, pts) - R)) <= 1e-13 * np.max(np.abs(R))
+    assert np.max(np.abs(cons.mu - mu)) <= 1e-13 * np.max(np.abs(mu))
+    assert np.max(np.abs(cons.J - J)) <= 1e-13 * np.max(np.abs(J))
+
+
+def test_sen_derivatives_match_reference_on_a_batch():
+    data = _synthetic_matter_data()
+    coeffs, exponents, fld = _batched_polynomial(21)
+    pts, _ = volume_quadrature(("annulus", 3.0, 6.0), 8, 8)
+    _, ref = _reference_sen(data, coeffs, exponents, pts)
+    sen = sen_derivatives(data, REP, fld, pts)
+    assert sen.shape == ref.shape == (3, pts.shape[0], REP.dim, 3)
+    assert np.max(np.abs(sen - ref)) <= 1e-13 * np.max(np.abs(ref))
+    dw = np.einsum("aIK,...mKa->...mI", REP.gamma, ref)
+    assert np.max(np.abs(dirac_witten_apply(data, REP, fld, pts) - dw)) <= 1e-13 * np.max(np.abs(dw))
+
+
+def test_lsw_bulk_terms_match_reference_on_a_batch():
+    data = _synthetic_matter_data()
+    coeffs, exponents, fld = _batched_polynomial(22)
+    region = ("annulus", 3.0, 6.0)
+    res = lsw_residual(data, REP, fld, region, order=8)
+    pts, w = volume_quadrature(region, 24, 8)
+    dV = np.sqrt(np.linalg.det(data.g(pts))) * w
+    _, mu, J = _reference_constraints(data, pts)
+    c, sen = _reference_sen(data, coeffs, exponents, pts)
+    F = np.linalg.inv(np.linalg.cholesky(data.g(pts)))
+    jtau = np.einsum("mi,mai,aIK,KL,...mL->...mI", J, F, REP.gamma, REP.tau, c)
+    matter = 0.5 * np.sum((mu * np.sum(np.abs(c) ** 2, axis=-1) + np.einsum("...mI,...mI->...m", np.conj(c), jtau).real)
+                          * dV, axis=-1)
+    dirichlet = np.sum(np.sum(np.abs(sen) ** 2, axis=(-2, -1)) * dV, axis=-1)
+    dw = np.einsum("aIK,...mKa->...mI", REP.gamma, sen)
+    dirac_sq = np.sum(np.sum(np.abs(dw) ** 2, axis=-1) * dV, axis=-1)
+    for name, ref in (("dirichlet", dirichlet), ("dirac_sq", dirac_sq), ("matter", matter),
+                      ("bulk", dirichlet - dirac_sq + matter)):
+        assert np.max(np.abs(getattr(res, name) - ref)) <= 1e-13 * np.max(np.abs(dirichlet)), name
+    assert np.max(np.abs(matter)) > 1e-3
+    assert np.array_equal(res.residual, res.bulk - res.boundary)
+
+
+def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def closure(x):
+            calls.append((name, np.shape(x)[0]))
+            return fn(x)
+
+        return closure
+
+    base = miao_corner(1.0, 3.0).plus
+    data = dataclasses.replace(base, **{f: counted(f, getattr(base, f)) for f in ("g", "dg", "k", "dk", "d2g")})
+    frames = []
+    original = geometry.bulk_frame
+
+    def counted_frame(d, x):
+        frames.append(np.shape(getattr(x, "x", x))[0])
+        return original(d, x)
+
+    # every module that bound bulk_frame by name calls through the counter
+    for module in [m for name, m in sys.modules.items() if name.startswith("creaselab")]:
+        if getattr(module, "bulk_frame", None) is original:
+            monkeypatch.setattr(module, "bulk_frame", counted_frame)
+    region = ("annulus", 3.5, 6.5)
+    nodes = volume_quadrature(region, 24, 8)[0].shape[0]
+    lsw_residual(data, REP, random_polynomial_field(REP, np.random.default_rng(3), (2,), degree=2), region, order=8)
+    assert sorted(name for name, m in calls if m == nodes) == ["d2g", "dg", "dk", "g", "k"]
+    assert frames.count(nodes) == 1
