@@ -8,6 +8,7 @@ vectorized over point batches (m, 3); the catalog is three-dimensional.
 
 from __future__ import annotations
 
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ from .geometry import (
     GeometryError,
     InitialData,
     RadialProfile,
-    sphere_grid,
 )
+from .spheregrid import sphere_grid
 
 
 def _radii(x: np.ndarray) -> np.ndarray:
@@ -96,9 +97,7 @@ def _zero_tensor_deriv(x):
 
 def _radial_data(
     chart: Chart,
-    kind: str,
     label: str,
-    q: float | None,
     metric_uv,  # r -> (u, du, d2u, v, dv, d2v) for g = u delta + v P
     curv_uv=None,  # r -> (u, du, v, dv) for k, or None for k = 0
     profile: RadialProfile | None = None,
@@ -125,8 +124,7 @@ def _radial_data(
             u, du, v, dv = curv_uv(_radii(x))
             return _radial_tensor_deriv(x, u, du, v, dv)
 
-    return InitialData(n=3, chart=chart, g=g, k=k, dg=dg, dk=dk, kind=kind, q=q,
-                       label=label, profile=profile, d2g=d2g)
+    return InitialData(n=3, chart=chart, g=g, k=k, dg=dg, dk=dk, d2g=d2g, label=label, profile=profile)
 
 
 def _validate_positive_definite(data: InitialData, radii) -> None:
@@ -152,9 +150,7 @@ def minkowski_slice() -> InitialData:
     )
     return _radial_data(
         chart=Chart("exterior", 0.0, math.inf),
-        kind="asymptotically-flat-exterior",
         label="minkowski_slice",
-        q=math.inf,
         metric_uv=ones,
         profile=profile,
     )
@@ -184,9 +180,7 @@ def schwarzschild_isotropic(m: float) -> InitialData:
     )
     data = _radial_data(
         chart=Chart("exterior", r_min, math.inf),
-        kind="asymptotically-flat-exterior",
         label=f"schwarzschild_isotropic(m={m:g})",
-        q=1.0,
         metric_uv=metric_uv,
         profile=profile,
     )
@@ -219,9 +213,7 @@ def schwarzschild_exterior_area_radius(m: float, r_min: float | None = None) -> 
     )
     data = _radial_data(
         chart=Chart("exterior", float(r_min), math.inf),
-        kind="asymptotically-flat-exterior",
         label=f"schwarzschild_exterior_area_radius(m={m:g})",
-        q=1.0,
         metric_uv=metric_uv,
         profile=profile,
     )
@@ -230,12 +222,7 @@ def schwarzschild_exterior_area_radius(m: float, r_min: float | None = None) -> 
 
 
 def flat_ball(r0: float) -> InitialData:
-    data = minkowski_slice()
-    return InitialData(
-        n=3, chart=Chart("ball", 0.0, float(r0)), g=data.g, k=data.k, dg=data.dg, dk=data.dk,
-        kind="compact-interior", q=None, label=f"flat_ball(r0={r0:g})", profile=data.profile,
-        d2g=data.d2g,
-    )
+    return replace(minkowski_slice(), chart=Chart("ball", 0.0, float(r0)), label=f"flat_ball(r0={r0:g})")
 
 
 def miao_corner(m: float, rho0: float) -> CreasedData:
@@ -246,11 +233,7 @@ def miao_corner(m: float, rho0: float) -> CreasedData:
     if 2.0 * m / rho0 >= 1.0:
         raise GeometryError(f"miao_corner: gluing sphere rho0={rho0:g} is inside the horizon 2m={2*m:g}")
     exterior = schwarzschild_exterior_area_radius(m)
-    plus = InitialData(
-        n=3, chart=Chart("exterior", rho0, math.inf), g=exterior.g, k=exterior.k,
-        dg=exterior.dg, dk=exterior.dk, kind="asymptotically-flat-exterior", q=1.0,
-        label=exterior.label + f"|r>={rho0:g}", profile=exterior.profile, d2g=exterior.d2g,
-    )
+    plus = replace(exterior, chart=Chart("exterior", rho0, math.inf), label=exterior.label + f"|r>={rho0:g}")
     return CreasedData(
         minus=flat_ball(rho0),
         plus=plus,
@@ -262,12 +245,7 @@ def miao_corner(m: float, rho0: float) -> CreasedData:
 
 def trivial_crease(r0: float = 1.0) -> CreasedData:
     """Flat data on both sides of r = r0 with zero hyperbolic angle."""
-    flat = minkowski_slice()
-    plus = InitialData(
-        n=3, chart=Chart("exterior", float(r0), math.inf), g=flat.g, k=flat.k,
-        dg=flat.dg, dk=flat.dk, kind="asymptotically-flat-exterior", q=math.inf,
-        label="minkowski_slice", profile=flat.profile, d2g=flat.d2g,
-    )
+    plus = replace(minkowski_slice(), chart=Chart("exterior", float(r0), math.inf))
     return CreasedData(
         minus=flat_ball(r0), plus=plus, r0=float(r0),
         angle=CreaseAngle.from_constant(0.0), label=f"trivial_crease(r0={r0:g})",
@@ -300,8 +278,8 @@ def graph_slice(amplitude: float = 0.4, center: float = 4.5, width: float = 1.0)
         zero = np.zeros_like(r)
         return np.ones_like(r), zero, zero, -(hp**2), -2.0 * hp * hpp, -2.0 * hpp**2 - 2.0 * hp * h3(r)
 
-    # k = Hess(h)/W w.r.t. the future timelike normal (convention pinned in
-    # the README sheet); the slice is vacuum for either global k sign
+    # k = Hess(h)/W w.r.t. the future timelike normal (the sign convention of
+    # the `geometry` module docstring); the slice is vacuum for either global k sign
     def curv_uv(r):
         hp, hpp, hppp = h1(r), h2(r), h3(r)
         W = np.sqrt(1.0 - hp**2)
@@ -321,9 +299,7 @@ def graph_slice(amplitude: float = 0.4, center: float = 4.5, width: float = 1.0)
     )
     return _radial_data(
         chart=Chart("exterior", 0.0, math.inf),
-        kind="asymptotically-flat-exterior",
         label=f"graph_slice(a={a:g}, c={c:g}, w={w:g})",
-        q=math.inf,
         metric_uv=metric_uv,
         curv_uv=curv_uv,
         profile=profile,

@@ -36,7 +36,7 @@ from .killing import (
     lorentz_length_drift,
     riemann_norm,
 )
-from .radial import RadialGrid, assemble, mass_gap, poincare_estimate, reduce_radial, solve
+from .radial import RadialError, RadialGrid, assemble, mass_gap, poincare_estimate, reduce_radial, solve
 from .reports import NonFiniteReportError, render_report, write_atomic, write_csv
 from .spheregrid import unit_vectors
 from .spinorfields import constant_spinor_field, random_polynomial_field
@@ -174,17 +174,21 @@ def cmd_identities(config: RunConfig, out_dir: str):
 
 
 def cmd_solve(config: RunConfig, out_dir: str):
+    grid = RadialGrid(n_minus=config.n_minus, n_plus=config.n_plus, r_max=config.r_max)
+    try:
+        grid.validate()
+    except RadialError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
     cd = _require_creased(build_catalog_entry(config))
     if not config.r_max > cd.r0:
         raise ConfigError(f"grid.r_max {config.r_max:g} must exceed the crease radius {cd.r0:g}")
     _require_radii_in_chart(config, cd.plus)
     rep = build_rep(3)
     problem = reduce_radial(cd, rep)
-    grid = RadialGrid(n_minus=config.n_minus, n_plus=config.n_plus, r_max=config.r_max)
     system = assemble(problem, grid)
     psi_inf = np.zeros(rep.dim, dtype=complex)
     psi_inf[0] = 1.0
-    sol = solve(problem, psi_inf, grid, system=system)
+    sol = solve(system, psi_inf)
     mass = adm_energy_momentum(cd.plus, config.radii, order=config.sphere_order)
     gap = mass_gap(sol, mass, tol=config.tol("gap_rel") * 10.0)
     # the Poincare check compares a grid of 128..512 intervals per side with
@@ -313,6 +317,17 @@ COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a nonnegative integer, as numpy's generators require."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="crease-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -320,7 +335,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
     args = parser.parse_args(argv)
 
     try:

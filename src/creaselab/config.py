@@ -153,6 +153,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"tolerances.{name} must be finite and positive, got {value!r}")
     if data.get("ensembles", {}).get("n_spinors", 4) < 1:
         raise ConfigError("ensembles.n_spinors must be at least 1")
+    if data.get("seed", 0) < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     return RunConfig(
         catalog_name=cat["name"],
         catalog_params=dict(cat.get("params", {})),
@@ -186,8 +188,9 @@ def build_catalog_entry(config: RunConfig):
     """Instantiate the configured catalog model (data or creased data).
 
     An unknown model, a missing or unknown parameter, a non-finite
-    parameter value, or parameter values the model rejects (GeometryError)
-    or cannot convert are configuration errors.
+    parameter value, parameter values the model rejects (GeometryError)
+    or cannot convert, and catalog.angle/base/base_params on any model but
+    rotated_crease are configuration errors.
     """
     from .catalog import catalog
     from .reports import nonfinite_path
@@ -203,6 +206,10 @@ def build_catalog_entry(config: RunConfig):
         if params:
             raise ConfigError("rotated_crease takes catalog.base_params, not catalog.params")
         params = {"base": config.base, "base_params": config.base_params, "f": config.angle}
+    else:
+        for key in ("angle", "base", "base_params"):
+            if getattr(config, key):
+                raise ConfigError(f"catalog.{key} applies to rotated_crease only, not {config.catalog_name}")
     try:
         return catalog(config.catalog_name, **params)
     except (ValueError, TypeError) as exc:  # GeometryError is a ValueError

@@ -2,23 +2,21 @@
 
 An initial data set is a chart in Cartesian coordinates together with
 vectorized closures for the metric g, the extrinsic curvature k, their
-first partial derivatives and, optionally, the second partial derivatives
-of g.  Point batches have shape (m, n); tensors append index axes, with
-the derivative indices last: dg[..., i, j, l] = d_l g_ij and
-d2g[..., i, j, l, m] = d_m d_l g_ij.
-
-Curvature uses d2g when the data provide it (every catalog model does);
-otherwise it falls back to central differences of dg, and only then does
-the constraint error estimate come from a Richardson step-doubling pass.
+first partial derivatives and the second partial derivatives of g, all in
+closed form.  Every function here takes point batches of shape (m, n), a
+single point being a batch of one; tensors append index axes, with the
+derivative indices last: dg[..., i, j, l] = d_l g_ij and
+d2g[..., i, j, l, m] = d_m d_l g_ij.  Curvature reads d2g; central
+differences of dg (`second_metric_derivative`) are only its test oracle.
 
 Field bundles: `PointFields` holds one data set's fields on one point
-batch -- the points, g, g^-1, dg, Gamma, k, dk, d2g (None without a closed
-form), the bulk frame and the adapted sphere frame -- each evaluated on
-first use and then kept.  The layer functions take `(data, x)` with x
-points or a bundle of the same data: given points they build the bundle
-(`as_fields`), given one they read it.  A bundle lives only as long as its
-batch: made for one set of nodes, passed down the calls on them, dropped
-with them; nothing is cached across batches.
+batch -- the points, g, g^-1, dg, Gamma, k, dk, d2g, the bulk frame and
+the adapted sphere frame -- each evaluated on first use and then kept.
+The layer functions take `(data, x)` with x a point batch or a bundle of
+the same data: given points they build the bundle (`as_fields`), given one
+they read it.  A bundle lives only as long as its batch: made for one set
+of nodes, passed down the calls on them, dropped with them; nothing is
+cached across batches.
 
 Conventions (fixed here, imported everywhere else):
   * k is taken with respect to the future timelike normal, signed so that
@@ -43,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spheregrid import sphere_grid, theta_phi_tangents
+from .spheregrid import theta_phi_tangents
 
 
 class GeometryError(ValueError):
@@ -58,16 +56,12 @@ def unit_sphere_volume(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def as_points(x: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    """Promote a single point to a batch of one; report whether it was single."""
+def as_points(x: np.ndarray, n: int) -> np.ndarray:
+    """A point batch (m, n) as a float array; any other shape is an error."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape[0] != n:
-            raise GeometryError(f"point has dimension {arr.shape[0]}, expected {n}")
-        return arr[None, :], True
     if arr.ndim != 2 or arr.shape[1] != n:
-        raise GeometryError(f"points must have shape (m, {n})")
-    return arr, False
+        raise GeometryError(f"points must have shape (m, {n}), got {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +110,11 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Metric/extrinsic-curvature fields with derivative access on a chart.
+    """Metric/extrinsic-curvature fields with closed-form derivatives on a chart.
 
-    `d2g`, when given, returns d2g[..., i, j, l, m] = d_m d_l g_ij in closed
-    form; without it, second derivatives of g come from central differences
-    of `dg` (`second_metric_derivative`).
+    Each closure maps a point batch (m, n) to its tensor field: g and k
+    (m, n, n), dg and dk (m, n, n, n) with the derivative index last, and
+    d2g (m, n, n, n, n) with d2g[..., i, j, l, m] = d_m d_l g_ij.
     """
 
     n: int
@@ -129,11 +123,9 @@ class InitialData:
     k: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
     dk: Callable[[np.ndarray], np.ndarray]
-    kind: str  # "compact-interior" | "asymptotically-flat-exterior"
-    q: float | None = None
+    d2g: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     profile: RadialProfile | None = None
-    d2g: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -204,9 +196,8 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 
 def christoffel(data: InitialData, x) -> np.ndarray:
     """Gamma[..., k, i, j] = 1/2 g^{kl} (dg_jl,i + dg_il,j - dg_ij,l)."""
-    f, single = as_fields(data, x)
-    gamma = 0.5 * np.einsum("...kl,...lij->...kij", f.ginv, _lowered_christoffel_terms(f.dg))
-    return gamma[0] if single else gamma
+    f = as_fields(data, x)
+    return 0.5 * np.einsum("...kl,...lij->...kij", f.ginv, _lowered_christoffel_terms(f.dg))
 
 
 def _lowered_christoffel_terms(dg: np.ndarray) -> np.ndarray:
@@ -233,7 +224,7 @@ class PointFields:
     gamma = cached_property(lambda self: christoffel(self.data, self))
     k = cached_property(lambda self: self.data.k(self.x))
     dk = cached_property(lambda self: self.data.dk(self.x))
-    d2g = cached_property(lambda self: None if self.data.d2g is None else self.data.d2g(self.x))
+    d2g = cached_property(lambda self: self.data.d2g(self.x))
     frame = cached_property(lambda self: bulk_frame(self.data, self))  # bulk Gram-Schmidt frame
     sphere = cached_property(lambda self: sphere_frame(self.data, self))  # adapted coordinate-sphere frame
 
@@ -243,41 +234,31 @@ class PointFields:
             self.__dict__.pop(name, None)
 
 
-def as_fields(data: InitialData, x) -> tuple[PointFields, bool]:
-    """The field bundle of x (built unless x is one already) and whether x was a single point."""
+def as_fields(data: InitialData, x) -> PointFields:
+    """The field bundle of the point batch x, built unless x is one already."""
     if isinstance(x, PointFields):
         if x.data is not data:
             raise GeometryError("field bundle belongs to another data set")
-        return x, False
-    pts, single = as_points(x, data.n)
-    return PointFields(data, pts), single
+        return x
+    return PointFields(data, as_points(x, data.n))
 
 
-def second_metric_derivative(data: InitialData, x: np.ndarray, step=None) -> np.ndarray:
-    """d2g[..., i, j, l, m] = d_m d_l g_ij by central differences on dg.
-
-    The fallback for data without a closed-form `d2g`, and its test oracle.
-    """
-    pts, single = as_points(x, data.n)
+def second_metric_derivative(data: InitialData, x: np.ndarray) -> np.ndarray:
+    """d2g[..., i, j, l, m] = d_m d_l g_ij by central differences on dg: the oracle of `data.d2g`."""
+    pts = as_points(x, data.n)
     n = data.n
-    if step is None:
-        scale = np.maximum(1.0, np.linalg.norm(pts, axis=1))
-        h = FD_STEP_SCALE * scale
-    else:
-        h = np.broadcast_to(np.asarray(step, dtype=float), pts.shape[:1]).copy()
+    h = FD_STEP_SCALE * np.maximum(1.0, np.linalg.norm(pts, axis=1))
     out = np.empty(pts.shape[:1] + (n, n, n, n))
     for m in range(n):
         dx = np.zeros_like(pts)
         dx[:, m] = h
         out[..., m] = (data.dg(pts + dx) - data.dg(pts - dx)) / (2.0 * h)[:, None, None, None]
-    return out[0] if single else out
+    return out
 
 
-def scalar_curvature(data: InitialData, x, step=None) -> np.ndarray:
-    """Scalar curvature of g from first and second metric derivatives.
+def scalar_curvature(data: InitialData, x) -> np.ndarray:
+    """Scalar curvature of g from its closed-form first and second derivatives.
 
-    Second derivatives are the closed-form `data.d2g` when present, else
-    central differences of dg with the given step (`second_metric_derivative`).
     Only traces of d Gamma enter R, so it is assembled from pairwise
     contractions of rank-3 and rank-4 arrays:
 
@@ -287,9 +268,8 @@ def scalar_curvature(data: InitialData, x, step=None) -> np.ndarray:
     with H_i = g^-1 d_i g, c_i = tr(H_i)/2 = Gamma^k_ki, u_b = (H_k)^k_b
     and Gamma^m = g^ij Gamma^m_ij.
     """
-    f, single = as_fields(data, x)
-    d2g = f.d2g if data.d2g is not None else second_metric_derivative(data, f.x, step=step)
-    ginv, dg, gamma = f.ginv, f.dg, f.gamma
+    f = as_fields(data, x)
+    ginv, dg, gamma, d2g = f.ginv, f.dg, f.gamma, f.d2g
     H = np.einsum("...ka,...abj->...jkb", ginv, dg)  # H[..., j, :, :] = g^-1 d_j g
 
     second = np.einsum("...ij,...jlik->...lk", ginv, d2g) - np.einsum("...ij,...ijlk->...lk", ginv, d2g)
@@ -298,33 +278,27 @@ def scalar_curvature(data: InitialData, x, step=None) -> np.ndarray:
     c_minus_u = 0.5 * np.einsum("...ikk->...i", H) - np.einsum("...kkb->...b", H)
     r += np.einsum("...m,...m->...", c_minus_u, np.einsum("...ij,...mij->...m", ginv, gamma))
     r -= np.einsum("...kmi,...mik->...", np.einsum("...ij,...kjm->...kmi", ginv, gamma), gamma)
-    return r[0] if single else r
+    return r
 
 
 @dataclass(frozen=True)
 class ConstraintValues:
     mu: np.ndarray
-    J: np.ndarray  # coordinate covector components, shape (..., n)
-    error_estimate: np.ndarray  # finite-difference error estimate of R; 0 with closed-form d2g
+    J: np.ndarray  # coordinate covector components, shape (m, n)
 
     def momentum_norm(self, data: InitialData, x) -> np.ndarray:
-        f, single = as_fields(data, x)
-        J = self.J if self.J.ndim == 2 else self.J[None, :]
-        val = np.sqrt(np.einsum("...ij,...i,...j->...", f.ginv, J, J))
-        return val[0] if single else val
+        return np.sqrt(np.einsum("...ij,...i,...j->...", as_fields(data, x).ginv, self.J, self.J))
 
 
 def constraint_fields(data: InitialData, x) -> ConstraintValues:
     """Energy and momentum densities of the constraint equations.
 
-    mu = (R + (tr k)^2 - |k|^2)/2 and J = div(k - (tr k) g).  The momentum
-    density is fully analytic given dg and dk.  The scalar curvature is
-    analytic when the data carry a closed-form d2g, and the error estimate
-    is then 0; otherwise R takes one central-difference level on dg, and
-    the error estimate is a Richardson difference of that step.  Either
-    way the points must keep the difference stencil inside the chart.
+    mu = (R + (tr k)^2 - |k|^2)/2 and J = div(k - (tr k) g), both analytic
+    given dg, d2g and dk.  The points must lie inside the chart by the
+    margin of the `second_metric_derivative` stencil, so that its oracle
+    values exist wherever the constraints do.
     """
-    f, single = as_fields(data, x)
+    f = as_fields(data, x)
     r = np.linalg.norm(f.x, axis=1)
     scale = np.maximum(1.0, r)
     h = FD_STEP_SCALE * scale
@@ -339,15 +313,7 @@ def constraint_fields(data: InitialData, x) -> ConstraintValues:
     trk = np.einsum("...ii->...", kmix)
     ksq = np.einsum("...ij,...ji->...", kmix, kmix)
 
-    r_scal = scalar_curvature(data, f)
-    if data.d2g is None:
-        # Richardson step-doubling estimate of the finite-difference error in R.
-        r_coarse = scalar_curvature(data, f, step=2.0 * h)
-        err = np.abs(r_scal - r_coarse) / 3.0 + 1e-14
-    else:
-        err = np.zeros_like(r_scal)
-
-    mu = 0.5 * (r_scal + trk**2 - ksq)
+    mu = 0.5 * (scalar_curvature(data, f) + trk**2 - ksq)
 
     # J_i = g^{jl} (d_l pi_ji - Gamma^m_{lj} pi_mi - Gamma^m_{li} pi_jm)
     pi = k - trk[..., None, None] * g
@@ -356,10 +322,7 @@ def constraint_fields(data: InitialData, x) -> ConstraintValues:
     J = np.einsum("...jl,...jil->...i", ginv, dpi)
     J -= np.einsum("...m,...mi->...i", np.einsum("...jl,...mlj->...m", ginv, gamma), pi)
     J -= np.einsum("...lm,...mli->...i", ginv @ pi, gamma)
-
-    if single:
-        return ConstraintValues(mu=mu[0], J=J[0], error_estimate=err[0])
-    return ConstraintValues(mu=mu, J=J, error_estimate=err)
+    return ConstraintValues(mu=mu, J=J)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +331,7 @@ def constraint_fields(data: InitialData, x) -> ConstraintValues:
 
 def bulk_frame(data: InitialData, x) -> np.ndarray:
     """Gram-Schmidt frame on the coordinate basis; rows are e_1 .. e_n."""
-    f, single = as_fields(data, x)
+    f = as_fields(data, x)
     g = f.g
     n = data.n
     frame = np.zeros(f.x.shape[:1] + (n, n))
@@ -380,7 +343,7 @@ def bulk_frame(data: InitialData, x) -> np.ndarray:
             v = v - proj[:, None] * frame[:, j]
         nrm = np.sqrt(np.einsum("...a,...ab,...b->...", v, g, v))
         frame[:, i] = v / nrm[:, None]
-    return frame[0] if single else frame
+    return frame
 
 
 @dataclass(frozen=True)
@@ -405,13 +368,12 @@ class SphereFrame:
 
 def outward_unit_normal(data: InitialData, x) -> np.ndarray:
     """g-unit normal of the coordinate sphere through x, pointing outward."""
-    f, single = as_fields(data, x)
+    f = as_fields(data, x)
     r = np.linalg.norm(f.x, axis=1)
     omega = f.x / r[:, None]
     u = np.einsum("...ij,...j->...i", f.ginv, omega)
     s = np.einsum("...i,...i->...", omega, u)
-    nu = u / np.sqrt(s)[:, None]
-    return nu[0] if single else nu
+    return u / np.sqrt(s)[:, None]
 
 
 def sphere_frame(data: InitialData, x, skip_tol: float = 1e-8) -> SphereFrame:
@@ -422,7 +384,7 @@ def sphere_frame(data: InitialData, x, skip_tol: float = 1e-8) -> SphereFrame:
     whose residual drops below `skip_tol` (relative) are skipped, which
     happens only on measure-zero degeneracy sets avoided by the grids.
     """
-    f, _ = as_fields(data, x)
+    f = as_fields(data, x)
     n = data.n
     m = f.x.shape[0]
     r = np.linalg.norm(f.x, axis=1)
@@ -495,8 +457,8 @@ def hypersurface_geometry(
     omega: np.ndarray,
     orientation: str = "outward",
 ) -> HypersurfaceGeometry:
-    """Bartnik-type boundary quantities of the sphere r = r0 at unit vectors omega."""
-    om, single = as_points(omega, data.n)
+    """Bartnik-type boundary quantities of the sphere r = r0 at unit vectors omega (m, n)."""
+    om = as_points(omega, data.n)
     om = om / np.linalg.norm(om, axis=1)[:, None]
     pts = r0 * om
     data.chart.require(np.full(om.shape[0], r0), what="sphere")
@@ -534,8 +496,6 @@ def hypersurface_geometry(
         raise GeometryError("degenerate induced metric on the sphere")
     area_element = np.sqrt(det) / np.sin(theta)
 
-    fields = dict(x=pts, nu=nu, tangent=t, H=Hval, trk=trk, beta=beta, area_element=area_element)
-    if single:
-        fields = {name: value[0] for name, value in fields.items()}
-    return HypersurfaceGeometry(orientation=orientation, **fields)
+    return HypersurfaceGeometry(x=pts, nu=nu, tangent=t, H=Hval, trk=trk, beta=beta,
+                                area_element=area_element, orientation=orientation)
 

@@ -165,8 +165,8 @@ class MassReport:
         }
 
 
-def _extrapolate_sequence(radii: np.ndarray, vals: np.ndarray, fallback_p: float | None):
-    """Limit of vals = V + c r^-p from the last three entries."""
+def _extrapolate_sequence(radii: np.ndarray, vals: np.ndarray):
+    """Limit of vals = V + c r^-p from the last three entries; the last entry when no p in [0.05, 8] fits."""
     if len(vals) < 3:
         return float(vals[-1]), None, 0.0
     r1, r2, r3 = radii[-3:]
@@ -182,22 +182,19 @@ def _extrapolate_sequence(radii: np.ndarray, vals: np.ndarray, fallback_p: float
     target = d1 / d2
     p_lo, p_hi = 0.05, 8.0
     f_lo, f_hi = ratio_of(p_lo) - target, ratio_of(p_hi) - target
-    if f_lo * f_hi < 0.0:
-        # bisection until the midpoint is an endpoint: deterministic, full precision
-        p = 0.5 * (p_lo + p_hi)
-        while p_lo < p < p_hi:
-            f = ratio_of(p) - target
-            if f == 0.0:
-                break
-            if (f < 0.0) == (f_lo < 0.0):
-                p_lo, f_lo = p, f
-            else:
-                p_hi = p
-            p = 0.5 * (p_lo + p_hi)
-    elif fallback_p is not None and np.isfinite(fallback_p):
-        p = float(fallback_p)
-    else:
+    if f_lo * f_hi >= 0.0:
         return float(v3), None, float(abs(d2))
+    # bisection until the midpoint is an endpoint: deterministic, full precision
+    p = 0.5 * (p_lo + p_hi)
+    while p_lo < p < p_hi:
+        f = ratio_of(p) - target
+        if f == 0.0:
+            break
+        if (f < 0.0) == (f_lo < 0.0):
+            p_lo, f_lo = p, f
+        else:
+            p_hi = p
+        p = 0.5 * (p_lo + p_hi)
     c = d2 / (r2**-p - r3**-p)
     limit = v3 - c * r3**-p
     return float(limit), p, float(abs(c * r3**-p))
@@ -233,10 +230,10 @@ def adm_energy_momentum(data: InitialData, radii: Sequence[float], order: int = 
     e_vals = np.asarray(e_vals)
     p_vals = np.asarray(p_vals)
 
-    E, p_exp, resid = _extrapolate_sequence(radii, e_vals, data.q)
+    E, p_exp, resid = _extrapolate_sequence(radii, e_vals)
     P = np.empty(n)
     for i in range(n):
-        P[i], _, _ = _extrapolate_sequence(radii, p_vals[:, i], data.q)
+        P[i], _, _ = _extrapolate_sequence(radii, p_vals[:, i])
 
     diffs = np.abs(np.diff(e_vals))
     monotone = bool(np.all(np.diff(diffs) <= 1e-12 + 0.0)) if len(diffs) >= 2 else True
@@ -264,7 +261,7 @@ def bulk_spin_coefficients(data: InitialData, x) -> np.ndarray:
     derivative gives -Phi(G_a) and the Christoffel symbols the rest:
     W_ajl = -Phi(G_a)_jl + 1/2 (G_ajl + G_jla - G_laj).
     """
-    f, _ = as_fields(data, x)
+    f = as_fields(data, x)
     n = data.n
     frame = f.frame
     frame_t = np.swapaxes(frame, -1, -2)[:, None]
@@ -289,7 +286,7 @@ def sen_derivatives(
                       + 1/2 k(e_a, e_j) Gamma^j tau c.
     `values`, when the caller has them, are the field's components c at x.
     """
-    f, _ = as_fields(data, x)
+    f = as_fields(data, x)
     n, dim = data.n, rep.dim
     c = field.evaluate(f.x) if values is None else values
     W = bulk_spin_coefficients(data, f)
@@ -343,7 +340,7 @@ def sphere_gauge_closure(data: InitialData, rep: CliffordRep, field: SpinorField
     def psi(theta, phi, fields):
         if np.shape(theta)[0] != grid.size:
             raise IntegralsError("sphere-gauge closure evaluated off its anchor grid")
-        f, _ = as_fields(data, fields)
+        f = as_fields(data, fields)
         sigma = anchored_spin_lift(rep, O_anchor, bulk_to_sphere_rotation(f))
         c_b = field.evaluate(f.x)
         return np.einsum("mji,...mj->...mi", np.conj(sigma), c_b)

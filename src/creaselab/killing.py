@@ -54,28 +54,32 @@ class LapseShift:
         return self.u(pts) ** 2 - np.einsum("ma,ma->m", Yf, Yf)
 
 
+def _lapse_shift_map(rep: CliffordRep) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The map from spinor components c (m, I) to (u, Y) with u = |psi|^2 and
+    Y_a = <tau e_a psi, psi> (complex, (m, n); real for a genuine shift)."""
+    tau_gam = np.einsum("IK,aKL->aIL", rep.tau, rep.gamma)
+
+    def pair(c):
+        u = np.einsum("mI,mI->m", np.conj(c), c).real
+        # <tau e_a psi, psi> = conj pairing in the first slot
+        return u, np.conj(np.einsum("aIK,mK,mI->ma", tau_gam, c, np.conj(c)))
+
+    return pair
+
+
 def lapse_shift_from_spinor(rep: CliffordRep, field: SpinorField, data: InitialData,
                             check_points: np.ndarray | None = None) -> LapseShift:
     """Lapse-shift pair of a spinor field; the shift is checked to be real."""
-    tau_gam = np.einsum("IK,aKL->aIL", rep.tau, rep.gamma)
+    pair = _lapse_shift_map(rep)
 
     def u(x):
-        c = field.evaluate(np.atleast_2d(x))
-        return np.einsum("mI,mI->m", np.conj(c), c).real
+        return pair(field.evaluate(np.atleast_2d(x)))[0]
 
     def Y_frame(x):
-        c = field.evaluate(np.atleast_2d(x))
-        vals = np.einsum("aIK,mK,mI->ma", tau_gam, c, np.conj(c))
-        # <tau e_a psi, psi> = conj pairing in the first slot
-        return np.conj(vals).real
-
-    def Y_imag(x):
-        c = field.evaluate(np.atleast_2d(x))
-        vals = np.einsum("aIK,mK,mI->ma", tau_gam, c, np.conj(c))
-        return np.abs(np.conj(vals).imag)
+        return pair(field.evaluate(np.atleast_2d(x)))[1].real
 
     if check_points is not None:
-        worst = float(np.max(Y_imag(check_points)))
+        worst = float(np.max(np.abs(pair(field.evaluate(np.atleast_2d(check_points)))[1].imag)))
         if worst > REALITY_TOL:
             raise KillingError(f"shift vector not real: imaginary part {worst:.3e}")
     return LapseShift(data=data, rep=rep, u=u, Y_frame=Y_frame, label=field.label)
@@ -126,18 +130,14 @@ def crease_lorentz_check(
             raise KillingError(f"traces violate the transmission condition: {defect:.3e}")
 
     n = rep.n
-    tau_gam = np.einsum("IK,aKL->aIL", rep.tau, rep.gamma)
-
-    def pair(c):
-        u = np.einsum("mI,mI->m", np.conj(c), c).real
-        y = np.conj(np.einsum("aIK,mK,mI->ma", tau_gam, c, np.conj(c))).real
-        return u, y[:, : n - 1], y[:, n - 1]
-
-    u_p, y_tan_p, y_nu_p = pair(c_plus)
-    u_m, y_tan_m, y_nu_m = pair(c_minus)
+    pair = _lapse_shift_map(rep)
+    u_p, y_p = pair(c_plus)
+    u_m, y_m = pair(c_minus)
+    y_p, y_m = y_p.real, y_m.real
+    y_nu_p, y_nu_m = y_p[:, n - 1], y_m[:, n - 1]
     a, b = np.cosh(f), np.sinh(f)
     return LorentzCheck(
-        tangential_residual=float(np.max(np.abs(y_tan_m - y_tan_p))),
+        tangential_residual=float(np.max(np.abs(y_m[:, : n - 1] - y_p[:, : n - 1]))),
         normal_residual=float(np.max(np.abs(y_nu_m - (a * y_nu_p - b * u_p)))),
         lapse_residual=float(np.max(np.abs(u_m - (a * u_p - b * y_nu_p)))),
         causal_invariant_residual=float(

@@ -48,8 +48,17 @@ import scipy.sparse.linalg as spla
 
 from .bartnik import crease_report_for
 from .cliffords import CliffordRep
-from .geometry import CreasedData, GeometryError, InitialData, constraint_fields, unit_sphere_volume
-from .integrals import MassReport, dirac_witten_apply, sen_derivatives
+from .geometry import (
+    CreasedData,
+    GeometryError,
+    InitialData,
+    PointFields,
+    as_fields,
+    constraint_fields,
+    hypersurface_geometry,
+    unit_sphere_volume,
+)
+from .integrals import MassReport, _gamma_contract, flux_mass_pairing, sen_derivatives
 from .spinorfields import SpinorField, rotation_between_frames, spin_lift
 
 
@@ -111,6 +120,12 @@ def spd_frame(data: InitialData, x: np.ndarray) -> np.ndarray:
     return (1.0 / p.B(r))[:, None, None] * (eye[None] - P) + (1.0 / p.A(r))[:, None, None] * P
 
 
+def _spd_to_bulk_lift(rep: CliffordRep, data: InitialData, x) -> np.ndarray:
+    """Spin lift (m, I, I) taking symmetric-square-root-frame components to bulk-frame ones at x."""
+    f = as_fields(data, x)
+    return spin_lift(rep, rotation_between_frames(f.g, frame_from=spd_frame(data, f.x), frame_to=f.frame))
+
+
 def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, fd_step: float = 1e-6) -> SpinorField:
     """Bulk-frame spinor field of the separated form U(r) + (omega.Gamma) V(r).
 
@@ -118,7 +133,6 @@ def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, fd_step: flo
     are rotated into the deterministic bulk frame pointwise through the
     spin lift of the (small-angle) frame rotation.
     """
-    from .geometry import bulk_frame
 
     def values(x):
         pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -128,10 +142,7 @@ def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, fd_step: flo
         V = np.asarray(v_of_r(r), dtype=complex)
         omg = np.einsum("mi,iIK->mIK", om, rep.gamma)
         c_spd = U + np.einsum("mIK,mK->mI", omg, V)
-        g = data.g(pts)
-        O = rotation_between_frames(g, frame_from=spd_frame(data, pts), frame_to=bulk_frame(data, pts))
-        sigma = spin_lift(rep, O)
-        return np.einsum("mIK,mK->mI", sigma, c_spd)
+        return np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, data, pts), c_spd)
 
     return SpinorField(rep=rep, values=values, cartesian_gradient=None, fd_step=fd_step, label="radial-mode")
 
@@ -189,7 +200,6 @@ class RadialProblem:
     plus: SideCoefficients
     angle: float
     oracle: OracleReport
-    mode: str = "lowest"
 
 
 def _oracle_side(
@@ -221,8 +231,9 @@ def _oracle_side(
         return (s + 0.6 * s * s * r)[:, None] * v0[None, :]
 
     field = mode_field(rep, side.data, u_of_r, v_of_r)
-    full = dirac_witten_apply(side.data, rep, field, pts)
-    sen = sen_derivatives(side.data, rep, field, pts)
+    f = PointFields(side.data, pts)
+    sen = sen_derivatives(side.data, rep, field, f)
+    full = _gamma_contract(rep, sen)  # the Dirac-Witten operator
     grad_sq_full = np.einsum("mIa,mIa->m", np.conj(sen), sen).real
 
     U, dU = u_of_r(radii), du_of_r(radii)
@@ -231,13 +242,7 @@ def _oracle_side(
     om = dirs
     omg = np.einsum("mi,iIK->mIK", om, rep.gamma)
     reduced_spd = one + np.einsum("mIK,mK->mI", omg, omega_part)
-
-    from .geometry import bulk_frame
-
-    g = side.data.g(pts)
-    O = rotation_between_frames(g, frame_from=spd_frame(side.data, pts), frame_to=bulk_frame(side.data, pts))
-    sigma = spin_lift(rep, O)
-    reduced_bulk = np.einsum("mIK,mK->mI", sigma, reduced_spd)
+    reduced_bulk = np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, side.data, f), reduced_spd)
     op_defect = float(np.max(np.abs(full - reduced_bulk)))
 
     P, Q, Pt, Qt = mode_gradient_blocks(rep, side, radii, U, dU, V, dV)
@@ -251,42 +256,15 @@ def _oracle_side(
     return op_defect, grad_defect
 
 
-def validate_radial_reduction(
-    data: InitialData,
-    rep: CliffordRep,
-    r_lo: float | None = None,
-    r_hi: float | None = None,
-    n_radii: int = 20,
-    seed: int = 97,
-) -> OracleReport:
-    """Certify the radial reduction against the full operator on one datum.
-
-    Applies to any spherically symmetric initial data (with a radial
-    profile); creased data are validated side by side via reduce_radial.
-    """
-    if data.profile is None:
-        raise RadialError(f"{data.label}: no radial profile, not spherically symmetric")
-    side = SideCoefficients(
-        data=data,
-        r_lo=data.chart.r_min if r_lo is None else float(r_lo),
-        r_hi=data.chart.r_max if r_hi is None else float(r_hi),
-    )
-    rng = np.random.default_rng(seed)
-    op_defect, grad_defect = _oracle_side(rep, side, rng, n_radii)
-    return OracleReport(operator_defect=op_defect, gradient_defect=grad_defect, radii_checked=n_radii)
-
-
-def reduce_radial(cd: CreasedData, rep: CliffordRep, mode: str = "lowest",
+def reduce_radial(cd: CreasedData, rep: CliffordRep,
                   oracle_radii: int = 20, oracle_tol: float = 1e-8, seed: int = 712) -> RadialProblem:
-    """Certified radial reduction of the transmission problem.
+    """Certified reduction of the transmission problem to its lowest angular mode.
 
     Requires spherically symmetric data on both sides and a constant
     hyperbolic angle.  The reduced operator and gradient-norm blocks are
     validated against the full Dirac-Witten machinery at random radii and
     directions before the problem is returned.
     """
-    if mode != "lowest":
-        raise RadialError(f"only the lowest angular mode is implemented, got {mode!r}")
     if cd.minus.profile is None or cd.plus.profile is None:
         raise RadialError("reduce_radial needs spherically symmetric data (radial profiles)")
     if not cd.angle.is_constant:
@@ -309,7 +287,7 @@ def reduce_radial(cd: CreasedData, rep: CliffordRep, mode: str = "lowest",
             f"gradient-norm reduction disagrees with the full machinery: {grad_defect:.3e}"
         )
     return RadialProblem(cd=cd, rep=rep, minus=minus, plus=plus,
-                         angle=float(cd.angle.constant), oracle=report, mode=mode)
+                         angle=float(cd.angle.constant), oracle=report)
 
 
 # ---------------------------------------------------------------------------
@@ -635,23 +613,17 @@ class RadialSolution:
         return d
 
 
-def solve(
-    problem: RadialProblem,
-    psi_inf: np.ndarray,
-    grid: RadialGrid,
-    system: AssembledSystem | None = None,
-) -> RadialSolution:
-    """Least-squares solution of the discretized transmission problem.
+def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
+    """Least-squares solution of an assembled transmission problem for the datum psi_inf.
 
+    The grid and problem are the ones `assemble` built `system` from.
     Minimizes the weighted residual norm over the affine constraint space
     through a sparse LU factorization of the normal equations, and records
     the smallest singular value of the reduced operator on the system.
     """
     psi_inf = np.asarray(psi_inf, dtype=complex)
-    if psi_inf.shape != (problem.rep.dim,):
+    if psi_inf.shape != (system.I,):
         raise RadialError("psi_inf must be a single spinor")
-    if system is None:
-        system = assemble(problem, grid)
     b = system.b_dirichlet_cols @ psi_inf
     rhs = -(system.A_full @ b)
 
@@ -671,30 +643,22 @@ def solve(
         raise RadialError("direct solve produced non-finite values (rank deficiency?)")
 
     full = system.S @ x + b
+    res_vec = system.A_full @ full
+    I, Mm, _ = system.layout()
+    um, vm, up, vp = system.split_full(full)
     if system.minus_prerotation != 0.0:
-        I, Mm, Mp = system.layout()
-        R0 = _mode_rotation_blocks(problem.rep, system.minus_prerotation)
-        um, vm, up, vp = system.split_full(full)
-        stacked = np.concatenate([um, vm], axis=1)  # (Mm, 2I)
-        rotated = stacked @ R0.T
+        # back to the original minus-side variables
+        R0 = _mode_rotation_blocks(system.problem.rep, system.minus_prerotation)
+        rotated = np.concatenate([um, vm], axis=1) @ R0.T  # (Mm, 2I)
         um, vm = rotated[:, :I], rotated[:, I:]
         full = np.concatenate([um.ravel(), vm.ravel(), up.ravel(), vp.ravel()])
 
-    um, vm, up, vp = system.split_full(full)
-
-    res_vec = system.A_full @ (system.S @ x + b)
-    wk = system.norm_weights[: len(system.r_minus)]
-    n_minus_rows = 2 * int(np.sum(wk > 0)) * system.I
+    w_m = system.norm_weights[:Mm]
+    n_minus_rows = 2 * int(np.sum(w_m > 0)) * I
     res_m = float(np.linalg.norm(res_vec[:n_minus_rows]))
     res_p = float(np.linalg.norm(res_vec[n_minus_rows:]))
-    wfull = np.concatenate(
-        [
-            np.repeat(system.norm_weights[: len(system.r_minus)], system.I),
-            np.repeat(system.norm_weights[: len(system.r_minus)], system.I),
-            np.repeat(system.norm_weights[len(system.r_minus) :], system.I),
-            np.repeat(system.norm_weights[len(system.r_minus) :], system.I),
-        ]
-    )
+    w_m, w_p = np.repeat(w_m, I), np.repeat(system.norm_weights[Mm:], I)
+    wfull = np.concatenate([w_m, w_m, w_p, w_p])
     sol_norm = float(np.sqrt(np.sum(wfull * np.abs(full) ** 2)))
 
     rot = system.transmission_block
@@ -754,8 +718,6 @@ def mass_gap(sol: RadialSolution, mass: MassReport, tol: float = 1e-6) -> MassGa
     system = sol.system
     problem = system.problem
     rep = problem.rep
-    from .integrals import flux_mass_pairing
-
     flux = flux_mass_pairing(rep, mass.E, mass.P, sol.psi_inf)
 
     dirichlet = 0.0
@@ -812,20 +774,19 @@ def mass_gap(sol: RadialSolution, mass: MassReport, tol: float = 1e-6) -> MassGa
 
     # crease term from the boundary formula evaluated on the traces
     report = crease_report_for(problem.cd, order=12)
-    from .geometry import hypersurface_geometry
-
-    e_dir = np.array([1.0, 0.0, 0.0])
+    e_dir = np.array([[1.0, 0.0, 0.0]])  # the traces are spherically symmetric: one node suffices
     hg_m = hypersurface_geometry(problem.cd.minus, problem.cd.r0, e_dir)
     hg_p = hypersurface_geometry(problem.cd.plus, problem.cd.r0, e_dir)
+    H_m, trk_m, H_p, trk_p = hg_m.H[0], hg_m.trk[0], hg_p.H[0], hg_p.trk[0]
     f = problem.angle
-    nu_rot = math.cosh(f) * hg_m.H + math.sinh(f) * hg_m.trk
-    tau_rot = math.sinh(f) * hg_m.H + math.cosh(f) * hg_m.trk
-    area = omega2 * float(hg_p.area_element)
+    nu_rot = math.cosh(f) * H_m + math.sinh(f) * trk_m
+    tau_rot = math.sinh(f) * H_m + math.cosh(f) * trk_m
+    area = omega2 * float(hg_p.area_element[0])
     Up, Vp = sol.u_plus[0], sol.v_plus[0]
     psi_sq_tr = float((np.vdot(Up, Up) + np.vdot(Vp, Vp)).real)
     eps_pair = 2.0 * float(np.vdot(Up, rep.tau @ Vp).real)
     crease_term = 0.5 * area * (
-        (hg_p.H - nu_rot) * psi_sq_tr + (hg_p.trk - tau_rot) * eps_pair
+        (H_p - nu_rot) * psi_sq_tr + (trk_p - tau_rot) * eps_pair
     )
 
     mu_ok = True

@@ -147,7 +147,7 @@ class SpinorField:
 
     def frame_derivatives(self, data: InitialData, x) -> np.ndarray:
         """e_a(c) for all frame directions at points or a field bundle x; shape (..., m, I, n)."""
-        f, _ = as_fields(data, x)
+        f = as_fields(data, x)
         pts, frame = f.x, f.frame
         if self.cartesian_gradient is not None:
             grad = np.asarray(self.cartesian_gradient(pts), dtype=complex)

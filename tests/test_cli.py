@@ -285,3 +285,42 @@ def test_csv_matches_per_value_formatting(tmp_path, monkeypatch, command, config
     assert sorted(expected) == names
     for name in names:
         assert (tmp_path / name).read_text(encoding="utf-8") == expected[name]
+
+
+def test_negative_config_seed_exits_2(tmp_path, capsys):
+    # numpy's generators reject negative seeds; the config parser says so first
+    doc = yaml.safe_load(RIGIDITY_SMALL.read_text(encoding="utf-8"))
+    doc["seed"] = -1
+    assert _run("rigidity", _write_config(tmp_path, "neg.yaml", doc), tmp_path / "out") == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_negative_command_line_seed_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rigidity", "--config", str(RIGIDITY_SMALL), "--out", str(tmp_path / "out"), "--seed", "-3"])
+    assert exc.value.code == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("n_minus,message", [(255, "must be even"), (32, "at least 64")], ids=["odd", "too-few"])
+def test_invalid_solve_grid_exits_2(tmp_path, capsys, n_minus, message):
+    doc = _solve_small()
+    doc["grid"]["n_minus"] = n_minus
+    assert _run("solve", _write_config(tmp_path, "grid.yaml", doc), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "configuration error: grid" in err and message in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("angle", {"type": "constant", "value": 0.5}), ("base", "trivial_crease"), ("base_params", {"r0": 2.0})],
+)
+def test_rotated_crease_keys_on_other_models_exit_2(tmp_path, capsys, key, value):
+    doc = yaml.safe_load(CREASE_CHECK_SMALL.read_text(encoding="utf-8"))
+    doc["catalog"][key] = value
+    assert _run("crease-check", _write_config(tmp_path, "extra.yaml", doc), tmp_path / "out") == 2
+    assert f"catalog.{key} applies to rotated_crease only" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()

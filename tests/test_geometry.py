@@ -128,23 +128,23 @@ def test_scalar_curvature_of_conformally_flat_metric():
     zero = minkowski_slice()
     data = InitialData(
         n=3, chart=Chart("exterior", 0.0, math.inf), g=lambda x: (phi(x) ** 4)[:, None, None] * eye,
-        k=zero.k, dg=dg, dk=zero.dk, kind="asymptotically-flat-exterior", label="conformally-flat", d2g=d2g,
+        k=zero.k, dg=dg, dk=zero.dk, d2g=d2g, label="conformally-flat",
     )
     pts = sample_points(np.random.default_rng(21), 30, 0.5, 3.0)
     expected = -8.0 * 0.6 / phi(pts) ** 5
     assert np.max(np.abs(scalar_curvature(data, pts) - expected)) < 1e-12
-    assert np.max(np.abs(scalar_curvature(dataclasses.replace(data, d2g=None), pts) - expected)) < 1e-7
+    # the finite-difference oracle as d2g: the formula itself, apart from the closed form
+    oracle = dataclasses.replace(data, d2g=lambda x: second_metric_derivative(data, x))
+    assert np.max(np.abs(scalar_curvature(oracle, pts) - expected)) < 1e-7
 
 
-def test_finite_difference_fallback_without_d2g():
-    # data without d2g take the central-difference path and keep the Richardson estimate
+def test_constraints_match_finite_difference_d2g_oracle():
+    # the closed-form d2g against central differences of dg, through the constraints
     data = schwarzschild_isotropic(1.0)
-    fallback = dataclasses.replace(data, d2g=None)
+    oracle = dataclasses.replace(data, d2g=lambda x: second_metric_derivative(data, x))
     pts = sample_points(np.random.default_rng(8), 40, 2.0, 10.0)
-    assert np.max(np.abs(scalar_curvature(data, pts) - scalar_curvature(fallback, pts))) < 1e-8
-    exact, approx = constraint_fields(data, pts), constraint_fields(fallback, pts)
-    assert np.max(exact.error_estimate) == 0.0
-    assert np.all(approx.error_estimate > 0.0) and np.max(approx.error_estimate) < 1e-7
+    assert np.max(np.abs(scalar_curvature(data, pts) - scalar_curvature(oracle, pts))) < 1e-8
+    exact, approx = constraint_fields(data, pts), constraint_fields(oracle, pts)
     assert np.max(np.abs(exact.mu - approx.mu)) < 1e-8
     assert np.max(np.abs(exact.J - approx.J)) == 0.0  # J never needs second derivatives
 
@@ -167,30 +167,32 @@ def test_vacuum_constraints_at_lsw_nodes_are_roundoff(maker):
 
 def test_schwarzschild_isotropic_point_example():
     data = schwarzschild_isotropic(1.0)
-    c = constraint_fields(data, np.array([3.0, 0.0, 0.0]))
-    assert abs(c.mu) < 1e-7
+    c = constraint_fields(data, np.array([[3.0, 0.0, 0.0]]))  # a batch of one point
+    assert c.mu.shape == (1,) and c.J.shape == (1, 3)
+    assert abs(c.mu[0]) < 1e-7
     assert float(np.max(np.abs(c.J))) < 1e-7
-    assert c.error_estimate < 1e-7
+    with pytest.raises(GeometryError):
+        constraint_fields(data, np.array([3.0, 0.0, 0.0]))  # a bare point is not a batch
 
 
 def test_constraints_out_of_domain():
     mc = miao_corner(1.0, 4.0)
     with pytest.raises(GeometryError):
-        constraint_fields(mc.plus, np.array([4.0, 0.0, 0.0]))  # stencil leaves chart
+        constraint_fields(mc.plus, np.array([[4.0, 0.0, 0.0]]))  # stencil leaves chart
 
 
 def test_flat_sphere_mean_curvature():
     flat = minkowski_slice()
-    hg = hypersurface_geometry(flat, 1.0, np.array([0.3, -0.5, 0.8]))
-    assert hg.H == pytest.approx(2.0, abs=1e-12)
-    hg2 = hypersurface_geometry(flat, 2.5, np.array([0.0, 1.0, 1.0]))
-    assert hg2.H == pytest.approx(2.0 / 2.5, abs=1e-12)
+    hg = hypersurface_geometry(flat, 1.0, np.array([[0.3, -0.5, 0.8]]))
+    assert hg.H[0] == pytest.approx(2.0, abs=1e-12)
+    hg2 = hypersurface_geometry(flat, 2.5, np.array([[0.0, 1.0, 1.0]]))
+    assert hg2.H[0] == pytest.approx(2.0 / 2.5, abs=1e-12)
 
 
 def test_schwarzschild_area_radius_mean_curvature():
     data = schwarzschild_exterior_area_radius(1.0)
-    hg = hypersurface_geometry(data, 4.0, np.array([0.2, 0.4, 0.6]))
-    assert hg.H == pytest.approx(0.5 * math.sqrt(0.5), abs=1e-12)
+    hg = hypersurface_geometry(data, 4.0, np.array([[0.2, 0.4, 0.6]]))
+    assert hg.H[0] == pytest.approx(0.5 * math.sqrt(0.5), abs=1e-12)
 
 
 def test_orientation_flip():

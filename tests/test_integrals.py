@@ -144,9 +144,12 @@ def test_adm_rotation_invariance():
         d = base.dg(x @ R.T)
         return np.einsum("ia,jb,lc,mabc->mijl", R.T, R.T, R.T, d)
 
+    def rot_d2g(x):
+        d = base.d2g(x @ R.T)
+        return np.einsum("ia,jb,lc,nd,mabcd->mijln", R.T, R.T, R.T, R.T, d)
+
     rotated = InitialData(
-        n=3, chart=base.chart, g=rot_metric, k=base.k, dg=rot_dg, dk=base.dk,
-        kind=base.kind, q=base.q, label="rotated",
+        n=3, chart=base.chart, g=rot_metric, k=base.k, dg=rot_dg, dk=base.dk, d2g=rot_d2g, label="rotated",
     )
     r1 = adm_energy_momentum(base, [50.0, 100.0, 200.0], order=24)
     r2 = adm_energy_momentum(rotated, [50.0, 100.0, 200.0], order=24)
@@ -168,7 +171,7 @@ def _decay(radii, V, c, p):
 def test_extrapolate_sequence_non_geometric_radii(p):
     c = 2.5 * 30.0**p  # the tail is 2.5 at the first radius
     radii, vals = _decay([30.0, 70.0, 200.0], 0.83, c, p)
-    limit, p_fit, tail = _extrapolate_sequence(radii, vals, fallback_p=None)
+    limit, p_fit, tail = _extrapolate_sequence(radii, vals)
     assert abs(p_fit - p) <= 1e-12
     assert abs(limit - 0.83) <= 1e-12 * 0.83
     assert tail == pytest.approx(c * 200.0**-p, rel=1e-9)
@@ -178,30 +181,23 @@ def test_extrapolate_sequence_geometric_radii():
     # ratio 2 between radii: the decay exponent is log2 of the ratio of differences
     radii, vals = _decay([50.0, 100.0, 200.0], 1.0, -0.4, 1.3)
     d1, d2 = vals[0] - vals[1], vals[1] - vals[2]
-    limit, p_fit, _ = _extrapolate_sequence(radii, vals, fallback_p=2.0)
+    limit, p_fit, _ = _extrapolate_sequence(radii, vals)
     assert p_fit == pytest.approx(math.log2(d1 / d2), abs=1e-12)
     assert limit == pytest.approx(1.0, rel=1e-12)
 
 
 def test_extrapolate_sequence_without_sign_change():
-    # p = 10 lies outside the bracket [0.05, 8]: the declared exponent is used when finite
+    # p = 10 lies outside the bracket [0.05, 8]: the last value, no exponent, the last difference
     radii, vals = _decay([2.0, 4.0, 8.0], 1.0, 1.0, 10.0)
-    d2 = vals[1] - vals[2]
-    limit, p_fit, tail = _extrapolate_sequence(radii, vals, fallback_p=2.0)
-    c = d2 / (4.0**-2 - 8.0**-2)
-    assert p_fit == 2.0
-    assert limit == vals[2] - c * 8.0**-2
-    assert tail == abs(c * 8.0**-2)
-    for fallback in (None, float("nan")):
-        assert _extrapolate_sequence(radii, vals, fallback) == (vals[2], None, abs(d2))
+    assert _extrapolate_sequence(radii, vals) == (vals[2], None, abs(vals[1] - vals[2]))
 
 
 def test_extrapolate_sequence_early_returns():
-    assert _extrapolate_sequence(np.array([10.0, 20.0]), np.array([1.5, 1.25]), 1.0) == (1.25, None, 0.0)
+    assert _extrapolate_sequence(np.array([10.0, 20.0]), np.array([1.5, 1.25])) == (1.25, None, 0.0)
     radii = np.array([10.0, 20.0, 40.0])
     # not monotone, then converged to roundoff: the last value, no exponent
-    assert _extrapolate_sequence(radii, np.array([1.0, 1.2, 1.1]), 1.0) == (1.1, None, pytest.approx(0.1))
-    assert _extrapolate_sequence(radii, np.array([1.0, 1.0, 1.0]), 1.0) == (1.0, None, 0.0)
+    assert _extrapolate_sequence(radii, np.array([1.0, 1.2, 1.1])) == (1.1, None, pytest.approx(0.1))
+    assert _extrapolate_sequence(radii, np.array([1.0, 1.0, 1.0])) == (1.0, None, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +464,7 @@ def test_lsw_identity_synthetic_full_terms():
 
     synth = InitialData(
         n=3, chart=Chart("exterior", 0.0, math.inf), g=flat.g, dg=flat.dg,
-        k=kfun, dk=dkfun, kind="asymptotically-flat-exterior", q=None, label="synthetic-k",
+        k=kfun, dk=dkfun, d2g=flat.d2g, label="synthetic-k",
     )
     rng = np.random.default_rng(4)
     fld = random_polynomial_field(REP, rng, (), degree=2, scale=0.3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,11 +13,13 @@ from creaselab.catalog import (
     trivial_crease,
 )
 from creaselab.cliffords import build_rep
+from creaselab import integrals, radial
 from creaselab.integrals import adm_energy_momentum
 from creaselab.radial import (
     RadialError,
     RadialGrid,
     SideCoefficients,
+    _oracle_side,
     assemble,
     derivative_matrix,
     mass_gap,
@@ -24,7 +27,6 @@ from creaselab.radial import (
     poincare_estimate,
     reduce_radial,
     solve,
-    validate_radial_reduction,
 )
 
 REP = build_rep(3)
@@ -55,9 +57,25 @@ def trivial_problem():
     ],
 )
 def test_reduction_oracle_every_spherical_datum(maker, lo, hi):
-    report = validate_radial_reduction(maker(), REP, r_lo=lo, r_hi=hi, n_radii=20)
-    assert report.operator_defect <= 1e-8
-    assert report.gradient_defect <= 1e-6
+    side = SideCoefficients(data=maker(), r_lo=lo, r_hi=hi)
+    operator_defect, gradient_defect = _oracle_side(REP, side, np.random.default_rng(97), 20)
+    assert operator_defect <= 1e-8
+    assert gradient_defect <= 1e-6
+
+
+def test_reduce_radial_takes_sen_derivatives_once_per_side(monkeypatch):
+    # the oracle contracts one set of Sen derivatives for both D_W and |nabla-bar psi|^2
+    calls = []
+    original = integrals.sen_derivatives
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (integrals, radial):
+        monkeypatch.setattr(module, "sen_derivatives", counted)
+    reduce_radial(miao_corner(1.0, 4.0), REP)
+    assert len(calls) == 2
 
 
 def test_reduce_radial_certifies_both_sides(miao_problem):
@@ -72,8 +90,9 @@ def test_reduce_radial_rejects_nonradial_input():
     rc = rotated_crease(miao_corner(1.0, 4.0), CreaseAngle.cos_theta(0.2))
     with pytest.raises(RadialError):
         reduce_radial(rc, REP)  # nonconstant angle
+    mc = miao_corner(1.0, 4.0)
     with pytest.raises(RadialError):
-        reduce_radial(miao_corner(1.0, 4.0), REP, mode="p-wave")
+        reduce_radial(dataclasses.replace(mc, minus=dataclasses.replace(mc.minus, profile=None)), REP)
 
 
 def test_reduced_coefficients_schwarzschild_closed_form(miao_problem):
@@ -320,7 +339,7 @@ def test_grid_validation():
 
 def test_trivial_crease_constant_solution(trivial_problem):
     grid = RadialGrid(n_minus=64, n_plus=128, r_max=12.0)
-    sol = solve(trivial_problem, PSI_INF, grid)
+    sol = solve(assemble(trivial_problem, grid), PSI_INF)
     assert sol.sup_distance_to(PSI_INF) <= 1e-8
     assert sol.transmission_defect <= 1e-12
     assert sol.origin_defect <= 1e-12
@@ -328,14 +347,14 @@ def test_trivial_crease_constant_solution(trivial_problem):
 
 def test_zero_datum_gives_zero(trivial_problem):
     grid = RadialGrid(n_minus=64, n_plus=128, r_max=12.0)
-    sol = solve(trivial_problem, np.zeros(4, dtype=complex), grid)
+    sol = solve(assemble(trivial_problem, grid), np.zeros(4, dtype=complex))
     for arr in (sol.u_minus, sol.v_minus, sol.u_plus, sol.v_plus):
         assert np.max(np.abs(arr)) <= 1e-12
 
 
 def test_miao_solve_diagnostics(miao_problem):
     grid = RadialGrid(n_minus=256, n_plus=512, r_max=200.0)
-    sol = solve(miao_problem, PSI_INF, grid)
+    sol = solve(assemble(miao_problem, grid), PSI_INF)
     assert sol.relative_residual <= 1e-6
     assert sol.transmission_defect <= 1e-10
     assert sol.origin_defect <= 1e-12
@@ -344,9 +363,9 @@ def test_miao_solve_diagnostics(miao_problem):
 
 def test_gauge_covariance_of_solutions(miao_problem):
     grid = RadialGrid(n_minus=128, n_plus=256, r_max=100.0)
-    sol_a = solve(miao_problem, PSI_INF, grid)
+    sol_a = solve(assemble(miao_problem, grid), PSI_INF)
     system_b = assemble(miao_problem, grid, minus_prerotation=0.45)
-    sol_b = solve(miao_problem, PSI_INF, grid, system=system_b)
+    sol_b = solve(system_b, PSI_INF)
     dplus = max(
         np.max(np.abs(sol_a.u_plus - sol_b.u_plus)), np.max(np.abs(sol_a.v_plus - sol_b.v_plus))
     )
@@ -363,7 +382,7 @@ def test_gauge_covariance_of_solutions(miao_problem):
 
 def test_mass_gap_trivial_crease(trivial_problem):
     grid = RadialGrid(n_minus=64, n_plus=128, r_max=12.0)
-    sol = solve(trivial_problem, PSI_INF, grid)
+    sol = solve(assemble(trivial_problem, grid), PSI_INF)
     mass = adm_energy_momentum(trivial_problem.cd.plus, [4.0, 8.0, 12.0], order=12)
     gap = mass_gap(sol, mass)
     assert abs(gap.flux_term) <= 1e-8
@@ -374,7 +393,7 @@ def test_mass_gap_trivial_crease(trivial_problem):
 
 def test_mass_gap_miao_inequality(miao_problem):
     grid = RadialGrid(n_minus=256, n_plus=1024, r_max=400.0)
-    sol = solve(miao_problem, PSI_INF, grid)
+    sol = solve(assemble(miao_problem, grid), PSI_INF)
     mass = adm_energy_momentum(miao_problem.cd.plus, [100.0, 200.0, 400.0], order=16)
     gap = mass_gap(sol, mass)
     assert gap.flux_term == pytest.approx(4.0 * math.pi * mass.E, rel=1e-9)
@@ -389,7 +408,7 @@ def test_mass_gap_flags_violated_hypothesis():
     neg = miao_corner(-0.2, 4.0)
     prob = reduce_radial(neg, REP)
     grid = RadialGrid(n_minus=128, n_plus=256, r_max=100.0)
-    sol = solve(prob, PSI_INF, grid)
+    sol = solve(assemble(prob, grid), PSI_INF)
     mass = adm_energy_momentum(neg.plus, [25.0, 50.0, 100.0], order=12)
     gap = mass_gap(sol, mass)
     assert not gap.dec_creased
@@ -400,7 +419,7 @@ def test_truncation_study(miao_problem):
     gaps = []
     for rmax, n_plus in ((100.0, 256), (200.0, 512), (400.0, 1024)):
         grid = RadialGrid(n_minus=128, n_plus=n_plus, r_max=rmax)
-        sol = solve(miao_problem, PSI_INF, grid)
+        sol = solve(assemble(miao_problem, grid), PSI_INF)
         mass = adm_energy_momentum(miao_problem.cd.plus, [rmax / 4, rmax / 2, rmax], order=12)
         gaps.append(mass_gap(sol, mass).gap)
     d1, d2 = abs(gaps[1] - gaps[0]), abs(gaps[2] - gaps[1])
