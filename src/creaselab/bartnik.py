@@ -18,6 +18,7 @@ from .geometry import (
     CreaseAngle,
     CreasedData,
     GeometryError,
+    HypersurfaceGeometry,
     InitialData,
     hypersurface_geometry,
 )
@@ -50,16 +51,15 @@ class BartnikData:
         return self.H**2 - self.trk**2
 
 
-def bartnik_from_data(
-    data: InitialData, r0: float, order: int = 16, side: str = "", orientation: str = "outward"
-) -> BartnikData:
-    """Sample the induced Bartnik data of the sphere r = r0 on a quadrature grid."""
+def bartnik_data(grid: SphereGrid, r0: float, hg: HypersurfaceGeometry, side: str = "") -> BartnikData:
+    """The Bartnik data of the sphere r = r0 from its geometry on the nodes r0 * grid.nodes."""
+    return BartnikData(grid, float(r0), hg.H, hg.trk, hg.beta, hg.tangent, hg.area_element, side)
+
+
+def bartnik_from_data(data: InitialData, r0: float, order: int = 16, side: str = "") -> BartnikData:
+    """Sample the induced Bartnik data of the sphere r = r0 (outward normal) on a quadrature grid."""
     grid = sphere_grid(order)
-    hg = hypersurface_geometry(data, r0, grid.nodes, orientation=orientation)
-    return BartnikData(
-        grid=grid, r0=float(r0), H=hg.H, trk=hg.trk, beta=hg.beta,
-        tangent=hg.tangent, area_element=hg.area_element, side=side,
-    )
+    return bartnik_data(grid, r0, hypersurface_geometry(data, r0, r0 * grid.nodes), side)
 
 
 def _check_same_grid(a: BartnikData, b: BartnikData) -> None:

@@ -308,6 +308,8 @@ def graph_slice(amplitude: float = 0.4, center: float = 4.5, width: float = 1.0)
 
 def rotated_crease(base: CreasedData, angle: CreaseAngle) -> CreasedData:
     """Apply a hyperbolic gauge angle to an existing crease; bulks unchanged."""
+    if not isinstance(base, CreasedData):
+        raise GeometryError(f"rotated_crease needs a creased base, got {base.label}")
     return base.with_angle(angle, label=f"rotated({base.label}; f={angle.description})")
 
 

@@ -180,6 +180,8 @@ def cmd_solve(config: RunConfig, out_dir: str):
     except RadialError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     cd = _require_creased(build_catalog_entry(config))
+    if not cd.angle.is_constant:
+        raise ConfigError(f"solve needs a constant crease angle, got {cd.angle.description}")
     if not config.r_max > cd.r0:
         raise ConfigError(f"grid.r_max {config.r_max:g} must exceed the crease radius {cd.r0:g}")
     _require_radii_in_chart(config, cd.plus)

@@ -294,17 +294,10 @@ def constraint_fields(data: InitialData, x) -> ConstraintValues:
     """Energy and momentum densities of the constraint equations.
 
     mu = (R + (tr k)^2 - |k|^2)/2 and J = div(k - (tr k) g), both analytic
-    given dg, d2g and dk.  The points must lie inside the chart by the
-    margin of the `second_metric_derivative` stencil, so that its oracle
-    values exist wherever the constraints do.
+    given dg, d2g and dk, so every point of the chart has them.
     """
     f = as_fields(data, x)
-    r = np.linalg.norm(f.x, axis=1)
-    scale = np.maximum(1.0, r)
-    h = FD_STEP_SCALE * scale
-    data.chart.require(r - 2.0 * h, what="constraint stencil")
-    if np.isfinite(data.chart.r_max):
-        data.chart.require(r + 2.0 * h, what="constraint stencil")
+    data.chart.require(np.linalg.norm(f.x, axis=1), what="constraint point")
 
     g, dg, k, dk, ginv, gamma = f.g, f.dg, f.k, f.dk, f.ginv, f.gamma
 
@@ -423,16 +416,14 @@ def sphere_frame(data: InitialData, x, skip_tol: float = 1e-8) -> SphereFrame:
 
 @dataclass(frozen=True)
 class HypersurfaceGeometry:
-    """Induced boundary data of a coordinate sphere at selected nodes."""
+    """Induced boundary data of a coordinate sphere at selected nodes, for the outward normal."""
 
-    x: np.ndarray
-    nu: np.ndarray  # chosen unit normal (orientation applied)
+    nu: np.ndarray  # outward unit normal
     tangent: np.ndarray  # (m, n-1, n) shared tangential frame
     H: np.ndarray
     trk: np.ndarray  # trace of k over the tangential frame
     beta: np.ndarray  # (m, n-1), beta_alpha = k(nu, t_alpha)
     area_element: np.ndarray  # dA = area_element * dOmega
-    orientation: str
 
 
 def _normal_derivative(f: PointFields) -> np.ndarray:
@@ -451,28 +442,21 @@ def _normal_derivative(f: PointFields) -> np.ndarray:
     return du / np.sqrt(s)[:, None, None] - 0.5 * u[:, :, None] * (ds / s[:, None] ** 1.5)[:, None, :]
 
 
-def hypersurface_geometry(
-    data: InitialData,
-    r0: float,
-    omega: np.ndarray,
-    orientation: str = "outward",
-) -> HypersurfaceGeometry:
-    """Bartnik-type boundary quantities of the sphere r = r0 at unit vectors omega (m, n)."""
-    om = as_points(omega, data.n)
-    om = om / np.linalg.norm(om, axis=1)[:, None]
-    pts = r0 * om
-    data.chart.require(np.full(om.shape[0], r0), what="sphere")
-    if orientation not in ("outward", "inward"):
-        raise GeometryError(f"orientation must be outward or inward, got {orientation!r}")
-    sign = 1.0 if orientation == "outward" else -1.0
+def hypersurface_geometry(data: InitialData, r0: float, x) -> HypersurfaceGeometry:
+    """Bartnik-type boundary quantities of the sphere r = r0 at its points x = r0 * omega (m, n).
 
-    f = PointFields(data, pts)
+    x is the point batch or its field bundle, whose g, dg, Gamma, k and
+    sphere frame are read.  The normal is the outward one; a caller that
+    needs the inward normal flips H and beta.  The chart is checked at the
+    nominal radius r0, since |r0 * omega| may miss it by an ulp.
+    """
+    f = as_fields(data, x)
+    data.chart.require(np.full(f.x.shape[0], r0), what="sphere")
     g, k, gamma = f.g, f.k, f.gamma
     t = f.sphere.tangent
-    nu = sign * f.sphere.normal_out
+    nu = f.sphere.normal_out
 
-    dn = sign * _normal_derivative(f)
-    cov = dn + np.einsum("...jil,...l->...ji", gamma, nu)  # nabla_i nu^j
+    cov = _normal_derivative(f) + np.einsum("...jil,...l->...ji", gamma, nu)  # nabla_i nu^j
     # H = sum_alpha g(nabla_{t_alpha} nu, t_alpha)
     Hval = np.einsum("...ai,...ji,...jl,...al->...", t, cov, g, t)
 
@@ -483,6 +467,7 @@ def hypersurface_geometry(
     if not np.all(np.linalg.eigvalsh(g) > 0.0):
         raise GeometryError("metric not positive definite on the sphere")
 
+    om = f.x / r0
     theta = np.arccos(np.clip(om[:, 2], -1.0, 1.0))
     phi = np.arctan2(om[:, 1], om[:, 0])
     d_theta, d_phi = theta_phi_tangents(theta, phi)
@@ -496,6 +481,5 @@ def hypersurface_geometry(
         raise GeometryError("degenerate induced metric on the sphere")
     area_element = np.sqrt(det) / np.sin(theta)
 
-    return HypersurfaceGeometry(x=pts, nu=nu, tangent=t, H=Hval, trk=trk, beta=beta,
-                                area_element=area_element, orientation=orientation)
+    return HypersurfaceGeometry(nu=nu, tangent=t, H=Hval, trk=trk, beta=beta, area_element=area_element)
 

@@ -26,21 +26,24 @@ number of spinors, and every spinor result gains the same leading axes.
 Unbatched spinors give unbatched (scalar) results.  Each batch of nodes --
 the LSW volume grid, a sphere grid, each angle-stencil shift of it -- gets
 one `geometry.PointFields` bundle, built where the batch is made and
-passed to every function that works on those nodes (boundary_term_density
-hands each stencil batch's bundle to the sphere closure); it is dropped
-with the batch, and lsw_residual releases the constraint-only fields
-(d2g, dk, Gamma, g^-1) before the spinor arrays exist.
+passed to every function that works on those nodes: boundary_term_density
+hands its sphere nodes' bundle to hypersurface_geometry and to the sphere
+closure (for the spin-lift anchor) and returns that geometry, from which
+crease_boundary_terms reads the Bartnik data.  A bundle is dropped with its
+batch, and lsw_residual releases the constraint-only fields (d2g, dk,
+Gamma, g^-1) before the spinor arrays exist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bartnik import bartnik_from_data, beta_delta, rotated_components
+from .bartnik import bartnik_data, beta_delta, rotated_components
 from .cliffords import CliffordRep
 from .geometry import (
     CreasedData,
@@ -322,26 +325,26 @@ def dirac_witten_apply(data: InitialData, rep: CliffordRep, field: SpinorField, 
 ANGLE_STEP = 3e-4  # tuned for the 4th-order angular stencil (truncation vs roundoff)
 
 
-def sphere_gauge_closure(data: InitialData, rep: CliffordRep, field: SpinorField, r0: float, grid: SphereGrid):
+def sphere_gauge_closure(data: InitialData, rep: CliffordRep, field: SpinorField, nodes: PointFields):
     """Adapter: bulk-frame spinor components -> adapted sphere-frame components.
 
     The bulk-to-sphere rotation sweeps through every angle over the sphere,
-    so the spin lift is anchored at the grid nodes; the returned closure
-    (see `boundary_term_density`) accepts angle arrays congruent to the grid
-    (the grid itself and small angular displacements of it) and reads the
-    frames from the nodes' field bundle.
+    so the spin lift is anchored at the grid nodes, whose bundle `nodes`
+    gives the anchor rotation; the returned closure (see
+    `boundary_term_density`) accepts the bundles of the grid and of small
+    angular displacements of it, and reads the frames from them.
     """
 
     def bulk_to_sphere_rotation(f: PointFields):
         return rotation_between_frames(f.g, frame_from=f.sphere.frame, frame_to=f.frame)
 
-    O_anchor = bulk_to_sphere_rotation(PointFields(data, r0 * grid.nodes))
+    O_anchor = bulk_to_sphere_rotation(nodes)
 
     def psi(theta, phi, fields):
-        if np.shape(theta)[0] != grid.size:
+        if np.shape(theta)[0] != nodes.x.shape[0]:
             raise IntegralsError("sphere-gauge closure evaluated off its anchor grid")
         f = as_fields(data, fields)
-        sigma = anchored_spin_lift(rep, O_anchor, bulk_to_sphere_rotation(f))
+        sigma = anchored_spin_lift(rep, O_anchor, O_anchor if f is nodes else bulk_to_sphere_rotation(f))
         c_b = field.evaluate(f.x)
         return np.einsum("mji,...mj->...mi", np.conj(sigma), c_b)
 
@@ -353,21 +356,22 @@ def boundary_term_density(
     rep: CliffordRep,
     r0: float,
     grid: SphereGrid,
-    psi_sphere: Callable[[np.ndarray, np.ndarray, PointFields], np.ndarray],
+    sphere_trace: Callable[[PointFields], Callable[[np.ndarray, np.ndarray, PointFields], np.ndarray]],
     nu_sign: int = 1,
     step: float = ANGLE_STEP,
 ):
-    """Per-node boundary integrand and induced-area weights on |x| = r0.
+    """Per-node boundary integrand on |x| = r0, and the sphere's outward geometry hg there.
 
-    psi_sphere(theta, phi, fields) returns adapted sphere-frame components
-    (..., m, I) at the nodes r0 * omega(theta, phi), whose field bundle
-    `fields` it may read; the density gains the same leading axes.  Each
-    angle-stencil batch's bundle, and so its sphere frame, is built once
-    here and shared with psi_sphere.  With
-    nu = nu_sign * outward unit normal, the density is the outward-
-    convention combination <psi, D psi - H/2 psi - 1/2[(tr k) nu -
-    k(nu,t_a) t^a] tau psi>; H, k(nu,.) and the boundary Dirac operator
-    all use the signed normal.
+    sphere_trace(nodes), called once with the grid nodes' field bundle,
+    returns psi_sphere(theta, phi, fields): the adapted sphere-frame
+    components (..., m, I) at the nodes r0 * omega(theta, phi), whose field
+    bundle `fields` it may read; the density gains the same leading axes.
+    Each angle-stencil batch's bundle is built once here and shared with
+    psi_sphere; the grid nodes' bundle also gives hg, whose area element
+    times grid.weights is the induced measure.  With nu = nu_sign * outward
+    unit normal, the density is the outward-convention combination
+    <psi, D psi - H/2 psi - 1/2[(tr k) nu - k(nu,t_a) t^a] tau psi>; H,
+    k(nu,.) and the boundary Dirac operator all use the signed normal.
     """
     n = data.n
     if n != 3:
@@ -378,11 +382,12 @@ def boundary_term_density(
     t = f.sphere.tangent  # (m, 2, 3)
     g = f.g
     gamma_chr = f.gamma
-    hg = hypersurface_geometry(data, r0, om, orientation="outward")
+    hg = hypersurface_geometry(data, r0, f)
     H = nu_sign * hg.H
     trk = hg.trk
     beta = nu_sign * hg.beta
 
+    psi_sphere = sphere_trace(f)
     c0 = np.asarray(psi_sphere(theta, phi, f), dtype=complex)
 
     # tangential derivatives of the frame and of psi via 4th-order angle stencils;
@@ -439,15 +444,14 @@ def boundary_term_density(
     dirac_density = np.einsum("...mI,...mI->...m", np.conj(c0), dirac_b).real
     algebraic_vec = -0.5 * H[:, None] * c0 - 0.5 * tau_part
     density = dirac_density + np.einsum("...mI,...mI->...m", np.conj(c0), algebraic_vec)
-    weights = hg.area_element * grid.weights
-    return density, weights
+    return density, hg
 
 
-def boundary_flux(data, rep, r0, order, psi_sphere, nu_sign=1):
-    """Integral of the boundary density over |x| = r0; one value per batch member."""
+def boundary_flux(data, rep, r0, order, sphere_trace, nu_sign=1):
+    """Integral of the boundary density over |x| = r0 (one value per batch member) and the sphere's geometry."""
     grid = sphere_grid(order)
-    density, weights = boundary_term_density(data, rep, r0, grid, psi_sphere, nu_sign=nu_sign)
-    return np.sum(density * weights, axis=-1)
+    density, hg = boundary_term_density(data, rep, r0, grid, sphere_trace, nu_sign=nu_sign)
+    return np.sum(density * (hg.area_element * grid.weights), axis=-1), hg
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +476,7 @@ def witten_flux(data: InitialData, rep: CliffordRep, psi_inf: np.ndarray, r: flo
 
     data.chart.require(np.asarray([r]), what="flux sphere")
     field = constant_spinor_field(rep, psi_inf)
-    grid = sphere_grid(order)
-    psi = sphere_gauge_closure(data, rep, field, r, grid)
-    val = boundary_flux(data, rep, r, order, psi, nu_sign=1)
+    val, _ = boundary_flux(data, rep, r, order, partial(sphere_gauge_closure, data, rep, field))
     psi_inf = np.asarray(psi_inf, dtype=complex)
     scale = np.einsum("...I,...I->...", np.conj(psi_inf), psi_inf).real
     return WittenFlux(
@@ -579,15 +581,10 @@ def lsw_residual(
     del dw
     bulk = dirichlet - dirac_sq + matter_int
 
-    kind = region[0]
-    r_hi = float(region[-1])
-    grid = sphere_grid(order)
-    psi_out = sphere_gauge_closure(data, rep, field, r_hi, grid)
-    boundary = boundary_flux(data, rep, r_hi, order, psi_out, nu_sign=1)
-    if kind == "annulus":
-        r_lo = float(region[1])
-        psi_in = sphere_gauge_closure(data, rep, field, r_lo, grid)
-        boundary = boundary + boundary_flux(data, rep, r_lo, order, psi_in, nu_sign=-1)
+    gauge = partial(sphere_gauge_closure, data, rep, field)
+    boundary, _ = boundary_flux(data, rep, float(region[-1]), order, gauge)
+    if region[0] == "annulus":
+        boundary = boundary + boundary_flux(data, rep, float(region[1]), order, gauge, nu_sign=-1)[0]
     boundary_val = real_checked(boundary, scale=abs(bulk) + 1.0, label="LSW boundary")
     return LswResult(
         bulk=bulk,
@@ -668,12 +665,13 @@ def crease_boundary_terms(
     if np.any(defect > defect_tol):
         raise TransmissionPreconditionError(float(np.max(defect)), defect_tol)
 
-    # the traces need no geometry: they ignore the field bundle boundary_term_density passes
-    i_minus = boundary_flux(cd.minus, rep, r0, order, lambda th, ph, _: pm(th, ph), nu_sign=1)
-    i_plus = boundary_flux(cd.plus, rep, r0, order, lambda th, ph, _: psi_plus(th, ph), nu_sign=-1)
+    def one_side(data, trace, nu_sign, side):
+        # the trace ignores the bundles it is passed; the Bartnik data are the density's geometry
+        flux, hg = boundary_flux(data, rep, r0, order, lambda _: lambda th, ph, _f: trace(th, ph), nu_sign)
+        return flux, bartnik_data(grid, r0, hg, side)
 
-    bm = bartnik_from_data(cd.minus, r0, order=order, side="minus")
-    bp = bartnik_from_data(cd.plus, r0, order=order, side="plus")
+    i_minus, bm = one_side(cd.minus, pm, 1, "minus")
+    i_plus, bp = one_side(cd.plus, psi_plus, -1, "plus")
     nu_rot, tau_rot = rotated_components(bm, cd.angle)
     bd = beta_delta(bm, bp, cd.angle)
     jump_nu = bp.H - nu_rot  # <H_+ - F(H_-), nu_+>

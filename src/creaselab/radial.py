@@ -55,7 +55,6 @@ from .geometry import (
     PointFields,
     as_fields,
     constraint_fields,
-    hypersurface_geometry,
     unit_sphere_volume,
 )
 from .integrals import MassReport, _gamma_contract, flux_mass_pairing, sen_derivatives
@@ -772,22 +771,13 @@ def mass_gap(sol: RadialSolution, mass: MassReport, tol: float = 1e-6) -> MassGa
     bulk = dirichlet + matter
     gap = flux - bulk
 
-    # crease term from the boundary formula evaluated on the traces
+    # crease term from the boundary formula on the traces, which are spherically symmetric: one node suffices
     report = crease_report_for(problem.cd, order=12)
-    e_dir = np.array([[1.0, 0.0, 0.0]])  # the traces are spherically symmetric: one node suffices
-    hg_m = hypersurface_geometry(problem.cd.minus, problem.cd.r0, e_dir)
-    hg_p = hypersurface_geometry(problem.cd.plus, problem.cd.r0, e_dir)
-    H_m, trk_m, H_p, trk_p = hg_m.H[0], hg_m.trk[0], hg_p.H[0], hg_p.trk[0]
-    f = problem.angle
-    nu_rot = math.cosh(f) * H_m + math.sinh(f) * trk_m
-    tau_rot = math.sinh(f) * H_m + math.cosh(f) * trk_m
-    area = omega2 * float(hg_p.area_element[0])
     Up, Vp = sol.u_plus[0], sol.v_plus[0]
     psi_sq_tr = float((np.vdot(Up, Up) + np.vdot(Vp, Vp)).real)
     eps_pair = 2.0 * float(np.vdot(Up, rep.tau @ Vp).real)
-    crease_term = 0.5 * area * (
-        (H_p - nu_rot) * psi_sq_tr + (trk_p - tau_rot) * eps_pair
-    )
+    area = omega2 * float(report.area_element[0])
+    crease_term = -0.5 * area * (report.nu_component[0] * psi_sq_tr + report.tau_component[0] * eps_pair)
 
     mu_ok = True
     for side in (problem.minus, problem.plus):

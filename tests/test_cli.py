@@ -254,8 +254,14 @@ def test_parse_time_contract_exits_2(tmp_path, capsys, doc, message):
         ("solve", {"grid": {"n_minus": 64, "n_plus": 128, "r_max": 2.5}}, "must exceed the crease radius"),
         ("adm", {"radii": [1.0, 2.0, 3.0]}, "leave the chart"),
         ("solve", {"radii": [1.0, 2.0, 3.0]}, "leave the chart"),
+        # the radial reduction needs a constant angle; a cos(theta) one is a config solve cannot take
+        ("solve", {"catalog": {"name": "rotated_crease", "base": "miao_corner", "base_params": {"m": 1.0, "rho0": 3.0},
+                               "angle": {"type": "cos_theta", "amplitude": 0.3}}}, "constant crease angle"),
+        ("crease-check", {"catalog": {"name": "rotated_crease", "base": "graph_slice",
+                                      "angle": {"type": "constant", "value": 0.3}}}, "creased base"),
     ],
-    ids=["solve-r_max-inside-crease", "adm-radii-inside-chart", "solve-radii-inside-chart"],
+    ids=["solve-r_max-inside-crease", "adm-radii-inside-chart", "solve-radii-inside-chart",
+         "solve-varying-angle", "rotated-uncreased-base"],
 )
 def test_run_time_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     config = {"catalog": {"name": "miao_corner", "params": {"m": 1.0, "rho0": 3.0}}, **doc}

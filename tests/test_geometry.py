@@ -18,6 +18,7 @@ from creaselab.geometry import (
     Chart,
     GeometryError,
     InitialData,
+    as_fields,
     bulk_frame,
     constraint_fields,
     hypersurface_geometry,
@@ -178,32 +179,40 @@ def test_schwarzschild_isotropic_point_example():
 def test_constraints_out_of_domain():
     mc = miao_corner(1.0, 4.0)
     with pytest.raises(GeometryError):
-        constraint_fields(mc.plus, np.array([[4.0, 0.0, 0.0]]))  # stencil leaves chart
+        constraint_fields(mc.plus, np.array([[3.9, 0.0, 0.0]]))  # the plus chart starts at r = 4
+    # every field the constraints read is closed form: the chart's edge has them
+    assert np.all(np.isfinite(constraint_fields(mc.plus, np.array([[4.0, 0.0, 0.0]])).mu))
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def test_flat_sphere_mean_curvature():
     flat = minkowski_slice()
-    hg = hypersurface_geometry(flat, 1.0, np.array([[0.3, -0.5, 0.8]]))
+    hg = hypersurface_geometry(flat, 1.0, unit([[0.3, -0.5, 0.8]]))
     assert hg.H[0] == pytest.approx(2.0, abs=1e-12)
-    hg2 = hypersurface_geometry(flat, 2.5, np.array([[0.0, 1.0, 1.0]]))
+    hg2 = hypersurface_geometry(flat, 2.5, 2.5 * unit([[0.0, 1.0, 1.0]]))
     assert hg2.H[0] == pytest.approx(2.0 / 2.5, abs=1e-12)
 
 
 def test_schwarzschild_area_radius_mean_curvature():
     data = schwarzschild_exterior_area_radius(1.0)
-    hg = hypersurface_geometry(data, 4.0, np.array([[0.2, 0.4, 0.6]]))
+    hg = hypersurface_geometry(data, 4.0, 4.0 * unit([[0.2, 0.4, 0.6]]))
     assert hg.H[0] == pytest.approx(0.5 * math.sqrt(0.5), abs=1e-12)
 
 
-def test_orientation_flip():
-    data = graph_slice()
-    omega = np.array([[0.3, 0.5, 0.8], [-0.2, 0.9, 0.1]])
-    out = hypersurface_geometry(data, 4.5, omega, orientation="outward")
-    inn = hypersurface_geometry(data, 4.5, omega, orientation="inward")
-    assert np.allclose(out.H, -inn.H, atol=1e-12)
-    assert np.allclose(out.beta, -inn.beta, atol=1e-12)
-    assert np.allclose(out.trk, inn.trk, atol=1e-12)
-    assert np.allclose(out.area_element, inn.area_element, atol=1e-12)
+@pytest.mark.parametrize("side", ["minus", "plus", None], ids=["flat_ball", "miao_plus", "graph_slice"])
+def test_hypersurface_geometry_of_bundle_equals_points(side):
+    # some order-12 nodes r0 * omega lie an ulp off r0, where the two sides' charts meet:
+    # the chart is checked at r0 itself
+    data = graph_slice() if side is None else getattr(miao_corner(1.0, 4.0), side)
+    pts = 4.0 * sphere_grid(12).nodes
+    from_points = hypersurface_geometry(data, 4.0, pts)
+    from_bundle = hypersurface_geometry(data, 4.0, as_fields(data, pts))
+    for name in ("nu", "tangent", "H", "trk", "beta", "area_element"):
+        assert np.array_equal(getattr(from_points, name), getattr(from_bundle, name))
 
 
 def test_graph_slice_beta_matches_direct_contraction():
@@ -211,7 +220,7 @@ def test_graph_slice_beta_matches_direct_contraction():
     omega = np.array([[0.3, 0.5, 0.8], [0.6, -0.7, 0.2], [0.0, 0.6, 0.8]])
     omega /= np.linalg.norm(omega, axis=1)[:, None]
     r0 = 4.0
-    hg = hypersurface_geometry(data, r0, omega)
+    hg = hypersurface_geometry(data, r0, r0 * omega)
     k = data.k(r0 * omega)
     direct = np.einsum("mi,mij,maj->ma", hg.nu, k, hg.tangent)
     assert np.max(np.abs(direct - hg.beta)) < 1e-12

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from creaselab import geometry
+from creaselab import bartnik, geometry
 from creaselab.catalog import (
     graph_slice,
     miao_corner,
@@ -20,6 +20,7 @@ from creaselab.integrals import (
     _extrapolate_sequence,
     adm_energy_momentum,
     bulk_spin_coefficients,
+    crease_boundary_terms,
     dirac_witten_apply,
     flux_fit_energy_momentum,
     flux_mass_pairing,
@@ -635,3 +636,37 @@ def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
     lsw_residual(data, REP, random_polynomial_field(REP, np.random.default_rng(3), (2,), degree=2), region, order=8)
     assert sorted(name for name, m in calls if m == nodes) == ["d2g", "dg", "dk", "g", "k"]
     assert frames.count(nodes) == 1
+
+
+def _record_calls(monkeypatch, module, name):
+    """Argument tuples of every call to module.name, through each module that bound it by name."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("creaselab")]:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recorded)
+    return calls
+
+
+def test_witten_flux_builds_one_sphere_frame_per_node_batch(monkeypatch):
+    frames = _record_calls(monkeypatch, geometry, "sphere_frame")
+    witten_flux(schwarzschild_isotropic(1.0), REP, np.eye(REP.dim, dtype=complex), 20.0, order=12)
+    # the grid nodes (one bundle for the geometry, the gauge anchor and the density) and their 8 angle-stencil shifts
+    batches = [bundle.x for _, bundle in frames]
+    assert len(batches) == 9
+    assert all(not np.array_equal(a, b) for i, a in enumerate(batches) for b in batches[:i])
+
+
+def test_crease_terms_read_the_bartnik_data_from_the_densities(monkeypatch):
+    geometries = _record_calls(monkeypatch, geometry, "hypersurface_geometry")
+    sampled = _record_calls(monkeypatch, bartnik, "bartnik_from_data")
+    mc = miao_corner(1.0, 4.0)
+    crease_boundary_terms(mc, REP, lambda th, ph: np.ones((np.shape(th)[0], REP.dim), dtype=complex), order=8)
+    assert [args[0] for args in geometries] == [mc.minus, mc.plus]
+    assert sampled == []
+

@@ -9,10 +9,12 @@ from creaselab.catalog import (
     miao_corner,
     minkowski_slice,
     schwarzschild_exterior_area_radius,
+    rotated_crease,
     schwarzschild_isotropic,
     trivial_crease,
 )
 from creaselab.cliffords import build_rep
+from creaselab.geometry import CreaseAngle, hypersurface_geometry
 from creaselab import integrals, radial
 from creaselab.integrals import adm_energy_momentum
 from creaselab.radial import (
@@ -402,6 +404,24 @@ def test_mass_gap_miao_inequality(miao_problem):
     assert gap.dec_creased and gap.bulk_dec_satisfied
     # the gap must reproduce the negated crease boundary term up to truncation
     assert abs(gap.gap + gap.crease_term) <= 0.02 * abs(gap.gap)
+
+
+def test_mass_gap_crease_term_matches_the_rotated_geometry_at_one_node():
+    # reference: each side's geometry at one crease node, the minus side rotated by the angle by hand
+    f = 0.3
+    cd = rotated_crease(miao_corner(1.0, 4.0), CreaseAngle.from_constant(f))
+    sol = solve(assemble(reduce_radial(cd, REP), RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), PSI_INF)
+    gap = mass_gap(sol, adm_energy_momentum(cd.plus, [25.0, 50.0, 100.0], order=12))
+    hg_m, hg_p = (hypersurface_geometry(d, cd.r0, np.array([[cd.r0, 0.0, 0.0]])) for d in (cd.minus, cd.plus))
+    nu_rot = math.cosh(f) * hg_m.H[0] + math.sinh(f) * hg_m.trk[0]
+    tau_rot = math.sinh(f) * hg_m.H[0] + math.cosh(f) * hg_m.trk[0]
+    Up, Vp = sol.u_plus[0], sol.v_plus[0]
+    psi_sq = float((np.vdot(Up, Up) + np.vdot(Vp, Vp)).real)
+    eps_pair = 2.0 * float(np.vdot(Up, REP.tau @ Vp).real)
+    area = 4.0 * math.pi * float(hg_p.area_element[0])
+    expected = 0.5 * area * ((hg_p.H[0] - nu_rot) * psi_sq + (hg_p.trk[0] - tau_rot) * eps_pair)
+    assert abs(expected) > 1e-3
+    assert gap.crease_term == pytest.approx(expected, rel=1e-12)
 
 
 def test_mass_gap_flags_violated_hypothesis():
