@@ -40,7 +40,6 @@ class BartnikData:
     beta: np.ndarray  # (N, n-1), frame components of k(nu, .)
     tangent: np.ndarray  # (N, n-1, n) shared tangential frame vectors
     area_element: np.ndarray  # (N,), dA = area_element dOmega
-    side: str = ""
 
     @property
     def size(self) -> int:
@@ -51,15 +50,15 @@ class BartnikData:
         return self.H**2 - self.trk**2
 
 
-def bartnik_data(grid: SphereGrid, r0: float, hg: HypersurfaceGeometry, side: str = "") -> BartnikData:
+def bartnik_data(grid: SphereGrid, r0: float, hg: HypersurfaceGeometry) -> BartnikData:
     """The Bartnik data of the sphere r = r0 from its geometry on the nodes r0 * grid.nodes."""
-    return BartnikData(grid, float(r0), hg.H, hg.trk, hg.beta, hg.tangent, hg.area_element, side)
+    return BartnikData(grid, float(r0), hg.H, hg.trk, hg.beta, hg.tangent, hg.area_element)
 
 
-def bartnik_from_data(data: InitialData, r0: float, order: int = 16, side: str = "") -> BartnikData:
+def bartnik_from_data(data: InitialData, r0: float, order: int = 16) -> BartnikData:
     """Sample the induced Bartnik data of the sphere r = r0 (outward normal) on a quadrature grid."""
     grid = sphere_grid(order)
-    return bartnik_data(grid, r0, hypersurface_geometry(data, r0, r0 * grid.nodes), side)
+    return bartnik_data(grid, r0, hypersurface_geometry(data, r0, r0 * grid.nodes))
 
 
 def _check_same_grid(a: BartnikData, b: BartnikData) -> None:
@@ -80,9 +79,7 @@ def _angle_values(angle, grid: SphereGrid) -> np.ndarray:
     return arr
 
 
-def angle_gradient_frame(
-    angle, B: BartnikData, lmax: int | None = None
-) -> np.ndarray:
+def angle_gradient_frame(angle, B: BartnikData) -> np.ndarray:
     """Components df(t_alpha) of the angle differential on the crease sphere.
 
     Uses the analytic unit-sphere gradient when the angle provides one,
@@ -97,7 +94,7 @@ def angle_gradient_frame(
         values = _angle_values(angle, grid)
         if np.ptp(values) == 0.0:
             return np.zeros((grid.size, B.tangent.shape[1]))
-        fit = SphericalHarmonicFit(grid, values, lmax=lmax)
+        fit = SphericalHarmonicFit(grid, values)
         grad = fit.surface_gradient(grid.theta, grid.phi)
     cart = grad / B.r0
     return np.einsum("...i,...ai->...a", cart, B.tangent)
@@ -116,14 +113,13 @@ def rotated_components(B_minus: BartnikData, angle) -> tuple[np.ndarray, np.ndar
     return ch * B_minus.H + sh * B_minus.trk, sh * B_minus.H + ch * B_minus.trk
 
 
-def rotate_bartnik(B: BartnikData, angle, side: str | None = None) -> BartnikData:
+def rotate_bartnik(B: BartnikData, angle) -> BartnikData:
     """Equivalent Bartnik data after the gauge rotation by `angle` (beta -> beta + df)."""
     nu_c, tau_c = rotated_components(B, angle)
     df = angle_gradient_frame(angle, B)
     return BartnikData(
         grid=B.grid, r0=B.r0, H=nu_c, trk=tau_c, beta=B.beta + df,
         tangent=B.tangent, area_element=B.area_element,
-        side=B.side if side is None else side,
     )
 
 
@@ -138,8 +134,6 @@ def beta_delta(B_minus: BartnikData, B_plus: BartnikData, angle) -> np.ndarray:
 class CreaseReport:
     """Pointwise DEC-crease margin diagnostics on the crease sphere."""
 
-    grid_order: int
-    nodes: np.ndarray
     nu_component: np.ndarray  # <F(H_minus) - H_plus, nu_plus>
     tau_component: np.ndarray  # <F(H_minus) - H_plus, tau_plus>
     beta_delta_norm: np.ndarray
@@ -147,27 +141,18 @@ class CreaseReport:
     min_margin: float
     argmin_node: int
     dec_creased: bool
-    tolerance: float
     area_element: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "grid_order": self.grid_order,
-            "min_margin": self.min_margin,
-            "argmin_node": self.argmin_node,
-            "dec_creased": self.dec_creased,
-            "tolerance": self.tolerance,
-            "nu_component": self.nu_component.tolist(),
-            "tau_component": self.tau_component.tolist(),
-            "beta_delta_norm": self.beta_delta_norm.tolist(),
-            "margin": self.margin.tolist(),
-        }
 
 
 def crease_margin(
     B_minus: BartnikData, B_plus: BartnikData, angle, tol: float = 1e-9
 ) -> CreaseReport:
-    """DEC-crease margin: <F(H_-) - H_+, nu_+> - sqrt(<F(H_-) - H_+, tau_+>^2 + |beta^Delta|^2)."""
+    """DEC-crease margin: <F(H_-) - H_+, nu_+> - sqrt(<F(H_-) - H_+, tau_+>^2 + |beta^Delta|^2).
+
+    The reported node is the first whose margin lies within roundoff,
+    1e-12 max(1, max |margin|), of the minimum, so a margin that is constant
+    up to roundoff reports node 0 rather than a tie broken by the last bits.
+    """
     _check_same_grid(B_minus, B_plus)
     nu_rot, tau_rot = rotated_components(B_minus, angle)
     nu_c = nu_rot - B_plus.H
@@ -175,41 +160,39 @@ def crease_margin(
     bd = beta_delta(B_minus, B_plus, angle)
     bd_norm = np.linalg.norm(bd, axis=-1)
     margin = nu_c - np.sqrt(tau_c**2 + bd_norm**2)
-    imin = int(np.argmin(margin))
+    lowest = float(np.min(margin))
+    tie = 1e-12 * max(1.0, float(np.max(np.abs(margin))))
     return CreaseReport(
-        grid_order=B_minus.grid.order,
-        nodes=B_minus.grid.nodes,
         nu_component=nu_c,
         tau_component=tau_c,
         beta_delta_norm=bd_norm,
         margin=margin,
-        min_margin=float(margin[imin]),
-        argmin_node=imin,
-        dec_creased=bool(margin[imin] >= -tol),
-        tolerance=tol,
+        min_margin=lowest,
+        argmin_node=int(np.argmax(margin <= lowest + tie)),
+        dec_creased=bool(lowest >= -tol),
         area_element=B_minus.area_element,
     )
 
 
 def crease_report_for(cd: CreasedData, order: int = 16, tol: float = 1e-9) -> CreaseReport:
     """Margin report of a creased datum, sampling both sides on one grid."""
-    bm = bartnik_from_data(cd.minus, cd.r0, order=order, side="minus")
-    bp = bartnik_from_data(cd.plus, cd.r0, order=order, side="plus")
+    bm = bartnik_from_data(cd.minus, cd.r0, order=order)
+    bp = bartnik_from_data(cd.plus, cd.r0, order=order)
     return crease_margin(bm, bp, cd.angle, tol=tol)
 
 
-def spacelike_form_check(report: CreaseReport, tol: float = 1e-12) -> np.ndarray:
+def spacelike_form_check(report: CreaseReport) -> np.ndarray:
     """Equivalent form of the crease condition, checked node by node.
 
     The jump vector must be spacelike-or-null, point in the nu_+ direction,
     and have length at least |beta^Delta|.  The conjunction must agree with
-    margin >= 0 wherever the margin is decisively nonzero; any disagreement
-    beyond `tol` is an internal inconsistency.
+    margin >= 0 wherever |margin| exceeds 1e-12; any disagreement there
+    is an internal inconsistency.
     """
     nu, tau, bd = report.nu_component, report.tau_component, report.beta_delta_norm
     cond = (nu >= np.abs(tau)) & (nu**2 - tau**2 >= bd**2)
     margin_sign = report.margin >= 0.0
-    decisive = np.abs(report.margin) > tol
+    decisive = np.abs(report.margin) > 1e-12
     disagreement = decisive & (cond != margin_sign)
     if np.any(disagreement):
         idx = int(np.nonzero(disagreement)[0][0])
@@ -220,23 +203,22 @@ def spacelike_form_check(report: CreaseReport, tol: float = 1e-12) -> np.ndarray
     return cond
 
 
-def equivalence_angle(
-    B: BartnikData, B_prime: BartnikData, tol: float = 1e-8, null_tol: float = 1e-10
-) -> np.ndarray | None:
+def equivalence_angle(B: BartnikData, B_prime: BartnikData) -> np.ndarray | None:
     """Hyperbolic angle relating two Bartnik data sets, or None.
 
     Solves the rotation nodewise from the (nu, tau) component pair via
     atanh of the well-conditioned ratio; a mean-curvature vector that is
-    null (to `null_tol`) anywhere makes the angle indeterminate.  Returns
-    the nodal angle when both the rotation and beta' = beta + df hold
-    within `tol`, otherwise None.
+    null (to 1e-10, relative) anywhere makes the angle indeterminate.
+    Returns the nodal angle when both the rotation and beta' = beta + df
+    hold within 1e-8, otherwise None.
     """
+    tol = 1e-8
     _check_same_grid(B, B_prime)
     H, trk = B.H, B.trk
     Hp, trkp = B_prime.H, B_prime.trk
     scale = np.maximum(H**2 + trk**2, 1e-300)
     causal = H**2 - trk**2
-    if np.any(np.abs(causal) <= null_tol * scale):
+    if np.any(np.abs(causal) <= 1e-10 * scale):
         raise BartnikError("mean-curvature vector is null; hyperbolic angle indeterminate")
     # rotation invariant obstruction
     if np.max(np.abs(causal - (Hp**2 - trkp**2))) > tol * np.max(scale):

@@ -144,12 +144,11 @@ def _validate_positive_definite(data: InitialData, radii) -> None:
 def minkowski_slice() -> InitialData:
     ones = lambda r: (np.ones_like(r),) + (np.zeros_like(r),) * 5
     profile = RadialProfile(
-        A=lambda r: np.ones_like(r), B=lambda r: np.ones_like(r),
-        dA=lambda r: np.zeros_like(r), dB=lambda r: np.zeros_like(r),
+        A=lambda r: np.ones_like(r), B=lambda r: np.ones_like(r), dB=lambda r: np.zeros_like(r),
         kappa_n=lambda r: np.zeros_like(r), kappa_t=lambda r: np.zeros_like(r),
     )
     return _radial_data(
-        chart=Chart("exterior", 0.0, math.inf),
+        chart=Chart(0.0, math.inf),
         label="minkowski_slice",
         metric_uv=ones,
         profile=profile,
@@ -173,13 +172,12 @@ def schwarzschild_isotropic(m: float) -> InitialData:
     profile = RadialProfile(
         A=lambda r: phi(r) ** 2,
         B=lambda r: phi(r) ** 2,
-        dA=lambda r: 2.0 * phi(r) * (-m / (2.0 * r**2)),
         dB=lambda r: 2.0 * phi(r) * (-m / (2.0 * r**2)),
         kappa_n=lambda r: np.zeros_like(r),
         kappa_t=lambda r: np.zeros_like(r),
     )
     data = _radial_data(
-        chart=Chart("exterior", r_min, math.inf),
+        chart=Chart(r_min, math.inf),
         label=f"schwarzschild_isotropic(m={m:g})",
         metric_uv=metric_uv,
         profile=profile,
@@ -188,10 +186,9 @@ def schwarzschild_isotropic(m: float) -> InitialData:
     return data
 
 
-def schwarzschild_exterior_area_radius(m: float, r_min: float | None = None) -> InitialData:
+def schwarzschild_exterior_area_radius(m: float) -> InitialData:
     m = float(m)
-    if r_min is None:
-        r_min = 2.5 * m if m > 0 else 0.05 * max(abs(m), 1.0)
+    r_min = 2.5 * m if m > 0 else 0.05 * max(abs(m), 1.0)
 
     def metric_uv(r):
         alpha = 2.0 * m / (r - 2.0 * m)
@@ -206,13 +203,12 @@ def schwarzschild_exterior_area_radius(m: float, r_min: float | None = None) -> 
     profile = RadialProfile(
         A=A,
         B=lambda r: np.ones_like(r),
-        dA=lambda r: -(m / r**2) * (1.0 - 2.0 * m / r) ** (-1.5),
         dB=lambda r: np.zeros_like(r),
         kappa_n=lambda r: np.zeros_like(r),
         kappa_t=lambda r: np.zeros_like(r),
     )
     data = _radial_data(
-        chart=Chart("exterior", float(r_min), math.inf),
+        chart=Chart(r_min, math.inf),
         label=f"schwarzschild_exterior_area_radius(m={m:g})",
         metric_uv=metric_uv,
         profile=profile,
@@ -222,7 +218,7 @@ def schwarzschild_exterior_area_radius(m: float, r_min: float | None = None) -> 
 
 
 def flat_ball(r0: float) -> InitialData:
-    return replace(minkowski_slice(), chart=Chart("ball", 0.0, float(r0)), label=f"flat_ball(r0={r0:g})")
+    return replace(minkowski_slice(), chart=Chart(0.0, float(r0)), label=f"flat_ball(r0={r0:g})")
 
 
 def miao_corner(m: float, rho0: float) -> CreasedData:
@@ -233,7 +229,7 @@ def miao_corner(m: float, rho0: float) -> CreasedData:
     if 2.0 * m / rho0 >= 1.0:
         raise GeometryError(f"miao_corner: gluing sphere rho0={rho0:g} is inside the horizon 2m={2*m:g}")
     exterior = schwarzschild_exterior_area_radius(m)
-    plus = replace(exterior, chart=Chart("exterior", rho0, math.inf), label=exterior.label + f"|r>={rho0:g}")
+    plus = replace(exterior, chart=Chart(rho0, math.inf), label=exterior.label + f"|r>={rho0:g}")
     return CreasedData(
         minus=flat_ball(rho0),
         plus=plus,
@@ -245,7 +241,7 @@ def miao_corner(m: float, rho0: float) -> CreasedData:
 
 def trivial_crease(r0: float = 1.0) -> CreasedData:
     """Flat data on both sides of r = r0 with zero hyperbolic angle."""
-    plus = replace(minkowski_slice(), chart=Chart("exterior", float(r0), math.inf))
+    plus = replace(minkowski_slice(), chart=Chart(float(r0), math.inf))
     return CreasedData(
         minus=flat_ball(r0), plus=plus, r0=float(r0),
         angle=CreaseAngle.from_constant(0.0), label=f"trivial_crease(r0={r0:g})",
@@ -292,13 +288,12 @@ def graph_slice(amplitude: float = 0.4, center: float = 4.5, width: float = 1.0)
     profile = RadialProfile(
         A=lambda r: np.sqrt(1.0 - h1(r) ** 2),
         B=lambda r: np.ones_like(r),
-        dA=lambda r: -h1(r) * h2(r) / np.sqrt(1.0 - h1(r) ** 2),
         dB=lambda r: np.zeros_like(r),
         kappa_n=lambda r: h2(r) / (1.0 - h1(r) ** 2) ** 1.5,
         kappa_t=lambda r: h1(r) / (r * np.sqrt(1.0 - h1(r) ** 2)),
     )
     return _radial_data(
-        chart=Chart("exterior", 0.0, math.inf),
+        chart=Chart(0.0, math.inf),
         label=f"graph_slice(a={a:g}, c={c:g}, w={w:g})",
         metric_uv=metric_uv,
         curv_uv=curv_uv,

@@ -192,7 +192,7 @@ def cmd_solve(config: RunConfig, out_dir: str):
     psi_inf[0] = 1.0
     sol = solve(system, psi_inf)
     mass = adm_energy_momentum(cd.plus, config.radii, order=config.sphere_order)
-    gap = mass_gap(sol, mass, tol=config.tol("gap_rel") * 10.0)
+    gap = mass_gap(sol, mass)
     # the Poincare check compares a grid of 128..512 intervals per side with
     # its half rounded to an even count, so both grids pass RadialGrid.validate;
     # both end at 200, or at twice the crease radius when that is farther

@@ -70,23 +70,22 @@ def as_points(x: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Chart:
-    """Radial domain descriptor: ball, exterior region, or annulus."""
+    """Radial domain r_min <= |x| <= r_max: a ball (r_min = 0), an annulus, or an exterior region (r_max = inf)."""
 
-    kind: str  # "ball" | "exterior" | "annulus"
     r_min: float
-    r_max: float  # inf for exterior
+    r_max: float
 
-    def contains(self, r: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        return (r >= self.r_min + margin) & (r <= self.r_max - margin)
+        return (r >= self.r_min) & (r <= self.r_max)
 
-    def require(self, r: np.ndarray, margin: float = 0.0, what: str = "point") -> None:
-        ok = self.contains(r, margin)
+    def require(self, r: np.ndarray, what: str = "point") -> None:
+        ok = self.contains(r)
         if not np.all(ok):
             bad = np.asarray(r)[~np.asarray(ok, dtype=bool)]
             raise GeometryError(
                 f"{what} at r={float(np.atleast_1d(bad)[0]):.6g} outside chart "
-                f"[{self.r_min:.6g}, {self.r_max:.6g}] (margin {margin:.3g})"
+                f"[{self.r_min:.6g}, {self.r_max:.6g}]"
             )
 
 
@@ -102,7 +101,6 @@ class RadialProfile:
 
     A: Callable[[np.ndarray], np.ndarray]
     B: Callable[[np.ndarray], np.ndarray]
-    dA: Callable[[np.ndarray], np.ndarray]
     dB: Callable[[np.ndarray], np.ndarray]
     kappa_n: Callable[[np.ndarray], np.ndarray]
     kappa_t: Callable[[np.ndarray], np.ndarray]
@@ -369,12 +367,15 @@ def outward_unit_normal(data: InitialData, x) -> np.ndarray:
     return u / np.sqrt(s)[:, None]
 
 
-def sphere_frame(data: InitialData, x, skip_tol: float = 1e-8) -> SphereFrame:
+FRAME_SKIP_TOL = 1e-8
+
+
+def sphere_frame(data: InitialData, x) -> SphereFrame:
     """Adapted frame at points of a coordinate sphere (vectorized).
 
     Tangential candidates are the Euclidean projections of the coordinate
     basis in fixed order, orthonormalized in the induced metric; candidates
-    whose residual drops below `skip_tol` (relative) are skipped, which
+    whose residual drops below FRAME_SKIP_TOL (relative) are skipped, which
     happens only on measure-zero degeneracy sets avoided by the grids.
     """
     f = as_fields(data, x)
@@ -395,7 +396,7 @@ def sphere_frame(data: InitialData, x, skip_tol: float = 1e-8) -> SphereFrame:
             proj = np.einsum("...a,...ab,...b->...", accepted[:, j], g, cand)
             cand = cand - np.where(sel, proj, 0.0)[:, None] * accepted[:, j]
         nrm = np.sqrt(np.einsum("...a,...ab,...b->...", cand, g, cand))
-        ok = (nrm > skip_tol * np.maximum(ref, 1e-300)) & (count < n - 1)
+        ok = (nrm > FRAME_SKIP_TOL * np.maximum(ref, 1e-300)) & (count < n - 1)
         idx = np.nonzero(ok)[0]
         accepted[idx, count[idx]] = cand[idx] / nrm[idx, None]
         count[idx] += 1

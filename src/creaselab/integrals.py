@@ -86,27 +86,14 @@ def real_checked(value, scale=1.0, label: str = "integral"):
 
 
 # ---------------------------------------------------------------------------
-# plain sphere quadrature
-
-
-def sphere_integral(field: Callable[[np.ndarray], np.ndarray], r: float, order: int, n: int = 3):
-    """Integral over the coordinate sphere |x| = r with the flat area element."""
-    if n != 3:
-        raise IntegralsError("sphere quadrature is implemented for n = 3")
-    if order < 4:
-        raise IntegralsError("quadrature order must be >= 4")
-    grid = sphere_grid(order)
-    vals = np.asarray(field(r * grid.nodes))
-    if not np.all(np.isfinite(vals)):
-        raise IntegralsError("non-finite field value in sphere_integral")
-    return r ** (n - 1) * grid.integrate(vals)
-
-
-# ---------------------------------------------------------------------------
 # volume quadrature over radial regions
 
 
-def radial_panels(region: Sequence, crease_at: float | None = None):
+def volume_quadrature(region: Sequence, r_order: int, sph_order: int):
+    """Flat-measure nodes and weights of ("ball", r) or ("annulus", lo, hi): sum w f = int f r^2 dr dOmega.
+
+    One Gauss-Legendre panel of r_order nodes in r times the sphere grid of sph_order.
+    """
     kind = region[0]
     if kind == "ball":
         lo, hi = 0.0, float(region[1])
@@ -116,24 +103,13 @@ def radial_panels(region: Sequence, crease_at: float | None = None):
         raise IntegralsError(f"unknown region kind {kind!r}")
     if not hi > lo >= 0.0:
         raise IntegralsError("region radii must satisfy 0 <= lo < hi")
-    if crease_at is not None and lo < crease_at < hi:
-        return [(lo, crease_at), (crease_at, hi)]
-    return [(lo, hi)]
-
-
-def volume_quadrature(region: Sequence, r_order: int, sph_order: int, crease_at: float | None = None):
-    """Flat-measure nodes and weights: sum w f = int f r^2 dr dOmega."""
     grid = sphere_grid(sph_order)
     x_gl, w_gl = np.polynomial.legendre.leggauss(r_order)
-    pts_list, w_list = [], []
-    for lo, hi in radial_panels(region, crease_at):
-        rr = 0.5 * (hi - lo) * x_gl + 0.5 * (hi + lo)
-        wr = 0.5 * (hi - lo) * w_gl * rr**2
-        pts = rr[:, None, None] * grid.nodes[None, :, :]
-        w = wr[:, None] * grid.weights[None, :]
-        pts_list.append(pts.reshape(-1, 3))
-        w_list.append(w.reshape(-1))
-    return np.concatenate(pts_list), np.concatenate(w_list)
+    rr = 0.5 * (hi - lo) * x_gl + 0.5 * (hi + lo)
+    wr = 0.5 * (hi - lo) * w_gl * rr**2
+    pts = rr[:, None, None] * grid.nodes[None, :, :]
+    w = wr[:, None] * grid.weights[None, :]
+    return pts.reshape(-1, 3), w.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +334,6 @@ def boundary_term_density(
     grid: SphereGrid,
     sphere_trace: Callable[[PointFields], Callable[[np.ndarray, np.ndarray, PointFields], np.ndarray]],
     nu_sign: int = 1,
-    step: float = ANGLE_STEP,
 ):
     """Per-node boundary integrand on |x| = r0, and the sphere's outward geometry hg there.
 
@@ -405,8 +380,8 @@ def boundary_term_density(
         return t_sum / (12.0 * h[..., None, None]), c_sum / (12.0 * h[..., None])
 
     # phi variation slows like sin(theta) near the poles; widen the step there
-    step_phi = step / np.maximum(np.sin(theta), 0.05)
-    dt_dtheta, dc_dtheta = fd4(lambda d: (theta + d * step, phi), np.asarray(step))
+    step_phi = ANGLE_STEP / np.maximum(np.sin(theta), 0.05)
+    dt_dtheta, dc_dtheta = fd4(lambda d: (theta + d * ANGLE_STEP, phi), np.asarray(ANGLE_STEP))
     dt_dphi, dc_dphi = fd4(lambda d: (theta, phi + d * step_phi), step_phi)
 
     # coordinates of t_alpha in the (theta, phi) parameter basis
@@ -462,8 +437,6 @@ def boundary_flux(data, rep, r0, order, sphere_trace, nu_sign=1):
 class WittenFlux:
     value: float | np.ndarray  # one entry per batch member of psi_inf
     imag_part: float | np.ndarray
-    radius: float
-    order: int
 
 
 def witten_flux(data: InitialData, rep: CliffordRep, psi_inf: np.ndarray, r: float, order: int = 24) -> WittenFlux:
@@ -482,17 +455,15 @@ def witten_flux(data: InitialData, rep: CliffordRep, psi_inf: np.ndarray, r: flo
     return WittenFlux(
         value=real_checked(val, scale=scale, label="witten flux"),
         imag_part=val.imag[()],
-        radius=float(r),
-        order=order,
     )
 
 
-def flux_mass_pairing(rep: CliffordRep, E: float, P: np.ndarray, psi_inf: np.ndarray, n: int = 3) -> float:
-    """(n-1) omega_{n-1}/2 (E |psi|^2 - <psi, P_i e^i tau psi>) for constant psi."""
+def flux_mass_pairing(rep: CliffordRep, E: float, P: np.ndarray, psi_inf: np.ndarray) -> float:
+    """(n-1) omega_{n-1}/2 (E |psi|^2 - <psi, P_i e^i tau psi>) for constant psi, n = rep.n."""
     psi = np.asarray(psi_inf, dtype=complex)
     pmat = np.einsum("i,iIK->IK", np.asarray(P, dtype=float), rep.gamma) @ rep.tau
     val = E * np.vdot(psi, psi) - np.vdot(psi, pmat @ psi)
-    return float((n - 1) * unit_sphere_volume(n) / 2.0 * real_checked(val, label="flux pairing"))
+    return float((rep.n - 1) * unit_sphere_volume(rep.n) / 2.0 * real_checked(val, label="flux pairing"))
 
 
 def flux_fit_energy_momentum(data: InitialData, rep: CliffordRep, r: float, order: int = 16):
@@ -616,6 +587,9 @@ class CreaseBoundaryResult:
         return abs(self.direct - self.formula)
 
 
+TRANSMISSION_TOL = 1e-10  # largest trace defect the crease identities accept
+
+
 def transmission_matrix_nodes(rep: CliffordRep, angle_values: np.ndarray) -> np.ndarray:
     """Nodal spinor rotation cosh(f/2) + sinh(f/2) eps_+ in the adapted gauge; (m, I, I).
 
@@ -635,16 +609,15 @@ def crease_boundary_terms(
     psi_plus: Callable[[np.ndarray, np.ndarray], np.ndarray],
     order: int = 16,
     psi_minus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    defect_tol: float = 1e-10,
 ) -> CreaseBoundaryResult:
     """Crease boundary terms: direct one-sided integrals vs the jump formula.
 
     `psi_plus` (and `psi_minus`, defaulting to the transmission image of
     psi_plus) give adapted-frame components (..., m, I) on the crease
     sphere; every result has the traces' leading batch shape.  The
-    traces must satisfy the transmission condition; the contract is
-    |direct - formula| small, direct <= bound, and bound <= 0 whenever the
-    crease margin is nonnegative.
+    traces must satisfy the transmission condition to TRANSMISSION_TOL;
+    the contract is |direct - formula| small, direct <= bound, and
+    bound <= 0 whenever the crease margin is nonnegative.
     """
     grid = sphere_grid(order)
     r0 = cd.r0
@@ -662,16 +635,16 @@ def crease_boundary_terms(
     c_minus = np.asarray(pm(grid.theta, grid.phi), dtype=complex)
     rot = transmission_matrix_nodes(rep, angle_at(grid.theta, grid.phi))
     defect = np.max(np.abs(c_minus - np.einsum("mIK,...mK->...mI", rot, c_plus)), axis=(-2, -1))
-    if np.any(defect > defect_tol):
-        raise TransmissionPreconditionError(float(np.max(defect)), defect_tol)
+    if np.any(defect > TRANSMISSION_TOL):
+        raise TransmissionPreconditionError(float(np.max(defect)), TRANSMISSION_TOL)
 
-    def one_side(data, trace, nu_sign, side):
+    def one_side(data, trace, nu_sign):
         # the trace ignores the bundles it is passed; the Bartnik data are the density's geometry
         flux, hg = boundary_flux(data, rep, r0, order, lambda _: lambda th, ph, _f: trace(th, ph), nu_sign)
-        return flux, bartnik_data(grid, r0, hg, side)
+        return flux, bartnik_data(grid, r0, hg)
 
-    i_minus, bm = one_side(cd.minus, pm, 1, "minus")
-    i_plus, bp = one_side(cd.plus, psi_plus, -1, "plus")
+    i_minus, bm = one_side(cd.minus, pm, 1)
+    i_plus, bp = one_side(cd.plus, psi_plus, -1)
     nu_rot, tau_rot = rotated_components(bm, cd.angle)
     bd = beta_delta(bm, bp, cd.angle)
     jump_nu = bp.H - nu_rot  # <H_+ - F(H_-), nu_+>

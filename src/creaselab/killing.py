@@ -19,7 +19,7 @@ import numpy as np
 
 from .cliffords import CliffordRep
 from .geometry import CreasedData, GeometryError, InitialData, bulk_frame
-from .integrals import bulk_spin_coefficients, transmission_matrix_nodes
+from .integrals import TRANSMISSION_TOL, bulk_spin_coefficients, transmission_matrix_nodes
 from .spheregrid import sphere_grid
 from .spinorfields import SpinorField
 
@@ -39,7 +39,6 @@ class LapseShift:
     rep: CliffordRep
     u: Callable[[np.ndarray], np.ndarray]
     Y_frame: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     def Y_vector(self, x: np.ndarray) -> np.ndarray:
         """Coordinate components of the shift vector."""
@@ -82,7 +81,7 @@ def lapse_shift_from_spinor(rep: CliffordRep, field: SpinorField, data: InitialD
         worst = float(np.max(np.abs(pair(field.evaluate(np.atleast_2d(check_points)))[1].imag)))
         if worst > REALITY_TOL:
             raise KillingError(f"shift vector not real: imaginary part {worst:.3e}")
-    return LapseShift(data=data, rep=rep, u=u, Y_frame=Y_frame, label=field.label)
+    return LapseShift(data=data, rep=rep, u=u, Y_frame=Y_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,6 @@ def crease_lorentz_check(
     psi_plus: Callable[[np.ndarray, np.ndarray], np.ndarray],
     order: int = 12,
     psi_minus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    defect_tol: float = 1e-10,
 ) -> LorentzCheck:
     """Residuals of the hyperbolic-rotation relations between the two sides'
     lapse-shift traces: tangential shifts agree, while the (normal, lapse)
@@ -115,7 +113,7 @@ def crease_lorentz_check(
 
     Traces are adapted-frame components on the crease sphere; psi_minus
     defaults to the transmission image of psi_plus and is otherwise checked
-    against it.
+    against it to TRANSMISSION_TOL, the tolerance of the crease identities.
     """
     grid = sphere_grid(order)
     f = np.asarray(cd.angle.value(grid.nodes), dtype=float)
@@ -126,7 +124,7 @@ def crease_lorentz_check(
     else:
         c_minus = np.asarray(psi_minus(grid.theta, grid.phi), dtype=complex)
         defect = float(np.max(np.abs(c_minus - np.einsum("mIK,mK->mI", rot, c_plus))))
-        if defect > defect_tol:
+        if defect > TRANSMISSION_TOL:
             raise KillingError(f"traces violate the transmission condition: {defect:.3e}")
 
     n = rep.n
@@ -153,13 +151,13 @@ def crease_lorentz_check(
 FD_STEP = 1e-5
 
 
-def _frame_directional(data: InitialData, fn, pts: np.ndarray, step: float = FD_STEP):
+def _frame_directional(data: InitialData, fn, pts: np.ndarray):
     """e_a(fn) for scalar or frame-vector nodal closures; appends axis a."""
     frame = bulk_frame(data, pts)
     cols = []
     for a in range(data.n):
         v = frame[:, a, :]
-        cols.append((np.asarray(fn(pts + step * v)) - np.asarray(fn(pts - step * v))) / (2.0 * step))
+        cols.append((np.asarray(fn(pts + FD_STEP * v)) - np.asarray(fn(pts - FD_STEP * v))) / (2.0 * FD_STEP))
     return np.stack(cols, axis=-1)
 
 
@@ -174,11 +172,9 @@ def shift_covariant_derivative(data: InitialData, ls: LapseShift, pts: np.ndarra
 
 @dataclass(frozen=True)
 class KillingResiduals:
-    tensor_residual: np.ndarray  # (m, n, n): L_Y g + 2 u k in the frame
-    covector_residual: np.ndarray  # (m, n): du + k(Y, .)
     symmetry_defect: np.ndarray  # (m,): antisymmetric part of nabla Y
-    max_tensor: float
-    max_covector: float
+    max_tensor: float  # max |L_Y g + 2 u k| over the frame components
+    max_covector: float  # max |du + k(Y, .)|
 
 
 def killing_conditions_residual(data: InitialData, ls: LapseShift, pts: np.ndarray) -> KillingResiduals:
@@ -196,8 +192,6 @@ def killing_conditions_residual(data: InitialData, ls: LapseShift, pts: np.ndarr
     covector = du + np.einsum("mb,mab->ma", Yf, kf)
     sym_defect = np.max(np.abs(nablaY - np.swapaxes(nablaY, 1, 2)), axis=(1, 2))
     return KillingResiduals(
-        tensor_residual=tensor,
-        covector_residual=covector,
         symmetry_defect=sym_defect,
         max_tensor=float(np.max(np.abs(tensor))),
         max_covector=float(np.max(np.abs(covector))),
@@ -239,13 +233,13 @@ def killing_development(data: InitialData, ls: LapseShift, sample_points: np.nda
     return DevelopmentMetric(data=data, ls=ls)
 
 
-def riemann_norm(dm: DevelopmentMetric, point: np.ndarray, t: float = 0.0,
-                 step_metric: float = 1e-5, step_outer: float = 2e-4) -> float:
-    """Frobenius norm of the development's Riemann tensor at a spacetime point.
+def riemann_norm(dm: DevelopmentMetric, point: np.ndarray) -> float:
+    """Frobenius norm of the development's Riemann tensor at the point (0, x).
 
     Christoffel symbols come from central differences of the metric
-    evaluator; their derivatives from a second, wider stencil.  The
-    documented noise floor of the two nested differences is about 1e-6.
+    evaluator (step 1e-5); their derivatives from a second, wider stencil
+    (step 2e-4).  The documented noise floor of the two nested differences
+    is about 1e-6.
     """
     x0 = np.asarray(point, dtype=float)
 
@@ -253,7 +247,7 @@ def riemann_norm(dm: DevelopmentMetric, point: np.ndarray, t: float = 0.0,
         return dm.evaluate(z[0], z[1:])
 
     def christoffel4(z):
-        h = step_metric
+        h = 1e-5
         dg = np.zeros((4, 4, 4))
         for mu in range(4):
             dz = np.zeros(4)
@@ -264,8 +258,8 @@ def riemann_norm(dm: DevelopmentMetric, point: np.ndarray, t: float = 0.0,
         combo = np.transpose(dg, (0, 2, 1)) + dg - np.transpose(dg, (2, 1, 0))
         return 0.5 * np.einsum("ad,dbc->abc", ginv, combo)
 
-    z0 = np.concatenate([[t], x0])
-    h2 = step_outer
+    z0 = np.concatenate([[0.0], x0])
+    h2 = 2e-4
     gam0 = christoffel4(z0)
     dgam = np.zeros((4, 4, 4, 4))
     for mu in range(4):
@@ -317,4 +311,4 @@ def graph_slice_parallel_spinor(rep: CliffordRep, data: InitialData, c0: np.ndar
     def v_of_r(r):
         return np.sinh(0.5 * chi(r))[:, None] * (rep.tau @ c0)[None, :]
 
-    return mode_field(rep, data, u_of_r, v_of_r, fd_step=1e-6)
+    return mode_field(rep, data, u_of_r, v_of_r)

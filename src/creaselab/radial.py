@@ -125,12 +125,13 @@ def _spd_to_bulk_lift(rep: CliffordRep, data: InitialData, x) -> np.ndarray:
     return spin_lift(rep, rotation_between_frames(f.g, frame_from=spd_frame(data, f.x), frame_to=f.frame))
 
 
-def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, fd_step: float = 1e-6) -> SpinorField:
+def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r) -> SpinorField:
     """Bulk-frame spinor field of the separated form U(r) + (omega.Gamma) V(r).
 
     The mode profiles live in the symmetric-square-root gauge; components
     are rotated into the deterministic bulk frame pointwise through the
-    spin lift of the (small-angle) frame rotation.
+    spin lift of the (small-angle) frame rotation.  Frame derivatives are
+    central differences with the `SpinorField` default step.
     """
 
     def values(x):
@@ -143,7 +144,7 @@ def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, fd_step: flo
         c_spd = U + np.einsum("mIK,mK->mI", omg, V)
         return np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, data, pts), c_spd)
 
-    return SpinorField(rep=rep, values=values, cartesian_gradient=None, fd_step=fd_step, label="radial-mode")
+    return SpinorField(rep=rep, values=values)
 
 
 def mode_operator_values(rep: CliffordRep, side: SideCoefficients, r, U, dU, V, dV):
@@ -255,14 +256,13 @@ def _oracle_side(
     return op_defect, grad_defect
 
 
-def reduce_radial(cd: CreasedData, rep: CliffordRep,
-                  oracle_radii: int = 20, oracle_tol: float = 1e-8, seed: int = 712) -> RadialProblem:
+def reduce_radial(cd: CreasedData, rep: CliffordRep) -> RadialProblem:
     """Certified reduction of the transmission problem to its lowest angular mode.
 
     Requires spherically symmetric data on both sides and a constant
     hyperbolic angle.  The reduced operator and gradient-norm blocks are
-    validated against the full Dirac-Witten machinery at random radii and
-    directions before the problem is returned.
+    validated against the full Dirac-Witten machinery at 10 seeded random
+    radii and directions per side before the problem is returned.
     """
     if cd.minus.profile is None or cd.plus.profile is None:
         raise RadialError("reduce_radial needs spherically symmetric data (radial profiles)")
@@ -270,16 +270,16 @@ def reduce_radial(cd: CreasedData, rep: CliffordRep,
         raise RadialError("reduce_radial needs a constant hyperbolic angle on the crease")
     minus = SideCoefficients(data=cd.minus, r_lo=0.0, r_hi=cd.r0)
     plus = SideCoefficients(data=cd.plus, r_lo=cd.r0, r_hi=cd.plus.chart.r_max)
-    rng = np.random.default_rng(seed)
-    per_side = max(oracle_radii // 2, 3)
+    rng = np.random.default_rng(712)
+    per_side = 10
     defects = [_oracle_side(rep, s, rng, per_side) for s in (minus, plus)]
     op_defect = max(d[0] for d in defects)
     grad_defect = max(d[1] for d in defects)
     report = OracleReport(operator_defect=op_defect, gradient_defect=grad_defect,
                           radii_checked=2 * per_side)
-    if op_defect > oracle_tol:
+    if op_defect > 1e-8:
         raise ReductionOracleError(
-            f"radial reduction disagrees with the full operator: defect {op_defect:.3e} > {oracle_tol:.1e}"
+            f"radial reduction disagrees with the full operator: defect {op_defect:.3e} > 1e-8"
         )
     if grad_defect > 1e-6:
         raise ReductionOracleError(
@@ -351,7 +351,6 @@ class RadialGrid:
 @dataclass
 class AssembledSystem:
     problem: RadialProblem
-    grid: RadialGrid
     r_minus: np.ndarray
     r_plus: np.ndarray
     A: sp.csr_matrix  # weighted residual operator on free unknowns
@@ -566,7 +565,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     mass_form = sp.diags(np.concatenate(mass_diag), format="csr")
 
     system = AssembledSystem(
-        problem=problem, grid=grid, r_minus=r_m, r_plus=r_p, A=A, A_full=A_full,
+        problem=problem, r_minus=r_m, r_plus=r_p, A=A, A_full=A_full,
         S=S, b_dirichlet_cols=b_cols, transmission_block=_mode_rotation_blocks(rep, problem.angle),
         grad_form=grad_form, mass_form=mass_form,
         norm_weights=np.concatenate([w_m, w_p]), minus_prerotation=minus_prerotation,
@@ -591,7 +590,6 @@ class RadialSolution:
     solution_norm: float
     transmission_defect: float
     origin_defect: float
-    origin_slope: float
 
     @property
     def residual_norm(self) -> float:
@@ -665,13 +663,10 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     trace_minus = np.concatenate([um[-1], vm[-1]])
     trans_defect = float(np.max(np.abs(trace_minus - rot @ trace_plus)))
     origin_defect = float(np.max(np.abs(vm[0])))
-    h = system.r_minus[1] - system.r_minus[0]
-    slope = np.abs(-25 * um[0] + 48 * um[1] - 36 * um[2] + 16 * um[3] - 3 * um[4]) / (12 * h)
     return RadialSolution(
         system=system, psi_inf=psi_inf, u_minus=um, v_minus=vm, u_plus=up, v_plus=vp,
         residual_norm_minus=res_m, residual_norm_plus=res_p, solution_norm=sol_norm,
         transmission_defect=trans_defect, origin_defect=origin_defect,
-        origin_slope=float(np.max(slope)),
     )
 
 
@@ -706,13 +701,15 @@ def _simpson(vals: np.ndarray, h: float) -> float:
     return float(h / 3.0 * np.sum(coeff * vals))
 
 
-def mass_gap(sol: RadialSolution, mass: MassReport, tol: float = 1e-6) -> MassGapReport:
+def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
     """Witten mass-gap diagnostics of a radial solution.
 
     flux - bulk should be nonnegative (up to discretization) whenever the
     bulk dominant energy conditions and the DEC-crease condition hold; the
     crease term reproduces the boundary-term formula from the traces and
-    must then be nonpositive.
+    must then be nonpositive.  mu and J are evaluated once per side, at
+    every radial node placed on the x-axis (so |x| = r exactly); the matter
+    term integrates them and the bulk DEC check reads the same values.
     """
     system = sol.system
     problem = system.problem
@@ -721,6 +718,7 @@ def mass_gap(sol: RadialSolution, mass: MassReport, tol: float = 1e-6) -> MassGa
 
     dirichlet = 0.0
     matter = 0.0
+    mu_ok = True
     omega2 = unit_sphere_volume(3)
     for side, r, U, V in (
         (problem.minus, system.r_minus, sol.u_minus, sol.v_minus),
@@ -742,28 +740,15 @@ def mass_gap(sol: RadialSolution, mass: MassReport, tol: float = 1e-6) -> MassGa
         dens[0] = 0.0 if r[0] == 0.0 else dens[0]
         dirichlet += _simpson(dens, h)
 
-        # matter terms: mu |psi|^2 + <psi, J tau psi> against the volume
-        probe_r = rr.copy()
-        if r[0] == 0.0:
-            probe_r[0] = rr[1]
-        direction = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-        pts = probe_r[:, None] * direction[None, :]
-        margin = 3.0 * max(probe_r[1] - probe_r[0], 1e-3)
-        inside = (probe_r > side.data.chart.r_min + margin) & (
-            probe_r < min(side.data.chart.r_max, 1e30) - margin
-        )
-        mu = np.zeros(len(r))
-        jn = np.zeros(len(r))
-        if np.any(inside):
-            cons = constraint_fields(side.data, pts[inside])
-            mu[inside] = cons.mu
-            # radial covector component against the unit normal direction
-            nu_unit = direction / side.data.profile.A(probe_r[inside])[:, None]
-            jn[inside] = np.einsum("mi,mi->m", cons.J, nu_unit)
+        # matter terms: mu |psi|^2 + <psi, J tau psi> against the volume, J paired with the unit normal
+        f = PointFields(side.data, rr[:, None] * np.array([1.0, 0.0, 0.0]))
+        cons = constraint_fields(side.data, f)
+        mu_ok = mu_ok and bool(np.all(cons.mu >= cons.momentum_norm(side.data, f) - 1e-7))
+        jn = cons.J[:, 0] / side.data.profile.A(rr)
         psi_sq = (np.einsum("mI,mI->m", np.conj(U), U) + np.einsum("mI,mI->m", np.conj(V), V)).real
         tauU = np.einsum("IK,mK->mI", rep.tau, U)
         cross = 2.0 * np.einsum("mI,mI->m", np.conj(V), tauU).real  # <psi, (omega.Gamma) tau psi>
-        mdens = 0.5 * (mu * psi_sq + jn * cross) * vol
+        mdens = 0.5 * (cons.mu * psi_sq + jn * cross) * vol
         if r[0] == 0.0:
             mdens[0] = 0.0
         matter += _simpson(mdens, h)
@@ -779,23 +764,11 @@ def mass_gap(sol: RadialSolution, mass: MassReport, tol: float = 1e-6) -> MassGa
     area = omega2 * float(report.area_element[0])
     crease_term = -0.5 * area * (report.nu_component[0] * psi_sq_tr + report.tau_component[0] * eps_pair)
 
-    mu_ok = True
-    for side in (problem.minus, problem.plus):
-        lo = side.r_lo if side.r_lo > 0 else 0.1 * side.r_hi
-        hi = side.r_hi if math.isfinite(side.r_hi) else 10.0 * problem.cd.r0
-        rs = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 12)
-        pts = rs[:, None] * (np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0))[None, :]
-        cons = constraint_fields(side.data, pts)
-        jnorm = cons.momentum_norm(side.data, pts)
-        if np.any(cons.mu < jnorm - 1e-7):
-            mu_ok = False
     flags = {
         "bulk_dec": mu_ok,
         "dec_creased": bool(report.dec_creased),
         "gap_nonnegative_expected": bool(mu_ok and report.dec_creased),
     }
-    if flags["gap_nonnegative_expected"] and gap < -tol * (abs(flux) + 1.0):
-        flags["gap_violation"] = True
     return MassGapReport(
         flux_term=flux, bulk_term=bulk, dirichlet_part=dirichlet, matter_part=matter,
         gap=gap, crease_term=crease_term, min_crease_margin=report.min_margin,

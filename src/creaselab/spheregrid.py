@@ -18,9 +18,7 @@ import numpy as np
 class SphereGrid:
     """Product quadrature grid on S^2; weights integrate dOmega exactly."""
 
-    order: int
     ntheta: int
-    nphi: int
     theta: np.ndarray  # (N,) polar angle per node
     phi: np.ndarray  # (N,)
     nodes: np.ndarray  # (N, 3) unit vectors
@@ -67,9 +65,7 @@ def sphere_grid(order: int) -> SphereGrid:
     phi = np.tile(phi_1d, ntheta)
     weights = np.repeat(wx, nphi) * (2.0 * np.pi / nphi)
     return SphereGrid(
-        order=order,
         ntheta=ntheta,
-        nphi=nphi,
         theta=theta,
         phi=phi,
         nodes=unit_vectors(theta, phi),
@@ -87,19 +83,16 @@ def _sph_harm(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 class SphericalHarmonicFit:
     """Least-squares-free spectral fit of a smooth function on the sphere.
 
-    Coefficients come from quadrature projection on the Gauss-Legendre grid,
-    which is exact for band-limited input.  Tangential derivatives are the
-    analytic derivatives of the truncated expansion.
+    Coefficients of degree 0 .. ntheta - 2 come from quadrature projection
+    on the Gauss-Legendre grid, which is exact for band-limited input.
+    Tangential derivatives are the analytic derivatives of the truncated
+    expansion.
     """
 
-    def __init__(self, grid: SphereGrid, values: np.ndarray, lmax: int | None = None):
-        if lmax is None:
-            lmax = max(grid.ntheta - 2, 0)
-        self.grid = grid
-        self.lmax = int(lmax)
+    def __init__(self, grid: SphereGrid, values: np.ndarray):
         vals = np.asarray(values, dtype=complex)
         self._coeffs: dict[tuple[int, int], complex] = {}
-        for l in range(self.lmax + 1):
+        for l in range(grid.ntheta - 1):
             for m in range(-l, l + 1):
                 y = _sph_harm(l, m, grid.theta, grid.phi)
                 self._coeffs[(l, m)] = complex(grid.integrate(vals * np.conj(y)))

@@ -140,7 +140,6 @@ class SpinorField:
     values: Callable[[np.ndarray], np.ndarray]
     cartesian_gradient: Callable[[np.ndarray], np.ndarray] | None = None
     fd_step: float = 1e-6
-    label: str = ""
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.values(np.asarray(x, dtype=float)), dtype=complex)
@@ -160,7 +159,7 @@ class SpinorField:
         return np.swapaxes(np.stack(cols, axis=-2), -1, -2)
 
 
-def constant_spinor_field(rep: CliffordRep, components: np.ndarray, label: str = "constant") -> SpinorField:
+def constant_spinor_field(rep: CliffordRep, components: np.ndarray) -> SpinorField:
     """Constant components (..., I); leading axes batch several spinors."""
     comp = np.asarray(components, dtype=complex)
     if comp.shape[-1:] != (rep.dim,):
@@ -172,12 +171,10 @@ def constant_spinor_field(rep: CliffordRep, components: np.ndarray, label: str =
     def gradient(x):
         return np.zeros(comp.shape[:-1] + (np.shape(x)[0], rep.dim, rep.n), dtype=complex)
 
-    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient, label=label)
+    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)
 
 
-def polynomial_spinor_field(
-    rep: CliffordRep, coeffs: np.ndarray, exponents: np.ndarray, label: str = "polynomial"
-) -> SpinorField:
+def polynomial_spinor_field(rep: CliffordRep, coeffs: np.ndarray, exponents: np.ndarray) -> SpinorField:
     """Components c_I(x) = sum_t coeffs[..., I, t] * prod_i x_i^exponents[t, i]."""
     coeffs = np.asarray(coeffs, dtype=complex)
     exponents = np.asarray(exponents, dtype=int)
@@ -207,7 +204,7 @@ def polynomial_spinor_field(
         grad = (dmono.reshape(-1, nterms) @ coeffs_ri).view(complex)  # (..., m n, I)
         return np.swapaxes(grad.reshape(grad.shape[:-2] + (x.shape[0], n, rep.dim)), -1, -2)
 
-    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient, label=label)
+    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)
 
 
 def random_polynomial_field(
@@ -216,7 +213,6 @@ def random_polynomial_field(
     shape: tuple[int, ...],
     degree: int = 2,
     scale: float = 0.1,
-    label: str = "random-poly",
 ) -> SpinorField:
     """Random low-degree polynomial spinors, scaled so values stay order one.
 
@@ -232,12 +228,10 @@ def random_polynomial_field(
     damp = scale ** np.sum(exponents, axis=1)
     z = rng.normal(size=tuple(shape) + (2, rep.dim, len(exps)))  # real and imaginary parts
     coeffs = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) * damp
-    return polynomial_spinor_field(rep, coeffs, exponents, label=label)
+    return polynomial_spinor_field(rep, coeffs, exponents)
 
 
-def radial_bump_field(
-    rep: CliffordRep, components: np.ndarray, r_lo: float, r_hi: float, label: str = "bump"
-) -> SpinorField:
+def radial_bump_field(rep: CliffordRep, components: np.ndarray, r_lo: float, r_hi: float) -> SpinorField:
     """Constant spinor windowed by a Gaussian in radius, supported well inside [r_lo, r_hi]."""
     comp = np.asarray(components, dtype=complex)
     center = 0.5 * (r_lo + r_hi)
@@ -256,4 +250,4 @@ def radial_bump_field(
         om = x / r[:, None]
         return dwin[:, None, None] * comp[None, :, None] * om[:, None, :]
 
-    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient, label=label)
+    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)

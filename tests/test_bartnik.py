@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,8 +24,8 @@ MIAO_MARGIN = 0.5 * (1.0 - math.sqrt(0.5))
 @pytest.fixture(scope="module")
 def miao_pair():
     mc = miao_corner(1.0, 4.0)
-    bm = bartnik_from_data(mc.minus, mc.r0, order=16, side="minus")
-    bp = bartnik_from_data(mc.plus, mc.r0, order=16, side="plus")
+    bm = bartnik_from_data(mc.minus, mc.r0, order=16)
+    bp = bartnik_from_data(mc.plus, mc.r0, order=16)
     return mc, bm, bp
 
 
@@ -52,8 +53,8 @@ def test_rotation_preserves_causal_length(miao_pair):
 
 def test_beta_delta_trivial_and_gradient():
     tc = trivial_crease(2.0)
-    bm = bartnik_from_data(tc.minus, 2.0, order=12, side="minus")
-    bp = bartnik_from_data(tc.plus, 2.0, order=12, side="plus")
+    bm = bartnik_from_data(tc.minus, 2.0, order=12)
+    bp = bartnik_from_data(tc.plus, 2.0, order=12)
     assert np.max(np.abs(beta_delta(bm, bp, 0.7))) < 1e-14  # constant f
 
     ang = CreaseAngle.cos_theta(0.1)
@@ -102,6 +103,20 @@ def test_margin_gauge_invariance(miao_pair):
     rep1 = crease_margin(bm, bp, ang)
     rep2 = crease_margin(rotate_bartnik(bm, 0.35), bp, f - 0.35)
     assert np.max(np.abs(rep1.margin - rep2.margin)) < 1e-11
+
+
+@pytest.mark.parametrize("angle", [0.0, CreaseAngle.cos_theta(0.3)], ids=["constant", "cos_theta"])
+def test_argmin_node_is_stable_under_roundoff_noise(miao_pair, angle):
+    # the constant angle gives 288 margins equal up to roundoff, cos(theta) a ring of equal minima:
+    # noise of 1e-15 in H must not move the reported node
+    _, bm, bp = miao_pair
+    clean = crease_margin(bm, bp, angle).argmin_node
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        noisy = dataclasses.replace(bp, H=bp.H + 1e-15 * rng.normal(size=bp.size))
+        assert crease_margin(bm, noisy, angle).argmin_node == clean
+    if angle == 0.0:
+        assert clean == 0
 
 
 def test_flat_corner_margin_is_mean_curvature_jump(miao_pair):

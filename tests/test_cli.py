@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from creaselab import cli
+from creaselab.config import parse_config
 from creaselab.reports import NonFiniteReportError, render_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -108,6 +109,21 @@ def test_identities_report_is_byte_reproducible(tmp_path):
     report = json.loads(first)
     assert report["flags"] == {"clifford": True, "lsw": True, "crease_boundary": True}
     assert report["results"]["lsw"]["max_scaled_residual"] > 0.0
+
+
+def test_sphere_order_above_64_exits_2_before_any_computation(tmp_path, capsys, monkeypatch):
+    # the LSW batch of identities grows as the cube of the order: 64 peaks at 1.4 GiB, 128 would need about 13 GiB
+    def must_not_run(config, out_dir):
+        raise AssertionError("identities ran on a rejected config")
+
+    monkeypatch.setitem(cli.COMMANDS, "identities", must_not_run)
+    doc = yaml.safe_load(IDENTITIES_SMALL.read_text(encoding="utf-8"))
+    doc["quadrature"] = {"sphere_order": 65}
+    assert _run("identities", _write_config(tmp_path, "big.yaml", doc), tmp_path / "out") == 2
+    assert "sphere_order must be within 4..64" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    doc["quadrature"] = {"sphere_order": 64}
+    assert parse_config(yaml.safe_dump(doc)).sphere_order == 64
 
 
 def test_zero_spinors_exits_2(tmp_path, capsys):

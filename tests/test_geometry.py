@@ -128,7 +128,7 @@ def test_scalar_curvature_of_conformally_flat_metric():
 
     zero = minkowski_slice()
     data = InitialData(
-        n=3, chart=Chart("exterior", 0.0, math.inf), g=lambda x: (phi(x) ** 4)[:, None, None] * eye,
+        n=3, chart=Chart(0.0, math.inf), g=lambda x: (phi(x) ** 4)[:, None, None] * eye,
         k=zero.k, dg=dg, dk=zero.dk, d2g=d2g, label="conformally-flat",
     )
     pts = sample_points(np.random.default_rng(21), 30, 0.5, 3.0)

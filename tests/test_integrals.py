@@ -26,7 +26,6 @@ from creaselab.integrals import (
     flux_mass_pairing,
     lsw_residual,
     sen_derivatives,
-    sphere_integral,
     volume_quadrature,
     witten_flux,
 )
@@ -49,24 +48,19 @@ REP = build_rep(3)
 # sphere quadrature
 
 
-def test_sphere_integral_area():
-    val = sphere_integral(lambda x: np.ones(len(x)), 2.0, 8)
-    assert val == pytest.approx(16.0 * math.pi, abs=1e-12)
+def test_sphere_grid_area():
+    grid = sphere_grid(8)
+    assert 2.0**2 * grid.integrate(np.ones(grid.size)) == pytest.approx(16.0 * math.pi, abs=1e-12)
 
 
-def test_sphere_integral_odd_symmetry():
-    val = sphere_integral(lambda x: x[:, 2] / 2.0, 2.0, 8)
-    assert abs(val) < 1e-12
+def test_sphere_grid_odd_symmetry():
+    grid = sphere_grid(8)
+    assert abs(grid.integrate(grid.nodes[:, 2])) < 1e-12
 
 
-def test_sphere_integral_moment():
-    val = sphere_integral(lambda x: x[:, 2] ** 2, 1.0, 12)
-    assert val == pytest.approx(4.0 * math.pi / 3.0, abs=1e-10)
-
-
-def test_sphere_integral_rejects_nonfinite():
-    with pytest.raises(IntegralsError):
-        sphere_integral(lambda x: np.full(len(x), np.nan), 1.0, 8)
+def test_sphere_grid_moment():
+    grid = sphere_grid(12)
+    assert grid.integrate(grid.nodes[:, 2] ** 2) == pytest.approx(4.0 * math.pi / 3.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +458,7 @@ def test_lsw_identity_synthetic_full_terms():
         return out
 
     synth = InitialData(
-        n=3, chart=Chart("exterior", 0.0, math.inf), g=flat.g, dg=flat.dg,
+        n=3, chart=Chart(0.0, math.inf), g=flat.g, dg=flat.dg,
         k=kfun, dk=dkfun, d2g=flat.d2g, label="synthetic-k",
     )
     rng = np.random.default_rng(4)

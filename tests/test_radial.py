@@ -14,7 +14,7 @@ from creaselab.catalog import (
     trivial_crease,
 )
 from creaselab.cliffords import build_rep
-from creaselab.geometry import CreaseAngle, hypersurface_geometry
+from creaselab.geometry import ConstraintValues, CreaseAngle, PointFields, hypersurface_geometry
 from creaselab import integrals, radial
 from creaselab.integrals import adm_energy_momentum
 from creaselab.radial import (
@@ -239,7 +239,7 @@ def _with_extrinsic_curvature(problem):
     def side(s, a):
         p = s.data.profile
         profile = RadialProfile(
-            A=p.A, B=p.B, dA=p.dA, dB=p.dB,
+            A=p.A, B=p.B, dB=p.dB,
             kappa_n=lambda r: a / (1.0 + r**2),
             kappa_t=lambda r: -0.7 * a * r / (1.0 + r**2),
         )
@@ -435,6 +435,41 @@ def test_mass_gap_flags_violated_hypothesis():
     assert not gap.hypothesis_flags["gap_nonnegative_expected"]
 
 
+def test_mass_gap_evaluates_constraints_once_per_side(monkeypatch, trivial_problem):
+    sol = solve(assemble(trivial_problem, RadialGrid(n_minus=64, n_plus=128, r_max=12.0)), PSI_INF)
+    mass = adm_energy_momentum(trivial_problem.cd.plus, [4.0, 8.0, 12.0], order=12)
+    calls = []
+    original = radial.constraint_fields
+
+    def counting(data, x):
+        calls.append(data)
+        return original(data, x)
+
+    monkeypatch.setattr(radial, "constraint_fields", counting)
+    mass_gap(sol, mass)
+    assert calls == [trivial_problem.cd.minus, trivial_problem.cd.plus]
+
+
+def test_mass_gap_matter_term_integrates_every_node(monkeypatch, miao_problem):
+    # with mu = 1 and J = 0 the matter part is half the integral of |psi|^2 dV, the crease and origin nodes included
+    from scipy.integrate import simpson
+
+    sol = solve(assemble(miao_problem, RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), PSI_INF)
+    mass = adm_energy_momentum(miao_problem.cd.plus, [25.0, 50.0, 100.0], order=12)
+
+    def unit_mu(data, x):
+        m = len(x.x) if isinstance(x, PointFields) else len(x)
+        return ConstraintValues(mu=np.ones(m), J=np.zeros((m, 3)))
+
+    monkeypatch.setattr(radial, "constraint_fields", unit_mu)
+    expected = 0.0
+    for side, r, U, V in ((miao_problem.minus, sol.system.r_minus, sol.u_minus, sol.v_minus),
+                          (miao_problem.plus, sol.system.r_plus, sol.u_plus, sol.v_plus)):
+        psi_sq = np.sum(np.abs(U) ** 2 + np.abs(V) ** 2, axis=1)
+        expected += 0.5 * simpson(psi_sq * side.volume_factor(r) * 4.0 * math.pi, dx=r[1] - r[0])
+    assert mass_gap(sol, mass).matter_part == pytest.approx(expected, rel=1e-12)
+
+
 def test_truncation_study(miao_problem):
     gaps = []
     for rmax, n_plus in ((100.0, 256), (200.0, 512), (400.0, 1024)):
@@ -474,7 +509,7 @@ def test_poincare_perturbed_by_extrinsic_curvature(trivial_problem):
 
     def bump_profile(p):
         return RadialProfile(
-            A=p.A, B=p.B, dA=p.dA, dB=p.dB,
+            A=p.A, B=p.B, dB=p.dB,
             kappa_n=lambda r: eps / (1.0 + r**2),
             kappa_t=lambda r: eps / (1.0 + r**2),
         )
