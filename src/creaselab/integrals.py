@@ -1,43 +1,50 @@
 """Surface and volume quadrature for mass integrals and spinor identities.
 
 Implements the ADM energy-momentum integrals over coordinate spheres (flat
-area element and Euclidean normal, the standard convention), the spinor
-boundary integrand shared by the Witten flux and the integrated
-Lichnerowicz-Schrodinger-Weitzenbock identity, the Sen connection and
-Dirac-Witten operator in the deterministic bulk frame, and the crease
+area element and Euclidean normal, the standard convention), the Sen
+connection and Dirac-Witten operator in the deterministic bulk frame, the
+spinor flux shared by the Witten flux and the integrated
+Lichnerowicz-Schrodinger-Weitzenbock identity, and the crease
 boundary-term identity with its Cauchy-Schwarz bound.
 
-Boundary quantities are computed in the adapted sphere frame (shared
-tangential vectors, normal last), where the interface identification of
-the two sides' spinors is the identity matrix.  The generic outward-
-convention integrand
+A spinor boundary term takes one of two forms.  A bulk field -- the LSW
+test fields, the constant spinors of the Witten flux -- has analytic
+derivatives in every direction, so `spinor_flux` integrates the bulk form
+
+    Re<psi, nabla-bar_nu psi + nu . D_W psi>
+
+in the bulk frame, on one field bundle of the sphere nodes.  The crease
+traces are functions on the sphere only, so `crease_boundary_terms` uses
+the paper's outward-convention D^Sigma - H/2 form
 
     <psi, D psi - H/2 psi - 1/2[(tr k) nu - k(nu, t_a) t^a] tau psi>
 
-covers every use: the minus-side crease term takes nu = outward, the
-plus-side crease term takes nu = inward, and large coordinate spheres
-take nu = outward.
+in the adapted sphere frame (shared tangential vectors, normal last),
+where the interface identification of the two sides' spinors is the
+identity matrix; the minus side takes nu = outward and the plus side
+nu = inward, and the tangential derivatives are 4th-order angle stencils.
+For a bulk field the two forms differ by a tangential divergence, which
+integrates to zero over the sphere.
 
 Spinor operands may carry leading batch axes: components (..., m, I) on a
 point batch of m nodes (see `spinorfields`).  The metric, frames, spin
-coefficients, constraint fields, sphere frames and spin lifts depend only
-on the nodes, so each is computed once per point batch whatever the
-number of spinors, and every spinor result gains the same leading axes.
-Unbatched spinors give unbatched (scalar) results.  Each batch of nodes --
-the LSW volume grid, a sphere grid, each angle-stencil shift of it -- gets
-one `geometry.PointFields` bundle, built where the batch is made and
-passed to every function that works on those nodes: boundary_term_density
-hands its sphere nodes' bundle to hypersurface_geometry and to the sphere
-closure (for the spin-lift anchor) and returns that geometry, from which
-crease_boundary_terms reads the Bartnik data.  A bundle is dropped with its
-batch, and lsw_residual releases the constraint-only fields (d2g, dk,
-Gamma, g^-1) before the spinor arrays exist.
+coefficients and constraint fields depend only on the nodes, so each is
+computed once per point batch whatever the number of spinors, and every
+spinor result gains the same leading axes.  Unbatched spinors give
+unbatched (scalar) results.  Each batch of nodes -- the LSW volume grid,
+a sphere grid, each angle-stencil shift of it -- gets one
+`geometry.PointFields` bundle, built where the batch is made and passed
+to every function that works on those nodes: boundary_term_density hands
+its sphere nodes' bundle to hypersurface_geometry and returns that
+geometry, from which crease_boundary_terms reads the Bartnik data.  A
+bundle is dropped with its batch, and lsw_residual releases the
+constraint-only fields (d2g, dk, Gamma, g^-1) before the spinor arrays
+exist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 import math
 from typing import Callable, Sequence
 
@@ -56,7 +63,7 @@ from .geometry import (
     unit_sphere_volume,
 )
 from .spheregrid import SphereGrid, sphere_grid, theta_phi_tangents, unit_vectors
-from .spinorfields import SpinorField, anchored_spin_lift, rotation_between_frames
+from .spinorfields import SpinorField, constant_spinor_field
 
 
 class IntegralsError(GeometryError):
@@ -295,36 +302,10 @@ def dirac_witten_apply(data: InitialData, rep: CliffordRep, field: SpinorField, 
 
 
 # ---------------------------------------------------------------------------
-# boundary integrand on coordinate spheres (adapted sphere gauge)
+# crease boundary integrand: the D^Sigma - H/2 form in the adapted sphere gauge
 
 
 ANGLE_STEP = 3e-4  # tuned for the 4th-order angular stencil (truncation vs roundoff)
-
-
-def sphere_gauge_closure(data: InitialData, rep: CliffordRep, field: SpinorField, nodes: PointFields):
-    """Adapter: bulk-frame spinor components -> adapted sphere-frame components.
-
-    The bulk-to-sphere rotation sweeps through every angle over the sphere,
-    so the spin lift is anchored at the grid nodes, whose bundle `nodes`
-    gives the anchor rotation; the returned closure (see
-    `boundary_term_density`) accepts the bundles of the grid and of small
-    angular displacements of it, and reads the frames from them.
-    """
-
-    def bulk_to_sphere_rotation(f: PointFields):
-        return rotation_between_frames(f.g, frame_from=f.sphere.frame, frame_to=f.frame)
-
-    O_anchor = bulk_to_sphere_rotation(nodes)
-
-    def psi(theta, phi, fields):
-        if np.shape(theta)[0] != nodes.x.shape[0]:
-            raise IntegralsError("sphere-gauge closure evaluated off its anchor grid")
-        f = as_fields(data, fields)
-        sigma = anchored_spin_lift(rep, O_anchor, O_anchor if f is nodes else bulk_to_sphere_rotation(f))
-        c_b = field.evaluate(f.x)
-        return np.einsum("mji,...mj->...mi", np.conj(sigma), c_b)
-
-    return psi
 
 
 def boundary_term_density(
@@ -332,21 +313,19 @@ def boundary_term_density(
     rep: CliffordRep,
     r0: float,
     grid: SphereGrid,
-    sphere_trace: Callable[[PointFields], Callable[[np.ndarray, np.ndarray, PointFields], np.ndarray]],
-    nu_sign: int = 1,
+    trace: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    nu_sign: int,
 ):
-    """Per-node boundary integrand on |x| = r0, and the sphere's outward geometry hg there.
+    """Per-node D^Sigma - H/2 boundary integrand on |x| = r0, and the sphere's outward geometry hg there.
 
-    sphere_trace(nodes), called once with the grid nodes' field bundle,
-    returns psi_sphere(theta, phi, fields): the adapted sphere-frame
-    components (..., m, I) at the nodes r0 * omega(theta, phi), whose field
-    bundle `fields` it may read; the density gains the same leading axes.
-    Each angle-stencil batch's bundle is built once here and shared with
-    psi_sphere; the grid nodes' bundle also gives hg, whose area element
-    times grid.weights is the induced measure.  With nu = nu_sign * outward
-    unit normal, the density is the outward-convention combination
-    <psi, D psi - H/2 psi - 1/2[(tr k) nu - k(nu,t_a) t^a] tau psi>; H,
-    k(nu,.) and the boundary Dirac operator all use the signed normal.
+    trace(theta, phi) gives the adapted sphere-frame components (..., m, I)
+    at the nodes r0 * omega(theta, phi); the density gains the same leading
+    axes.  The tangential derivatives are 4th-order angle stencils, so the
+    trace is called once at the grid and at each of 8 shifted copies of it.
+    hg's area element times grid.weights is the induced measure.  With
+    nu = nu_sign * outward unit normal, the density is the outward-convention
+    combination <psi, D psi - H/2 psi - 1/2[(tr k) nu - k(nu,t_a) t^a] tau psi>;
+    H, k(nu,.) and the boundary Dirac operator all use the signed normal.
     """
     n = data.n
     if n != 3:
@@ -362,8 +341,7 @@ def boundary_term_density(
     trk = hg.trk
     beta = nu_sign * hg.beta
 
-    psi_sphere = sphere_trace(f)
-    c0 = np.asarray(psi_sphere(theta, phi, f), dtype=complex)
+    c0 = np.asarray(trace(theta, phi), dtype=complex)
 
     # tangential derivatives of the frame and of psi via 4th-order angle stencils;
     # the sum m2 - 8 m1 + 8 p1 - p2 is accumulated point by point, so a single
@@ -372,9 +350,8 @@ def boundary_term_density(
         t_sum = c_sum = None
         for d, w in ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0)):
             th, ph = angles(d)
-            f_d = PointFields(data, r0 * unit_vectors(th, ph))
-            t_d = f_d.sphere.tangent
-            c_d = np.asarray(psi_sphere(th, ph, f_d), dtype=complex)
+            t_d = PointFields(data, r0 * unit_vectors(th, ph)).sphere.tangent
+            c_d = np.asarray(trace(th, ph), dtype=complex)
             t_sum = t_d if t_sum is None else t_sum + w * t_d
             c_sum = c_d if c_sum is None else c_sum + w * c_d
         return t_sum / (12.0 * h[..., None, None]), c_sum / (12.0 * h[..., None])
@@ -422,40 +399,38 @@ def boundary_term_density(
     return density, hg
 
 
-def boundary_flux(data, rep, r0, order, sphere_trace, nu_sign=1):
-    """Integral of the boundary density over |x| = r0 (one value per batch member) and the sphere's geometry."""
-    grid = sphere_grid(order)
-    density, hg = boundary_term_density(data, rep, r0, grid, sphere_trace, nu_sign=nu_sign)
-    return np.sum(density * (hg.area_element * grid.weights), axis=-1), hg
-
-
 # ---------------------------------------------------------------------------
-# Witten flux
+# spinor flux through coordinate spheres (bulk form)
 
 
-@dataclass(frozen=True)
-class WittenFlux:
-    value: float | np.ndarray  # one entry per batch member of psi_inf
-    imag_part: float | np.ndarray
+def spinor_flux(data: InitialData, rep: CliffordRep, field: SpinorField, r: float, order: int, nu_sign: int = 1):
+    """Integral of Re<psi, nabla-bar_nu psi + nu . D_W psi> over |x| = r; one value per batch member.
+
+    nu = nu_sign * outward unit normal.  Every factor is read in the bulk
+    frame on one field bundle of the sphere grid's nodes, from the field's
+    analytic derivatives.  For a bulk field this is the D^Sigma - H/2 form
+    of `boundary_term_density` up to a tangential divergence, which
+    integrates to zero over the closed sphere.
+    """
+    grid = sphere_grid(order)
+    f = PointFields(data, r * grid.nodes)
+    hg = hypersurface_geometry(data, r, f)
+    nu = nu_sign * np.einsum("mai,mij,mj->ma", f.frame, f.g, hg.nu)  # nu_a = e_a . g . nu
+    c = field.evaluate(f.x)
+    sen = sen_derivatives(data, rep, field, f, values=c)
+    along = (sen @ nu[:, :, None])[..., 0]  # nabla-bar_nu psi
+    along += (np.einsum("ma,aIK->mIK", nu, rep.gamma) @ _gamma_contract(rep, sen)[..., None])[..., 0]
+    density = np.einsum("...mI,...mI->...m", np.conj(c), along).real
+    return density @ (hg.area_element * grid.weights)
 
 
-def witten_flux(data: InitialData, rep: CliffordRep, psi_inf: np.ndarray, r: float, order: int = 24) -> WittenFlux:
-    """Boundary spinor flux of asymptotically constant spinors (..., I) at radius r.
+def witten_flux(data: InitialData, rep: CliffordRep, psi_inf: np.ndarray, r: float, order: int = 24):
+    """Spinor flux of constant spinors (..., I) through |x| = r; the leading axes of psi_inf batch them.
 
     In the limit of large r this converges to
     (n-1) omega_{n-1} / 2 * (E |psi_inf|^2 - <psi_inf, P_i e^i tau psi_inf>).
     """
-    from .spinorfields import constant_spinor_field
-
-    data.chart.require(np.asarray([r]), what="flux sphere")
-    field = constant_spinor_field(rep, psi_inf)
-    val, _ = boundary_flux(data, rep, r, order, partial(sphere_gauge_closure, data, rep, field))
-    psi_inf = np.asarray(psi_inf, dtype=complex)
-    scale = np.einsum("...I,...I->...", np.conj(psi_inf), psi_inf).real
-    return WittenFlux(
-        value=real_checked(val, scale=scale, label="witten flux"),
-        imag_part=val.imag[()],
-    )
+    return spinor_flux(data, rep, constant_spinor_field(rep, psi_inf), r, order)
 
 
 def flux_mass_pairing(rep: CliffordRep, E: float, P: np.ndarray, psi_inf: np.ndarray) -> float:
@@ -481,7 +456,7 @@ def flux_fit_energy_momentum(data: InitialData, rep: CliffordRep, r: float, orde
     basis = np.eye(dim, dtype=complex)
     l, mdx = np.triu_indices(dim, k=1)
     spinors = np.concatenate([basis, basis[l] + basis[mdx], basis[l] + 1j * basis[mdx]])
-    F = witten_flux(data, rep, spinors, r, order=order).value / C
+    F = witten_flux(data, rep, spinors, r, order=order) / C
     diag, f_re, f_im = F[:dim], F[dim : dim + len(l)], F[dim + len(l) :]
 
     E_fit = float(np.mean(diag))
@@ -522,8 +497,8 @@ def lsw_residual(
 
     bulk = int (|nabla-bar psi|^2 - |D_W psi|^2 + 1/2 <psi, (mu + J tau) psi>) dV
     boundary = outward-convention spinor flux over the region boundary.
-    The residual vanishes for any smooth spinor; the achievable size is set
-    by the finite-difference and quadrature budget.
+    The residual vanishes for any smooth spinor; its size is set by the
+    volume and sphere quadrature.
     """
     if r_order is None:
         r_order = max(24, order)
@@ -552,15 +527,13 @@ def lsw_residual(
     del dw
     bulk = dirichlet - dirac_sq + matter_int
 
-    gauge = partial(sphere_gauge_closure, data, rep, field)
-    boundary, _ = boundary_flux(data, rep, float(region[-1]), order, gauge)
+    boundary = spinor_flux(data, rep, field, float(region[-1]), order)
     if region[0] == "annulus":
-        boundary = boundary + boundary_flux(data, rep, float(region[1]), order, gauge, nu_sign=-1)[0]
-    boundary_val = real_checked(boundary, scale=abs(bulk) + 1.0, label="LSW boundary")
+        boundary = boundary + spinor_flux(data, rep, field, float(region[1]), order, nu_sign=-1)
     return LswResult(
         bulk=bulk,
-        boundary=boundary_val,
-        residual=bulk - boundary_val,
+        boundary=boundary,
+        residual=bulk - boundary,
         dirichlet=dirichlet,
         dirac_sq=dirac_sq,
         matter=matter_int,
@@ -639,9 +612,9 @@ def crease_boundary_terms(
         raise TransmissionPreconditionError(float(np.max(defect)), TRANSMISSION_TOL)
 
     def one_side(data, trace, nu_sign):
-        # the trace ignores the bundles it is passed; the Bartnik data are the density's geometry
-        flux, hg = boundary_flux(data, rep, r0, order, lambda _: lambda th, ph, _f: trace(th, ph), nu_sign)
-        return flux, bartnik_data(grid, r0, hg)
+        # the Bartnik data are the density's geometry
+        density, hg = boundary_term_density(data, rep, r0, grid, trace, nu_sign)
+        return np.sum(density * (hg.area_element * grid.weights), axis=-1), bartnik_data(grid, r0, hg)
 
     i_minus, bm = one_side(cd.minus, pm, 1)
     i_plus, bp = one_side(cd.plus, psi_plus, -1)

@@ -756,8 +756,9 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
     bulk = dirichlet + matter
     gap = flux - bulk
 
-    # crease term from the boundary formula on the traces, which are spherically symmetric: one node suffices
-    report = crease_report_for(problem.cd, order=12)
+    # crease term from the boundary formula on the traces, which are spherically symmetric: one node
+    # suffices, so the report samples the smallest sphere grid
+    report = crease_report_for(problem.cd, order=4)
     Up, Vp = sol.u_plus[0], sol.v_plus[0]
     psi_sq_tr = float((np.vdot(Up, Up) + np.vdot(Vp, Vp)).real)
     eps_pair = 2.0 * float(np.vdot(Up, rep.tau @ Vp).real)

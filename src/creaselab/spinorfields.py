@@ -55,8 +55,9 @@ def _rotation_bivector(rep: CliffordRep, axis_scaled: np.ndarray) -> np.ndarray:
 def spin_lift(rep: CliffordRep, O: np.ndarray) -> np.ndarray:
     """Spinor rotation sigma with sigma Gamma_j sigma^{-1} = sum_i O_ij Gamma_i.
 
-    Three-dimensional only, and smooth in O away from half turns; use
-    `anchored_spin_lift` when rotations of arbitrary angle can occur.
+    Three-dimensional only, and smooth in O away from half turns, as the
+    small frame rotations of `radial` are; `anchored_spin_lift` lifts
+    rotations of any angle.
     """
     if rep.n != 3:
         raise SpinGaugeError("spin_lift implemented for spatial dimension 3")
@@ -120,7 +121,8 @@ def anchored_spin_lift(rep: CliffordRep, O_anchor: np.ndarray, O: np.ndarray) ->
 
     sigma(O) = sigma_any(O_anchor) * sigma_smooth(O_anchor^T O); the
     relative rotation stays near the identity inside difference stencils,
-    so the result is smooth there regardless of the anchor's angle.
+    so the result is smooth there regardless of the anchor's angle.  The
+    tests use it to put a bulk field into the adapted sphere gauge.
     """
     sigma0 = spin_lift_any(rep, O_anchor)
     rel = np.einsum("...ji,...jk->...ik", O_anchor, O)
