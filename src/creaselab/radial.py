@@ -35,6 +35,12 @@ approximation psi(r_max) = psi_inf of the decay condition) is solved by
 minimizing the quadrature-weighted residual norm over the affine space
 satisfying the constraints exactly, through a sparse LU factorization of
 the normal equations.
+
+The coefficients are real and reach the spinor index only through 1 and
+the real symmetric involution tau, so the problem is discretized on two
+tau-channels, tau -> diag(+1, -1), not I components: with P+- = (1 +- tau)/2
+the solution for psi_inf is the lift U = u_+ P_+ psi_inf + u_- P_- psi_inf
+(V alike) of the real channel solution (u_+, u_-) for the datum (1, 1).
 """
 
 from __future__ import annotations
@@ -348,30 +354,31 @@ class RadialGrid:
             raise RadialError("interval counts must be even (Simpson quadrature)")
 
 
+# tau on its eigenchannels (+, -): the spinor index of every assembled system
+CHANNEL_TAU = np.diag([1.0, -1.0])
+
+
 @dataclass
 class AssembledSystem:
+    """The problem on the tau-channels: the full vector is [U_-, V_-, U_+, V_+], each block node-major with
+    the channels (+, -) innermost (channel c of node j at block offset 2 j + c)."""
+
     problem: RadialProblem
     r_minus: np.ndarray
     r_plus: np.ndarray
     A: sp.csr_matrix  # weighted residual operator on free unknowns
     A_full: sp.csr_matrix  # ... on the full stacked vector
-    S: sp.csr_matrix  # full = S free + b_template psi_inf-components
-    b_dirichlet_cols: np.ndarray  # (L,I) template multiplying psi_inf
-    transmission_block: np.ndarray  # (2I, 2I) matrix mapping plus trace -> minus trace
+    S: sp.csr_matrix  # full = S free + b_template datum
+    b_dirichlet_cols: np.ndarray  # (L, 2) template multiplying the channel datum
+    transmission_block: np.ndarray  # (2 dim, 2 dim) spinor map plus trace -> minus trace
     grad_form: sp.csr_matrix  # |nabla-bar|^2 quadratic form on the full vector
     mass_form: sp.csr_matrix  # |psi/rho|^2 quadratic form (diagonal)
     norm_weights: np.ndarray  # residual-row quadrature weights (squared scale)
     minus_prerotation: float
     smallest_singular_value: float = 0.0
 
-    @property
-    def I(self) -> int:
-        return self.problem.rep.dim
-
     def layout(self):
-        I = self.I
-        Mm, Mp = len(self.r_minus), len(self.r_plus)
-        return I, Mm, Mp
+        return len(CHANNEL_TAU), len(self.r_minus), len(self.r_plus)
 
     def split_full(self, x: np.ndarray):
         I, Mm, Mp = self.layout()
@@ -382,17 +389,10 @@ class AssembledSystem:
         return um, vm, up, vp
 
 
-def _mode_rotation_blocks(rep: CliffordRep, f: float) -> np.ndarray:
-    """Transmission map on stacked (U, V): [[A, B tau], [B tau, A]]."""
-    I = rep.dim
-    A = math.cosh(0.5 * f)
-    B = math.sinh(0.5 * f)
-    out = np.zeros((2 * I, 2 * I))
-    out[:I, :I] = A * np.eye(I)
-    out[I:, I:] = A * np.eye(I)
-    out[:I, I:] = B * rep.tau.real
-    out[I:, :I] = B * rep.tau.real
-    return out
+def _rotation_blocks(tau: np.ndarray, f: float) -> np.ndarray:
+    """Transmission map on stacked (U, V): [[A, B tau], [B tau, A]], A = cosh(f/2), B = sinh(f/2)."""
+    A, B, eye = math.cosh(0.5 * f), math.sinh(0.5 * f), np.eye(len(tau))
+    return np.block([[A * eye, B * tau], [B * tau, A * eye]])
 
 
 def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float = 0.0) -> AssembledSystem:
@@ -408,10 +408,14 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     `minus_prerotation` reparametrizes the minus-side unknowns by a
     constant hyperbolic rotation; the assembled problem is mathematically
     identical, which the gauge-covariance tests exploit.
+    Only `transmission_block` is built on spinor components; the rest is on
+    the tau-channels, so rep.tau must be real, symmetric and square to 1.
     """
     grid.validate()
     rep = problem.rep
-    I = rep.dim
+    if np.abs(rep.tau - rep.tau.real.T).max() > 1e-14 or np.abs(rep.tau @ rep.tau - np.eye(rep.dim)).max() > 1e-14:
+        raise RadialError("the tau-channel split needs tau real, symmetric and squaring to 1")
+    tau, I = CHANNEL_TAU, len(CHANNEL_TAU)
     cd = problem.cd
     Mm, Mp = grid.n_minus + 1, grid.n_plus + 1
     r_m = np.linspace(0.0, cd.r0, Mm)
@@ -421,7 +425,6 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     if math.isfinite(cd.plus.chart.r_max) and grid.r_max > cd.plus.chart.r_max:
         raise RadialError("r_max outside the exterior chart")
 
-    tau = rep.tau.real
     tau_s = sp.csr_matrix(tau)
     comp = np.arange(I)
     one = (comp, comp, np.ones(I))
@@ -518,7 +521,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
 
     # transmission: minus trace (in possibly prerotated variables) from plus trace
     f_eff = problem.angle - minus_prerotation
-    R_eff = _mode_rotation_blocks(rep, f_eff)
+    R_eff = _rotation_blocks(tau, f_eff)
     trace_m = np.concatenate([u_m_tr + comp, v_m_tr + comp])
     trace_p = np.concatenate([u_p_tr + comp, v_p_tr + comp])
     # origin parity: V_-(0) = 0 in original variables; for prerotated unknowns
@@ -531,7 +534,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     c_vals = np.concatenate([R_eff.ravel(), parity.ravel()])
     coupled = c_vals != 0.0
 
-    # Dirichlet truncation at r_max: U_+(r_max) = psi_inf, V_+(r_max) = 0
+    # Dirichlet truncation at r_max: U_+(r_max) = datum, V_+(r_max) = 0
     is_free = np.ones(L, dtype=bool)
     is_free[np.concatenate([trace_m, v_m_0 + comp, u_p_end + comp, v_p_end + comp])] = False
     free = np.flatnonzero(is_free)
@@ -546,9 +549,8 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     # minus-side prerotation: residual rows act on original variables,
     # original = R0 (prerotated), applied blockwise on the minus side
     if minus_prerotation != 0.0:
-        top = sp.hstack([A0 * sp.identity(Mm * I), B0 * sp.kron(sp.identity(Mm), tau_s)])
-        bot = sp.hstack([B0 * sp.kron(sp.identity(Mm), tau_s), A0 * sp.identity(Mm * I)])
-        R0_big = sp.vstack([top, bot]).tocsr()
+        tau_big = sp.kron(sp.identity(Mm), tau_s)
+        R0_big = sp.bmat([[A0 * sp.identity(Mm * I), B0 * tau_big], [B0 * tau_big, A0 * sp.identity(Mm * I)]])
         T = sp.block_diag([R0_big, sp.identity(Lp)], format="csr")
         A_full = (A_full @ T).tocsr()
     A = (A_full @ S).tocsr()
@@ -566,7 +568,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
 
     system = AssembledSystem(
         problem=problem, r_minus=r_m, r_plus=r_p, A=A, A_full=A_full,
-        S=S, b_dirichlet_cols=b_cols, transmission_block=_mode_rotation_blocks(rep, problem.angle),
+        S=S, b_dirichlet_cols=b_cols, transmission_block=_rotation_blocks(rep.tau.real, problem.angle),
         grad_form=grad_form, mass_form=mass_form,
         norm_weights=np.concatenate([w_m, w_p]), minus_prerotation=minus_prerotation,
     )
@@ -617,17 +619,21 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     Minimizes the weighted residual norm over the affine constraint space
     through a sparse LU factorization of the normal equations, and records
     the smallest singular value of the reduced operator on the system.
+    One real solve for the channel datum (1, 1) is lifted through P+- psi_inf,
+    and each channel's residual rows are weighted by |P+- psi_inf| (no cross
+    terms: P_+ psi_inf and P_- psi_inf are orthogonal).
     """
+    rep = system.problem.rep
     psi_inf = np.asarray(psi_inf, dtype=complex)
-    if psi_inf.shape != (system.I,):
+    if psi_inf.shape != (rep.dim,):
         raise RadialError("psi_inf must be a single spinor")
-    b = system.b_dirichlet_cols @ psi_inf
+    parts = 0.5 * (psi_inf + CHANNEL_TAU.diagonal()[:, None] * (rep.tau @ psi_inf))  # rows P+ psi_inf, P- psi_inf
+    b = system.b_dirichlet_cols.sum(axis=1)
     rhs = -(system.A_full @ b)
 
-    N = (system.A.conj().T @ system.A).tocsc()
+    N = (system.A.T @ system.A).tocsc()
     lu = spla.splu(N)
-    bn = system.A.conj().T @ rhs
-    x = lu.solve(bn.real.astype(float)) + 1j * lu.solve(bn.imag.astype(float))
+    x = lu.solve(system.A.T @ rhs)
     # cheap full-rank diagnostic: inverse power iteration on N
     v = np.random.default_rng(0).normal(size=N.shape[0])
     v /= np.linalg.norm(v)
@@ -640,23 +646,21 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
         raise RadialError("direct solve produced non-finite values (rank deficiency?)")
 
     full = system.S @ x + b
-    res_vec = system.A_full @ full
     I, Mm, _ = system.layout()
+    res_vec = (system.A_full @ full) * np.tile(np.linalg.norm(parts, axis=1), system.A_full.shape[0] // I)
     um, vm, up, vp = system.split_full(full)
     if system.minus_prerotation != 0.0:
         # back to the original minus-side variables
-        R0 = _mode_rotation_blocks(system.problem.rep, system.minus_prerotation)
-        rotated = np.concatenate([um, vm], axis=1) @ R0.T  # (Mm, 2I)
+        rotated = np.concatenate([um, vm], axis=1) @ _rotation_blocks(CHANNEL_TAU, system.minus_prerotation).T
         um, vm = rotated[:, :I], rotated[:, I:]
-        full = np.concatenate([um.ravel(), vm.ravel(), up.ravel(), vp.ravel()])
+    um, vm, up, vp = (c @ parts for c in (um, vm, up, vp))
 
-    w_m = system.norm_weights[:Mm]
+    w_m, w_p = system.norm_weights[:Mm], system.norm_weights[Mm:]
     n_minus_rows = 2 * int(np.sum(w_m > 0)) * I
     res_m = float(np.linalg.norm(res_vec[:n_minus_rows]))
     res_p = float(np.linalg.norm(res_vec[n_minus_rows:]))
-    w_m, w_p = np.repeat(w_m, I), np.repeat(system.norm_weights[Mm:], I)
-    wfull = np.concatenate([w_m, w_m, w_p, w_p])
-    sol_norm = float(np.sqrt(np.sum(wfull * np.abs(full) ** 2)))
+    sol_norm = float(np.sqrt(np.sum(w_m[:, None] * (np.abs(um) ** 2 + np.abs(vm) ** 2))
+                             + np.sum(w_p[:, None] * (np.abs(up) ** 2 + np.abs(vp) ** 2))))
 
     rot = system.transmission_block
     trace_plus = np.concatenate([up[0], vp[0]])
@@ -787,8 +791,10 @@ def poincare_estimate(problem: RadialProblem, grid: RadialGrid) -> float:
     The quotient runs over the discrete constraint space with zero
     asymptotic datum; rho = sqrt(r^2 + (r0/2)^2) is the positive extension
     of the radial weight.  The estimate is the reciprocal square of the
-    constant in the weighted Poincare inequality.  ARPACK starts from a
-    fixed vector, so the estimate is reproducible to the last digit.
+    constant in the weighted Poincare inequality.  The forms are block diagonal
+    in the tau-channels, each spinor component a copy of one, so their
+    smallest eigenvalue is the spinor one.  ARPACK starts from a fixed
+    vector, so the estimate is reproducible to the last digit.
     """
     system = assemble(problem, grid)
     G = (system.S.T @ system.grad_form @ system.S).tocsc()

@@ -18,6 +18,7 @@ SOLVE_SMALL = CONFIGS / "solve-small.yaml"
 IDENTITIES_SMALL = CONFIGS / "identities-small.yaml"
 CREASE_CHECK_SMALL = CONFIGS / "crease-check-small.yaml"
 RIGIDITY_SMALL = CONFIGS / "rigidity-small.yaml"
+ADM_SMALL = CONFIGS / "adm-small.yaml"
 
 
 def _run(command, config_path, out_dir) -> int:
@@ -111,6 +112,18 @@ def test_identities_report_is_byte_reproducible(tmp_path):
     assert report["results"]["lsw"]["max_scaled_residual"] > 0.0
 
 
+def test_identities_crease_check_passes_when_the_crease_term_nearly_vanishes(tmp_path):
+    # m = 1e-9: the crease term is about 1e-7 of the one-sided integrals it is the sum of, so
+    # dividing the mismatch by |formula| + 1e-12 read 3.2e-7 against the 1e-8 tolerance
+    doc = yaml.safe_load(IDENTITIES_SMALL.read_text(encoding="utf-8"))
+    doc["catalog"]["params"]["m"] = 1e-9
+    assert _run("identities", _write_config(tmp_path, "tiny-mass.yaml", doc), tmp_path / "out") == 0
+    crease = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["results"]["crease_boundary"]
+    assert 0.0 < crease["max_abs_mismatch"] <= 1e-12
+    assert crease["max_relative_mismatch"] <= 1e-15
+    assert crease["bound_respected"]
+
+
 def test_sphere_order_above_64_exits_2_before_any_computation(tmp_path, capsys, monkeypatch):
     # the LSW batch of identities grows as the cube of the order: 64 peaks at 1.4 GiB, 128 would need about 13 GiB
     def must_not_run(config, out_dir):
@@ -181,7 +194,10 @@ def test_solve_with_crease_radius_beyond_200(tmp_path):
     assert all(report["flags"].values())
 
 
-@pytest.mark.parametrize("command,config", [("crease-check", CREASE_CHECK_SMALL), ("rigidity", RIGIDITY_SMALL)])
+@pytest.mark.parametrize(
+    "command,config",
+    [("crease-check", CREASE_CHECK_SMALL), ("rigidity", RIGIDITY_SMALL), ("adm", ADM_SMALL)],
+)
 def test_small_config_report_is_byte_reproducible(tmp_path, command, config):
     assert _run(command, config, tmp_path / "a") == 0
     assert _run(command, config, tmp_path / "b") == 0

@@ -18,10 +18,12 @@ from creaselab.geometry import ConstraintValues, CreaseAngle, PointFields, hyper
 from creaselab import integrals, radial
 from creaselab.integrals import adm_energy_momentum
 from creaselab.radial import (
+    CHANNEL_TAU,
     RadialError,
     RadialGrid,
     SideCoefficients,
     _oracle_side,
+    _rotation_blocks,
     assemble,
     derivative_matrix,
     mass_gap,
@@ -209,24 +211,24 @@ def test_assemble_trivial_crease_trace_continuity(trivial_problem):
 
 @pytest.mark.parametrize("prerotation", [0.0, 0.45])
 def test_constraint_map_satisfies_constraints(miao_problem, prerotation):
-    """S x + b psi_inf meets transmission, V_-(0) = 0 and the Dirichlet rows for every x."""
-    from creaselab.radial import _mode_rotation_blocks
-
+    """S x + b (1, 1) meets the channel transmission, V_-(0) = 0 and the Dirichlet rows for every x."""
     grid = RadialGrid(n_minus=64, n_plus=128, r_max=40.0)
     system = assemble(miao_problem, grid, minus_prerotation=prerotation)
     rng = np.random.default_rng(5)
     I, Mm, _ = system.layout()
-    R0 = _mode_rotation_blocks(REP, prerotation)
+    assert I == 2
+    R0 = _rotation_blocks(CHANNEL_TAU, prerotation)
+    R = _rotation_blocks(CHANNEL_TAU, miao_problem.angle)
     for _ in range(3):
-        x = rng.normal(size=system.S.shape[1]) + 1j * rng.normal(size=system.S.shape[1])
-        um, vm, up, vp = system.split_full(system.S @ x + system.b_dirichlet_cols @ PSI_INF)
+        x = rng.normal(size=system.S.shape[1])
+        um, vm, up, vp = system.split_full(system.S @ x + system.b_dirichlet_cols @ np.ones(I))
         original = np.concatenate([um, vm], axis=1) @ R0.T  # undo the minus prerotation
         um, vm = original[:, :I], original[:, I:]
         trace_minus = np.concatenate([um[-1], vm[-1]])
         trace_plus = np.concatenate([up[0], vp[0]])
-        assert np.max(np.abs(trace_minus - system.transmission_block @ trace_plus)) <= 1e-14
+        assert np.max(np.abs(trace_minus - R @ trace_plus)) <= 1e-14
         assert np.max(np.abs(vm[0])) <= 1e-14
-        assert np.max(np.abs(up[-1] - PSI_INF)) <= 1e-14
+        assert np.max(np.abs(up[-1] - 1.0)) <= 1e-14
         assert np.max(np.abs(vp[-1])) <= 1e-14
 
 
@@ -248,17 +250,18 @@ def _with_extrinsic_curvature(problem):
     return dataclasses.replace(problem, minus=side(problem.minus, 0.03), plus=side(problem.plus, 0.05))
 
 
-def _kron_side_blocks(side, r, skip_first):
-    """Reference build of one side's weighted residual rows and |nabla-bar|^2 form,
-    one kron/hstack block per term and one triple product per gradient block."""
+def _kron_side_blocks(side, r, skip_first, tau):
+    """Reference build of one side's weighted residual rows and |nabla-bar|^2 form on the
+    spinor index of the real involution tau (I = len(tau) components per node), one
+    kron/hstack block per term and one triple product per gradient block."""
     import scipy.sparse as sp
 
     from creaselab.geometry import unit_sphere_volume
     from creaselab.radial import _hat_weights
 
-    I = REP.dim
+    I = len(tau)
     eyeI = sp.identity(I, format="csr")
-    tau_s = sp.csr_matrix(REP.tau.real)
+    tau_s = sp.csr_matrix(tau)
     rr = np.where(r > 0, r, r[1])
     F = sp.diags(side.F(rr))
     FD = (F @ derivative_matrix(len(r), r[1] - r[0])).tocsr()
@@ -288,37 +291,42 @@ def _kron_side_blocks(side, r, skip_first):
     return residual, grad.tocsr()
 
 
-@pytest.mark.parametrize("prerotation", [0.0, 0.45])
-@pytest.mark.parametrize("n_minus,n_plus,r_max", [(64, 128, 40.0), (256, 1024, 400.0)])
-def test_assemble_matches_kron_reference(miao_problem, n_minus, n_plus, r_max, prerotation):
-    """The one-pass COO assembly equals the blockwise kron/hstack build."""
-    import scipy.sparse as sp
-
+def _kron_mass_diagonal(problem, system, I):
+    """Diagonal of the |psi/rho|^2 form with I components per node."""
     from creaselab.geometry import unit_sphere_volume
     from creaselab.radial import _hat_weights
 
-    problem = _with_extrinsic_curvature(miao_problem)
-    system = assemble(problem, RadialGrid(n_minus, n_plus, r_max), minus_prerotation=prerotation)
-    I, Mm, Mp = system.layout()
-    rows_m, Gm = _kron_side_blocks(problem.minus, system.r_minus, skip_first=True)
-    rows_p, Gp = _kron_side_blocks(problem.plus, system.r_plus, skip_first=False)
-    A_full = sp.block_diag([rows_m, rows_p], format="csr")
-    if prerotation:
-        a0, b0 = math.cosh(0.5 * prerotation), math.sinh(0.5 * prerotation)
-        tau_big = sp.kron(sp.identity(Mm), sp.csr_matrix(REP.tau.real))
-        R0 = sp.bmat([[a0 * sp.identity(Mm * I), b0 * tau_big], [b0 * tau_big, a0 * sp.identity(Mm * I)]])
-        A_full = A_full @ sp.block_diag([R0, sp.identity(2 * Mp * I)])
     mass = []
     for side, r in ((problem.minus, system.r_minus), (problem.plus, system.r_plus)):
         rr = np.where(r > 0, r, r[1])
         prof = side.data.profile
         w2 = _hat_weights(r, moment=2) * prof.A(rr) * prof.B(rr) ** 2 * unit_sphere_volume(3)
         mass.append(np.tile(np.repeat(w2 / (r**2 + (0.5 * problem.cd.r0) ** 2), I), 2))
+    return np.concatenate(mass)
+
+
+@pytest.mark.parametrize("prerotation", [0.0, 0.45])
+@pytest.mark.parametrize("n_minus,n_plus,r_max", [(64, 128, 40.0), (256, 1024, 400.0)])
+def test_assemble_matches_kron_reference(miao_problem, n_minus, n_plus, r_max, prerotation):
+    """The one-pass COO assembly equals the blockwise kron/hstack build on the tau-channels."""
+    import scipy.sparse as sp
+
+    problem = _with_extrinsic_curvature(miao_problem)
+    system = assemble(problem, RadialGrid(n_minus, n_plus, r_max), minus_prerotation=prerotation)
+    I, Mm, Mp = system.layout()
+    rows_m, Gm = _kron_side_blocks(problem.minus, system.r_minus, True, CHANNEL_TAU)
+    rows_p, Gp = _kron_side_blocks(problem.plus, system.r_plus, False, CHANNEL_TAU)
+    A_full = sp.block_diag([rows_m, rows_p], format="csr")
+    if prerotation:
+        a0, b0 = math.cosh(0.5 * prerotation), math.sinh(0.5 * prerotation)
+        tau_big = sp.kron(sp.identity(Mm), sp.csr_matrix(CHANNEL_TAU))
+        R0 = sp.bmat([[a0 * sp.identity(Mm * I), b0 * tau_big], [b0 * tau_big, a0 * sp.identity(Mm * I)]])
+        A_full = A_full @ sp.block_diag([R0, sp.identity(2 * Mp * I)])
     reference = {
         "A_full": A_full,
         "A": A_full @ system.S,
         "grad_form": sp.block_diag([Gm, Gp]),
-        "mass_form": sp.diags(np.concatenate(mass), format="csr"),
+        "mass_form": sp.diags(_kron_mass_diagonal(problem, system, I), format="csr"),
     }
     assert Gm.nnz and abs(Gm).max() > 0.0
     for name, want in reference.items():
@@ -326,6 +334,99 @@ def test_assemble_matches_kron_reference(miao_problem, n_minus, n_plus, r_max, p
         assert got.shape == want.shape, name
         # entrywise: a relative bound on the largest entry would hide the small tau blocks
         assert (abs(got - want) - 1e-14 * abs(want)).max() <= 0.0, name
+
+
+def _spinor_reference(problem, system):
+    """The 4-component system on `system`'s nodes, built with REP.tau in the original variables.
+
+    Returns the residual rows, the number of minus-side rows, the gradient and
+    mass forms and the constraint rows C with their datum template D: the
+    constraints are C x = D psi_inf (transmission, V_-(0) = 0, U_+(r_max) = psi_inf,
+    V_+(r_max) = 0).
+    """
+    import scipy.sparse as sp
+
+    tau, I = REP.tau.real, REP.dim
+    rows_m, Gm = _kron_side_blocks(problem.minus, system.r_minus, True, tau)
+    rows_p, Gp = _kron_side_blocks(problem.plus, system.r_plus, False, tau)
+    Mm, Mp = len(system.r_minus), len(system.r_plus)
+    Lm = 2 * Mm * I
+    L = Lm + 2 * Mp * I
+
+    def at(block, node):
+        return block + node * I + np.arange(I)
+
+    trace_m = np.concatenate([at(0, Mm - 1), at(Mm * I, Mm - 1)])
+    trace_p = np.concatenate([at(Lm, 0), at(Lm + Mp * I, 0)])
+    C = np.zeros((5 * I, L))
+    C[: 2 * I, trace_m] = np.eye(2 * I)
+    C[: 2 * I, trace_p] = -_rotation_blocks(tau, problem.angle)
+    for k, idx in enumerate((at(Mm * I, 0), at(Lm, Mp - 1), at(Lm + Mp * I, Mp - 1))):
+        C[(2 + k) * I + np.arange(I), idx] = 1.0
+    D = np.zeros((5 * I, I))
+    D[3 * I : 4 * I] = np.eye(I)
+    A_full = sp.block_diag([rows_m, rows_p], format="csr").toarray()
+    grad = sp.block_diag([Gm, Gp]).toarray()
+    return A_full, rows_m.shape[0], grad, _kron_mass_diagonal(problem, system, I), C, D
+
+
+@pytest.mark.parametrize("prerotation", [0.0, 0.45])
+def test_solve_matches_spinor_component_least_squares(miao_problem, prerotation):
+    """One channel solve lifted by P+- psi_inf equals the 4-component constrained least squares."""
+    import scipy.linalg as sla
+
+    problem = _with_extrinsic_curvature(miao_problem)
+    system = assemble(problem, RadialGrid(n_minus=64, n_plus=64, r_max=40.0), minus_prerotation=prerotation)
+    A_full, n_minus_rows, _, _, C, D = _spinor_reference(problem, system)
+    rng = np.random.default_rng(11)
+    data = [
+        PSI_INF,
+        rng.normal(size=4) + 1j * rng.normal(size=4),
+        np.array([1.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0),  # tau-eigenvector, eigenvalue +1
+    ]
+    assert np.allclose(REP.tau @ data[2], data[2])
+    # minimize |A_full x| over C x = D psi_inf: x = x0 + Z y with Z spanning the kernel of C
+    Z = sla.null_space(C)
+    x0 = np.linalg.lstsq(C, D @ np.array(data).T, rcond=None)[0]
+    X = x0 + Z @ np.linalg.lstsq(A_full @ Z, -(A_full @ x0), rcond=None)[0]
+    Mm = len(system.r_minus)
+    for psi_inf, x in zip(data, X.T):
+        sol = solve(system, psi_inf)
+        um, vm = x[: Mm * 4].reshape(Mm, 4), x[Mm * 4 : 2 * Mm * 4].reshape(Mm, 4)
+        up, vp = x[2 * Mm * 4 :].reshape(2, -1, 4)
+        scale = np.max(np.abs(x))
+        for got, want in ((sol.u_minus, um), (sol.v_minus, vm), (sol.u_plus, up), (sol.v_plus, vp)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * scale
+        res = A_full @ x
+        assert sol.residual_norm_minus == pytest.approx(np.linalg.norm(res[:n_minus_rows]), rel=1e-9)
+        assert sol.residual_norm_plus == pytest.approx(np.linalg.norm(res[n_minus_rows:]), rel=1e-9)
+        assert sol.transmission_defect <= 1e-13 and sol.origin_defect <= 1e-13
+
+
+def test_poincare_matches_spinor_component_eigenvalue(miao_problem):
+    """The channel forms' smallest eigenvalue is the 4-component one on the constraint space."""
+    import scipy.linalg as sla
+
+    problem = _with_extrinsic_curvature(miao_problem)
+    grid = RadialGrid(n_minus=64, n_plus=128, r_max=40.0)
+    _, _, grad, mass, C, _ = _spinor_reference(problem, assemble(problem, grid))
+    Z = sla.null_space(C)
+    lam = sla.eigh(Z.T @ grad @ Z, (Z.T * mass) @ Z, eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert poincare_estimate(problem, grid) == pytest.approx(lam, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda t: 1j * t,  # not real
+        lambda t: t + np.triu(np.ones_like(t), 1),  # not symmetric
+        lambda t: 2.0 * t,  # not an involution
+    ],
+)
+def test_assemble_rejects_tau_without_channel_split(miao_problem, tamper):
+    rep = dataclasses.replace(REP, tau=tamper(REP.tau))
+    with pytest.raises(RadialError, match="tau"):
+        assemble(dataclasses.replace(miao_problem, rep=rep), RadialGrid(n_minus=64, n_plus=64, r_max=40.0))
 
 
 def test_grid_validation():
