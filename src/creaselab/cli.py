@@ -190,10 +190,9 @@ def cmd_solve(config: RunConfig, out_dir: str):
     _require_radii_in_chart(config, cd.plus)
     rep = build_rep(3)
     problem = reduce_radial(cd, rep)
-    system = assemble(problem, grid)
     psi_inf = np.zeros(rep.dim, dtype=complex)
     psi_inf[0] = 1.0
-    sol = solve(system, psi_inf)
+    sol = solve(assemble(problem, grid), psi_inf)
     mass = adm_energy_momentum(cd.plus, config.radii, order=config.sphere_order)
     gap = mass_gap(sol, mass)
     # the Poincare check compares a grid of 128..512 intervals per side with
@@ -216,7 +215,7 @@ def cmd_solve(config: RunConfig, out_dir: str):
             "residual_norm": sol.residual_norm,
             "transmission_defect": sol.transmission_defect,
             "origin_defect": sol.origin_defect,
-            "smallest_singular_value": system.smallest_singular_value,
+            "smallest_singular_value": sol.smallest_singular_value,
         },
         "mass": mass.to_dict(),
         # closure: the gap identity's defect, unnormalized so a zero flux keeps it finite

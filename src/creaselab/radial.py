@@ -37,10 +37,11 @@ satisfying the constraints exactly, through a sparse LU factorization of
 the normal equations.
 
 The coefficients are real and reach the spinor index only through 1 and
-the real symmetric involution tau, so the problem is discretized on two
-tau-channels, tau -> diag(+1, -1), not I components: with P+- = (1 +- tau)/2
-the solution for psi_inf is the lift U = u_+ P_+ psi_inf + u_- P_- psi_inf
-(V alike) of the real channel solution (u_+, u_-) for the datum (1, 1).
+the real symmetric involution tau, so the problem is discretized on one real
+scalar channel, tau -> 1, not I components: since tau^2 = 1 the substitution
+U = u psi_inf, V = v tau psi_inf turns every equation and constraint into the
+channel one times psi_inf or tau psi_inf, and the solution for psi_inf is that
+lift of the channel solution (u, v) for the datum 1.
 """
 
 from __future__ import annotations
@@ -354,39 +355,30 @@ class RadialGrid:
             raise RadialError("interval counts must be even (Simpson quadrature)")
 
 
-# tau on its eigenchannels (+, -): the spinor index of every assembled system
-CHANNEL_TAU = np.diag([1.0, -1.0])
-
-
-@dataclass
+@dataclass(frozen=True)
 class AssembledSystem:
-    """The problem on the tau-channels: the full vector is [U_-, V_-, U_+, V_+], each block node-major with
-    the channels (+, -) innermost (channel c of node j at block offset 2 j + c)."""
+    """The problem on the scalar channel tau -> 1: the full vector is [u_-, v_-, u_+, v_+], one value per node."""
 
     problem: RadialProblem
     r_minus: np.ndarray
     r_plus: np.ndarray
     A: sp.csr_matrix  # weighted residual operator on free unknowns
     A_full: sp.csr_matrix  # ... on the full stacked vector
-    S: sp.csr_matrix  # full = S free + b_template datum
-    b_dirichlet_cols: np.ndarray  # (L, 2) template multiplying the channel datum
+    S: sp.csr_matrix  # full = S free + b_dirichlet
+    b_dirichlet: np.ndarray  # (L,) full vector of the datum 1 at r_max, zero elsewhere
     transmission_block: np.ndarray  # (2 dim, 2 dim) spinor map plus trace -> minus trace
-    grad_form: sp.csr_matrix  # |nabla-bar|^2 quadratic form on the full vector
-    mass_form: sp.csr_matrix  # |psi/rho|^2 quadratic form (diagonal)
+    grad_rows: sp.csr_matrix  # P, Q, Pt, Qt rows of both sides on the full vector
+    grad_weights: np.ndarray  # their quadrature weights: |nabla-bar|^2 = B^T diag(grad_weights) B
+    mass_diag: np.ndarray  # |psi/rho|^2 form (diagonal) on the full vector
     norm_weights: np.ndarray  # residual-row quadrature weights (squared scale)
     minus_prerotation: float
-    smallest_singular_value: float = 0.0
 
     def layout(self):
-        return len(CHANNEL_TAU), len(self.r_minus), len(self.r_plus)
+        return len(self.r_minus), len(self.r_plus)
 
     def split_full(self, x: np.ndarray):
-        I, Mm, Mp = self.layout()
-        um = x[: Mm * I].reshape(Mm, I)
-        vm = x[Mm * I : 2 * Mm * I].reshape(Mm, I)
-        up = x[2 * Mm * I : 2 * Mm * I + Mp * I].reshape(Mp, I)
-        vp = x[2 * Mm * I + Mp * I :].reshape(Mp, I)
-        return um, vm, up, vp
+        Mm, Mp = self.layout()
+        return np.split(x, np.cumsum([Mm, Mm, Mp]))
 
 
 def _rotation_blocks(tau: np.ndarray, f: float) -> np.ndarray:
@@ -408,14 +400,15 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     `minus_prerotation` reparametrizes the minus-side unknowns by a
     constant hyperbolic rotation; the assembled problem is mathematically
     identical, which the gauge-covariance tests exploit.
-    Only `transmission_block` is built on spinor components; the rest is on
-    the tau-channels, so rep.tau must be real, symmetric and square to 1.
+    Only `transmission_block` is built on spinor components; the rest is the
+    scalar channel tau -> 1, so rep.tau must be real, symmetric and square to 1.
+    The Poincare forms are left as their factors, the gradient rows with their
+    weights and the mass diagonal, for `poincare_estimate` to form.
     """
     grid.validate()
     rep = problem.rep
     if np.abs(rep.tau - rep.tau.real.T).max() > 1e-14 or np.abs(rep.tau @ rep.tau - np.eye(rep.dim)).max() > 1e-14:
         raise RadialError("the tau-channel split needs tau real, symmetric and squaring to 1")
-    tau, I = CHANNEL_TAU, len(CHANNEL_TAU)
     cd = problem.cd
     Mm, Mp = grid.n_minus + 1, grid.n_plus + 1
     r_m = np.linspace(0.0, cd.r0, Mm)
@@ -425,12 +418,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     if math.isfinite(cd.plus.chart.r_max) and grid.r_max > cd.plus.chart.r_max:
         raise RadialError("r_max outside the exterior chart")
 
-    tau_s = sp.csr_matrix(tau)
-    comp = np.arange(I)
-    one = (comp, comp, np.ones(I))
-    tau_nz = np.nonzero(tau)
-    tau_c = (*tau_nz, tau[tau_nz])
-    Lm, Lp = 2 * Mm * I, 2 * Mp * I
+    Lm, Lp = 2 * Mm, 2 * Mp
     L = Lm + Lp
 
     def scale_rows(mat, weights):
@@ -460,102 +448,88 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
             return np.arange(K), keep, d
 
         def block_rows(*eqs):
-            """CSR of the equations' rows, K I each, over the full vector.
+            """CSR of the equations' rows, K each, over the full vector.
 
-            Each equation is a list of (column half U/V, node matrix as a COO
-            triple, I x I factor as a COO triple); each term enters as the
-            Kronecker product of its factors, and duplicate entries add up.
+            Each equation is a list of (column half u/v, node matrix as a COO
+            triple); duplicate entries add up.
             """
             rows, cols, vals = [], [], []
             for eq, terms in enumerate(eqs):
-                for half, (xr, xc, xv), (sa, sb, sv) in terms:
-                    rows.append((((eq * K + xr) * I)[:, None] + sa).ravel())
-                    cols.append(((col0 + (half * M + xc) * I)[:, None] + sb).ravel())
-                    vals.append((xv[:, None] * sv).ravel())
+                for half, (xr, xc, xv) in terms:
+                    rows.append(eq * K + xr)
+                    cols.append(col0 + half * M + xc)
+                    vals.append(xv)
             out = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(len(eqs) * K * I, L),
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(len(eqs) * K, L)
             )
             out.eliminate_zeros()
             return out
 
         trk = diag(0.5 * side.trk(rk))
-        # r1 = F V' + ell V + (trk/2) tau U ; r2 = F U' - m_c U + (trk/2) tau V
+        # r1 = F v' + ell v + (trk/2) u ; r2 = F u' - m_c u + (trk/2) v
         residual = block_rows(
-            [(0, trk, tau_c), (1, FD, one), (1, diag(side.ell(rk)), one)],
-            [(0, FD, one), (0, diag(-side.m_c(rk)), one), (1, trk, tau_c)],
+            [(0, trk), (1, FD), (1, diag(side.ell(rk)))],
+            [(0, FD), (0, diag(-side.m_c(rk))), (1, trk)],
         )
-        w_rows = np.repeat(w[keep], I)
-        residual = scale_rows(residual, np.tile(np.sqrt(w_rows), 2))
+        residual = scale_rows(residual, np.tile(np.sqrt(w[keep]), 2))
 
         p = side.data.profile
         kn = diag(0.5 * p.kappa_n(rk))
         kt = diag(0.5 * p.kappa_t(rk))
-        # P = F U' + kn tau V, Q = kn tau U + F V', Pt = kt tau U + gr V, Qt = muh U - kt tau V
+        # P = F u' + kn v, Q = kn u + F v', Pt = kt u + gr v, Qt = muh u - kt v
         grad_rows = block_rows(
-            [(0, FD, one), (1, kn, tau_c)],
-            [(0, kn, tau_c), (1, FD, one)],
-            [(0, kt, tau_c), (1, diag(side.G(rk) / rk - 0.5 * side.mu_c(rk)), one)],
-            [(0, diag(0.5 * side.mu_c(rk)), one), (1, diag(-0.5 * p.kappa_t(rk)), tau_c)],
+            [(0, FD), (1, kn)],
+            [(0, kn), (1, FD)],
+            [(0, kt), (1, diag(side.G(rk) / rk - 0.5 * side.mu_c(rk)))],
+            [(0, diag(0.5 * side.mu_c(rk))), (1, diag(-0.5 * p.kappa_t(rk)))],
         )
         n1 = float(side.data.n - 1)
-        return residual, grad_rows, np.concatenate([w_rows, w_rows, n1 * w_rows, n1 * w_rows]), w
+        return residual, grad_rows, np.concatenate([w[keep], w[keep], n1 * w[keep], n1 * w[keep]]), w
 
     rows_m, grad_m, gw_m, w_m = side_blocks(problem.minus, r_m, skip_first=True, col0=0)
     rows_p, grad_p, gw_p, w_p = side_blocks(problem.plus, r_p, skip_first=False, col0=Lm)
     A_full = sp.vstack([rows_m, rows_p], format="csr")
-    # |nabla-bar|^2 form B^T W B over both sides, B the stacked gradient rows
-    B = sp.vstack([grad_m, grad_p], format="csr")
-    del grad_m, grad_p
-    grad_form = (scale_rows(B.copy(), np.concatenate([gw_m, gw_p])).T @ B).tocsr()
-    del B
 
     # ---- constraint elimination ------------------------------------------
-    # full vector layout: [U_-, V_-, U_+, V_+] node-major inside each block.
+    # full vector layout: [u_-, v_-, u_+, v_+], one value per node.
     # Eliminated unknowns are affine in the free ones: S = diag(is_free) + C on
     # the free columns, with C the couplings of the eliminated unknowns.
-    u_m_tr, v_m_tr = (Mm - 1) * I, (2 * Mm - 1) * I  # minus trace
-    u_p_tr, v_p_tr = Lm, Lm + Mp * I  # plus trace
-    u_m_0, v_m_0 = 0, Mm * I  # origin
-    u_p_end, v_p_end = Lm + (Mp - 1) * I, Lm + (2 * Mp - 1) * I  # r_max
+    trace_m = np.array([Mm - 1, 2 * Mm - 1])  # minus trace (u, v)
+    trace_p = np.array([Lm, Lm + Mp])  # plus trace
+    u_m_0, v_m_0 = 0, Mm  # origin
+    end_p = np.array([Lm + Mp - 1, L - 1])  # r_max
 
     # transmission: minus trace (in possibly prerotated variables) from plus trace
-    f_eff = problem.angle - minus_prerotation
-    R_eff = _rotation_blocks(tau, f_eff)
-    trace_m = np.concatenate([u_m_tr + comp, v_m_tr + comp])
-    trace_p = np.concatenate([u_p_tr + comp, v_p_tr + comp])
-    # origin parity: V_-(0) = 0 in original variables; for prerotated unknowns
-    # A0 Vt(0) + B0 tau Ut(0) = 0  =>  Vt(0) = -(B0/A0) tau Ut(0)
-    A0 = math.cosh(0.5 * minus_prerotation)
-    B0 = math.sinh(0.5 * minus_prerotation)
-    parity = (-B0 / A0) * tau
-    c_rows = np.concatenate([np.repeat(trace_m, 2 * I), np.repeat(v_m_0 + comp, I)])
-    c_cols = np.concatenate([np.tile(trace_p, 2 * I), np.tile(u_m_0 + comp, I)])
-    c_vals = np.concatenate([R_eff.ravel(), parity.ravel()])
+    # on the channel tau -> 1 the map is the 2 x 2 [[cosh, sinh], [sinh, cosh]] on (u, v)
+    R_eff = _rotation_blocks(np.eye(1), problem.angle - minus_prerotation)
+    # origin parity: v_-(0) = 0 in original variables (u, v) = R0 (ut, vt); for prerotated unknowns
+    # R0[1, 0] ut(0) + R0[1, 1] vt(0) = 0  =>  vt(0) = -(R0[1, 0] / R0[1, 1]) ut(0)
+    R0 = _rotation_blocks(np.eye(1), minus_prerotation)
+    c_rows = np.append(np.repeat(trace_m, 2), v_m_0)
+    c_cols = np.append(np.tile(trace_p, 2), u_m_0)
+    c_vals = np.append(R_eff.ravel(), -R0[1, 0] / R0[1, 1])
     coupled = c_vals != 0.0
 
-    # Dirichlet truncation at r_max: U_+(r_max) = datum, V_+(r_max) = 0
+    # Dirichlet truncation at r_max: u_+(r_max) = 1, v_+(r_max) = 0
     is_free = np.ones(L, dtype=bool)
-    is_free[np.concatenate([trace_m, v_m_0 + comp, u_p_end + comp, v_p_end + comp])] = False
+    is_free[np.concatenate([trace_m, [v_m_0], end_p])] = False
     free = np.flatnonzero(is_free)
     free_col = np.cumsum(is_free) - 1  # column of each free unknown in S
     S_rows = np.concatenate([free, c_rows[coupled]])
     S_cols = free_col[np.concatenate([free, c_cols[coupled]])]
     S_vals = np.concatenate([np.ones(len(free)), c_vals[coupled]])
     S = sp.csr_matrix((S_vals, (S_rows, S_cols)), shape=(L, len(free)))
-    b_cols = np.zeros((L, I))
-    b_cols[u_p_end + comp, comp] = 1.0
+    b_dirichlet = np.zeros(L)
+    b_dirichlet[end_p[0]] = 1.0
 
     # minus-side prerotation: residual rows act on original variables,
-    # original = R0 (prerotated), applied blockwise on the minus side
+    # original = R0 (prerotated), applied nodewise on the minus side
     if minus_prerotation != 0.0:
-        tau_big = sp.kron(sp.identity(Mm), tau_s)
-        R0_big = sp.bmat([[A0 * sp.identity(Mm * I), B0 * tau_big], [B0 * tau_big, A0 * sp.identity(Mm * I)]])
-        T = sp.block_diag([R0_big, sp.identity(Lp)], format="csr")
+        T = sp.block_diag([sp.kron(R0, sp.identity(Mm)), sp.identity(Lp)], format="csr")
         A_full = (A_full @ T).tocsr()
     A = (A_full @ S).tocsr()
 
-    # ---- mass form for the Poincare estimate -------------------------------
+    # ---- mass diagonal for the Poincare estimate ---------------------------
     rho0 = 0.5 * cd.r0
     mass_diag = []
     for side, r in ((problem.minus, r_m), (problem.plus, r_p)):
@@ -563,16 +537,15 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
         prof = side.data.profile
         fac = prof.A(rr) * prof.B(rr) ** 2 * unit_sphere_volume(3)
         w2 = _hat_weights(r, moment=2) * fac / (r**2 + rho0**2)
-        mass_diag.append(np.concatenate([np.repeat(w2, I)] * 2))
-    mass_form = sp.diags(np.concatenate(mass_diag), format="csr")
+        mass_diag += [w2, w2]
 
-    system = AssembledSystem(
-        problem=problem, r_minus=r_m, r_plus=r_p, A=A, A_full=A_full,
-        S=S, b_dirichlet_cols=b_cols, transmission_block=_rotation_blocks(rep.tau.real, problem.angle),
-        grad_form=grad_form, mass_form=mass_form,
-        norm_weights=np.concatenate([w_m, w_p]), minus_prerotation=minus_prerotation,
+    return AssembledSystem(
+        problem=problem, r_minus=r_m, r_plus=r_p, A=A, A_full=A_full, S=S, b_dirichlet=b_dirichlet,
+        transmission_block=_rotation_blocks(rep.tau.real, problem.angle),
+        grad_rows=sp.vstack([grad_m, grad_p], format="csr"), grad_weights=np.concatenate([gw_m, gw_p]),
+        mass_diag=np.concatenate(mass_diag), norm_weights=np.concatenate([w_m, w_p]),
+        minus_prerotation=minus_prerotation,
     )
-    return system
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +565,7 @@ class RadialSolution:
     solution_norm: float
     transmission_defect: float
     origin_defect: float
+    smallest_singular_value: float  # of the reduced operator, from the normal equations' factorization
 
     @property
     def residual_norm(self) -> float:
@@ -618,17 +592,16 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     The grid and problem are the ones `assemble` built `system` from.
     Minimizes the weighted residual norm over the affine constraint space
     through a sparse LU factorization of the normal equations, and records
-    the smallest singular value of the reduced operator on the system.
-    One real solve for the channel datum (1, 1) is lifted through P+- psi_inf,
-    and each channel's residual rows are weighted by |P+- psi_inf| (no cross
-    terms: P_+ psi_inf and P_- psi_inf are orthogonal).
+    the smallest singular value of the reduced operator on the solution.
+    One real solve for the channel datum 1 is lifted as U = u psi_inf,
+    V = v tau psi_inf; tau is unitary, so the residual norm is |psi_inf|
+    times the channel one.
     """
     rep = system.problem.rep
     psi_inf = np.asarray(psi_inf, dtype=complex)
     if psi_inf.shape != (rep.dim,):
         raise RadialError("psi_inf must be a single spinor")
-    parts = 0.5 * (psi_inf + CHANNEL_TAU.diagonal()[:, None] * (rep.tau @ psi_inf))  # rows P+ psi_inf, P- psi_inf
-    b = system.b_dirichlet_cols.sum(axis=1)
+    b = system.b_dirichlet
     rhs = -(system.A_full @ b)
 
     N = (system.A.T @ system.A).tocsc()
@@ -641,22 +614,22 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
         v = lu.solve(v)
         v /= np.linalg.norm(v)
     lam_min = float(v @ (N @ v))
-    system.smallest_singular_value = math.sqrt(max(lam_min, 0.0))
     if not np.isfinite(x).all():
         raise RadialError("direct solve produced non-finite values (rank deficiency?)")
 
     full = system.S @ x + b
-    I, Mm, _ = system.layout()
-    res_vec = (system.A_full @ full) * np.tile(np.linalg.norm(parts, axis=1), system.A_full.shape[0] // I)
+    Mm, _ = system.layout()
+    res_vec = (system.A_full @ full) * np.linalg.norm(psi_inf)
     um, vm, up, vp = system.split_full(full)
     if system.minus_prerotation != 0.0:
         # back to the original minus-side variables
-        rotated = np.concatenate([um, vm], axis=1) @ _rotation_blocks(CHANNEL_TAU, system.minus_prerotation).T
-        um, vm = rotated[:, :I], rotated[:, I:]
-    um, vm, up, vp = (c @ parts for c in (um, vm, up, vp))
+        um, vm = _rotation_blocks(np.eye(1), system.minus_prerotation) @ np.stack([um, vm])
+    tau_psi = rep.tau @ psi_inf
+    um, up = np.outer(um, psi_inf), np.outer(up, psi_inf)
+    vm, vp = np.outer(vm, tau_psi), np.outer(vp, tau_psi)
 
     w_m, w_p = system.norm_weights[:Mm], system.norm_weights[Mm:]
-    n_minus_rows = 2 * int(np.sum(w_m > 0)) * I
+    n_minus_rows = 2 * int(np.sum(w_m > 0))
     res_m = float(np.linalg.norm(res_vec[:n_minus_rows]))
     res_p = float(np.linalg.norm(res_vec[n_minus_rows:]))
     sol_norm = float(np.sqrt(np.sum(w_m[:, None] * (np.abs(um) ** 2 + np.abs(vm) ** 2))
@@ -671,6 +644,7 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
         system=system, psi_inf=psi_inf, u_minus=um, v_minus=vm, u_plus=up, v_plus=vp,
         residual_norm_minus=res_m, residual_norm_plus=res_p, solution_norm=sol_norm,
         transmission_defect=trans_defect, origin_defect=origin_defect,
+        smallest_singular_value=math.sqrt(max(lam_min, 0.0)),
     )
 
 
@@ -791,14 +765,17 @@ def poincare_estimate(problem: RadialProblem, grid: RadialGrid) -> float:
     The quotient runs over the discrete constraint space with zero
     asymptotic datum; rho = sqrt(r^2 + (r0/2)^2) is the positive extension
     of the radial weight.  The estimate is the reciprocal square of the
-    constant in the weighted Poincare inequality.  The forms are block diagonal
-    in the tau-channels, each spinor component a copy of one, so their
-    smallest eigenvalue is the spinor one.  ARPACK starts from a fixed
-    vector, so the estimate is reproducible to the last digit.
+    constant in the weighted Poincare inequality.  On spinor components the
+    forms are four orthogonal copies of the channel forms, one per basis
+    spinor psi through U = u psi, V = v tau psi, so their smallest eigenvalue
+    is the channel one.  The forms are built here from the factors `assemble`
+    keeps: G = (B S)^T W (B S) and M = S^T diag(mass) S.  ARPACK starts from a
+    fixed vector, so the estimate is reproducible to the last digit.
     """
     system = assemble(problem, grid)
-    G = (system.S.T @ system.grad_form @ system.S).tocsc()
-    M = (system.S.T @ system.mass_form @ system.S).tocsc()
+    BS = (system.grad_rows @ system.S).tocsr()
+    G = (BS.T @ sp.diags(system.grad_weights) @ BS).tocsc()
+    M = (system.S.T @ sp.diags(system.mass_diag) @ system.S).tocsc()
     G = (G + G.T) * 0.5
     M = (M + M.T) * 0.5
     v0 = np.random.default_rng(0).normal(size=G.shape[0])

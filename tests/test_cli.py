@@ -15,6 +15,7 @@ from creaselab.reports import NonFiniteReportError, render_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SOLVE_SMALL = CONFIGS / "solve-small.yaml"
+SOLVE_SMALL_ROTATED = CONFIGS / "solve-small-rotated.yaml"
 IDENTITIES_SMALL = CONFIGS / "identities-small.yaml"
 CREASE_CHECK_SMALL = CONFIGS / "crease-check-small.yaml"
 RIGIDITY_SMALL = CONFIGS / "rigidity-small.yaml"
@@ -35,11 +36,13 @@ def _solve_small() -> dict:
     return yaml.safe_load(SOLVE_SMALL.read_text(encoding="utf-8"))
 
 
-def test_solve_report_is_byte_reproducible(tmp_path):
-    assert _run("solve", SOLVE_SMALL, tmp_path / "a") == 0
-    assert _run("solve", SOLVE_SMALL, tmp_path / "b") == 0
+@pytest.mark.parametrize("config", [SOLVE_SMALL, SOLVE_SMALL_ROTATED], ids=["solve-small", "solve-small-rotated"])
+def test_solve_report_is_byte_reproducible(tmp_path, config):
+    assert _run("solve", config, tmp_path / "a") == 0
+    assert _run("solve", config, tmp_path / "b") == 0
+    for name in ("report.json", "psi_minus.csv", "psi_plus.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
     first = (tmp_path / "a" / "report.json").read_bytes()
-    assert first == (tmp_path / "b" / "report.json").read_bytes()
     results = json.loads(first)["results"]
     solver = results["solver"]
     assert solver["smallest_singular_value"] > 0.0
@@ -47,6 +50,10 @@ def test_solve_report_is_byte_reproducible(tmp_path):
     gap = results["gap"]
     assert gap["closure"] == gap["gap"] + gap["crease_term"]
     assert results["oracle"]["radii_checked"] == 20
+    if config == SOLVE_SMALL_ROTATED:
+        # the crease angle couples V to U: the rotated run exercises the sinh terms and the tau psi_inf lift
+        abs_v = np.loadtxt(tmp_path / "a" / "psi_plus.csv", delimiter=",", skiprows=1)[:, 2]
+        assert abs_v.max() > 0.0
 
 
 def test_adm_leaves_scipy_optimize_and_special_unloaded(tmp_path):

@@ -18,7 +18,6 @@ from creaselab.geometry import ConstraintValues, CreaseAngle, PointFields, hyper
 from creaselab import integrals, radial
 from creaselab.integrals import adm_energy_momentum
 from creaselab.radial import (
-    CHANNEL_TAU,
     RadialError,
     RadialGrid,
     SideCoefficients,
@@ -211,25 +210,24 @@ def test_assemble_trivial_crease_trace_continuity(trivial_problem):
 
 @pytest.mark.parametrize("prerotation", [0.0, 0.45])
 def test_constraint_map_satisfies_constraints(miao_problem, prerotation):
-    """S x + b (1, 1) meets the channel transmission, V_-(0) = 0 and the Dirichlet rows for every x."""
+    """S x + b meets the channel transmission, v_-(0) = 0 and the Dirichlet rows for every x."""
     grid = RadialGrid(n_minus=64, n_plus=128, r_max=40.0)
     system = assemble(miao_problem, grid, minus_prerotation=prerotation)
     rng = np.random.default_rng(5)
-    I, Mm, _ = system.layout()
-    assert I == 2
-    R0 = _rotation_blocks(CHANNEL_TAU, prerotation)
-    R = _rotation_blocks(CHANNEL_TAU, miao_problem.angle)
+    Mm, Mp = system.layout()
+    assert system.S.shape[0] == 2 * (Mm + Mp)
+    R0 = _rotation_blocks(np.eye(1), prerotation)
+    R = _rotation_blocks(np.eye(1), miao_problem.angle)
     for _ in range(3):
         x = rng.normal(size=system.S.shape[1])
-        um, vm, up, vp = system.split_full(system.S @ x + system.b_dirichlet_cols @ np.ones(I))
-        original = np.concatenate([um, vm], axis=1) @ R0.T  # undo the minus prerotation
-        um, vm = original[:, :I], original[:, I:]
-        trace_minus = np.concatenate([um[-1], vm[-1]])
-        trace_plus = np.concatenate([up[0], vp[0]])
+        um, vm, up, vp = system.split_full(system.S @ x + system.b_dirichlet)
+        um, vm = R0 @ np.stack([um, vm])  # undo the minus prerotation
+        trace_minus = np.array([um[-1], vm[-1]])
+        trace_plus = np.array([up[0], vp[0]])
         assert np.max(np.abs(trace_minus - R @ trace_plus)) <= 1e-14
-        assert np.max(np.abs(vm[0])) <= 1e-14
-        assert np.max(np.abs(up[-1] - 1.0)) <= 1e-14
-        assert np.max(np.abs(vp[-1])) <= 1e-14
+        assert abs(vm[0]) <= 1e-14
+        assert abs(up[-1] - 1.0) <= 1e-14
+        assert abs(vp[-1]) <= 1e-14
 
 
 def _with_extrinsic_curvature(problem):
@@ -308,32 +306,40 @@ def _kron_mass_diagonal(problem, system, I):
 @pytest.mark.parametrize("prerotation", [0.0, 0.45])
 @pytest.mark.parametrize("n_minus,n_plus,r_max", [(64, 128, 40.0), (256, 1024, 400.0)])
 def test_assemble_matches_kron_reference(miao_problem, n_minus, n_plus, r_max, prerotation):
-    """The one-pass COO assembly equals the blockwise kron/hstack build on the tau-channels."""
+    """The one-pass COO assembly equals the blockwise kron/hstack build on the channel tau -> 1."""
     import scipy.sparse as sp
 
     problem = _with_extrinsic_curvature(miao_problem)
     system = assemble(problem, RadialGrid(n_minus, n_plus, r_max), minus_prerotation=prerotation)
-    I, Mm, Mp = system.layout()
-    rows_m, Gm = _kron_side_blocks(problem.minus, system.r_minus, True, CHANNEL_TAU)
-    rows_p, Gp = _kron_side_blocks(problem.plus, system.r_plus, False, CHANNEL_TAU)
+    Mm, Mp = system.layout()
+    one = np.ones((1, 1))
+    rows_m, Gm = _kron_side_blocks(problem.minus, system.r_minus, True, one)
+    rows_p, Gp = _kron_side_blocks(problem.plus, system.r_plus, False, one)
     A_full = sp.block_diag([rows_m, rows_p], format="csr")
     if prerotation:
         a0, b0 = math.cosh(0.5 * prerotation), math.sinh(0.5 * prerotation)
-        tau_big = sp.kron(sp.identity(Mm), sp.csr_matrix(CHANNEL_TAU))
-        R0 = sp.bmat([[a0 * sp.identity(Mm * I), b0 * tau_big], [b0 * tau_big, a0 * sp.identity(Mm * I)]])
-        A_full = A_full @ sp.block_diag([R0, sp.identity(2 * Mp * I)])
+        eye = sp.identity(Mm)
+        R0 = sp.bmat([[a0 * eye, b0 * eye], [b0 * eye, a0 * eye]])
+        A_full = A_full @ sp.block_diag([R0, sp.identity(2 * Mp)])
+    B = system.grad_rows
+    got = {
+        "A_full": system.A_full,
+        "A": system.A,
+        "grad_form": B.T @ sp.diags(system.grad_weights) @ B,
+        "mass_form": sp.diags(system.mass_diag),
+    }
     reference = {
         "A_full": A_full,
         "A": A_full @ system.S,
         "grad_form": sp.block_diag([Gm, Gp]),
-        "mass_form": sp.diags(_kron_mass_diagonal(problem, system, I), format="csr"),
+        "mass_form": sp.diags(_kron_mass_diagonal(problem, system, 1)),
     }
     assert Gm.nnz and abs(Gm).max() > 0.0
     for name, want in reference.items():
-        got, want = getattr(system, name).tocsr(), want.tocsr()
-        assert got.shape == want.shape, name
+        have, want = got[name].tocsr(), want.tocsr()
+        assert have.shape == want.shape, name
         # entrywise: a relative bound on the largest entry would hide the small tau blocks
-        assert (abs(got - want) - 1e-14 * abs(want)).max() <= 0.0, name
+        assert (abs(have - want) - 1e-14 * abs(want)).max() <= 0.0, name
 
 
 def _spinor_reference(problem, system):
@@ -372,7 +378,7 @@ def _spinor_reference(problem, system):
 
 @pytest.mark.parametrize("prerotation", [0.0, 0.45])
 def test_solve_matches_spinor_component_least_squares(miao_problem, prerotation):
-    """One channel solve lifted by P+- psi_inf equals the 4-component constrained least squares."""
+    """One channel solve lifted as U = u psi_inf, V = v tau psi_inf equals the 4-component constrained least squares."""
     import scipy.linalg as sla
 
     problem = _with_extrinsic_curvature(miao_problem)
@@ -383,8 +389,10 @@ def test_solve_matches_spinor_component_least_squares(miao_problem, prerotation)
         PSI_INF,
         rng.normal(size=4) + 1j * rng.normal(size=4),
         np.array([1.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0),  # tau-eigenvector, eigenvalue +1
+        np.array([0.0, 1.0, 0.0, -1.0], dtype=complex) / math.sqrt(2.0),  # eigenvalue -1: P_+ psi_inf = 0
     ]
     assert np.allclose(REP.tau @ data[2], data[2])
+    assert np.allclose(REP.tau @ data[3], -data[3])
     # minimize |A_full x| over C x = D psi_inf: x = x0 + Z y with Z spanning the kernel of C
     Z = sla.null_space(C)
     x0 = np.linalg.lstsq(C, D @ np.array(data).T, rcond=None)[0]
@@ -461,7 +469,7 @@ def test_miao_solve_diagnostics(miao_problem):
     assert sol.relative_residual <= 1e-6
     assert sol.transmission_defect <= 1e-10
     assert sol.origin_defect <= 1e-12
-    assert sol.system.smallest_singular_value > 0.0
+    assert sol.smallest_singular_value > 0.0
 
 
 def test_gauge_covariance_of_solutions(miao_problem):
