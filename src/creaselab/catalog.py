@@ -37,51 +37,51 @@ def _radial_tensor(x, u, v):
 
 
 def _radial_tensor_deriv(x, u, du, v, dv):
-    """d_l of the radial tensor; index order [..., i, j, l]."""
+    """d_l of the radial tensor; index order [..., i, j, l].
+
+    d_l (u delta_ij + v omega_i omega_j) = u' delta_ij omega_l
+    + (v' - 2 v / r) omega_i omega_j omega_l + v / r (delta_il omega_j + omega_i delta_jl):
+    one omega x omega x omega outer product, the Kronecker terms added on index slices.
+    """
     r = _radii(x)
     om = x / r[:, None]
-    eye = np.eye(3)
-    P = om[:, :, None] * om[:, None, :]
-    dP = (
-        (eye[None, :, None, :] - om[:, :, None, None] * om[:, None, None, :]) * om[:, None, :, None]
-        + (eye[None, None, :, :] - om[:, None, :, None] * om[:, None, None, :]) * om[:, :, None, None]
-    ) / r[:, None, None, None]
-    out = du[:, None, None, None] * eye[None, :, :, None] * om[:, None, None, :]
-    out = out + dv[:, None, None, None] * P[..., None] * om[:, None, None, :]
-    out = out + v[:, None, None, None] * dP
+    out = ((dv - 2.0 * v / r)[:, None] * om)[:, :, None, None] * (om[:, :, None] * om[:, None, :])[:, None]
+    du_om, v_om = du[:, None] * om, (v / r)[:, None] * om
+    for a in range(3):
+        out[:, a, a] += du_om  # u' delta_ij omega_l
+        out[:, a, :, a] += v_om  # v/r delta_il omega_j
+        out[:, :, a, a] += v_om  # v/r omega_i delta_jl
     return out
 
 
 def _radial_tensor_deriv2(x, u, du, d2u, v, dv, d2v):
     """d_m d_l of the radial tensor; index order [..., i, j, l, m].
 
-    With g = u delta + w x x^T and w = v / r^2:
-    d_m d_l g_ij = delta_ij U_lm + x_i x_j W_lm + w'(omega_m D_ijl + omega_l D_ijm)
+    With g = u delta + w x x^T, w = v / r^2 and P = omega omega^T:
+    d_m d_l g_ij = r^2 (w'' - w'/r) P_ij P_lm + delta_ij U_lm + r w' P_ij delta_lm
+                   + r w' (delta_il P_jm + delta_jl P_im + delta_im P_jl + delta_jm P_il)
                    + w (delta_il delta_jm + delta_im delta_jl),
-    where D_ijl = delta_il x_j + x_i delta_jl, U_lm = u'' omega_l omega_m
-    + u' (delta_lm - omega_l omega_m) / r, and W is U with w for u.  The
-    Kronecker terms are added on index slices, not as full outer products.
+    where U_lm = u'' P_lm + u' (delta_lm - P_lm) / r.  One P x P outer
+    product; the Kronecker terms are added on index slices.
     """
     r = _radii(x)
     om = x / r[:, None]
     w = v / r**2
     dw = dv / r**2 - 2.0 * v / r**3
     d2w = d2v / r**2 - 4.0 * dv / r**3 + 6.0 * v / r**4
+    eye = np.eye(3)
     P = om[:, :, None] * om[:, None, :]
-    Q = (np.eye(3) - P) / r[:, None, None]
-    U = d2u[:, None, None] * P + du[:, None, None] * Q
-    W = d2w[:, None, None] * P + dw[:, None, None] * Q
-    out = (x[:, :, None] * x[:, None, :])[:, :, :, None, None] * W[:, None, None, :, :]
-    xo = dw[:, None, None] * x[:, :, None] * om[:, None, :]  # w' x_a omega_b
+    U = d2u[:, None, None] * P + du[:, None, None] * (eye - P) / r[:, None, None]
+    rP = (r * dw)[:, None, None] * P
+    rPw = rP + w[:, None, None] * eye
+    out = ((r**2 * d2w - r * dw)[:, None, None] * P)[:, :, :, None, None] * P[:, None, None]
     for a in range(3):
-        out[:, a, a] += U
-        out[:, a, :, a, :] += xo  # w' delta_il x_j omega_m
-        out[:, :, a, a, :] += xo  # w' x_i delta_jl omega_m
-        out[:, a, :, :, a] += xo  # w' delta_im x_j omega_l
-        out[:, :, a, :, a] += xo  # w' x_i delta_jm omega_l
-        for b in range(3):
-            out[:, a, b, a, b] += w
-            out[:, a, b, b, a] += w
+        out[:, a, a] += U  # delta_ij U_lm
+        out[:, :, :, a, a] += rP  # r w' P_ij delta_lm
+        out[:, a, :, a] += rPw  # delta_il (r w' P_jm + w delta_jm)
+        out[:, :, a, a] += rP  # delta_jl r w' P_im
+        out[:, a, :, :, a] += rPw  # delta_im (r w' P_jl + w delta_jl)
+        out[:, :, a, :, a] += rP  # delta_jm r w' P_il
     return out
 
 

@@ -193,14 +193,12 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 
 
 def christoffel(data: InitialData, x) -> np.ndarray:
-    """Gamma[..., k, i, j] = 1/2 g^{kl} (dg_jl,i + dg_il,j - dg_ij,l)."""
+    """Gamma[..., k, i, j] = 1/2 g^{kl} (dg_jl,i + dg_il,j - dg_ij,l): g^-1 times the lowered terms as (m, n, n n)."""
     f = as_fields(data, x)
-    return 0.5 * np.einsum("...kl,...lij->...kij", f.ginv, _lowered_christoffel_terms(f.dg))
-
-
-def _lowered_christoffel_terms(dg: np.ndarray) -> np.ndarray:
-    """dg_jl,i + dg_il,j - dg_ij,l in the order [..., l, i, j] (2 Gamma_{l,ij})."""
-    return np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg) - np.einsum("...ijl->...lij", dg)
+    m, n = f.x.shape
+    dg = f.dg  # the lowered terms below are in the order [..., l, i, j]
+    lowered = dg.transpose(0, 2, 3, 1) + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 3, 1, 2)
+    return 0.5 * (f.ginv @ lowered.reshape(m, n, n * n)).reshape(m, n, n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +255,8 @@ def second_metric_derivative(data: InitialData, x: np.ndarray) -> np.ndarray:
 def scalar_curvature(data: InitialData, x) -> np.ndarray:
     """Scalar curvature of g from its closed-form first and second derivatives.
 
-    Only traces of d Gamma enter R, so it is assembled from pairwise
-    contractions of rank-3 and rank-4 arrays:
+    Only traces of d Gamma enter R, so it is assembled from batched matrix
+    products over flattened index pairs, on views of the fields' memory:
 
         R = g^ij g^kl (d_k d_i g_jl - d_k d_l g_ij) + 1/2 g^ij tr(H_i H_j)
             + (c - u)_m Gamma^m - g^ij Gamma^k_jm Gamma^m_ik
@@ -268,15 +266,20 @@ def scalar_curvature(data: InitialData, x) -> np.ndarray:
     """
     f = as_fields(data, x)
     ginv, dg, gamma, d2g = f.ginv, f.dg, f.gamma, f.d2g
-    H = np.einsum("...ka,...abj->...jkb", ginv, dg)  # H[..., j, :, :] = g^-1 d_j g
-
-    second = np.einsum("...ij,...jlik->...lk", ginv, d2g) - np.einsum("...ij,...ijlk->...lk", ginv, d2g)
-    r = np.einsum("...kl,...lk->...", ginv, second)
-    r += 0.5 * np.einsum("...ij,...ji->...", ginv, np.einsum("...jkb,...ibk->...ji", H, H))
-    c_minus_u = 0.5 * np.einsum("...ikk->...i", H) - np.einsum("...kkb->...b", H)
-    r += np.einsum("...m,...m->...", c_minus_u, np.einsum("...ij,...mij->...m", ginv, gamma))
-    r -= np.einsum("...kmi,...mik->...", np.einsum("...ij,...kjm->...kmi", ginv, gamma), gamma)
-    return r
+    m, n = f.x.shape
+    row = ginv.reshape(m, 1, n * n)  # g^ij as a row over the pair (i, j)
+    # the d2g traces as forms in that row: d2g[..., j, l, k, i] pairs (l, k) but not j with i, so the
+    # first one takes one derivative index i at a time rather than a transposed copy of d2g
+    second = sum(ginv[:, i : i + 1] @ d2g[..., i].reshape(m, n, n * n) for i in range(n))
+    r = ((second - row @ d2g.reshape(m, n * n, n * n)) @ row.swapaxes(1, 2))[:, 0, 0]
+    Y = (ginv @ dg.reshape(m, n, n * n)).reshape(m, n, n, n)  # Y[..., k, b, j] = (H_j)^k_b
+    HH = Y.reshape(m, n * n, n).swapaxes(1, 2) @ Y.swapaxes(1, 2).reshape(m, n * n, n)  # tr(H_i H_j)
+    r += 0.5 * np.sum(ginv * HH, axis=(1, 2))
+    c_minus_u = 0.5 * np.trace(Y, axis1=1, axis2=2) - np.trace(Y, axis1=1, axis2=3)
+    r += (c_minus_u[:, None, :] @ gamma.reshape(m, n, n * n) @ row.swapaxes(1, 2))[:, 0, 0]
+    # Gamma^k_mj g^ji, by the symmetry of Gamma's lower pair, against a transposed view of Gamma^m_ik
+    raised = (gamma.reshape(m, n * n, n) @ ginv).reshape(m, n, n, n)
+    return r - np.sum(raised * gamma.transpose(0, 3, 1, 2), axis=(1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,7 @@ class ConstraintValues:
     J: np.ndarray  # coordinate covector components, shape (m, n)
 
     def momentum_norm(self, data: InitialData, x) -> np.ndarray:
-        return np.sqrt(np.einsum("...ij,...i,...j->...", as_fields(data, x).ginv, self.J, self.J))
+        return np.sqrt((self.J[:, None] @ as_fields(data, x).ginv @ self.J[:, :, None])[:, 0, 0])
 
 
 def constraint_fields(data: InitialData, x) -> ConstraintValues:
@@ -298,22 +301,24 @@ def constraint_fields(data: InitialData, x) -> ConstraintValues:
     data.chart.require(np.linalg.norm(f.x, axis=1), what="constraint point")
 
     g, dg, k, dk, ginv, gamma = f.g, f.dg, f.k, f.dk, f.ginv, f.gamma
+    m, n = f.x.shape
 
     kmix = ginv @ k  # k^i_j
     kup = kmix @ ginv  # k^{ij}
-    trk = np.einsum("...ii->...", kmix)
-    ksq = np.einsum("...ij,...ji->...", kmix, kmix)
+    trk = np.trace(kmix, axis1=1, axis2=2)
+    ksq = np.sum(kmix * np.swapaxes(kmix, 1, 2), axis=(1, 2))
 
     mu = 0.5 * (scalar_curvature(data, f) + trk**2 - ksq)
 
-    # J_i = g^{jl} (d_l pi_ji - Gamma^m_{lj} pi_mi - Gamma^m_{li} pi_jm)
-    pi = k - trk[..., None, None] * g
-    dtrk = np.einsum("...ab,...abl->...l", ginv, dk) - np.einsum("...ab,...abl->...l", kup, dg)
-    dpi = dk - dtrk[..., None, None, :] * g[..., :, :, None] - trk[..., None, None, None] * dg
-    J = np.einsum("...jl,...jil->...i", ginv, dpi)
-    J -= np.einsum("...m,...mi->...i", np.einsum("...jl,...mlj->...m", ginv, gamma), pi)
-    J -= np.einsum("...lm,...mli->...i", ginv @ pi, gamma)
-    return ConstraintValues(mu=mu, J=J)
+    # J_i = g^{jl} (d_l pi_ij - Gamma^m_{lj} pi_mi - Gamma^m_{li} pi_jm) with pi = k - (tr k) g and
+    # g^{jl} d_l pi_ij = g^{jl} (d_l k_ij - tr k d_l g_ij) - d_i tr k: (m, 1, n n) @ (m, n n, n) products
+    row = ginv.reshape(m, 1, n * n)
+    dtrk = row @ dk.reshape(m, n * n, n) - kup.reshape(m, 1, n * n) @ dg.reshape(m, n * n, n)
+    pi = k - trk[:, None, None] * g
+    J = row @ (dk - trk[:, None, None, None] * dg).reshape(m, n, n * n).swapaxes(1, 2) - dtrk
+    J -= row @ gamma.reshape(m, n, n * n).swapaxes(1, 2) @ pi
+    J -= (pi @ ginv).reshape(m, 1, n * n) @ gamma.reshape(m, n * n, n)
+    return ConstraintValues(mu=mu, J=J[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -248,19 +248,19 @@ def bulk_spin_coefficients(data: InitialData, x) -> np.ndarray:
     W_ajl = -Phi(G_a)_jl + 1/2 (G_ajl + G_jla - G_laj).
     """
     f = as_fields(data, x)
-    n = data.n
+    m, n = f.x.shape
     frame = f.frame
-    frame_t = np.swapaxes(frame, -1, -2)[:, None]
-    # G[m, a, j, l] = e_a^i e_j^p e_l^q d_i g_pq: F (d_{e_a} g) F^T for each a, as matrix products
-    G = frame[:, None] @ np.moveaxis(f.dg @ frame_t, -1, 1) @ frame_t
+    # G[m, a, j, l] = e_a^i e_j^p e_l^q d_i g_pq: F on one index of dg at a time, each an (m, n, n n) product
+    by_direction = (f.dg.reshape(m, n * n, n) @ np.swapaxes(frame, 1, 2)).reshape(m, n, n * n)  # [p, (q, a)]
+    half = np.ascontiguousarray((frame @ by_direction).reshape(m, n, n, n).swapaxes(1, 2))  # [q, j, a]
+    G = np.ascontiguousarray((frame @ half.reshape(m, n, n * n)).reshape(m, n, n, n).transpose(0, 3, 2, 1))
     phi = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
-    return 0.5 * (G + np.einsum("mjla->majl", G) - np.einsum("mlaj->majl", G)) - phi * G
+    return 0.5 * (G + G.transpose(0, 3, 1, 2) - G.transpose(0, 2, 3, 1)) - phi * G
 
 
 def _pair_products(rep: CliffordRep):
-    gg = np.einsum("jIK,lKL->jlIL", rep.gamma, rep.gamma)
-    gt = np.einsum("jIK,KL->jIL", rep.gamma, rep.tau)
-    return gg, gt
+    """gg[j, l] = Gamma^j Gamma^l and gt[j] = Gamma^j tau."""
+    return rep.gamma[:, None] @ rep.gamma[None], rep.gamma @ rep.tau
 
 
 def sen_derivatives(
@@ -278,11 +278,12 @@ def sen_derivatives(
     W = bulk_spin_coefficients(data, f)
     kf = f.frame @ f.k @ np.swapaxes(f.frame, -1, -2)
     gg, gt = _pair_products(rep)
-    # the connection's algebraic part as one (m, a I, K) operator, applied once to the batch
-    conn = 0.25 * W.reshape(-1, n * n) @ gg.reshape(n * n, dim * dim)
-    conn += 0.5 * kf.reshape(-1, n) @ gt.reshape(n, dim * dim)
-    conn = conn.reshape(-1, n * dim, dim)
-    del W, kf
+    # the connection's algebraic part as one (m, a I, K) operator, applied once to the batch:
+    # one real product of [W/4 | k/2] per direction with the float view of [gg; gt]
+    coeffs = np.concatenate([0.25 * W.reshape(-1, n * n), 0.5 * kf.reshape(-1, n)], axis=1)
+    products = np.concatenate([gg.reshape(n * n, dim * dim), gt.reshape(n, dim * dim)]).view(float)
+    conn = (coeffs @ products).view(complex).reshape(-1, n * dim, dim)
+    del W, kf, coeffs
     out = np.asarray(field.frame_derivatives(data, f), dtype=complex)
     # the product lands in out's (..., m, a, I) memory
     np.swapaxes(out, -1, -2)[...] += (conn @ c[..., None]).reshape(c.shape[:-1] + (n, dim))
@@ -371,14 +372,19 @@ def boundary_term_density(
     Dt = a_co[:, :, None, None] * dt_dtheta[:, None, :, :] + b_co[:, :, None, None] * dt_dphi[:, None, :, :]
     # Dt[m, alpha, beta, i]: derivative along t_alpha of component i of t_beta
 
-    cov = Dt + np.einsum("mai,mpiq,mbq->mabp", t, gamma_chr, t)
-    omega_sigma = np.einsum("mabp,mpq,mcq->mabc", cov, g, t)  # w_{bc}(t_a), tangential
+    # t_a^i Gamma^p_iq t_b^q from Gamma as (m, (p, i), q), then w_{bc}(t_a) (tangential) with rows (a, b)
+    t_T = np.swapaxes(t, 1, 2)
+    cov = Dt + np.moveaxis(t[:, None] @ (gamma_chr.reshape(-1, n * n, n) @ t_T).reshape(-1, n, n, n - 1), 1, -1)
+    omega_sigma = cov.reshape(-1, (n - 1) ** 2, n) @ (g @ t_T)
 
     # spinor connection along t_alpha: D_{t_alpha} c + 1/4 w_{bc}(t_alpha) Gamma^b Gamma^c c
     gg, gt = _pair_products(rep)
     nabla_sigma = a_co[:, :, None] * dc_dtheta[..., :, None, :] + b_co[:, :, None] * dc_dphi[..., :, None, :]
     del dc_dtheta, dc_dphi
-    nabla_sigma += 0.25 * np.einsum("mabc,bcIK,...mK->...maI", omega_sigma, gg[: n - 1, : n - 1], c0)
+    # w_{bc}(t_a) Gamma^b Gamma^c first, as one real (m (n-1), (n-1)^2) product with the float view of gg
+    pairs = gg[: n - 1, : n - 1].reshape((n - 1) ** 2, -1).view(float)
+    conn = (0.25 * omega_sigma.reshape(-1, (n - 1) ** 2) @ pairs).view(complex).reshape(-1, n - 1, rep.dim, rep.dim)
+    nabla_sigma += (conn @ c0[..., :, None, :, None])[..., 0]
 
     # D psi = nu . e^alpha nabla^Sigma_alpha psi
     contracted = np.einsum("aIK,...maK->...mI", rep.gamma[: n - 1], nabla_sigma)
@@ -508,16 +514,17 @@ def lsw_residual(
     # spinor-independent fields first, so they peak before the spinor arrays exist
     cons = constraint_fields(data, f)
     f.release("d2g", "dk", "gamma", "ginv")  # read only by the constraints
-    j_frame = np.einsum("mi,mai->ma", cons.J, f.frame)
-    _, gt = _pair_products(rep)
+    # the matter operator mu + J_a Gamma^a tau per node: frame components of J times the float view of gt
+    j_frame = (f.frame @ cons.J[:, :, None])[:, :, 0]
+    matter_op = (j_frame @ _pair_products(rep)[1].reshape(data.n, -1).view(float)).view(complex)
+    matter_op = matter_op.reshape(-1, rep.dim, rep.dim) + cons.mu[:, None, None] * np.eye(rep.dim)
 
     # each spinor term is integrated at once and its arrays dropped, to keep the batch's peak low
     c = field.evaluate(pts)
-    jtau = ((j_frame @ gt.reshape(data.n, -1)).reshape(-1, rep.dim, rep.dim) @ c[..., None])[..., 0]
-    matter = 0.5 * (cons.mu * np.einsum("...mI,...mI->...m", np.conj(c), c).real
-                    + np.einsum("...mI,...mI->...m", np.conj(c), jtau).real)
+    # 1/2 Re<psi, (mu + J tau) psi> as a real inner product of float views
+    matter = 0.5 * np.sum(c.view(float) * (matter_op @ c[..., None])[..., 0].view(float), axis=-1)
     matter_int = np.sum(matter * dV, axis=-1)
-    del jtau, matter
+    del matter_op, matter
 
     sen = sen_derivatives(data, rep, field, f, values=c)
     dirichlet = np.sum(np.einsum("...mIa,...mIa->...m", np.conj(sen), sen).real * dV, axis=-1)

@@ -7,9 +7,9 @@ may carry leading batch axes: a field of K spinors maps a point batch
 (m, n) to values (K, m, I) and gradients (K, m, I, n), so everything that
 depends only on the points is computed once for the whole batch.
 Frame derivatives are stored direction-major, (..., m, n, I) in memory,
-and handed out as (..., m, I, n) views: every contraction over the
-direction or the spinor index is then one matrix product on contiguous
-memory, without copying a spinor array to change its layout.  Changing
+and handed out as (..., m, I, n) views: the real frame acts on the float
+view of that memory, and every contraction over the direction or the
+spinor index is one matrix product on contiguous memory.  Changing
 between two orthonormal frames of the same metric lifts the relating
 SO(3) rotation to the spinor representation; the lift is closed-form via
 the axis-angle of the rotation.
@@ -144,15 +144,16 @@ class SpinorField:
     fd_step: float = 1e-6
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.values(np.asarray(x, dtype=float)), dtype=complex)
+        return np.ascontiguousarray(self.values(np.asarray(x, dtype=float)), dtype=complex)
 
     def frame_derivatives(self, data: InitialData, x) -> np.ndarray:
         """e_a(c) for all frame directions at points or a field bundle x; shape (..., m, I, n)."""
         f = as_fields(data, x)
         pts, frame = f.x, f.frame
         if self.cartesian_gradient is not None:
-            grad = np.asarray(self.cartesian_gradient(pts), dtype=complex)
-            return np.swapaxes(frame @ np.swapaxes(grad, -1, -2), -1, -2)
+            # direction-major (..., m, n, I) memory, whose float view the real frame multiplies
+            by_direction = np.ascontiguousarray(np.swapaxes(self.cartesian_gradient(pts), -1, -2), dtype=complex)
+            return np.swapaxes((frame @ by_direction.view(float)).view(complex), -1, -2)
         h = self.fd_step
         cols = []
         for a in range(self.rep.n):
