@@ -151,7 +151,8 @@ def parse_config(text: str) -> RunConfig:
         flag = next((key for key, value in cat.get(where, {}).items() if isinstance(value, bool)), None)
         if flag is not None:
             raise ConfigError(f"catalog.{where}.{flag} must be a number, not a boolean")
-    # identities holds sphere_order x 2 sphere_order^2 LSW nodes: a 1.4 GiB peak at 64, about 13 GiB at 128
+    # identities sums sphere_order x 2 sphere_order^2 LSW nodes in fixed blocks, so its peak stays near 80-115 MiB
+    # (3 spinors, 32 and 64), but its time grows with the nodes: 1.1 s at 32, 8.5 s at 64, about 70 s at 128
     if not 4 <= sphere_order <= 64:
         raise ConfigError("sphere_order must be within 4..64")
     for name, value in tols.items():

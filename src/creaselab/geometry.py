@@ -16,7 +16,7 @@ The layer functions take `(data, x)` with x a point batch or a bundle of
 the same data: given points they build the bundle (`as_fields`), given one
 they read it.  A bundle lives only as long as its batch: made for one set
 of nodes, passed down the calls on them, dropped with them; nothing is
-cached across batches.
+cached across batches, and a grid pass holds one per `field_blocks` block.
 
 Conventions (fixed here, imported everywhere else):
   * k is taken with respect to the future timelike normal, signed so that
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -206,9 +206,8 @@ class PointFields:
     """One data set's fields on one point batch x (m, n), each evaluated once.
 
     Attributes are computed on first access by the functions a caller with
-    raw points would use, kept (and shared by every reader, so never written
-    in place) unless `release`d, as a finished stage's fields on a large
-    batch are, so that they do not add to the next stage's peak memory.
+    raw points would use, and kept (shared by every reader, so never written
+    in place) for the bundle's life: one batch, or one block of a grid pass.
     """
 
     data: InitialData
@@ -224,10 +223,14 @@ class PointFields:
     frame = cached_property(lambda self: bulk_frame(self.data, self))  # bulk Gram-Schmidt frame
     sphere = cached_property(lambda self: sphere_frame(self.data, self))  # adapted coordinate-sphere frame
 
-    def release(self, *names: str) -> None:
-        """Stop keeping the named fields once their last reader is done; a later read evaluates them again."""
-        for name in names:
-            self.__dict__.pop(name, None)
+
+BLOCK_NODES = 1024  # nodes per bundle of a grid pass: two order-16 sphere shells, whose d2g (0.66 MB) stays in cache
+
+
+def field_blocks(data: InitialData, x) -> Iterator[PointFields]:
+    """Bundles of the consecutive blocks of at most BLOCK_NODES points of the batch x, in order."""
+    pts = as_points(x, data.n)
+    return (PointFields(data, pts[start : start + BLOCK_NODES]) for start in range(0, len(pts), BLOCK_NODES))
 
 
 def as_fields(data: InitialData, x) -> PointFields:

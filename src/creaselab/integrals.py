@@ -31,15 +31,15 @@ point batch of m nodes (see `spinorfields`).  The metric, frames, spin
 coefficients and constraint fields depend only on the nodes, so each is
 computed once per point batch whatever the number of spinors, and every
 spinor result gains the same leading axes.  Unbatched spinors give
-unbatched (scalar) results.  Each batch of nodes -- the LSW volume grid,
-a sphere grid, each angle-stencil shift of it -- gets one
+unbatched (scalar) results.  Each batch of nodes -- a block of the LSW
+volume grid, a sphere grid, each angle-stencil shift of it -- gets one
 `geometry.PointFields` bundle, built where the batch is made and passed
 to every function that works on those nodes: boundary_term_density hands
 its sphere nodes' bundle to hypersurface_geometry and returns that
 geometry, from which crease_boundary_terms reads the Bartnik data.  A
-bundle is dropped with its batch, and lsw_residual releases the
-constraint-only fields (d2g, dk, Gamma, g^-1) before the spinor arrays
-exist.
+bundle is dropped with its batch.  lsw_residual sums the volume terms
+over `geometry.field_blocks` of at most BLOCK_NODES nodes, so its memory
+is set by the block, and the block size changes only the sums' order.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .geometry import (
     PointFields,
     as_fields,
     constraint_fields,
+    field_blocks,
     hypersurface_geometry,
     unit_sphere_volume,
 )
@@ -283,7 +284,6 @@ def sen_derivatives(
     coeffs = np.concatenate([0.25 * W.reshape(-1, n * n), 0.5 * kf.reshape(-1, n)], axis=1)
     products = np.concatenate([gg.reshape(n * n, dim * dim), gt.reshape(n, dim * dim)]).view(float)
     conn = (coeffs @ products).view(complex).reshape(-1, n * dim, dim)
-    del W, kf, coeffs
     out = np.asarray(field.frame_derivatives(data, f), dtype=complex)
     # the product lands in out's (..., m, a, I) memory
     np.swapaxes(out, -1, -2)[...] += (conn @ c[..., None]).reshape(c.shape[:-1] + (n, dim))
@@ -509,29 +509,22 @@ def lsw_residual(
     if r_order is None:
         r_order = max(24, order)
     pts, w_flat = volume_quadrature(region, r_order, order)
-    f = PointFields(data, pts)
-    dV = np.sqrt(np.linalg.det(f.g)) * w_flat
-    # spinor-independent fields first, so they peak before the spinor arrays exist
-    cons = constraint_fields(data, f)
-    f.release("d2g", "dk", "gamma", "ginv")  # read only by the constraints
-    # the matter operator mu + J_a Gamma^a tau per node: frame components of J times the float view of gt
-    j_frame = (f.frame @ cons.J[:, :, None])[:, :, 0]
-    matter_op = (j_frame @ _pair_products(rep)[1].reshape(data.n, -1).view(float)).view(complex)
-    matter_op = matter_op.reshape(-1, rep.dim, rep.dim) + cons.mu[:, None, None] * np.eye(rep.dim)
-
-    # each spinor term is integrated at once and its arrays dropped, to keep the batch's peak low
-    c = field.evaluate(pts)
-    # 1/2 Re<psi, (mu + J tau) psi> as a real inner product of float views
-    matter = 0.5 * np.sum(c.view(float) * (matter_op @ c[..., None])[..., 0].view(float), axis=-1)
-    matter_int = np.sum(matter * dV, axis=-1)
-    del matter_op, matter
-
-    sen = sen_derivatives(data, rep, field, f, values=c)
-    dirichlet = np.sum(np.einsum("...mIa,...mIa->...m", np.conj(sen), sen).real * dV, axis=-1)
-    dw = _gamma_contract(rep, sen)
-    del sen
-    dirac_sq = np.sum(np.einsum("...mI,...mI->...m", np.conj(dw), dw).real * dV, axis=-1)
-    del dw
+    gt = _pair_products(rep)[1].reshape(data.n, -1).view(float)
+    matter_int = dirichlet = dirac_sq = 0.0
+    for f in field_blocks(data, pts):
+        dV, w_flat = np.sqrt(np.linalg.det(f.g)) * w_flat[: len(f.x)], w_flat[len(f.x) :]  # later blocks' weights remain
+        cons = constraint_fields(data, f)
+        # the matter operator mu + J_a Gamma^a tau per node: frame components of J times the float view of gt
+        matter_op = ((f.frame @ cons.J[:, :, None])[:, :, 0] @ gt).view(complex)
+        matter_op = matter_op.reshape(-1, rep.dim, rep.dim) + cons.mu[:, None, None] * np.eye(rep.dim)
+        c = field.evaluate(f.x)
+        # 1/2 Re<psi, (mu + J tau) psi> as a real inner product of float views
+        matter = 0.5 * np.sum(c.view(float) * (matter_op @ c[..., None])[..., 0].view(float), axis=-1)
+        matter_int = matter_int + np.sum(matter * dV, axis=-1)
+        sen = sen_derivatives(data, rep, field, f, values=c)
+        dirichlet = dirichlet + np.sum(np.einsum("...mIa,...mIa->...m", np.conj(sen), sen).real * dV, axis=-1)
+        dw = _gamma_contract(rep, sen)
+        dirac_sq = dirac_sq + np.sum(np.einsum("...mI,...mI->...m", np.conj(dw), dw).real * dV, axis=-1)
     bulk = dirichlet - dirac_sq + matter_int
 
     boundary = spinor_flux(data, rep, field, float(region[-1]), order)

@@ -62,6 +62,7 @@ from .geometry import (
     PointFields,
     as_fields,
     constraint_fields,
+    field_blocks,
     unit_sphere_volume,
 )
 from .integrals import MassReport, _gamma_contract, flux_mass_pairing, sen_derivatives
@@ -685,9 +686,9 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
     flux - bulk should be nonnegative (up to discretization) whenever the
     bulk dominant energy conditions and the DEC-crease condition hold; the
     crease term reproduces the boundary-term formula from the traces and
-    must then be nonpositive.  mu and J are evaluated once per side, at
-    every radial node placed on the x-axis (so |x| = r exactly); the matter
-    term integrates them and the bulk DEC check reads the same values.
+    must then be nonpositive.  mu and J are evaluated once per node, in
+    `field_blocks` of the radial nodes on the x-axis (so |x| = r exactly);
+    the matter term integrates them and the bulk DEC check reads them too.
     """
     system = sol.system
     problem = system.problem
@@ -719,14 +720,16 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
         dirichlet += _simpson(dens, h)
 
         # matter terms: mu |psi|^2 + <psi, J tau psi> against the volume, J paired with the unit normal
-        f = PointFields(side.data, rr[:, None] * np.array([1.0, 0.0, 0.0]))
-        cons = constraint_fields(side.data, f)
-        mu_ok = mu_ok and bool(np.all(cons.mu >= cons.momentum_norm(side.data, f) - 1e-7))
-        jn = cons.J[:, 0] / side.data.profile.A(rr)
+        mu, jx = [], []
+        for f in field_blocks(side.data, rr[:, None] * np.array([1.0, 0.0, 0.0])):
+            cons = constraint_fields(side.data, f)
+            mu_ok = mu_ok and bool(np.all(cons.mu >= cons.momentum_norm(side.data, f) - 1e-7))
+            mu, jx = mu + [cons.mu], jx + [cons.J[:, 0]]
+        mu, jn = np.concatenate(mu), np.concatenate(jx) / side.data.profile.A(rr)
         psi_sq = (np.einsum("mI,mI->m", np.conj(U), U) + np.einsum("mI,mI->m", np.conj(V), V)).real
         tauU = np.einsum("IK,mK->mI", rep.tau, U)
         cross = 2.0 * np.einsum("mI,mI->m", np.conj(V), tauU).real  # <psi, (omega.Gamma) tau psi>
-        mdens = 0.5 * (cons.mu * psi_sq + jn * cross) * vol
+        mdens = 0.5 * (mu * psi_sq + jn * cross) * vol
         if r[0] == 0.0:
             mdens[0] = 0.0
         matter += _simpson(mdens, h)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -664,7 +665,7 @@ def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
 
     def counted(name, fn):
         def closure(x):
-            calls.append((name, np.shape(x)[0]))
+            calls.append((name, np.array(x)))
             return fn(x)
 
         return closure
@@ -675,7 +676,7 @@ def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
     original = geometry.bulk_frame
 
     def counted_frame(d, x):
-        frames.append(np.shape(getattr(x, "x", x))[0])
+        frames.append(np.array(getattr(x, "x", x)))
         return original(d, x)
 
     # every module that bound bulk_frame by name calls through the counter
@@ -683,10 +684,55 @@ def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
         if getattr(module, "bulk_frame", None) is original:
             monkeypatch.setattr(module, "bulk_frame", counted_frame)
     region = ("annulus", 3.5, 6.5)
-    nodes = volume_quadrature(region, 24, 8)[0].shape[0]
-    lsw_residual(data, REP, random_polynomial_field(REP, np.random.default_rng(3), (2,), degree=2), region, order=8)
-    assert sorted(name for name, m in calls if m == nodes) == ["d2g", "dg", "dk", "g", "k"]
-    assert frames.count(nodes) == 1
+    nodes = volume_quadrature(region, 20, 8)[0]
+    size = geometry.BLOCK_NODES
+    blocks = [min(size, len(nodes) - start) for start in range(0, len(nodes), size)]
+    assert len(blocks) == 3 and blocks[-1] < size  # two full blocks and a partial one
+    lsw_residual(data, REP, random_polynomial_field(REP, np.random.default_rng(3), (2,), degree=2), region,
+                 order=8, r_order=20)
+
+    def on_volume(batches):  # the boundary fluxes' sphere nodes lie on the annulus edges, the volume nodes inside
+        return [x for x in batches if np.all(np.abs(np.linalg.norm(x, axis=1) - 5.0) < 1.5 - 1e-9)]
+
+    for name in ("g", "dg", "k", "dk", "d2g"):
+        batches = on_volume(x for n, x in calls if n == name)
+        assert [len(x) for x in batches] == blocks, name
+        assert np.array_equal(np.concatenate(batches), nodes), name
+    batches = on_volume(frames)
+    assert [len(x) for x in batches] == blocks
+    assert np.array_equal(np.concatenate(batches), nodes)
+
+
+@pytest.mark.parametrize("data", [graph_slice(), miao_corner(1.0, 3.0).plus], ids=["graph_slice", "miao_corner.plus"])
+def test_lsw_terms_agree_with_a_single_block(monkeypatch, data):
+    region = ("annulus", 3.5, 6.5)
+    assert volume_quadrature(region, 24, 12)[0].shape[0] > 6 * geometry.BLOCK_NODES
+    fld = random_polynomial_field(REP, np.random.default_rng(6), (3,), degree=2, scale=0.2)
+    blocked = lsw_residual(data, REP, fld, region, order=12)
+    monkeypatch.setattr(geometry, "BLOCK_NODES", 10**9)
+    whole = lsw_residual(data, REP, fld, region, order=12)
+    # only the summation order differs, so each term agrees to roundoff of the summed magnitudes:
+    # dirichlet and dirac_sq (both sums of positive densities) can exceed their difference, bulk, 1000-fold
+    scale = np.abs(whole.dirichlet) + np.abs(whole.dirac_sq) + 1.0
+    for name in ("bulk", "boundary", "residual", "dirichlet", "dirac_sq", "matter"):
+        assert np.all(np.abs(getattr(blocked, name) - getattr(whole, name)) <= 1e-13 * scale), name
+    assert np.array_equal(blocked.boundary, whole.boundary)
+
+
+def test_lsw_working_set_does_not_grow_with_the_radial_order():
+    data = miao_corner(1.0, 3.0).plus
+    fld = random_polynomial_field(REP, np.random.default_rng(2), (3,), degree=2, scale=0.2)
+
+    def peak(r_order):
+        tracemalloc.start()
+        try:
+            lsw_residual(data, REP, fld, ("annulus", 3.5, 6.5), order=16, r_order=r_order)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(24)  # fills the module caches (sphere grid, Clifford products) before anything is compared
+    assert peak(96) <= 1.25 * peak(24)
 
 
 def _record_calls(monkeypatch, module, name):

@@ -15,7 +15,7 @@ from creaselab.catalog import (
 )
 from creaselab.cliffords import build_rep
 from creaselab.geometry import ConstraintValues, CreaseAngle, PointFields, hypersurface_geometry
-from creaselab import integrals, radial
+from creaselab import geometry, integrals, radial
 from creaselab.integrals import adm_energy_momentum
 from creaselab.radial import (
     RadialError,
@@ -557,6 +557,17 @@ def test_mass_gap_evaluates_constraints_once_per_side(monkeypatch, trivial_probl
     monkeypatch.setattr(radial, "constraint_fields", counting)
     mass_gap(sol, mass)
     assert calls == [trivial_problem.cd.minus, trivial_problem.cd.plus]
+
+
+def test_mass_gap_is_the_same_in_blocks_as_in_one_block(monkeypatch, miao_problem):
+    grid = RadialGrid(n_minus=1280, n_plus=2560, r_max=400.0)
+    sol = solve(assemble(miao_problem, grid), PSI_INF)
+    assert min(len(sol.system.r_minus), len(sol.system.r_plus)) > geometry.BLOCK_NODES  # several blocks a side
+    mass = adm_energy_momentum(miao_problem.cd.plus, [100.0, 200.0, 400.0], order=12)
+    blocked = mass_gap(sol, mass)
+    monkeypatch.setattr(geometry, "BLOCK_NODES", 10**9)
+    # mu and J are per-node values and the Simpson sums run over whole sides, so nothing moves
+    assert mass_gap(sol, mass) == blocked
 
 
 def test_mass_gap_matter_term_integrates_every_node(monkeypatch, miao_problem):
