@@ -223,7 +223,7 @@ def cmd_solve(config: RunConfig, out_dir: str):
         "poincare": {"estimate": lam, "coarse": lam_coarse},
     }
     flags = {
-        "oracle": problem.oracle.operator_defect <= 1e-8,
+        "oracle": problem.oracle.certified,
         "transmission": sol.transmission_defect <= 1e-9,
         "dirichlet_nonnegative": gap.dirichlet_part >= 0.0,
         "poincare_positive": lam > 0.0,

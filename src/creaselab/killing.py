@@ -298,4 +298,10 @@ def graph_slice_parallel_spinor(rep: CliffordRep, data: InitialData, c0: np.ndar
     def v_of_r(r):
         return np.sinh(0.5 * chi(r))[:, None] * (rep.tau @ c0)[None, :]
 
-    return mode_field(rep, data, u_of_r, v_of_r)
+    def du_of_r(r):  # chi' = -A kappa_n
+        return (-0.5 * prof.A(r) * prof.kappa_n(r) * np.sinh(0.5 * chi(r)))[:, None] * c0[None, :]
+
+    def dv_of_r(r):
+        return (-0.5 * prof.A(r) * prof.kappa_n(r) * np.cosh(0.5 * chi(r)))[:, None] * (rep.tau @ c0)[None, :]
+
+    return mode_field(rep, data, u_of_r, v_of_r, du_of_r, dv_of_r)

@@ -133,26 +133,51 @@ def _spd_to_bulk_lift(rep: CliffordRep, data: InitialData, x) -> np.ndarray:
     return spin_lift(rep, rotation_between_frames(f.g, frame_from=spd_frame(data, f.x), frame_to=f.frame))
 
 
-def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r) -> SpinorField:
-    """Bulk-frame spinor field of the separated form U(r) + (omega.Gamma) V(r).
+def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, du_of_r, dv_of_r) -> SpinorField:
+    """Bulk-frame spinor field of the separated form U(r) + (omega.Gamma) V(r), with its gradient.
 
     The mode profiles live in the symmetric-square-root gauge; components
-    are rotated into the deterministic bulk frame pointwise through the
-    spin lift of the (small-angle) frame rotation.  Frame derivatives are
-    central differences with the `SpinorField` default step.
+    are rotated into the deterministic bulk frame pointwise, c = L c_spd,
+    through the spin lift L of the (small-angle) frame rotation
+    O = F_bulk g F_spd^T.  The Cartesian gradient is the product rule
+    d_k c = (d_k L) c_spd + L d_k c_spd in closed form, from d_k F_bulk =
+    -Phi(F d_k g F^T) F, from A, B and their radial derivatives (A' read off
+    dg) for d_k F_spd, and from U', V' (`du_of_r`, `dv_of_r`) for the mode.
     """
 
-    def values(x):
+    def mode(x):
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         om = pts / r[:, None]
-        U = np.asarray(u_of_r(r), dtype=complex)
-        V = np.asarray(v_of_r(r), dtype=complex)
         omg = np.einsum("mi,iIK->mIK", om, rep.gamma)
-        c_spd = U + np.einsum("mIK,mK->mI", omg, V)
+        V = np.asarray(v_of_r(r), dtype=complex)
+        return pts, r, om, omg, V, np.asarray(u_of_r(r), dtype=complex) + np.einsum("mIK,mK->mI", omg, V)
+
+    def values(x):
+        pts, *_, c_spd = mode(x)
         return np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, data, pts), c_spd)
 
-    return SpinorField(rep=rep, values=values)
+    def gradient(x):
+        pts, r, om, omg, V, c_spd = mode(x)
+        f, p, A, B = PointFields(data, pts), data.profile, data.profile.A(r), data.profile.B(r)
+        dA = np.einsum("mi,mijl,mj,ml->m", om, f.dg, om, om) / (2.0 * A)  # d_r g(omega, omega) = 2 A A'
+        P, S, col = om[:, :, None] * om[:, None, :], spd_frame(data, pts), (lambda s: s[:, None, None, None])
+        T = np.eye(data.n) - P
+        # d_k S = omega_k (-(B'/B^2) T - (A'/A^2) P) + (1/A - 1/B) d_k P, with r d_k P_ij = T_ik om_j + om_i T_jk
+        dS = om[:, :, None, None] * (col(-p.dB(r) / B**2) * T[:, None] - col(dA / A**2) * P[:, None])
+        dS += col((1.0 / A - 1.0 / B) / r) * (np.einsum("mik,mj->mkij", T, om) + np.einsum("mi,mjk->mkij", om, T))
+        F, Fk, dg = f.frame, f.frame[:, None], np.moveaxis(f.dg, -1, 1)  # dg[m, k] = d_k g
+        phi = np.tril(np.ones((data.n, data.n)), -1) + 0.5 * np.eye(data.n)
+        dF = -(phi * (Fk @ dg @ np.swapaxes(Fk, -1, -2))) @ Fk  # d_k F_bulk
+        dO = (dF @ f.g[:, None] + Fk @ dg) @ S[:, None] + (F @ f.g)[:, None] @ dS  # S and dS are symmetric
+        sigma, dsigma = spin_lift(rep, F @ f.g @ S, dO)
+        # d_k c_spd = (U' + (omega.Gamma) V') omega_k + (T_kj / r) Gamma^j V
+        d_radial = du_of_r(r) + np.einsum("mIK,mK->mI", omg, dv_of_r(r))
+        dc_spd = d_radial[:, None] * om[:, :, None] + np.einsum("mkj,jIK,mK->mkI", T / r[:, None, None], rep.gamma, V)
+        grad = np.einsum("mkIK,mK->mkI", dsigma, c_spd) + np.einsum("mIK,mkK->mkI", sigma, dc_spd)
+        return np.swapaxes(grad, -1, -2)
+
+    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)
 
 
 def mode_operator_values(rep: CliffordRep, side: SideCoefficients, r, U, dU, V, dV):
@@ -193,11 +218,20 @@ def mode_gradient_blocks(rep: CliffordRep, side: SideCoefficients, r, U, dU, V, 
 # the reduced problem and its certification oracle
 
 
+# the largest oracle defects certified; both read roundoff, below 1e-15, on the catalog data
+ORACLE_OPERATOR_TOL = 1e-12  # max |D_W psi - reduced D_W psi|
+ORACLE_GRADIENT_TOL = 1e-12  # max ||nabla-bar psi|^2 - reduced| / (1 + |nabla-bar psi|^2)
+
+
 @dataclass(frozen=True)
 class OracleReport:
     operator_defect: float
     gradient_defect: float
     radii_checked: int
+
+    @property
+    def certified(self) -> bool:
+        return self.operator_defect <= ORACLE_OPERATOR_TOL and self.gradient_defect <= ORACLE_GRADIENT_TOL
 
 
 @dataclass(frozen=True)
@@ -238,7 +272,7 @@ def _oracle_side(
     def dv_of_r(r):
         return (s + 0.6 * s * s * r)[:, None] * v0[None, :]
 
-    field = mode_field(rep, side.data, u_of_r, v_of_r)
+    field = mode_field(rep, side.data, u_of_r, v_of_r, du_of_r, dv_of_r)
     f = PointFields(side.data, pts)
     sen = sen_derivatives(side.data, rep, field, f)
     full = _gamma_contract(rep, sen)  # the Dirac-Witten operator
@@ -247,8 +281,7 @@ def _oracle_side(
     U, dU = u_of_r(radii), du_of_r(radii)
     V, dV = v_of_r(radii), dv_of_r(radii)
     one, omega_part = mode_operator_values(rep, side, radii, U, dU, V, dV)
-    om = dirs
-    omg = np.einsum("mi,iIK->mIK", om, rep.gamma)
+    omg = np.einsum("mi,iIK->mIK", dirs, rep.gamma)
     reduced_spd = one + np.einsum("mIK,mK->mI", omg, omega_part)
     reduced_bulk = np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, side.data, f), reduced_spd)
     op_defect = float(np.max(np.abs(full - reduced_bulk)))
@@ -283,15 +316,11 @@ def reduce_radial(cd: CreasedData, rep: CliffordRep) -> RadialProblem:
     defects = [_oracle_side(rep, s, rng, per_side) for s in (minus, plus)]
     op_defect = max(d[0] for d in defects)
     grad_defect = max(d[1] for d in defects)
-    report = OracleReport(operator_defect=op_defect, gradient_defect=grad_defect,
-                          radii_checked=2 * per_side)
-    if op_defect > 1e-8:
+    report = OracleReport(operator_defect=op_defect, gradient_defect=grad_defect, radii_checked=2 * per_side)
+    if not report.certified:
         raise ReductionOracleError(
-            f"radial reduction disagrees with the full operator: defect {op_defect:.3e} > 1e-8"
-        )
-    if grad_defect > 1e-6:
-        raise ReductionOracleError(
-            f"gradient-norm reduction disagrees with the full machinery: {grad_defect:.3e}"
+            f"radial reduction disagrees with the full machinery: operator defect {op_defect:.3e}, gradient defect "
+            f"{grad_defect:.3e} (tolerances {ORACLE_OPERATOR_TOL:g}, {ORACLE_GRADIENT_TOL:g})"
         )
     return RadialProblem(cd=cd, rep=rep, minus=minus, plus=plus,
                          angle=float(cd.angle.constant), oracle=report)
@@ -372,7 +401,6 @@ class AssembledSystem:
     grad_weights: np.ndarray  # their quadrature weights: |nabla-bar|^2 = B^T diag(grad_weights) B
     mass_diag: np.ndarray  # |psi/rho|^2 form (diagonal) on the full vector
     norm_weights: np.ndarray  # residual-row quadrature weights (squared scale)
-    minus_prerotation: float
 
     def layout(self):
         return len(self.r_minus), len(self.r_plus)
@@ -388,7 +416,7 @@ def _rotation_blocks(tau: np.ndarray, f: float) -> np.ndarray:
     return np.block([[A * eye, B * tau], [B * tau, A * eye]])
 
 
-def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float = 0.0) -> AssembledSystem:
+def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
     """Discretize the transmission problem with constraints eliminated.
 
     Interior rows collocate both reduced equations with 4th-order stencils
@@ -397,10 +425,6 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     origin, and the Dirichlet truncation at r_max, are eliminated exactly
     through an affine substitution, so the least-squares solve can never
     trade a constraint defect for residual.
-
-    `minus_prerotation` reparametrizes the minus-side unknowns by a
-    constant hyperbolic rotation; the assembled problem is mathematically
-    identical, which the gauge-covariance tests exploit.
     Only `transmission_block` is built on spinor components; the rest is the
     scalar channel tau -> 1, so rep.tau must be real, symmetric and square to 1.
     The Poincare forms are left as their factors, the gradient rows with their
@@ -419,8 +443,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     if math.isfinite(cd.plus.chart.r_max) and grid.r_max > cd.plus.chart.r_max:
         raise RadialError("r_max outside the exterior chart")
 
-    Lm, Lp = 2 * Mm, 2 * Mp
-    L = Lm + Lp
+    Lm, L = 2 * Mm, 2 * (Mm + Mp)
 
     def scale_rows(mat, weights):
         mat.data *= np.repeat(weights, np.diff(mat.indptr))
@@ -497,18 +520,13 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     # the free columns, with C the couplings of the eliminated unknowns.
     trace_m = np.array([Mm - 1, 2 * Mm - 1])  # minus trace (u, v)
     trace_p = np.array([Lm, Lm + Mp])  # plus trace
-    u_m_0, v_m_0 = 0, Mm  # origin
+    v_m_0 = Mm  # origin
     end_p = np.array([Lm + Mp - 1, L - 1])  # r_max
 
-    # transmission: minus trace (in possibly prerotated variables) from plus trace
-    # on the channel tau -> 1 the map is the 2 x 2 [[cosh, sinh], [sinh, cosh]] on (u, v)
-    R_eff = _rotation_blocks(np.eye(1), problem.angle - minus_prerotation)
-    # origin parity: v_-(0) = 0 in original variables (u, v) = R0 (ut, vt); for prerotated unknowns
-    # R0[1, 0] ut(0) + R0[1, 1] vt(0) = 0  =>  vt(0) = -(R0[1, 0] / R0[1, 1]) ut(0)
-    R0 = _rotation_blocks(np.eye(1), minus_prerotation)
-    c_rows = np.append(np.repeat(trace_m, 2), v_m_0)
-    c_cols = np.append(np.tile(trace_p, 2), u_m_0)
-    c_vals = np.append(R_eff.ravel(), -R0[1, 0] / R0[1, 1])
+    # transmission: minus trace from plus trace; on the channel tau -> 1 the map is the
+    # 2 x 2 [[cosh, sinh], [sinh, cosh]] on (u, v).  Origin parity v_-(0) = 0 couples nothing.
+    c_rows, c_cols = np.repeat(trace_m, 2), np.tile(trace_p, 2)
+    c_vals = _rotation_blocks(np.eye(1), problem.angle).ravel()
     coupled = c_vals != 0.0
 
     # Dirichlet truncation at r_max: u_+(r_max) = 1, v_+(r_max) = 0
@@ -523,11 +541,6 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
     b_dirichlet = np.zeros(L)
     b_dirichlet[end_p[0]] = 1.0
 
-    # minus-side prerotation: residual rows act on original variables,
-    # original = R0 (prerotated), applied nodewise on the minus side
-    if minus_prerotation != 0.0:
-        T = sp.block_diag([sp.kron(R0, sp.identity(Mm)), sp.identity(Lp)], format="csr")
-        A_full = (A_full @ T).tocsr()
     A = (A_full @ S).tocsr()
 
     # ---- mass diagonal for the Poincare estimate ---------------------------
@@ -545,7 +558,6 @@ def assemble(problem: RadialProblem, grid: RadialGrid, minus_prerotation: float 
         transmission_block=_rotation_blocks(rep.tau.real, problem.angle),
         grad_rows=sp.vstack([grad_m, grad_p], format="csr"), grad_weights=np.concatenate([gw_m, gw_p]),
         mass_diag=np.concatenate(mass_diag), norm_weights=np.concatenate([w_m, w_p]),
-        minus_prerotation=minus_prerotation,
     )
 
 
@@ -622,9 +634,6 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     Mm, _ = system.layout()
     res_vec = (system.A_full @ full) * np.linalg.norm(psi_inf)
     um, vm, up, vp = system.split_full(full)
-    if system.minus_prerotation != 0.0:
-        # back to the original minus-side variables
-        um, vm = _rotation_blocks(np.eye(1), system.minus_prerotation) @ np.stack([um, vm])
     tau_psi = rep.tau @ psi_inf
     um, up = np.outer(um, psi_inf), np.outer(up, psi_inf)
     vm, vp = np.outer(vm, tau_psi), np.outer(vp, tau_psi)

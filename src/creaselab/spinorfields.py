@@ -1,8 +1,8 @@
 """Spinor-valued fields and spin-frame changes.
 
 A spinor field is a closure for its component functions relative to the
-deterministic bulk Gram-Schmidt frame, with an optional analytic Cartesian
-gradient (central differences with a declared step otherwise).  Components
+deterministic bulk Gram-Schmidt frame together with a closure for their
+analytic Cartesian gradient, the one derivative path.  Components
 may carry leading batch axes: a field of K spinors maps a point batch
 (m, n) to values (K, m, I) and gradients (K, m, I, n), so everything that
 depends only on the points is computed once for the whole batch.
@@ -12,7 +12,8 @@ view of that memory, and every contraction over the direction or the
 spinor index is one matrix product on contiguous memory.  Changing
 between two orthonormal frames of the same metric lifts the relating
 SO(3) rotation to the spinor representation; the lift is closed-form via
-the axis-angle of the rotation.
+the axis-angle of the rotation, and so is its derivative along a family
+of rotations.
 """
 
 from __future__ import annotations
@@ -52,12 +53,20 @@ def _rotation_bivector(rep: CliffordRep, axis_scaled: np.ndarray) -> np.ndarray:
     )
 
 
-def spin_lift(rep: CliffordRep, O: np.ndarray) -> np.ndarray:
+def _axial(M: np.ndarray) -> np.ndarray:
+    """Axial vector of the skew part of M (..., 3, 3)."""
+    d = M - np.swapaxes(M, -1, -2)
+    return 0.5 * np.stack([d[..., 2, 1], d[..., 0, 2], d[..., 1, 0]], axis=-1)
+
+
+def spin_lift(rep: CliffordRep, O: np.ndarray, dO: np.ndarray | None = None):
     """Spinor rotation sigma with sigma Gamma_j sigma^{-1} = sum_i O_ij Gamma_i.
 
     Three-dimensional only, and smooth in O away from half turns, as the
     small frame rotations of `radial` are; `anchored_spin_lift` lifts
-    rotations of any angle.
+    rotations of any angle.  Given partials dO (..., k, 3, 3) it returns
+    (sigma, dsigma), dsigma (..., k, I, I): sigma = h 1 + bivector(v/2h)
+    with h = sqrt((1 + c)/2), so dh = tr(dO)/8h, d(v/2h) = dv/2h - (v/2h) dh/h.
     """
     if rep.n != 3:
         raise SpinGaugeError("spin_lift implemented for spatial dimension 3")
@@ -65,13 +74,15 @@ def spin_lift(rep: CliffordRep, O: np.ndarray) -> np.ndarray:
     c = np.clip((np.trace(O, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
     if np.any(c < -0.9):
         raise SpinGaugeError("frame rotation too close to a half turn for a stable lift")
-    skew = 0.5 * (O - np.swapaxes(O, -1, -2))
-    v = np.stack([skew[..., 2, 1], skew[..., 0, 2], skew[..., 1, 0]], axis=-1)  # sin(theta) axis
     half_cos = np.sqrt((1.0 + c) / 2.0)
-    axis_scaled = v / (2.0 * half_cos[..., None])  # sin(theta/2) axis, smooth in O
+    axis_scaled = _axial(O) / (2.0 * half_cos[..., None])  # sin(theta/2) axis, smooth in O
     eye = np.eye(rep.dim, dtype=complex)
     sigma = half_cos[..., None, None] * eye + _rotation_bivector(rep, axis_scaled)
-    return sigma
+    if dO is None:
+        return sigma
+    dh = np.trace(dO, axis1=-2, axis2=-1) / (8.0 * half_cos[..., None])
+    d_axis = (0.5 * _axial(dO) - axis_scaled[..., None, :] * dh[..., None]) / half_cos[..., None, None]
+    return sigma, dh[..., None, None] * eye + _rotation_bivector(rep, d_axis)
 
 
 def spin_lift_any(rep: CliffordRep, O: np.ndarray) -> np.ndarray:
@@ -105,9 +116,7 @@ def spin_lift_any(rep: CliffordRep, O: np.ndarray) -> np.ndarray:
         lead = np.take_along_axis(picked, np.argmax(np.abs(picked), axis=-1)[:, None], axis=-1)[:, 0]
         picked = picked * np.where(lead < 0.0, -1.0, 1.0)[:, None]
         # align the axis with the skew part when the rotation is not an exact half turn
-        skew = 0.5 * (flat[near] - np.swapaxes(flat[near], -1, -2))
-        v = np.stack([skew[..., 2, 1], skew[..., 0, 2], skew[..., 1, 0]], axis=-1)
-        dots = np.einsum("ki,ki->k", picked, v)
+        dots = np.einsum("ki,ki->k", picked, _axial(flat[near]))
         picked = picked * np.where(dots < 0.0, -1.0, 1.0)[:, None]
         eye = np.eye(rep.dim, dtype=complex)
         sigma[near] = np.cos(theta / 2.0)[:, None, None] * eye + _rotation_bivector(
@@ -131,17 +140,16 @@ def anchored_spin_lift(rep: CliffordRep, O_anchor: np.ndarray, O: np.ndarray) ->
 
 @dataclass
 class SpinorField:
-    """Spinor components in the deterministic bulk frame, with derivatives.
+    """Spinor components in the deterministic bulk frame, with their Cartesian gradient.
 
-    `values` maps points (m, n) to components (..., m, I); `cartesian_gradient`,
-    when given, maps points to (..., m, I, n) partials d_i c.  Directional
-    frame derivatives fall back to central differences with `fd_step`.
+    `values` maps points (m, n) to components (..., m, I) and
+    `cartesian_gradient` maps them to the partials d_i c, (..., m, I, n);
+    frame derivatives are the frame applied to that gradient.
     """
 
     rep: CliffordRep
     values: Callable[[np.ndarray], np.ndarray]
-    cartesian_gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = 1e-6
+    cartesian_gradient: Callable[[np.ndarray], np.ndarray]
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(self.values(np.asarray(x, dtype=float)), dtype=complex)
@@ -149,17 +157,9 @@ class SpinorField:
     def frame_derivatives(self, data: InitialData, x) -> np.ndarray:
         """e_a(c) for all frame directions at points or a field bundle x; shape (..., m, I, n)."""
         f = as_fields(data, x)
-        pts, frame = f.x, f.frame
-        if self.cartesian_gradient is not None:
-            # direction-major (..., m, n, I) memory, whose float view the real frame multiplies
-            by_direction = np.ascontiguousarray(np.swapaxes(self.cartesian_gradient(pts), -1, -2), dtype=complex)
-            return np.swapaxes((frame @ by_direction.view(float)).view(complex), -1, -2)
-        h = self.fd_step
-        cols = []
-        for a in range(self.rep.n):
-            v = frame[:, a, :]
-            cols.append((self.values(pts + h * v) - self.values(pts - h * v)) / (2.0 * h))
-        return np.swapaxes(np.stack(cols, axis=-2), -1, -2)
+        # direction-major (..., m, n, I) memory, whose float view the real frame multiplies
+        by_direction = np.ascontiguousarray(np.swapaxes(self.cartesian_gradient(f.x), -1, -2), dtype=complex)
+        return np.swapaxes((f.frame @ by_direction.view(float)).view(complex), -1, -2)
 
 
 def constant_spinor_field(rep: CliffordRep, components: np.ndarray) -> SpinorField:

@@ -283,7 +283,12 @@ def test_sen_step_halving_oracle():
     data = graph_slice()
     rng = np.random.default_rng(11)
     analytic = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
-    fd_half = SpinorField(rep=REP, values=analytic.values, cartesian_gradient=None, fd_step=5e-7)
+    h = 5e-7
+
+    def central_difference(x):
+        return np.stack([(analytic.values(x + e) - analytic.values(x - e)) / (2.0 * h) for e in h * np.eye(3)], axis=-1)
+
+    fd_half = SpinorField(rep=REP, values=analytic.values, cartesian_gradient=central_difference)
     pts = np.array([[4.0, 1.0, 1.5], [3.5, -2.0, 0.7], [5.0, 0.1, -0.4]])
     a = sen_derivatives(data, REP, analytic, pts)
     b = sen_derivatives(data, REP, fd_half, pts)

@@ -165,7 +165,7 @@ def test_graph_slice_parallel_spinor_is_parallel():
     par = graph_slice_parallel_spinor(REP, gs, np.array([1.0, 0.3j, -0.2, 0.5]))
     pts = np.array([[4.5, 0.3, 0.2], [3.0, 1.0, -2.0], [2.0, 4.0, 1.0]])
     sen = sen_derivatives(gs, REP, par, pts)
-    assert np.max(np.abs(sen)) < 1e-8
+    assert np.max(np.abs(sen)) < 1e-13
 
 
 def test_graph_slice_killing_identities_close_for_mirrored_slice():
