@@ -45,10 +45,6 @@ class BartnikData:
     def size(self) -> int:
         return self.H.shape[0]
 
-    def causal_length_squared(self) -> np.ndarray:
-        """H^2 - trk^2, invariant under hyperbolic rotations."""
-        return self.H**2 - self.trk**2
-
 
 def bartnik_data(grid: SphereGrid, r0: float, hg: HypersurfaceGeometry) -> BartnikData:
     """The Bartnik data of the sphere r = r0 from its geometry on the nodes r0 * grid.nodes."""
@@ -82,20 +78,21 @@ def _angle_values(angle, grid: SphereGrid) -> np.ndarray:
 def angle_gradient_frame(angle, B: BartnikData) -> np.ndarray:
     """Components df(t_alpha) of the angle differential on the crease sphere.
 
-    Uses the analytic unit-sphere gradient when the angle provides one,
-    otherwise exact differentiation of a truncated spherical-harmonic fit
-    of the nodal values.  The homogeneous degree-0 extension of the angle
-    gives the Cartesian covector (1/r0) * surface gradient.
+    A CreaseAngle carries its analytic unit-sphere gradient.  A scalar or
+    nodal angle (as `equivalence_angle` solves it) whose spread is within
+    roundoff, 4 eps max(1, max |f|), is constant with df = 0; any other
+    nodal angle is differentiated exactly through a truncated
+    spherical-harmonic fit.  The homogeneous degree-0 extension of the
+    angle gives the Cartesian covector (1/r0) * surface gradient.
     """
     grid = B.grid
-    if isinstance(angle, CreaseAngle) and angle.surface_gradient is not None:
+    if isinstance(angle, CreaseAngle):
         grad = np.asarray(angle.surface_gradient(grid.nodes), dtype=float)
     else:
         values = _angle_values(angle, grid)
-        if np.ptp(values) == 0.0:
+        if np.ptp(values) <= 4.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(values)))):
             return np.zeros((grid.size, B.tangent.shape[1]))
-        fit = SphericalHarmonicFit(grid, values)
-        grad = fit.surface_gradient(grid.theta, grid.phi)
+        grad = SphericalHarmonicFit(grid, values).surface_gradient(grid.theta, grid.phi)
     cart = grad / B.r0
     return np.einsum("...i,...ai->...a", cart, B.tangent)
 
@@ -111,16 +108,6 @@ def rotated_components(B_minus: BartnikData, angle) -> tuple[np.ndarray, np.ndar
         raise BartnikError("hyperbolic angle must be finite at all nodes")
     ch, sh = np.cosh(f), np.sinh(f)
     return ch * B_minus.H + sh * B_minus.trk, sh * B_minus.H + ch * B_minus.trk
-
-
-def rotate_bartnik(B: BartnikData, angle) -> BartnikData:
-    """Equivalent Bartnik data after the gauge rotation by `angle` (beta -> beta + df)."""
-    nu_c, tau_c = rotated_components(B, angle)
-    df = angle_gradient_frame(angle, B)
-    return BartnikData(
-        grid=B.grid, r0=B.r0, H=nu_c, trk=tau_c, beta=B.beta + df,
-        tangent=B.tangent, area_element=B.area_element,
-    )
 
 
 def beta_delta(B_minus: BartnikData, B_plus: BartnikData, angle) -> np.ndarray:

@@ -71,30 +71,6 @@ class CliffordRep:
             raise CliffordError(f"frame index {index} outside 1..{self.n}")
         return self.gamma[index - 1]
 
-    def vector_matrix(self, components: np.ndarray, time_component: float = 0.0) -> np.ndarray:
-        """Clifford matrix of c*tau + sum_i v_i e_i (components in an orthonormal frame)."""
-        v = np.asarray(components, dtype=complex)
-        if v.shape != (self.n,):
-            raise CliffordError(f"expected {self.n} vector components, got shape {v.shape}")
-        mat = np.einsum("i,ijk->jk", v, self.gamma)
-        if time_component != 0.0:
-            mat = mat + time_component * self.tau
-        return mat
-
-
-@dataclass(frozen=True)
-class FiberVector:
-    """Vector c*tau + X in the Lorentzian fiber, components in an orthonormal frame."""
-
-    spatial: np.ndarray
-    time: float = 0.0
-
-    def causal_length_squared(self) -> float:
-        """Squared length under h = -dt^2 + delta; negative is timelike."""
-        x = np.asarray(self.spatial, dtype=float)
-        return float(x @ x - self.time**2)
-
-
 @dataclass(frozen=True)
 class HyperbolicRotation:
     """Boost angle f with the half-angle quantities used on spinors."""
@@ -147,15 +123,6 @@ def build_rep(n: int) -> CliffordRep:
     return CliffordRep(n=rep.n, dim=rep.dim, gamma=rep.gamma.copy(), tau=rep.tau.copy())
 
 
-def clifford_mul(rep: CliffordRep, v: FiberVector, psi: np.ndarray) -> np.ndarray:
-    """Clifford product (c tau + sum v_i e_i) psi."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape[-1] != rep.dim:
-        raise CliffordError(f"spinor dimension {psi.shape[-1]} does not match rep dim {rep.dim}")
-    mat = rep.vector_matrix(np.asarray(v.spatial, dtype=float), v.time)
-    return psi @ mat.T if psi.ndim > 1 else mat @ psi
-
-
 def epsilon_action(rep: CliffordRep, nu_index: int | None = None) -> np.ndarray:
     """Matrix of epsilon = nu tau for the frame vector e_{nu_index} playing nu.
 
@@ -170,18 +137,3 @@ def spinor_rotation(rep: CliffordRep, rot: HyperbolicRotation, nu_index: int | N
     """Spinor-level boost cosh(f/2) Id + sinh(f/2) epsilon."""
     eps = epsilon_action(rep, nu_index)
     return rot.half_cosh * np.eye(rep.dim, dtype=complex) + rot.half_sinh * eps
-
-
-def pairings(rep: CliffordRep, psi: np.ndarray, phi: np.ndarray) -> tuple[complex, complex]:
-    """The positive-definite pairing <psi, phi> and the indefinite one (psi, phi).
-
-    <.,.> is the standard Hermitian product (conjugate-linear in the first
-    slot).  The operative indefinite pairing is (psi, phi) = <tau psi, phi>,
-    the unique tau-built candidate compatible with the spacetime connection;
-    its invariance properties are checked by tests rather than assumed.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
-    if psi.shape != (rep.dim,) or phi.shape != (rep.dim,):
-        raise CliffordError("pairings expects two spinors of the rep dimension")
-    return complex(np.vdot(psi, phi)), complex(np.vdot(rep.tau @ psi, phi))

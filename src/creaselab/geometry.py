@@ -130,14 +130,14 @@ class InitialData:
 class CreaseAngle:
     """Hyperbolic angle function on the crease sphere.
 
-    `value` maps unit vectors (m, 3) to angles; `surface_gradient`, when
-    available, is the analytic unit-sphere gradient in Cartesian components
+    `value` maps unit vectors (m, 3) to angles; `surface_gradient` maps
+    them to the analytic unit-sphere gradient in Cartesian components
     (divide by the coordinate radius for the covector on a sphere of radius
-    r0).  Without it, consumers differentiate a spherical-harmonic fit.
+    r0).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
-    surface_gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    surface_gradient: Callable[[np.ndarray], np.ndarray]
     is_constant: bool = False
     constant: float = 0.0
     description: str = ""

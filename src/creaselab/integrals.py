@@ -297,11 +297,6 @@ def _gamma_contract(rep: CliffordRep, sen: np.ndarray) -> np.ndarray:
     return by_direction @ np.swapaxes(rep.gamma, -1, -2).reshape(n * dim, dim)
 
 
-def dirac_witten_apply(data: InitialData, rep: CliffordRep, field: SpinorField, x) -> np.ndarray:
-    """Frame-contracted spacetime connection, e^a nabla-bar_a psi."""
-    return _gamma_contract(rep, sen_derivatives(data, rep, field, x))
-
-
 # ---------------------------------------------------------------------------
 # crease boundary integrand: the D^Sigma - H/2 form in the adapted sphere gauge
 

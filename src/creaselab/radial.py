@@ -590,14 +590,6 @@ class RadialSolution:
         residual diagnostic; the absolute norm scales with the domain volume)."""
         return self.residual_norm / max(self.solution_norm, 1e-300)
 
-    def sup_distance_to(self, psi_inf: np.ndarray) -> float:
-        d = 0.0
-        for u in (self.u_minus, self.u_plus):
-            d = max(d, float(np.max(np.abs(u - psi_inf[None, :]))))
-        for v in (self.v_minus, self.v_plus):
-            d = max(d, float(np.max(np.abs(v))))
-        return d
-
 
 def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     """Least-squares solution of an assembled transmission problem for the datum psi_inf.

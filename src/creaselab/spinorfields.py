@@ -232,25 +232,3 @@ def random_polynomial_field(
     z = rng.normal(size=tuple(shape) + (2, rep.dim, len(exps)))  # real and imaginary parts
     coeffs = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) * damp
     return polynomial_spinor_field(rep, coeffs, exponents)
-
-
-def radial_bump_field(rep: CliffordRep, components: np.ndarray, r_lo: float, r_hi: float) -> SpinorField:
-    """Constant spinor windowed by a Gaussian in radius, supported well inside [r_lo, r_hi]."""
-    comp = np.asarray(components, dtype=complex)
-    center = 0.5 * (r_lo + r_hi)
-    width = (r_hi - r_lo) / 7.0
-
-    def window(r):
-        return np.exp(-(((r - center) / width) ** 2))
-
-    def values(x):
-        r = np.linalg.norm(x, axis=-1)
-        return window(r)[:, None] * comp[None, :]
-
-    def gradient(x):
-        r = np.linalg.norm(x, axis=-1)
-        dwin = window(r) * (-2.0 * (r - center) / width**2)
-        om = x / r[:, None]
-        return dwin[:, None, None] * comp[None, :, None] * om[:, None, :]
-
-    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)

@@ -1,17 +1,23 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import creaselab
 from creaselab.bartnik import (
+    BartnikData,
     BartnikError,
+    angle_gradient_frame,
     bartnik_from_data,
     beta_delta,
     crease_margin,
     crease_report_for,
     equivalence_angle,
-    rotate_bartnik,
     rotated_components,
     spacelike_form_check,
 )
@@ -19,6 +25,12 @@ from creaselab.catalog import miao_corner, trivial_crease
 from creaselab.geometry import CreaseAngle
 
 MIAO_MARGIN = 0.5 * (1.0 - math.sqrt(0.5))
+
+
+def rotate_bartnik(B: BartnikData, angle) -> BartnikData:
+    """Equivalent Bartnik data after the gauge rotation by `angle` (beta -> beta + df)."""
+    nu_c, tau_c = rotated_components(B, angle)
+    return dataclasses.replace(B, H=nu_c, trk=tau_c, beta=B.beta + angle_gradient_frame(angle, B))
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +60,7 @@ def test_rotation_preserves_causal_length(miao_pair):
     rng = np.random.default_rng(2)
     f = rng.normal(size=bm.size)
     nu, tau = rotated_components(bm, f)
-    assert np.max(np.abs(nu**2 - tau**2 - bm.causal_length_squared())) < 1e-12
+    assert np.max(np.abs(nu**2 - tau**2 - (bm.H**2 - bm.trk**2))) < 1e-12
 
 
 def test_beta_delta_trivial_and_gradient():
@@ -62,8 +74,8 @@ def test_beta_delta_trivial_and_gradient():
     expect = 0.1 * np.abs(np.sin(bm.grid.theta)) / 2.0
     assert np.max(np.abs(np.linalg.norm(bd, axis=1) - expect)) < 1e-13
 
-    # spectral differentiation path agrees with the analytic gradient
-    spectral = CreaseAngle(value=ang.value, surface_gradient=None)
+    # the spectral fit of the nodal values agrees with the analytic gradient
+    spectral = ang.value(bm.grid.nodes)
     assert np.max(np.abs(beta_delta(bm, bp, spectral) - bd)) < 1e-12
 
 
@@ -161,6 +173,30 @@ def test_equivalence_angle_roundtrip(miao_pair):
     f = equivalence_angle(bm, rotated)
     assert f is not None
     assert np.max(np.abs(f - ang.value(bm.grid.nodes))) < 1e-10
+
+
+def test_equivalence_angle_of_a_constant_rotation_fits_no_harmonics():
+    # the solved angle of a constant rotation spreads over 5.6e-17 to 1.1e-16 on this grid; taken as constant it
+    # has df = 0, where a spherical-harmonic fit costs 0.2-0.5 s and loads scipy.special; a fresh interpreter, so
+    # no other test has loaded it
+    script = (
+        "import dataclasses, sys\n"
+        "import numpy as np\n"
+        "from creaselab.bartnik import bartnik_from_data, equivalence_angle, rotated_components\n"
+        "from creaselab.catalog import miao_corner\n"
+        "mc = miao_corner(1.0, 4.0)\n"
+        "bm = bartnik_from_data(mc.minus, mc.r0, order=16)\n"
+        "for c in (0.3, -0.4236):\n"
+        "    nu, tau = rotated_components(bm, c)\n"
+        "    f = equivalence_angle(bm, dataclasses.replace(bm, H=nu, trk=tau))\n"
+        "    assert f is not None and np.max(np.abs(f - c)) < 1e-15, f\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(creaselab.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_equivalence_angle_obstruction(miao_pair):

@@ -57,16 +57,17 @@ def test_solve_report_is_byte_reproducible(tmp_path, config):
 
 
 def test_adm_leaves_scipy_optimize_and_special_unloaded(tmp_path):
-    # a fresh interpreter, so no other test has imported either module
+    # a fresh interpreter, so no other test has imported either module; adm on Schwarzschild data, then every
+    # committed config with the command its file name starts with
     doc = {"catalog": {"name": "schwarzschild_isotropic", "params": {"m": 1.0}},
            "radii": [50.0, 100.0, 200.0], "quadrature": {"sphere_order": 16}}
-    path = _write_config(tmp_path, "adm-schwarzschild.yaml", doc)
-    script = (
-        "import sys\n"
-        "import creaselab.cli as cli\n"
-        f"assert cli.main(['adm', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])\n"
-    )
+    runs = [("adm", _write_config(tmp_path, "adm-schwarzschild.yaml", doc))]
+    runs += [(path.stem.split("-small")[0], path) for path in sorted(CONFIGS.glob("*.yaml"))]
+    assert len(runs) == 7
+    script = "import sys\nimport creaselab.cli as cli\n" + "".join(
+        f"assert cli.main([{command!r}, '--config', {str(path)!r}, '--out', {str(tmp_path / path.stem)!r}]) == 0\n"
+        for command, path in runs
+    ) + "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])\n"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
@@ -119,6 +120,27 @@ def test_identities_report_is_byte_reproducible(tmp_path):
     assert report["results"]["lsw"]["max_scaled_residual"] > 0.0
 
 
+def test_identities_reports_the_lsw_roundoff_floor(tmp_path):
+    from creaselab.cliffords import build_rep
+    from creaselab.config import build_catalog_entry, load_config
+    from creaselab.integrals import lsw_residual
+    from creaselab.spinorfields import random_polynomial_field
+
+    assert _run("identities", IDENTITIES_SMALL, tmp_path / "out") == 0
+    lsw = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["results"]["lsw"]
+    assert math.isfinite(lsw["roundoff_floor"]) and lsw["roundoff_floor"] > 0.0
+    # the same draw and region as cmd_identities
+    config = load_config(str(IDENTITIES_SMALL))
+    data = cli._exterior_data(build_catalog_entry(config))
+    rep = build_rep(3)
+    fld = random_polynomial_field(rep, np.random.default_rng(config.seed), (config.n_spinors,), degree=2, scale=0.2)
+    a = max(3.0, data.chart.r_min + 0.5)
+    res = lsw_residual(data, rep, fld, ("annulus", a, a + 3.0), order=config.sphere_order)
+    floor = np.finfo(float).eps * (np.abs(res.dirichlet) + np.abs(res.dirac_sq)) / (np.abs(res.bulk) + 1.0)
+    assert lsw["roundoff_floor"] == float(np.max(floor))
+    assert lsw["region"] == [a, a + 3.0]
+
+
 def test_identities_crease_check_passes_when_the_crease_term_nearly_vanishes(tmp_path):
     # m = 1e-9: the crease term is about 1e-7 of the one-sided integrals it is the sum of, so
     # dividing the mismatch by |formula| + 1e-12 read 3.2e-7 against the 1e-8 tolerance
@@ -151,6 +173,21 @@ def test_zero_spinors_exits_2(tmp_path, capsys):
     doc["ensembles"] = {"n_spinors": 0}
     assert _run("identities", _write_config(tmp_path, "none.yaml", doc), tmp_path / "out") == 2
     assert "n_spinors" in capsys.readouterr().err
+
+
+def test_n_spinors_above_256_exits_2_before_any_computation(tmp_path, capsys, monkeypatch):
+    # identities' peak memory grows with the ensemble: 189 MiB for 128 spinors at sphere_order 16
+    def must_not_run(config, out_dir):
+        raise AssertionError("identities ran on a rejected config")
+
+    monkeypatch.setitem(cli.COMMANDS, "identities", must_not_run)
+    doc = yaml.safe_load(IDENTITIES_SMALL.read_text(encoding="utf-8"))
+    doc["ensembles"] = {"n_spinors": 257}
+    assert _run("identities", _write_config(tmp_path, "many.yaml", doc), tmp_path / "out") == 2
+    assert "n_spinors must be within 1..256" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    doc["ensembles"] = {"n_spinors": 256}
+    assert parse_config(yaml.safe_dump(doc)).n_spinors == 256
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])

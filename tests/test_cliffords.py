@@ -1,22 +1,69 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from creaselab.cliffords import (
     CliffordError,
-    FiberVector,
+    CliffordRep,
     HyperbolicRotation,
     build_rep,
-    clifford_mul,
     epsilon_action,
-    pairings,
     spinor_rotation,
 )
 
 
 def maxabs(a):
     return float(np.max(np.abs(a)))
+
+
+# ---------------------------------------------------------------------------
+# fiber vectors and pairings, spelled out for the tests of the representation
+
+
+def vector_matrix(rep: CliffordRep, components: np.ndarray, time_component: float = 0.0) -> np.ndarray:
+    """Clifford matrix of c*tau + sum_i v_i e_i (components in an orthonormal frame)."""
+    v = np.asarray(components, dtype=complex)
+    if v.shape != (rep.n,):
+        raise CliffordError(f"expected {rep.n} vector components, got shape {v.shape}")
+    return np.einsum("i,ijk->jk", v, rep.gamma) + time_component * rep.tau
+
+
+@dataclass(frozen=True)
+class FiberVector:
+    """Vector c*tau + X in the Lorentzian fiber, components in an orthonormal frame."""
+
+    spatial: np.ndarray
+    time: float = 0.0
+
+    def causal_length_squared(self) -> float:
+        """Squared length under h = -dt^2 + delta; negative is timelike."""
+        x = np.asarray(self.spatial, dtype=float)
+        return float(x @ x - self.time**2)
+
+
+def clifford_mul(rep: CliffordRep, v: FiberVector, psi: np.ndarray) -> np.ndarray:
+    """Clifford product (c tau + sum v_i e_i) psi."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape[-1] != rep.dim:
+        raise CliffordError(f"spinor dimension {psi.shape[-1]} does not match rep dim {rep.dim}")
+    mat = vector_matrix(rep, np.asarray(v.spatial, dtype=float), v.time)
+    return psi @ mat.T if psi.ndim > 1 else mat @ psi
+
+
+def pairings(rep: CliffordRep, psi: np.ndarray, phi: np.ndarray) -> tuple[complex, complex]:
+    """The positive-definite pairing <psi, phi> and the indefinite one (psi, phi) = <tau psi, phi>.
+
+    <.,.> is the standard Hermitian product (conjugate-linear in the first
+    slot); the invariance properties of the indefinite pairing are what
+    `test_pairings_properties` checks.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    phi = np.asarray(phi, dtype=complex)
+    if psi.shape != (rep.dim,) or phi.shape != (rep.dim,):
+        raise CliffordError("pairings expects two spinors of the rep dimension")
+    return complex(np.vdot(psi, phi)), complex(np.vdot(rep.tau @ psi, phi))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -100,7 +147,7 @@ def test_clifford_mul_spacelike_isometry():
         lhs = np.vdot(clifford_mul(rep, fv, psi), clifford_mul(rep, fv, phi))
         rhs = (v @ v) * np.vdot(psi, phi)
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
-        direct = rep.vector_matrix(v) @ psi
+        direct = vector_matrix(rep, v) @ psi
         assert maxabs(direct - clifford_mul(rep, fv, psi)) < 1e-14
 
 
@@ -190,5 +237,5 @@ def test_pairings_properties():
 
         # spacelike isometry of the Hermitian pairing
         v = rng.normal(size=3)
-        hv, _ = pairings(rep, rep.vector_matrix(v) @ psi, rep.vector_matrix(v) @ phi)
+        hv, _ = pairings(rep, vector_matrix(rep, v) @ psi, vector_matrix(rep, v) @ phi)
         assert abs(hv - (v @ v) * h1) < 1e-12 * (1 + abs(h1))

@@ -27,11 +27,11 @@ from creaselab.geometry import (
 from creaselab.integrals import (
     IntegralsError,
     _extrapolate_sequence,
+    _gamma_contract,
     adm_energy_momentum,
     boundary_term_density,
     bulk_spin_coefficients,
     crease_boundary_terms,
-    dirac_witten_apply,
     flux_fit_energy_momentum,
     flux_mass_pairing,
     lsw_residual,
@@ -46,7 +46,6 @@ from creaselab.spinorfields import (
     anchored_spin_lift,
     constant_spinor_field,
     polynomial_spinor_field,
-    radial_bump_field,
     random_polynomial_field,
     rotation_between_frames,
     spin_lift,
@@ -54,6 +53,33 @@ from creaselab.spinorfields import (
 )
 
 REP = build_rep(3)
+
+
+def dirac_witten_apply(data: InitialData, rep, field: SpinorField, x) -> np.ndarray:
+    """Frame-contracted spacetime connection, e^a nabla-bar_a psi."""
+    return _gamma_contract(rep, sen_derivatives(data, rep, field, x))
+
+
+def radial_bump_field(rep, components: np.ndarray, r_lo: float, r_hi: float) -> SpinorField:
+    """Constant spinor windowed by a Gaussian in radius, supported well inside [r_lo, r_hi]."""
+    comp = np.asarray(components, dtype=complex)
+    center = 0.5 * (r_lo + r_hi)
+    width = (r_hi - r_lo) / 7.0
+
+    def window(r):
+        return np.exp(-(((r - center) / width) ** 2))
+
+    def values(x):
+        r = np.linalg.norm(x, axis=-1)
+        return window(r)[:, None] * comp[None, :]
+
+    def gradient(x):
+        r = np.linalg.norm(x, axis=-1)
+        dwin = window(r) * (-2.0 * (r - center) / width**2)
+        om = x / r[:, None]
+        return dwin[:, None, None] * comp[None, :, None] * om[:, None, :]
+
+    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)
 
 
 # ---------------------------------------------------------------------------
