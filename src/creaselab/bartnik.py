@@ -79,10 +79,9 @@ def angle_gradient_frame(angle, B: BartnikData) -> np.ndarray:
     """Components df(t_alpha) of the angle differential on the crease sphere.
 
     A CreaseAngle carries its analytic unit-sphere gradient.  A scalar or
-    nodal angle (as `equivalence_angle` solves it) whose spread is within
-    roundoff, 4 eps max(1, max |f|), is constant with df = 0; any other
-    nodal angle is differentiated exactly through a truncated
-    spherical-harmonic fit.  The homogeneous degree-0 extension of the
+    nodal angle (as `equivalence_angle` solves it) is differentiated
+    exactly through a truncated spherical-harmonic fit of its values,
+    unless they are all equal.  The homogeneous degree-0 extension of the
     angle gives the Cartesian covector (1/r0) * surface gradient.
     """
     grid = B.grid
@@ -90,9 +89,10 @@ def angle_gradient_frame(angle, B: BartnikData) -> np.ndarray:
         grad = np.asarray(angle.surface_gradient(grid.nodes), dtype=float)
     else:
         values = _angle_values(angle, grid)
-        if np.ptp(values) <= 4.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(values)))):
+        if np.ptp(values) == 0.0:
             return np.zeros((grid.size, B.tangent.shape[1]))
-        grad = SphericalHarmonicFit(grid, values).surface_gradient(grid.theta, grid.phi)
+        fit = SphericalHarmonicFit(grid, values)
+        grad = fit.surface_gradient(grid.theta, grid.phi)
     cart = grad / B.r0
     return np.einsum("...i,...ai->...a", cart, B.tangent)
 

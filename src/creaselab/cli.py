@@ -149,11 +149,8 @@ def cmd_identities(config: RunConfig, out_dir: str):
     # every spinor of the ensemble in one batch: the geometry is evaluated once
     fld = random_polynomial_field(rep, rng, (config.n_spinors,), degree=2, scale=0.2)
     res = lsw_residual(data, rep, fld, region, order=config.sphere_order)
-    bulk_scale = np.abs(res.bulk) + 1.0
-    worst_lsw = float(np.max(np.abs(res.residual) / bulk_scale))
-    # eps times the two largest bulk terms, on the residual's scale: a residual near it is roundoff
-    floor = float(np.max(np.finfo(float).eps * (np.abs(res.dirichlet) + np.abs(res.dirac_sq)) / bulk_scale))
-    results["lsw"] = {"region": list(region[1:]), "max_scaled_residual": worst_lsw, "roundoff_floor": floor}
+    worst_lsw = float(np.max(np.abs(res.residual) / (np.abs(res.bulk) + 1.0)))
+    results["lsw"] = {"region": list(region[1:]), "max_scaled_residual": worst_lsw}
     flags["lsw"] = worst_lsw <= config.tol("identity_rel")
 
     if isinstance(entry, CreasedData):

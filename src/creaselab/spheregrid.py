@@ -74,7 +74,7 @@ def sphere_grid(order: int) -> SphereGrid:
 
 
 def _sph_harm(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    # imported here so that no CLI start pays for scipy.special; only the fit of a non-constant nodal angle needs it
+    # imported here so that no CLI start pays for scipy.special; only this fallback needs it
     from scipy.special import sph_harm_y
 
     return sph_harm_y(l, m, theta, phi)

@@ -1,14 +1,9 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import creaselab
 from creaselab.bartnik import (
     BartnikData,
     BartnikError,
@@ -173,30 +168,6 @@ def test_equivalence_angle_roundtrip(miao_pair):
     f = equivalence_angle(bm, rotated)
     assert f is not None
     assert np.max(np.abs(f - ang.value(bm.grid.nodes))) < 1e-10
-
-
-def test_equivalence_angle_of_a_constant_rotation_fits_no_harmonics():
-    # the solved angle of a constant rotation spreads over 5.6e-17 to 1.1e-16 on this grid; taken as constant it
-    # has df = 0, where a spherical-harmonic fit costs 0.2-0.5 s and loads scipy.special; a fresh interpreter, so
-    # no other test has loaded it
-    script = (
-        "import dataclasses, sys\n"
-        "import numpy as np\n"
-        "from creaselab.bartnik import bartnik_from_data, equivalence_angle, rotated_components\n"
-        "from creaselab.catalog import miao_corner\n"
-        "mc = miao_corner(1.0, 4.0)\n"
-        "bm = bartnik_from_data(mc.minus, mc.r0, order=16)\n"
-        "for c in (0.3, -0.4236):\n"
-        "    nu, tau = rotated_components(bm, c)\n"
-        "    f = equivalence_angle(bm, dataclasses.replace(bm, H=nu, trk=tau))\n"
-        "    assert f is not None and np.max(np.abs(f - c)) < 1e-15, f\n"
-        "print('scipy.special' in sys.modules)\n"
-    )
-    src = str(Path(creaselab.__file__).resolve().parents[2])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_equivalence_angle_obstruction(miao_pair):

@@ -120,27 +120,6 @@ def test_identities_report_is_byte_reproducible(tmp_path):
     assert report["results"]["lsw"]["max_scaled_residual"] > 0.0
 
 
-def test_identities_reports_the_lsw_roundoff_floor(tmp_path):
-    from creaselab.cliffords import build_rep
-    from creaselab.config import build_catalog_entry, load_config
-    from creaselab.integrals import lsw_residual
-    from creaselab.spinorfields import random_polynomial_field
-
-    assert _run("identities", IDENTITIES_SMALL, tmp_path / "out") == 0
-    lsw = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["results"]["lsw"]
-    assert math.isfinite(lsw["roundoff_floor"]) and lsw["roundoff_floor"] > 0.0
-    # the same draw and region as cmd_identities
-    config = load_config(str(IDENTITIES_SMALL))
-    data = cli._exterior_data(build_catalog_entry(config))
-    rep = build_rep(3)
-    fld = random_polynomial_field(rep, np.random.default_rng(config.seed), (config.n_spinors,), degree=2, scale=0.2)
-    a = max(3.0, data.chart.r_min + 0.5)
-    res = lsw_residual(data, rep, fld, ("annulus", a, a + 3.0), order=config.sphere_order)
-    floor = np.finfo(float).eps * (np.abs(res.dirichlet) + np.abs(res.dirac_sq)) / (np.abs(res.bulk) + 1.0)
-    assert lsw["roundoff_floor"] == float(np.max(floor))
-    assert lsw["region"] == [a, a + 3.0]
-
-
 def test_identities_crease_check_passes_when_the_crease_term_nearly_vanishes(tmp_path):
     # m = 1e-9: the crease term is about 1e-7 of the one-sided integrals it is the sum of, so
     # dividing the mismatch by |formula| + 1e-12 read 3.2e-7 against the 1e-8 tolerance

@@ -2,7 +2,9 @@
 
 An AST pass over the package: the nodes are top-level functions, classes,
 module constants and `Class.method`s; a node's edges are every `Name` and
-`Attribute` it reads, matched to nodes by bare name.  The roots are
+`Attribute` it reads, matched to nodes by bare name.  A class reads only
+its bases, decorators and class-level statements; a reached class reaches
+its dunder methods, and any other method is reached by a read of its name.  The roots are
 `cli.main`, every `LAYERS` name of `perfbench/tracer.py` (its install looks
 each one up), the names `perfbench/child.py` reads, and LATER_USERS.
 Matching by bare name over-approximates reachability, so the pass never
@@ -35,8 +37,13 @@ def _definitions() -> dict[str, tuple[str, set[str]]]:
     defs = {}
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(stmt, ast.FunctionDef):
                 defs[f"{path.stem}.{stmt.name}"] = (stmt.name, _reads(stmt))
+            elif isinstance(stmt, ast.ClassDef):
+                # the methods are nodes of their own, so the class reads only what lies outside them
+                outside = [s for s in stmt.body if not isinstance(s, ast.FunctionDef)]
+                parts = stmt.bases + stmt.keywords + stmt.decorator_list + outside
+                defs[f"{path.stem}.{stmt.name}"] = (stmt.name, set().union(*map(_reads, parts)))
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 for target in targets:
