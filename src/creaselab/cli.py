@@ -15,6 +15,7 @@ import sys
 import time
 
 import numpy as np
+from numpy.random import default_rng
 
 from .bartnik import crease_report_for, spacelike_form_check
 from .catalog import schwarzschild_isotropic
@@ -139,7 +140,7 @@ def _clifford_suite_residual() -> float:
 def cmd_identities(config: RunConfig, out_dir: str):
     entry = build_catalog_entry(config)
     rep = build_rep(3)
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     results: dict = {"clifford_suite_residual": _clifford_suite_residual()}
     flags = {"clifford": results["clifford_suite_residual"] <= 1e-13}
 
@@ -255,7 +256,7 @@ def cmd_rigidity(config: RunConfig, out_dir: str):
     from .geometry import CreaseAngle
 
     rep = build_rep(3)
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     flat = minkowski_slice()
     samples = np.array([[1.0, 2.0, 0.5], [3.0, 0.0, 1.0], [0.5, -1.0, 2.0]])
 

@@ -49,6 +49,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .bartnik import bartnik_data, beta_delta, rotated_components
 from .cliffords import CliffordRep
@@ -112,7 +113,7 @@ def volume_quadrature(region: Sequence, r_order: int, sph_order: int):
     if not hi > lo >= 0.0:
         raise IntegralsError("region radii must satisfy 0 <= lo < hi")
     grid = sphere_grid(sph_order)
-    x_gl, w_gl = np.polynomial.legendre.leggauss(r_order)
+    x_gl, w_gl = leggauss(r_order)
     rr = 0.5 * (hi - lo) * x_gl + 0.5 * (hi + lo)
     wr = 0.5 * (hi - lo) * w_gl * rr**2
     pts = rr[:, None, None] * grid.nodes[None, :, :]

@@ -33,8 +33,11 @@ The boundary-value problem (both interior equations, the transmission
 rotation at the crease, odd-parity regularity V(0) = 0, and a Dirichlet
 approximation psi(r_max) = psi_inf of the decay condition) is solved by
 minimizing the quadrature-weighted residual norm over the affine space
-satisfying the constraints exactly, through a sparse LU factorization of
-the normal equations.
+satisfying the constraints exactly.  With the unknowns ordered node by node
+across the crease, every row lives on the five nodes of one 4th-order
+stencil, so the normal equations are block tridiagonal; `banded` factors
+them by block cyclic reduction in numpy, and its Lanczos iteration gives the
+Poincare estimate's smallest eigenvalue.
 
 The coefficients are real and reach the spinor index only through 1 and
 the real symmetric involution tau, so the problem is discretized on one real
@@ -50,9 +53,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from numpy.random import default_rng
 
+from . import banded as spla
 from .bartnik import crease_report_for
 from .cliffords import CliffordRep
 from .geometry import (
@@ -311,7 +314,7 @@ def reduce_radial(cd: CreasedData, rep: CliffordRep) -> RadialProblem:
         raise RadialError("reduce_radial needs a constant hyperbolic angle on the crease")
     minus = SideCoefficients(data=cd.minus, r_lo=0.0, r_hi=cd.r0)
     plus = SideCoefficients(data=cd.plus, r_lo=cd.r0, r_hi=cd.plus.chart.r_max)
-    rng = np.random.default_rng(712)
+    rng = default_rng(712)
     per_side = 10
     defects = [_oracle_side(rep, s, rng, per_side) for s in (minus, plus)]
     op_defect = max(d[0] for d in defects)
@@ -330,30 +333,19 @@ def reduce_radial(cd: CreasedData, rep: CliffordRep) -> RadialProblem:
 # discretization
 
 
-def derivative_matrix(m: int, h: float) -> sp.csr_matrix:
-    """4th-order first-derivative matrix on a uniform grid of m nodes."""
+def derivative_matrix(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """4th-order first-derivative matrix on a uniform grid of m nodes, as five-node windows.
+
+    Row i is coef[i] on nodes start[i] .. start[i] + 4: centered rows, and
+    one-sided rows at both ends, the last two mirroring the first two.
+    """
     if m < 6:
         raise RadialError("need at least 6 nodes per side")
     c = 1.0 / (12.0 * h)
-    # centered rows 2..m-3 (the zero center weight is not stored)
-    mid = np.arange(2, m - 2)
-    offsets = np.array([-2, -1, 1, 2])
-    rows = [np.repeat(mid, 4)]
-    cols = [(mid[:, None] + offsets[None, :]).ravel()]
-    vals = [np.tile(np.array([1.0, -8.0, 8.0, -1.0]) * c, len(mid))]
-    # one-sided rows at both ends
-    for i, start, stencil in (
-        (0, 0, np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) * c),
-        (1, 0, np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) * c),
-        (m - 2, m - 5, -np.array([1.0, -6.0, 18.0, -10.0, -3.0]) * c),
-        (m - 1, m - 5, -np.array([-3.0, 16.0, -36.0, 48.0, -25.0]) * c),
-    ):
-        rows.append(np.full(5, i))
-        cols.append(np.arange(start, start + 5))
-        vals.append(stencil)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
-    )
+    coef = np.tile(np.array([1.0, -8.0, 0.0, 8.0, -1.0]) * c, (m, 1))
+    coef[:2] = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) * c
+    coef[-2:] = -coef[1::-1, ::-1]
+    return coef, np.clip(np.arange(m) - 2, 0, m - 5)
 
 
 def _hat_weights(r: np.ndarray, moment: int = 0) -> np.ndarray:
@@ -372,6 +364,9 @@ def _hat_weights(r: np.ndarray, moment: int = 0) -> np.ndarray:
     return w
 
 
+MAX_INTERVALS = 32768  # per side, 4x the finest benchmark grid; the solve's memory grows linearly with it
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     n_minus: int
@@ -381,33 +376,40 @@ class RadialGrid:
     def validate(self):
         if self.n_minus < 64 or self.n_plus < 64:
             raise RadialError("need at least 64 intervals per side")
+        if self.n_minus > MAX_INTERVALS or self.n_plus > MAX_INTERVALS:
+            raise RadialError(f"at most {MAX_INTERVALS} intervals per side")
         if self.n_minus % 2 or self.n_plus % 2:
             raise RadialError("interval counts must be even (Simpson quadrature)")
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """The problem on the scalar channel tau -> 1: the full vector is [u_-, v_-, u_+, v_+], one value per node."""
+    """The problem on the scalar channel tau -> 1, on the free unknowns x.
+
+    The nodes are merged across the crease: minus nodes 0 .. Mm - 2, then plus
+    nodes 0 .. Mp - 1, with (v, u) at each; the minus trace is the rotation R
+    of plus node 0.  x is that vector without its first entry, v_-(0) = 0, and
+    its last two, the Dirichlet values v_+ = 0 and u_+ = 1 at r_max.  Every
+    row below is nonzero only on the five nodes of one derivative stencil.
+    """
 
     problem: RadialProblem
     r_minus: np.ndarray
     r_plus: np.ndarray
-    A: sp.csr_matrix  # weighted residual operator on free unknowns
-    A_full: sp.csr_matrix  # ... on the full stacked vector
-    S: sp.csr_matrix  # full = S free + b_dirichlet
-    b_dirichlet: np.ndarray  # (L,) full vector of the datum 1 at r_max, zero elsewhere
+    A: spla.WindowRows  # weighted residual rows on x: the minus side's r1 and r2 rows, then the plus side's
+    rhs: np.ndarray  # the Dirichlet datum's part of the residual moved to the right: residual = A x - rhs
     transmission_block: np.ndarray  # (2 dim, 2 dim) spinor map plus trace -> minus trace
-    grad_rows: sp.csr_matrix  # P, Q, Pt, Qt rows of both sides on the full vector
-    grad_weights: np.ndarray  # their quadrature weights: |nabla-bar|^2 = B^T diag(grad_weights) B
-    mass_diag: np.ndarray  # |psi/rho|^2 form (diagonal) on the full vector
+    grad_rows: spla.WindowRows  # P, Q, Pt, Qt rows of both sides times the roots of their weights: |nabla-bar|^2 = |B x|^2
+    mass_rows: spla.WindowRows  # |psi/rho|^2 = |C x|^2
     norm_weights: np.ndarray  # residual-row quadrature weights (squared scale)
 
-    def layout(self):
-        return len(self.r_minus), len(self.r_plus)
-
-    def split_full(self, x: np.ndarray):
-        Mm, Mp = self.layout()
-        return np.split(x, np.cumsum([Mm, Mm, Mp]))
+    def nodes(self, x: np.ndarray):
+        """Channel values u_-, v_-, u_+, v_+ at every node of both sides for the free unknowns x."""
+        Mm = len(self.r_minus)
+        y = np.concatenate([[0.0], x, [0.0, 1.0]]).reshape(-1, 2)
+        minus = np.vstack([y[: Mm - 1], _rotation_blocks(np.eye(1), self.problem.angle) @ y[Mm - 1]])
+        plus = y[Mm - 1 :]
+        return minus[:, 1], minus[:, 0], plus[:, 1], plus[:, 0]
 
 
 def _rotation_blocks(tau: np.ndarray, f: float) -> np.ndarray:
@@ -427,8 +429,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
     trade a constraint defect for residual.
     Only `transmission_block` is built on spinor components; the rest is the
     scalar channel tau -> 1, so rep.tau must be real, symmetric and square to 1.
-    The Poincare forms are left as their factors, the gradient rows with their
-    weights and the mass diagonal, for `poincare_estimate` to form.
+    The Poincare forms are left as their rows, for `poincare_estimate` to form.
     """
     grid.validate()
     rep = problem.rep
@@ -442,122 +443,69 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
         raise RadialError("r_max must exceed the crease radius")
     if math.isfinite(cd.plus.chart.r_max) and grid.r_max > cd.plus.chart.r_max:
         raise RadialError("r_max outside the exterior chart")
+    n = 2 * (Mm + Mp) - 5
+    rot = _rotation_blocks(np.eye(1), problem.angle)  # the channel's transmission; the same on (v, u) as on (u, v)
+    rho0 = 0.5 * cd.r0
 
-    Lm, L = 2 * Mm, 2 * (Mm + Mp)
+    def side_rows(side: SideCoefficients, r, minus: bool):
+        """Residual, gradient and mass rows of one side as windows on x, and its node weights.
 
-    def scale_rows(mat, weights):
-        mat.data *= np.repeat(weights, np.diff(mat.indptr))
-        return mat
-
-    def side_blocks(side: SideCoefficients, r, skip_first: bool, col0: int):
-        """Weighted residual rows, gradient rows with their form weights, node weights of one side.
-
-        Columns are those of the full stacked vector, this side's starting
-        at col0.  Coefficients at r = 0 take their node-1 value; skip_first
-        gives node 0 zero weight, so its residual and gradient rows are
-        dropped and it adds nothing to the form.
+        Coefficients at r = 0 take their node-1 value; the minus side gives
+        node 0 zero weight, so it has no residual or gradient rows, and
+        folds its trace, node Mm - 1, onto plus node 0 through R.
         """
         M = len(r)
         rr = np.where(r > 0, r, r[1])
         w = _hat_weights(r, moment=0) * side.volume_factor(rr) * unit_sphere_volume(side.data.n)
-        if skip_first:
+        if minus:
             w[0] = 0.0
         keep = np.flatnonzero(w > 0)
-        K = len(keep)
-        rk = rr[keep]
-        D = derivative_matrix(M, r[1] - r[0])[keep].tocoo()
-        FD = (D.row, D.col, side.F(rk)[D.row] * D.data)
+        K, rk = len(keep), rr[keep]
+        coef, start = derivative_matrix(M, r[1] - r[0])
+        FD, start = side.F(rk)[:, None] * coef[keep], start[keep]
 
-        def diag(d):
-            return np.arange(K), keep, d
-
-        def block_rows(*eqs):
-            """CSR of the equations' rows, K each, over the full vector.
-
-            Each equation is a list of (column half u/v, node matrix as a COO
-            triple); duplicate entries add up.
-            """
-            rows, cols, vals = [], [], []
-            for eq, terms in enumerate(eqs):
-                for half, (xr, xc, xv) in terms:
-                    rows.append(eq * K + xr)
-                    cols.append(col0 + half * M + xc)
-                    vals.append(xv)
-            out = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(len(eqs) * K, L)
-            )
-            out.eliminate_zeros()
+        def rows(d, v, u):
+            """Rows F d' + v v + u u at the kept nodes, as (K, 5 nodes, (v, u)); d = 0 for v', 1 for u', None."""
+            out = np.zeros((K, 5, 2))
+            if d is not None:
+                out[:, :, d] = FD
+            out[np.arange(K), keep - start] += np.stack([v, u], axis=-1)
             return out
 
-        trk = diag(0.5 * side.trk(rk))
-        # r1 = F v' + ell v + (trk/2) u ; r2 = F u' - m_c u + (trk/2) v
-        residual = block_rows(
-            [(0, trk), (1, FD), (1, diag(side.ell(rk)))],
-            [(0, FD), (0, diag(-side.m_c(rk))), (1, trk)],
-        )
-        residual = scale_rows(residual, np.tile(np.sqrt(w[keep]), 2))
-
-        p = side.data.profile
-        kn = diag(0.5 * p.kappa_n(rk))
-        kt = diag(0.5 * p.kappa_t(rk))
-        # P = F u' + kn v, Q = kn u + F v', Pt = kt u + gr v, Qt = muh u - kt v
-        grad_rows = block_rows(
-            [(0, FD), (1, kn)],
-            [(0, kn), (1, FD)],
-            [(0, kt), (1, diag(side.G(rk) / rk - 0.5 * side.mu_c(rk)))],
-            [(0, diag(0.5 * side.mu_c(rk))), (1, diag(-0.5 * p.kappa_t(rk)))],
-        )
+        p, zero = side.data.profile, np.zeros(K)
+        trk, kn, kt, muh = 0.5 * side.trk(rk), 0.5 * p.kappa_n(rk), 0.5 * p.kappa_t(rk), 0.5 * side.mu_c(rk)
+        # r1 = F v' + ell v + trk u ; r2 = F u' - m_c u + trk v
+        residual = np.concatenate([rows(0, side.ell(rk), trk), rows(1, trk, -side.m_c(rk))])
+        # P = F u' + kn v, Q = F v' + kn u, Pt = gr v + kt u, Qt = muh u - kt v
+        grad = np.concatenate([rows(1, kn, zero), rows(0, zero, kn),
+                               rows(None, side.G(rk) / rk - muh, kt), rows(None, -kt, muh)])
         n1 = float(side.data.n - 1)
-        return residual, grad_rows, np.concatenate([w[keep], w[keep], n1 * w[keep], n1 * w[keep]]), w
+        residual *= np.tile(np.sqrt(w[keep]), 2)[:, None, None]
+        grad *= np.sqrt(np.concatenate([w[keep], w[keep], n1 * w[keep], n1 * w[keep]]))[:, None, None]
+        mass = _hat_weights(r, moment=2) * p.A(rr) * p.B(rr) ** 2 * unit_sphere_volume(3) / (r**2 + rho0**2)
+        mass = np.sqrt(mass)[:, None, None] * np.eye(2)  # (M, 2 rows, (v, u))
+        if minus:
+            for a in (residual, grad):
+                trace = np.tile(start == M - 5, len(a) // K)
+                a[trace, 4] = a[trace, 4] @ rot
+            mass[-1] = mass[-1] @ rot
+        node0 = 0 if minus else Mm - 1  # x column of node j's v is 2 (node0 + j) - 1
+        starts = 2 * (node0 + start) - 1
+        return (residual.reshape(-1, 10), np.tile(starts, 2), grad.reshape(-1, 10), np.tile(starts, 4),
+                mass.reshape(-1, 2), np.repeat(2 * (node0 + np.arange(M)) - 1, 2), w)
 
-    rows_m, grad_m, gw_m, w_m = side_blocks(problem.minus, r_m, skip_first=True, col0=0)
-    rows_p, grad_p, gw_p, w_p = side_blocks(problem.plus, r_p, skip_first=False, col0=Lm)
-    A_full = sp.vstack([rows_m, rows_p], format="csr")
-
-    # ---- constraint elimination ------------------------------------------
-    # full vector layout: [u_-, v_-, u_+, v_+], one value per node.
-    # Eliminated unknowns are affine in the free ones: S = diag(is_free) + C on
-    # the free columns, with C the couplings of the eliminated unknowns.
-    trace_m = np.array([Mm - 1, 2 * Mm - 1])  # minus trace (u, v)
-    trace_p = np.array([Lm, Lm + Mp])  # plus trace
-    v_m_0 = Mm  # origin
-    end_p = np.array([Lm + Mp - 1, L - 1])  # r_max
-
-    # transmission: minus trace from plus trace; on the channel tau -> 1 the map is the
-    # 2 x 2 [[cosh, sinh], [sinh, cosh]] on (u, v).  Origin parity v_-(0) = 0 couples nothing.
-    c_rows, c_cols = np.repeat(trace_m, 2), np.tile(trace_p, 2)
-    c_vals = _rotation_blocks(np.eye(1), problem.angle).ravel()
-    coupled = c_vals != 0.0
-
-    # Dirichlet truncation at r_max: u_+(r_max) = 1, v_+(r_max) = 0
-    is_free = np.ones(L, dtype=bool)
-    is_free[np.concatenate([trace_m, [v_m_0], end_p])] = False
-    free = np.flatnonzero(is_free)
-    free_col = np.cumsum(is_free) - 1  # column of each free unknown in S
-    S_rows = np.concatenate([free, c_rows[coupled]])
-    S_cols = free_col[np.concatenate([free, c_cols[coupled]])]
-    S_vals = np.concatenate([np.ones(len(free)), c_vals[coupled]])
-    S = sp.csr_matrix((S_vals, (S_rows, S_cols)), shape=(L, len(free)))
-    b_dirichlet = np.zeros(L)
-    b_dirichlet[end_p[0]] = 1.0
-
-    A = (A_full @ S).tocsr()
-
-    # ---- mass diagonal for the Poincare estimate ---------------------------
-    rho0 = 0.5 * cd.r0
-    mass_diag = []
-    for side, r in ((problem.minus, r_m), (problem.plus, r_p)):
-        rr = np.where(r > 0, r, r[1])
-        prof = side.data.profile
-        fac = prof.A(rr) * prof.B(rr) ** 2 * unit_sphere_volume(3)
-        w2 = _hat_weights(r, moment=2) * fac / (r**2 + rho0**2)
-        mass_diag += [w2, w2]
-
+    res_m, s_m, grad_m, gs_m, mass_m, ms_m, w_m = side_rows(problem.minus, r_m, minus=True)
+    res_p, s_p, grad_p, gs_p, mass_p, ms_p, w_p = side_rows(problem.plus, r_p, minus=False)
+    A = spla.WindowRows(np.concatenate([res_m, res_p]), np.concatenate([s_m, s_p]), n)
+    # the Dirichlet value u_+(r_max) = 1 is column n + 1
+    at = np.clip(n + 1 - A.start, 0, 9)
+    rhs = -np.where(A.start + at == n + 1, A.coef[np.arange(len(at)), at], 0.0)
     return AssembledSystem(
-        problem=problem, r_minus=r_m, r_plus=r_p, A=A, A_full=A_full, S=S, b_dirichlet=b_dirichlet,
+        problem=problem, r_minus=r_m, r_plus=r_p, A=A, rhs=rhs,
         transmission_block=_rotation_blocks(rep.tau.real, problem.angle),
-        grad_rows=sp.vstack([grad_m, grad_p], format="csr"), grad_weights=np.concatenate([gw_m, gw_p]),
-        mass_diag=np.concatenate(mass_diag), norm_weights=np.concatenate([w_m, w_p]),
+        grad_rows=spla.WindowRows(np.concatenate([grad_m, grad_p]), np.concatenate([gs_m, gs_p]), n),
+        mass_rows=spla.WindowRows(np.concatenate([mass_m, mass_p]), np.concatenate([ms_m, ms_p]), n),
+        norm_weights=np.concatenate([w_m, w_p]),
     )
 
 
@@ -596,7 +544,7 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
 
     The grid and problem are the ones `assemble` built `system` from.
     Minimizes the weighted residual norm over the affine constraint space
-    through a sparse LU factorization of the normal equations, and records
+    through a block cyclic reduction of the normal equations, and records
     the smallest singular value of the reduced operator on the solution.
     One real solve for the channel datum 1 is lifted as U = u psi_inf,
     V = v tau psi_inf; tau is unitary, so the residual norm is |psi_inf|
@@ -606,26 +554,22 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     psi_inf = np.asarray(psi_inf, dtype=complex)
     if psi_inf.shape != (rep.dim,):
         raise RadialError("psi_inf must be a single spinor")
-    b = system.b_dirichlet
-    rhs = -(system.A_full @ b)
-
-    N = (system.A.T @ system.A).tocsc()
-    lu = spla.splu(N)
-    x = lu.solve(system.A.T @ rhs)
-    # cheap full-rank diagnostic: inverse power iteration on N
-    v = np.random.default_rng(0).normal(size=N.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(8):
-        v = lu.solve(v)
-        v /= np.linalg.norm(v)
-    lam_min = float(v @ (N @ v))
+    A = system.A
+    N = A.gram()
+    try:
+        lu = spla.splu(N)
+        # full-rank diagnostic: N's smallest eigenvalue, by Lanczos on the factorization at hand; a residual
+        # of 1e-6 leaves an eigenvalue error of order 1e-12
+        lam_min = spla.lanczos(lu, None, default_rng(0).normal(size=A.shape[1]), tol=1e-6)
+    except np.linalg.LinAlgError as exc:
+        raise RadialError(f"solve: normal equations: {exc}") from exc
+    x = lu.solve(A.rmatvec(system.rhs))
     if not np.isfinite(x).all():
         raise RadialError("direct solve produced non-finite values (rank deficiency?)")
 
-    full = system.S @ x + b
-    Mm, _ = system.layout()
-    res_vec = (system.A_full @ full) * np.linalg.norm(psi_inf)
-    um, vm, up, vp = system.split_full(full)
+    Mm = len(system.r_minus)
+    res_vec = (A @ x - system.rhs) * np.linalg.norm(psi_inf)
+    um, vm, up, vp = system.nodes(x)
     tau_psi = rep.tau @ psi_inf
     um, up = np.outer(um, psi_inf), np.outer(up, psi_inf)
     vm, vp = np.outer(vm, tau_psi), np.outer(vp, tau_psi)
@@ -705,9 +649,8 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
         (problem.plus, system.r_plus, sol.u_plus, sol.v_plus),
     ):
         h = r[1] - r[0]
-        D = derivative_matrix(len(r), h)
-        dU = D @ U
-        dV = D @ V
+        coef, start = derivative_matrix(len(r), h)
+        dU, dV = (sum(coef[:, k, None] * f[start + k] for k in range(5)) for f in (U, V))
         rr = np.where(r > 0, r, r[1])
         P, Q, Pt, Qt = mode_gradient_blocks(rep, side, rr, U, dU, V, dV)
         dens = (
@@ -773,18 +716,15 @@ def poincare_estimate(problem: RadialProblem, grid: RadialGrid) -> float:
     forms are four orthogonal copies of the channel forms, one per basis
     spinor psi through U = u psi, V = v tau psi, so their smallest eigenvalue
     is the channel one.  The forms are built here from the factors `assemble`
-    keeps: G = (B S)^T W (B S) and M = S^T diag(mass) S.  ARPACK starts from a
+    keeps: G = B^T B and M = C^T C.  The Lanczos iteration starts from a
     fixed vector, so the estimate is reproducible to the last digit.
     """
     system = assemble(problem, grid)
-    BS = (system.grad_rows @ system.S).tocsr()
-    G = (BS.T @ sp.diags(system.grad_weights) @ BS).tocsc()
-    M = (system.S.T @ sp.diags(system.mass_diag) @ system.S).tocsc()
-    G = (G + G.T) * 0.5
-    M = (M + M.T) * 0.5
-    v0 = np.random.default_rng(0).normal(size=G.shape[0])
-    vals = spla.eigsh(G, k=1, M=M, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False)
-    lam = float(vals[0])
+    C = system.mass_rows
+    try:
+        lam = spla.eigsh(system.grad_rows.gram(), lambda v: C.rmatvec(C @ v), default_rng(0).normal(size=C.n))
+    except np.linalg.LinAlgError as exc:
+        raise RadialError(f"Poincare estimate: the eigensolve failed ({exc})") from exc
     if lam <= 0.0:
         raise RadialError(f"Poincare estimate not positive: {lam:.3e}")
     return lam

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def sphere_grid(order: int) -> SphereGrid:
         raise ValueError("sphere quadrature order must be >= 4")
     ntheta = order + (order % 2)
     nphi = 2 * ntheta
-    x, wx = np.polynomial.legendre.leggauss(ntheta)
+    x, wx = leggauss(ntheta)
     theta_1d = np.arccos(x)
     phi_1d = 2.0 * np.pi * np.arange(nphi) / nphi
     theta = np.repeat(theta_1d, nphi)

@@ -56,23 +56,58 @@ def test_solve_report_is_byte_reproducible(tmp_path, config):
         assert abs_v.max() > 0.0
 
 
-def test_adm_leaves_scipy_optimize_and_special_unloaded(tmp_path):
-    # a fresh interpreter, so no other test has imported either module; adm on Schwarzschild data, then every
+def _fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a new interpreter that imports creaselab from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter whose import system refuses every scipy module; adm on Schwarzschild data, then every
     # committed config with the command its file name starts with
     doc = {"catalog": {"name": "schwarzschild_isotropic", "params": {"m": 1.0}},
            "radii": [50.0, 100.0, 200.0], "quadrature": {"sphere_order": 16}}
     runs = [("adm", _write_config(tmp_path, "adm-schwarzschild.yaml", doc))]
     runs += [(path.stem.split("-small")[0], path) for path in sorted(CONFIGS.glob("*.yaml"))]
     assert len(runs) == 7
-    script = "import sys\nimport creaselab.cli as cli\n" + "".join(
+    script = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} refused')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import creaselab.cli as cli\n"
+    ) + "".join(
         f"assert cli.main([{command!r}, '--config', {str(path)!r}, '--out', {str(tmp_path / path.stem)!r}]) == 0\n"
         for command, path in runs
-    ) + "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])\n"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    ) + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    proc = _fresh_interpreter(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_singular_radial_system_exits_3(tmp_path):
+    # r_max = 1e300 overflows the quadrature weights, so the normal equations have non-finite pivot blocks
+    doc = _solve_small()
+    doc["grid"] = {"n_minus": 64, "n_plus": 64, "r_max": 1.0e300}
+    path = _write_config(tmp_path, "huge-rmax.yaml", doc)
+    proc = _fresh_interpreter(
+        f"import sys, creaselab.cli as cli\nsys.exit(cli.main(['solve', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "solve: normal equations: non-finite pivot block" in proc.stderr
+
+
+@pytest.mark.parametrize("side", ["n_minus", "n_plus"])
+def test_oversized_radial_grid_exits_2(tmp_path, capsys, side):
+    # 32,770 intervals, two over the bound: a broken check would still only build a grid that fits in memory
+    doc = _solve_small()
+    doc["grid"][side] = 32770
+    assert _run("solve", _write_config(tmp_path, "oversized.yaml", doc), tmp_path / "out") == 2
+    assert "at most 32768 intervals per side" in capsys.readouterr().err
 
 
 def test_solve_poincare_grids_valid_when_half_is_odd(tmp_path):

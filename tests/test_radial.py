@@ -34,6 +34,7 @@ from creaselab.radial import (
     reduce_radial,
     solve,
 )
+from test_banded import _dense
 
 REP = build_rep(3)
 PSI_INF = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -162,11 +163,29 @@ def test_reduced_operator_annihilates_constants_on_flat(trivial_problem):
 # discretization
 
 
+def _dense_derivative(m, h):
+    """Dense copy of derivative_matrix's five-node windows."""
+    coef, start = derivative_matrix(m, h)
+    dense = np.zeros((m, m))
+    for i in range(m):
+        dense[i, start[i] : start[i] + 5] = coef[i]
+    return dense
+
+
+def _dense_rows(rows):
+    """Dense copy of a WindowRows matrix, its window columns outside [0, n) dropped."""
+    out = np.zeros(rows.shape)
+    cols = rows.start[:, None] + np.arange(rows.coef.shape[1])
+    inside = (cols >= 0) & (cols < rows.n)
+    np.add.at(out, (np.nonzero(inside)[0], cols[inside]), rows.coef[inside])
+    return out
+
+
 def test_derivative_matrix_is_4th_order():
     errs = []
     for m in (33, 65):
         r = np.linspace(0.0, 2.0, m)
-        D = derivative_matrix(m, r[1] - r[0])
+        D = _dense_derivative(m, r[1] - r[0])
         f = np.sin(1.7 * r)
         errs.append(np.max(np.abs(D @ f - 1.7 * np.cos(1.7 * r))))
     assert errs[0] / errs[1] > 10.0  # ~16 for 4th order
@@ -182,9 +201,10 @@ def test_derivative_matrix_matches_dense_stencil(m):
     dense[1, :5] = [-3.0, -10.0, 18.0, -6.0, 1.0]
     dense[m - 2, m - 5 :] = [-1.0, 6.0, -18.0, 10.0, 3.0]
     dense[m - 1, m - 5 :] = [3.0, -16.0, 36.0, -48.0, 25.0]
-    D = derivative_matrix(m, h)
-    assert np.array_equal(D.toarray(), dense * (1.0 / (12.0 * h)))
-    assert D.nnz == int(np.count_nonzero(dense))
+    assert np.array_equal(_dense_derivative(m, h), dense * (1.0 / (12.0 * h)))
+    # every row's window holds its five stencil nodes
+    coef, start = derivative_matrix(m, h)
+    assert np.count_nonzero(coef) == int(np.count_nonzero(dense))
 
 
 def test_manufactured_solution_convergence(miao_problem):
@@ -202,7 +222,7 @@ def test_manufactured_solution_convergence(miao_problem):
     for n in (128, 256):
         r = np.linspace(4.0, 40.0, n + 1)
         h = r[1] - r[0]
-        D = derivative_matrix(n + 1, h)
+        D = _dense_derivative(n + 1, h)
         U, dU, V, dV = exact_profiles(r)
         one_exact, omega_exact = mode_operator_values(REP, side, r, U, dU, V, dV)
         one_disc, omega_disc = mode_operator_values(REP, side, r, U, D @ U, V, D @ V)
@@ -249,16 +269,18 @@ def test_assemble_trivial_crease_trace_continuity(trivial_problem):
 
 
 def test_constraint_map_satisfies_constraints(miao_problem):
-    """S x + b meets the channel transmission, v_-(0) = 0 and the Dirichlet rows for every x."""
+    """The node values of every x meet the channel transmission, v_-(0) = 0 and the Dirichlet rows."""
     grid = RadialGrid(n_minus=64, n_plus=128, r_max=40.0)
-    system = assemble(miao_problem, grid)
+    problem = dataclasses.replace(miao_problem, angle=0.3)
+    system = assemble(problem, grid)
     rng = np.random.default_rng(5)
-    Mm, Mp = system.layout()
-    assert system.S.shape[0] == 2 * (Mm + Mp)
-    R = _rotation_blocks(np.eye(1), miao_problem.angle)
+    Mm, Mp = len(system.r_minus), len(system.r_plus)
+    assert system.A.shape[1] == 2 * (Mm + Mp) - 5
+    R = _rotation_blocks(np.eye(1), problem.angle)
     for _ in range(3):
-        x = rng.normal(size=system.S.shape[1])
-        um, vm, up, vp = system.split_full(system.S @ x + system.b_dirichlet)
+        x = rng.normal(size=system.A.shape[1])
+        um, vm, up, vp = system.nodes(x)
+        assert [len(a) for a in (um, vm, up, vp)] == [Mm, Mm, Mp, Mp]
         trace_minus = np.array([um[-1], vm[-1]])
         trace_plus = np.array([up[0], vp[0]])
         assert np.max(np.abs(trace_minus - R @ trace_plus)) <= 1e-14
@@ -299,7 +321,7 @@ def _kron_side_blocks(side, r, skip_first, tau):
     tau_s = sp.csr_matrix(tau)
     rr = np.where(r > 0, r, r[1])
     F = sp.diags(side.F(rr))
-    FD = (F @ derivative_matrix(len(r), r[1] - r[0])).tocsr()
+    FD = (F @ sp.csr_matrix(_dense_derivative(len(r), r[1] - r[0]))).tocsr()
     w = _hat_weights(r, moment=0) * side.volume_factor(rr) * unit_sphere_volume(side.data.n)
     if skip_first:
         w[0] = 0.0
@@ -340,36 +362,41 @@ def _kron_mass_diagonal(problem, system, I):
     return np.concatenate(mass)
 
 
+def _constraint_map(system):
+    """S and b of the stacked vector [u_-, v_-, u_+, v_+] = S x + b, read off `system.nodes`."""
+    b = np.concatenate(system.nodes(np.zeros(system.A.shape[1])))
+    return np.column_stack([np.concatenate(system.nodes(e)) - b for e in np.eye(system.A.shape[1])]), b
+
+
 @pytest.mark.parametrize("n_minus,n_plus,r_max", [(64, 128, 40.0), (256, 1024, 400.0)])
 def test_assemble_matches_kron_reference(miao_problem, n_minus, n_plus, r_max):
-    """The one-pass COO assembly equals the blockwise kron/hstack build on the channel tau -> 1."""
+    """The window rows and their block tridiagonal forms equal the blockwise kron/hstack build on the channel
+    tau -> 1, with extrinsic curvature and a crease angle, so the one-sided rows couple unknowns nine apart."""
     import scipy.sparse as sp
 
-    problem = _with_extrinsic_curvature(miao_problem)
+    problem = dataclasses.replace(_with_extrinsic_curvature(miao_problem), angle=0.3)
     system = assemble(problem, RadialGrid(n_minus, n_plus, r_max))
     one = np.ones((1, 1))
     rows_m, Gm = _kron_side_blocks(problem.minus, system.r_minus, True, one)
     rows_p, Gp = _kron_side_blocks(problem.plus, system.r_plus, False, one)
-    A_full = sp.block_diag([rows_m, rows_p], format="csr")
-    B = system.grad_rows
-    got = {
-        "A_full": system.A_full,
-        "A": system.A,
-        "grad_form": B.T @ sp.diags(system.grad_weights) @ B,
-        "mass_form": sp.diags(system.mass_diag),
-    }
-    reference = {
-        "A_full": A_full,
-        "A": A_full @ system.S,
-        "grad_form": sp.block_diag([Gm, Gp]),
-        "mass_form": sp.diags(_kron_mass_diagonal(problem, system, 1)),
-    }
+    S, b = _constraint_map(system)
+    A_full = sp.block_diag([rows_m, rows_p], format="csr").toarray()
+    A = _dense_rows(system.A)
     assert Gm.nnz and abs(Gm).max() > 0.0
-    for name, want in reference.items():
-        have, want = got[name].tocsr(), want.tocsr()
-        assert have.shape == want.shape, name
+    for name, have, want in (("A", A, A_full @ S), ("rhs", system.rhs, -(A_full @ b))):
         # entrywise: a relative bound on the largest entry would hide the small tau blocks
-        assert (abs(have - want) - 1e-14 * abs(want)).max() <= 0.0, name
+        assert (np.abs(have - want) - 1e-14 * np.abs(want)).max() <= 0.0, name
+    forms = {
+        "normal_matrix": (system.A, A.T @ A),
+        "grad_form": (system.grad_rows, S.T @ sp.block_diag([Gm, Gp]).toarray() @ S),
+        "mass_form": (system.mass_rows, (S.T * _kron_mass_diagonal(problem, system, 1)) @ S),
+    }
+    assert np.count_nonzero(np.diag(forms["normal_matrix"][1], -9)) > 0
+    for name, (rows, want) in forms.items():
+        have, C = _dense(rows.gram()), _dense_rows(rows)
+        assert have.shape == want.shape, name
+        # entrywise against |C|^T |C|, the roundoff scale of a Gram entry: the crease fold's entries cancel
+        assert (np.abs(have - want) - 1e-14 * (np.abs(C).T @ np.abs(C))).max() <= 0.0, name
 
 
 def _spinor_reference(problem, system):
@@ -471,6 +498,10 @@ def test_grid_validation():
         RadialGrid(n_minus=32, n_plus=64, r_max=10.0).validate()
     with pytest.raises(RadialError):
         RadialGrid(n_minus=65, n_plus=64, r_max=10.0).validate()
+    RadialGrid(n_minus=radial.MAX_INTERVALS, n_plus=64, r_max=10.0).validate()
+    for n_minus, n_plus in ((radial.MAX_INTERVALS + 2, 64), (64, radial.MAX_INTERVALS + 2)):
+        with pytest.raises(RadialError, match="at most"):
+            RadialGrid(n_minus=n_minus, n_plus=n_plus, r_max=10.0).validate()
 
 
 # ---------------------------------------------------------------------------
