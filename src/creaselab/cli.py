@@ -130,7 +130,7 @@ def _clifford_suite_residual() -> float:
             rot = HyperbolicRotation(f)
             for nu in range(1, n + 1):
                 eps = epsilon_action(rep, nu)
-                R = spinor_rotation(rep, rot, nu)
+                R = spinor_rotation(rep, f, nu)
                 worst = max(worst, float(np.max(np.abs((rot.half_cosh * eye - rot.half_sinh * eps) @ R - eye))))
                 worst = max(worst, float(np.max(np.abs(R @ R - (rot.a * eye + rot.b * eps)))))
                 worst = max(worst, float(np.max(np.abs(eps @ eps - eye))))
@@ -239,14 +239,16 @@ def cmd_solve(config: RunConfig, out_dir: str):
     if flags["hypotheses_hold"]:
         passed = passed and gap_ok
 
-    for side, r, U, V in (
+    # |U| = |u| |psi_inf| and |V| = |v| |psi_inf| from the channel values
+    psi_norm = float(np.linalg.norm(psi_inf))
+    for side, r, u, v in (
         ("minus", sol.system.r_minus, sol.u_minus, sol.v_minus),
         ("plus", sol.system.r_plus, sol.u_plus, sol.v_plus),
     ):
         write_csv(
             os.path.join(out_dir, f"psi_{side}.csv"),
             ["r", "abs_U", "abs_V"],
-            np.column_stack([r, np.linalg.norm(U, axis=1), np.linalg.norm(V, axis=1)]),
+            np.column_stack([r, np.abs(u) * psi_norm, np.abs(v) * psi_norm]),
         )
     return results, passed, flags
 

@@ -133,7 +133,11 @@ def epsilon_action(rep: CliffordRep, nu_index: int | None = None) -> np.ndarray:
     return rep.gamma_of(nu_index) @ rep.tau
 
 
-def spinor_rotation(rep: CliffordRep, rot: HyperbolicRotation, nu_index: int | None = None) -> np.ndarray:
-    """Spinor-level boost cosh(f/2) Id + sinh(f/2) epsilon."""
-    eps = epsilon_action(rep, nu_index)
-    return rot.half_cosh * np.eye(rep.dim, dtype=complex) + rot.half_sinh * eps
+def spinor_rotation(rep: CliffordRep, f, nu_index: int | None = None) -> np.ndarray:
+    """Spinor-level boost cosh(f/2) Id + sinh(f/2) epsilon by the angle f.
+
+    A scalar f gives one (I, I) matrix; nodal angles f of shape (m,) give
+    (m, I, I), applied to (batched) traces c as einsum("mIK,...mK->...mI").
+    """
+    half = 0.5 * np.asarray(f, dtype=float)[..., None, None]
+    return np.cosh(half) * np.eye(rep.dim, dtype=complex) + np.sinh(half) * epsilon_action(rep, nu_index)

@@ -52,7 +52,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bartnik import bartnik_data, beta_delta, rotated_components
-from .cliffords import CliffordRep
+from .cliffords import CliffordRep, spinor_rotation
 from .geometry import (
     CreasedData,
     GeometryError,
@@ -559,19 +559,6 @@ class CreaseBoundaryResult:
 TRANSMISSION_TOL = 1e-10  # largest trace defect the crease identities accept
 
 
-def transmission_matrix_nodes(rep: CliffordRep, angle_values: np.ndarray) -> np.ndarray:
-    """Nodal spinor rotation cosh(f/2) + sinh(f/2) eps_+ in the adapted gauge; (m, I, I).
-
-    Apply it to (batched) traces c with einsum("mIK,...mK->...mI", rot, c).
-    """
-    n = rep.n
-    eps = rep.gamma[n - 1] @ rep.tau
-    A = np.cosh(0.5 * angle_values)
-    B = np.sinh(0.5 * angle_values)
-    eye = np.eye(rep.dim, dtype=complex)
-    return A[:, None, None] * eye + B[:, None, None] * eps
-
-
 def crease_boundary_terms(
     cd: CreasedData,
     rep: CliffordRep,
@@ -595,14 +582,14 @@ def crease_boundary_terms(
         return np.asarray(cd.angle.value(unit_vectors(th, ph)), dtype=float)
 
     def psi_minus_default(th, ph):
-        rot = transmission_matrix_nodes(rep, angle_at(th, ph))
+        rot = spinor_rotation(rep, angle_at(th, ph))
         return np.einsum("mIK,...mK->...mI", rot, np.asarray(psi_plus(th, ph), dtype=complex))
 
     pm = psi_minus if psi_minus is not None else psi_minus_default
 
     c_plus = np.asarray(psi_plus(grid.theta, grid.phi), dtype=complex)
     c_minus = np.asarray(pm(grid.theta, grid.phi), dtype=complex)
-    rot = transmission_matrix_nodes(rep, angle_at(grid.theta, grid.phi))
+    rot = spinor_rotation(rep, angle_at(grid.theta, grid.phi))
     defect = np.max(np.abs(c_minus - np.einsum("mIK,...mK->...mI", rot, c_plus)), axis=(-2, -1))
     if np.any(defect > TRANSMISSION_TOL):
         raise TransmissionPreconditionError(float(np.max(defect)), TRANSMISSION_TOL)

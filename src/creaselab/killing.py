@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cliffords import CliffordRep
+from .cliffords import CliffordRep, spinor_rotation
 from .geometry import CreasedData, GeometryError, InitialData, bulk_frame
-from .integrals import TRANSMISSION_TOL, bulk_spin_coefficients, transmission_matrix_nodes
+from .integrals import TRANSMISSION_TOL, bulk_spin_coefficients
 from .spheregrid import sphere_grid
 from .spinorfields import SpinorField
 
@@ -118,7 +118,7 @@ def crease_lorentz_check(
     grid = sphere_grid(order)
     f = np.asarray(cd.angle.value(grid.nodes), dtype=float)
     c_plus = np.asarray(psi_plus(grid.theta, grid.phi), dtype=complex)
-    rot = transmission_matrix_nodes(rep, f)
+    rot = spinor_rotation(rep, f)
     if psi_minus is None:
         c_minus = np.einsum("mIK,mK->mI", rot, c_plus)
     else:

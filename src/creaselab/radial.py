@@ -9,25 +9,23 @@ is closed under the Dirac-Witten operator when spinor components are taken
 in the symmetric-square-root frame g^{-1/2} d/dx.  Writing F = 1/A,
 G = 1/B,
 
-    mu_c = -B'/(A B) - 1/(r A) + 1/(r B),
-    ell  = (n-1) (G/r - mu_c/2),   m_c = (n-1) mu_c / 2,
+    mu_c = -B'/(A B) - 1/(r A) + 1/(r B),   gr = G/r - mu_c/2,
     trk  = kappa_n + (n-1) kappa_t,
 
-the operator acts as
+the operator is D_W psi = -r1 + (omega . Gamma) r2, and the squared
+spacetime-connection norm integrates to omega_{n-1} (|P|^2 + |Q|^2 +
+(n-1)(|Pt|^2 + |Qt|^2)) A B^{n-1} r^{n-1} dr, for six blocks that each read
+F X' (when differentiated) + a X + b tau Y on one field X, the other Y:
 
-    D_W psi = -(F V' + ell V + trk/2 tau U)
-              + (omega . Gamma) (F U' - m_c U + trk/2 tau V),
+    r1 = F V' + (n-1) gr V + trk/2 tau U      r2 = F U' - (n-1) mu_c/2 U + trk/2 tau V
+    P  = F U' + kappa_n/2 tau V               Q  = F V' + kappa_n/2 tau U
+    Pt = gr V + kappa_t/2 tau U               Qt = mu_c/2 U - kappa_t/2 tau V
 
-and the squared spacetime-connection norm reduces to four radial blocks
-
-    P = F U' + kappa_n/2 tau V          Q = F V' + kappa_n/2 tau U
-    Pt = (G/r - mu_c/2) V + kappa_t/2 tau U
-    Qt = (mu_c/2) U - kappa_t/2 tau V
-
-with |nabla-bar psi|^2 integrating to omega_{n-1} (|P|^2 + |Q|^2 +
-(n-1)(|Pt|^2 + |Qt|^2)) A B^{n-1} r^{n-1} dr.  None of this is trusted
-blindly: reduce_radial certifies the reduction against the full operator
-before a problem is returned.
+`SideCoefficients.blocks` is that table, and `apply_blocks` evaluates it
+both on spinors, with tau the representation's, and on the channel below,
+with tau -> 1.  reduce_radial certifies the table on spinors against the
+full Dirac-Witten machinery before a problem is returned; `assemble`
+discretizes the same table, and `mass_gap` integrates it on the channel.
 
 The boundary-value problem (both interior equations, the transmission
 rotation at the crease, odd-parity regularity V(0) = 0, and a Dirichlet
@@ -43,14 +41,17 @@ The coefficients are real and reach the spinor index only through 1 and
 the real symmetric involution tau, so the problem is discretized on one real
 scalar channel, tau -> 1, not I components: since tau^2 = 1 the substitution
 U = u psi_inf, V = v tau psi_inf turns every equation and constraint into the
-channel one times psi_inf or tau psi_inf, and the solution for psi_inf is that
-lift of the channel solution (u, v) for the datum 1.
+channel one times psi_inf or tau psi_inf.  A solution keeps the channel
+values (u, v) for the datum 1 with psi_inf; tau is unitary, so its norms and
+quadratic forms are the channel ones times |psi_inf|^2.  Spinors are formed
+only at the two crease traces, for the transmission defect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -84,9 +85,18 @@ class ReductionOracleError(RadialError):
 # radial coefficients of one side
 
 
+class Block(NamedTuple):
+    """One reduced block: F X' (when `derivative`) + own X + tau_coef tau Y, Y the field other than X."""
+
+    field: str  # X: "U" or "V"
+    derivative: bool
+    own: np.ndarray | None  # None: the block has no X term
+    tau_coef: np.ndarray
+
+
 @dataclass(frozen=True)
 class SideCoefficients:
-    """Radial coefficient closures of the reduced operator on one side."""
+    """Radial coefficients of the reduced operator on one side."""
 
     data: InitialData
     r_lo: float
@@ -95,28 +105,51 @@ class SideCoefficients:
     def F(self, r):
         return 1.0 / self.data.profile.A(r)
 
-    def G(self, r):
-        return 1.0 / self.data.profile.B(r)
-
     def mu_c(self, r):
         p = self.data.profile
         A, B = p.A(r), p.B(r)
         return -p.dB(r) / (A * B) - 1.0 / (r * A) + 1.0 / (r * B)
 
-    def ell(self, r):
-        n = self.data.n
-        return (n - 1) * (self.G(r) / r - 0.5 * self.mu_c(r))
-
-    def m_c(self, r):
-        return (self.data.n - 1) * 0.5 * self.mu_c(r)
-
-    def trk(self, r):
-        p = self.data.profile
-        return p.kappa_n(r) + (self.data.n - 1) * p.kappa_t(r)
+    def blocks(self, r) -> dict[str, Block]:
+        """The six reduced blocks at radii r: the equations r1, r2 and the connection-norm blocks P, Q, Pt, Qt."""
+        p, n1 = self.data.profile, self.data.n - 1
+        mu = self.mu_c(r)
+        gr = (1.0 / p.B(r)) / r - 0.5 * mu
+        trk, kn, kt = 0.5 * (p.kappa_n(r) + n1 * p.kappa_t(r)), 0.5 * p.kappa_n(r), 0.5 * p.kappa_t(r)
+        return {
+            "r1": Block("V", True, n1 * gr, trk),
+            "r2": Block("U", True, -(n1 * 0.5 * mu), trk),
+            "P": Block("U", True, None, kn),
+            "Q": Block("V", True, None, kn),
+            "Pt": Block("V", False, gr, kt),
+            "Qt": Block("U", False, 0.5 * mu, -kt),
+        }
 
     def volume_factor(self, r):
         p = self.data.profile
         return p.A(r) * p.B(r) ** (self.data.n - 1) * r ** (self.data.n - 1)
+
+
+def apply_blocks(side: SideCoefficients, r, U, dU, V, dV, tau=None) -> dict[str, np.ndarray]:
+    """Every block of `side.blocks(r)` on fields whose first axis is the radii r.
+
+    Spinor fields (m, I) take tau = rep.tau; channel values (m,) take
+    tau = None, the substitution tau -> 1.
+    """
+    tU, tV = (U, V) if tau is None else (np.einsum("IK,mK->mI", tau, f) for f in (U, V))
+    fields = {"U": (U, dU, tV), "V": (V, dV, tU)}
+
+    def col(c):
+        return np.reshape(c, np.shape(c) + (1,) * (np.ndim(U) - 1))
+
+    F, out = col(side.F(r)), {}
+    for name, b in side.blocks(r).items():
+        X, dX, tY = fields[b.field]
+        value = F * dX if b.derivative else 0.0
+        if b.own is not None:
+            value = value + col(b.own) * X
+        out[name] = value + col(b.tau_coef) * tY
+    return out
 
 
 def spd_frame(data: InitialData, x: np.ndarray) -> np.ndarray:
@@ -181,40 +214,6 @@ def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, du_of_r, dv_
         return np.swapaxes(grad, -1, -2)
 
     return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)
-
-
-def mode_operator_values(rep: CliffordRep, side: SideCoefficients, r, U, dU, V, dV):
-    """Reduced D_W on the mode: returns (one_part, omega_part) at radii r."""
-    r = np.asarray(r, dtype=float)
-    F = side.F(r)[:, None]
-    ell = side.ell(r)[:, None]
-    m_c = side.m_c(r)[:, None]
-    trk = side.trk(r)[:, None]
-    tau = rep.tau
-    tU = np.einsum("IK,mK->mI", tau, U)
-    tV = np.einsum("IK,mK->mI", tau, V)
-    one = -(F * dV + ell * V + 0.5 * trk * tU)
-    omega = F * dU - m_c * U + 0.5 * trk * tV
-    return one, omega
-
-
-def mode_gradient_blocks(rep: CliffordRep, side: SideCoefficients, r, U, dU, V, dV):
-    """The four radial blocks P, Q, Pt, Qt of the spacetime-connection norm."""
-    r = np.asarray(r, dtype=float)
-    p = side.data.profile
-    F = side.F(r)[:, None]
-    G = side.G(r)[:, None]
-    mu_c = side.mu_c(r)[:, None]
-    kn = p.kappa_n(r)[:, None]
-    kt = p.kappa_t(r)[:, None]
-    tau = rep.tau
-    tU = np.einsum("IK,mK->mI", tau, U)
-    tV = np.einsum("IK,mK->mI", tau, V)
-    P = F * dU + 0.5 * kn * tV
-    Q = F * dV + 0.5 * kn * tU
-    Pt = (G / r[:, None] - 0.5 * mu_c) * V + 0.5 * kt * tU
-    Qt = 0.5 * mu_c * U - 0.5 * kt * tV
-    return P, Q, Pt, Qt
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +282,14 @@ def _oracle_side(
 
     U, dU = u_of_r(radii), du_of_r(radii)
     V, dV = v_of_r(radii), dv_of_r(radii)
-    one, omega_part = mode_operator_values(rep, side, radii, U, dU, V, dV)
+    b = apply_blocks(side, radii, U, dU, V, dV, rep.tau)
     omg = np.einsum("mi,iIK->mIK", dirs, rep.gamma)
-    reduced_spd = one + np.einsum("mIK,mK->mI", omg, omega_part)
+    reduced_spd = np.einsum("mIK,mK->mI", omg, b["r2"]) - b["r1"]
     reduced_bulk = np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, side.data, f), reduced_spd)
     op_defect = float(np.max(np.abs(full - reduced_bulk)))
 
-    P, Q, Pt, Qt = mode_gradient_blocks(rep, side, radii, U, dU, V, dV)
-    amp = P + np.einsum("mIK,mK->mI", omg, Q)
-    bmp = Pt + np.einsum("mIK,mK->mI", omg, Qt)
+    amp = b["P"] + np.einsum("mIK,mK->mI", omg, b["Q"])
+    bmp = b["Pt"] + np.einsum("mIK,mK->mI", omg, b["Qt"])
     grad_sq_mode = (
         np.einsum("mI,mI->m", np.conj(amp), amp).real
         + (side.data.n - 1) * np.einsum("mI,mI->m", np.conj(bmp), bmp).real
@@ -365,6 +363,8 @@ def _hat_weights(r: np.ndarray, moment: int = 0) -> np.ndarray:
 
 
 MAX_INTERVALS = 32768  # per side, 4x the finest benchmark grid; the solve's memory grows linearly with it
+# 1250x the farthest benchmark r_max (800); an unbounded one overflows the r^2 quadrature weights and the volume factor
+MAX_R_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -380,6 +380,8 @@ class RadialGrid:
             raise RadialError(f"at most {MAX_INTERVALS} intervals per side")
         if self.n_minus % 2 or self.n_plus % 2:
             raise RadialError("interval counts must be even (Simpson quadrature)")
+        if not self.r_max <= MAX_R_MAX:
+            raise RadialError(f"r_max must be at most {MAX_R_MAX:g}, got {self.r_max:g}")
 
 
 @dataclass(frozen=True)
@@ -464,21 +466,21 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
         coef, start = derivative_matrix(M, r[1] - r[0])
         FD, start = side.F(rk)[:, None] * coef[keep], start[keep]
 
-        def rows(d, v, u):
-            """Rows F d' + v v + u u at the kept nodes, as (K, 5 nodes, (v, u)); d = 0 for v', 1 for u', None."""
-            out = np.zeros((K, 5, 2))
-            if d is not None:
-                out[:, :, d] = FD
-            out[np.arange(K), keep - start] += np.stack([v, u], axis=-1)
+        def rows(b: Block):
+            """Block b's rows at the kept nodes, as (K, 5 nodes, (v, u))."""
+            out, at = np.zeros((K, 5, 2)), int(b.field == "U")  # the (v, u) slot of the block's field
+            if b.derivative:
+                out[:, :, at] = FD
+            diag = np.zeros((K, 2))
+            if b.own is not None:
+                diag[:, at] = b.own
+            diag[:, 1 - at] = b.tau_coef
+            out[np.arange(K), keep - start] += diag
             return out
 
-        p, zero = side.data.profile, np.zeros(K)
-        trk, kn, kt, muh = 0.5 * side.trk(rk), 0.5 * p.kappa_n(rk), 0.5 * p.kappa_t(rk), 0.5 * side.mu_c(rk)
-        # r1 = F v' + ell v + trk u ; r2 = F u' - m_c u + trk v
-        residual = np.concatenate([rows(0, side.ell(rk), trk), rows(1, trk, -side.m_c(rk))])
-        # P = F u' + kn v, Q = F v' + kn u, Pt = gr v + kt u, Qt = muh u - kt v
-        grad = np.concatenate([rows(1, kn, zero), rows(0, zero, kn),
-                               rows(None, side.G(rk) / rk - muh, kt), rows(None, -kt, muh)])
+        table, p = side.blocks(rk), side.data.profile
+        residual = np.concatenate([rows(table[k]) for k in ("r1", "r2")])
+        grad = np.concatenate([rows(table[k]) for k in ("P", "Q", "Pt", "Qt")])
         n1 = float(side.data.n - 1)
         residual *= np.tile(np.sqrt(w[keep]), 2)[:, None, None]
         grad *= np.sqrt(np.concatenate([w[keep], w[keep], n1 * w[keep], n1 * w[keep]]))[:, None, None]
@@ -515,6 +517,8 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
 
 @dataclass
 class RadialSolution:
+    """A solution as channel values at every node: U = u psi_inf, V = v tau psi_inf."""
+
     system: AssembledSystem
     psi_inf: np.ndarray
     u_minus: np.ndarray
@@ -546,9 +550,9 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     Minimizes the weighted residual norm over the affine constraint space
     through a block cyclic reduction of the normal equations, and records
     the smallest singular value of the reduced operator on the solution.
-    One real solve for the channel datum 1 is lifted as U = u psi_inf,
-    V = v tau psi_inf; tau is unitary, so the residual norm is |psi_inf|
-    times the channel one.
+    One real solve for the channel datum 1 serves every psi_inf: the
+    solution keeps its channel values, and its residual and solution norms
+    are the channel ones times |psi_inf|, as tau is unitary.
     """
     rep = system.problem.rep
     psi_inf = np.asarray(psi_inf, dtype=complex)
@@ -568,28 +572,24 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
         raise RadialError("direct solve produced non-finite values (rank deficiency?)")
 
     Mm = len(system.r_minus)
-    res_vec = (A @ x - system.rhs) * np.linalg.norm(psi_inf)
+    psi_norm = float(np.linalg.norm(psi_inf))
+    res_vec = (A @ x - system.rhs) * psi_norm
     um, vm, up, vp = system.nodes(x)
-    tau_psi = rep.tau @ psi_inf
-    um, up = np.outer(um, psi_inf), np.outer(up, psi_inf)
-    vm, vp = np.outer(vm, tau_psi), np.outer(vp, tau_psi)
-
     w_m, w_p = system.norm_weights[:Mm], system.norm_weights[Mm:]
     n_minus_rows = 2 * int(np.sum(w_m > 0))
     res_m = float(np.linalg.norm(res_vec[:n_minus_rows]))
     res_p = float(np.linalg.norm(res_vec[n_minus_rows:]))
-    sol_norm = float(np.sqrt(np.sum(w_m[:, None] * (np.abs(um) ** 2 + np.abs(vm) ** 2))
-                             + np.sum(w_p[:, None] * (np.abs(up) ** 2 + np.abs(vp) ** 2))))
+    sol_norm = psi_norm * math.sqrt(np.sum(w_m * (um**2 + vm**2)) + np.sum(w_p * (up**2 + vp**2)))
 
-    rot = system.transmission_block
-    trace_plus = np.concatenate([up[0], vp[0]])
-    trace_minus = np.concatenate([um[-1], vm[-1]])
-    trans_defect = float(np.max(np.abs(trace_minus - rot @ trace_plus)))
-    origin_defect = float(np.max(np.abs(vm[0])))
+    # the traces as spinors (U, V) on both sides of the crease
+    tau_psi = rep.tau @ psi_inf
+    trace_plus = np.concatenate([up[0] * psi_inf, vp[0] * tau_psi])
+    trace_minus = np.concatenate([um[-1] * psi_inf, vm[-1] * tau_psi])
+    trans_defect = float(np.max(np.abs(trace_minus - system.transmission_block @ trace_plus)))
     return RadialSolution(
         system=system, psi_inf=psi_inf, u_minus=um, v_minus=vm, u_plus=up, v_plus=vp,
         residual_norm_minus=res_m, residual_norm_plus=res_p, solution_norm=sol_norm,
-        transmission_defect=trans_defect, origin_defect=origin_defect,
+        transmission_defect=trans_defect, origin_defect=abs(float(vm[0])) * psi_norm,
         smallest_singular_value=math.sqrt(max(lam_min, 0.0)),
     )
 
@@ -634,61 +634,56 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
     must then be nonpositive.  mu and J are evaluated once per node, in
     `field_blocks` of the radial nodes on the x-axis (so |x| = r exactly);
     the matter term integrates them and the bulk DEC check reads them too.
+    The Dirichlet integrand is the block table on the channel values.
     """
     system = sol.system
     problem = system.problem
-    rep = problem.rep
-    flux = flux_mass_pairing(rep, mass.E, mass.P, sol.psi_inf)
+    flux = flux_mass_pairing(problem.rep, mass.E, mass.P, sol.psi_inf)
+    psi_sq = float(np.vdot(sol.psi_inf, sol.psi_inf).real)  # every term below is the channel one times |psi_inf|^2
 
     dirichlet = 0.0
     matter = 0.0
     mu_ok = True
     omega2 = unit_sphere_volume(3)
-    for side, r, U, V in (
+    for side, r, u, v in (
         (problem.minus, system.r_minus, sol.u_minus, sol.v_minus),
         (problem.plus, system.r_plus, sol.u_plus, sol.v_plus),
     ):
         h = r[1] - r[0]
         coef, start = derivative_matrix(len(r), h)
-        dU, dV = (sum(coef[:, k, None] * f[start + k] for k in range(5)) for f in (U, V))
+        du, dv = (sum(coef[:, k] * f[start + k] for k in range(5)) for f in (u, v))
         rr = np.where(r > 0, r, r[1])
-        P, Q, Pt, Qt = mode_gradient_blocks(rep, side, rr, U, dU, V, dV)
-        dens = (
-            np.einsum("mI,mI->m", np.conj(P), P)
-            + np.einsum("mI,mI->m", np.conj(Q), Q)
-            + 2.0 * (np.einsum("mI,mI->m", np.conj(Pt), Pt) + np.einsum("mI,mI->m", np.conj(Qt), Qt))
-        ).real
+        b = apply_blocks(side, rr, u, du, v, dv)
+        dens = b["P"] ** 2 + b["Q"] ** 2 + (side.data.n - 1) * (b["Pt"] ** 2 + b["Qt"] ** 2)
         vol = side.volume_factor(rr) * omega2
         dens = dens * vol
         dens[0] = 0.0 if r[0] == 0.0 else dens[0]
         dirichlet += _simpson(dens, h)
 
-        # matter terms: mu |psi|^2 + <psi, J tau psi> against the volume, J paired with the unit normal
+        # matter terms: mu |psi|^2 + <psi, J tau psi> against the volume, J paired with the unit normal;
+        # <psi, (omega.Gamma) tau psi> = 2 u v on the channel
         mu, jx = [], []
         for f in field_blocks(side.data, rr[:, None] * np.array([1.0, 0.0, 0.0])):
             cons = constraint_fields(side.data, f)
             mu_ok = mu_ok and bool(np.all(cons.mu >= cons.momentum_norm(side.data, f) - 1e-7))
             mu, jx = mu + [cons.mu], jx + [cons.J[:, 0]]
         mu, jn = np.concatenate(mu), np.concatenate(jx) / side.data.profile.A(rr)
-        psi_sq = (np.einsum("mI,mI->m", np.conj(U), U) + np.einsum("mI,mI->m", np.conj(V), V)).real
-        tauU = np.einsum("IK,mK->mI", rep.tau, U)
-        cross = 2.0 * np.einsum("mI,mI->m", np.conj(V), tauU).real  # <psi, (omega.Gamma) tau psi>
-        mdens = 0.5 * (mu * psi_sq + jn * cross) * vol
+        mdens = 0.5 * (mu * (u * u + v * v) + jn * (2.0 * (v * u))) * vol
         if r[0] == 0.0:
             mdens[0] = 0.0
         matter += _simpson(mdens, h)
 
+    dirichlet, matter = psi_sq * dirichlet, psi_sq * matter
     bulk = dirichlet + matter
     gap = flux - bulk
 
     # crease term from the boundary formula on the traces, which are spherically symmetric: one node
     # suffices, so the report samples the smallest sphere grid
     report = crease_report_for(problem.cd, order=4)
-    Up, Vp = sol.u_plus[0], sol.v_plus[0]
-    psi_sq_tr = float((np.vdot(Up, Up) + np.vdot(Vp, Vp)).real)
-    eps_pair = 2.0 * float(np.vdot(Up, rep.tau @ Vp).real)
+    u0, v0 = sol.u_plus[0], sol.v_plus[0]
     area = omega2 * float(report.area_element[0])
-    crease_term = -0.5 * area * (report.nu_component[0] * psi_sq_tr + report.tau_component[0] * eps_pair)
+    crease_term = -0.5 * area * psi_sq * (report.nu_component[0] * (u0 * u0 + v0 * v0)
+                                          + report.tau_component[0] * (2.0 * (u0 * v0)))
 
     flags = {
         "bulk_dec": mu_ok,

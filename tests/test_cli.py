@@ -88,17 +88,28 @@ def test_commands_run_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_singular_radial_system_exits_3(tmp_path):
-    # r_max = 1e300 overflows the quadrature weights, so the normal equations have non-finite pivot blocks
+def test_unbounded_r_max_exits_2(tmp_path, capsys):
+    # r_max = 1e300 would overflow the quadrature weights into non-finite pivot blocks; it is a config error
     doc = _solve_small()
     doc["grid"] = {"n_minus": 64, "n_plus": 64, "r_max": 1.0e300}
-    path = _write_config(tmp_path, "huge-rmax.yaml", doc)
-    proc = _fresh_interpreter(
-        f"import sys, creaselab.cli as cli\nsys.exit(cli.main(['solve', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "solve: normal equations: non-finite pivot block" in proc.stderr
+    assert _run("solve", _write_config(tmp_path, "huge-rmax.yaml", doc), tmp_path / "out") == 2
+    assert "grid: r_max must be at most 1e+06, got 1e+300" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_nonfinite_radial_system_exits_3(tmp_path, capsys, monkeypatch):
+    # a non-finite residual row makes the normal equations' pivot blocks non-finite: a numeric error
+    original = cli.assemble
+
+    def assemble_nan(problem, grid):
+        system = original(problem, grid)
+        system.A.coef[7] = math.nan
+        return system
+
+    monkeypatch.setattr(cli, "assemble", assemble_nan)
+    assert _run("solve", SOLVE_SMALL, tmp_path / "out") == 3
+    assert "solve: normal equations: non-finite pivot block" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("side", ["n_minus", "n_plus"])

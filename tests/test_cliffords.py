@@ -179,7 +179,7 @@ def test_epsilon_trace_matches_definition():
 
 def test_rotation_identity_at_zero():
     rep = build_rep(3)
-    r = spinor_rotation(rep, HyperbolicRotation(0.0))
+    r = spinor_rotation(rep, 0.0)
     assert maxabs(r - np.eye(rep.dim)) < 1e-15
 
 
@@ -200,7 +200,7 @@ def test_rotation_inverse_and_double_angle(n, f):
     rot = HyperbolicRotation(f)
     for nu in range(1, n + 1):
         eps = epsilon_action(rep, nu)
-        r = spinor_rotation(rep, rot, nu)
+        r = spinor_rotation(rep, f, nu)
         r_inv = rot.half_cosh * eye - rot.half_sinh * eps
         assert maxabs(r_inv @ r - eye) < 1e-13
         assert maxabs(r @ r - (rot.a * eye + rot.b * eps)) < 1e-13
@@ -211,9 +211,18 @@ def test_rotation_composition():
     rng = np.random.default_rng(3)
     for _ in range(10):
         f1, f2 = rng.normal(size=2)
-        lhs = spinor_rotation(rep, HyperbolicRotation(f1)) @ spinor_rotation(rep, HyperbolicRotation(f2))
-        rhs = spinor_rotation(rep, HyperbolicRotation(f1 + f2))
+        lhs = spinor_rotation(rep, f1) @ spinor_rotation(rep, f2)
+        rhs = spinor_rotation(rep, f1 + f2)
         assert maxabs(lhs - rhs) < 1e-12
+
+
+def test_rotation_of_nodal_angles_is_the_rotation_per_node():
+    rep = build_rep(3)
+    f = np.array([0.0, 0.3, -1.2, math.log(2.0)])
+    nodal = spinor_rotation(rep, f)
+    assert nodal.shape == (4, rep.dim, rep.dim)
+    for k, fk in enumerate(f):
+        assert np.array_equal(nodal[k], spinor_rotation(rep, fk))
 
 
 def test_pairings_properties():

@@ -98,11 +98,11 @@ def test_explicit_matching_minus_trace_accepted():
     mc = rotated_crease(miao_corner(1.0, 4.0), CreaseAngle.from_constant(0.4))
     rng = np.random.default_rng(4)
     psi_plus = random_trace_closure(rng)
-    from creaselab.integrals import transmission_matrix_nodes
+    from creaselab.cliffords import spinor_rotation
 
     def psi_minus(theta, phi):
         f = mc.angle.value(unit_vectors(np.asarray(theta), np.asarray(phi)))
-        rot = transmission_matrix_nodes(REP, f)
+        rot = spinor_rotation(REP, f)
         return np.einsum("mIK,mK->mI", rot, np.asarray(psi_plus(theta, phi), dtype=complex))
 
     res = crease_boundary_terms(mc, REP, psi_plus, order=12, psi_minus=psi_minus)

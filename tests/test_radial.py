@@ -13,6 +13,7 @@ from creaselab.catalog import (
     schwarzschild_isotropic,
     trivial_crease,
 )
+from creaselab.bartnik import crease_report_for
 from creaselab.cliffords import build_rep
 from creaselab.geometry import ConstraintValues, CreaseAngle, PointFields, hypersurface_geometry
 from creaselab import geometry, integrals, radial
@@ -22,14 +23,15 @@ from creaselab.radial import (
     ORACLE_OPERATOR_TOL,
     RadialError,
     RadialGrid,
+    ReductionOracleError,
     SideCoefficients,
     _oracle_side,
     _rotation_blocks,
+    apply_blocks,
     assemble,
     derivative_matrix,
     mass_gap,
     mode_field,
-    mode_operator_values,
     poincare_estimate,
     reduce_radial,
     solve,
@@ -127,6 +129,39 @@ def test_reduce_radial_certifies_both_sides(miao_problem):
     assert miao_problem.oracle.radii_checked >= 20
 
 
+def test_reduce_radial_rejects_a_flipped_table_coefficient(monkeypatch):
+    """The oracle certifies the table that `assemble` discretizes: one wrong sign in it fails reduce_radial."""
+    original = SideCoefficients.blocks
+
+    def flipped(self, r):
+        table = original(self, r)
+        table["r2"] = table["r2"]._replace(own=-table["r2"].own)
+        return table
+
+    monkeypatch.setattr(SideCoefficients, "blocks", flipped)
+    with pytest.raises(ReductionOracleError):
+        reduce_radial(miao_corner(1.0, 4.0), REP)
+
+
+@pytest.mark.parametrize(
+    "block,coef",
+    [(b, "tau_coef") for b in ("r1", "r2", "P", "Q", "Pt", "Qt")] + [(b, "own") for b in ("r1", "r2", "Pt", "Qt")],
+)
+def test_oracle_sees_every_table_coefficient(monkeypatch, block, coef):
+    # graph_slice has kappa_n and kappa_t nonzero, so every coefficient of the table is live (P and Q have no own)
+    original = SideCoefficients.blocks
+
+    def flipped(self, r):
+        table = original(self, r)
+        table[block] = table[block]._replace(**{coef: -getattr(table[block], coef)})
+        return table
+
+    side = SideCoefficients(data=graph_slice(), r_lo=3.0, r_hi=6.0)
+    monkeypatch.setattr(SideCoefficients, "blocks", flipped)
+    defects = _oracle_side(REP, side, np.random.default_rng(97), 20)
+    assert defects[block in ("P", "Q", "Pt", "Qt")] > 1e3 * ORACLE_OPERATOR_TOL
+
+
 def test_reduce_radial_rejects_nonradial_input():
     from creaselab.catalog import rotated_crease
     from creaselab.geometry import CreaseAngle
@@ -144,19 +179,37 @@ def test_reduced_coefficients_schwarzschild_closed_form(miao_problem):
     for r in (5.0, 10.0):
         rr = np.array([r])
         root = math.sqrt(1.0 - 2.0 / r)
+        table = side.blocks(rr)
         assert side.F(rr)[0] == pytest.approx(root, abs=1e-14)
         assert side.mu_c(rr)[0] == pytest.approx((1.0 - root) / r, abs=1e-14)
-        assert side.ell(rr)[0] == pytest.approx(2.0 / r - (1.0 - root) / r, abs=1e-14)
-        assert side.m_c(rr)[0] == pytest.approx((1.0 - root) / r, abs=1e-14)
+        assert table["r1"].own[0] == pytest.approx(2.0 / r - (1.0 - root) / r, abs=1e-14)  # (n-1)(G/r - mu_c/2)
+        assert -table["r2"].own[0] == pytest.approx((1.0 - root) / r, abs=1e-14)  # (n-1) mu_c/2
+        assert table["Qt"].own[0] == pytest.approx(0.5 * (1.0 - root) / r, abs=1e-14)
 
 
 def test_reduced_operator_annihilates_constants_on_flat(trivial_problem):
-    # constant U, V = 0 solves the flat radial system exactly
+    # constant U, V = 0 solves the flat radial system exactly, on spinors and on the channel
     r = np.linspace(0.2, 0.9, 7)
-    U = np.ones((7, 4), dtype=complex)
-    one, omega = mode_operator_values(REP, trivial_problem.minus, r, U, 0.0 * U, 0.0 * U, 0.0 * U)
-    assert np.max(np.abs(one)) == 0.0
-    assert np.max(np.abs(omega)) == 0.0
+    for U, tau in ((np.ones((7, 4), dtype=complex), REP.tau), (np.ones(7), None)):
+        b = apply_blocks(trivial_problem.minus, r, U, 0.0 * U, 0.0 * U, 0.0 * U, tau)
+        assert np.max(np.abs(b["r1"])) == 0.0
+        assert np.max(np.abs(b["r2"])) == 0.0
+
+
+def test_apply_blocks_channel_is_the_spinor_table_on_the_tau_lift(miao_problem):
+    """U = u psi, V = v tau psi turns every spinor block into its channel value times psi or tau psi."""
+    side = _with_extrinsic_curvature(miao_problem).plus
+    rng = np.random.default_rng(8)
+    r = np.linspace(4.5, 30.0, 9)
+    u, du, v, dv = rng.normal(size=(4, 9))
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    tau_psi = REP.tau @ psi
+    spinor = apply_blocks(side, r, *(np.outer(f, w) for f, w in ((u, psi), (du, psi), (v, tau_psi), (dv, tau_psi))),
+                          REP.tau)
+    channel = apply_blocks(side, r, u, du, v, dv)
+    for name, block in side.blocks(r).items():
+        lift = psi if block.field == "U" else tau_psi
+        assert np.max(np.abs(spinor[name] - np.outer(channel[name], lift))) <= 1e-15 * np.max(np.abs(spinor[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +277,15 @@ def test_manufactured_solution_convergence(miao_problem):
         h = r[1] - r[0]
         D = _dense_derivative(n + 1, h)
         U, dU, V, dV = exact_profiles(r)
-        one_exact, omega_exact = mode_operator_values(REP, side, r, U, dU, V, dV)
-        one_disc, omega_disc = mode_operator_values(REP, side, r, U, D @ U, V, D @ V)
-        errs.append(
-            max(np.max(np.abs(one_disc - one_exact)), np.max(np.abs(omega_disc - omega_exact)))
-        )
+        exact = apply_blocks(side, r, U, dU, V, dV, REP.tau)
+        disc = apply_blocks(side, r, U, D @ U, V, D @ V, REP.tau)
+        errs.append(max(np.max(np.abs(disc[k] - exact[k])) for k in ("r1", "r2")))
     ratio = errs[0] / errs[1]
     assert 8.0 < ratio < 40.0
 
 
 def test_assemble_transmission_block(miao_problem):
-    from creaselab.cliffords import HyperbolicRotation, spinor_rotation
+    from creaselab.cliffords import spinor_rotation
 
     grid = RadialGrid(n_minus=64, n_plus=64, r_max=40.0)
     f = math.log(2.0)
@@ -252,7 +303,7 @@ def test_assemble_transmission_block(miao_problem):
     assert np.allclose(blk[:4, 4:], B * REP.tau.real, atol=1e-15)
     # and it intertwines with the fiberwise spinor rotation at the normal slot:
     # (A + B eps) acting on U + (omega Gamma) V at omega = e_3 reproduces blk
-    rot = spinor_rotation(REP, HyperbolicRotation(f), 3)
+    rot = spinor_rotation(REP, f, 3)
     U = np.array([1.0, 0.5, -0.25, 0.125], dtype=complex)
     V = np.array([0.3, -0.1, 0.7, 0.2], dtype=complex)
     c = U + REP.gamma[2] @ V
@@ -325,9 +376,12 @@ def _kron_side_blocks(side, r, skip_first, tau):
     w = _hat_weights(r, moment=0) * side.volume_factor(rr) * unit_sphere_volume(side.data.n)
     if skip_first:
         w[0] = 0.0
-    ell = sp.diags(side.ell(rr))
-    m_c = sp.diags(side.m_c(rr))
-    trk = sp.diags(0.5 * side.trk(rr))
+    # the coefficients written out from the profile, not read off `side.blocks`
+    prof, n1 = side.data.profile, side.data.n - 1
+    gr_vals = (1.0 / prof.B(rr)) / rr - 0.5 * side.mu_c(rr)
+    ell = sp.diags(n1 * gr_vals)
+    m_c = sp.diags(0.5 * n1 * side.mu_c(rr))
+    trk = sp.diags(0.5 * (prof.kappa_n(rr) + n1 * prof.kappa_t(rr)))
     r1 = sp.hstack([sp.kron(trk, tau_s), sp.kron(FD + ell, eyeI)], format="csr")
     r2 = sp.hstack([sp.kron(FD - m_c, eyeI), sp.kron(trk, tau_s)], format="csr")
     keep2 = np.concatenate([np.repeat(w > 0, I)] * 2)
@@ -336,7 +390,7 @@ def _kron_side_blocks(side, r, skip_first, tau):
 
     kn = sp.diags(0.5 * side.data.profile.kappa_n(rr))
     kt = sp.diags(0.5 * side.data.profile.kappa_t(rr))
-    gr = sp.diags(side.G(rr) / rr - 0.5 * side.mu_c(rr))
+    gr = sp.diags(gr_vals)
     muh = sp.diags(0.5 * side.mu_c(rr))
     P = sp.hstack([sp.kron(FD, eyeI), sp.kron(kn, tau_s)], format="csr")
     Q = sp.hstack([sp.kron(kn, tau_s), sp.kron(FD, eyeI)], format="csr")
@@ -459,12 +513,17 @@ def test_solve_matches_spinor_component_least_squares(miao_problem):
         um, vm = x[: Mm * 4].reshape(Mm, 4), x[Mm * 4 : 2 * Mm * 4].reshape(Mm, 4)
         up, vp = x[2 * Mm * 4 :].reshape(2, -1, 4)
         scale = np.max(np.abs(x))
-        for got, want in ((sol.u_minus, um), (sol.v_minus, vm), (sol.u_plus, up), (sol.v_plus, vp)):
-            assert np.max(np.abs(got - want)) <= 1e-10 * scale
+        # the channel values lifted as U = u psi_inf, V = v tau psi_inf
+        for u, psi, want in ((sol.u_minus, psi_inf, um), (sol.v_minus, REP.tau @ psi_inf, vm),
+                             (sol.u_plus, psi_inf, up), (sol.v_plus, REP.tau @ psi_inf, vp)):
+            assert np.max(np.abs(np.outer(u, psi) - want)) <= 1e-10 * scale
         res = A_full @ x
         assert sol.residual_norm_minus == pytest.approx(np.linalg.norm(res[:n_minus_rows]), rel=1e-9)
         assert sol.residual_norm_plus == pytest.approx(np.linalg.norm(res[n_minus_rows:]), rel=1e-9)
         assert sol.transmission_defect <= 1e-13 and sol.origin_defect <= 1e-13
+        w_m, w_p = system.norm_weights[:Mm], system.norm_weights[Mm:]
+        norm_sq = sum(np.sum(w[:, None] * np.abs(f) ** 2) for w, f in ((w_m, um), (w_m, vm), (w_p, up), (w_p, vp)))
+        assert sol.solution_norm == pytest.approx(math.sqrt(norm_sq), rel=1e-9)
 
 
 def test_poincare_matches_spinor_component_eigenvalue(miao_problem):
@@ -502,6 +561,10 @@ def test_grid_validation():
     for n_minus, n_plus in ((radial.MAX_INTERVALS + 2, 64), (64, radial.MAX_INTERVALS + 2)):
         with pytest.raises(RadialError, match="at most"):
             RadialGrid(n_minus=n_minus, n_plus=n_plus, r_max=10.0).validate()
+    RadialGrid(n_minus=64, n_plus=64, r_max=radial.MAX_R_MAX).validate()
+    for r_max in (2.0 * radial.MAX_R_MAX, math.inf, math.nan):
+        with pytest.raises(RadialError, match="r_max must be at most"):
+            RadialGrid(n_minus=64, n_plus=64, r_max=r_max).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +574,7 @@ def test_grid_validation():
 def test_trivial_crease_constant_solution(trivial_problem):
     grid = RadialGrid(n_minus=64, n_plus=128, r_max=12.0)
     sol = solve(assemble(trivial_problem, grid), PSI_INF)
-    assert max(float(np.max(np.abs(u - PSI_INF[None, :]))) for u in (sol.u_minus, sol.u_plus)) <= 1e-8
+    assert max(float(np.max(np.abs(u - 1.0))) for u in (sol.u_minus, sol.u_plus)) <= 1e-8
     assert max(float(np.max(np.abs(v))) for v in (sol.v_minus, sol.v_plus)) <= 1e-8
     assert sol.transmission_defect <= 1e-12
     assert sol.origin_defect <= 1e-12
@@ -520,8 +583,11 @@ def test_trivial_crease_constant_solution(trivial_problem):
 def test_zero_datum_gives_zero(trivial_problem):
     grid = RadialGrid(n_minus=64, n_plus=128, r_max=12.0)
     sol = solve(assemble(trivial_problem, grid), np.zeros(4, dtype=complex))
-    for arr in (sol.u_minus, sol.v_minus, sol.u_plus, sol.v_plus):
-        assert np.max(np.abs(arr)) <= 1e-12
+    assert sol.solution_norm == 0.0 and sol.residual_norm == 0.0
+    assert sol.transmission_defect == 0.0 and sol.origin_defect == 0.0
+    mass = adm_energy_momentum(trivial_problem.cd.plus, [4.0, 8.0, 12.0], order=12)
+    gap = mass_gap(sol, mass)
+    assert gap.bulk_term == 0.0 and gap.crease_term == 0.0
 
 
 def test_miao_solve_diagnostics(miao_problem):
@@ -565,18 +631,72 @@ def test_mass_gap_crease_term_matches_the_rotated_geometry_at_one_node():
     # reference: each side's geometry at one crease node, the minus side rotated by the angle by hand
     f = 0.3
     cd = rotated_crease(miao_corner(1.0, 4.0), CreaseAngle.from_constant(f))
-    sol = solve(assemble(reduce_radial(cd, REP), RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), PSI_INF)
+    psi_inf = np.array([0.6, -0.3j, 0.2 + 0.5j, 0.1])  # not of unit norm, and with both tau-eigenparts
+    sol = solve(assemble(reduce_radial(cd, REP), RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), psi_inf)
     gap = mass_gap(sol, adm_energy_momentum(cd.plus, [25.0, 50.0, 100.0], order=12))
     hg_m, hg_p = (hypersurface_geometry(d, cd.r0, np.array([[cd.r0, 0.0, 0.0]])) for d in (cd.minus, cd.plus))
     nu_rot = math.cosh(f) * hg_m.H[0] + math.sinh(f) * hg_m.trk[0]
     tau_rot = math.sinh(f) * hg_m.H[0] + math.cosh(f) * hg_m.trk[0]
-    Up, Vp = sol.u_plus[0], sol.v_plus[0]
+    Up, Vp = sol.u_plus[0] * psi_inf, sol.v_plus[0] * (REP.tau @ psi_inf)
     psi_sq = float((np.vdot(Up, Up) + np.vdot(Vp, Vp)).real)
     eps_pair = 2.0 * float(np.vdot(Up, REP.tau @ Vp).real)
     area = 4.0 * math.pi * float(hg_p.area_element[0])
     expected = 0.5 * area * ((hg_p.H[0] - nu_rot) * psi_sq + (hg_p.trk[0] - tau_rot) * eps_pair)
     assert abs(expected) > 1e-3
     assert gap.crease_term == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("m,r0", [(1.0, 4.0), (1.0, 3.0), (0.95, 3.1)])
+def test_closed_form_solution_zeroes_the_table_and_closes_the_gap(m, r0):
+    """On miao_corner, u = ((1 + F)/2)^2 with F = sqrt(1 - 2m/r) outside, its crease value inside, and v = 0.
+
+    That solution zeroes the table's r1 and r2 rows on both sides, and with the
+    table's gradient blocks and the crease term of `crease_report_for` it
+    closes the gap identity 4 pi m - Dirichlet + crease term = 0 (vacuum on
+    both sides, so no matter term); the exterior integral is Gauss-Legendre
+    in s = r0/r over (0, 1].
+    """
+    cd = miao_corner(m, r0)
+    problem = reduce_radial(cd, REP)
+    x, w = np.polynomial.legendre.leggauss(200)
+    s, w = 0.5 * (x + 1.0), 0.5 * w
+    r = r0 / s
+    F = np.sqrt(1.0 - 2.0 * m / r)
+    u, du, zero = ((1.0 + F) / 2.0) ** 2, 0.5 * (1.0 + F) * m / (r**2 * F), np.zeros_like(r)
+    u0 = ((1.0 + math.sqrt(1.0 - 2.0 * m / r0)) / 2.0) ** 2
+    r_in = r0 * s
+    inside = apply_blocks(problem.minus, r_in, np.full_like(r_in, u0), zero, zero, zero)
+    outside = apply_blocks(problem.plus, r, u, du, zero, zero)
+    for b in (inside, outside):
+        assert max(np.max(np.abs(b["r1"])), np.max(np.abs(b["r2"]))) <= 1e-14
+    # the interior blocks all vanish: flat data, constant u
+    assert max(np.max(np.abs(v)) for v in inside.values()) == 0.0
+    dens = outside["P"] ** 2 + outside["Q"] ** 2 + 2.0 * (outside["Pt"] ** 2 + outside["Qt"] ** 2)
+    dirichlet = 4.0 * math.pi * np.sum(w * dens * problem.plus.volume_factor(r) * r0 / s**2)  # dr = r0 ds / s^2
+    report = crease_report_for(cd, order=4)
+    crease_term = -0.5 * 4.0 * math.pi * report.area_element[0] * report.nu_component[0] * u0**2
+    closure = 4.0 * math.pi * m - dirichlet + crease_term
+    assert abs(closure) <= 1e-12 * 4.0 * math.pi * m
+
+
+def test_mass_gap_dirichlet_is_the_spinor_table_integral(miao_problem):
+    """The channel Dirichlet part times |psi_inf|^2 is the table on the lifted spinors, integrated the same way."""
+    problem = _with_extrinsic_curvature(miao_problem)
+    psi_inf = np.array([0.6, -0.3j, 0.2 + 0.5j, 0.1])
+    sol = solve(assemble(problem, RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), psi_inf)
+    gap = mass_gap(sol, adm_energy_momentum(problem.cd.plus, [25.0, 50.0, 100.0], order=12))
+    expected = 0.0
+    for side, r, u, v in ((problem.minus, sol.system.r_minus, sol.u_minus, sol.v_minus),
+                          (problem.plus, sol.system.r_plus, sol.u_plus, sol.v_plus)):
+        U, V = np.outer(u, psi_inf), np.outer(v, REP.tau @ psi_inf)
+        D = _dense_derivative(len(r), r[1] - r[0])
+        rr = np.where(r > 0, r, r[1])
+        b = apply_blocks(side, rr, U, D @ U, V, D @ V, REP.tau)
+        dens = sum(wt * np.sum(np.abs(b[k]) ** 2, axis=1) for k, wt in (("P", 1), ("Q", 1), ("Pt", 2), ("Qt", 2)))
+        dens = dens * side.volume_factor(rr) * 4.0 * math.pi
+        dens[0] = 0.0 if r[0] == 0.0 else dens[0]
+        expected += radial._simpson(dens, r[1] - r[0])
+    assert gap.dirichlet_part == pytest.approx(expected, rel=1e-12)
 
 
 def test_mass_gap_flags_violated_hypothesis():
@@ -620,7 +740,8 @@ def test_mass_gap_matter_term_integrates_every_node(monkeypatch, miao_problem):
     # with mu = 1 and J = 0 the matter part is half the integral of |psi|^2 dV, the crease and origin nodes included
     from scipy.integrate import simpson
 
-    sol = solve(assemble(miao_problem, RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), PSI_INF)
+    psi_inf = np.array([0.6, -0.3j, 0.2 + 0.5j, 0.1])
+    sol = solve(assemble(miao_problem, RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), psi_inf)
     mass = adm_energy_momentum(miao_problem.cd.plus, [25.0, 50.0, 100.0], order=12)
 
     def unit_mu(data, x):
@@ -629,8 +750,9 @@ def test_mass_gap_matter_term_integrates_every_node(monkeypatch, miao_problem):
 
     monkeypatch.setattr(radial, "constraint_fields", unit_mu)
     expected = 0.0
-    for side, r, U, V in ((miao_problem.minus, sol.system.r_minus, sol.u_minus, sol.v_minus),
+    for side, r, u, v in ((miao_problem.minus, sol.system.r_minus, sol.u_minus, sol.v_minus),
                           (miao_problem.plus, sol.system.r_plus, sol.u_plus, sol.v_plus)):
+        U, V = np.outer(u, psi_inf), np.outer(v, REP.tau @ psi_inf)
         psi_sq = np.sum(np.abs(U) ** 2 + np.abs(V) ** 2, axis=1)
         expected += 0.5 * simpson(psi_sq * side.volume_factor(r) * 4.0 * math.pi, dx=r[1] - r[0])
     assert mass_gap(sol, mass).matter_part == pytest.approx(expected, rel=1e-12)
