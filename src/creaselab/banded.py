@@ -31,12 +31,21 @@ class BlockTridiagonal:
 class WindowRows:
     """An (rows, n) matrix whose row k is coef[k] on columns start[k] .. start[k] + w - 1.
 
-    Window columns outside [0, n) are dropped.
+    Window columns outside [0, n) are dropped: their entries are set to zero
+    when the rows are built, so no product sees them, not even a NaN.
     """
 
     coef: np.ndarray  # (rows, w)
     start: np.ndarray  # (rows,)
     n: int
+
+    def __post_init__(self):
+        w = self.coef.shape[1]
+        edge = np.flatnonzero((self.start < 0) | (self.start > self.n - w))  # windows that leave [0, n)
+        column = self.start[edge, None] + np.arange(w)
+        coef = self.coef.copy()
+        coef[edge] = np.where((column >= 0) & (column < self.n), coef[edge], 0.0)
+        object.__setattr__(self, "coef", coef)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -71,8 +80,6 @@ class WindowRows:
         rank[order] = np.arange(len(order)) - np.searchsorted(group[order], group[order])
         rows = np.zeros((nb + 2, rank.max() + 1, 2 * w))
         rows.reshape(-1)[((group * rows.shape[1] + rank) * 2 * w + offset)[:, None] + np.arange(w)] = self.coef
-        column = (np.arange(nb + 2)[:, None] - 1) * w + np.arange(2 * w)
-        rows *= ((column >= 0) & (column < n))[:, None, :]
         first, second = rows[:, :, :w], rows[:, :, w:]
         diag = (np.swapaxes(first, 1, 2) @ first)[1 : nb + 1]
         diag += (np.swapaxes(second, 1, 2) @ second)[:nb]

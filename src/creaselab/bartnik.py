@@ -22,7 +22,7 @@ from .geometry import (
     InitialData,
     hypersurface_geometry,
 )
-from .spheregrid import SphereGrid, SphericalHarmonicFit, sphere_grid
+from .spheregrid import SphereGrid, sphere_grid, surface_gradient
 
 
 class BartnikError(GeometryError):
@@ -79,10 +79,10 @@ def angle_gradient_frame(angle, B: BartnikData) -> np.ndarray:
     """Components df(t_alpha) of the angle differential on the crease sphere.
 
     A CreaseAngle carries its analytic unit-sphere gradient.  A scalar or
-    nodal angle (as `equivalence_angle` solves it) is differentiated
-    exactly through a truncated spherical-harmonic fit of its values,
-    unless they are all equal.  The homogeneous degree-0 extension of the
-    angle gives the Cartesian covector (1/r0) * surface gradient.
+    nodal angle (as `equivalence_angle` solves it) takes the gradient of its
+    spherical-harmonic projection, `spheregrid.surface_gradient`, or exactly
+    zero when its values are all equal.  The homogeneous degree-0 extension
+    of the angle gives the Cartesian covector (1/r0) * surface gradient.
     """
     grid = B.grid
     if isinstance(angle, CreaseAngle):
@@ -91,8 +91,7 @@ def angle_gradient_frame(angle, B: BartnikData) -> np.ndarray:
         values = _angle_values(angle, grid)
         if np.ptp(values) == 0.0:
             return np.zeros((grid.size, B.tangent.shape[1]))
-        fit = SphericalHarmonicFit(grid, values)
-        grad = fit.surface_gradient(grid.theta, grid.phi)
+        grad = surface_gradient(grid, values)
     cart = grad / B.r0
     return np.einsum("...i,...ai->...a", cart, B.tangent)
 

@@ -498,10 +498,11 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
 
     res_m, s_m, grad_m, gs_m, mass_m, ms_m, w_m = side_rows(problem.minus, r_m, minus=True)
     res_p, s_p, grad_p, gs_p, mass_p, ms_p, w_p = side_rows(problem.plus, r_p, minus=False)
-    A = spla.WindowRows(np.concatenate([res_m, res_p]), np.concatenate([s_m, s_p]), n)
-    # the Dirichlet value u_+(r_max) = 1 is column n + 1
-    at = np.clip(n + 1 - A.start, 0, 9)
-    rhs = -np.where(A.start + at == n + 1, A.coef[np.arange(len(at)), at], 0.0)
+    residual, start = np.concatenate([res_m, res_p]), np.concatenate([s_m, s_p])
+    # the Dirichlet value u_+(r_max) = 1 is column n + 1, which WindowRows drops
+    at = np.clip(n + 1 - start, 0, 9)
+    rhs = -np.where(start + at == n + 1, residual[np.arange(len(at)), at], 0.0)
+    A = spla.WindowRows(residual, start, n)
     return AssembledSystem(
         problem=problem, r_minus=r_m, r_plus=r_p, A=A, rhs=rhs,
         transmission_block=_rotation_blocks(rep.tau.real, problem.angle),

@@ -1,9 +1,11 @@
 """Gauss-Legendre x uniform-phi quadrature grids on the unit sphere.
 
 The grid is the product rule with Gauss-Legendre nodes in cos(theta) and a
-uniform azimuthal grid, spectrally accurate for smooth integrands.  A
-truncated spherical-harmonic fit provides exact tangential differentiation
-of band-limited functions on the sphere.
+uniform azimuthal grid, spectrally accurate for smooth integrands.
+`surface_gradient` differentiates nodal values through their spherical-harmonic
+projection on the same grid: a Fourier transform on each polar ring and
+normalized associated Legendre functions in cos(theta), so band-limited
+values have their exact gradient.
 """
 
 from __future__ import annotations
@@ -74,58 +76,45 @@ def sphere_grid(order: int) -> SphereGrid:
     )
 
 
-def _sph_harm(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    # imported here so that no CLI start pays for scipy.special; only this fallback needs it
-    from scipy.special import sph_harm_y
+def _legendre(x: np.ndarray, s: np.ndarray, L: int) -> np.ndarray:
+    """Fully normalized P_l^m(x), Condon-Shortley phase, at x = cos(theta), s = sin(theta).
 
-    return sph_harm_y(l, m, theta, phi)
-
-
-class SphericalHarmonicFit:
-    """Least-squares-free spectral fit of a smooth function on the sphere.
-
-    Coefficients of degree 0 .. ntheta - 2 come from quadrature projection
-    on the Gauss-Legendre grid, which is exact for band-limited input.
-    Tangential derivatives are the analytic derivatives of the truncated
-    expansion.
+    Shape (L + 1, L + 2, len(x)), indexed [l, m]; entries with m > l are zero.
+    Y_lm = P_l^m(cos theta) e^{i m phi} is orthonormal on the unit sphere.
     """
+    P = np.zeros((L + 1, L + 2, len(x)))
+    P[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for l in range(1, L + 1):
+        P[l, l] = -np.sqrt((2 * l + 1) / (2 * l)) * s * P[l - 1, l - 1]
+        P[l, l - 1] = np.sqrt(2 * l + 1) * x * P[l - 1, l - 1]
+        m = np.arange(l - 1)[:, None]
+        P[l, : l - 1] = np.sqrt((4 * l * l - 1) / (l * l - m * m)) * (
+            x * P[l - 1, : l - 1] - np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1)) * P[l - 2, : l - 1]
+        )
+    return P
 
-    def __init__(self, grid: SphereGrid, values: np.ndarray):
-        vals = np.asarray(values, dtype=complex)
-        self._coeffs: dict[tuple[int, int], complex] = {}
-        for l in range(grid.ntheta - 1):
-            for m in range(-l, l + 1):
-                y = _sph_harm(l, m, grid.theta, grid.phi)
-                self._coeffs[(l, m)] = complex(grid.integrate(vals * np.conj(y)))
 
-    def _basis_sum(self, theta, phi, term) -> np.ndarray:
-        out = np.zeros(np.shape(theta), dtype=complex)
-        for (l, m), c in self._coeffs.items():
-            if abs(c) < 1e-300:
-                continue
-            out = out + c * term(l, m, theta, phi)
-        return out
+def surface_gradient(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
+    """Unit-sphere gradient, as (N, 3) Cartesian components, of the nodal values' spherical-harmonic projection.
 
-    def d_theta(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        def term(l, m, th, ph):
-            # d/dtheta Y_lm = m cot(theta) Y_lm + sqrt((l-m)(l+m+1)) e^{-i phi} Y_{l,m+1}
-            out = m * (np.cos(th) / np.sin(th)) * _sph_harm(l, m, th, ph)
-            if m < l:
-                out = out + np.sqrt((l - m) * (l + m + 1)) * np.exp(-1j * ph) * _sph_harm(l, m + 1, th, ph)
-            return out
-
-        return np.real(self._basis_sum(theta, phi, term))
-
-    def d_phi(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        def term(l, m, th, ph):
-            return 1j * m * _sph_harm(l, m, th, ph)
-
-        return np.real(self._basis_sum(theta, phi, term))
-
-    def surface_gradient(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Unit-sphere gradient as Cartesian components, (N, 3)."""
-        ft = self.d_theta(theta, phi)
-        fp = self.d_phi(theta, phi)
-        e_theta, e_phi_raw = theta_phi_tangents(theta, phi)
-        st = np.sin(theta)
-        return ft[..., None] * e_theta + (fp / st**2)[..., None] * e_phi_raw
+    The projection keeps degrees 0 .. ntheta - 2 and takes its coefficients
+    with the grid's own quadrature, so it reproduces band-limited values
+    exactly.  Each polar ring is Fourier transformed in phi; then
+    d/dtheta P_l^m = m cot(theta) P_l^m + sqrt((l - m)(l + m + 1)) P_l^{m+1}
+    and d/dphi = i m.
+    """
+    nt = grid.ntheta
+    nphi, L = grid.size // nt, nt - 2
+    theta = grid.theta[::nphi]
+    x, s = np.cos(theta), np.sin(theta)
+    P = _legendre(x, s, L)
+    rings = np.fft.rfft(np.reshape(values, (nt, nphi)), axis=1)[:, : L + 1]
+    coef = np.einsum("lmi,i,im->lm", P[:, : L + 1], grid.weights[::nphi], rings)  # [l, m], m >= 0
+    l, m = np.ogrid[: L + 1, : L + 1]
+    f = np.einsum("lm,lmi->im", coef, P[:, : L + 1])  # the projection's phi modes on each ring
+    raising = np.einsum("lm,lmi->im", coef * np.sqrt(np.maximum((l - m) * (l + m + 1), 0)), P[:, 1:])
+    # synthesis over m = -L .. L of a real function: n * irfft
+    f_theta = nphi * np.fft.irfft(m * (x / s)[:, None] * f + raising, nphi, axis=1)
+    f_phi = nphi * np.fft.irfft(1j * m * f, nphi, axis=1) / (s * s)[:, None]
+    e_theta, e_phi = theta_phi_tangents(grid.theta, grid.phi)
+    return f_theta.reshape(-1, 1) * e_theta + f_phi.reshape(-1, 1) * e_phi

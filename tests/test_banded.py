@@ -63,6 +63,26 @@ def test_gram_of_window_rows_matches_dense(n):
     assert np.max(np.abs(splu(G).solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [1, 4, 11, 40])
+def test_out_of_range_entries_are_dropped_by_every_product(n):
+    # NaN on every window column left of 0 and right of n - 1: NaN * 0 is NaN, so each product must drop it
+    rng = np.random.default_rng(200 + n)
+    coef, start = rng.normal(size=(2 * n + 5, 10)), rng.integers(-9, n, size=2 * n + 5)
+    cols = start[:, None] + np.arange(10)
+    inside = (cols >= 0) & (cols < n)
+    assert (cols < 0).any() and (cols >= n).any()
+    C = np.zeros((len(coef), n))
+    C[np.nonzero(inside)[0], cols[inside]] = coef[inside]
+    coef[~inside] = np.nan
+    rows = WindowRows(coef, start, n)
+    x, y = rng.normal(size=n), rng.normal(size=len(C))
+    assert np.max(np.abs(rows @ x - C @ x)) <= 1e-14 * np.max(np.abs(C) @ np.abs(x))
+    assert np.max(np.abs(rows.rmatvec(y) - C.T @ y)) <= 1e-14 * np.max(np.abs(C.T) @ np.abs(y))
+    G = rows.gram()
+    assert np.isfinite(G.diag).all() and np.isfinite(G.lower).all()
+    assert np.max(np.abs(_dense(G) - C.T @ C)) <= 1e-14 * np.max(np.abs(C.T @ C))
+
+
 @pytest.mark.parametrize("nb", [1, 2, 3, 7, 16, 33])
 def test_lanczos_matches_dense_pencil_eigenvalue(nb):
     rng = np.random.default_rng(100 + nb)

@@ -18,6 +18,7 @@ from creaselab.bartnik import (
 )
 from creaselab.catalog import miao_corner, trivial_crease
 from creaselab.geometry import CreaseAngle
+from creaselab.spheregrid import sphere_grid, surface_gradient
 
 MIAO_MARGIN = 0.5 * (1.0 - math.sqrt(0.5))
 
@@ -69,9 +70,24 @@ def test_beta_delta_trivial_and_gradient():
     expect = 0.1 * np.abs(np.sin(bm.grid.theta)) / 2.0
     assert np.max(np.abs(np.linalg.norm(bd, axis=1) - expect)) < 1e-13
 
-    # the spectral fit of the nodal values agrees with the analytic gradient
+    # the spectral gradient of the nodal values agrees with the analytic gradient
     spectral = ang.value(bm.grid.nodes)
     assert np.max(np.abs(beta_delta(bm, bp, spectral) - bd)) < 1e-12
+
+
+@pytest.mark.parametrize("order, bound", [(4, 1e-12), (16, 1e-12), (32, 1e-11), (64, 1e-9)])
+def test_surface_gradient_closed_forms(order, bound):
+    # s = omega . a has tangential gradient a - s omega; s^L is the grid's band limit, e^s is not band-limited
+    grid = sphere_grid(order)
+    a = np.array([0.3, -0.5, 0.8]) / np.sqrt(0.98)
+    s = grid.nodes @ a
+    tangent = a - s[:, None] * grid.nodes
+    L = grid.ntheta - 2
+    cases = [(s, tangent), (s**L, L * s[:, None] ** (L - 1) * tangent)]
+    if order >= 16:
+        cases.append((np.exp(s), np.exp(s)[:, None] * tangent))
+    for values, want in cases:
+        assert np.max(np.abs(surface_gradient(grid, values) - want)) <= bound * np.max(np.abs(want))
 
 
 def test_beta_delta_grid_mismatch(miao_pair):

@@ -64,8 +64,9 @@ def _fresh_interpreter(script: str) -> subprocess.CompletedProcess:
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # a fresh interpreter whose import system refuses every scipy module; adm on Schwarzschild data, then every
-    # committed config with the command its file name starts with
+    # a fresh interpreter whose import system refuses every scipy module; adm on Schwarzschild data, every
+    # committed config with the command its file name starts with, then equivalence_angle, whose nodal angle
+    # takes the spectral gradient
     doc = {"catalog": {"name": "schwarzschild_isotropic", "params": {"m": 1.0}},
            "radii": [50.0, 100.0, 200.0], "quadrature": {"sphere_order": 16}}
     runs = [("adm", _write_config(tmp_path, "adm-schwarzschild.yaml", doc))]
@@ -82,7 +83,20 @@ def test_commands_run_without_scipy(tmp_path):
     ) + "".join(
         f"assert cli.main([{command!r}, '--config', {str(path)!r}, '--out', {str(tmp_path / path.stem)!r}]) == 0\n"
         for command, path in runs
-    ) + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    ) + (
+        "import dataclasses\n"
+        "from creaselab.bartnik import angle_gradient_frame, bartnik_from_data, equivalence_angle, rotated_components\n"
+        "from creaselab.catalog import miao_corner\n"
+        "from creaselab.geometry import CreaseAngle\n"
+        "mc = miao_corner(1.0, 4.0)\n"
+        "bm = bartnik_from_data(mc.minus, mc.r0, order=16)\n"
+        "angle = CreaseAngle.cos_theta(0.3)\n"
+        "nu, tau = rotated_components(bm, angle)\n"
+        "rotated = dataclasses.replace(bm, H=nu, trk=tau, beta=bm.beta + angle_gradient_frame(angle, bm))\n"
+        "f = equivalence_angle(bm, rotated)\n"
+        "assert abs(f - angle.value(bm.grid.nodes)).max() < 1e-10\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     proc = _fresh_interpreter(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
