@@ -68,8 +68,6 @@ def _angle_values(angle, grid: SphereGrid) -> np.ndarray:
     if isinstance(angle, CreaseAngle):
         return np.asarray(angle.value(grid.nodes), dtype=float)
     arr = np.asarray(angle, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.size, float(arr))
     if arr.shape != (grid.size,):
         raise BartnikError("angle array does not match the grid")
     return arr
@@ -78,8 +76,8 @@ def _angle_values(angle, grid: SphereGrid) -> np.ndarray:
 def angle_gradient_frame(angle, B: BartnikData) -> np.ndarray:
     """Components df(t_alpha) of the angle differential on the crease sphere.
 
-    A CreaseAngle carries its analytic unit-sphere gradient.  A scalar or
-    nodal angle (as `equivalence_angle` solves it) takes the gradient of its
+    A CreaseAngle carries its analytic unit-sphere gradient.  A nodal
+    angle (as `equivalence_angle` solves it) takes the gradient of its
     spherical-harmonic projection, `spheregrid.surface_gradient`, or exactly
     zero when its values are all equal.  The homogeneous degree-0 extension
     of the angle gives the Cartesian covector (1/r0) * surface gradient.

@@ -312,19 +312,17 @@ def rotated_crease(base: CreasedData, angle: CreaseAngle) -> CreasedData:
 # dispatch
 
 
-def _angle_from_spec(spec) -> CreaseAngle:
-    if isinstance(spec, CreaseAngle):
-        return spec
-    if isinstance(spec, (int, float)):
-        return CreaseAngle.from_constant(float(spec))
-    if isinstance(spec, dict):
-        kind = spec.get("type")
-        if kind == "constant":
-            return CreaseAngle.from_constant(float(spec["value"]))
-        if kind == "cos_theta":
-            return CreaseAngle.cos_theta(float(spec["amplitude"]))
+def _angle_from_spec(spec: dict) -> CreaseAngle:
+    """The crease angle of a config mapping: {type: constant, value: f} or {type: cos_theta, amplitude: a}."""
+    makers = {"constant": ("value", CreaseAngle.from_constant), "cos_theta": ("amplitude", CreaseAngle.cos_theta)}
+    kind = spec.get("type")
+    if kind not in makers:
         raise GeometryError(f"unknown crease angle type {kind!r}")
-    raise GeometryError(f"cannot interpret crease angle spec {spec!r}")
+    key, make = makers[kind]
+    extra = sorted(set(spec) - {"type", key})
+    if extra:
+        raise GeometryError(f"crease angle type {kind!r} has no parameter {', '.join(extra)}")
+    return make(spec[key])
 
 
 def catalog(name: str, **params):
@@ -348,9 +346,7 @@ def catalog(name: str, **params):
                 params.pop("amplitude", 0.4), params.pop("center", 4.5), params.pop("width", 1.0)
             )
         elif name == "rotated_crease":
-            base = params.pop("base")
-            if isinstance(base, str):
-                base = catalog(base, **params.pop("base_params", {}))
+            base = catalog(params.pop("base"), **params.pop("base_params", {}))
             model = rotated_crease(base, _angle_from_spec(params.pop("f")))
         else:
             raise GeometryError(f"unknown catalog model {name!r}")

@@ -51,6 +51,23 @@ _SCHEMA: dict[str, Any] = {
 }
 
 
+def _construct_unique_mapping(loader: yaml.SafeLoader, node, deep=False) -> dict:
+    """SafeLoader's construct_mapping, refusing a mapping that repeats a key (plain PyYAML keeps the last value)."""
+    seen = []  # a list, not a set: an unhashable key is left for SafeLoader to report
+    for key_node, _ in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":  # a << merge key may override; flatten_mapping does that
+            continue
+        key = loader.construct_object(key_node, deep=True)
+        if key in seen:
+            raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {key!r}", key_node.start_mark)
+        seen.append(key)
+    return yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    construct_mapping = _construct_unique_mapping  # PyYAML builds every mapping through this method
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -128,7 +145,7 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML: {exc}") from exc
     if not isinstance(data, dict):
@@ -148,9 +165,9 @@ def parse_config(text: str) -> RunConfig:
             or any(b <= a for a, b in zip(radii, radii[1:]))):
         raise ConfigError("radii must be a strictly increasing list of at least 3 finite numbers")
     for where in ("params", "base_params"):
-        flag = next((key for key, value in cat.get(where, {}).items() if isinstance(value, bool)), None)
-        if flag is not None:
-            raise ConfigError(f"catalog.{where}.{flag} must be a number, not a boolean")
+        bad = next((key for key, value in cat.get(where, {}).items() if not _is_number(value)), None)
+        if bad is not None:
+            raise ConfigError(f"catalog.{where}.{bad} must be a number")
     # identities sums sphere_order x 2 sphere_order^2 LSW nodes in fixed blocks, so its peak stays near 80-115 MiB
     # (3 spinors, 32 and 64), but its time grows with the nodes: 1.1 s at 32, 8.5 s at 64, about 70 s at 128
     if not 4 <= sphere_order <= 64:

@@ -72,15 +72,6 @@ class IntegralsError(GeometryError):
     pass
 
 
-class TransmissionPreconditionError(IntegralsError):
-    def __init__(self, defect: float, tol: float):
-        super().__init__(
-            f"spinor traces violate the transmission condition: max defect {defect:.3e} > {tol:.1e}"
-        )
-        self.defect = defect
-        self.tol = tol
-
-
 IMAG_TOL = 1e-9
 
 
@@ -549,14 +540,10 @@ class CreaseBoundaryResult:
     bound: float | np.ndarray
     i_minus: float | np.ndarray
     i_plus: float | np.ndarray
-    transmission_defect: float | np.ndarray
 
     @property
     def mismatch(self) -> float | np.ndarray:
         return abs(self.direct - self.formula)
-
-
-TRANSMISSION_TOL = 1e-10  # largest trace defect the crease identities accept
 
 
 def crease_boundary_terms(
@@ -564,42 +551,30 @@ def crease_boundary_terms(
     rep: CliffordRep,
     psi_plus: Callable[[np.ndarray, np.ndarray], np.ndarray],
     order: int = 16,
-    psi_minus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> CreaseBoundaryResult:
     """Crease boundary terms: direct one-sided integrals vs the jump formula.
 
-    `psi_plus` (and `psi_minus`, defaulting to the transmission image of
-    psi_plus) give adapted-frame components (..., m, I) on the crease
-    sphere; every result has the traces' leading batch shape.  The
-    traces must satisfy the transmission condition to TRANSMISSION_TOL;
-    the contract is |direct - formula| small, direct <= bound, and
-    bound <= 0 whenever the crease margin is nonnegative.
+    `psi_plus` gives adapted-frame components (..., m, I) on the crease
+    sphere, and the minus trace is its transmission image, the spinor
+    rotation by the crease angle; every result has the traces' leading
+    batch shape.  The contract is |direct - formula| small, direct <=
+    bound, and bound <= 0 whenever the crease margin is nonnegative.
     """
     grid = sphere_grid(order)
     r0 = cd.r0
 
-    def angle_at(th, ph):
-        return np.asarray(cd.angle.value(unit_vectors(th, ph)), dtype=float)
-
-    def psi_minus_default(th, ph):
-        rot = spinor_rotation(rep, angle_at(th, ph))
+    def minus_trace(th, ph):
+        rot = spinor_rotation(rep, np.asarray(cd.angle.value(unit_vectors(th, ph)), dtype=float))
         return np.einsum("mIK,...mK->...mI", rot, np.asarray(psi_plus(th, ph), dtype=complex))
 
-    pm = psi_minus if psi_minus is not None else psi_minus_default
-
     c_plus = np.asarray(psi_plus(grid.theta, grid.phi), dtype=complex)
-    c_minus = np.asarray(pm(grid.theta, grid.phi), dtype=complex)
-    rot = spinor_rotation(rep, angle_at(grid.theta, grid.phi))
-    defect = np.max(np.abs(c_minus - np.einsum("mIK,...mK->...mI", rot, c_plus)), axis=(-2, -1))
-    if np.any(defect > TRANSMISSION_TOL):
-        raise TransmissionPreconditionError(float(np.max(defect)), TRANSMISSION_TOL)
 
     def one_side(data, trace, nu_sign):
         # the Bartnik data are the density's geometry
         density, hg = boundary_term_density(data, rep, r0, grid, trace, nu_sign)
         return np.sum(density * (hg.area_element * grid.weights), axis=-1), bartnik_data(grid, r0, hg)
 
-    i_minus, bm = one_side(cd.minus, pm, 1)
+    i_minus, bm = one_side(cd.minus, minus_trace, 1)
     i_plus, bp = one_side(cd.plus, psi_plus, -1)
     nu_rot, tau_rot = rotated_components(bm, cd.angle)
     bd = beta_delta(bm, bp, cd.angle)
@@ -627,5 +602,4 @@ def crease_boundary_terms(
         bound=bound,
         i_minus=real_checked(i_minus, scale=1.0, label="I_minus"),
         i_plus=real_checked(i_plus, scale=1.0, label="I_plus"),
-        transmission_defect=defect,
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cliffords import CliffordRep, spinor_rotation
 from .geometry import CreasedData, GeometryError, InitialData, bulk_frame
-from .integrals import TRANSMISSION_TOL, bulk_spin_coefficients
+from .integrals import bulk_spin_coefficients
 from .spheregrid import sphere_grid
 from .spinorfields import SpinorField
 
@@ -105,27 +105,18 @@ def crease_lorentz_check(
     cd: CreasedData,
     psi_plus: Callable[[np.ndarray, np.ndarray], np.ndarray],
     order: int = 12,
-    psi_minus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> LorentzCheck:
     """Residuals of the hyperbolic-rotation relations between the two sides'
     lapse-shift traces: tangential shifts agree, while the (normal, lapse)
     pair mixes through (cosh f, sinh f).
 
-    Traces are adapted-frame components on the crease sphere; psi_minus
-    defaults to the transmission image of psi_plus and is otherwise checked
-    against it to TRANSMISSION_TOL, the tolerance of the crease identities.
+    Traces are adapted-frame components on the crease sphere; the minus
+    trace is the transmission image of psi_plus.
     """
     grid = sphere_grid(order)
     f = np.asarray(cd.angle.value(grid.nodes), dtype=float)
     c_plus = np.asarray(psi_plus(grid.theta, grid.phi), dtype=complex)
-    rot = spinor_rotation(rep, f)
-    if psi_minus is None:
-        c_minus = np.einsum("mIK,mK->mI", rot, c_plus)
-    else:
-        c_minus = np.asarray(psi_minus(grid.theta, grid.phi), dtype=complex)
-        defect = float(np.max(np.abs(c_minus - np.einsum("mIK,mK->mI", rot, c_plus))))
-        if defect > TRANSMISSION_TOL:
-            raise KillingError(f"traces violate the transmission condition: {defect:.3e}")
+    c_minus = np.einsum("mIK,mK->mI", spinor_rotation(rep, f), c_plus)
 
     n = rep.n
     pair = _lapse_shift_map(rep)

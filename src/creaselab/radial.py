@@ -231,10 +231,6 @@ class OracleReport:
     gradient_defect: float
     radii_checked: int
 
-    @property
-    def certified(self) -> bool:
-        return self.operator_defect <= ORACLE_OPERATOR_TOL and self.gradient_defect <= ORACLE_GRADIENT_TOL
-
 
 @dataclass(frozen=True)
 class RadialProblem:
@@ -317,14 +313,13 @@ def reduce_radial(cd: CreasedData, rep: CliffordRep) -> RadialProblem:
     defects = [_oracle_side(rep, s, rng, per_side) for s in (minus, plus)]
     op_defect = max(d[0] for d in defects)
     grad_defect = max(d[1] for d in defects)
-    report = OracleReport(operator_defect=op_defect, gradient_defect=grad_defect, radii_checked=2 * per_side)
-    if not report.certified:
+    if not (op_defect <= ORACLE_OPERATOR_TOL and grad_defect <= ORACLE_GRADIENT_TOL):
         raise ReductionOracleError(
             f"radial reduction disagrees with the full machinery: operator defect {op_defect:.3e}, gradient defect "
             f"{grad_defect:.3e} (tolerances {ORACLE_OPERATOR_TOL:g}, {ORACLE_GRADIENT_TOL:g})"
         )
-    return RadialProblem(cd=cd, rep=rep, minus=minus, plus=plus,
-                         angle=float(cd.angle.constant), oracle=report)
+    return RadialProblem(cd=cd, rep=rep, minus=minus, plus=plus, angle=float(cd.angle.constant),
+                         oracle=OracleReport(op_defect, grad_defect, radii_checked=2 * per_side))
 
 
 # ---------------------------------------------------------------------------

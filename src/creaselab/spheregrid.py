@@ -11,7 +11,6 @@ values have their exact gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -50,7 +49,6 @@ def theta_phi_tangents(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, 
     return d_theta, d_phi
 
 
-@lru_cache(maxsize=None)
 def sphere_grid(order: int) -> SphereGrid:
     """Grid with `order` (rounded up to even) Gauss-Legendre polar nodes.
 

@@ -62,14 +62,12 @@ def _axial(M: np.ndarray) -> np.ndarray:
 def spin_lift(rep: CliffordRep, O: np.ndarray, dO: np.ndarray | None = None):
     """Spinor rotation sigma with sigma Gamma_j sigma^{-1} = sum_i O_ij Gamma_i.
 
-    Three-dimensional only, and smooth in O away from half turns, as the
-    small frame rotations of `radial` are; `anchored_spin_lift` lifts
-    rotations of any angle.  Given partials dO (..., k, 3, 3) it returns
-    (sigma, dsigma), dsigma (..., k, I, I): sigma = h 1 + bivector(v/2h)
-    with h = sqrt((1 + c)/2), so dh = tr(dO)/8h, d(v/2h) = dv/2h - (v/2h) dh/h.
+    Smooth in O away from half turns, as the small frame rotations of
+    `radial` are; `anchored_spin_lift` lifts rotations of any angle.
+    Given partials dO (..., k, 3, 3) it returns (sigma, dsigma), dsigma
+    (..., k, I, I): sigma = h 1 + bivector(v/2h) with h = sqrt((1 + c)/2),
+    so dh = tr(dO)/8h, d(v/2h) = dv/2h - (v/2h) dh/h.
     """
-    if rep.n != 3:
-        raise SpinGaugeError("spin_lift implemented for spatial dimension 3")
     O = np.asarray(O, dtype=float)
     c = np.clip((np.trace(O, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
     if np.any(c < -0.9):
@@ -91,8 +89,6 @@ def spin_lift_any(rep: CliffordRep, O: np.ndarray) -> np.ndarray:
     The sign/axis choices are deterministic but not continuous in O; use
     only as a per-node anchor, never inside a difference stencil.
     """
-    if rep.n != 3:
-        raise SpinGaugeError("spin_lift_any implemented for spatial dimension 3")
     O = np.asarray(O, dtype=float)
     if O.shape[-2:] != (3, 3):
         raise SpinGaugeError("rotation batch must have shape (..., 3, 3)")

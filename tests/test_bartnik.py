@@ -39,14 +39,14 @@ def miao_pair():
 
 def test_rotated_components_identity(miao_pair):
     _, bm, _ = miao_pair
-    nu, tau = rotated_components(bm, 0.0)
+    nu, tau = rotated_components(bm, np.zeros(bm.size))
     assert np.allclose(nu, bm.H) and np.allclose(tau, bm.trk)
 
 
 def test_rotated_components_log2(miao_pair):
     _, bm, _ = miao_pair
     # H = 0.5, trk = 0 on the flat side of the corner
-    nu, tau = rotated_components(bm, math.log(2.0))
+    nu, tau = rotated_components(bm, np.full(bm.size, math.log(2.0)))
     assert np.allclose(nu, 0.625, atol=1e-12)
     assert np.allclose(tau, 0.375, atol=1e-12)
 
@@ -63,7 +63,7 @@ def test_beta_delta_trivial_and_gradient():
     tc = trivial_crease(2.0)
     bm = bartnik_from_data(tc.minus, 2.0, order=12)
     bp = bartnik_from_data(tc.plus, 2.0, order=12)
-    assert np.max(np.abs(beta_delta(bm, bp, 0.7))) < 1e-14  # constant f
+    assert np.max(np.abs(beta_delta(bm, bp, np.full(bm.size, 0.7)))) < 1e-14  # constant f
 
     ang = CreaseAngle.cos_theta(0.1)
     bd = beta_delta(bm, bp, ang)
@@ -95,7 +95,7 @@ def test_beta_delta_grid_mismatch(miao_pair):
     tc = trivial_crease(2.0)
     other = bartnik_from_data(tc.plus, 2.0, order=16)
     with pytest.raises(BartnikError):
-        beta_delta(bm, other, 0.0)
+        beta_delta(bm, other, np.zeros(bm.size))
 
 
 def test_crease_margin_identical_data():
@@ -124,11 +124,11 @@ def test_margin_gauge_invariance(miao_pair):
     ang = CreaseAngle.cos_theta(0.2)
     f = ang.value(bm.grid.nodes)
     rep1 = crease_margin(bm, bp, ang)
-    rep2 = crease_margin(rotate_bartnik(bm, 0.35), bp, f - 0.35)
+    rep2 = crease_margin(rotate_bartnik(bm, np.full(bm.size, 0.35)), bp, f - 0.35)
     assert np.max(np.abs(rep1.margin - rep2.margin)) < 1e-11
 
 
-@pytest.mark.parametrize("angle", [0.0, CreaseAngle.cos_theta(0.3)], ids=["constant", "cos_theta"])
+@pytest.mark.parametrize("angle", [CreaseAngle.from_constant(0.0), CreaseAngle.cos_theta(0.3)], ids=["constant", "cos_theta"])
 def test_argmin_node_is_stable_under_roundoff_noise(miao_pair, angle):
     # the constant angle gives 288 margins equal up to roundoff, cos(theta) a ring of equal minima:
     # noise of 1e-15 in H must not move the reported node
@@ -138,13 +138,13 @@ def test_argmin_node_is_stable_under_roundoff_noise(miao_pair, angle):
     for _ in range(4):
         noisy = dataclasses.replace(bp, H=bp.H + 1e-15 * rng.normal(size=bp.size))
         assert crease_margin(bm, noisy, angle).argmin_node == clean
-    if angle == 0.0:
+    if angle.is_constant:
         assert clean == 0
 
 
 def test_flat_corner_margin_is_mean_curvature_jump(miao_pair):
     mc, bm, bp = miao_pair
-    rep = crease_margin(bm, bp, 0.0)
+    rep = crease_margin(bm, bp, CreaseAngle.from_constant(0.0))
     assert np.allclose(rep.margin, bm.H - bp.H, atol=1e-13)
 
 
@@ -190,7 +190,7 @@ def test_equivalence_angle_obstruction(miao_pair):
     import dataclasses
 
     _, bm, _ = miao_pair
-    rotated = rotate_bartnik(bm, 0.3)
+    rotated = rotate_bartnik(bm, np.full(bm.size, 0.3))
     bad = dataclasses.replace(rotated, H=rotated.H * 1.01)
     assert equivalence_angle(bm, bad) is None
 

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from creaselab import cli
-from creaselab.config import parse_config
+from creaselab.config import ConfigError, parse_config
 from creaselab.reports import NonFiniteReportError, render_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -43,7 +43,10 @@ def test_solve_report_is_byte_reproducible(tmp_path, config):
     for name in ("report.json", "psi_minus.csv", "psi_plus.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
     first = (tmp_path / "a" / "report.json").read_bytes()
-    results = json.loads(first)["results"]
+    report = json.loads(first)
+    # oracle, poincare_positive and dirichlet_nonnegative are gone: the solve raises before any can be false
+    assert set(report["flags"]) == {"transmission", "poincare_stable", "hypotheses_hold", "gap_nonnegative"}
+    results = report["results"]
     solver = results["solver"]
     assert solver["smallest_singular_value"] > 0.0
     assert "method" not in solver and "iterations" not in solver
@@ -176,7 +179,8 @@ def test_identities_report_is_byte_reproducible(tmp_path):
     first = (tmp_path / "a" / "report.json").read_bytes()
     assert first == (tmp_path / "b" / "report.json").read_bytes()
     report = json.loads(first)
-    assert report["flags"] == {"clifford": True, "lsw": True, "crease_boundary": True}
+    assert report["flags"] == {"lsw": True, "crease_boundary": True}
+    assert set(report["results"]) == {"lsw", "crease_boundary"}
     assert report["results"]["lsw"]["max_scaled_residual"] > 0.0
 
 
@@ -244,7 +248,7 @@ def test_nonpositive_or_nonfinite_tolerance_exits_2(tmp_path, capsys, value):
         ({"name": "schwarzschild_isotropic", "params": {"m": 1.0, "typo_mass": 5}}, "typo_mass"),
         ({"name": "miao_corner", "params": {"m": 1.0}}, "missing parameter"),
         ({"name": "miao_corner", "params": {"m": 3.0, "rho0": 4.0}}, "horizon"),
-        ({"name": "schwarzschild_isotropic", "params": {"m": "heavy"}}, "could not convert"),
+        ({"name": "schwarzschild_isotropic", "params": {"m": "heavy"}}, "must be a number"),
         ({"name": "rotated_crease", "base": "miao_corner", "base_params": {"m": 1.0, "rho0": 4.0, "r0": 2.0},
           "angle": {"type": "constant", "value": 0.3}}, "r0"),
         ({"name": "rotated_crease", "base": "miao_corner", "base_params": {"m": 1.0, "rho0": 4.0},
@@ -255,6 +259,19 @@ def test_catalog_lookup_and_parameter_errors_exit_2(tmp_path, capsys, catalog, m
     path = _write_config(tmp_path, "catalog.yaml", {"catalog": catalog})
     assert _run("adm", path, tmp_path / "out") == 2
     assert message in capsys.readouterr().err
+
+
+def test_repeated_yaml_key_exits_2(tmp_path, capsys):
+    # plain PyYAML keeps the last of two equal keys, so the second quadrature would silently win
+    text = IDENTITIES_SMALL.read_text(encoding="utf-8")
+    assert "\nquadrature:" in text
+    path = tmp_path / "twice.yaml"
+    path.write_text(text + "quadrature: {sphere_order: 64}\n", encoding="utf-8")
+    assert _run("identities", path, tmp_path / "out") == 2
+    assert "duplicate key 'quadrature'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    with pytest.raises(ConfigError, match="duplicate key 'name'"):
+        parse_config("catalog: {name: minkowski_slice, name: miao_corner}\n")
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -353,11 +370,14 @@ def test_nonfinite_result_exits_3_without_report(tmp_path, capsys, monkeypatch):
         ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": True}}}, "catalog.params.m"),
         ({"catalog": {"name": "rotated_crease", "base": "miao_corner", "base_params": {"m": 1.0, "rho0": True},
                       "angle": {"type": "constant", "value": 0.3}}}, "catalog.base_params.rho0"),
+        # a string that reads as a number would reach the report as a string
+        ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": "1.0"}}}, "catalog.params.m must be a number"),
+        ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": [1.0]}}}, "catalog.params.m must be a number"),
     ],
-    ids=["one-radius", "decreasing-radii", "boolean-param", "boolean-base-param"],
+    ids=["one-radius", "decreasing-radii", "boolean-param", "boolean-base-param", "string-param", "list-param"],
 )
 def test_parse_time_contract_exits_2(tmp_path, capsys, doc, message):
-    # E is extrapolated from the last three radii, and a boolean is not a model parameter
+    # E is extrapolated from the last three radii, and every model parameter is a number
     assert _run("adm", _write_config(tmp_path, "bad.yaml", doc), tmp_path / "out") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
@@ -374,9 +394,19 @@ def test_parse_time_contract_exits_2(tmp_path, capsys, doc, message):
                                "angle": {"type": "cos_theta", "amplitude": 0.3}}}, "constant crease angle"),
         ("crease-check", {"catalog": {"name": "rotated_crease", "base": "graph_slice",
                                       "angle": {"type": "constant", "value": 0.3}}}, "creased base"),
+        # each angle type reads one key; another one would be ignored
+        ("crease-check", {"catalog": {"name": "rotated_crease", "base": "miao_corner",
+                                      "base_params": {"m": 1.0, "rho0": 3.0},
+                                      "angle": {"type": "cos_theta", "amplitude": 0.3, "value": 5.0}}},
+         "'cos_theta' has no parameter value"),
+        ("crease-check", {"catalog": {"name": "rotated_crease", "base": "miao_corner",
+                                      "base_params": {"m": 1.0, "rho0": 3.0},
+                                      "angle": {"type": "constant", "value": 0.3, "amplitude": 0.3}}},
+         "'constant' has no parameter amplitude"),
     ],
     ids=["solve-r_max-inside-crease", "adm-radii-inside-chart", "solve-radii-inside-chart",
-         "solve-varying-angle", "rotated-uncreased-base"],
+         "solve-varying-angle", "rotated-uncreased-base", "cos_theta-angle-with-value",
+         "constant-angle-with-amplitude"],
 )
 def test_run_time_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     config = {"catalog": {"name": "miao_corner", "params": {"m": 1.0, "rho0": 3.0}}, **doc}

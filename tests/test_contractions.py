@@ -31,7 +31,7 @@ from creaselab.integrals import bulk_spin_coefficients, sen_derivatives, volume_
 from creaselab.killing import LapseShift, killing_development, riemann_norm
 from creaselab.spinorfields import random_polynomial_field
 
-REP = build_rep(3)
+REP = build_rep()
 TOL = 1e-13
 
 

@@ -3,15 +3,12 @@ import pytest
 
 from creaselab.bartnik import crease_report_for
 from creaselab.catalog import miao_corner, rotated_crease, trivial_crease
-from creaselab.cliffords import build_rep
+from creaselab.cliffords import build_rep, spinor_rotation
 from creaselab.geometry import CreaseAngle
-from creaselab.integrals import (
-    TransmissionPreconditionError,
-    crease_boundary_terms,
-)
-from creaselab.spheregrid import unit_vectors
+from creaselab.integrals import boundary_term_density, crease_boundary_terms
+from creaselab.spheregrid import sphere_grid, unit_vectors
 
-REP = build_rep(3)
+REP = build_rep()
 
 
 def random_trace_closure(rng, scale=0.3):
@@ -32,7 +29,6 @@ def test_trivial_crease_terms_vanish():
     res = crease_boundary_terms(tc, REP, random_trace_closure(rng), order=12)
     assert res.direct == pytest.approx(0.0, abs=1e-12)
     assert res.formula == pytest.approx(0.0, abs=1e-12)
-    assert res.transmission_defect < 1e-14
 
 
 def test_miao_corner_identity_random_pairs():
@@ -75,38 +71,28 @@ def test_batched_traces_match_single_traces():
     batch = crease_boundary_terms(rc, REP, traces(slice(None)), order=12)
     for k in range(3):
         one = crease_boundary_terms(rc, REP, traces(k), order=12)
-        for name in ("direct", "formula", "bound", "i_minus", "i_plus", "transmission_defect", "mismatch"):
+        for name in ("direct", "formula", "bound", "i_minus", "i_plus", "mismatch"):
             single = getattr(one, name)
             assert np.ndim(single) == 0
             assert abs(getattr(batch, name)[k] - single) <= 1e-13 * (abs(one.formula) + 1.0), name
 
 
-def test_transmission_precondition_fires():
-    mc = miao_corner(1.0, 4.0)
-    rng = np.random.default_rng(3)
-    psi_plus = random_trace_closure(rng)
-
-    def psi_minus_bad(theta, phi):
-        return psi_plus(theta, phi) + 1e-6
-
-    with pytest.raises(TransmissionPreconditionError) as err:
-        crease_boundary_terms(mc, REP, psi_plus, order=12, psi_minus=psi_minus_bad)
-    assert err.value.defect > 1e-10
-
-
 def test_explicit_matching_minus_trace_accepted():
+    # the minus side's integral is the one of the explicit transmission image of psi_plus
     mc = rotated_crease(miao_corner(1.0, 4.0), CreaseAngle.from_constant(0.4))
     rng = np.random.default_rng(4)
     psi_plus = random_trace_closure(rng)
-    from creaselab.cliffords import spinor_rotation
 
     def psi_minus(theta, phi):
         f = mc.angle.value(unit_vectors(np.asarray(theta), np.asarray(phi)))
         rot = spinor_rotation(REP, f)
         return np.einsum("mIK,mK->mI", rot, np.asarray(psi_plus(theta, phi), dtype=complex))
 
-    res = crease_boundary_terms(mc, REP, psi_plus, order=12, psi_minus=psi_minus)
-    assert res.transmission_defect < 1e-12
+    res = crease_boundary_terms(mc, REP, psi_plus, order=12)
+    grid = sphere_grid(12)
+    density, hg = boundary_term_density(mc.minus, REP, mc.r0, grid, psi_minus, 1)
+    i_minus = np.sum(density * (hg.area_element * grid.weights))
+    assert abs(res.i_minus - i_minus) <= 1e-13 * (abs(i_minus) + 1.0)
     assert res.mismatch <= 1e-8 * (abs(res.formula) + 1e-12)
 
 

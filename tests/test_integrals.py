@@ -52,7 +52,7 @@ from creaselab.spinorfields import (
     spin_lift_any,
 )
 
-REP = build_rep(3)
+REP = build_rep()
 
 
 def dirac_witten_apply(data: InitialData, rep, field: SpinorField, x) -> np.ndarray:

@@ -38,7 +38,7 @@ from creaselab.radial import (
 )
 from test_banded import _dense
 
-REP = build_rep(3)
+REP = build_rep()
 PSI_INF = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 
@@ -303,7 +303,7 @@ def test_assemble_transmission_block(miao_problem):
     assert np.allclose(blk[:4, 4:], B * REP.tau.real, atol=1e-15)
     # and it intertwines with the fiberwise spinor rotation at the normal slot:
     # (A + B eps) acting on U + (omega Gamma) V at omega = e_3 reproduces blk
-    rot = spinor_rotation(REP, f, 3)
+    rot = spinor_rotation(REP, f)
     U = np.array([1.0, 0.5, -0.25, 0.125], dtype=complex)
     V = np.array([0.3, -0.1, 0.7, 0.2], dtype=complex)
     c = U + REP.gamma[2] @ V
