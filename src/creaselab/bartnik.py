@@ -128,9 +128,11 @@ class CreaseReport:
     area_element: np.ndarray
 
 
-def crease_margin(
-    B_minus: BartnikData, B_plus: BartnikData, angle, tol: float = 1e-9
-) -> CreaseReport:
+# dec_creased slack below 0 for a margin that vanishes exactly: its roundoff is at most eps cosh(10) |H| = 2.4e-12 |H|
+DEC_CREASE_TOL = 1e-9
+
+
+def crease_margin(B_minus: BartnikData, B_plus: BartnikData, angle) -> CreaseReport:
     """DEC-crease margin: <F(H_-) - H_+, nu_+> - sqrt(<F(H_-) - H_+, tau_+>^2 + |beta^Delta|^2).
 
     The reported node is the first whose margin lies within roundoff,
@@ -153,16 +155,16 @@ def crease_margin(
         margin=margin,
         min_margin=lowest,
         argmin_node=int(np.argmax(margin <= lowest + tie)),
-        dec_creased=bool(lowest >= -tol),
+        dec_creased=bool(lowest >= -DEC_CREASE_TOL),
         area_element=B_minus.area_element,
     )
 
 
-def crease_report_for(cd: CreasedData, order: int = 16, tol: float = 1e-9) -> CreaseReport:
+def crease_report_for(cd: CreasedData, order: int = 16) -> CreaseReport:
     """Margin report of a creased datum, sampling both sides on one grid."""
     bm = bartnik_from_data(cd.minus, cd.r0, order=order)
     bp = bartnik_from_data(cd.plus, cd.r0, order=order)
-    return crease_margin(bm, bp, cd.angle, tol=tol)
+    return crease_margin(bm, bp, cd.angle)
 
 
 def spacelike_form_check(report: CreaseReport) -> np.ndarray:

@@ -9,6 +9,7 @@ vectorized over point batches (m, 3); the catalog is three-dimensional.
 from __future__ import annotations
 
 from dataclasses import replace
+import inspect
 import math
 
 import numpy as np
@@ -309,49 +310,73 @@ def rotated_crease(base: CreasedData, angle: CreaseAngle) -> CreasedData:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the catalog spec of a run configuration
 
 
-def _angle_from_spec(spec: dict) -> CreaseAngle:
-    """The crease angle of a config mapping: {type: constant, value: f} or {type: cos_theta, amplitude: a}."""
-    makers = {"constant": ("value", CreaseAngle.from_constant), "cos_theta": ("amplitude", CreaseAngle.cos_theta)}
-    kind = spec.get("type")
-    if kind not in makers:
-        raise GeometryError(f"unknown crease angle type {kind!r}")
-    key, make = makers[kind]
-    extra = sorted(set(spec) - {"type", key})
+# every model a config can name and every crease angle type; the keyword parameters of each are its catalog
+# parameters, required where they have no default.  rotated_crease, the one composite model, takes a base of
+# MODELS with its base_params and an angle of ANGLES.
+MODELS = {model.__name__: model for model in (minkowski_slice, schwarzschild_isotropic,
+          schwarzschild_exterior_area_radius, miao_corner, trivial_crease, graph_slice)}
+ANGLES = {"constant": CreaseAngle.from_constant, "cos_theta": CreaseAngle.cos_theta}
+# |f| bound of either angle type: the DEC-crease margin's roundoff eps cosh(f) |H| is 2.4e-12 |H| at |f| = 10,
+# far below bartnik.DEC_CREASE_TOL, but 6e5 |H| at |f| = 50, where it swamps the margin (cosh overflows at 711)
+MAX_ANGLE = 10.0
+
+
+def _check_params(label: str, make, params, where: str, bound: float = math.inf) -> None:
+    if not isinstance(params, dict):
+        raise GeometryError(f"{where} must be a mapping")
+    signature = inspect.signature(make).parameters
+    extra = [str(key) for key in params if key not in signature]
     if extra:
-        raise GeometryError(f"crease angle type {kind!r} has no parameter {', '.join(extra)}")
-    return make(spec[key])
+        raise GeometryError(f"{label} has no parameter {', '.join(extra)}")
+    missing = [key for key, p in signature.items() if p.default is p.empty and key not in params]
+    if missing:
+        raise GeometryError(f"{label} is missing parameter {missing[0]!r}")
+    for key, value in params.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise GeometryError(f"{where}.{key} must be a number")
+        if not math.isfinite(value):
+            raise GeometryError(f"{where}.{key} must be finite, got {value!r}")
+        if abs(value) > bound:
+            raise GeometryError(f"{where}.{key} must lie within [-{bound:g}, {bound:g}], got {value!r}")
 
 
-def catalog(name: str, **params):
-    """Model lookup by name; returns InitialData or CreasedData.
+def _check_model(name, params, where: str) -> None:
+    if not isinstance(name, str) or name not in MODELS:
+        raise GeometryError(f"unknown catalog model {name!r}")
+    _check_params(f"catalog model {name!r}", MODELS[name], params, where)
 
-    Every parameter must be one the model reads; leftovers are an error.
-    """
-    try:
-        if name == "minkowski_slice":
-            model = minkowski_slice()
-        elif name == "schwarzschild_isotropic":
-            model = schwarzschild_isotropic(params.pop("m"))
-        elif name == "schwarzschild_exterior_area_radius":
-            model = schwarzschild_exterior_area_radius(params.pop("m"))
-        elif name == "miao_corner":
-            model = miao_corner(params.pop("m"), params.pop("rho0"))
-        elif name == "trivial_crease":
-            model = trivial_crease(params.pop("r0", 1.0))
-        elif name == "graph_slice":
-            model = graph_slice(
-                params.pop("amplitude", 0.4), params.pop("center", 4.5), params.pop("width", 1.0)
-            )
-        elif name == "rotated_crease":
-            base = catalog(params.pop("base"), **params.pop("base_params", {}))
-            model = rotated_crease(base, _angle_from_spec(params.pop("f")))
-        else:
-            raise GeometryError(f"unknown catalog model {name!r}")
-    except KeyError as exc:
-        raise GeometryError(f"catalog model {name!r} is missing parameter {exc}") from exc
-    if params:
-        raise GeometryError(f"catalog model {name!r} has no parameter {', '.join(sorted(params))}")
-    return model
+
+def check_spec(spec: dict) -> None:
+    """Check a config's catalog mapping without building the model; GeometryError names the key at fault."""
+    extra = [str(key) for key in spec if key not in ("name", "params", "base", "base_params", "angle")]
+    if extra:
+        raise GeometryError(f"unknown configuration key catalog.{extra[0]!r}")
+    name = spec.get("name")
+    if name != "rotated_crease":
+        _check_model(name, spec.get("params", {}), "catalog.params")
+        for key in ("angle", "base", "base_params"):
+            if key in spec:
+                raise GeometryError(f"catalog.{key} applies to rotated_crease only, not {name}")
+        return
+    if "params" in spec:
+        raise GeometryError("rotated_crease takes catalog.base_params, not catalog.params")
+    if "base" not in spec or not isinstance(spec.get("angle"), dict):
+        raise GeometryError("rotated_crease needs catalog.base and a catalog.angle mapping")
+    _check_model(spec["base"], spec.get("base_params", {}), "catalog.base_params")
+    angle = dict(spec["angle"])
+    kind = angle.pop("type", None)
+    if not isinstance(kind, str) or kind not in ANGLES:
+        raise GeometryError(f"unknown crease angle type {kind!r} (the types: {', '.join(ANGLES)})")
+    _check_params(f"crease angle type {kind!r}", ANGLES[kind], angle, "catalog.angle", MAX_ANGLE)
+
+
+def build(spec: dict):
+    """The InitialData or CreasedData of a catalog mapping that `check_spec` accepted."""
+    if spec["name"] == "rotated_crease":
+        angle = dict(spec["angle"])
+        base = build({"name": spec["base"], "params": spec.get("base_params", {})})
+        return rotated_crease(base, ANGLES[angle.pop("type")](**angle))
+    return MODELS[spec["name"]](**spec.get("params", {}))

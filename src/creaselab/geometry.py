@@ -143,8 +143,8 @@ class CreaseAngle:
     description: str = ""
 
     @staticmethod
-    def from_constant(c: float) -> "CreaseAngle":
-        c = float(c)
+    def from_constant(value: float) -> "CreaseAngle":
+        c = float(value)
         return CreaseAngle(
             value=lambda omega: np.full(np.shape(omega)[0], c),
             surface_gradient=lambda omega: np.zeros_like(np.asarray(omega, dtype=float)),

@@ -32,6 +32,10 @@ def _write_config(tmp_path, name, doc) -> Path:
     return path
 
 
+def _rotated(angle) -> dict:
+    return {"name": "rotated_crease", "base": "miao_corner", "base_params": {"m": 1.0, "rho0": 3.0}, "angle": angle}
+
+
 def _solve_small() -> dict:
     return yaml.safe_load(SOLVE_SMALL.read_text(encoding="utf-8"))
 
@@ -233,12 +237,23 @@ def test_n_spinors_above_256_exits_2_before_any_computation(tmp_path, capsys, mo
     assert parse_config(yaml.safe_dump(doc)).n_spinors == 256
 
 
-@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
-def test_nonpositive_or_nonfinite_tolerance_exits_2(tmp_path, capsys, value):
-    doc = yaml.safe_load(IDENTITIES_SMALL.read_text(encoding="utf-8"))
-    doc["tolerances"] = {"identity_rel": value}
-    assert _run("identities", _write_config(tmp_path, "tol.yaml", doc), tmp_path / "out") == 2
-    assert "tolerances.identity_rel" in capsys.readouterr().err
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize(
+    "doc,message",
+    [({"catalog": {"name": "no_such_model"}}, "unknown catalog model 'no_such_model'"),
+     ({"catalog": {"name": "minkowski_slice", "params": {"typo_mass": 5}}}, "has no parameter typo_mass"),
+     ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": "heavy"}}}, "catalog.params.m must be a number"),
+     ({"catalog": _rotated({"type": "constant", "value": 0.3, "scale": 2.0})}, "'constant' has no parameter scale"),
+     # the pass criteria are fixed, so a section that set them is an unknown key
+     ({"catalog": {"name": "minkowski_slice"}, "tolerances": {"drift": 1}}, "unknown configuration key 'tolerances'")],
+    ids=["unknown-model", "unknown-param", "string-param", "angle-extra-key", "tolerances"],
+)
+def test_bad_spec_exits_2_before_any_command(tmp_path, capsys, monkeypatch, command, doc, message):
+    # rigidity builds no configured data, so only the parse-time check can reject its catalog
+    monkeypatch.setitem(cli.COMMANDS, command, lambda config, out_dir: pytest.fail(f"{command} ran on a bad config"))
+    assert _run(command, _write_config(tmp_path, "bad.yaml", doc), tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -373,14 +388,27 @@ def test_nonfinite_result_exits_3_without_report(tmp_path, capsys, monkeypatch):
         # a string that reads as a number would reach the report as a string
         ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": "1.0"}}}, "catalog.params.m must be a number"),
         ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": [1.0]}}}, "catalog.params.m must be a number"),
+        # 1e300 overflowed r ** 2 in the ADM integrals and exited 3
+        ({"catalog": {"name": "minkowski_slice"}, "radii": [1e300, 1e301, 1e302]}, "each at most 1e+06"),
+        # at f = 50 the roundoff of cosh(f) H swamps a margin of about -0.38, so crease-check passed; 1000 overflowed
+        ({"catalog": _rotated({"type": "constant", "value": 50.0})}, "catalog.angle.value must lie within [-10, 10]"),
+        ({"catalog": _rotated({"type": "constant", "value": 1000.0})}, "catalog.angle.value must lie within"),
+        ({"catalog": _rotated({"type": "cos_theta", "amplitude": 50.0})}, "catalog.angle.amplitude must lie within"),
     ],
-    ids=["one-radius", "decreasing-radii", "boolean-param", "boolean-base-param", "string-param", "list-param"],
+    ids=["one-radius", "decreasing-radii", "boolean-param", "boolean-base-param", "string-param", "list-param",
+         "radii-above-1e6", "angle-value-50", "angle-value-1000", "angle-amplitude-50"],
 )
 def test_parse_time_contract_exits_2(tmp_path, capsys, doc, message):
     # E is extrapolated from the last three radii, and every model parameter is a number
     assert _run("adm", _write_config(tmp_path, "bad.yaml", doc), tmp_path / "out") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_largest_crease_angle_and_radii_parse():
+    config = parse_config(yaml.safe_dump({"catalog": _rotated({"type": "constant", "value": 10.0}),
+                                          "radii": [1e5, 5e5, 1e6]}))
+    assert config.catalog["angle"]["value"] == 10.0 and config.radii == (1e5, 5e5, 1e6)
 
 
 @pytest.mark.parametrize(

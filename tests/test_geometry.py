@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from creaselab.catalog import (
-    catalog,
+    build,
+    check_spec,
     flat_ball,
     graph_slice,
     miao_corner,
@@ -43,14 +44,16 @@ def test_unit_sphere_volume():
 
 
 def test_catalog_dispatch_and_errors():
-    assert catalog("minkowski_slice").label == "minkowski_slice"
-    assert catalog("miao_corner", m=1.0, rho0=4.0).r0 == 4.0
+    assert build({"name": "minkowski_slice"}).label == "minkowski_slice"
+    assert build({"name": "miao_corner", "params": {"m": 1.0, "rho0": 4.0}}).r0 == 4.0
     with pytest.raises(GeometryError):
-        catalog("no_such_model")
-    with pytest.raises(GeometryError):
-        catalog("miao_corner", m=3.0, rho0=4.0)  # horizon inside gluing sphere
-    with pytest.raises(GeometryError):
-        catalog("graph_slice", amplitude=1.5)
+        check_spec({"name": "no_such_model"})
+    # well-formed specs whose values only the model refuses: a horizon inside the gluing sphere, a slope above 1
+    for spec in ({"name": "miao_corner", "params": {"m": 3.0, "rho0": 4.0}},
+                 {"name": "graph_slice", "params": {"amplitude": 1.5}}):
+        check_spec(spec)
+        with pytest.raises(GeometryError):
+            build(spec)
 
 
 def test_minkowski_constraints_zero():
