@@ -1,9 +1,13 @@
 """Closed-form initial data models and creased gluings.
 
-Every model ships analytic first derivatives of g and k, analytic second
-derivatives of g (`InitialData.d2g`), and, when spherically symmetric,
-the radial profile used by the transmission solver.  All closures are
-vectorized over point batches (m, 3); the catalog is three-dimensional.
+Every model is spherically symmetric and is written once, as radial
+functions: g = u delta + v P and k = k_u delta + k_v P, P the radial
+projector.  `_radial_data` builds from them g, k, their analytic first
+derivatives, the analytic second derivatives of g (`InitialData.d2g`) and
+the radial profile A = sqrt(u + v), B = sqrt(u), kappa_n = (k_u + k_v) /
+(u + v), kappa_t = k_u / u that the transmission solver reads.  All
+closures are vectorized over point batches (m, 3); the catalog is
+three-dimensional.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 import inspect
 import math
+import sys
 
 import numpy as np
 
@@ -101,7 +106,6 @@ def _radial_data(
     label: str,
     metric_uv,  # r -> (u, du, d2u, v, dv, d2v) for g = u delta + v P
     curv_uv=None,  # r -> (u, du, v, dv) for k, or None for k = 0
-    profile: RadialProfile | None = None,
 ) -> InitialData:
     def g(x):
         u, _, _, v, _, _ = metric_uv(_radii(x))
@@ -113,6 +117,13 @@ def _radial_data(
 
     def d2g(x):
         return _radial_tensor_deriv2(x, *metric_uv(_radii(x)))
+
+    def profile(r):
+        u, du, _, v, dv, _ = metric_uv(r)
+        A, B = np.sqrt(u + v), np.sqrt(u)
+        ku, _, kv, _ = (np.zeros_like(r),) * 4 if curv_uv is None else curv_uv(r)
+        return RadialProfile(r=r, A=A, B=B, dA=(du + dv) / (2.0 * A), dB=du / (2.0 * B),
+                             kappa_n=(ku + kv) / (u + v), kappa_t=ku / u)
 
     if curv_uv is None:
         k, dk = _zero_tensor, _zero_tensor_deriv
@@ -144,16 +155,7 @@ def _validate_positive_definite(data: InitialData, radii) -> None:
 
 def minkowski_slice() -> InitialData:
     ones = lambda r: (np.ones_like(r),) + (np.zeros_like(r),) * 5
-    profile = RadialProfile(
-        A=lambda r: np.ones_like(r), B=lambda r: np.ones_like(r), dB=lambda r: np.zeros_like(r),
-        kappa_n=lambda r: np.zeros_like(r), kappa_t=lambda r: np.zeros_like(r),
-    )
-    return _radial_data(
-        chart=Chart(0.0, math.inf),
-        label="minkowski_slice",
-        metric_uv=ones,
-        profile=profile,
-    )
+    return _radial_data(chart=Chart(0.0, math.inf), label="minkowski_slice", metric_uv=ones)
 
 
 def schwarzschild_isotropic(m: float) -> InitialData:
@@ -170,18 +172,10 @@ def schwarzschild_isotropic(m: float) -> InitialData:
         zero = np.zeros_like(r)
         return p**4, 4.0 * p**3 * dp, 12.0 * p**2 * dp**2 + 4.0 * p**3 * d2p, zero, zero, zero
 
-    profile = RadialProfile(
-        A=lambda r: phi(r) ** 2,
-        B=lambda r: phi(r) ** 2,
-        dB=lambda r: 2.0 * phi(r) * (-m / (2.0 * r**2)),
-        kappa_n=lambda r: np.zeros_like(r),
-        kappa_t=lambda r: np.zeros_like(r),
-    )
     data = _radial_data(
         chart=Chart(r_min, math.inf),
         label=f"schwarzschild_isotropic(m={m:g})",
         metric_uv=metric_uv,
-        profile=profile,
     )
     _validate_positive_definite(data, [max(r_min * 1.5, 1.0), 10.0, 100.0])
     return data
@@ -198,21 +192,10 @@ def schwarzschild_exterior_area_radius(m: float) -> InitialData:
         zero = np.zeros_like(r)
         return np.ones_like(r), zero, zero, alpha, dalpha, d2alpha
 
-    def A(r):
-        return 1.0 / np.sqrt(1.0 - 2.0 * m / r)
-
-    profile = RadialProfile(
-        A=A,
-        B=lambda r: np.ones_like(r),
-        dB=lambda r: np.zeros_like(r),
-        kappa_n=lambda r: np.zeros_like(r),
-        kappa_t=lambda r: np.zeros_like(r),
-    )
     data = _radial_data(
         chart=Chart(r_min, math.inf),
         label=f"schwarzschild_exterior_area_radius(m={m:g})",
         metric_uv=metric_uv,
-        profile=profile,
     )
     _validate_positive_definite(data, [r_min * 1.2 + 0.1, 10.0, 100.0])
     return data
@@ -286,19 +269,11 @@ def graph_slice(amplitude: float = 0.4, center: float = 4.5, width: float = 1.0)
         dvn = hppp / W + hp * hpp**2 / W**3
         return u, du, v, dvn - du
 
-    profile = RadialProfile(
-        A=lambda r: np.sqrt(1.0 - h1(r) ** 2),
-        B=lambda r: np.ones_like(r),
-        dB=lambda r: np.zeros_like(r),
-        kappa_n=lambda r: h2(r) / (1.0 - h1(r) ** 2) ** 1.5,
-        kappa_t=lambda r: h1(r) / (r * np.sqrt(1.0 - h1(r) ** 2)),
-    )
     return _radial_data(
         chart=Chart(0.0, math.inf),
         label=f"graph_slice(a={a:g}, c={c:g}, w={w:g})",
         metric_uv=metric_uv,
         curv_uv=curv_uv,
-        profile=profile,
     )
 
 
@@ -324,6 +299,12 @@ ANGLES = {"constant": CreaseAngle.from_constant, "cos_theta": CreaseAngle.cos_th
 MAX_ANGLE = 10.0
 
 
+def is_finite(value) -> bool:
+    """Whether a config number is a finite float: False for NaN, inf and an integer too large for a float,
+    where math.isfinite raises OverflowError."""
+    return abs(value) <= sys.float_info.max
+
+
 def _check_params(label: str, make, params, where: str, bound: float = math.inf) -> None:
     if not isinstance(params, dict):
         raise GeometryError(f"{where} must be a mapping")
@@ -337,8 +318,8 @@ def _check_params(label: str, make, params, where: str, bound: float = math.inf)
     for key, value in params.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise GeometryError(f"{where}.{key} must be a number")
-        if not math.isfinite(value):
-            raise GeometryError(f"{where}.{key} must be finite, got {value!r}")
+        if not is_finite(value):
+            raise GeometryError(f"{where}.{key} must be a finite float, got {value!r}")
         if abs(value) > bound:
             raise GeometryError(f"{where}.{key} must lie within [-{bound:g}, {bound:g}], got {value!r}")
 

@@ -115,6 +115,16 @@ def cmd_adm(config: RunConfig, out_dir: str):
     return results, passed, flags
 
 
+def _crease_trace(a0: np.ndarray, a1: np.ndarray):
+    """The crease trace psi(theta, phi) = a0 + omega . a1 of spinor coefficients a0 (..., I) and a1 (..., 3, I)."""
+
+    def psi(theta, phi):
+        om = unit_vectors(np.asarray(theta), np.asarray(phi))
+        return a0[..., None, :] + om @ a1
+
+    return psi
+
+
 def cmd_identities(config: RunConfig, out_dir: str):
     entry = build_catalog_entry(config)
     rep = build_rep()
@@ -135,12 +145,7 @@ def cmd_identities(config: RunConfig, out_dir: str):
         z = rng.normal(size=(config.n_spinors, 8, rep.dim))
         a0 = z[:, 0] + 1j * z[:, 1]
         a1 = 0.2 * (z[:, 2:5] + 1j * z[:, 5:8])
-
-        def psi(theta, phi):
-            om = unit_vectors(np.asarray(theta), np.asarray(phi))
-            return a0[:, None, :] + om @ a1
-
-        res = crease_boundary_terms(entry, rep, psi, order=config.sphere_order)
+        res = crease_boundary_terms(entry, rep, _crease_trace(a0, a1), order=config.sphere_order)
         # relative to the one-sided integrals summed, not to a crease term that may vanish; floored for a zero trace
         scale = np.maximum(np.abs(res.i_minus) + np.abs(res.i_plus), np.finfo(float).tiny)
         worst_crease = float(np.max(res.mismatch / scale))
@@ -245,12 +250,7 @@ def cmd_rigidity(config: RunConfig, out_dir: str):
     tc = trivial_crease(2.0).with_angle(CreaseAngle.from_constant(math.log(2.0)))
     a0 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
     a1 = 0.2 * (rng.normal(size=(3, rep.dim)) + 1j * rng.normal(size=(3, rep.dim)))
-
-    def psi(theta, phi):
-        om = unit_vectors(np.asarray(theta), np.asarray(phi))
-        return a0[None, :] + om @ a1
-
-    lorentz = crease_lorentz_check(rep, tc, psi, order=config.sphere_order)
+    lorentz = crease_lorentz_check(rep, tc, _crease_trace(a0, a1), order=config.sphere_order)
 
     schw = schwarzschild_isotropic(1.0)
     ls_static = LapseShift(

@@ -23,11 +23,10 @@ Pass criteria are fixed next to the flags that read them, not configured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import yaml
 
-from .catalog import build, check_spec
+from .catalog import build, check_spec, is_finite
 from .geometry import GeometryError
 from .radial import MAX_R_MAX
 
@@ -82,8 +81,8 @@ def _check_section(data: dict, schema: dict, path: str) -> None:
         elif spec is float:
             if not _is_number(val):
                 raise ConfigError(f"{path}{key} must be a number")
-            if not math.isfinite(val):
-                raise ConfigError(f"{path}{key} must be finite, got {val!r}")
+            if not is_finite(val):
+                raise ConfigError(f"{path}{key} must be a finite float, got {val!r}")
         elif not isinstance(val, spec) or (isinstance(val, bool) and spec is not bool):
             raise ConfigError(f"{path}{key} must be of type {spec.__name__}")
 

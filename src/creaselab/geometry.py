@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 import math
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -89,21 +89,22 @@ class Chart:
             )
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Scale functions of a spherically symmetric datum.
+class RadialProfile(NamedTuple):
+    """Scale functions of a spherically symmetric datum at the radii r.
 
     g = A(r)^2 dr^2 + (r B(r))^2 dOmega^2 written on the Cartesian chart as
-    B^2 (delta - P) + A^2 P with P the radial projector, and k diagonal in
-    the adapted frame with normal eigenvalue kappa_n and tangential
-    eigenvalue kappa_t.
+    B^2 (delta - P) + A^2 P with P the radial projector, dA and dB the radial
+    derivatives of A and B, and k diagonal in the adapted frame with normal
+    eigenvalue kappa_n and tangential eigenvalue kappa_t.
     """
 
-    A: Callable[[np.ndarray], np.ndarray]
-    B: Callable[[np.ndarray], np.ndarray]
-    dB: Callable[[np.ndarray], np.ndarray]
-    kappa_n: Callable[[np.ndarray], np.ndarray]
-    kappa_t: Callable[[np.ndarray], np.ndarray]
+    r: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    dA: np.ndarray
+    dB: np.ndarray
+    kappa_n: np.ndarray
+    kappa_t: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,9 @@ class InitialData:
     Each closure maps a point batch (m, n) to its tensor field: g and k
     (m, n, n), dg and dk (m, n, n, n) with the derivative index last, and
     d2g (m, n, n, n, n) with d2g[..., i, j, l, m] = d_m d_l g_ij.
+    `profile` maps radii to the `RadialProfile` of spherically symmetric
+    data, derived from the same radial functions as g and k; None means the
+    data is not spherically symmetric.
     """
 
     n: int
@@ -123,7 +127,7 @@ class InitialData:
     dk: Callable[[np.ndarray], np.ndarray]
     d2g: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-    profile: RadialProfile | None = None
+    profile: Callable[[np.ndarray], RadialProfile] | None = None
 
 
 @dataclass(frozen=True)

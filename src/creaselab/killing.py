@@ -2,7 +2,8 @@
 
 A spinor psi induces the lapse-shift pair u = |psi|^2, <Y, W> = <tau W psi,
 psi>.  When psi is parallel for the spacetime connection, (u, Y) satisfies
-the Killing initial-data conditions L_Y g + 2 u k = 0 and du + k(Y,.) = 0,
+the Killing initial-data conditions L_Y g - 2 u k = 0 and du - k(Y,.) = 0
+for k signed as in `geometry` (w.r.t. the future timelike normal),
 the stationary development -(u^2-|Y|^2)dt^2 + 2Y dt + g is flat for the
 catalog's Minkowski slices, and the squared Lorentz length u^2 - |Y|^2 is
 conserved along curves.  This module evaluates all of those statements
@@ -164,8 +165,8 @@ def shift_covariant_derivative(data: InitialData, ls: LapseShift, pts: np.ndarra
 @dataclass(frozen=True)
 class KillingResiduals:
     symmetry_defect: np.ndarray  # (m,): antisymmetric part of nabla Y
-    max_tensor: float  # max |L_Y g + 2 u k| over the frame components
-    max_covector: float  # max |du + k(Y, .)|
+    max_tensor: float  # max |L_Y g - 2 u k| over the frame components
+    max_covector: float  # max |du - k(Y, .)|
 
 
 def killing_conditions_residual(data: InitialData, ls: LapseShift, pts: np.ndarray) -> KillingResiduals:
@@ -177,10 +178,10 @@ def killing_conditions_residual(data: InitialData, ls: LapseShift, pts: np.ndarr
     nablaY = shift_covariant_derivative(data, ls, pts)
     u = ls.u(pts)
     lie = nablaY + np.swapaxes(nablaY, 1, 2)
-    tensor = lie + 2.0 * u[:, None, None] * kf
+    tensor = lie - 2.0 * u[:, None, None] * kf
     du = _frame_directional(data, ls.u, pts)
     Yf = ls.Y_frame(pts)
-    covector = du + np.einsum("mb,mab->ma", Yf, kf)
+    covector = du - np.einsum("mb,mab->ma", Yf, kf)
     sym_defect = np.max(np.abs(nablaY - np.swapaxes(nablaY, 1, 2)), axis=(1, 2))
     return KillingResiduals(
         symmetry_defect=sym_defect,
@@ -273,26 +274,16 @@ def graph_slice_parallel_spinor(rep: CliffordRep, data: InitialData, c0: np.ndar
     """
     from .radial import mode_field
 
-    prof = data.profile
-    if prof is None:
+    if data.profile is None:
         raise KillingError("graph_slice_parallel_spinor needs a radial profile")
     c0 = np.asarray(c0, dtype=complex)
+    tau_c0 = rep.tau @ c0
 
-    def chi(r):
-        # A = sqrt(1 - h'^2) fixes |h'|; kappa_t = h'/(r sqrt(1-h'^2)) its sign
-        hp = np.sqrt(np.clip(1.0 - prof.A(r) ** 2, 0.0, None)) * np.sign(prof.kappa_t(r))
-        return -np.arctanh(hp)
+    def modes(r):  # U, V, U', V'
+        p = data.profile(r)
+        # A = sqrt(1 - h'^2) fixes |h'|; kappa_t = h'/(r sqrt(1-h'^2)) its sign; chi' = -A kappa_n
+        half = -0.5 * np.arctanh(np.sqrt(np.clip(1.0 - p.A**2, 0.0, None)) * np.sign(p.kappa_t))
+        ch, sh, dhalf = np.cosh(half)[:, None], np.sinh(half)[:, None], (-0.5 * p.A * p.kappa_n)[:, None]
+        return ch * c0, sh * tau_c0, dhalf * sh * c0, dhalf * ch * tau_c0
 
-    def u_of_r(r):
-        return np.cosh(0.5 * chi(r))[:, None] * c0[None, :]
-
-    def v_of_r(r):
-        return np.sinh(0.5 * chi(r))[:, None] * (rep.tau @ c0)[None, :]
-
-    def du_of_r(r):  # chi' = -A kappa_n
-        return (-0.5 * prof.A(r) * prof.kappa_n(r) * np.sinh(0.5 * chi(r)))[:, None] * c0[None, :]
-
-    def dv_of_r(r):
-        return (-0.5 * prof.A(r) * prof.kappa_n(r) * np.cosh(0.5 * chi(r)))[:, None] * (rep.tau @ c0)[None, :]
-
-    return mode_field(rep, data, u_of_r, v_of_r, du_of_r, dv_of_r)
+    return mode_field(rep, data, modes)

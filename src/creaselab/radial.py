@@ -1,7 +1,8 @@
 """Radial Dirac-Witten transmission problem for spherically symmetric creases.
 
 For metrics A(r)^2 dr^2 + (r B(r))^2 dOmega^2 with extrinsic curvature
-diagonal in the adapted frame, the lowest angular sector
+diagonal in the adapted frame (eigenvalues kappa_n, kappa_t), the lowest
+angular sector
 
     psi(x) = U(r) + (omega . Gamma) V(r),     U, V : (0, infty) -> C^I
 
@@ -21,6 +22,10 @@ F X' (when differentiated) + a X + b tau Y on one field X, the other Y:
     P  = F U' + kappa_n/2 tau V               Q  = F V' + kappa_n/2 tau U
     Pt = gr V + kappa_t/2 tau U               Qt = mu_c/2 U - kappa_t/2 tau V
 
+A, B, B', kappa_n and kappa_t are read off the data's `InitialData.profile`
+at the radii of a node set, once per set; `catalog` derives that profile
+from the same radial functions as g and k, so there is no second
+description of the data to disagree with the first.
 `SideCoefficients.blocks` is that table, and `apply_blocks` evaluates it
 both on spinors, with tau the representation's, and on the channel below,
 with tau -> 1.  reduce_radial certifies the table on spinors against the
@@ -64,6 +69,7 @@ from .geometry import (
     GeometryError,
     InitialData,
     PointFields,
+    RadialProfile,
     as_fields,
     constraint_fields,
     field_blocks,
@@ -94,28 +100,25 @@ class Block(NamedTuple):
     tau_coef: np.ndarray
 
 
+def mu_c(p: RadialProfile) -> np.ndarray:
+    """The module docstring's mu_c at the radii of p."""
+    return -p.dB / (p.A * p.B) - 1.0 / (p.r * p.A) + 1.0 / (p.r * p.B)
+
+
 @dataclass(frozen=True)
 class SideCoefficients:
-    """Radial coefficients of the reduced operator on one side."""
+    """Radial coefficients of the reduced operator on one side, read off its data's profile at given radii."""
 
     data: InitialData
     r_lo: float
     r_hi: float
 
-    def F(self, r):
-        return 1.0 / self.data.profile.A(r)
-
-    def mu_c(self, r):
-        p = self.data.profile
-        A, B = p.A(r), p.B(r)
-        return -p.dB(r) / (A * B) - 1.0 / (r * A) + 1.0 / (r * B)
-
-    def blocks(self, r) -> dict[str, Block]:
-        """The six reduced blocks at radii r: the equations r1, r2 and the connection-norm blocks P, Q, Pt, Qt."""
-        p, n1 = self.data.profile, self.data.n - 1
-        mu = self.mu_c(r)
-        gr = (1.0 / p.B(r)) / r - 0.5 * mu
-        trk, kn, kt = 0.5 * (p.kappa_n(r) + n1 * p.kappa_t(r)), 0.5 * p.kappa_n(r), 0.5 * p.kappa_t(r)
+    def blocks(self, p: RadialProfile) -> dict[str, Block]:
+        """The six reduced blocks at p's radii: the equations r1, r2 and the connection-norm blocks P, Q, Pt, Qt."""
+        n1 = self.data.n - 1
+        mu = mu_c(p)
+        gr = (1.0 / p.B) / p.r - 0.5 * mu
+        trk, kn, kt = 0.5 * (p.kappa_n + n1 * p.kappa_t), 0.5 * p.kappa_n, 0.5 * p.kappa_t
         return {
             "r1": Block("V", True, n1 * gr, trk),
             "r2": Block("U", True, -(n1 * 0.5 * mu), trk),
@@ -125,13 +128,12 @@ class SideCoefficients:
             "Qt": Block("U", False, 0.5 * mu, -kt),
         }
 
-    def volume_factor(self, r):
-        p = self.data.profile
-        return p.A(r) * p.B(r) ** (self.data.n - 1) * r ** (self.data.n - 1)
+    def volume_factor(self, p: RadialProfile):
+        return p.A * p.B ** (self.data.n - 1) * p.r ** (self.data.n - 1)
 
 
-def apply_blocks(side: SideCoefficients, r, U, dU, V, dV, tau=None) -> dict[str, np.ndarray]:
-    """Every block of `side.blocks(r)` on fields whose first axis is the radii r.
+def apply_blocks(side: SideCoefficients, p: RadialProfile, U, dU, V, dV, tau=None) -> dict[str, np.ndarray]:
+    """Every block of `side.blocks(p)` on fields whose first axis is the radii of p.
 
     Spinor fields (m, I) take tau = rep.tau; channel values (m,) take
     tau = None, the substitution tau -> 1.
@@ -142,8 +144,8 @@ def apply_blocks(side: SideCoefficients, r, U, dU, V, dV, tau=None) -> dict[str,
     def col(c):
         return np.reshape(c, np.shape(c) + (1,) * (np.ndim(U) - 1))
 
-    F, out = col(side.F(r)), {}
-    for name, b in side.blocks(r).items():
+    F, out = col(1.0 / p.A), {}
+    for name, b in side.blocks(p).items():
         X, dX, tY = fields[b.field]
         value = F * dX if b.derivative else 0.0
         if b.own is not None:
@@ -152,24 +154,21 @@ def apply_blocks(side: SideCoefficients, r, U, dU, V, dV, tau=None) -> dict[str,
     return out
 
 
-def spd_frame(data: InitialData, x: np.ndarray) -> np.ndarray:
-    """Symmetric-square-root frame rows for spherically symmetric data."""
-    p = data.profile
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(pts, axis=1)
-    om = pts / r[:, None]
+def spd_frame(p: RadialProfile, om: np.ndarray) -> np.ndarray:
+    """Symmetric-square-root frame rows at the points r omega of spherically symmetric data, p its profile at r."""
     P = om[:, :, None] * om[:, None, :]
-    eye = np.eye(data.n)
-    return (1.0 / p.B(r))[:, None, None] * (eye[None] - P) + (1.0 / p.A(r))[:, None, None] * P
+    return (1.0 / p.B)[:, None, None] * (np.eye(om.shape[1]) - P) + (1.0 / p.A)[:, None, None] * P
 
 
 def _spd_to_bulk_lift(rep: CliffordRep, data: InitialData, x) -> np.ndarray:
     """Spin lift (m, I, I) taking symmetric-square-root-frame components to bulk-frame ones at x."""
     f = as_fields(data, x)
-    return spin_lift(rep, rotation_between_frames(f.g, frame_from=spd_frame(data, f.x), frame_to=f.frame))
+    r = np.linalg.norm(f.x, axis=1)
+    S = spd_frame(data.profile(r), f.x / r[:, None])
+    return spin_lift(rep, rotation_between_frames(f.g, frame_from=S, frame_to=f.frame))
 
 
-def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, du_of_r, dv_of_r) -> SpinorField:
+def mode_field(rep: CliffordRep, data: InitialData, modes) -> SpinorField:
     """Bulk-frame spinor field of the separated form U(r) + (omega.Gamma) V(r), with its gradient.
 
     The mode profiles live in the symmetric-square-root gauge; components
@@ -177,8 +176,9 @@ def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, du_of_r, dv_
     through the spin lift L of the (small-angle) frame rotation
     O = F_bulk g F_spd^T.  The Cartesian gradient is the product rule
     d_k c = (d_k L) c_spd + L d_k c_spd in closed form, from d_k F_bulk =
-    -Phi(F d_k g F^T) F, from A, B and their radial derivatives (A' read off
-    dg) for d_k F_spd, and from U', V' (`du_of_r`, `dv_of_r`) for the mode.
+    -Phi(F d_k g F^T) F, from the profile's A, B, A' and B' for d_k F_spd,
+    and from U', V' for the mode.  `modes` maps radii r (m,) to U, V, U' and
+    V' at r, each (m, I).
     """
 
     def mode(x):
@@ -186,21 +186,21 @@ def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, du_of_r, dv_
         r = np.linalg.norm(pts, axis=1)
         om = pts / r[:, None]
         omg = np.einsum("mi,iIK->mIK", om, rep.gamma)
-        V = np.asarray(v_of_r(r), dtype=complex)
-        return pts, r, om, omg, V, np.asarray(u_of_r(r), dtype=complex) + np.einsum("mIK,mK->mI", omg, V)
+        U, V, dU, dV = (np.asarray(a, dtype=complex) for a in modes(r))
+        return pts, r, om, omg, V, dU, dV, U + np.einsum("mIK,mK->mI", omg, V)
 
     def values(x):
         pts, *_, c_spd = mode(x)
         return np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, data, pts), c_spd)
 
     def gradient(x):
-        pts, r, om, omg, V, c_spd = mode(x)
-        f, p, A, B = PointFields(data, pts), data.profile, data.profile.A(r), data.profile.B(r)
-        dA = np.einsum("mi,mijl,mj,ml->m", om, f.dg, om, om) / (2.0 * A)  # d_r g(omega, omega) = 2 A A'
-        P, S, col = om[:, :, None] * om[:, None, :], spd_frame(data, pts), (lambda s: s[:, None, None, None])
+        pts, r, om, omg, V, dU, dV, c_spd = mode(x)
+        f, p = PointFields(data, pts), data.profile(r)
+        A, B = p.A, p.B
+        P, S, col = om[:, :, None] * om[:, None, :], spd_frame(p, om), (lambda s: s[:, None, None, None])
         T = np.eye(data.n) - P
         # d_k S = omega_k (-(B'/B^2) T - (A'/A^2) P) + (1/A - 1/B) d_k P, with r d_k P_ij = T_ik om_j + om_i T_jk
-        dS = om[:, :, None, None] * (col(-p.dB(r) / B**2) * T[:, None] - col(dA / A**2) * P[:, None])
+        dS = om[:, :, None, None] * (col(-p.dB / B**2) * T[:, None] - col(p.dA / A**2) * P[:, None])
         dS += col((1.0 / A - 1.0 / B) / r) * (np.einsum("mik,mj->mkij", T, om) + np.einsum("mi,mjk->mkij", om, T))
         F, Fk, dg = f.frame, f.frame[:, None], np.moveaxis(f.dg, -1, 1)  # dg[m, k] = d_k g
         phi = np.tril(np.ones((data.n, data.n)), -1) + 0.5 * np.eye(data.n)
@@ -208,7 +208,7 @@ def mode_field(rep: CliffordRep, data: InitialData, u_of_r, v_of_r, du_of_r, dv_
         dO = (dF @ f.g[:, None] + Fk @ dg) @ S[:, None] + (F @ f.g)[:, None] @ dS  # S and dS are symmetric
         sigma, dsigma = spin_lift(rep, F @ f.g @ S, dO)
         # d_k c_spd = (U' + (omega.Gamma) V') omega_k + (T_kj / r) Gamma^j V
-        d_radial = du_of_r(r) + np.einsum("mIK,mK->mI", omg, dv_of_r(r))
+        d_radial = dU + np.einsum("mIK,mK->mI", omg, dV)
         dc_spd = d_radial[:, None] * om[:, :, None] + np.einsum("mkj,jIK,mK->mkI", T / r[:, None, None], rep.gamma, V)
         grad = np.einsum("mkIK,mK->mkI", dsigma, c_spd) + np.einsum("mIK,mkK->mkI", sigma, dc_spd)
         return np.swapaxes(grad, -1, -2)
@@ -258,27 +258,18 @@ def _oracle_side(
     v0 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
     s = 1.0 / max(r_hi, 1.0)
 
-    def u_of_r(r):
-        return (1.0 + 0.5 * np.sin(s * r))[:, None] * u0[None, :]
+    def modes(r):  # U, V, U', V'
+        return ((1.0 + 0.5 * np.sin(s * r))[:, None] * u0[None, :], (s * r + 0.3 * (s * r) ** 2)[:, None] * v0[None, :],
+                (0.5 * s * np.cos(s * r))[:, None] * u0[None, :], (s + 0.6 * s * s * r)[:, None] * v0[None, :])
 
-    def du_of_r(r):
-        return (0.5 * s * np.cos(s * r))[:, None] * u0[None, :]
-
-    def v_of_r(r):
-        return (s * r + 0.3 * (s * r) ** 2)[:, None] * v0[None, :]
-
-    def dv_of_r(r):
-        return (s + 0.6 * s * s * r)[:, None] * v0[None, :]
-
-    field = mode_field(rep, side.data, u_of_r, v_of_r, du_of_r, dv_of_r)
+    field = mode_field(rep, side.data, modes)
     f = PointFields(side.data, pts)
     sen = sen_derivatives(side.data, rep, field, f)
     full = _gamma_contract(rep, sen)  # the Dirac-Witten operator
     grad_sq_full = np.einsum("mIa,mIa->m", np.conj(sen), sen).real
 
-    U, dU = u_of_r(radii), du_of_r(radii)
-    V, dV = v_of_r(radii), dv_of_r(radii)
-    b = apply_blocks(side, radii, U, dU, V, dV, rep.tau)
+    U, V, dU, dV = modes(radii)
+    b = apply_blocks(side, side.data.profile(radii), U, dU, V, dV, rep.tau)
     omg = np.einsum("mi,iIK->mIK", dirs, rep.gamma)
     reduced_spd = np.einsum("mIK,mK->mI", omg, b["r2"]) - b["r1"]
     reduced_bulk = np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, side.data, f), reduced_spd)
@@ -452,14 +443,14 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
         folds its trace, node Mm - 1, onto plus node 0 through R.
         """
         M = len(r)
-        rr = np.where(r > 0, r, r[1])
-        w = _hat_weights(r, moment=0) * side.volume_factor(rr) * unit_sphere_volume(side.data.n)
+        p = side.data.profile(np.where(r > 0, r, r[1]))
+        w = _hat_weights(r, moment=0) * side.volume_factor(p) * unit_sphere_volume(side.data.n)
         if minus:
             w[0] = 0.0
         keep = np.flatnonzero(w > 0)
-        K, rk = len(keep), rr[keep]
+        K, pk = len(keep), p._make(a[keep] for a in p)
         coef, start = derivative_matrix(M, r[1] - r[0])
-        FD, start = side.F(rk)[:, None] * coef[keep], start[keep]
+        FD, start = (1.0 / pk.A)[:, None] * coef[keep], start[keep]
 
         def rows(b: Block):
             """Block b's rows at the kept nodes, as (K, 5 nodes, (v, u))."""
@@ -473,13 +464,13 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
             out[np.arange(K), keep - start] += diag
             return out
 
-        table, p = side.blocks(rk), side.data.profile
+        table = side.blocks(pk)
         residual = np.concatenate([rows(table[k]) for k in ("r1", "r2")])
         grad = np.concatenate([rows(table[k]) for k in ("P", "Q", "Pt", "Qt")])
         n1 = float(side.data.n - 1)
         residual *= np.tile(np.sqrt(w[keep]), 2)[:, None, None]
         grad *= np.sqrt(np.concatenate([w[keep], w[keep], n1 * w[keep], n1 * w[keep]]))[:, None, None]
-        mass = _hat_weights(r, moment=2) * p.A(rr) * p.B(rr) ** 2 * unit_sphere_volume(3) / (r**2 + rho0**2)
+        mass = _hat_weights(r, moment=2) * p.A * p.B**2 * unit_sphere_volume(3) / (r**2 + rho0**2)
         mass = np.sqrt(mass)[:, None, None] * np.eye(2)  # (M, 2 rows, (v, u))
         if minus:
             for a in (residual, grad):
@@ -649,9 +640,10 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
         coef, start = derivative_matrix(len(r), h)
         du, dv = (sum(coef[:, k] * f[start + k] for k in range(5)) for f in (u, v))
         rr = np.where(r > 0, r, r[1])
-        b = apply_blocks(side, rr, u, du, v, dv)
+        p = side.data.profile(rr)
+        b = apply_blocks(side, p, u, du, v, dv)
         dens = b["P"] ** 2 + b["Q"] ** 2 + (side.data.n - 1) * (b["Pt"] ** 2 + b["Qt"] ** 2)
-        vol = side.volume_factor(rr) * omega2
+        vol = side.volume_factor(p) * omega2
         dens = dens * vol
         dens[0] = 0.0 if r[0] == 0.0 else dens[0]
         dirichlet += _simpson(dens, h)
@@ -663,7 +655,7 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
             cons = constraint_fields(side.data, f)
             mu_ok = mu_ok and bool(np.all(cons.mu >= cons.momentum_norm(side.data, f) - 1e-7))
             mu, jx = mu + [cons.mu], jx + [cons.J[:, 0]]
-        mu, jn = np.concatenate(mu), np.concatenate(jx) / side.data.profile.A(rr)
+        mu, jn = np.concatenate(mu), np.concatenate(jx) / p.A
         mdens = 0.5 * (mu * (u * u + v * v) + jn * (2.0 * (v * u))) * vol
         if r[0] == 0.0:
             mdens[0] = 0.0

@@ -348,6 +348,10 @@ def test_crease_check_with_negative_margin_exits_1(tmp_path):
         ("solve", {"catalog": {"name": "miao_corner", "params": {"m": 1.0, "rho0": 4.0}},
                    "grid": {"r_max": math.inf}}, "grid.r_max"),
         ("adm", {"catalog": {"name": "minkowski_slice"}, "radii": [50.0, math.nan]}, "radii"),
+        # 401-digit integers: too large for a float, where math.isfinite raises OverflowError
+        ("adm", {"catalog": {"name": "schwarzschild_isotropic", "params": {"m": 10**400}}}, "catalog.params.m"),
+        ("solve", {"catalog": {"name": "miao_corner", "params": {"m": 1.0, "rho0": 4.0}},
+                   "grid": {"r_max": 10**400}}, "grid.r_max"),
     ],
 )
 def test_nonfinite_input_exits_2(tmp_path, capsys, command, doc, message):

@@ -113,6 +113,23 @@ def test_closed_form_d2g_matches_finite_differences(name, maker, rlo, rhi):
     assert np.max(np.abs(d2g - fd)) <= 1e-8 * np.max(np.abs(d2g))
 
 
+@pytest.mark.parametrize("name,maker,rlo,rhi", CATALOG_SIDES, ids=[c[0] for c in CATALOG_SIDES])
+def test_radial_profile_matches_the_fields_on_an_axis(name, maker, rlo, rhi):
+    """The profile derived from the radial functions is what g, dg and k give at x = r e_3:
+    A^2 = g_33, B^2 = g_11, 2 A A' = d_3 g_33, 2 B B' = d_3 g_11, kappa_n A^2 = k_33, kappa_t B^2 = k_11."""
+    data = maker()
+    r = np.linspace(rlo, rhi, 23)
+    x = r[:, None] * np.array([0.0, 0.0, 1.0])
+    p, g, dg, k = data.profile(r), data.g(x), data.dg(x), data.k(x)
+    assert np.array_equal(p.r, r)
+    for have, want in (
+        (p.A**2, g[:, 2, 2]), (p.B**2, g[:, 0, 0]),
+        (2.0 * p.A * p.dA, dg[:, 2, 2, 2]), (2.0 * p.B * p.dB, dg[:, 0, 0, 2]),
+        (p.kappa_n * p.A**2, k[:, 2, 2]), (p.kappa_t * p.B**2, k[:, 0, 0]),
+    ):
+        assert np.max(np.abs(have - want) / (1.0 + np.abs(want))) <= 1e-14
+
+
 def test_scalar_curvature_of_conformally_flat_metric():
     # g = phi^4 delta has R = -8 phi^-5 Laplacian(phi); this phi is not spherically symmetric
     a = np.array([0.05, -0.02, 0.03])

@@ -92,13 +92,12 @@ def test_mode_field_gradient_matches_central_differences(maker, lo, hi):
     pts = rng.uniform(lo, hi, size=12)[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
     u0, v0 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     s = 1.0 / hi
-    field = mode_field(
-        REP, data,
-        lambda r: (1.0 + 0.5 * np.sin(s * r))[:, None] * u0,
-        lambda r: (s * r + 0.3 * (s * r) ** 2)[:, None] * v0,
-        lambda r: (0.5 * s * np.cos(s * r))[:, None] * u0,
-        lambda r: (s + 0.6 * s * s * r)[:, None] * v0,
-    )
+    field = mode_field(REP, data, lambda r: (
+        (1.0 + 0.5 * np.sin(s * r))[:, None] * u0,
+        (s * r + 0.3 * (s * r) ** 2)[:, None] * v0,
+        (0.5 * s * np.cos(s * r))[:, None] * u0,
+        (s + 0.6 * s * s * r)[:, None] * v0,
+    ))
     h = 1e-3
     fd = np.empty((12, 4, 3), dtype=complex)
     for k, e in enumerate(h * np.eye(3)):
@@ -133,8 +132,8 @@ def test_reduce_radial_rejects_a_flipped_table_coefficient(monkeypatch):
     """The oracle certifies the table that `assemble` discretizes: one wrong sign in it fails reduce_radial."""
     original = SideCoefficients.blocks
 
-    def flipped(self, r):
-        table = original(self, r)
+    def flipped(self, p):
+        table = original(self, p)
         table["r2"] = table["r2"]._replace(own=-table["r2"].own)
         return table
 
@@ -151,8 +150,8 @@ def test_oracle_sees_every_table_coefficient(monkeypatch, block, coef):
     # graph_slice has kappa_n and kappa_t nonzero, so every coefficient of the table is live (P and Q have no own)
     original = SideCoefficients.blocks
 
-    def flipped(self, r):
-        table = original(self, r)
+    def flipped(self, p):
+        table = original(self, p)
         table[block] = table[block]._replace(**{coef: -getattr(table[block], coef)})
         return table
 
@@ -177,11 +176,11 @@ def test_reduce_radial_rejects_nonradial_input():
 def test_reduced_coefficients_schwarzschild_closed_form(miao_problem):
     side = miao_problem.plus
     for r in (5.0, 10.0):
-        rr = np.array([r])
+        p = side.data.profile(np.array([r]))
         root = math.sqrt(1.0 - 2.0 / r)
-        table = side.blocks(rr)
-        assert side.F(rr)[0] == pytest.approx(root, abs=1e-14)
-        assert side.mu_c(rr)[0] == pytest.approx((1.0 - root) / r, abs=1e-14)
+        table = side.blocks(p)
+        assert 1.0 / p.A[0] == pytest.approx(root, abs=1e-14)  # F
+        assert radial.mu_c(p)[0] == pytest.approx((1.0 - root) / r, abs=1e-14)
         assert table["r1"].own[0] == pytest.approx(2.0 / r - (1.0 - root) / r, abs=1e-14)  # (n-1)(G/r - mu_c/2)
         assert -table["r2"].own[0] == pytest.approx((1.0 - root) / r, abs=1e-14)  # (n-1) mu_c/2
         assert table["Qt"].own[0] == pytest.approx(0.5 * (1.0 - root) / r, abs=1e-14)
@@ -189,9 +188,9 @@ def test_reduced_coefficients_schwarzschild_closed_form(miao_problem):
 
 def test_reduced_operator_annihilates_constants_on_flat(trivial_problem):
     # constant U, V = 0 solves the flat radial system exactly, on spinors and on the channel
-    r = np.linspace(0.2, 0.9, 7)
+    p = trivial_problem.minus.data.profile(np.linspace(0.2, 0.9, 7))
     for U, tau in ((np.ones((7, 4), dtype=complex), REP.tau), (np.ones(7), None)):
-        b = apply_blocks(trivial_problem.minus, r, U, 0.0 * U, 0.0 * U, 0.0 * U, tau)
+        b = apply_blocks(trivial_problem.minus, p, U, 0.0 * U, 0.0 * U, 0.0 * U, tau)
         assert np.max(np.abs(b["r1"])) == 0.0
         assert np.max(np.abs(b["r2"])) == 0.0
 
@@ -200,14 +199,14 @@ def test_apply_blocks_channel_is_the_spinor_table_on_the_tau_lift(miao_problem):
     """U = u psi, V = v tau psi turns every spinor block into its channel value times psi or tau psi."""
     side = _with_extrinsic_curvature(miao_problem).plus
     rng = np.random.default_rng(8)
-    r = np.linspace(4.5, 30.0, 9)
+    p = side.data.profile(np.linspace(4.5, 30.0, 9))
     u, du, v, dv = rng.normal(size=(4, 9))
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     tau_psi = REP.tau @ psi
-    spinor = apply_blocks(side, r, *(np.outer(f, w) for f, w in ((u, psi), (du, psi), (v, tau_psi), (dv, tau_psi))),
+    spinor = apply_blocks(side, p, *(np.outer(f, w) for f, w in ((u, psi), (du, psi), (v, tau_psi), (dv, tau_psi))),
                           REP.tau)
-    channel = apply_blocks(side, r, u, du, v, dv)
-    for name, block in side.blocks(r).items():
+    channel = apply_blocks(side, p, u, du, v, dv)
+    for name, block in side.blocks(p).items():
         lift = psi if block.field == "U" else tau_psi
         assert np.max(np.abs(spinor[name] - np.outer(channel[name], lift))) <= 1e-15 * np.max(np.abs(spinor[name]))
 
@@ -277,8 +276,9 @@ def test_manufactured_solution_convergence(miao_problem):
         h = r[1] - r[0]
         D = _dense_derivative(n + 1, h)
         U, dU, V, dV = exact_profiles(r)
-        exact = apply_blocks(side, r, U, dU, V, dV, REP.tau)
-        disc = apply_blocks(side, r, U, D @ U, V, D @ V, REP.tau)
+        p = side.data.profile(r)
+        exact = apply_blocks(side, p, U, dU, V, dV, REP.tau)
+        disc = apply_blocks(side, p, U, D @ U, V, D @ V, REP.tau)
         errs.append(max(np.max(np.abs(disc[k] - exact[k])) for k in ("r1", "r2")))
     ratio = errs[0] / errs[1]
     assert 8.0 < ratio < 40.0
@@ -342,18 +342,14 @@ def test_constraint_map_satisfies_constraints(miao_problem):
 
 def _with_extrinsic_curvature(problem):
     """The problem with nonzero kappa_n, kappa_t on both sides, so every tau block is exercised."""
-    import dataclasses
-
-    from creaselab.geometry import RadialProfile
 
     def side(s, a):
-        p = s.data.profile
-        profile = RadialProfile(
-            A=p.A, B=p.B, dB=p.dB,
-            kappa_n=lambda r: a / (1.0 + r**2),
-            kappa_t=lambda r: -0.7 * a * r / (1.0 + r**2),
-        )
-        return dataclasses.replace(s, data=dataclasses.replace(s.data, profile=profile))
+        profile = s.data.profile
+
+        def bumped(r):
+            return profile(r)._replace(kappa_n=a / (1.0 + r**2), kappa_t=-0.7 * a * r / (1.0 + r**2))
+
+        return dataclasses.replace(s, data=dataclasses.replace(s.data, profile=bumped))
 
     return dataclasses.replace(problem, minus=side(problem.minus, 0.03), plus=side(problem.plus, 0.05))
 
@@ -371,27 +367,28 @@ def _kron_side_blocks(side, r, skip_first, tau):
     eyeI = sp.identity(I, format="csr")
     tau_s = sp.csr_matrix(tau)
     rr = np.where(r > 0, r, r[1])
-    F = sp.diags(side.F(rr))
+    prof = side.data.profile(rr)
+    F = sp.diags(1.0 / prof.A)
     FD = (F @ sp.csr_matrix(_dense_derivative(len(r), r[1] - r[0]))).tocsr()
-    w = _hat_weights(r, moment=0) * side.volume_factor(rr) * unit_sphere_volume(side.data.n)
+    w = _hat_weights(r, moment=0) * side.volume_factor(prof) * unit_sphere_volume(side.data.n)
     if skip_first:
         w[0] = 0.0
     # the coefficients written out from the profile, not read off `side.blocks`
-    prof, n1 = side.data.profile, side.data.n - 1
-    gr_vals = (1.0 / prof.B(rr)) / rr - 0.5 * side.mu_c(rr)
+    n1 = side.data.n - 1
+    gr_vals = (1.0 / prof.B) / rr - 0.5 * radial.mu_c(prof)
     ell = sp.diags(n1 * gr_vals)
-    m_c = sp.diags(0.5 * n1 * side.mu_c(rr))
-    trk = sp.diags(0.5 * (prof.kappa_n(rr) + n1 * prof.kappa_t(rr)))
+    m_c = sp.diags(0.5 * n1 * radial.mu_c(prof))
+    trk = sp.diags(0.5 * (prof.kappa_n + n1 * prof.kappa_t))
     r1 = sp.hstack([sp.kron(trk, tau_s), sp.kron(FD + ell, eyeI)], format="csr")
     r2 = sp.hstack([sp.kron(FD - m_c, eyeI), sp.kron(trk, tau_s)], format="csr")
     keep2 = np.concatenate([np.repeat(w > 0, I)] * 2)
     weights2 = np.concatenate([np.sqrt(np.repeat(w, I))] * 2)
     residual = (sp.diags(weights2[keep2]) @ sp.vstack([r1, r2], format="csr")[keep2]).tocsr()
 
-    kn = sp.diags(0.5 * side.data.profile.kappa_n(rr))
-    kt = sp.diags(0.5 * side.data.profile.kappa_t(rr))
+    kn = sp.diags(0.5 * prof.kappa_n)
+    kt = sp.diags(0.5 * prof.kappa_t)
     gr = sp.diags(gr_vals)
-    muh = sp.diags(0.5 * side.mu_c(rr))
+    muh = sp.diags(0.5 * radial.mu_c(prof))
     P = sp.hstack([sp.kron(FD, eyeI), sp.kron(kn, tau_s)], format="csr")
     Q = sp.hstack([sp.kron(kn, tau_s), sp.kron(FD, eyeI)], format="csr")
     Pt = sp.hstack([sp.kron(kt, tau_s), sp.kron(gr, eyeI)], format="csr")
@@ -410,8 +407,8 @@ def _kron_mass_diagonal(problem, system, I):
     mass = []
     for side, r in ((problem.minus, system.r_minus), (problem.plus, system.r_plus)):
         rr = np.where(r > 0, r, r[1])
-        prof = side.data.profile
-        w2 = _hat_weights(r, moment=2) * prof.A(rr) * prof.B(rr) ** 2 * unit_sphere_volume(3)
+        prof = side.data.profile(rr)
+        w2 = _hat_weights(r, moment=2) * prof.A * prof.B**2 * unit_sphere_volume(3)
         mass.append(np.tile(np.repeat(w2 / (r**2 + (0.5 * problem.cd.r0) ** 2), I), 2))
     return np.concatenate(mass)
 
@@ -665,14 +662,15 @@ def test_closed_form_solution_zeroes_the_table_and_closes_the_gap(m, r0):
     u, du, zero = ((1.0 + F) / 2.0) ** 2, 0.5 * (1.0 + F) * m / (r**2 * F), np.zeros_like(r)
     u0 = ((1.0 + math.sqrt(1.0 - 2.0 * m / r0)) / 2.0) ** 2
     r_in = r0 * s
-    inside = apply_blocks(problem.minus, r_in, np.full_like(r_in, u0), zero, zero, zero)
-    outside = apply_blocks(problem.plus, r, u, du, zero, zero)
+    inside = apply_blocks(problem.minus, cd.minus.profile(r_in), np.full_like(r_in, u0), zero, zero, zero)
+    outside = apply_blocks(problem.plus, cd.plus.profile(r), u, du, zero, zero)
     for b in (inside, outside):
         assert max(np.max(np.abs(b["r1"])), np.max(np.abs(b["r2"]))) <= 1e-14
     # the interior blocks all vanish: flat data, constant u
     assert max(np.max(np.abs(v)) for v in inside.values()) == 0.0
     dens = outside["P"] ** 2 + outside["Q"] ** 2 + 2.0 * (outside["Pt"] ** 2 + outside["Qt"] ** 2)
-    dirichlet = 4.0 * math.pi * np.sum(w * dens * problem.plus.volume_factor(r) * r0 / s**2)  # dr = r0 ds / s^2
+    vol = problem.plus.volume_factor(cd.plus.profile(r))
+    dirichlet = 4.0 * math.pi * np.sum(w * dens * vol * r0 / s**2)  # dr = r0 ds / s^2
     report = crease_report_for(cd, order=4)
     crease_term = -0.5 * 4.0 * math.pi * report.area_element[0] * report.nu_component[0] * u0**2
     closure = 4.0 * math.pi * m - dirichlet + crease_term
@@ -690,10 +688,10 @@ def test_mass_gap_dirichlet_is_the_spinor_table_integral(miao_problem):
                           (problem.plus, sol.system.r_plus, sol.u_plus, sol.v_plus)):
         U, V = np.outer(u, psi_inf), np.outer(v, REP.tau @ psi_inf)
         D = _dense_derivative(len(r), r[1] - r[0])
-        rr = np.where(r > 0, r, r[1])
-        b = apply_blocks(side, rr, U, D @ U, V, D @ V, REP.tau)
+        p = side.data.profile(np.where(r > 0, r, r[1]))
+        b = apply_blocks(side, p, U, D @ U, V, D @ V, REP.tau)
         dens = sum(wt * np.sum(np.abs(b[k]) ** 2, axis=1) for k, wt in (("P", 1), ("Q", 1), ("Pt", 2), ("Qt", 2)))
-        dens = dens * side.volume_factor(rr) * 4.0 * math.pi
+        dens = dens * side.volume_factor(p) * 4.0 * math.pi
         dens[0] = 0.0 if r[0] == 0.0 else dens[0]
         expected += radial._simpson(dens, r[1] - r[0])
     assert gap.dirichlet_part == pytest.approx(expected, rel=1e-12)
@@ -754,7 +752,7 @@ def test_mass_gap_matter_term_integrates_every_node(monkeypatch, miao_problem):
                           (miao_problem.plus, sol.system.r_plus, sol.u_plus, sol.v_plus)):
         U, V = np.outer(u, psi_inf), np.outer(v, REP.tau @ psi_inf)
         psi_sq = np.sum(np.abs(U) ** 2 + np.abs(V) ** 2, axis=1)
-        expected += 0.5 * simpson(psi_sq * side.volume_factor(r) * 4.0 * math.pi, dx=r[1] - r[0])
+        expected += 0.5 * simpson(psi_sq * side.volume_factor(side.data.profile(r)) * 4.0 * math.pi, dx=r[1] - r[0])
     assert mass_gap(sol, mass).matter_part == pytest.approx(expected, rel=1e-12)
 
 
@@ -786,23 +784,14 @@ def test_poincare_positive_and_stable(trivial_problem, miao_problem):
 
 def test_poincare_perturbed_by_extrinsic_curvature(trivial_problem):
     # adding a small k-term moves the estimate by a correspondingly small amount
-    import dataclasses
-
-    from creaselab.geometry import RadialProfile
-
     base = trivial_problem
     lam0 = poincare_estimate(base, RadialGrid(n_minus=128, n_plus=128, r_max=30.0))
     eps = 1e-3
-    flat_prof = base.minus.data.profile
 
-    def bump_profile(p):
-        return RadialProfile(
-            A=p.A, B=p.B, dB=p.dB,
-            kappa_n=lambda r: eps / (1.0 + r**2),
-            kappa_t=lambda r: eps / (1.0 + r**2),
-        )
+    def bump_profile(profile):
+        return lambda r: profile(r)._replace(kappa_n=eps / (1.0 + r**2), kappa_t=eps / (1.0 + r**2))
 
-    minus_data = dataclasses.replace(base.minus.data, profile=bump_profile(flat_prof))
+    minus_data = dataclasses.replace(base.minus.data, profile=bump_profile(base.minus.data.profile))
     plus_data = dataclasses.replace(base.plus.data, profile=bump_profile(base.plus.data.profile))
     minus = dataclasses.replace(base.minus, data=minus_data)
     plus = dataclasses.replace(base.plus, data=plus_data)
