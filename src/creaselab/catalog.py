@@ -5,9 +5,9 @@ functions: g = u delta + v P and k = k_u delta + k_v P, P the radial
 projector.  `_radial_data` builds from them g, k, their analytic first
 derivatives, the analytic second derivatives of g (`InitialData.d2g`) and
 the radial profile A = sqrt(u + v), B = sqrt(u), kappa_n = (k_u + k_v) /
-(u + v), kappa_t = k_u / u that the transmission solver reads.  All
-closures are vectorized over point batches (m, 3); the catalog is
-three-dimensional.
+(u + v), kappa_t = k_u / u with the derivatives A', B', B'' and kappa_t'
+that the transmission solver and its mass gap read.  All closures are
+vectorized over point batches (m, 3); the catalog is three-dimensional.
 """
 
 from __future__ import annotations
@@ -119,11 +119,12 @@ def _radial_data(
         return _radial_tensor_deriv2(x, *metric_uv(_radii(x)))
 
     def profile(r):
-        u, du, _, v, dv, _ = metric_uv(r)
+        u, du, d2u, v, dv, _ = metric_uv(r)
         A, B = np.sqrt(u + v), np.sqrt(u)
-        ku, _, kv, _ = (np.zeros_like(r),) * 4 if curv_uv is None else curv_uv(r)
+        ku, dku, kv, _ = (np.zeros_like(r),) * 4 if curv_uv is None else curv_uv(r)
         return RadialProfile(r=r, A=A, B=B, dA=(du + dv) / (2.0 * A), dB=du / (2.0 * B),
-                             kappa_n=(ku + kv) / (u + v), kappa_t=ku / u)
+                             d2B=d2u / (2.0 * B) - du**2 / (4.0 * B**3), kappa_n=(ku + kv) / (u + v),
+                             kappa_t=ku / u, dkappa_t=(dku * u - ku * du) / u**2)
 
     if curv_uv is None:
         k, dk = _zero_tensor, _zero_tensor_deriv

@@ -94,8 +94,10 @@ class RadialProfile(NamedTuple):
 
     g = A(r)^2 dr^2 + (r B(r))^2 dOmega^2 written on the Cartesian chart as
     B^2 (delta - P) + A^2 P with P the radial projector, dA and dB the radial
-    derivatives of A and B, and k diagonal in the adapted frame with normal
-    eigenvalue kappa_n and tangential eigenvalue kappa_t.
+    derivatives of A and B, d2B that of dB, and k diagonal in the adapted
+    frame with normal eigenvalue kappa_n and tangential eigenvalue kappa_t,
+    dkappa_t its radial derivative.  All are finite at r = 0 (not so mu and J,
+    which divide by r B: `radial.matter_densities` forms them at r > 0).
     """
 
     r: np.ndarray
@@ -103,8 +105,10 @@ class RadialProfile(NamedTuple):
     B: np.ndarray
     dA: np.ndarray
     dB: np.ndarray
+    d2B: np.ndarray
     kappa_n: np.ndarray
     kappa_t: np.ndarray
+    dkappa_t: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,9 @@ description of the data to disagree with the first.
 both on spinors, with tau the representation's, and on the channel below,
 with tau -> 1.  reduce_radial certifies the table on spinors against the
 full Dirac-Witten machinery before a problem is returned; `assemble`
-discretizes the same table, and `mass_gap` integrates it on the channel.
+discretizes the same table, and `mass_gap` integrates it on the channel,
+with the constraint densities mu and J.nu in closed form from the same
+profile (`matter_densities`).
 
 The boundary-value problem (both interior equations, the transmission
 rotation at the crease, odd-parity regularity V(0) = 0, and a Dirichlet
@@ -71,8 +73,6 @@ from .geometry import (
     PointFields,
     RadialProfile,
     as_fields,
-    constraint_fields,
-    field_blocks,
     unit_sphere_volume,
 )
 from .integrals import MassReport, _gamma_contract, flux_mass_pairing, sen_derivatives
@@ -103,6 +103,16 @@ class Block(NamedTuple):
 def mu_c(p: RadialProfile) -> np.ndarray:
     """The module docstring's mu_c at the radii of p."""
     return -p.dB / (p.A * p.B) - 1.0 / (p.r * p.A) + 1.0 / (p.r * p.B)
+
+
+def matter_densities(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
+    """`geometry.constraint_fields`' mu and J.nu (J is radial, |J| = |J.nu|) at p's radii, all r > 0: with S = r B,
+    R = 2 (1 - (S'/A)^2) / S^2 - 4 (S'/A)' / (A S), mu = R/2 + 2 kappa_n kappa_t + kappa_t^2 and
+    J.nu = (2 (S'/S) (kappa_n - kappa_t) - 2 kappa_t') / A."""
+    S, q = p.r * p.B, (p.B + p.r * p.dB) / p.A  # q = S'/A
+    dq = (2.0 * p.dB + p.r * p.d2B - q * p.dA) / p.A
+    mu = (1.0 - q * q) / S**2 - 2.0 * dq / (p.A * S) + p.kappa_t * (2.0 * p.kappa_n + p.kappa_t)
+    return mu, 2.0 * (q * (p.kappa_n - p.kappa_t) / S - p.dkappa_t / p.A)
 
 
 @dataclass(frozen=True)
@@ -605,7 +615,6 @@ class MassGapReport:
 
 
 def _simpson(vals: np.ndarray, h: float) -> float:
-    n = len(vals) - 1
     coeff = np.ones(len(vals))
     coeff[1:-1:2] = 4.0
     coeff[2:-1:2] = 2.0
@@ -618,10 +627,11 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
     flux - bulk should be nonnegative (up to discretization) whenever the
     bulk dominant energy conditions and the DEC-crease condition hold; the
     crease term reproduces the boundary-term formula from the traces and
-    must then be nonpositive.  mu and J are evaluated once per node, in
-    `field_blocks` of the radial nodes on the x-axis (so |x| = r exactly);
-    the matter term integrates them and the bulk DEC check reads them too.
-    The Dirichlet integrand is the block table on the channel values.
+    must then be nonpositive.  Each side's profile is read once at its
+    radial nodes (at r[1] for r = 0, where both integrands are set to 0 by
+    their factor r^2); the Dirichlet integrand is the block table on the
+    channel values, and mu and J.nu are `matter_densities` of the same
+    profile, which the matter term integrates and the bulk DEC check reads.
     """
     system = sol.system
     problem = system.problem
@@ -640,6 +650,7 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
         coef, start = derivative_matrix(len(r), h)
         du, dv = (sum(coef[:, k] * f[start + k] for k in range(5)) for f in (u, v))
         rr = np.where(r > 0, r, r[1])
+        side.data.chart.require(rr, what="matter node")
         p = side.data.profile(rr)
         b = apply_blocks(side, p, u, du, v, dv)
         dens = b["P"] ** 2 + b["Q"] ** 2 + (side.data.n - 1) * (b["Pt"] ** 2 + b["Qt"] ** 2)
@@ -650,12 +661,8 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
 
         # matter terms: mu |psi|^2 + <psi, J tau psi> against the volume, J paired with the unit normal;
         # <psi, (omega.Gamma) tau psi> = 2 u v on the channel
-        mu, jx = [], []
-        for f in field_blocks(side.data, rr[:, None] * np.array([1.0, 0.0, 0.0])):
-            cons = constraint_fields(side.data, f)
-            mu_ok = mu_ok and bool(np.all(cons.mu >= cons.momentum_norm(side.data, f) - 1e-7))
-            mu, jx = mu + [cons.mu], jx + [cons.J[:, 0]]
-        mu, jn = np.concatenate(mu), np.concatenate(jx) / p.A
+        mu, jn = matter_densities(p)
+        mu_ok = mu_ok and bool(np.all(mu >= np.abs(jn) - 1e-7))
         mdens = 0.5 * (mu * (u * u + v * v) + jn * (2.0 * (v * u))) * vol
         if r[0] == 0.0:
             mdens[0] = 0.0

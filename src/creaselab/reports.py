@@ -76,8 +76,8 @@ def render_report(command: str, config_echo: dict, results: dict, passed: bool, 
 
 
 def write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file in its directory, which `cli.main` has made."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

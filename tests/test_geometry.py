@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from creaselab.catalog import (
+    _radial_data,
     build,
     check_spec,
     flat_ball,
@@ -29,6 +30,7 @@ from creaselab.geometry import (
     unit_sphere_volume,
 )
 from creaselab.integrals import volume_quadrature
+from creaselab.radial import matter_densities
 from creaselab.spheregrid import sphere_grid, theta_phi_tangents
 
 
@@ -36,6 +38,24 @@ def sample_points(rng, m, rlo, rhi):
     xs = rng.normal(size=(m, 3))
     xs /= np.linalg.norm(xs, axis=1)[:, None]
     return xs * rng.uniform(rlo, rhi, size=m)[:, None]
+
+
+def matter_ball() -> InitialData:
+    """Smooth spherically symmetric data with matter (mu != 0, J != 0) on all of R^3, built like a catalog model:
+    g = u delta + v P with u = 1 + a sin^2(pi r / 3), so B = 1 on r = 3, v = b r^2 exp(-r^2), and
+    k = k_u delta + k_v P with k_u = c exp(-r^2/2), k_v = d r^2 exp(-r^2/2)."""
+    a, b, c, d, w = 0.4, 0.5, 0.3, 0.2, 2.0 * math.pi / 3.0
+
+    def metric_uv(r):
+        e, s, co = np.exp(-(r**2)), np.sin(w * r), np.cos(w * r)
+        u, du, d2u = 1.0 + 0.5 * a * (1.0 - co), 0.5 * a * w * s, 0.5 * a * w**2 * co
+        return u, du, d2u, b * r**2 * e, b * e * (2.0 * r - 2.0 * r**3), b * e * (2.0 - 10.0 * r**2 + 4.0 * r**4)
+
+    def curv_uv(r):
+        e = np.exp(-0.5 * r**2)
+        return c * e, -c * r * e, d * r**2 * e, d * e * (2.0 * r - r**3)
+
+    return _radial_data(Chart(0.0, math.inf), "matter_ball", metric_uv, curv_uv)
 
 
 def test_unit_sphere_volume():
@@ -115,19 +135,47 @@ def test_closed_form_d2g_matches_finite_differences(name, maker, rlo, rhi):
 
 @pytest.mark.parametrize("name,maker,rlo,rhi", CATALOG_SIDES, ids=[c[0] for c in CATALOG_SIDES])
 def test_radial_profile_matches_the_fields_on_an_axis(name, maker, rlo, rhi):
-    """The profile derived from the radial functions is what g, dg and k give at x = r e_3:
-    A^2 = g_33, B^2 = g_11, 2 A A' = d_3 g_33, 2 B B' = d_3 g_11, kappa_n A^2 = k_33, kappa_t B^2 = k_11."""
+    """The profile derived from the radial functions is what g, dg, d2g, k and dk give at x = r e_3:
+    A^2 = g_33, B^2 = g_11, 2 A A' = d_3 g_33, 2 B B' = d_3 g_11, 2 (B B'' + B'^2) = d_3 d_3 g_11,
+    kappa_n A^2 = k_33, kappa_t B^2 = k_11, kappa_t' B^2 + 2 kappa_t B B' = d_3 k_11."""
     data = maker()
     r = np.linspace(rlo, rhi, 23)
     x = r[:, None] * np.array([0.0, 0.0, 1.0])
-    p, g, dg, k = data.profile(r), data.g(x), data.dg(x), data.k(x)
+    p, g, dg, d2g, k, dk = data.profile(r), data.g(x), data.dg(x), data.d2g(x), data.k(x), data.dk(x)
     assert np.array_equal(p.r, r)
     for have, want in (
         (p.A**2, g[:, 2, 2]), (p.B**2, g[:, 0, 0]),
         (2.0 * p.A * p.dA, dg[:, 2, 2, 2]), (2.0 * p.B * p.dB, dg[:, 0, 0, 2]),
+        (2.0 * (p.B * p.d2B + p.dB**2), d2g[:, 0, 0, 2, 2]),
         (p.kappa_n * p.A**2, k[:, 2, 2]), (p.kappa_t * p.B**2, k[:, 0, 0]),
+        (p.dkappa_t * p.B**2 + 2.0 * p.kappa_t * p.B * p.dB, dk[:, 0, 0, 2]),
     ):
         assert np.max(np.abs(have - want) / (1.0 + np.abs(want))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [minkowski_slice, lambda: schwarzschild_isotropic(1.0), lambda: schwarzschild_exterior_area_radius(1.0),
+     lambda: graph_slice(0.4, 4.5, 1.0), lambda: graph_slice(0.9, 4.5, 0.5), matter_ball],
+    ids=["minkowski_slice", "schwarzschild_isotropic", "schwarzschild_exterior_area_radius",
+         "graph_slice(0.4, 4.5, 1)", "graph_slice(0.9, 4.5, 0.5)", "matter_ball"],
+)
+def test_matter_densities_match_the_constraint_fields(maker):
+    """The closed-form mu and J.nu of the profile are `constraint_fields` of the 3-D fields: on the x-axis
+    mu and J_x / A, in random directions mu and |J.nu| = |J|, J being radial."""
+    data = maker()
+    r = np.geomspace(max(0.05, data.chart.r_min), 50.0, 300)
+    p = data.profile(r)
+    mu, jn = matter_densities(p)
+    axis = r[:, None] * np.array([1.0, 0.0, 0.0])
+    on_axis = constraint_fields(data, axis)
+    om = sample_points(np.random.default_rng(5), len(r), 1.0, 1.0)
+    anywhere = constraint_fields(data, r[:, None] * om)
+    for have, want in ((mu, on_axis.mu), (jn, on_axis.J[:, 0] / p.A), (mu, anywhere.mu),
+                       (np.abs(jn), anywhere.momentum_norm(data, r[:, None] * om))):
+        assert np.max(np.abs(have - want)) <= 1e-12
+    if maker is matter_ball:
+        assert np.max(np.abs(mu)) > 0.1 and np.max(np.abs(jn)) > 0.1  # the model has matter to compare
 
 
 def test_scalar_curvature_of_conformally_flat_metric():

@@ -15,7 +15,7 @@ from creaselab.catalog import (
 )
 from creaselab.bartnik import crease_report_for
 from creaselab.cliffords import build_rep
-from creaselab.geometry import ConstraintValues, CreaseAngle, PointFields, hypersurface_geometry
+from creaselab.geometry import Chart, CreaseAngle, CreasedData, constraint_fields, hypersurface_geometry
 from creaselab import geometry, integrals, radial
 from creaselab.integrals import adm_energy_momentum
 from creaselab.radial import (
@@ -37,6 +37,7 @@ from creaselab.radial import (
     solve,
 )
 from test_banded import _dense
+from test_geometry import matter_ball
 
 REP = build_rep()
 PSI_INF = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -50,6 +51,15 @@ def miao_problem():
 @pytest.fixture(scope="module")
 def trivial_problem():
     return reduce_radial(trivial_crease(1.0), REP)
+
+
+@pytest.fixture(scope="module")
+def matter_problem():
+    """A ball with matter, r <= 3, glued to the Schwarzschild exterior of miao_corner(0.5, 3)."""
+    ball = dataclasses.replace(matter_ball(), chart=Chart(0.0, 3.0), label="matter_ball|r<=3")
+    cd = CreasedData(minus=ball, plus=miao_corner(0.5, 3.0).plus, r0=3.0, angle=CreaseAngle.from_constant(0.0),
+                     label="matter_ball glued to miao_corner(0.5, 3)")
+    return reduce_radial(cd, REP)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +357,8 @@ def _with_extrinsic_curvature(problem):
         profile = s.data.profile
 
         def bumped(r):
-            return profile(r)._replace(kappa_n=a / (1.0 + r**2), kappa_t=-0.7 * a * r / (1.0 + r**2))
+            return profile(r)._replace(kappa_n=a / (1.0 + r**2), kappa_t=-0.7 * a * r / (1.0 + r**2),
+                                       dkappa_t=-0.7 * a * (1.0 - r**2) / (1.0 + r**2) ** 2)
 
         return dataclasses.replace(s, data=dataclasses.replace(s.data, profile=bumped))
 
@@ -708,30 +719,56 @@ def test_mass_gap_flags_violated_hypothesis():
     assert not gap.hypothesis_flags["gap_nonnegative_expected"]
 
 
-def test_mass_gap_evaluates_constraints_once_per_side(monkeypatch, trivial_problem):
-    sol = solve(assemble(trivial_problem, RadialGrid(n_minus=64, n_plus=128, r_max=12.0)), PSI_INF)
-    mass = adm_energy_momentum(trivial_problem.cd.plus, [4.0, 8.0, 12.0], order=12)
-    calls = []
-    original = radial.constraint_fields
+def test_mass_gap_needs_no_second_metric_derivative(matter_problem):
+    """mu and J come off the profile: mass_gap calls neither side's d2g nor its dk."""
+    problem = matter_problem
+    sol = solve(assemble(problem, RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), PSI_INF)
+    mass = adm_energy_momentum(problem.cd.plus, [25.0, 50.0, 100.0], order=12)
 
-    def counting(data, x):
-        calls.append(data)
-        return original(data, x)
+    def unreachable(x):
+        raise AssertionError("mass_gap evaluated d2g or dk")
 
-    monkeypatch.setattr(radial, "constraint_fields", counting)
-    mass_gap(sol, mass)
-    assert calls == [trivial_problem.cd.minus, trivial_problem.cd.plus]
+    cd = problem.cd
+    minus, plus = (dataclasses.replace(d, d2g=unreachable, dk=unreachable) for d in (cd.minus, cd.plus))
+    stripped = dataclasses.replace(
+        problem, cd=dataclasses.replace(cd, minus=minus, plus=plus),
+        minus=dataclasses.replace(problem.minus, data=minus), plus=dataclasses.replace(problem.plus, data=plus),
+    )
+    with pytest.raises(AssertionError):
+        constraint_fields(plus, np.array([[4.0, 0.0, 0.0]]))  # the 3-D constraints would call them
+    assert mass_gap(dataclasses.replace(sol, system=dataclasses.replace(sol.system, problem=stripped)), mass) \
+        == mass_gap(sol, mass)
 
 
-def test_mass_gap_is_the_same_in_blocks_as_in_one_block(monkeypatch, miao_problem):
-    grid = RadialGrid(n_minus=1280, n_plus=2560, r_max=400.0)
-    sol = solve(assemble(miao_problem, grid), PSI_INF)
-    assert min(len(sol.system.r_minus), len(sol.system.r_plus)) > geometry.BLOCK_NODES  # several blocks a side
-    mass = adm_energy_momentum(miao_problem.cd.plus, [100.0, 200.0, 400.0], order=12)
-    blocked = mass_gap(sol, mass)
-    monkeypatch.setattr(geometry, "BLOCK_NODES", 10**9)
-    # mu and J are per-node values and the Simpson sums run over whole sides, so nothing moves
-    assert mass_gap(sol, mass) == blocked
+def _matter_part_by_constraint_fields(sol):
+    """The matter part and bulk DEC flag by the 3-D constraint fields of the radial nodes on the x-axis."""
+    matter, dec = 0.0, True
+    for side, r, u, v in ((sol.system.problem.minus, sol.system.r_minus, sol.u_minus, sol.v_minus),
+                          (sol.system.problem.plus, sol.system.r_plus, sol.u_plus, sol.v_plus)):
+        rr = np.where(r > 0, r, r[1])
+        mu, jx = [], []
+        for f in geometry.field_blocks(side.data, rr[:, None] * np.array([1.0, 0.0, 0.0])):
+            cons = constraint_fields(side.data, f)
+            dec = dec and bool(np.all(cons.mu >= cons.momentum_norm(side.data, f) - 1e-7))
+            mu, jx = mu + [cons.mu], jx + [cons.J[:, 0]]
+        p = side.data.profile(rr)
+        mu, jn = np.concatenate(mu), np.concatenate(jx) / p.A
+        dens = 0.5 * (mu * (u * u + v * v) + jn * (2.0 * u * v)) * side.volume_factor(p) * 4.0 * math.pi
+        dens[0] = 0.0 if r[0] == 0.0 else dens[0]
+        matter += radial._simpson(dens, r[1] - r[0])
+    return float(np.vdot(sol.psi_inf, sol.psi_inf).real) * matter, dec
+
+
+def test_mass_gap_matter_term_on_data_with_matter(matter_problem):
+    """The closed-form matter term is the 3-D constraint fields' one on a ball with mu != 0 and J != 0."""
+    problem = matter_problem
+    psi_inf = np.array([0.6, -0.3j, 0.2 + 0.5j, 0.1])
+    sol = solve(assemble(problem, RadialGrid(n_minus=256, n_plus=512, r_max=100.0)), psi_inf)
+    gap = mass_gap(sol, adm_energy_momentum(problem.cd.plus, [25.0, 50.0, 100.0], order=12))
+    matter, dec = _matter_part_by_constraint_fields(sol)
+    assert abs(matter) > 0.1
+    assert gap.matter_part == pytest.approx(matter, rel=1e-12, abs=0.0)
+    assert gap.bulk_dec_satisfied == dec
 
 
 def test_mass_gap_matter_term_integrates_every_node(monkeypatch, miao_problem):
@@ -742,11 +779,7 @@ def test_mass_gap_matter_term_integrates_every_node(monkeypatch, miao_problem):
     sol = solve(assemble(miao_problem, RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), psi_inf)
     mass = adm_energy_momentum(miao_problem.cd.plus, [25.0, 50.0, 100.0], order=12)
 
-    def unit_mu(data, x):
-        m = len(x.x) if isinstance(x, PointFields) else len(x)
-        return ConstraintValues(mu=np.ones(m), J=np.zeros((m, 3)))
-
-    monkeypatch.setattr(radial, "constraint_fields", unit_mu)
+    monkeypatch.setattr(radial, "matter_densities", lambda p: (np.ones_like(p.r), np.zeros_like(p.r)))
     expected = 0.0
     for side, r, u, v in ((miao_problem.minus, sol.system.r_minus, sol.u_minus, sol.v_minus),
                           (miao_problem.plus, sol.system.r_plus, sol.u_plus, sol.v_plus)):
@@ -754,6 +787,15 @@ def test_mass_gap_matter_term_integrates_every_node(monkeypatch, miao_problem):
         psi_sq = np.sum(np.abs(U) ** 2 + np.abs(V) ** 2, axis=1)
         expected += 0.5 * simpson(psi_sq * side.volume_factor(side.data.profile(r)) * 4.0 * math.pi, dx=r[1] - r[0])
     assert mass_gap(sol, mass).matter_part == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("jn,dec", [(0.5, True), (-0.5, True), (1.5, False), (-1.5, False)])
+def test_mass_gap_bulk_dec_compares_mu_with_the_momentum_norm(monkeypatch, trivial_problem, jn, dec):
+    # mu >= |J|: the sign of J.nu does not matter
+    sol = solve(assemble(trivial_problem, RadialGrid(n_minus=64, n_plus=128, r_max=12.0)), PSI_INF)
+    mass = adm_energy_momentum(trivial_problem.cd.plus, [4.0, 8.0, 12.0], order=12)
+    monkeypatch.setattr(radial, "matter_densities", lambda p: (np.ones_like(p.r), np.full_like(p.r, jn)))
+    assert mass_gap(sol, mass).bulk_dec_satisfied is dec
 
 
 def test_truncation_study(miao_problem):
@@ -789,7 +831,8 @@ def test_poincare_perturbed_by_extrinsic_curvature(trivial_problem):
     eps = 1e-3
 
     def bump_profile(profile):
-        return lambda r: profile(r)._replace(kappa_n=eps / (1.0 + r**2), kappa_t=eps / (1.0 + r**2))
+        return lambda r: profile(r)._replace(kappa_n=eps / (1.0 + r**2), kappa_t=eps / (1.0 + r**2),
+                                             dkappa_t=-2.0 * eps * r / (1.0 + r**2) ** 2)
 
     minus_data = dataclasses.replace(base.minus.data, profile=bump_profile(base.minus.data.profile))
     plus_data = dataclasses.replace(base.plus.data, profile=bump_profile(base.plus.data.profile))
