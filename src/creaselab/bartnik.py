@@ -120,6 +120,7 @@ class CreaseReport:
 
     nu_component: np.ndarray  # <F(H_minus) - H_plus, nu_plus>
     tau_component: np.ndarray  # <F(H_minus) - H_plus, tau_plus>
+    beta_delta: np.ndarray  # (N, n-1), beta^Delta in frame components
     beta_delta_norm: np.ndarray
     margin: np.ndarray
     min_margin: float
@@ -151,6 +152,7 @@ def crease_margin(B_minus: BartnikData, B_plus: BartnikData, angle) -> CreaseRep
     return CreaseReport(
         nu_component=nu_c,
         tau_component=tau_c,
+        beta_delta=bd,
         beta_delta_norm=bd_norm,
         margin=margin,
         min_margin=lowest,

@@ -29,7 +29,6 @@ from .integrals import (
     lsw_residual,
 )
 from .killing import (
-    LapseShift,
     crease_lorentz_check,
     killing_conditions_residual,
     killing_development,
@@ -252,12 +251,9 @@ def cmd_rigidity(config: RunConfig, out_dir: str):
     a1 = 0.2 * (rng.normal(size=(3, rep.dim)) + 1j * rng.normal(size=(3, rep.dim)))
     lorentz = crease_lorentz_check(rep, tc, _crease_trace(a0, a1), order=config.sphere_order)
 
+    # the static pair u = 1, Y = 0, exactly, of the constant spinor e_0
     schw = schwarzschild_isotropic(1.0)
-    ls_static = LapseShift(
-        data=schw, rep=rep,
-        u=lambda x: np.ones(np.shape(x)[0]),
-        Y_frame=lambda x: np.zeros((np.shape(x)[0], 3)),
-    )
+    ls_static = lapse_shift_from_spinor(rep, constant_spinor_field(rep, np.eye(rep.dim)[0]), schw)
     dev_s = killing_development(schw, ls_static)
     curved_norm = riemann_norm(dev_s, np.array([3.0, 0.2, 0.1]))
 
@@ -277,7 +273,7 @@ def cmd_rigidity(config: RunConfig, out_dir: str):
         },
     }
     flags = {
-        # central differences of step killing.FD_STEP = 1e-5, so roundoff near eps / 1e-5 = 2e-11
+        # closed form from the spinor's analytic derivatives: 0 for a constant spinor on the flat slice
         "killing": max(kres.max_tensor, kres.max_covector) <= 1e-9,
         # the noise floor of riemann_norm's two nested difference stencils (steps 1e-5 and 2e-4)
         "flatness": flatness <= 1e-6,

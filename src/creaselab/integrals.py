@@ -22,9 +22,12 @@ the paper's outward-convention D^Sigma - H/2 form
 in the adapted sphere frame (shared tangential vectors, normal last),
 where the interface identification of the two sides' spinors is the
 identity matrix; the minus side takes nu = outward and the plus side
-nu = inward, and the tangential derivatives are 4th-order angle stencils.
-For a bulk field the two forms differ by a tangential divergence, which
-integrates to zero over the sphere.
+nu = inward, and the tangential derivatives are 4th-order angle stencils
+of the traces.  D carries no spin connection of the sphere's tangent
+frame: that term is nu . Gamma^a Gamma^b Gamma^c over tangential a, b, c,
+an anti-Hermitian matrix, so it has no part in Re<psi, D psi>.  For a bulk
+field the two forms differ by a tangential divergence, which integrates
+to zero over the sphere.
 
 Spinor operands may carry leading batch axes: components (..., m, I) on a
 point batch of m nodes (see `spinorfields`).  The metric, frames, spin
@@ -32,14 +35,14 @@ coefficients and constraint fields depend only on the nodes, so each is
 computed once per point batch whatever the number of spinors, and every
 spinor result gains the same leading axes.  Unbatched spinors give
 unbatched (scalar) results.  Each batch of nodes -- a block of the LSW
-volume grid, a sphere grid, each angle-stencil shift of it -- gets one
-`geometry.PointFields` bundle, built where the batch is made and passed
-to every function that works on those nodes: boundary_term_density hands
-its sphere nodes' bundle to hypersurface_geometry and returns that
-geometry, from which crease_boundary_terms reads the Bartnik data.  A
-bundle is dropped with its batch.  lsw_residual sums the volume terms
-over `geometry.field_blocks` of at most BLOCK_NODES nodes, so its memory
-is set by the block, and the block size changes only the sums' order.
+volume grid, a sphere grid -- gets one `geometry.PointFields` bundle,
+built where the batch is made and passed to every function that works on
+those nodes: boundary_term_density hands its sphere nodes' bundle to
+hypersurface_geometry and returns that geometry, from which
+crease_boundary_terms reads the Bartnik data.  A bundle is dropped with
+its batch.  lsw_residual sums the volume terms over `geometry.field_blocks`
+of at most BLOCK_NODES nodes, so its memory is set by the block, and the
+block size changes only the sums' order.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bartnik import bartnik_data, beta_delta, rotated_components
+from .bartnik import bartnik_data, crease_margin
 from .cliffords import CliffordRep, spinor_rotation
 from .geometry import (
     CreasedData,
@@ -308,22 +311,21 @@ def boundary_term_density(
 
     trace(theta, phi) gives the adapted sphere-frame components (..., m, I)
     at the nodes r0 * omega(theta, phi); the density gains the same leading
-    axes.  The tangential derivatives are 4th-order angle stencils, so the
-    trace is called once at the grid and at each of 8 shifted copies of it.
+    axes.  The tangential derivatives of the trace are 4th-order angle
+    stencils, so the trace is called once at the grid and at each of 8
+    shifted copies of it, while the fields are read on the grid nodes only.
     hg's area element times grid.weights is the induced measure.  With
     nu = nu_sign * outward unit normal, the density is the outward-convention
     combination <psi, D psi - H/2 psi - 1/2[(tr k) nu - k(nu,t_a) t^a] tau psi>;
     H, k(nu,.) and the boundary Dirac operator all use the signed normal.
+    The density keeps Re<psi, D psi>, to which the spin connection of the
+    tangent frame, 1/4 w_bc(t_a) nu . Gamma^a Gamma^b Gamma^c, adds nothing:
+    nu . Gamma^a Gamma^b Gamma^c is anti-Hermitian for tangential a, b, c,
+    so D psi is nu . Gamma^a times the trace's derivative along t_a alone.
     """
-    n = data.n
-    if n != 3:
-        raise IntegralsError("boundary quadrature is implemented for n = 3")
     theta, phi = grid.theta, grid.phi
-    om = grid.nodes
-    f = PointFields(data, r0 * om)
+    f = PointFields(data, r0 * grid.nodes)
     t = f.sphere.tangent  # (m, 2, 3)
-    g = f.g
-    gamma_chr = f.gamma
     hg = hypersurface_geometry(data, r0, f)
     H = nu_sign * hg.H
     trk = hg.trk
@@ -331,23 +333,19 @@ def boundary_term_density(
 
     c0 = np.asarray(trace(theta, phi), dtype=complex)
 
-    # tangential derivatives of the frame and of psi via 4th-order angle stencils;
-    # the sum m2 - 8 m1 + 8 p1 - p2 is accumulated point by point, so a single
-    # shifted copy of the (batched) spinor is alive at a time
+    # tangential derivatives of psi via 4th-order angle stencils; the sum m2 - 8 m1 + 8 p1 - p2
+    # is accumulated point by point, so a single shifted copy of the (batched) spinor is alive at a time
     def fd4(angles, h):
-        t_sum = c_sum = None
+        c_sum = None
         for d, w in ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0)):
-            th, ph = angles(d)
-            t_d = PointFields(data, r0 * unit_vectors(th, ph)).sphere.tangent
-            c_d = np.asarray(trace(th, ph), dtype=complex)
-            t_sum = t_d if t_sum is None else t_sum + w * t_d
+            c_d = np.asarray(trace(*angles(d)), dtype=complex)
             c_sum = c_d if c_sum is None else c_sum + w * c_d
-        return t_sum / (12.0 * h[..., None, None]), c_sum / (12.0 * h[..., None])
+        return c_sum / (12.0 * h[..., None])
 
     # phi variation slows like sin(theta) near the poles; widen the step there
     step_phi = ANGLE_STEP / np.maximum(np.sin(theta), 0.05)
-    dt_dtheta, dc_dtheta = fd4(lambda d: (theta + d * ANGLE_STEP, phi), np.asarray(ANGLE_STEP))
-    dt_dphi, dc_dphi = fd4(lambda d: (theta, phi + d * step_phi), step_phi)
+    dc_dtheta = fd4(lambda d: (theta + d * ANGLE_STEP, phi), np.asarray(ANGLE_STEP))
+    dc_dphi = fd4(lambda d: (theta, phi + d * step_phi), step_phi)
 
     # coordinates of t_alpha in the (theta, phi) parameter basis
     e_th, e_ph_raw = theta_phi_tangents(theta, phi)
@@ -355,31 +353,17 @@ def boundary_term_density(
     a_co = np.einsum("mai,mi->ma", t, e_th) / r0
     b_co = np.einsum("mai,mi->ma", t, e_ph_raw) / (r0 * sin2[:, None])
 
-    # D_{t_alpha} of tangent-frame components
-    Dt = a_co[:, :, None, None] * dt_dtheta[:, None, :, :] + b_co[:, :, None, None] * dt_dphi[:, None, :, :]
-    # Dt[m, alpha, beta, i]: derivative along t_alpha of component i of t_beta
-
-    # t_a^i Gamma^p_iq t_b^q from Gamma as (m, (p, i), q), then w_{bc}(t_a) (tangential) with rows (a, b)
-    t_T = np.swapaxes(t, 1, 2)
-    cov = Dt + np.moveaxis(t[:, None] @ (gamma_chr.reshape(-1, n * n, n) @ t_T).reshape(-1, n, n, n - 1), 1, -1)
-    omega_sigma = cov.reshape(-1, (n - 1) ** 2, n) @ (g @ t_T)
-
-    # spinor connection along t_alpha: D_{t_alpha} c + 1/4 w_{bc}(t_alpha) Gamma^b Gamma^c c
-    gg, gt = _pair_products(rep)
-    nabla_sigma = a_co[:, :, None] * dc_dtheta[..., :, None, :] + b_co[:, :, None] * dc_dphi[..., :, None, :]
+    # derivative of the trace along t_alpha
+    along_t = a_co[:, :, None] * dc_dtheta[..., :, None, :] + b_co[:, :, None] * dc_dphi[..., :, None, :]
     del dc_dtheta, dc_dphi
-    # w_{bc}(t_a) Gamma^b Gamma^c first, as one real (m (n-1), (n-1)^2) product with the float view of gg
-    pairs = gg[: n - 1, : n - 1].reshape((n - 1) ** 2, -1).view(float)
-    conn = (0.25 * omega_sigma.reshape(-1, (n - 1) ** 2) @ pairs).view(complex).reshape(-1, n - 1, rep.dim, rep.dim)
-    nabla_sigma += (conn @ c0[..., :, None, :, None])[..., 0]
 
-    # D psi = nu . e^alpha nabla^Sigma_alpha psi
-    contracted = np.einsum("aIK,...maK->...mI", rep.gamma[: n - 1], nabla_sigma)
-    dirac_b = nu_sign * np.einsum("IK,...mK->...mI", rep.gamma[n - 1], contracted)
+    # D psi = nu . e^alpha (derivative along t_alpha) of psi
+    contracted = np.einsum("aIK,...maK->...mI", rep.gamma[:2], along_t)
+    dirac_b = nu_sign * np.einsum("IK,...mK->...mI", rep.gamma[2], contracted)
 
-    gt_n = rep.gamma[n - 1] @ rep.tau
-    tau_part = nu_sign * trk[:, None] * np.einsum("IK,...mK->...mI", gt_n, c0) - np.einsum(
-        "ma,aIK,...mK->...mI", beta, gt[: n - 1], c0
+    gt = _pair_products(rep)[1]
+    tau_part = nu_sign * trk[:, None] * np.einsum("IK,...mK->...mI", gt[2], c0) - np.einsum(
+        "ma,aIK,...mK->...mI", beta, gt[:2], c0
     )
     # The boundary Dirac term is symmetrized pointwise: its anti-Hermitian
     # part is an exact tangential divergence with vanishing surface
@@ -576,24 +560,20 @@ def crease_boundary_terms(
 
     i_minus, bm = one_side(cd.minus, minus_trace, 1)
     i_plus, bp = one_side(cd.plus, psi_plus, -1)
-    nu_rot, tau_rot = rotated_components(bm, cd.angle)
-    bd = beta_delta(bm, bp, cd.angle)
-    jump_nu = bp.H - nu_rot  # <H_+ - F(H_-), nu_+>
-    jump_tau = bp.trk - tau_rot
-    bd_norm = np.linalg.norm(bd, axis=-1)
+    # the jump H_+ - F(H_-) is minus the margin report's F(H_-) - H_+, in both its components
+    crease = crease_margin(bm, bp, cd.angle)
 
-    gt_n = rep.gamma[rep.n - 1] @ rep.tau
-    _, gt = _pair_products(rep)
+    gt = _pair_products(rep)[1]
     psi_sq = np.einsum("...mI,...mI->...m", np.conj(c_plus), c_plus).real
-    vec = jump_tau[:, None] * np.einsum("IK,...mK->...mI", gt_n, c_plus) - np.einsum(
-        "ma,aIK,...mK->...mI", bd, gt[: rep.n - 1], c_plus
+    vec = -crease.tau_component[:, None] * np.einsum("IK,...mK->...mI", gt[2], c_plus) - np.einsum(
+        "ma,aIK,...mK->...mI", crease.beta_delta, gt[:2], c_plus
     )
-    formula_density = 0.5 * (psi_sq * jump_nu + np.einsum("...mI,...mI->...m", np.conj(c_plus), vec))
+    formula_density = 0.5 * (psi_sq * -crease.nu_component + np.einsum("...mI,...mI->...m", np.conj(c_plus), vec))
     dA = bp.area_element * grid.weights
     formula = real_checked(np.sum(formula_density * dA, axis=-1), scale=1.0, label="crease formula")
 
-    bound_density = 0.5 * psi_sq * (jump_nu + np.sqrt(jump_tau**2 + bd_norm**2))
-    bound = np.sum(bound_density * dA, axis=-1)
+    # 1/2 |psi|^2 (<H_+ - F(H_-), nu_+> + sqrt(<.., tau_+>^2 + |beta^Delta|^2)) = -1/2 |psi|^2 margin
+    bound = np.sum(-0.5 * psi_sq * crease.margin * dA, axis=-1)
 
     direct = real_checked(i_minus + i_plus, scale=abs(formula) + 1.0, label="crease direct term")
     return CreaseBoundaryResult(

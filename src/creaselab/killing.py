@@ -9,6 +9,12 @@ catalog's Minkowski slices, and the squared Lorentz length u^2 - |Y|^2 is
 conserved along curves.  This module evaluates all of those statements
 numerically; it certifies identities on data with explicit parallel
 spinors rather than attempting any global construction.
+
+The Killing residuals are closed-form: the derivatives of u and Y come from
+the field's values c and analytic frame derivatives e_a(c), as
+e_a(u) = 2 Re<psi, e_a psi> and, tau e_b being Hermitian,
+e_a(Y_b) = 2 Re<e_a psi, tau e_b psi>; nabla_a Y_b adds Y_c W_acb with the
+bulk spin coefficients W.  Only `riemann_norm` differentiates numerically.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .cliffords import CliffordRep, spinor_rotation
-from .geometry import CreasedData, GeometryError, InitialData, bulk_frame
+from .geometry import CreasedData, GeometryError, InitialData, PointFields, as_points, bulk_frame
 from .integrals import bulk_spin_coefficients
 from .spheregrid import sphere_grid
 from .spinorfields import SpinorField
@@ -34,12 +40,17 @@ REALITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LapseShift:
-    """Scalar lapse and shift vector (frame components) as field closures."""
+    """Lapse u = |psi|^2 and shift Y_a = <tau e_a psi, psi> (bulk-frame components) of a spinor field."""
 
     data: InitialData
     rep: CliffordRep
-    u: Callable[[np.ndarray], np.ndarray]
-    Y_frame: Callable[[np.ndarray], np.ndarray]
+    field: SpinorField
+
+    def u(self, x: np.ndarray) -> np.ndarray:
+        return _lapse_shift(self.rep, self.field.evaluate(np.atleast_2d(x)))[0]
+
+    def Y_frame(self, x: np.ndarray) -> np.ndarray:
+        return _lapse_shift(self.rep, self.field.evaluate(np.atleast_2d(x)))[1].real
 
     def Y_vector(self, x: np.ndarray) -> np.ndarray:
         """Coordinate components of the shift vector."""
@@ -54,35 +65,27 @@ class LapseShift:
         return self.u(pts) ** 2 - np.einsum("ma,ma->m", Yf, Yf)
 
 
-def _lapse_shift_map(rep: CliffordRep) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The map from spinor components c (m, I) to (u, Y) with u = |psi|^2 and
-    Y_a = <tau e_a psi, psi> (complex, (m, n); real for a genuine shift)."""
-    tau_gam = np.einsum("IK,aKL->aIL", rep.tau, rep.gamma)
+def _tau_gamma(rep: CliffordRep) -> np.ndarray:
+    """tau Gamma^a, (n, I, I); each is Hermitian."""
+    return np.einsum("IK,aKL->aIL", rep.tau, rep.gamma)
 
-    def pair(c):
-        u = np.einsum("mI,mI->m", np.conj(c), c).real
-        # <tau e_a psi, psi> = conj pairing in the first slot
-        return u, np.conj(np.einsum("aIK,mK,mI->ma", tau_gam, c, np.conj(c)))
 
-    return pair
+def _lapse_shift(rep: CliffordRep, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = |psi|^2 and Y_a = <tau e_a psi, psi> of spinor components c (m, I); Y is complex, (m, n),
+    and real for a genuine shift."""
+    u = np.einsum("mI,mI->m", np.conj(c), c).real
+    # <tau e_a psi, psi> = conj pairing in the first slot
+    return u, np.conj(np.einsum("aIK,mK,mI->ma", _tau_gamma(rep), c, np.conj(c)))
 
 
 def lapse_shift_from_spinor(rep: CliffordRep, field: SpinorField, data: InitialData,
                             check_points: np.ndarray | None = None) -> LapseShift:
     """Lapse-shift pair of a spinor field; the shift is checked to be real."""
-    pair = _lapse_shift_map(rep)
-
-    def u(x):
-        return pair(field.evaluate(np.atleast_2d(x)))[0]
-
-    def Y_frame(x):
-        return pair(field.evaluate(np.atleast_2d(x)))[1].real
-
     if check_points is not None:
-        worst = float(np.max(np.abs(pair(field.evaluate(np.atleast_2d(check_points)))[1].imag)))
+        worst = float(np.max(np.abs(_lapse_shift(rep, field.evaluate(np.atleast_2d(check_points)))[1].imag)))
         if worst > REALITY_TOL:
             raise KillingError(f"shift vector not real: imaginary part {worst:.3e}")
-    return LapseShift(data=data, rep=rep, u=u, Y_frame=Y_frame)
+    return LapseShift(data=data, rep=rep, field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +123,8 @@ def crease_lorentz_check(
     c_minus = np.einsum("mIK,mK->mI", spinor_rotation(rep, f), c_plus)
 
     n = rep.n
-    pair = _lapse_shift_map(rep)
-    u_p, y_p = pair(c_plus)
-    u_m, y_m = pair(c_minus)
+    u_p, y_p = _lapse_shift(rep, c_plus)
+    u_m, y_m = _lapse_shift(rep, c_minus)
     y_p, y_m = y_p.real, y_m.real
     y_nu_p, y_nu_m = y_p[:, n - 1], y_m[:, n - 1]
     a, b = np.cosh(f), np.sinh(f)
@@ -140,26 +142,20 @@ def crease_lorentz_check(
 # Killing conditions
 
 
-FD_STEP = 1e-5
+def _lapse_shift_jet(data: InitialData, ls: LapseShift, f: PointFields):
+    """u (m,), Y (m, b), du (m, a) and nablaY[m, a, b] = g(nabla_{e_a} Y, e_b) in the deterministic frame.
 
-
-def _frame_directional(data: InitialData, fn, pts: np.ndarray):
-    """e_a(fn) for scalar or frame-vector nodal closures; appends axis a."""
-    frame = bulk_frame(data, pts)
-    cols = []
-    for a in range(data.n):
-        v = frame[:, a, :]
-        cols.append((np.asarray(fn(pts + FD_STEP * v)) - np.asarray(fn(pts - FD_STEP * v))) / (2.0 * FD_STEP))
-    return np.stack(cols, axis=-1)
-
-
-def shift_covariant_derivative(data: InitialData, ls: LapseShift, pts: np.ndarray) -> np.ndarray:
-    """nablaY[m, a, b] = g(nabla_{e_a} Y, e_b) in the deterministic frame."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    dY = _frame_directional(data, ls.Y_frame, pts)  # (m, b, a)
-    W = bulk_spin_coefficients(data, pts)  # W[m, a, c, b] = g(nabla_a e_c, e_b)
-    Y = ls.Y_frame(pts)
-    return np.transpose(dY, (0, 2, 1)) + np.einsum("mc,macb->mab", Y, W)
+    From the field's values c and closed-form frame derivatives e_a(c):
+    e_a(u) = 2 Re<psi, e_a psi> and e_a(Y_b) = 2 Re<e_a psi, tau e_b psi>.
+    """
+    c = ls.field.evaluate(f.x)
+    dc = ls.field.frame_derivatives(data, f)  # (m, I, a)
+    u, Y = _lapse_shift(ls.rep, c)
+    Y = Y.real
+    du = 2.0 * np.einsum("mI,mIa->ma", np.conj(c), dc).real
+    dY = 2.0 * np.einsum("mIa,bIK,mK->mab", np.conj(dc), _tau_gamma(ls.rep), c).real
+    W = bulk_spin_coefficients(data, f)  # W[m, a, c, b] = g(nabla_a e_c, e_b)
+    return u, Y, du, dY + np.einsum("mc,macb->mab", Y, W)
 
 
 @dataclass(frozen=True)
@@ -170,17 +166,12 @@ class KillingResiduals:
 
 
 def killing_conditions_residual(data: InitialData, ls: LapseShift, pts: np.ndarray) -> KillingResiduals:
-    """Residuals of the Killing initial-data equations at sample points."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    frame = bulk_frame(data, pts)
-    k = data.k(pts)
-    kf = np.einsum("mai,mij,mbj->mab", frame, k, frame)
-    nablaY = shift_covariant_derivative(data, ls, pts)
-    u = ls.u(pts)
+    """Residuals of the Killing initial-data equations at sample points, from closed-form derivatives."""
+    f = PointFields(data, as_points(pts, data.n))
+    kf = np.einsum("mai,mij,mbj->mab", f.frame, f.k, f.frame)
+    u, Yf, du, nablaY = _lapse_shift_jet(data, ls, f)
     lie = nablaY + np.swapaxes(nablaY, 1, 2)
     tensor = lie - 2.0 * u[:, None, None] * kf
-    du = _frame_directional(data, ls.u, pts)
-    Yf = ls.Y_frame(pts)
     covector = du - np.einsum("mb,mab->ma", Yf, kf)
     sym_defect = np.max(np.abs(nablaY - np.swapaxes(nablaY, 1, 2)), axis=(1, 2))
     return KillingResiduals(
@@ -270,7 +261,9 @@ def graph_slice_parallel_spinor(rep: CliffordRep, data: InitialData, c0: np.ndar
     The slice normal is boosted radially with rapidity chi = -atanh(h');
     the corresponding spinor is the mode field cosh(chi/2) c0 +
     sinh(chi/2) (omega.Gamma) tau c0, which is parallel for the spacetime
-    connection (checked by tests, not assumed).
+    connection (checked by tests, not assumed).  The slope is read off the
+    profile as h' = r A kappa_t, since A = sqrt(1 - h'^2) and
+    kappa_t = h'/(r A); it keeps full relative precision where h' is tiny.
     """
     from .radial import mode_field
 
@@ -281,8 +274,8 @@ def graph_slice_parallel_spinor(rep: CliffordRep, data: InitialData, c0: np.ndar
 
     def modes(r):  # U, V, U', V'
         p = data.profile(r)
-        # A = sqrt(1 - h'^2) fixes |h'|; kappa_t = h'/(r sqrt(1-h'^2)) its sign; chi' = -A kappa_n
-        half = -0.5 * np.arctanh(np.sqrt(np.clip(1.0 - p.A**2, 0.0, None)) * np.sign(p.kappa_t))
+        # h' = r A kappa_t; chi' = -A kappa_n
+        half = -0.5 * np.arctanh(r * p.A * p.kappa_t)
         ch, sh, dhalf = np.cosh(half)[:, None], np.sinh(half)[:, None], (-0.5 * p.A * p.kappa_n)[:, None]
         return ch * c0, sh * tau_c0, dhalf * sh * c0, dhalf * ch * tau_c0
 

@@ -78,7 +78,7 @@ def test_commands_run_without_scipy(tmp_path):
            "radii": [50.0, 100.0, 200.0], "quadrature": {"sphere_order": 16}}
     runs = [("adm", _write_config(tmp_path, "adm-schwarzschild.yaml", doc))]
     runs += [(path.stem.split("-small")[0], path) for path in sorted(CONFIGS.glob("*.yaml"))]
-    assert len(runs) == 7
+    assert len(runs) == 8
     script = (
         "import sys\n"
         "class NoScipy:\n"

@@ -258,3 +258,14 @@ def test_pairings_properties():
         v = rng.normal(size=3)
         hv, _ = pairings(rep, vector_matrix(rep, v) @ psi, vector_matrix(rep, v) @ phi)
         assert abs(hv - (v @ v) * h1) < 1e-12 * (1 + abs(h1))
+
+
+def test_normal_times_three_tangential_generators_is_anti_hermitian():
+    # nu . Gamma^a Gamma^b Gamma^c for tangential a, b, c: the sphere connection's term in the
+    # boundary Dirac operator, which therefore has no part in Re<psi, D psi>
+    rep = build_rep()
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                x = rep.gamma[2] @ rep.gamma[a] @ rep.gamma[b] @ rep.gamma[c]
+                assert maxabs(x + x.conj().T) == 0.0, (a, b, c)

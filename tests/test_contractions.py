@@ -28,8 +28,8 @@ from creaselab.geometry import (
     scalar_curvature,
 )
 from creaselab.integrals import bulk_spin_coefficients, sen_derivatives, volume_quadrature
-from creaselab.killing import LapseShift, killing_development, riemann_norm
-from creaselab.spinorfields import random_polynomial_field
+from creaselab.killing import killing_development, lapse_shift_from_spinor, riemann_norm
+from creaselab.spinorfields import constant_spinor_field, random_polynomial_field
 
 REP = build_rep()
 TOL = 1e-13
@@ -249,11 +249,8 @@ def ref_riemann_norm(dm, x0):
 
 def test_batched_riemann_norm_matches_point_loop():
     data = schwarzschild_isotropic(1.0)
-    ls = LapseShift(
-        data=data, rep=REP,
-        u=lambda x: np.ones(np.shape(x)[0]),
-        Y_frame=lambda x: np.zeros((np.shape(x)[0], 3)),
-    )
+    # the static pair u = 1, Y = 0 of the constant spinor e_0
+    ls = lapse_shift_from_spinor(REP, constant_spinor_field(REP, np.eye(REP.dim)[0]), data)
     dev = killing_development(data, ls)
     for p in ([3.0, 0.2, 0.1], [1.5, -2.0, 0.7]):
         point = np.array(p)

@@ -788,6 +788,22 @@ def test_witten_flux_builds_one_sphere_frame_per_node_batch(monkeypatch):
     assert len(frames) == 1
 
 
+def test_boundary_density_builds_one_sphere_frame_per_side(monkeypatch):
+    frames = _record_calls(monkeypatch, geometry, "sphere_frame")
+    mc = miao_corner(1.0, 4.0)
+    grid = sphere_grid(8)
+    traces = []
+
+    def trace(theta, phi):
+        traces.append(len(theta))
+        return np.ones((np.shape(theta)[0], REP.dim), dtype=complex)
+
+    boundary_term_density(mc.minus, REP, mc.r0, grid, trace, 1)
+    # the fields are read on the grid nodes only; the angle stencils shift the trace alone
+    assert len(frames) == 1
+    assert traces == [grid.size] * 9
+
+
 def test_crease_terms_read_the_bartnik_data_from_the_densities(monkeypatch):
     geometries = _record_calls(monkeypatch, geometry, "hypersurface_geometry")
     sampled = _record_calls(monkeypatch, bartnik, "bartnik_from_data")
