@@ -226,6 +226,8 @@ def miao_corner(m: float, rho0: float) -> CreasedData:
 
 def trivial_crease(r0: float = 1.0) -> CreasedData:
     """Flat data on both sides of r = r0 with zero hyperbolic angle."""
+    if r0 <= 0:
+        raise GeometryError("trivial_crease needs r0 > 0")
     plus = replace(minkowski_slice(), chart=Chart(float(r0), math.inf))
     return CreasedData(
         minus=flat_ball(r0), plus=plus, r0=float(r0),
@@ -242,6 +244,8 @@ def graph_slice(amplitude: float = 0.4, center: float = 4.5, width: float = 1.0)
     a, c, w = float(amplitude), float(center), float(width)
     if not abs(a) < 1.0:
         raise GeometryError("graph_slice amplitude must satisfy |amplitude| < 1")
+    if w <= 0:
+        raise GeometryError("graph_slice needs width > 0")
 
     def h1(r):
         return a * np.exp(-(((r - c) / w) ** 2))

@@ -19,7 +19,7 @@ from numpy.random import default_rng
 
 from .bartnik import crease_report_for, spacelike_form_check
 from .catalog import minkowski_slice, schwarzschild_isotropic, trivial_crease
-from .cliffords import build_rep
+from .cliffords import DIM
 from .config import ConfigError, RunConfig, build_catalog_entry, load_config
 from .geometry import CreaseAngle, CreasedData, GeometryError, InitialData
 from .integrals import (
@@ -88,17 +88,14 @@ def cmd_crease_check(config: RunConfig, out_dir: str):
 def cmd_adm(config: RunConfig, out_dir: str):
     data = _exterior_data(build_catalog_entry(config))
     _require_radii_in_chart(config, data)
-    rep = adm_energy_momentum(data, config.radii, order=config.sphere_order)
-    results = {"label": data.label, "mass_report": rep.to_dict()}
-    flags = {"monotone": rep.monotone}
+    mass = adm_energy_momentum(data, config.radii, order=config.sphere_order)
+    results = {"label": data.label, "mass_report": mass.to_dict()}
+    flags = {"monotone": mass.monotone}
     passed = True
     if config.flux_check:
-        crep = build_rep()
-        E_fit, P_fit = flux_fit_energy_momentum(
-            data, crep, config.radii[-1], order=min(config.sphere_order, 12)
-        )
+        E_fit, P_fit = flux_fit_energy_momentum(data, config.radii[-1], order=min(config.sphere_order, 12))
         # relative to |E| but absolute below 1, so E = 0 (flat or graph data) is measurable
-        rel = abs(E_fit - rep.E) / max(abs(rep.E), 1.0)
+        rel = abs(E_fit - mass.E) / max(abs(mass.E), 1.0)
         results["flux_fit"] = {"E": E_fit, "P": list(P_fit), "relative_energy_mismatch": rel}
         # the fit reads one sphere of order <= 12 and misses E by 1.6e-3 to 2.6e-3 on Schwarzschild data
         flags["flux_consistent"] = rel <= 0.02
@@ -107,8 +104,8 @@ def cmd_adm(config: RunConfig, out_dir: str):
         os.path.join(out_dir, "adm_by_radius.csv"),
         ["radius", "E", "P1", "P2", "P3"],
         [
-            (r, rep.E_by_radius[i], *rep.P_by_radius[i])
-            for i, r in enumerate(rep.radii)
+            (r, mass.E_by_radius[i], *mass.P_by_radius[i])
+            for i, r in enumerate(mass.radii)
         ],
     )
     return results, passed, flags
@@ -126,14 +123,13 @@ def _crease_trace(a0: np.ndarray, a1: np.ndarray):
 
 def cmd_identities(config: RunConfig, out_dir: str):
     entry = build_catalog_entry(config)
-    rep = build_rep()
     rng = default_rng(config.seed)
     data = _exterior_data(entry)
     a = max(3.0, data.chart.r_min + 0.5)
     region = ("annulus", a, a + 3.0)
     # every spinor of the ensemble in one batch: the geometry is evaluated once
-    fld = random_polynomial_field(rep, rng, (config.n_spinors,), degree=2, scale=0.2)
-    res = lsw_residual(data, rep, fld, region, order=config.sphere_order)
+    fld = random_polynomial_field(rng, (config.n_spinors,), degree=2, scale=0.2)
+    res = lsw_residual(data, fld, region, order=config.sphere_order)
     worst_lsw = float(np.max(np.abs(res.residual) / (np.abs(res.bulk) + 1.0)))
     results: dict = {"lsw": {"region": list(region[1:]), "max_scaled_residual": worst_lsw}}
     # the quadrature floor reaches 1.4e-7 on graph_slice (one Gauss panel radially), while a wrong term is O(1)
@@ -141,10 +137,10 @@ def cmd_identities(config: RunConfig, out_dir: str):
 
     if isinstance(entry, CreasedData):
         # rows per spinor: Re a0, Im a0, Re a1 (3 rows), Im a1 (3 rows), drawn in that order
-        z = rng.normal(size=(config.n_spinors, 8, rep.dim))
+        z = rng.normal(size=(config.n_spinors, 8, DIM))
         a0 = z[:, 0] + 1j * z[:, 1]
         a1 = 0.2 * (z[:, 2:5] + 1j * z[:, 5:8])
-        res = crease_boundary_terms(entry, rep, _crease_trace(a0, a1), order=config.sphere_order)
+        res = crease_boundary_terms(entry, _crease_trace(a0, a1), order=config.sphere_order)
         # relative to the one-sided integrals summed, not to a crease term that may vanish; floored for a zero trace
         scale = np.maximum(np.abs(res.i_minus) + np.abs(res.i_plus), np.finfo(float).tiny)
         worst_crease = float(np.max(res.mismatch / scale))
@@ -170,9 +166,8 @@ def cmd_solve(config: RunConfig, out_dir: str):
     if not config.r_max > cd.r0:
         raise ConfigError(f"grid.r_max {config.r_max:g} must exceed the crease radius {cd.r0:g}")
     _require_radii_in_chart(config, cd.plus)
-    rep = build_rep()
-    problem = reduce_radial(cd, rep)
-    psi_inf = np.zeros(rep.dim, dtype=complex)
+    problem = reduce_radial(cd)
+    psi_inf = np.zeros(DIM, dtype=complex)
     psi_inf[0] = 1.0
     sol = solve(assemble(problem, grid), psi_inf)
     mass = adm_energy_momentum(cd.plus, config.radii, order=config.sphere_order)
@@ -232,13 +227,12 @@ def cmd_solve(config: RunConfig, out_dir: str):
 
 
 def cmd_rigidity(config: RunConfig, out_dir: str):
-    rep = build_rep()
     rng = default_rng(config.seed)
     flat = minkowski_slice()
     samples = np.array([[1.0, 2.0, 0.5], [3.0, 0.0, 1.0], [0.5, -1.0, 2.0]])
 
-    c = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-    ls = lapse_shift_from_spinor(rep, constant_spinor_field(rep, c), flat, check_points=samples)
+    c = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
+    ls = lapse_shift_from_spinor(constant_spinor_field(c), flat, check_points=samples)
     kres = killing_conditions_residual(flat, ls, samples)
     dev = killing_development(flat, ls, sample_points=samples)
     flatness = max(riemann_norm(dev, p) for p in samples)
@@ -247,13 +241,13 @@ def cmd_rigidity(config: RunConfig, out_dir: str):
     drift = lorentz_length_drift(flat, ls, curve)
 
     tc = trivial_crease(2.0).with_angle(CreaseAngle.from_constant(math.log(2.0)))
-    a0 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-    a1 = 0.2 * (rng.normal(size=(3, rep.dim)) + 1j * rng.normal(size=(3, rep.dim)))
-    lorentz = crease_lorentz_check(rep, tc, _crease_trace(a0, a1), order=config.sphere_order)
+    a0 = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
+    a1 = 0.2 * (rng.normal(size=(3, DIM)) + 1j * rng.normal(size=(3, DIM)))
+    lorentz = crease_lorentz_check(tc, _crease_trace(a0, a1), order=config.sphere_order)
 
     # the static pair u = 1, Y = 0, exactly, of the constant spinor e_0
     schw = schwarzschild_isotropic(1.0)
-    ls_static = lapse_shift_from_spinor(rep, constant_spinor_field(rep, np.eye(rep.dim)[0]), schw)
+    ls_static = lapse_shift_from_spinor(constant_spinor_field(np.eye(DIM)[0]), schw)
     dev_s = killing_development(schw, ls_static)
     curved_norm = riemann_norm(dev_s, np.array([3.0, 0.2, 0.1]))
 

@@ -9,10 +9,11 @@ before any command runs.  Keys, with their defaults and ranges:
   angle {type: constant, value: f} or {type: cos_theta, amplitude: f} and
   |f| <= `catalog.MAX_ANGLE` = 10.  Every parameter is a finite number.  A
   range only the model sees (a gluing sphere inside the horizon, a base
-  without a crease) exits 2 when a command builds the model.
+  without a crease, trivial_crease's r0 <= 0, graph_slice's width <= 0)
+  exits 2 when a command builds the model.
 - quadrature.sphere_order: 16, within 4..64.
-- radii: [50, 100, 200]; at least 3 numbers, strictly increasing, at most
-  `radial.MAX_R_MAX` = 1e6.
+- radii: [50, 100, 200]; at least 3 positive numbers, strictly increasing,
+  at most `radial.MAX_R_MAX` = 1e6.
 - grid: n_minus 256, n_plus 1024, r_max 400.0; `solve` checks them.
 - ensembles.n_spinors: 4, within 1..256.
 - flux_check: false.  seed: 0, nonnegative.  out_dir: ".".
@@ -123,10 +124,11 @@ def parse_config(text: str) -> RunConfig:
     sphere_order = data.get("quadrature", {}).get("sphere_order", 16)
     n_spinors = data.get("ensembles", {}).get("n_spinors", 4)
     seed = data.get("seed", 0)
-    # the ADM limit extrapolates from the last three radii; the bound also fails NaN and inf
-    if (len(radii) < 3 or any(not _is_number(r) or not abs(r) <= MAX_R_MAX for r in radii)
+    # the ADM limit extrapolates from the last three radii; the bounds also fail NaN and inf
+    if (len(radii) < 3 or any(not _is_number(r) or not 0 < r <= MAX_R_MAX for r in radii)
             or any(b <= a for a, b in zip(radii, radii[1:]))):
-        raise ConfigError(f"radii must be a strictly increasing list of at least 3 numbers, each at most {MAX_R_MAX:g}")
+        raise ConfigError(
+            f"radii must be a strictly increasing list of at least 3 positive numbers, each at most {MAX_R_MAX:g}")
     # identities sums sphere_order x 2 sphere_order^2 LSW nodes in fixed blocks, so its peak stays near 80-115 MiB
     # (3 spinors, 32 and 64), but its time grows with the nodes: 1.1 s at 32, 8.5 s at 64, about 70 s at 128
     if not 4 <= sphere_order <= 64:

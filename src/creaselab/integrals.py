@@ -55,7 +55,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bartnik import bartnik_data, crease_margin
-from .cliffords import CliffordRep, spinor_rotation
+from .cliffords import DIM, GAMMA, GAMMA_GAMMA, GAMMA_TAU, TAU, spinor_rotation
 from .geometry import (
     CreasedData,
     GeometryError,
@@ -254,14 +254,7 @@ def bulk_spin_coefficients(data: InitialData, x) -> np.ndarray:
     return 0.5 * (G + G.transpose(0, 3, 1, 2) - G.transpose(0, 2, 3, 1)) - phi * G
 
 
-def _pair_products(rep: CliffordRep):
-    """gg[j, l] = Gamma^j Gamma^l and gt[j] = Gamma^j tau."""
-    return rep.gamma[:, None] @ rep.gamma[None], rep.gamma @ rep.tau
-
-
-def sen_derivatives(
-    data: InitialData, rep: CliffordRep, field: SpinorField, x, values: np.ndarray | None = None
-) -> np.ndarray:
+def sen_derivatives(data: InitialData, field: SpinorField, x, values: np.ndarray | None = None) -> np.ndarray:
     """Spacetime-connection derivatives in all frame directions; (..., m, I, n).
 
     nabla-bar_a psi = e_a(c) + 1/4 W_{jl}(e_a) Gamma^j Gamma^l c
@@ -269,27 +262,26 @@ def sen_derivatives(
     `values`, when the caller has them, are the field's components c at x.
     """
     f = as_fields(data, x)
-    n, dim = data.n, rep.dim
+    n = data.n
     c = field.evaluate(f.x) if values is None else values
     W = bulk_spin_coefficients(data, f)
     kf = f.frame @ f.k @ np.swapaxes(f.frame, -1, -2)
-    gg, gt = _pair_products(rep)
     # the connection's algebraic part as one (m, a I, K) operator, applied once to the batch:
-    # one real product of [W/4 | k/2] per direction with the float view of [gg; gt]
+    # one real product of [W/4 | k/2] per direction with the float view of [Gamma^j Gamma^l; Gamma^j tau]
     coeffs = np.concatenate([0.25 * W.reshape(-1, n * n), 0.5 * kf.reshape(-1, n)], axis=1)
-    products = np.concatenate([gg.reshape(n * n, dim * dim), gt.reshape(n, dim * dim)]).view(float)
-    conn = (coeffs @ products).view(complex).reshape(-1, n * dim, dim)
+    products = np.concatenate([GAMMA_GAMMA.reshape(n * n, DIM * DIM), GAMMA_TAU.reshape(n, DIM * DIM)]).view(float)
+    conn = (coeffs @ products).view(complex).reshape(-1, n * DIM, DIM)
     out = np.asarray(field.frame_derivatives(data, f), dtype=complex)
     # the product lands in out's (..., m, a, I) memory
-    np.swapaxes(out, -1, -2)[...] += (conn @ c[..., None]).reshape(c.shape[:-1] + (n, dim))
+    np.swapaxes(out, -1, -2)[...] += (conn @ c[..., None]).reshape(c.shape[:-1] + (n, DIM))
     return out
 
 
-def _gamma_contract(rep: CliffordRep, sen: np.ndarray) -> np.ndarray:
+def _gamma_contract(sen: np.ndarray) -> np.ndarray:
     """Gamma^a applied to frame derivatives (..., I, n) and summed over a: one product over (a, K)."""
-    n, dim = rep.n, rep.dim
+    n, dim = GAMMA.shape[:2]
     by_direction = np.swapaxes(sen, -1, -2).reshape(sen.shape[:-2] + (n * dim,))
-    return by_direction @ np.swapaxes(rep.gamma, -1, -2).reshape(n * dim, dim)
+    return by_direction @ np.swapaxes(GAMMA, -1, -2).reshape(n * dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +293,6 @@ ANGLE_STEP = 3e-4  # tuned for the 4th-order angular stencil (truncation vs roun
 
 def boundary_term_density(
     data: InitialData,
-    rep: CliffordRep,
     r0: float,
     grid: SphereGrid,
     trace: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -358,12 +349,11 @@ def boundary_term_density(
     del dc_dtheta, dc_dphi
 
     # D psi = nu . e^alpha (derivative along t_alpha) of psi
-    contracted = np.einsum("aIK,...maK->...mI", rep.gamma[:2], along_t)
-    dirac_b = nu_sign * np.einsum("IK,...mK->...mI", rep.gamma[2], contracted)
+    contracted = np.einsum("aIK,...maK->...mI", GAMMA[:2], along_t)
+    dirac_b = nu_sign * np.einsum("IK,...mK->...mI", GAMMA[2], contracted)
 
-    gt = _pair_products(rep)[1]
-    tau_part = nu_sign * trk[:, None] * np.einsum("IK,...mK->...mI", gt[2], c0) - np.einsum(
-        "ma,aIK,...mK->...mI", beta, gt[:2], c0
+    tau_part = nu_sign * trk[:, None] * np.einsum("IK,...mK->...mI", GAMMA_TAU[2], c0) - np.einsum(
+        "ma,aIK,...mK->...mI", beta, GAMMA_TAU[:2], c0
     )
     # The boundary Dirac term is symmetrized pointwise: its anti-Hermitian
     # part is an exact tangential divergence with vanishing surface
@@ -380,7 +370,7 @@ def boundary_term_density(
 # spinor flux through coordinate spheres (bulk form)
 
 
-def spinor_flux(data: InitialData, rep: CliffordRep, field: SpinorField, r: float, order: int, nu_sign: int = 1):
+def spinor_flux(data: InitialData, field: SpinorField, r: float, order: int, nu_sign: int = 1):
     """Integral of Re<psi, nabla-bar_nu psi + nu . D_W psi> over |x| = r; one value per batch member.
 
     nu = nu_sign * outward unit normal.  Every factor is read in the bulk
@@ -394,31 +384,32 @@ def spinor_flux(data: InitialData, rep: CliffordRep, field: SpinorField, r: floa
     hg = hypersurface_geometry(data, r, f)
     nu = nu_sign * np.einsum("mai,mij,mj->ma", f.frame, f.g, hg.nu)  # nu_a = e_a . g . nu
     c = field.evaluate(f.x)
-    sen = sen_derivatives(data, rep, field, f, values=c)
+    sen = sen_derivatives(data, field, f, values=c)
     along = (sen @ nu[:, :, None])[..., 0]  # nabla-bar_nu psi
-    along += (np.einsum("ma,aIK->mIK", nu, rep.gamma) @ _gamma_contract(rep, sen)[..., None])[..., 0]
+    along += (np.einsum("ma,aIK->mIK", nu, GAMMA) @ _gamma_contract(sen)[..., None])[..., 0]
     density = np.einsum("...mI,...mI->...m", np.conj(c), along).real
     return density @ (hg.area_element * grid.weights)
 
 
-def witten_flux(data: InitialData, rep: CliffordRep, psi_inf: np.ndarray, r: float, order: int = 24):
+def witten_flux(data: InitialData, psi_inf: np.ndarray, r: float, order: int = 24):
     """Spinor flux of constant spinors (..., I) through |x| = r; the leading axes of psi_inf batch them.
 
     In the limit of large r this converges to
     (n-1) omega_{n-1} / 2 * (E |psi_inf|^2 - <psi_inf, P_i e^i tau psi_inf>).
     """
-    return spinor_flux(data, rep, constant_spinor_field(rep, psi_inf), r, order)
+    return spinor_flux(data, constant_spinor_field(psi_inf), r, order)
 
 
-def flux_mass_pairing(rep: CliffordRep, E: float, P: np.ndarray, psi_inf: np.ndarray) -> float:
-    """(n-1) omega_{n-1}/2 (E |psi|^2 - <psi, P_i e^i tau psi>) for constant psi, n = rep.n."""
+def flux_mass_pairing(E: float, P: np.ndarray, psi_inf: np.ndarray) -> float:
+    """(n-1) omega_{n-1}/2 (E |psi|^2 - <psi, P_i e^i tau psi>) for constant psi, n = 3."""
     psi = np.asarray(psi_inf, dtype=complex)
-    pmat = np.einsum("i,iIK->IK", np.asarray(P, dtype=float), rep.gamma) @ rep.tau
+    pmat = np.einsum("i,iIK->IK", np.asarray(P, dtype=float), GAMMA) @ TAU
     val = E * np.vdot(psi, psi) - np.vdot(psi, pmat @ psi)
-    return float((rep.n - 1) * unit_sphere_volume(rep.n) / 2.0 * real_checked(val, label="flux pairing"))
+    n = len(GAMMA)
+    return float((n - 1) * unit_sphere_volume(n) / 2.0 * real_checked(val, label="flux pairing"))
 
 
-def flux_fit_energy_momentum(data: InitialData, rep: CliffordRep, r: float, order: int = 16):
+def flux_fit_energy_momentum(data: InitialData, r: float, order: int = 16):
     """Reconstruct (E, P) from Witten fluxes of a spinor basis by polarization.
 
     The flux of a constant spinor tends to C (E |psi|^2 - <psi, M psi>)
@@ -429,20 +420,18 @@ def flux_fit_energy_momentum(data: InitialData, rep: CliffordRep, r: float, orde
     """
     n = data.n
     C = (n - 1) * unit_sphere_volume(n) / 2.0
-    dim = rep.dim
-    basis = np.eye(dim, dtype=complex)
-    l, mdx = np.triu_indices(dim, k=1)
+    basis = np.eye(DIM, dtype=complex)
+    l, mdx = np.triu_indices(DIM, k=1)
     spinors = np.concatenate([basis, basis[l] + basis[mdx], basis[l] + 1j * basis[mdx]])
-    F = witten_flux(data, rep, spinors, r, order=order) / C
-    diag, f_re, f_im = F[:dim], F[dim : dim + len(l)], F[dim + len(l) :]
+    F = witten_flux(data, spinors, r, order=order) / C
+    diag, f_re, f_im = F[:DIM], F[DIM : DIM + len(l)], F[DIM + len(l) :]
 
     E_fit = float(np.mean(diag))
     M = np.diag(E_fit - diag).astype(complex)
     # F(u) = E|u|^2 - <u, M u>: the two pairings isolate Re and Im of M_lm
     M[l, mdx] = 0.5 * (diag[l] + diag[mdx] - f_re) - 0.5j * (diag[l] + diag[mdx] - f_im)
     M[mdx, l] = np.conj(M[l, mdx])
-    directions = np.einsum("iIK,KL->iIL", rep.gamma, rep.tau)
-    P_fit = np.einsum("IK,iIK->i", M, np.conj(directions)).real / dim
+    P_fit = np.einsum("IK,iIK->i", M, np.conj(GAMMA_TAU)).real / DIM
     return E_fit, P_fit
 
 
@@ -464,7 +453,6 @@ class LswResult:
 
 def lsw_residual(
     data: InitialData,
-    rep: CliffordRep,
     field: SpinorField,
     region: Sequence,
     order: int = 16,
@@ -480,27 +468,27 @@ def lsw_residual(
     if r_order is None:
         r_order = max(24, order)
     pts, w_flat = volume_quadrature(region, r_order, order)
-    gt = _pair_products(rep)[1].reshape(data.n, -1).view(float)
+    gt = GAMMA_TAU.reshape(data.n, -1).view(float)
     matter_int = dirichlet = dirac_sq = 0.0
     for f in field_blocks(data, pts):
         dV, w_flat = np.sqrt(np.linalg.det(f.g)) * w_flat[: len(f.x)], w_flat[len(f.x) :]  # later blocks' weights remain
         cons = constraint_fields(data, f)
         # the matter operator mu + J_a Gamma^a tau per node: frame components of J times the float view of gt
         matter_op = ((f.frame @ cons.J[:, :, None])[:, :, 0] @ gt).view(complex)
-        matter_op = matter_op.reshape(-1, rep.dim, rep.dim) + cons.mu[:, None, None] * np.eye(rep.dim)
+        matter_op = matter_op.reshape(-1, DIM, DIM) + cons.mu[:, None, None] * np.eye(DIM)
         c = field.evaluate(f.x)
         # 1/2 Re<psi, (mu + J tau) psi> as a real inner product of float views
         matter = 0.5 * np.sum(c.view(float) * (matter_op @ c[..., None])[..., 0].view(float), axis=-1)
         matter_int = matter_int + np.sum(matter * dV, axis=-1)
-        sen = sen_derivatives(data, rep, field, f, values=c)
+        sen = sen_derivatives(data, field, f, values=c)
         dirichlet = dirichlet + np.sum(np.einsum("...mIa,...mIa->...m", np.conj(sen), sen).real * dV, axis=-1)
-        dw = _gamma_contract(rep, sen)
+        dw = _gamma_contract(sen)
         dirac_sq = dirac_sq + np.sum(np.einsum("...mI,...mI->...m", np.conj(dw), dw).real * dV, axis=-1)
     bulk = dirichlet - dirac_sq + matter_int
 
-    boundary = spinor_flux(data, rep, field, float(region[-1]), order)
+    boundary = spinor_flux(data, field, float(region[-1]), order)
     if region[0] == "annulus":
-        boundary = boundary + spinor_flux(data, rep, field, float(region[1]), order, nu_sign=-1)
+        boundary = boundary + spinor_flux(data, field, float(region[1]), order, nu_sign=-1)
     return LswResult(
         bulk=bulk,
         boundary=boundary,
@@ -532,7 +520,6 @@ class CreaseBoundaryResult:
 
 def crease_boundary_terms(
     cd: CreasedData,
-    rep: CliffordRep,
     psi_plus: Callable[[np.ndarray, np.ndarray], np.ndarray],
     order: int = 16,
 ) -> CreaseBoundaryResult:
@@ -548,14 +535,14 @@ def crease_boundary_terms(
     r0 = cd.r0
 
     def minus_trace(th, ph):
-        rot = spinor_rotation(rep, np.asarray(cd.angle.value(unit_vectors(th, ph)), dtype=float))
+        rot = spinor_rotation(np.asarray(cd.angle.value(unit_vectors(th, ph)), dtype=float))
         return np.einsum("mIK,...mK->...mI", rot, np.asarray(psi_plus(th, ph), dtype=complex))
 
     c_plus = np.asarray(psi_plus(grid.theta, grid.phi), dtype=complex)
 
     def one_side(data, trace, nu_sign):
         # the Bartnik data are the density's geometry
-        density, hg = boundary_term_density(data, rep, r0, grid, trace, nu_sign)
+        density, hg = boundary_term_density(data, r0, grid, trace, nu_sign)
         return np.sum(density * (hg.area_element * grid.weights), axis=-1), bartnik_data(grid, r0, hg)
 
     i_minus, bm = one_side(cd.minus, minus_trace, 1)
@@ -563,10 +550,9 @@ def crease_boundary_terms(
     # the jump H_+ - F(H_-) is minus the margin report's F(H_-) - H_+, in both its components
     crease = crease_margin(bm, bp, cd.angle)
 
-    gt = _pair_products(rep)[1]
     psi_sq = np.einsum("...mI,...mI->...m", np.conj(c_plus), c_plus).real
-    vec = -crease.tau_component[:, None] * np.einsum("IK,...mK->...mI", gt[2], c_plus) - np.einsum(
-        "ma,aIK,...mK->...mI", crease.beta_delta, gt[:2], c_plus
+    vec = -crease.tau_component[:, None] * np.einsum("IK,...mK->...mI", GAMMA_TAU[2], c_plus) - np.einsum(
+        "ma,aIK,...mK->...mI", crease.beta_delta, GAMMA_TAU[:2], c_plus
     )
     formula_density = 0.5 * (psi_sq * -crease.nu_component + np.einsum("...mI,...mI->...m", np.conj(c_plus), vec))
     dA = bp.area_element * grid.weights

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cliffords import CliffordRep, spinor_rotation
+from .cliffords import GAMMA, TAU, TAU_GAMMA, spinor_rotation
 from .geometry import CreasedData, GeometryError, InitialData, PointFields, as_points, bulk_frame
 from .integrals import bulk_spin_coefficients
 from .spheregrid import sphere_grid
@@ -43,14 +43,13 @@ class LapseShift:
     """Lapse u = |psi|^2 and shift Y_a = <tau e_a psi, psi> (bulk-frame components) of a spinor field."""
 
     data: InitialData
-    rep: CliffordRep
     field: SpinorField
 
     def u(self, x: np.ndarray) -> np.ndarray:
-        return _lapse_shift(self.rep, self.field.evaluate(np.atleast_2d(x)))[0]
+        return _lapse_shift(self.field.evaluate(np.atleast_2d(x)))[0]
 
     def Y_frame(self, x: np.ndarray) -> np.ndarray:
-        return _lapse_shift(self.rep, self.field.evaluate(np.atleast_2d(x)))[1].real
+        return _lapse_shift(self.field.evaluate(np.atleast_2d(x)))[1].real
 
     def Y_vector(self, x: np.ndarray) -> np.ndarray:
         """Coordinate components of the shift vector."""
@@ -65,27 +64,21 @@ class LapseShift:
         return self.u(pts) ** 2 - np.einsum("ma,ma->m", Yf, Yf)
 
 
-def _tau_gamma(rep: CliffordRep) -> np.ndarray:
-    """tau Gamma^a, (n, I, I); each is Hermitian."""
-    return np.einsum("IK,aKL->aIL", rep.tau, rep.gamma)
-
-
-def _lapse_shift(rep: CliffordRep, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lapse_shift(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u = |psi|^2 and Y_a = <tau e_a psi, psi> of spinor components c (m, I); Y is complex, (m, n),
     and real for a genuine shift."""
     u = np.einsum("mI,mI->m", np.conj(c), c).real
     # <tau e_a psi, psi> = conj pairing in the first slot
-    return u, np.conj(np.einsum("aIK,mK,mI->ma", _tau_gamma(rep), c, np.conj(c)))
+    return u, np.conj(np.einsum("aIK,mK,mI->ma", TAU_GAMMA, c, np.conj(c)))
 
 
-def lapse_shift_from_spinor(rep: CliffordRep, field: SpinorField, data: InitialData,
-                            check_points: np.ndarray | None = None) -> LapseShift:
+def lapse_shift_from_spinor(field: SpinorField, data: InitialData, check_points: np.ndarray | None = None) -> LapseShift:
     """Lapse-shift pair of a spinor field; the shift is checked to be real."""
     if check_points is not None:
-        worst = float(np.max(np.abs(_lapse_shift(rep, field.evaluate(np.atleast_2d(check_points)))[1].imag)))
+        worst = float(np.max(np.abs(_lapse_shift(field.evaluate(np.atleast_2d(check_points)))[1].imag)))
         if worst > REALITY_TOL:
             raise KillingError(f"shift vector not real: imaginary part {worst:.3e}")
-    return LapseShift(data=data, rep=rep, field=field)
+    return LapseShift(data=data, field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +98,6 @@ class LorentzCheck:
 
 
 def crease_lorentz_check(
-    rep: CliffordRep,
     cd: CreasedData,
     psi_plus: Callable[[np.ndarray, np.ndarray], np.ndarray],
     order: int = 12,
@@ -120,11 +112,11 @@ def crease_lorentz_check(
     grid = sphere_grid(order)
     f = np.asarray(cd.angle.value(grid.nodes), dtype=float)
     c_plus = np.asarray(psi_plus(grid.theta, grid.phi), dtype=complex)
-    c_minus = np.einsum("mIK,mK->mI", spinor_rotation(rep, f), c_plus)
+    c_minus = np.einsum("mIK,mK->mI", spinor_rotation(f), c_plus)
 
-    n = rep.n
-    u_p, y_p = _lapse_shift(rep, c_plus)
-    u_m, y_m = _lapse_shift(rep, c_minus)
+    n = len(GAMMA)
+    u_p, y_p = _lapse_shift(c_plus)
+    u_m, y_m = _lapse_shift(c_minus)
     y_p, y_m = y_p.real, y_m.real
     y_nu_p, y_nu_m = y_p[:, n - 1], y_m[:, n - 1]
     a, b = np.cosh(f), np.sinh(f)
@@ -150,10 +142,10 @@ def _lapse_shift_jet(data: InitialData, ls: LapseShift, f: PointFields):
     """
     c = ls.field.evaluate(f.x)
     dc = ls.field.frame_derivatives(data, f)  # (m, I, a)
-    u, Y = _lapse_shift(ls.rep, c)
+    u, Y = _lapse_shift(c)
     Y = Y.real
     du = 2.0 * np.einsum("mI,mIa->ma", np.conj(c), dc).real
-    dY = 2.0 * np.einsum("mIa,bIK,mK->mab", np.conj(dc), _tau_gamma(ls.rep), c).real
+    dY = 2.0 * np.einsum("mIa,bIK,mK->mab", np.conj(dc), TAU_GAMMA, c).real
     W = bulk_spin_coefficients(data, f)  # W[m, a, c, b] = g(nabla_a e_c, e_b)
     return u, Y, du, dY + np.einsum("mc,macb->mab", Y, W)
 
@@ -255,7 +247,7 @@ def lorentz_length_drift(data: InitialData, ls: LapseShift, curve: np.ndarray) -
 # explicit parallel spinors on catalog data
 
 
-def graph_slice_parallel_spinor(rep: CliffordRep, data: InitialData, c0: np.ndarray) -> SpinorField:
+def graph_slice_parallel_spinor(data: InitialData, c0: np.ndarray) -> SpinorField:
     """Spacetime-parallel spinor restricted to a Minkowski graph slice.
 
     The slice normal is boosted radially with rapidity chi = -atanh(h');
@@ -270,7 +262,7 @@ def graph_slice_parallel_spinor(rep: CliffordRep, data: InitialData, c0: np.ndar
     if data.profile is None:
         raise KillingError("graph_slice_parallel_spinor needs a radial profile")
     c0 = np.asarray(c0, dtype=complex)
-    tau_c0 = rep.tau @ c0
+    tau_c0 = TAU @ c0
 
     def modes(r):  # U, V, U', V'
         p = data.profile(r)
@@ -279,4 +271,4 @@ def graph_slice_parallel_spinor(rep: CliffordRep, data: InitialData, c0: np.ndar
         ch, sh, dhalf = np.cosh(half)[:, None], np.sinh(half)[:, None], (-0.5 * p.A * p.kappa_n)[:, None]
         return ch * c0, sh * tau_c0, dhalf * sh * c0, dhalf * ch * tau_c0
 
-    return mode_field(rep, data, modes)
+    return mode_field(data, modes)

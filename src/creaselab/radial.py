@@ -27,7 +27,7 @@ at the radii of a node set, once per set; `catalog` derives that profile
 from the same radial functions as g and k, so there is no second
 description of the data to disagree with the first.
 `SideCoefficients.blocks` is that table, and `apply_blocks` evaluates it
-both on spinors, with tau the representation's, and on the channel below,
+both on spinors, with tau = cliffords.TAU, and on the channel below,
 with tau -> 1.  reduce_radial certifies the table on spinors against the
 full Dirac-Witten machinery before a problem is returned; `assemble`
 discretizes the same table, and `mass_gap` integrates it on the channel,
@@ -65,7 +65,7 @@ from numpy.random import default_rng
 
 from . import banded as spla
 from .bartnik import crease_report_for
-from .cliffords import CliffordRep
+from .cliffords import DIM, GAMMA, TAU
 from .geometry import (
     CreasedData,
     GeometryError,
@@ -145,7 +145,7 @@ class SideCoefficients:
 def apply_blocks(side: SideCoefficients, p: RadialProfile, U, dU, V, dV, tau=None) -> dict[str, np.ndarray]:
     """Every block of `side.blocks(p)` on fields whose first axis is the radii of p.
 
-    Spinor fields (m, I) take tau = rep.tau; channel values (m,) take
+    Spinor fields (m, I) take tau = cliffords.TAU; channel values (m,) take
     tau = None, the substitution tau -> 1.
     """
     tU, tV = (U, V) if tau is None else (np.einsum("IK,mK->mI", tau, f) for f in (U, V))
@@ -170,15 +170,15 @@ def spd_frame(p: RadialProfile, om: np.ndarray) -> np.ndarray:
     return (1.0 / p.B)[:, None, None] * (np.eye(om.shape[1]) - P) + (1.0 / p.A)[:, None, None] * P
 
 
-def _spd_to_bulk_lift(rep: CliffordRep, data: InitialData, x) -> np.ndarray:
+def _spd_to_bulk_lift(data: InitialData, x) -> np.ndarray:
     """Spin lift (m, I, I) taking symmetric-square-root-frame components to bulk-frame ones at x."""
     f = as_fields(data, x)
     r = np.linalg.norm(f.x, axis=1)
     S = spd_frame(data.profile(r), f.x / r[:, None])
-    return spin_lift(rep, rotation_between_frames(f.g, frame_from=S, frame_to=f.frame))
+    return spin_lift(rotation_between_frames(f.g, frame_from=S, frame_to=f.frame))
 
 
-def mode_field(rep: CliffordRep, data: InitialData, modes) -> SpinorField:
+def mode_field(data: InitialData, modes) -> SpinorField:
     """Bulk-frame spinor field of the separated form U(r) + (omega.Gamma) V(r), with its gradient.
 
     The mode profiles live in the symmetric-square-root gauge; components
@@ -195,13 +195,13 @@ def mode_field(rep: CliffordRep, data: InitialData, modes) -> SpinorField:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         om = pts / r[:, None]
-        omg = np.einsum("mi,iIK->mIK", om, rep.gamma)
+        omg = np.einsum("mi,iIK->mIK", om, GAMMA)
         U, V, dU, dV = (np.asarray(a, dtype=complex) for a in modes(r))
         return pts, r, om, omg, V, dU, dV, U + np.einsum("mIK,mK->mI", omg, V)
 
     def values(x):
         pts, *_, c_spd = mode(x)
-        return np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, data, pts), c_spd)
+        return np.einsum("mIK,mK->mI", _spd_to_bulk_lift(data, pts), c_spd)
 
     def gradient(x):
         pts, r, om, omg, V, dU, dV, c_spd = mode(x)
@@ -216,14 +216,14 @@ def mode_field(rep: CliffordRep, data: InitialData, modes) -> SpinorField:
         phi = np.tril(np.ones((data.n, data.n)), -1) + 0.5 * np.eye(data.n)
         dF = -(phi * (Fk @ dg @ np.swapaxes(Fk, -1, -2))) @ Fk  # d_k F_bulk
         dO = (dF @ f.g[:, None] + Fk @ dg) @ S[:, None] + (F @ f.g)[:, None] @ dS  # S and dS are symmetric
-        sigma, dsigma = spin_lift(rep, F @ f.g @ S, dO)
+        sigma, dsigma = spin_lift(F @ f.g @ S, dO)
         # d_k c_spd = (U' + (omega.Gamma) V') omega_k + (T_kj / r) Gamma^j V
         d_radial = dU + np.einsum("mIK,mK->mI", omg, dV)
-        dc_spd = d_radial[:, None] * om[:, :, None] + np.einsum("mkj,jIK,mK->mkI", T / r[:, None, None], rep.gamma, V)
+        dc_spd = d_radial[:, None] * om[:, :, None] + np.einsum("mkj,jIK,mK->mkI", T / r[:, None, None], GAMMA, V)
         grad = np.einsum("mkIK,mK->mkI", dsigma, c_spd) + np.einsum("mIK,mkK->mkI", sigma, dc_spd)
         return np.swapaxes(grad, -1, -2)
 
-    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)
+    return SpinorField(values=values, cartesian_gradient=gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +245,13 @@ class OracleReport:
 @dataclass(frozen=True)
 class RadialProblem:
     cd: CreasedData
-    rep: CliffordRep
     minus: SideCoefficients
     plus: SideCoefficients
     angle: float
     oracle: OracleReport
 
 
-def _oracle_side(
-    rep: CliffordRep, side: SideCoefficients, rng: np.random.Generator, n_radii: int
-) -> tuple[float, float]:
+def _oracle_side(side: SideCoefficients, rng: np.random.Generator, n_radii: int) -> tuple[float, float]:
     r_lo = side.r_lo if side.r_lo > 0 else 0.12 * side.r_hi
     r_hi = side.r_hi if math.isfinite(side.r_hi) else max(4.0 * max(r_lo, 1.0), 10.0)
     lo = r_lo + 0.08 * (r_hi - r_lo)
@@ -264,25 +261,25 @@ def _oracle_side(
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts = radii[:, None] * dirs
 
-    u0 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-    v0 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    u0 = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
+    v0 = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
     s = 1.0 / max(r_hi, 1.0)
 
     def modes(r):  # U, V, U', V'
         return ((1.0 + 0.5 * np.sin(s * r))[:, None] * u0[None, :], (s * r + 0.3 * (s * r) ** 2)[:, None] * v0[None, :],
                 (0.5 * s * np.cos(s * r))[:, None] * u0[None, :], (s + 0.6 * s * s * r)[:, None] * v0[None, :])
 
-    field = mode_field(rep, side.data, modes)
+    field = mode_field(side.data, modes)
     f = PointFields(side.data, pts)
-    sen = sen_derivatives(side.data, rep, field, f)
-    full = _gamma_contract(rep, sen)  # the Dirac-Witten operator
+    sen = sen_derivatives(side.data, field, f)
+    full = _gamma_contract(sen)  # the Dirac-Witten operator
     grad_sq_full = np.einsum("mIa,mIa->m", np.conj(sen), sen).real
 
     U, V, dU, dV = modes(radii)
-    b = apply_blocks(side, side.data.profile(radii), U, dU, V, dV, rep.tau)
-    omg = np.einsum("mi,iIK->mIK", dirs, rep.gamma)
+    b = apply_blocks(side, side.data.profile(radii), U, dU, V, dV, TAU)
+    omg = np.einsum("mi,iIK->mIK", dirs, GAMMA)
     reduced_spd = np.einsum("mIK,mK->mI", omg, b["r2"]) - b["r1"]
-    reduced_bulk = np.einsum("mIK,mK->mI", _spd_to_bulk_lift(rep, side.data, f), reduced_spd)
+    reduced_bulk = np.einsum("mIK,mK->mI", _spd_to_bulk_lift(side.data, f), reduced_spd)
     op_defect = float(np.max(np.abs(full - reduced_bulk)))
 
     amp = b["P"] + np.einsum("mIK,mK->mI", omg, b["Q"])
@@ -295,7 +292,7 @@ def _oracle_side(
     return op_defect, grad_defect
 
 
-def reduce_radial(cd: CreasedData, rep: CliffordRep) -> RadialProblem:
+def reduce_radial(cd: CreasedData) -> RadialProblem:
     """Certified reduction of the transmission problem to its lowest angular mode.
 
     Requires spherically symmetric data on both sides and a constant
@@ -311,7 +308,7 @@ def reduce_radial(cd: CreasedData, rep: CliffordRep) -> RadialProblem:
     plus = SideCoefficients(data=cd.plus, r_lo=cd.r0, r_hi=cd.plus.chart.r_max)
     rng = default_rng(712)
     per_side = 10
-    defects = [_oracle_side(rep, s, rng, per_side) for s in (minus, plus)]
+    defects = [_oracle_side(s, rng, per_side) for s in (minus, plus)]
     op_defect = max(d[0] for d in defects)
     grad_defect = max(d[1] for d in defects)
     if not (op_defect <= ORACLE_OPERATOR_TOL and grad_defect <= ORACLE_GRADIENT_TOL):
@@ -319,7 +316,7 @@ def reduce_radial(cd: CreasedData, rep: CliffordRep) -> RadialProblem:
             f"radial reduction disagrees with the full machinery: operator defect {op_defect:.3e}, gradient defect "
             f"{grad_defect:.3e} (tolerances {ORACLE_OPERATOR_TOL:g}, {ORACLE_GRADIENT_TOL:g})"
         )
-    return RadialProblem(cd=cd, rep=rep, minus=minus, plus=plus, angle=float(cd.angle.constant),
+    return RadialProblem(cd=cd, minus=minus, plus=plus, angle=float(cd.angle.constant),
                          oracle=OracleReport(op_defect, grad_defect, radii_checked=2 * per_side))
 
 
@@ -426,13 +423,10 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
     through an affine substitution, so the least-squares solve can never
     trade a constraint defect for residual.
     Only `transmission_block` is built on spinor components; the rest is the
-    scalar channel tau -> 1, so rep.tau must be real, symmetric and square to 1.
+    scalar channel tau -> 1, which holds as TAU is real, symmetric and squares to 1.
     The Poincare forms are left as their rows, for `poincare_estimate` to form.
     """
     grid.validate()
-    rep = problem.rep
-    if np.abs(rep.tau - rep.tau.real.T).max() > 1e-14 or np.abs(rep.tau @ rep.tau - np.eye(rep.dim)).max() > 1e-14:
-        raise RadialError("the tau-channel split needs tau real, symmetric and squaring to 1")
     cd = problem.cd
     Mm, Mp = grid.n_minus + 1, grid.n_plus + 1
     r_m = np.linspace(0.0, cd.r0, Mm)
@@ -501,7 +495,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
     A = spla.WindowRows(residual, start, n)
     return AssembledSystem(
         problem=problem, r_minus=r_m, r_plus=r_p, A=A, rhs=rhs,
-        transmission_block=_rotation_blocks(rep.tau.real, problem.angle),
+        transmission_block=_rotation_blocks(TAU.real, problem.angle),
         grad_rows=spla.WindowRows(np.concatenate([grad_m, grad_p]), np.concatenate([gs_m, gs_p]), n),
         mass_rows=spla.WindowRows(np.concatenate([mass_m, mass_p]), np.concatenate([ms_m, ms_p]), n),
         norm_weights=np.concatenate([w_m, w_p]),
@@ -551,9 +545,8 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     solution keeps its channel values, and its residual and solution norms
     are the channel ones times |psi_inf|, as tau is unitary.
     """
-    rep = system.problem.rep
     psi_inf = np.asarray(psi_inf, dtype=complex)
-    if psi_inf.shape != (rep.dim,):
+    if psi_inf.shape != (DIM,):
         raise RadialError("psi_inf must be a single spinor")
     A = system.A
     N = A.gram()
@@ -579,7 +572,7 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     sol_norm = psi_norm * math.sqrt(np.sum(w_m * (um**2 + vm**2)) + np.sum(w_p * (up**2 + vp**2)))
 
     # the traces as spinors (U, V) on both sides of the crease
-    tau_psi = rep.tau @ psi_inf
+    tau_psi = TAU @ psi_inf
     trace_plus = np.concatenate([up[0] * psi_inf, vp[0] * tau_psi])
     trace_minus = np.concatenate([um[-1] * psi_inf, vm[-1] * tau_psi])
     trans_defect = float(np.max(np.abs(trace_minus - system.transmission_block @ trace_plus)))
@@ -635,7 +628,7 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
     """
     system = sol.system
     problem = system.problem
-    flux = flux_mass_pairing(problem.rep, mass.E, mass.P, sol.psi_inf)
+    flux = flux_mass_pairing(mass.E, mass.P, sol.psi_inf)
     psi_sq = float(np.vdot(sol.psi_inf, sol.psi_inf).real)  # every term below is the channel one times |psi_inf|^2
 
     dirichlet = 0.0

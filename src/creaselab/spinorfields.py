@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cliffords import CliffordRep
+from .cliffords import DIM, GAMMA
 from .geometry import GeometryError, InitialData, as_fields
 
 
@@ -40,12 +40,11 @@ def rotation_between_frames(g: np.ndarray, frame_from: np.ndarray, frame_to: np.
     return np.einsum("...ai,...ij,...bj->...ab", frame_to, g, frame_from)
 
 
-def _rotation_bivector(rep: CliffordRep, axis_scaled: np.ndarray) -> np.ndarray:
+def _rotation_bivector(axis_scaled: np.ndarray) -> np.ndarray:
     """sum_k axis_k * (Gamma_i Gamma_j) over cyclic (i,j,k); batched over axis."""
-    g = rep.gamma
-    b23 = g[1] @ g[2]
-    b31 = g[2] @ g[0]
-    b12 = g[0] @ g[1]
+    b23 = GAMMA[1] @ GAMMA[2]
+    b31 = GAMMA[2] @ GAMMA[0]
+    b12 = GAMMA[0] @ GAMMA[1]
     return (
         axis_scaled[..., 0, None, None] * b23
         + axis_scaled[..., 1, None, None] * b31
@@ -59,7 +58,7 @@ def _axial(M: np.ndarray) -> np.ndarray:
     return 0.5 * np.stack([d[..., 2, 1], d[..., 0, 2], d[..., 1, 0]], axis=-1)
 
 
-def spin_lift(rep: CliffordRep, O: np.ndarray, dO: np.ndarray | None = None):
+def spin_lift(O: np.ndarray, dO: np.ndarray | None = None):
     """Spinor rotation sigma with sigma Gamma_j sigma^{-1} = sum_i O_ij Gamma_i.
 
     Smooth in O away from half turns, as the small frame rotations of
@@ -74,16 +73,16 @@ def spin_lift(rep: CliffordRep, O: np.ndarray, dO: np.ndarray | None = None):
         raise SpinGaugeError("frame rotation too close to a half turn for a stable lift")
     half_cos = np.sqrt((1.0 + c) / 2.0)
     axis_scaled = _axial(O) / (2.0 * half_cos[..., None])  # sin(theta/2) axis, smooth in O
-    eye = np.eye(rep.dim, dtype=complex)
-    sigma = half_cos[..., None, None] * eye + _rotation_bivector(rep, axis_scaled)
+    eye = np.eye(DIM, dtype=complex)
+    sigma = half_cos[..., None, None] * eye + _rotation_bivector(axis_scaled)
     if dO is None:
         return sigma
     dh = np.trace(dO, axis1=-2, axis2=-1) / (8.0 * half_cos[..., None])
     d_axis = (0.5 * _axial(dO) - axis_scaled[..., None, :] * dh[..., None]) / half_cos[..., None, None]
-    return sigma, dh[..., None, None] * eye + _rotation_bivector(rep, d_axis)
+    return sigma, dh[..., None, None] * eye + _rotation_bivector(d_axis)
 
 
-def spin_lift_any(rep: CliffordRep, O: np.ndarray) -> np.ndarray:
+def spin_lift_any(O: np.ndarray) -> np.ndarray:
     """Pointwise lift valid for every rotation angle.
 
     The sign/axis choices are deterministic but not continuous in O; use
@@ -94,10 +93,10 @@ def spin_lift_any(rep: CliffordRep, O: np.ndarray) -> np.ndarray:
         raise SpinGaugeError("rotation batch must have shape (..., 3, 3)")
     flat = O.reshape(-1, 3, 3)
     c = np.clip((np.trace(flat, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
-    sigma = np.empty((flat.shape[0], rep.dim, rep.dim), dtype=complex)
+    sigma = np.empty((flat.shape[0], DIM, DIM), dtype=complex)
     far = c >= -0.8
     if np.any(far):
-        sigma[far] = spin_lift(rep, flat[far])
+        sigma[far] = spin_lift(flat[far])
     near = ~far
     if np.any(near):
         cn = c[near]
@@ -114,14 +113,13 @@ def spin_lift_any(rep: CliffordRep, O: np.ndarray) -> np.ndarray:
         # align the axis with the skew part when the rotation is not an exact half turn
         dots = np.einsum("ki,ki->k", picked, _axial(flat[near]))
         picked = picked * np.where(dots < 0.0, -1.0, 1.0)[:, None]
-        eye = np.eye(rep.dim, dtype=complex)
-        sigma[near] = np.cos(theta / 2.0)[:, None, None] * eye + _rotation_bivector(
-            rep, np.sin(theta / 2.0)[:, None] * picked
-        )
-    return sigma.reshape(O.shape[:-2] + (rep.dim, rep.dim))
+        eye = np.eye(DIM, dtype=complex)
+        bivector = _rotation_bivector(np.sin(theta / 2.0)[:, None] * picked)
+        sigma[near] = np.cos(theta / 2.0)[:, None, None] * eye + bivector
+    return sigma.reshape(O.shape[:-2] + (DIM, DIM))
 
 
-def anchored_spin_lift(rep: CliffordRep, O_anchor: np.ndarray, O: np.ndarray) -> np.ndarray:
+def anchored_spin_lift(O_anchor: np.ndarray, O: np.ndarray) -> np.ndarray:
     """Lift of O, smooth for O near the per-node anchor rotations.
 
     sigma(O) = sigma_any(O_anchor) * sigma_smooth(O_anchor^T O); the
@@ -129,9 +127,9 @@ def anchored_spin_lift(rep: CliffordRep, O_anchor: np.ndarray, O: np.ndarray) ->
     so the result is smooth there regardless of the anchor's angle.  The
     tests use it to put a bulk field into the adapted sphere gauge.
     """
-    sigma0 = spin_lift_any(rep, O_anchor)
+    sigma0 = spin_lift_any(O_anchor)
     rel = np.einsum("...ji,...jk->...ik", O_anchor, O)
-    return sigma0 @ spin_lift(rep, rel)
+    return sigma0 @ spin_lift(rel)
 
 
 @dataclass
@@ -143,7 +141,6 @@ class SpinorField:
     frame derivatives are the frame applied to that gradient.
     """
 
-    rep: CliffordRep
     values: Callable[[np.ndarray], np.ndarray]
     cartesian_gradient: Callable[[np.ndarray], np.ndarray]
 
@@ -158,29 +155,29 @@ class SpinorField:
         return np.swapaxes((f.frame @ by_direction.view(float)).view(complex), -1, -2)
 
 
-def constant_spinor_field(rep: CliffordRep, components: np.ndarray) -> SpinorField:
+def constant_spinor_field(components: np.ndarray) -> SpinorField:
     """Constant components (..., I); leading axes batch several spinors."""
     comp = np.asarray(components, dtype=complex)
-    if comp.shape[-1:] != (rep.dim,):
-        raise GeometryError(f"constant spinor needs {rep.dim} components")
+    if comp.shape[-1:] != (DIM,):
+        raise GeometryError(f"constant spinor needs {DIM} components")
 
     def values(x):
-        return np.broadcast_to(comp[..., None, :], comp.shape[:-1] + (np.shape(x)[0], rep.dim)).copy()
+        return np.broadcast_to(comp[..., None, :], comp.shape[:-1] + (np.shape(x)[0], DIM)).copy()
 
     def gradient(x):
-        return np.zeros(comp.shape[:-1] + (np.shape(x)[0], rep.dim, rep.n), dtype=complex)
+        return np.zeros(comp.shape[:-1] + (np.shape(x)[0], DIM, len(GAMMA)), dtype=complex)
 
-    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)
+    return SpinorField(values=values, cartesian_gradient=gradient)
 
 
-def polynomial_spinor_field(rep: CliffordRep, coeffs: np.ndarray, exponents: np.ndarray) -> SpinorField:
+def polynomial_spinor_field(coeffs: np.ndarray, exponents: np.ndarray) -> SpinorField:
     """Components c_I(x) = sum_t coeffs[..., I, t] * prod_i x_i^exponents[t, i]."""
     coeffs = np.asarray(coeffs, dtype=complex)
     exponents = np.asarray(exponents, dtype=int)
     nterms = exponents.shape[0]
-    if coeffs.shape[-2:] != (rep.dim, nterms):
+    if coeffs.shape[-2:] != (DIM, nterms):
         raise GeometryError("coefficient array must have shape (..., I, nterms)")
-    n = rep.n
+    n = len(GAMMA)
     axes = np.arange(n)
     # coefficients as a real (..., t, 2I) matrix (interleaved real and imaginary parts), so a real
     # monomial matrix multiplies it without a complex copy and the product views as complex
@@ -201,13 +198,12 @@ def polynomial_spinor_field(rep: CliffordRep, coeffs: np.ndarray, exponents: np.
         pw = powers(x)
         dmono = np.stack([exponents[:, i] * np.prod(pw[:, axes, lowered[i]], axis=-1) for i in range(n)], axis=1)
         grad = (dmono.reshape(-1, nterms) @ coeffs_ri).view(complex)  # (..., m n, I)
-        return np.swapaxes(grad.reshape(grad.shape[:-2] + (x.shape[0], n, rep.dim)), -1, -2)
+        return np.swapaxes(grad.reshape(grad.shape[:-2] + (x.shape[0], n, DIM)), -1, -2)
 
-    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)
+    return SpinorField(values=values, cartesian_gradient=gradient)
 
 
 def random_polynomial_field(
-    rep: CliffordRep,
     rng: np.random.Generator,
     shape: tuple[int, ...],
     degree: int = 2,
@@ -225,6 +221,6 @@ def random_polynomial_field(
                 exps.append((a, b, total - a - b))
     exponents = np.asarray(exps, dtype=int)
     damp = scale ** np.sum(exponents, axis=1)
-    z = rng.normal(size=tuple(shape) + (2, rep.dim, len(exps)))  # real and imaginary parts
+    z = rng.normal(size=tuple(shape) + (2, DIM, len(exps)))  # real and imaginary parts
     coeffs = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) * damp
-    return polynomial_spinor_field(rep, coeffs, exponents)
+    return polynomial_spinor_field(coeffs, exponents)

@@ -394,18 +394,32 @@ def test_nonfinite_result_exits_3_without_report(tmp_path, capsys, monkeypatch):
         ({"catalog": {"name": "schwarzschild_isotropic", "params": {"m": [1.0]}}}, "catalog.params.m must be a number"),
         # 1e300 overflowed r ** 2 in the ADM integrals and exited 3
         ({"catalog": {"name": "minkowski_slice"}, "radii": [1e300, 1e301, 1e302]}, "each at most 1e+06"),
+        # r = 0 passed the chart check, and every closure divided by it; a negative radius left the chart at run time
+        ({"catalog": {"name": "minkowski_slice"}, "radii": [0.0, 1.0, 2.0]}, "at least 3 positive numbers"),
+        ({"catalog": {"name": "graph_slice"}, "radii": [0.0, 1.0, 2.0]}, "at least 3 positive numbers"),
+        ({"catalog": {"name": "minkowski_slice"}, "radii": [-3.0, -2.0, -1.0]}, "at least 3 positive numbers"),
         # at f = 50 the roundoff of cosh(f) H swamps a margin of about -0.38, so crease-check passed; 1000 overflowed
         ({"catalog": _rotated({"type": "constant", "value": 50.0})}, "catalog.angle.value must lie within [-10, 10]"),
         ({"catalog": _rotated({"type": "constant", "value": 1000.0})}, "catalog.angle.value must lie within"),
         ({"catalog": _rotated({"type": "cos_theta", "amplitude": 50.0})}, "catalog.angle.amplitude must lie within"),
     ],
     ids=["one-radius", "decreasing-radii", "boolean-param", "boolean-base-param", "string-param", "list-param",
-         "radii-above-1e6", "angle-value-50", "angle-value-1000", "angle-amplitude-50"],
+         "radii-above-1e6", "zero-radius-minkowski", "zero-radius-graph", "negative-radii", "angle-value-50",
+         "angle-value-1000", "angle-amplitude-50"],
 )
 def test_parse_time_contract_exits_2(tmp_path, capsys, doc, message):
     # E is extrapolated from the last three radii, and every model parameter is a number
     assert _run("adm", _write_config(tmp_path, "bad.yaml", doc), tmp_path / "out") == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_negative_radii_exit_2_on_a_command_that_reads_none(tmp_path, capsys):
+    # rigidity reads no radius, and exited 0 on these
+    doc = yaml.safe_load(RIGIDITY_SMALL.read_text(encoding="utf-8"))
+    doc["radii"] = [-3.0, -2.0, -1.0]
+    assert _run("rigidity", _write_config(tmp_path, "neg.yaml", doc), tmp_path / "out") == 2
+    assert "at least 3 positive numbers" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -435,10 +449,17 @@ def test_largest_crease_angle_and_radii_parse():
                                       "base_params": {"m": 1.0, "rho0": 3.0},
                                       "angle": {"type": "constant", "value": 0.3, "amplitude": 0.3}}},
          "'constant' has no parameter amplitude"),
+        # r0 <= 0 ended in a numpy traceback (solve) or a numeric error (exit 3); width 0 in a non-finite report
+        *((command, {"catalog": {"name": "trivial_crease", "params": {"r0": r0}}}, "trivial_crease needs r0 > 0")
+          for r0 in (0.0, -1.0) for command in ("solve", "identities", "crease-check")),
+        *((command, {"catalog": {"name": "graph_slice", "params": {"width": 0.0}}}, "graph_slice needs width > 0")
+          for command in ("identities", "adm")),
     ],
     ids=["solve-r_max-inside-crease", "adm-radii-inside-chart", "solve-radii-inside-chart",
          "solve-varying-angle", "rotated-uncreased-base", "cos_theta-angle-with-value",
-         "constant-angle-with-amplitude"],
+         "constant-angle-with-amplitude", "trivial-r0-0-solve", "trivial-r0-0-identities", "trivial-r0-0-crease-check",
+         "trivial-r0-negative-solve", "trivial-r0-negative-identities", "trivial-r0-negative-crease-check",
+         "graph-width-0-identities", "graph-width-0-adm"],
 )
 def test_run_time_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     config = {"catalog": {"name": "miao_corner", "params": {"m": 1.0, "rho0": 3.0}}, **doc}

@@ -18,7 +18,7 @@ from creaselab.catalog import (
     graph_slice,
     schwarzschild_isotropic,
 )
-from creaselab.cliffords import build_rep
+from creaselab.cliffords import DIM, GAMMA, TAU
 from creaselab.geometry import (
     Chart,
     InitialData,
@@ -31,7 +31,6 @@ from creaselab.integrals import bulk_spin_coefficients, sen_derivatives, volume_
 from creaselab.killing import killing_development, lapse_shift_from_spinor, riemann_norm
 from creaselab.spinorfields import constant_spinor_field, random_polynomial_field
 
-REP = build_rep()
 TOL = 1e-13
 
 
@@ -129,8 +128,8 @@ def ref_sen_derivatives(f, field, W):
     c = field.evaluate(f.x)
     e_c = np.einsum("mai,...mIi->...mIa", f.frame, field.cartesian_gradient(f.x))
     kf = np.einsum("mai,mij,mbj->mab", f.frame, f.k, f.frame)
-    spin = 0.25 * np.einsum("majl,jIK,lKL,...mL->...mIa", W, REP.gamma, REP.gamma, c)
-    extrinsic = 0.5 * np.einsum("maj,jIK,KL,...mL->...mIa", kf, REP.gamma, REP.tau, c)
+    spin = 0.25 * np.einsum("majl,jIK,lKL,...mL->...mIa", W, GAMMA, GAMMA, c)
+    extrinsic = 0.5 * np.einsum("maj,jIK,KL,...mL->...mIa", kf, GAMMA, TAU, c)
     return e_c, spin, extrinsic
 
 
@@ -202,11 +201,11 @@ def test_spin_coefficients_and_sen_derivatives_match_reference(name, data, pts):
     ref_W = ref_spin_coefficients(f.frame, f.dg)
     W = bulk_spin_coefficients(data, f)
     close(W, ref_W, np.abs(f.dg).max())
-    field = random_polynomial_field(REP, np.random.default_rng(11), (3, 2), degree=2, scale=0.3)
+    field = random_polynomial_field(np.random.default_rng(11), (3, 2), degree=2, scale=0.3)
     e_c, spin, extrinsic = ref_sen_derivatives(f, field, ref_W)
     close(field.frame_derivatives(data, f), e_c, np.abs(field.cartesian_gradient(f.x)).max())
-    sen = sen_derivatives(data, REP, field, f)
-    assert sen.shape == (3, 2, len(f.x), REP.dim, 3)
+    sen = sen_derivatives(data, field, f)
+    assert sen.shape == (3, 2, len(f.x), DIM, 3)
     close(sen, e_c + spin + extrinsic, e_c, spin, extrinsic)
 
 
@@ -250,7 +249,7 @@ def ref_riemann_norm(dm, x0):
 def test_batched_riemann_norm_matches_point_loop():
     data = schwarzschild_isotropic(1.0)
     # the static pair u = 1, Y = 0 of the constant spinor e_0
-    ls = lapse_shift_from_spinor(REP, constant_spinor_field(REP, np.eye(REP.dim)[0]), data)
+    ls = lapse_shift_from_spinor(constant_spinor_field(np.eye(DIM)[0]), data)
     dev = killing_development(data, ls)
     for p in ([3.0, 0.2, 0.1], [1.5, -2.0, 0.7]):
         point = np.array(p)

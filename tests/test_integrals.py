@@ -14,7 +14,7 @@ from creaselab.catalog import (
     schwarzschild_exterior_area_radius,
     schwarzschild_isotropic,
 )
-from creaselab.cliffords import build_rep
+from creaselab.cliffords import DIM, GAMMA, TAU
 from creaselab.geometry import (
     Chart,
     InitialData,
@@ -52,15 +52,13 @@ from creaselab.spinorfields import (
     spin_lift_any,
 )
 
-REP = build_rep()
 
-
-def dirac_witten_apply(data: InitialData, rep, field: SpinorField, x) -> np.ndarray:
+def dirac_witten_apply(data: InitialData, field: SpinorField, x) -> np.ndarray:
     """Frame-contracted spacetime connection, e^a nabla-bar_a psi."""
-    return _gamma_contract(rep, sen_derivatives(data, rep, field, x))
+    return _gamma_contract(sen_derivatives(data, field, x))
 
 
-def radial_bump_field(rep, components: np.ndarray, r_lo: float, r_hi: float) -> SpinorField:
+def radial_bump_field(components: np.ndarray, r_lo: float, r_hi: float) -> SpinorField:
     """Constant spinor windowed by a Gaussian in radius, supported well inside [r_lo, r_hi]."""
     comp = np.asarray(components, dtype=complex)
     center = 0.5 * (r_lo + r_hi)
@@ -79,7 +77,7 @@ def radial_bump_field(rep, components: np.ndarray, r_lo: float, r_hi: float) -> 
         om = x / r[:, None]
         return dwin[:, None, None] * comp[None, :, None] * om[:, None, :]
 
-    return SpinorField(rep=rep, values=values, cartesian_gradient=gradient)
+    return SpinorField(values=values, cartesian_gradient=gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +114,20 @@ def test_spin_lift_intertwines_random_rotations():
         for lift in (spin_lift, spin_lift_any):
             if lift is spin_lift and np.trace(O) < -0.6:
                 continue
-            sigma = lift(REP, O[None])[0]
+            sigma = lift(O[None])[0]
             assert np.max(np.abs(sigma @ sigma.conj().T - np.eye(4))) < 1e-13
             for j in range(3):
-                lhs = sigma @ REP.gamma[j] @ sigma.conj().T
-                rhs = np.einsum("i,ikl->kl", O[:, j], REP.gamma)
+                lhs = sigma @ GAMMA[j] @ sigma.conj().T
+                rhs = np.einsum("i,ikl->kl", O[:, j], GAMMA)
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_spin_lift_any_handles_half_turns():
     O = np.diag([1.0, -1.0, -1.0])  # half turn about x
-    sigma = spin_lift_any(REP, O[None])[0]
+    sigma = spin_lift_any(O[None])[0]
     for j in range(3):
-        lhs = sigma @ REP.gamma[j] @ sigma.conj().T
-        rhs = np.einsum("i,ikl->kl", O[:, j], REP.gamma)
+        lhs = sigma @ GAMMA[j] @ sigma.conj().T
+        rhs = np.einsum("i,ikl->kl", O[:, j], GAMMA)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -267,40 +265,40 @@ def test_spin_coefficients_match_frame_differences(maker):
 def test_sen_fused_operator_matches_unfused_contraction():
     data = graph_slice()
     rng = np.random.default_rng(13)
-    fld = random_polynomial_field(REP, rng, (3,), degree=2, scale=0.3)
+    fld = random_polynomial_field(rng, (3,), degree=2, scale=0.3)
     pts = np.array([[4.0, 1.0, 1.5], [3.5, -2.0, 0.7], [5.0, 0.1, -0.4], [-1.0, 4.2, 2.0]])
     frame = bulk_frame(data, pts)
     W = bulk_spin_coefficients(data, pts)
     kf = np.einsum("mai,mij,mbj->mab", frame, data.k(pts), frame)
-    gg = np.einsum("jIK,lKL->jlIL", REP.gamma, REP.gamma)
-    gt = np.einsum("jIK,KL->jIL", REP.gamma, REP.tau)
+    gg = np.einsum("jIK,lKL->jlIL", GAMMA, GAMMA)
+    gt = np.einsum("jIK,KL->jIL", GAMMA, TAU)
     c = fld.evaluate(pts)
     unfused = (fld.frame_derivatives(data, pts)
                + 0.25 * np.einsum("majl,jlIK,...mK->...mIa", W, gg, c)
                + 0.5 * np.einsum("maj,jIK,...mK->...mIa", kf, gt, c))
-    fused = sen_derivatives(data, REP, fld, pts)
-    assert fused.shape == unfused.shape == (3, 4, REP.dim, 3)
+    fused = sen_derivatives(data, fld, pts)
+    assert fused.shape == unfused.shape == (3, 4, DIM, 3)
     assert np.max(np.abs(fused - unfused)) < 1e-14 * max(1.0, np.max(np.abs(unfused)))
 
 
 def test_sen_constant_on_flat():
     flat = minkowski_slice()
-    fld = constant_spinor_field(REP, np.array([1.0, 0.5j, -0.25, 0.125]))
+    fld = constant_spinor_field(np.array([1.0, 0.5j, -0.25, 0.125]))
     pts = np.array([[1.0, 2.0, 0.5], [0.3, -0.2, 4.0]])
-    assert np.max(np.abs(sen_derivatives(flat, REP, fld, pts))) == 0.0
-    assert np.max(np.abs(dirac_witten_apply(flat, REP, fld, pts))) == 0.0
+    assert np.max(np.abs(sen_derivatives(flat, fld, pts))) == 0.0
+    assert np.max(np.abs(dirac_witten_apply(flat, fld, pts))) == 0.0
 
 
 def test_sen_reduces_to_spin_derivative_when_k_zero():
     data = schwarzschild_isotropic(1.0)
     rng = np.random.default_rng(5)
-    fld = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
+    fld = random_polynomial_field(rng, (), degree=2, scale=0.2)
     pts = np.array([[3.0, 1.0, 0.5]])
-    sen = sen_derivatives(data, REP, fld, pts)
+    sen = sen_derivatives(data, fld, pts)
     # re-assemble the pure spin derivative: k = 0 means no tau coupling
     dc = fld.frame_derivatives(data, pts)
     W = bulk_spin_coefficients(data, pts)
-    gg = np.einsum("jIK,lKL->jlIL", REP.gamma, REP.gamma)
+    gg = np.einsum("jIK,lKL->jlIL", GAMMA, GAMMA)
     spin = 0.25 * np.einsum("majl,jlIK,mK->mIa", W, gg, fld.evaluate(pts))
     assert np.max(np.abs(sen - (dc + spin))) < 1e-14
 
@@ -308,16 +306,16 @@ def test_sen_reduces_to_spin_derivative_when_k_zero():
 def test_sen_step_halving_oracle():
     data = graph_slice()
     rng = np.random.default_rng(11)
-    analytic = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
+    analytic = random_polynomial_field(rng, (), degree=2, scale=0.2)
     h = 5e-7
 
     def central_difference(x):
         return np.stack([(analytic.values(x + e) - analytic.values(x - e)) / (2.0 * h) for e in h * np.eye(3)], axis=-1)
 
-    fd_half = SpinorField(rep=REP, values=analytic.values, cartesian_gradient=central_difference)
+    fd_half = SpinorField(values=analytic.values, cartesian_gradient=central_difference)
     pts = np.array([[4.0, 1.0, 1.5], [3.5, -2.0, 0.7], [5.0, 0.1, -0.4]])
-    a = sen_derivatives(data, REP, analytic, pts)
-    b = sen_derivatives(data, REP, fd_half, pts)
+    a = sen_derivatives(data, analytic, pts)
+    b = sen_derivatives(data, fd_half, pts)
     assert np.max(np.abs(a - b)) < 1e-6
 
 
@@ -326,9 +324,9 @@ def test_sen_single_direction_accessor():
     # check each slice against a hand-assembled derivative along the frame vector e_i
     data = graph_slice()
     rng = np.random.default_rng(2)
-    fld = random_polynomial_field(REP, rng, (), degree=1, scale=0.3)
+    fld = random_polynomial_field(rng, (), degree=1, scale=0.3)
     pts = np.array([[4.0, 0.5, 1.0]])
-    allof = sen_derivatives(data, REP, fld, pts)
+    allof = sen_derivatives(data, fld, pts)
     frame = bulk_frame(data, pts)[0]
     W = bulk_spin_coefficients(data, pts)[0]
     kf = frame @ data.k(pts)[0] @ frame.T
@@ -337,35 +335,34 @@ def test_sen_single_direction_accessor():
     for i in (1, 2, 3):
         e = frame[i - 1]
         along = (fld.evaluate(pts + h * e)[0] - fld.evaluate(pts - h * e)[0]) / (2.0 * h)
-        conn = sum(0.25 * W[i - 1, j, l] * REP.gamma[j] @ REP.gamma[l] for j in range(3) for l in range(3))
-        conn = conn + sum(0.5 * kf[i - 1, j] * REP.gamma[j] @ REP.tau for j in range(3))
+        conn = sum(0.25 * W[i - 1, j, l] * GAMMA[j] @ GAMMA[l] for j in range(3) for l in range(3))
+        conn = conn + sum(0.5 * kf[i - 1, j] * GAMMA[j] @ TAU for j in range(3))
         assert np.max(np.abs(allof[0, :, i - 1] - (along + conn @ c))) < 1e-8
 
 
 def test_dirac_witten_linearity():
     data = graph_slice()
     rng = np.random.default_rng(7)
-    f1 = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
-    f2 = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
+    f1 = random_polynomial_field(rng, (), degree=2, scale=0.2)
+    f2 = random_polynomial_field(rng, (), degree=2, scale=0.2)
     a, b = 1.3 - 0.2j, -0.7j
     combo = SpinorField(
-        rep=REP,
         values=lambda x: a * f1.values(x) + b * f2.values(x),
         cartesian_gradient=lambda x: a * f1.cartesian_gradient(x) + b * f2.cartesian_gradient(x),
     )
     pts = np.array([[4.0, 1.0, 0.3], [2.0, -1.0, 2.0]])
-    lhs = dirac_witten_apply(data, REP, combo, pts)
-    rhs = a * dirac_witten_apply(data, REP, f1, pts) + b * dirac_witten_apply(data, REP, f2, pts)
+    lhs = dirac_witten_apply(data, combo, pts)
+    rhs = a * dirac_witten_apply(data, f1, pts) + b * dirac_witten_apply(data, f2, pts)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_dirac_witten_formal_self_adjointness():
     flat = minkowski_slice()
-    psi = radial_bump_field(REP, np.array([1.0, 0.3j, -0.2, 0.5]), 0.5, 2.0)
-    phi = radial_bump_field(REP, np.array([0.2, 1.0, 0.4j, -0.3]), 0.5, 2.0)
+    psi = radial_bump_field(np.array([1.0, 0.3j, -0.2, 0.5]), 0.5, 2.0)
+    phi = radial_bump_field(np.array([0.2, 1.0, 0.4j, -0.3]), 0.5, 2.0)
     pts, w = volume_quadrature(("ball", 2.0), 32, 12)
-    dwp = dirac_witten_apply(flat, REP, psi, pts)
-    dwq = dirac_witten_apply(flat, REP, phi, pts)
+    dwp = dirac_witten_apply(flat, psi, pts)
+    dwq = dirac_witten_apply(flat, phi, pts)
     lhs = np.sum(w * np.einsum("mI,mI->m", np.conj(dwp), phi.evaluate(pts)))
     rhs = np.sum(w * np.einsum("mI,mI->m", np.conj(psi.evaluate(pts)), dwq))
     assert abs(lhs - rhs) < 1e-10
@@ -374,11 +371,11 @@ def test_dirac_witten_formal_self_adjointness():
 def test_dirac_witten_green_identity_with_boundary():
     flat = minkowski_slice()
     rng = np.random.default_rng(3)
-    f1 = random_polynomial_field(REP, rng, (), degree=2, scale=0.3)
-    f2 = random_polynomial_field(REP, rng, (), degree=2, scale=0.3)
+    f1 = random_polynomial_field(rng, (), degree=2, scale=0.3)
+    f2 = random_polynomial_field(rng, (), degree=2, scale=0.3)
     pts, w = volume_quadrature(("ball", 2.0), 32, 16)
-    dw1 = dirac_witten_apply(flat, REP, f1, pts)
-    dw2 = dirac_witten_apply(flat, REP, f2, pts)
+    dw1 = dirac_witten_apply(flat, f1, pts)
+    dw2 = dirac_witten_apply(flat, f2, pts)
     vol = np.sum(
         w
         * (
@@ -388,7 +385,7 @@ def test_dirac_witten_green_identity_with_boundary():
     )
     grid = sphere_grid(16)
     xb = 2.0 * grid.nodes
-    nu_psi = np.einsum("mi,iIK,mK->mI", grid.nodes, REP.gamma, f1.evaluate(xb))
+    nu_psi = np.einsum("mi,iIK,mK->mI", grid.nodes, GAMMA, f1.evaluate(xb))
     bnd = 4.0 * grid.integrate(np.einsum("mI,mI->m", np.conj(nu_psi), f2.evaluate(xb)))
     assert abs(vol - bnd) < 1e-10 * (1.0 + abs(vol))
 
@@ -399,14 +396,14 @@ def test_dirac_witten_green_identity_with_boundary():
 
 def test_witten_flux_flat_vanishes():
     flat = minkowski_slice()
-    assert abs(witten_flux(flat, REP, np.array([1.0, 0.5j, -0.25, 0.125]), 10.0, order=12)) < 1e-10
+    assert abs(witten_flux(flat, np.array([1.0, 0.5j, -0.25, 0.125]), 10.0, order=12)) < 1e-10
 
 
 def test_witten_flux_schwarzschild_limit():
     data = schwarzschild_isotropic(1.0)
     psi = np.array([1.0, 0.0, 0.0, 0.0])
-    flux = witten_flux(data, REP, psi, 200.0, order=16)
-    target = flux_mass_pairing(REP, 1.0, np.zeros(3), psi)
+    flux = witten_flux(data, psi, 200.0, order=16)
+    target = flux_mass_pairing(1.0, np.zeros(3), psi)
     assert target == pytest.approx(4.0 * math.pi, rel=1e-12)
     assert abs(flux - target) <= 0.02 * target
 
@@ -414,7 +411,7 @@ def test_witten_flux_schwarzschild_limit():
 def test_witten_flux_decay_rate():
     data = schwarzschild_isotropic(1.0)
     psi = np.array([1.0, 0.0, 0.0, 0.0])
-    errs = [abs(witten_flux(data, REP, psi, r, order=16) - 4.0 * math.pi)
+    errs = [abs(witten_flux(data, psi, r, order=16) - 4.0 * math.pi)
             for r in (50.0, 100.0, 200.0, 400.0)]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     rate = math.log2(errs[0] / errs[-1]) / 3.0
@@ -425,10 +422,10 @@ def test_witten_flux_batch_matches_single_spinors():
     data = schwarzschild_isotropic(1.0)
     rng = np.random.default_rng(12)
     spinors = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
-    batch = witten_flux(data, REP, spinors, 50.0, order=12)
+    batch = witten_flux(data, spinors, 50.0, order=12)
     assert batch.shape == (2, 3)
     for idx in np.ndindex(2, 3):
-        single = witten_flux(data, REP, spinors[idx], 50.0, order=12)
+        single = witten_flux(data, spinors[idx], 50.0, order=12)
         assert np.ndim(single) == 0
         assert abs(batch[idx] - single) <= 1e-13 * abs(single)
 
@@ -449,7 +446,7 @@ def _sphere_gauge_trace(data, field, r, grid):
 
     def trace(theta, phi):
         f, rotation = fields_and_rotation(theta, phi)
-        sigma = anchored_spin_lift(REP, anchor, rotation)
+        sigma = anchored_spin_lift(anchor, rotation)
         return np.einsum("mji,...mj->...mi", np.conj(sigma), field.evaluate(f.x))
 
     return trace
@@ -462,18 +459,18 @@ def test_sphere_gauge_form_matches_bulk_form(data, nu_sign):
     # differs from the bulk form by a tangential divergence; graph_slice has k != 0 at r = 4.5
     r, order = 4.5, 16
     grid = sphere_grid(order)
-    field = random_polynomial_field(REP, np.random.default_rng(5), (3,), degree=2, scale=0.2)
+    field = random_polynomial_field(np.random.default_rng(5), (3,), degree=2, scale=0.2)
     trace = _sphere_gauge_trace(data, field, r, grid)
-    density, hg = boundary_term_density(data, REP, r, grid, trace, nu_sign)
+    density, hg = boundary_term_density(data, r, grid, trace, nu_sign)
     sigma_form = np.sum(density * (hg.area_element * grid.weights), axis=-1)
-    bulk_form = spinor_flux(data, REP, field, r, order, nu_sign=nu_sign)
+    bulk_form = spinor_flux(data, field, r, order, nu_sign=nu_sign)
     assert np.max(np.abs(sigma_form - bulk_form)) <= 1e-8 * np.max(np.abs(bulk_form))
 
 
 def test_flux_fit_matches_adm():
     data = schwarzschild_isotropic(1.0)
     adm = adm_energy_momentum(data, [50.0, 100.0, 200.0], order=24)
-    E_fit, P_fit = flux_fit_energy_momentum(data, REP, 200.0, order=12)
+    E_fit, P_fit = flux_fit_energy_momentum(data, 200.0, order=12)
     assert abs(E_fit - adm.E) <= 0.02 * abs(adm.E)
     assert np.max(np.abs(P_fit - adm.P)) <= 0.02 * (abs(adm.E) + 1.0)
 
@@ -484,8 +481,8 @@ def test_flux_fit_matches_adm():
 
 def test_lsw_flat_constant():
     flat = minkowski_slice()
-    fld = constant_spinor_field(REP, np.array([1.0, 0.5j, -0.25, 0.125]))
-    res = lsw_residual(flat, REP, fld, ("ball", 2.0), order=12)
+    fld = constant_spinor_field(np.array([1.0, 0.5j, -0.25, 0.125]))
+    res = lsw_residual(flat, fld, ("ball", 2.0), order=12)
     assert res.bulk == 0.0
     assert abs(res.boundary) < 1e-10
     assert abs(res.residual) < 1e-10
@@ -497,8 +494,8 @@ def test_lsw_identity_annulus(maker):
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(3):
-        fld = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
-        res = lsw_residual(data, REP, fld, ("annulus", 3.0, 6.0), order=16)
+        fld = random_polynomial_field(rng, (), degree=2, scale=0.2)
+        res = lsw_residual(data, fld, ("annulus", 3.0, 6.0), order=16)
         worst = max(worst, abs(res.residual) / (abs(res.bulk) + 1.0))
     assert worst <= 1e-6
 
@@ -510,22 +507,22 @@ def test_lsw_identity_annulus(maker):
 )
 def test_lsw_closes_at_roundoff(data, r_order):
     # every term is analytic, so only the quadrature limits the residual
-    fld = random_polynomial_field(REP, np.random.default_rng(1), (3,), degree=2, scale=0.2)
-    res = lsw_residual(data, REP, fld, ("annulus", 3.0, 6.0), order=16, r_order=r_order)
+    fld = random_polynomial_field(np.random.default_rng(1), (3,), degree=2, scale=0.2)
+    res = lsw_residual(data, fld, ("annulus", 3.0, 6.0), order=16, r_order=r_order)
     assert np.max(np.abs(res.residual) / (np.abs(res.bulk) + 1.0)) <= 1e-12
 
 
 def test_lsw_batch_matches_single_spinors():
     data = graph_slice()
     region = ("annulus", 3.0, 6.0)
-    batch = random_polynomial_field(REP, np.random.default_rng(8), (3,), degree=2, scale=0.2)
-    res = lsw_residual(data, REP, batch, region, order=8, r_order=16)
+    batch = random_polynomial_field(np.random.default_rng(8), (3,), degree=2, scale=0.2)
+    res = lsw_residual(data, batch, region, order=8, r_order=16)
     rng = np.random.default_rng(8)  # the batch consumes the generator like three draws in a row
     pts = np.array([[4.0, 1.0, -0.5], [3.2, 0.1, 2.0]])
     for k in range(3):
-        single = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
+        single = random_polynomial_field(rng, (), degree=2, scale=0.2)
         assert np.array_equal(batch.evaluate(pts)[k], single.evaluate(pts))
-        one = lsw_residual(data, REP, single, region, order=8, r_order=16)
+        one = lsw_residual(data, single, region, order=8, r_order=16)
         scale = abs(one.bulk) + 1.0
         for name in ("bulk", "boundary", "residual", "dirichlet", "dirac_sq", "matter"):
             assert np.ndim(getattr(one, name)) == 0
@@ -551,8 +548,8 @@ def test_lsw_identity_synthetic_full_terms():
         k=kfun, dk=dkfun, d2g=flat.d2g, label="synthetic-k",
     )
     rng = np.random.default_rng(4)
-    fld = random_polynomial_field(REP, rng, (), degree=2, scale=0.3)
-    res = lsw_residual(synth, REP, fld, ("ball", 2.0), order=12)
+    fld = random_polynomial_field(rng, (), degree=2, scale=0.3)
+    res = lsw_residual(synth, fld, ("ball", 2.0), order=12)
     assert abs(res.residual) <= 1e-6 * (abs(res.bulk) + 1.0)
 
 
@@ -561,9 +558,9 @@ def test_lsw_quadrature_order_refinement():
     # residual there is pure quadrature error and must decay spectrally
     data = graph_slice()
     rng = np.random.default_rng(9)
-    fld = random_polynomial_field(REP, rng, (), degree=2, scale=0.2)
-    coarse = abs(lsw_residual(data, REP, fld, ("ball", 6.0), order=12, r_order=24).residual)
-    fine = abs(lsw_residual(data, REP, fld, ("ball", 6.0), order=12, r_order=48).residual)
+    fld = random_polynomial_field(rng, (), degree=2, scale=0.2)
+    coarse = abs(lsw_residual(data, fld, ("ball", 6.0), order=12, r_order=24).residual)
+    fine = abs(lsw_residual(data, fld, ("ball", 6.0), order=12, r_order=48).residual)
     assert coarse > 1e-6  # under-resolved on purpose
     assert fine < 1e-2 * coarse
 
@@ -630,8 +627,8 @@ def _reference_sen(data, coeffs, exponents, pts):
     phi = np.tril(np.ones((3, 3)), -1) + 0.5 * np.eye(3)
     W = 0.5 * (G + np.einsum("mjla->majl", G) - np.einsum("mlaj->majl", G)) - phi * G
     kf = np.einsum("mai,mij,mbj->mab", F, k, F)
-    gg = np.einsum("jIK,lKL->jlIL", REP.gamma, REP.gamma)
-    gt = np.einsum("jIK,KL->jIL", REP.gamma, REP.tau)
+    gg = np.einsum("jIK,lKL->jlIL", GAMMA, GAMMA)
+    gt = np.einsum("jIK,KL->jIL", GAMMA, TAU)
     c, grad = _reference_polynomial(coeffs, exponents, pts)
     return c, (np.einsum("...mIi,mai->...mIa", grad, F)
                + 0.25 * np.einsum("majl,jlIK,...mK->...mIa", W, gg, c)
@@ -640,9 +637,9 @@ def _reference_sen(data, coeffs, exponents, pts):
 
 def _batched_polynomial(seed):
     exponents = np.array([(a, b, t - a - b) for t in range(3) for a in range(t + 1) for b in range(t - a + 1)])
-    z = np.random.default_rng(seed).normal(size=(2, 3, REP.dim, len(exponents)))
+    z = np.random.default_rng(seed).normal(size=(2, 3, DIM, len(exponents)))
     coeffs = (z[0] + 1j * z[1]) * 0.2 ** exponents.sum(axis=1)
-    return coeffs, exponents, polynomial_spinor_field(REP, coeffs, exponents)
+    return coeffs, exponents, polynomial_spinor_field(coeffs, exponents)
 
 
 def test_constraint_fields_match_full_ricci_reference():
@@ -661,28 +658,28 @@ def test_sen_derivatives_match_reference_on_a_batch():
     coeffs, exponents, fld = _batched_polynomial(21)
     pts, _ = volume_quadrature(("annulus", 3.0, 6.0), 8, 8)
     _, ref = _reference_sen(data, coeffs, exponents, pts)
-    sen = sen_derivatives(data, REP, fld, pts)
-    assert sen.shape == ref.shape == (3, pts.shape[0], REP.dim, 3)
+    sen = sen_derivatives(data, fld, pts)
+    assert sen.shape == ref.shape == (3, pts.shape[0], DIM, 3)
     assert np.max(np.abs(sen - ref)) <= 1e-13 * np.max(np.abs(ref))
-    dw = np.einsum("aIK,...mKa->...mI", REP.gamma, ref)
-    assert np.max(np.abs(dirac_witten_apply(data, REP, fld, pts) - dw)) <= 1e-13 * np.max(np.abs(dw))
+    dw = np.einsum("aIK,...mKa->...mI", GAMMA, ref)
+    assert np.max(np.abs(dirac_witten_apply(data, fld, pts) - dw)) <= 1e-13 * np.max(np.abs(dw))
 
 
 def test_lsw_bulk_terms_match_reference_on_a_batch():
     data = _synthetic_matter_data()
     coeffs, exponents, fld = _batched_polynomial(22)
     region = ("annulus", 3.0, 6.0)
-    res = lsw_residual(data, REP, fld, region, order=8)
+    res = lsw_residual(data, fld, region, order=8)
     pts, w = volume_quadrature(region, 24, 8)
     dV = np.sqrt(np.linalg.det(data.g(pts))) * w
     _, mu, J = _reference_constraints(data, pts)
     c, sen = _reference_sen(data, coeffs, exponents, pts)
     F = np.linalg.inv(np.linalg.cholesky(data.g(pts)))
-    jtau = np.einsum("mi,mai,aIK,KL,...mL->...mI", J, F, REP.gamma, REP.tau, c)
+    jtau = np.einsum("mi,mai,aIK,KL,...mL->...mI", J, F, GAMMA, TAU, c)
     matter = 0.5 * np.sum((mu * np.sum(np.abs(c) ** 2, axis=-1) + np.einsum("...mI,...mI->...m", np.conj(c), jtau).real)
                           * dV, axis=-1)
     dirichlet = np.sum(np.sum(np.abs(sen) ** 2, axis=(-2, -1)) * dV, axis=-1)
-    dw = np.einsum("aIK,...mKa->...mI", REP.gamma, sen)
+    dw = np.einsum("aIK,...mKa->...mI", GAMMA, sen)
     dirac_sq = np.sum(np.sum(np.abs(dw) ** 2, axis=-1) * dV, axis=-1)
     for name, ref in (("dirichlet", dirichlet), ("dirac_sq", dirac_sq), ("matter", matter),
                       ("bulk", dirichlet - dirac_sq + matter)):
@@ -719,7 +716,7 @@ def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
     size = geometry.BLOCK_NODES
     blocks = [min(size, len(nodes) - start) for start in range(0, len(nodes), size)]
     assert len(blocks) == 3 and blocks[-1] < size  # two full blocks and a partial one
-    lsw_residual(data, REP, random_polynomial_field(REP, np.random.default_rng(3), (2,), degree=2), region,
+    lsw_residual(data, random_polynomial_field(np.random.default_rng(3), (2,), degree=2), region,
                  order=8, r_order=20)
 
     def on_volume(batches):  # the boundary fluxes' sphere nodes lie on the annulus edges, the volume nodes inside
@@ -738,10 +735,10 @@ def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
 def test_lsw_terms_agree_with_a_single_block(monkeypatch, data):
     region = ("annulus", 3.5, 6.5)
     assert volume_quadrature(region, 24, 12)[0].shape[0] > 6 * geometry.BLOCK_NODES
-    fld = random_polynomial_field(REP, np.random.default_rng(6), (3,), degree=2, scale=0.2)
-    blocked = lsw_residual(data, REP, fld, region, order=12)
+    fld = random_polynomial_field(np.random.default_rng(6), (3,), degree=2, scale=0.2)
+    blocked = lsw_residual(data, fld, region, order=12)
     monkeypatch.setattr(geometry, "BLOCK_NODES", 10**9)
-    whole = lsw_residual(data, REP, fld, region, order=12)
+    whole = lsw_residual(data, fld, region, order=12)
     # only the summation order differs, so each term agrees to roundoff of the summed magnitudes:
     # dirichlet and dirac_sq (both sums of positive densities) can exceed their difference, bulk, 1000-fold
     scale = np.abs(whole.dirichlet) + np.abs(whole.dirac_sq) + 1.0
@@ -752,12 +749,12 @@ def test_lsw_terms_agree_with_a_single_block(monkeypatch, data):
 
 def test_lsw_working_set_does_not_grow_with_the_radial_order():
     data = miao_corner(1.0, 3.0).plus
-    fld = random_polynomial_field(REP, np.random.default_rng(2), (3,), degree=2, scale=0.2)
+    fld = random_polynomial_field(np.random.default_rng(2), (3,), degree=2, scale=0.2)
 
     def peak(r_order):
         tracemalloc.start()
         try:
-            lsw_residual(data, REP, fld, ("annulus", 3.5, 6.5), order=16, r_order=r_order)
+            lsw_residual(data, fld, ("annulus", 3.5, 6.5), order=16, r_order=r_order)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -783,7 +780,7 @@ def _record_calls(monkeypatch, module, name):
 
 def test_witten_flux_builds_one_sphere_frame_per_node_batch(monkeypatch):
     frames = _record_calls(monkeypatch, geometry, "sphere_frame")
-    witten_flux(schwarzschild_isotropic(1.0), REP, np.eye(REP.dim, dtype=complex), 20.0, order=12)
+    witten_flux(schwarzschild_isotropic(1.0), np.eye(DIM, dtype=complex), 20.0, order=12)
     # one bundle of the grid nodes serves the geometry and the density
     assert len(frames) == 1
 
@@ -796,9 +793,9 @@ def test_boundary_density_builds_one_sphere_frame_per_side(monkeypatch):
 
     def trace(theta, phi):
         traces.append(len(theta))
-        return np.ones((np.shape(theta)[0], REP.dim), dtype=complex)
+        return np.ones((np.shape(theta)[0], DIM), dtype=complex)
 
-    boundary_term_density(mc.minus, REP, mc.r0, grid, trace, 1)
+    boundary_term_density(mc.minus, mc.r0, grid, trace, 1)
     # the fields are read on the grid nodes only; the angle stencils shift the trace alone
     assert len(frames) == 1
     assert traces == [grid.size] * 9
@@ -808,7 +805,7 @@ def test_crease_terms_read_the_bartnik_data_from_the_densities(monkeypatch):
     geometries = _record_calls(monkeypatch, geometry, "hypersurface_geometry")
     sampled = _record_calls(monkeypatch, bartnik, "bartnik_from_data")
     mc = miao_corner(1.0, 4.0)
-    crease_boundary_terms(mc, REP, lambda th, ph: np.ones((np.shape(th)[0], REP.dim), dtype=complex), order=8)
+    crease_boundary_terms(mc, lambda th, ph: np.ones((np.shape(th)[0], DIM), dtype=complex), order=8)
     assert [args[0] for args in geometries] == [mc.minus, mc.plus]
     assert sampled == []
 

@@ -14,7 +14,7 @@ from creaselab.catalog import (
     trivial_crease,
 )
 from creaselab.bartnik import crease_report_for
-from creaselab.cliffords import build_rep
+from creaselab.cliffords import DIM, GAMMA, TAU
 from creaselab.geometry import Chart, CreaseAngle, CreasedData, constraint_fields, hypersurface_geometry
 from creaselab import geometry, integrals, radial
 from creaselab.integrals import adm_energy_momentum
@@ -39,18 +39,17 @@ from creaselab.radial import (
 from test_banded import _dense
 from test_geometry import matter_ball
 
-REP = build_rep()
 PSI_INF = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 
 @pytest.fixture(scope="module")
 def miao_problem():
-    return reduce_radial(miao_corner(1.0, 4.0), REP)
+    return reduce_radial(miao_corner(1.0, 4.0))
 
 
 @pytest.fixture(scope="module")
 def trivial_problem():
-    return reduce_radial(trivial_crease(1.0), REP)
+    return reduce_radial(trivial_crease(1.0))
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ def matter_problem():
     ball = dataclasses.replace(matter_ball(), chart=Chart(0.0, 3.0), label="matter_ball|r<=3")
     cd = CreasedData(minus=ball, plus=miao_corner(0.5, 3.0).plus, r0=3.0, angle=CreaseAngle.from_constant(0.0),
                      label="matter_ball glued to miao_corner(0.5, 3)")
-    return reduce_radial(cd, REP)
+    return reduce_radial(cd)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +76,7 @@ def matter_problem():
 )
 def test_reduction_oracle_every_spherical_datum(maker, lo, hi):
     side = SideCoefficients(data=maker(), r_lo=lo, r_hi=hi)
-    operator_defect, gradient_defect = _oracle_side(REP, side, np.random.default_rng(97), 20)
+    operator_defect, gradient_defect = _oracle_side(side, np.random.default_rng(97), 20)
     assert operator_defect <= ORACLE_OPERATOR_TOL
     assert gradient_defect <= ORACLE_GRADIENT_TOL
 
@@ -102,7 +101,7 @@ def test_mode_field_gradient_matches_central_differences(maker, lo, hi):
     pts = rng.uniform(lo, hi, size=12)[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
     u0, v0 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     s = 1.0 / hi
-    field = mode_field(REP, data, lambda r: (
+    field = mode_field(data, lambda r: (
         (1.0 + 0.5 * np.sin(s * r))[:, None] * u0,
         (s * r + 0.3 * (s * r) ** 2)[:, None] * v0,
         (0.5 * s * np.cos(s * r))[:, None] * u0,
@@ -128,7 +127,7 @@ def test_reduce_radial_takes_sen_derivatives_once_per_side(monkeypatch):
 
     for module in (integrals, radial):
         monkeypatch.setattr(module, "sen_derivatives", counted)
-    reduce_radial(miao_corner(1.0, 4.0), REP)
+    reduce_radial(miao_corner(1.0, 4.0))
     assert len(calls) == 2
 
 
@@ -149,7 +148,7 @@ def test_reduce_radial_rejects_a_flipped_table_coefficient(monkeypatch):
 
     monkeypatch.setattr(SideCoefficients, "blocks", flipped)
     with pytest.raises(ReductionOracleError):
-        reduce_radial(miao_corner(1.0, 4.0), REP)
+        reduce_radial(miao_corner(1.0, 4.0))
 
 
 @pytest.mark.parametrize(
@@ -167,7 +166,7 @@ def test_oracle_sees_every_table_coefficient(monkeypatch, block, coef):
 
     side = SideCoefficients(data=graph_slice(), r_lo=3.0, r_hi=6.0)
     monkeypatch.setattr(SideCoefficients, "blocks", flipped)
-    defects = _oracle_side(REP, side, np.random.default_rng(97), 20)
+    defects = _oracle_side(side, np.random.default_rng(97), 20)
     assert defects[block in ("P", "Q", "Pt", "Qt")] > 1e3 * ORACLE_OPERATOR_TOL
 
 
@@ -177,10 +176,10 @@ def test_reduce_radial_rejects_nonradial_input():
 
     rc = rotated_crease(miao_corner(1.0, 4.0), CreaseAngle.cos_theta(0.2))
     with pytest.raises(RadialError):
-        reduce_radial(rc, REP)  # nonconstant angle
+        reduce_radial(rc)  # nonconstant angle
     mc = miao_corner(1.0, 4.0)
     with pytest.raises(RadialError):
-        reduce_radial(dataclasses.replace(mc, minus=dataclasses.replace(mc.minus, profile=None)), REP)
+        reduce_radial(dataclasses.replace(mc, minus=dataclasses.replace(mc.minus, profile=None)))
 
 
 def test_reduced_coefficients_schwarzschild_closed_form(miao_problem):
@@ -199,7 +198,7 @@ def test_reduced_coefficients_schwarzschild_closed_form(miao_problem):
 def test_reduced_operator_annihilates_constants_on_flat(trivial_problem):
     # constant U, V = 0 solves the flat radial system exactly, on spinors and on the channel
     p = trivial_problem.minus.data.profile(np.linspace(0.2, 0.9, 7))
-    for U, tau in ((np.ones((7, 4), dtype=complex), REP.tau), (np.ones(7), None)):
+    for U, tau in ((np.ones((7, 4), dtype=complex), TAU), (np.ones(7), None)):
         b = apply_blocks(trivial_problem.minus, p, U, 0.0 * U, 0.0 * U, 0.0 * U, tau)
         assert np.max(np.abs(b["r1"])) == 0.0
         assert np.max(np.abs(b["r2"])) == 0.0
@@ -212,9 +211,9 @@ def test_apply_blocks_channel_is_the_spinor_table_on_the_tau_lift(miao_problem):
     p = side.data.profile(np.linspace(4.5, 30.0, 9))
     u, du, v, dv = rng.normal(size=(4, 9))
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    tau_psi = REP.tau @ psi
+    tau_psi = TAU @ psi
     spinor = apply_blocks(side, p, *(np.outer(f, w) for f, w in ((u, psi), (du, psi), (v, tau_psi), (dv, tau_psi))),
-                          REP.tau)
+                          TAU)
     channel = apply_blocks(side, p, u, du, v, dv)
     for name, block in side.blocks(p).items():
         lift = psi if block.field == "U" else tau_psi
@@ -287,8 +286,8 @@ def test_manufactured_solution_convergence(miao_problem):
         D = _dense_derivative(n + 1, h)
         U, dU, V, dV = exact_profiles(r)
         p = side.data.profile(r)
-        exact = apply_blocks(side, p, U, dU, V, dV, REP.tau)
-        disc = apply_blocks(side, p, U, D @ U, V, D @ V, REP.tau)
+        exact = apply_blocks(side, p, U, dU, V, dV, TAU)
+        disc = apply_blocks(side, p, U, D @ U, V, D @ V, TAU)
         errs.append(max(np.max(np.abs(disc[k] - exact[k])) for k in ("r1", "r2")))
     ratio = errs[0] / errs[1]
     assert 8.0 < ratio < 40.0
@@ -310,16 +309,16 @@ def test_assemble_transmission_block(miao_problem):
     eye = np.eye(4)
     assert np.allclose(blk[:4, :4], A * eye, atol=1e-15)
     assert np.allclose(blk[4:, 4:], A * eye, atol=1e-15)
-    assert np.allclose(blk[:4, 4:], B * REP.tau.real, atol=1e-15)
+    assert np.allclose(blk[:4, 4:], B * TAU.real, atol=1e-15)
     # and it intertwines with the fiberwise spinor rotation at the normal slot:
     # (A + B eps) acting on U + (omega Gamma) V at omega = e_3 reproduces blk
-    rot = spinor_rotation(REP, f)
+    rot = spinor_rotation(f)
     U = np.array([1.0, 0.5, -0.25, 0.125], dtype=complex)
     V = np.array([0.3, -0.1, 0.7, 0.2], dtype=complex)
-    c = U + REP.gamma[2] @ V
+    c = U + GAMMA[2] @ V
     rotated = rot @ c
     stack = blk @ np.concatenate([U, V])
-    expect = stack[:4] + REP.gamma[2] @ stack[4:]
+    expect = stack[:4] + GAMMA[2] @ stack[4:]
     assert np.max(np.abs(rotated - expect)) < 1e-13
 
 
@@ -462,7 +461,7 @@ def test_assemble_matches_kron_reference(miao_problem, n_minus, n_plus, r_max):
 
 
 def _spinor_reference(problem, system):
-    """The 4-component system on `system`'s nodes, built with REP.tau in the original variables.
+    """The 4-component system on `system`'s nodes, built with TAU in the original variables.
 
     Returns the residual rows, the number of minus-side rows, the gradient and
     mass forms and the constraint rows C with their datum template D: the
@@ -471,7 +470,7 @@ def _spinor_reference(problem, system):
     """
     import scipy.sparse as sp
 
-    tau, I = REP.tau.real, REP.dim
+    tau, I = TAU.real, DIM
     rows_m, Gm = _kron_side_blocks(problem.minus, system.r_minus, True, tau)
     rows_p, Gp = _kron_side_blocks(problem.plus, system.r_plus, False, tau)
     Mm, Mp = len(system.r_minus), len(system.r_plus)
@@ -509,8 +508,8 @@ def test_solve_matches_spinor_component_least_squares(miao_problem):
         np.array([1.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0),  # tau-eigenvector, eigenvalue +1
         np.array([0.0, 1.0, 0.0, -1.0], dtype=complex) / math.sqrt(2.0),  # eigenvalue -1: P_+ psi_inf = 0
     ]
-    assert np.allclose(REP.tau @ data[2], data[2])
-    assert np.allclose(REP.tau @ data[3], -data[3])
+    assert np.allclose(TAU @ data[2], data[2])
+    assert np.allclose(TAU @ data[3], -data[3])
     # minimize |A_full x| over C x = D psi_inf: x = x0 + Z y with Z spanning the kernel of C
     Z = sla.null_space(C)
     x0 = np.linalg.lstsq(C, D @ np.array(data).T, rcond=None)[0]
@@ -522,8 +521,8 @@ def test_solve_matches_spinor_component_least_squares(miao_problem):
         up, vp = x[2 * Mm * 4 :].reshape(2, -1, 4)
         scale = np.max(np.abs(x))
         # the channel values lifted as U = u psi_inf, V = v tau psi_inf
-        for u, psi, want in ((sol.u_minus, psi_inf, um), (sol.v_minus, REP.tau @ psi_inf, vm),
-                             (sol.u_plus, psi_inf, up), (sol.v_plus, REP.tau @ psi_inf, vp)):
+        for u, psi, want in ((sol.u_minus, psi_inf, um), (sol.v_minus, TAU @ psi_inf, vm),
+                             (sol.u_plus, psi_inf, up), (sol.v_plus, TAU @ psi_inf, vp)):
             assert np.max(np.abs(np.outer(u, psi) - want)) <= 1e-10 * scale
         res = A_full @ x
         assert sol.residual_norm_minus == pytest.approx(np.linalg.norm(res[:n_minus_rows]), rel=1e-9)
@@ -544,20 +543,6 @@ def test_poincare_matches_spinor_component_eigenvalue(miao_problem):
     Z = sla.null_space(C)
     lam = sla.eigh(Z.T @ grad @ Z, (Z.T * mass) @ Z, eigvals_only=True, subset_by_index=[0, 0])[0]
     assert poincare_estimate(problem, grid) == pytest.approx(lam, rel=1e-10)
-
-
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        lambda t: 1j * t,  # not real
-        lambda t: t + np.triu(np.ones_like(t), 1),  # not symmetric
-        lambda t: 2.0 * t,  # not an involution
-    ],
-)
-def test_assemble_rejects_tau_without_channel_split(miao_problem, tamper):
-    rep = dataclasses.replace(REP, tau=tamper(REP.tau))
-    with pytest.raises(RadialError, match="tau"):
-        assemble(dataclasses.replace(miao_problem, rep=rep), RadialGrid(n_minus=64, n_plus=64, r_max=40.0))
 
 
 def test_grid_validation():
@@ -640,14 +625,14 @@ def test_mass_gap_crease_term_matches_the_rotated_geometry_at_one_node():
     f = 0.3
     cd = rotated_crease(miao_corner(1.0, 4.0), CreaseAngle.from_constant(f))
     psi_inf = np.array([0.6, -0.3j, 0.2 + 0.5j, 0.1])  # not of unit norm, and with both tau-eigenparts
-    sol = solve(assemble(reduce_radial(cd, REP), RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), psi_inf)
+    sol = solve(assemble(reduce_radial(cd), RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), psi_inf)
     gap = mass_gap(sol, adm_energy_momentum(cd.plus, [25.0, 50.0, 100.0], order=12))
     hg_m, hg_p = (hypersurface_geometry(d, cd.r0, np.array([[cd.r0, 0.0, 0.0]])) for d in (cd.minus, cd.plus))
     nu_rot = math.cosh(f) * hg_m.H[0] + math.sinh(f) * hg_m.trk[0]
     tau_rot = math.sinh(f) * hg_m.H[0] + math.cosh(f) * hg_m.trk[0]
-    Up, Vp = sol.u_plus[0] * psi_inf, sol.v_plus[0] * (REP.tau @ psi_inf)
+    Up, Vp = sol.u_plus[0] * psi_inf, sol.v_plus[0] * (TAU @ psi_inf)
     psi_sq = float((np.vdot(Up, Up) + np.vdot(Vp, Vp)).real)
-    eps_pair = 2.0 * float(np.vdot(Up, REP.tau @ Vp).real)
+    eps_pair = 2.0 * float(np.vdot(Up, TAU @ Vp).real)
     area = 4.0 * math.pi * float(hg_p.area_element[0])
     expected = 0.5 * area * ((hg_p.H[0] - nu_rot) * psi_sq + (hg_p.trk[0] - tau_rot) * eps_pair)
     assert abs(expected) > 1e-3
@@ -665,7 +650,7 @@ def test_closed_form_solution_zeroes_the_table_and_closes_the_gap(m, r0):
     in s = r0/r over (0, 1].
     """
     cd = miao_corner(m, r0)
-    problem = reduce_radial(cd, REP)
+    problem = reduce_radial(cd)
     x, w = np.polynomial.legendre.leggauss(200)
     s, w = 0.5 * (x + 1.0), 0.5 * w
     r = r0 / s
@@ -697,10 +682,10 @@ def test_mass_gap_dirichlet_is_the_spinor_table_integral(miao_problem):
     expected = 0.0
     for side, r, u, v in ((problem.minus, sol.system.r_minus, sol.u_minus, sol.v_minus),
                           (problem.plus, sol.system.r_plus, sol.u_plus, sol.v_plus)):
-        U, V = np.outer(u, psi_inf), np.outer(v, REP.tau @ psi_inf)
+        U, V = np.outer(u, psi_inf), np.outer(v, TAU @ psi_inf)
         D = _dense_derivative(len(r), r[1] - r[0])
         p = side.data.profile(np.where(r > 0, r, r[1]))
-        b = apply_blocks(side, p, U, D @ U, V, D @ V, REP.tau)
+        b = apply_blocks(side, p, U, D @ U, V, D @ V, TAU)
         dens = sum(wt * np.sum(np.abs(b[k]) ** 2, axis=1) for k, wt in (("P", 1), ("Q", 1), ("Pt", 2), ("Qt", 2)))
         dens = dens * side.volume_factor(p) * 4.0 * math.pi
         dens[0] = 0.0 if r[0] == 0.0 else dens[0]
@@ -710,7 +695,7 @@ def test_mass_gap_dirichlet_is_the_spinor_table_integral(miao_problem):
 
 def test_mass_gap_flags_violated_hypothesis():
     neg = miao_corner(-0.2, 4.0)
-    prob = reduce_radial(neg, REP)
+    prob = reduce_radial(neg)
     grid = RadialGrid(n_minus=128, n_plus=256, r_max=100.0)
     sol = solve(assemble(prob, grid), PSI_INF)
     mass = adm_energy_momentum(neg.plus, [25.0, 50.0, 100.0], order=12)
@@ -783,7 +768,7 @@ def test_mass_gap_matter_term_integrates_every_node(monkeypatch, miao_problem):
     expected = 0.0
     for side, r, u, v in ((miao_problem.minus, sol.system.r_minus, sol.u_minus, sol.v_minus),
                           (miao_problem.plus, sol.system.r_plus, sol.u_plus, sol.v_plus)):
-        U, V = np.outer(u, psi_inf), np.outer(v, REP.tau @ psi_inf)
+        U, V = np.outer(u, psi_inf), np.outer(v, TAU @ psi_inf)
         psi_sq = np.sum(np.abs(U) ** 2 + np.abs(V) ** 2, axis=1)
         expected += 0.5 * simpson(psi_sq * side.volume_factor(side.data.profile(r)) * 4.0 * math.pi, dx=r[1] - r[0])
     assert mass_gap(sol, mass).matter_part == pytest.approx(expected, rel=1e-12)
