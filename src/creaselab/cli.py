@@ -131,7 +131,9 @@ def cmd_identities(config: RunConfig, out_dir: str):
     fld = random_polynomial_field(rng, (config.n_spinors,), degree=2, scale=0.2)
     res = lsw_residual(data, fld, region, order=config.sphere_order)
     worst_lsw = float(np.max(np.abs(res.residual) / (np.abs(res.bulk) + 1.0)))
-    results: dict = {"lsw": {"region": list(region[1:]), "max_scaled_residual": worst_lsw}}
+    # the residual is a difference of the two positive volume sums, so their size sets its roundoff floor
+    floor = float(np.finfo(float).eps * np.max(np.abs(res.dirichlet) + np.abs(res.dirac_sq)))
+    results: dict = {"lsw": {"region": list(region[1:]), "max_scaled_residual": worst_lsw, "roundoff_floor": floor}}
     # the quadrature floor reaches 1.4e-7 on graph_slice (one Gauss panel radially), while a wrong term is O(1)
     flags = {"lsw": worst_lsw <= 1e-6}
 

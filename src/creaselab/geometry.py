@@ -97,7 +97,7 @@ class RadialProfile(NamedTuple):
     derivatives of A and B, d2B that of dB, and k diagonal in the adapted
     frame with normal eigenvalue kappa_n and tangential eigenvalue kappa_t,
     dkappa_t its radial derivative.  All are finite at r = 0 (not so mu and J,
-    which divide by r B: `radial.matter_densities` forms them at r > 0).
+    which divide by r B: `matter_densities` forms them at r > 0).
     """
 
     r: np.ndarray
@@ -109,6 +109,16 @@ class RadialProfile(NamedTuple):
     kappa_n: np.ndarray
     kappa_t: np.ndarray
     dkappa_t: np.ndarray
+
+
+def matter_densities(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
+    """`constraint_fields`' mu and J.nu (J is radial, |J| = |J.nu|) at p's radii, all r > 0: with S = r B,
+    R = 2 (1 - (S'/A)^2) / S^2 - 4 (S'/A)' / (A S), mu = R/2 + 2 kappa_n kappa_t + kappa_t^2 and
+    J.nu = (2 (S'/S) (kappa_n - kappa_t) - 2 kappa_t') / A."""
+    S, q = p.r * p.B, (p.B + p.r * p.dB) / p.A  # q = S'/A
+    dq = (2.0 * p.dB + p.r * p.d2B - q * p.dA) / p.A
+    mu = (1.0 - q * q) / S**2 - 2.0 * dq / (p.A * S) + p.kappa_t * (2.0 * p.kappa_n + p.kappa_t)
+    return mu, 2.0 * (q * (p.kappa_n - p.kappa_t) / S - p.dkappa_t / p.A)
 
 
 @dataclass(frozen=True)

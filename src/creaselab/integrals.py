@@ -42,7 +42,9 @@ hypersurface_geometry and returns that geometry, from which
 crease_boundary_terms reads the Bartnik data.  A bundle is dropped with
 its batch.  lsw_residual sums the volume terms over `geometry.field_blocks`
 of at most BLOCK_NODES nodes, so its memory is set by the block, and the
-block size changes only the sums' order.
+block size changes only the sums' order.  Its matter term reads mu and J
+off the data's radial profile at |x| (`geometry.matter_densities`) when
+the data has one, and from `geometry.constraint_fields` otherwise.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .geometry import (
     constraint_fields,
     field_blocks,
     hypersurface_geometry,
+    matter_densities,
     unit_sphere_volume,
 )
 from .spheregrid import SphereGrid, sphere_grid, theta_phi_tangents, unit_vectors
@@ -463,7 +466,9 @@ def lsw_residual(
     bulk = int (|nabla-bar psi|^2 - |D_W psi|^2 + 1/2 <psi, (mu + J tau) psi>) dV
     boundary = outward-convention spinor flux over the region boundary.
     The residual vanishes for any smooth spinor; its size is set by the
-    volume and sphere quadrature.
+    volume and sphere quadrature.  mu and J.nu are closed forms of the
+    data's radial profile at r = |x|, so the volume nodes never evaluate dk
+    or d2g; data without a profile get both from the 3-D constraint pass.
     """
     if r_order is None:
         r_order = max(24, order)
@@ -472,10 +477,17 @@ def lsw_residual(
     matter_int = dirichlet = dirac_sq = 0.0
     for f in field_blocks(data, pts):
         dV, w_flat = np.sqrt(np.linalg.det(f.g)) * w_flat[: len(f.x)], w_flat[len(f.x) :]  # later blocks' weights remain
-        cons = constraint_fields(data, f)
+        if data.profile is None:
+            cons = constraint_fields(data, f)
+            mu, J = cons.mu, cons.J
+        else:  # J is radial and nu_i = A omega_i, so J_i = (J.nu) A x_i / r
+            r = np.linalg.norm(f.x, axis=1)
+            data.chart.require(r, what="matter node")
+            mu, jn = matter_densities(p := data.profile(r))
+            J = (jn * p.A / r)[:, None] * f.x
         # the matter operator mu + J_a Gamma^a tau per node: frame components of J times the float view of gt
-        matter_op = ((f.frame @ cons.J[:, :, None])[:, :, 0] @ gt).view(complex)
-        matter_op = matter_op.reshape(-1, DIM, DIM) + cons.mu[:, None, None] * np.eye(DIM)
+        matter_op = ((f.frame @ J[:, :, None])[:, :, 0] @ gt).view(complex)
+        matter_op = matter_op.reshape(-1, DIM, DIM) + mu[:, None, None] * np.eye(DIM)
         c = field.evaluate(f.x)
         # 1/2 Re<psi, (mu + J tau) psi> as a real inner product of float views
         matter = 0.5 * np.sum(c.view(float) * (matter_op @ c[..., None])[..., 0].view(float), axis=-1)

@@ -32,7 +32,7 @@ with tau -> 1.  reduce_radial certifies the table on spinors against the
 full Dirac-Witten machinery before a problem is returned; `assemble`
 discretizes the same table, and `mass_gap` integrates it on the channel,
 with the constraint densities mu and J.nu in closed form from the same
-profile (`matter_densities`).
+profile (`geometry.matter_densities`).
 
 The boundary-value problem (both interior equations, the transmission
 rotation at the crease, odd-parity regularity V(0) = 0, and a Dirichlet
@@ -73,6 +73,7 @@ from .geometry import (
     PointFields,
     RadialProfile,
     as_fields,
+    matter_densities,
     unit_sphere_volume,
 )
 from .integrals import MassReport, _gamma_contract, flux_mass_pairing, sen_derivatives
@@ -103,16 +104,6 @@ class Block(NamedTuple):
 def mu_c(p: RadialProfile) -> np.ndarray:
     """The module docstring's mu_c at the radii of p."""
     return -p.dB / (p.A * p.B) - 1.0 / (p.r * p.A) + 1.0 / (p.r * p.B)
-
-
-def matter_densities(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
-    """`geometry.constraint_fields`' mu and J.nu (J is radial, |J| = |J.nu|) at p's radii, all r > 0: with S = r B,
-    R = 2 (1 - (S'/A)^2) / S^2 - 4 (S'/A)' / (A S), mu = R/2 + 2 kappa_n kappa_t + kappa_t^2 and
-    J.nu = (2 (S'/S) (kappa_n - kappa_t) - 2 kappa_t') / A."""
-    S, q = p.r * p.B, (p.B + p.r * p.dB) / p.A  # q = S'/A
-    dq = (2.0 * p.dB + p.r * p.d2B - q * p.dA) / p.A
-    mu = (1.0 - q * q) / S**2 - 2.0 * dq / (p.A * S) + p.kappa_t * (2.0 * p.kappa_n + p.kappa_t)
-    return mu, 2.0 * (q * (p.kappa_n - p.kappa_t) / S - p.dkappa_t / p.A)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,7 @@ def test_identities_report_is_byte_reproducible(tmp_path):
     assert report["flags"] == {"lsw": True, "crease_boundary": True}
     assert set(report["results"]) == {"lsw", "crease_boundary"}
     assert report["results"]["lsw"]["max_scaled_residual"] > 0.0
+    assert 0.0 < report["results"]["lsw"]["roundoff_floor"] < 1e-10
 
 
 def test_identities_crease_check_passes_when_the_crease_term_nearly_vanishes(tmp_path):

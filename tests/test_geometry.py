@@ -24,13 +24,13 @@ from creaselab.geometry import (
     bulk_frame,
     constraint_fields,
     hypersurface_geometry,
+    matter_densities,
     scalar_curvature,
     second_metric_derivative,
     sphere_frame,
     unit_sphere_volume,
 )
 from creaselab.integrals import volume_quadrature
-from creaselab.radial import matter_densities
 from creaselab.spheregrid import sphere_grid, theta_phi_tangents
 
 

@@ -51,6 +51,7 @@ from creaselab.spinorfields import (
     spin_lift,
     spin_lift_any,
 )
+from test_geometry import matter_ball
 
 
 def dirac_witten_apply(data: InitialData, field: SpinorField, x) -> np.ndarray:
@@ -581,7 +582,8 @@ def _synthetic_matter_data():
         out[:, :, :, 0] = 0.3 * np.eye(3)[None]
         return out
 
-    return dataclasses.replace(base, k=kfun, dk=dkfun, label="graph-metric-synthetic-k")
+    # no radial profile: this k is not spherically symmetric, so mu and J come from the 3-D constraint pass
+    return dataclasses.replace(base, k=kfun, dk=dkfun, label="graph-metric-synthetic-k", profile=None)
 
 
 def _reference_constraints(data, pts):
@@ -688,7 +690,9 @@ def test_lsw_bulk_terms_match_reference_on_a_batch():
     assert np.array_equal(res.residual, res.bulk - res.boundary)
 
 
-def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
+def _volume_evaluations(monkeypatch, data):
+    """Run lsw_residual on data with counted closures: the volume blocks' sizes and nodes, and per field (and
+    for the bulk frame) the batches evaluated on the volume nodes."""
     calls = []
 
     def counted(name, fn):
@@ -698,13 +702,11 @@ def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
 
         return closure
 
-    base = miao_corner(1.0, 3.0).plus
-    data = dataclasses.replace(base, **{f: counted(f, getattr(base, f)) for f in ("g", "dg", "k", "dk", "d2g")})
-    frames = []
+    data = dataclasses.replace(data, **{f: counted(f, getattr(data, f)) for f in ("g", "dg", "k", "dk", "d2g")})
     original = geometry.bulk_frame
 
     def counted_frame(d, x):
-        frames.append(np.array(getattr(x, "x", x)))
+        calls.append(("frame", np.array(getattr(x, "x", x))))
         return original(d, x)
 
     # every module that bound bulk_frame by name calls through the counter
@@ -719,16 +721,41 @@ def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
     lsw_residual(data, random_polynomial_field(np.random.default_rng(3), (2,), degree=2), region,
                  order=8, r_order=20)
 
-    def on_volume(batches):  # the boundary fluxes' sphere nodes lie on the annulus edges, the volume nodes inside
-        return [x for x in batches if np.all(np.abs(np.linalg.norm(x, axis=1) - 5.0) < 1.5 - 1e-9)]
+    # the boundary fluxes' sphere nodes lie on the annulus edges, the volume nodes inside
+    on_volume = [(n, x) for n, x in calls if np.all(np.abs(np.linalg.norm(x, axis=1) - 5.0) < 1.5 - 1e-9)]
+    names = ("g", "dg", "k", "dk", "d2g", "frame")
+    return blocks, nodes, {name: [x for n, x in on_volume if n == name] for name in names}
 
-    for name in ("g", "dg", "k", "dk", "d2g"):
-        batches = on_volume(x for n, x in calls if n == name)
-        assert [len(x) for x in batches] == blocks, name
-        assert np.array_equal(np.concatenate(batches), nodes), name
-    batches = on_volume(frames)
-    assert [len(x) for x in batches] == blocks
-    assert np.array_equal(np.concatenate(batches), nodes)
+
+def test_lsw_evaluates_each_field_once_on_the_volume_nodes(monkeypatch):
+    # with a profile, mu and J are closed forms of |x|: dk and d2g, which only the constraint pass reads, never run
+    blocks, nodes, batches = _volume_evaluations(monkeypatch, miao_corner(1.0, 3.0).plus)
+    for name in ("g", "dg", "k", "frame"):
+        assert [len(x) for x in batches[name]] == blocks, name
+        assert np.array_equal(np.concatenate(batches[name]), nodes), name
+    assert batches["dk"] == [] and batches["d2g"] == []
+
+
+def test_lsw_evaluates_each_field_once_without_a_profile(monkeypatch):
+    blocks, nodes, batches = _volume_evaluations(monkeypatch, dataclasses.replace(miao_corner(1.0, 3.0).plus,
+                                                                                   profile=None))
+    for name, found in batches.items():
+        assert [len(x) for x in found] == blocks, name
+        assert np.array_equal(np.concatenate(found), nodes), name
+
+
+@pytest.mark.parametrize("region", [("annulus", 1.0, 2.5), ("ball", 2.0)], ids=["annulus", "ball"])
+def test_lsw_matter_term_from_the_profile_matches_the_constraint_pass(region):
+    # spherically symmetric data with mu and J != 0: the profile's closed forms against the 3-D pass on the same nodes
+    data = matter_ball()
+    fld = random_polynomial_field(np.random.default_rng(12), (3,), degree=2, scale=0.3)
+    closed = lsw_residual(data, fld, region, order=16)
+    full = lsw_residual(dataclasses.replace(data, profile=None), fld, region, order=16)
+    assert np.min(np.abs(full.matter)) > 1e-2
+    assert np.max(np.abs(closed.matter - full.matter) / np.abs(full.matter)) <= 1e-13
+    for name in ("dirichlet", "dirac_sq", "boundary"):
+        assert np.array_equal(getattr(closed, name), getattr(full, name)), name
+    assert np.max(np.abs(closed.residual) / (np.abs(closed.bulk) + 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("data", [graph_slice(), miao_corner(1.0, 3.0).plus], ids=["graph_slice", "miao_corner.plus"])

@@ -32,27 +32,43 @@ def _reads(tree) -> set[str]:
     return out
 
 
+def _bound_names(target) -> list[str]:
+    """The names an assignment target binds: one name, or each name of a tuple or list it unpacks into."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _bound_names(elt)]
+    return []  # an attribute or subscript binds no module name
+
+
+def _module_definitions(stem: str, source: str) -> dict[str, tuple[str, set[str]]]:
+    """Qualified name -> (bare name, names read) for every definition in one module's source."""
+    defs = {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef):
+            defs[f"{stem}.{stmt.name}"] = (stmt.name, _reads(stmt))
+        elif isinstance(stmt, ast.ClassDef):
+            # the methods are nodes of their own, so the class reads only what lies outside them
+            outside = [s for s in stmt.body if not isinstance(s, ast.FunctionDef)]
+            parts = stmt.bases + stmt.keywords + stmt.decorator_list + outside
+            defs[f"{stem}.{stmt.name}"] = (stmt.name, set().union(*map(_reads, parts)))
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef):
+                    defs[f"{stem}.{stmt.name}.{item.name}"] = (item.name, _reads(item))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for name in (name for target in targets for name in _bound_names(target)):
+                defs[f"{stem}.{name}"] = (name, _reads(stmt))
+    return defs
+
+
 def _definitions() -> dict[str, tuple[str, set[str]]]:
     """Qualified name -> (bare name, names read) for every definition in the package."""
     defs = {}
     for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, ast.FunctionDef):
-                defs[f"{path.stem}.{stmt.name}"] = (stmt.name, _reads(stmt))
-            elif isinstance(stmt, ast.ClassDef):
-                # the methods are nodes of their own, so the class reads only what lies outside them
-                outside = [s for s in stmt.body if not isinstance(s, ast.FunctionDef)]
-                parts = stmt.bases + stmt.keywords + stmt.decorator_list + outside
-                defs[f"{path.stem}.{stmt.name}"] = (stmt.name, set().union(*map(_reads, parts)))
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        defs[f"{path.stem}.{target.id}"] = (target.id, _reads(stmt))
-            if isinstance(stmt, ast.ClassDef):
-                for item in stmt.body:
-                    if isinstance(item, ast.FunctionDef):
-                        defs[f"{path.stem}.{stmt.name}.{item.name}"] = (item.name, _reads(item))
+        defs.update(_module_definitions(path.stem, path.read_text(encoding="utf-8")))
     return defs
 
 
@@ -88,3 +104,10 @@ def test_every_src_definition_is_reached_from_a_command():
     left = unreached()
     print("unreached definitions:", left)
     assert left == []
+
+
+def test_unpacking_assignments_define_each_name():
+    defs = _module_definitions("m", "A, B = f()\n[C, *D] = g()\nE.attr = h()\nF: int = 1\n")
+    assert set(defs) == {"m.A", "m.B", "m.C", "m.D", "m.F"}
+    assert defs["m.A"][0] == "A" and "f" in defs["m.A"][1] and "f" in defs["m.B"][1]
+    assert "g" in defs["m.D"][1]
