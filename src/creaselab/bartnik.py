@@ -37,8 +37,8 @@ class BartnikData:
     r0: float
     H: np.ndarray  # (N,)
     trk: np.ndarray  # (N,)
-    beta: np.ndarray  # (N, n-1), frame components of k(nu, .)
-    tangent: np.ndarray  # (N, n-1, n) shared tangential frame vectors
+    beta: np.ndarray  # (N, 2), frame components of k(nu, .)
+    tangent: np.ndarray  # (N, 2, 3) shared tangential frame vectors
     area_element: np.ndarray  # (N,), dA = area_element dOmega
 
     @property
@@ -120,7 +120,7 @@ class CreaseReport:
 
     nu_component: np.ndarray  # <F(H_minus) - H_plus, nu_plus>
     tau_component: np.ndarray  # <F(H_minus) - H_plus, tau_plus>
-    beta_delta: np.ndarray  # (N, n-1), beta^Delta in frame components
+    beta_delta: np.ndarray  # (N, 2), beta^Delta in frame components
     beta_delta_norm: np.ndarray
     margin: np.ndarray
     min_margin: float

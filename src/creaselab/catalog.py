@@ -137,7 +137,7 @@ def _radial_data(
             u, du, v, dv = curv_uv(_radii(x))
             return _radial_tensor_deriv(x, u, du, v, dv)
 
-    return InitialData(n=3, chart=chart, g=g, k=k, dg=dg, dk=dk, d2g=d2g, label=label, profile=profile)
+    return InitialData(chart=chart, g=g, k=k, dg=dg, dk=dk, d2g=d2g, label=label, profile=profile)
 
 
 def _validate_positive_definite(data: InitialData, radii) -> None:

@@ -3,7 +3,8 @@
 Commands: crease-check, adm, identities, solve, rigidity.  Each run writes
 a deterministic report.json (byte-identical for identical config + seed),
 CSV series for plotting, and a timing sidecar.  Exit codes: 0 pass,
-1 hypothesis or inequality failure, 2 usage/config error, 3 numeric error.
+1 hypothesis or inequality failure, 2 usage/config error or an output
+that cannot be written, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def cmd_adm(config: RunConfig, out_dir: str):
     data = _exterior_data(build_catalog_entry(config))
     _require_radii_in_chart(config, data)
     mass = adm_energy_momentum(data, config.radii, order=config.sphere_order)
-    results = {"label": data.label, "mass_report": mass.to_dict()}
+    results = {"label": data.label, "mass_report": mass}
     flags = {"monotone": mass.monotone}
     passed = True
     if config.flux_check:
@@ -163,7 +164,7 @@ def cmd_solve(config: RunConfig, out_dir: str):
     except RadialError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     cd = _require_creased(build_catalog_entry(config))
-    if not cd.angle.is_constant:
+    if cd.angle.constant is None:
         raise ConfigError(f"solve needs a constant crease angle, got {cd.angle.description}")
     if not config.r_max > cd.r0:
         raise ConfigError(f"grid.r_max {config.r_max:g} must exceed the crease radius {cd.r0:g}")
@@ -184,11 +185,7 @@ def cmd_solve(config: RunConfig, out_dir: str):
 
     results = {
         "label": cd.label,
-        "oracle": {
-            "operator_defect": problem.oracle.operator_defect,
-            "gradient_defect": problem.oracle.gradient_defect,
-            "radii_checked": problem.oracle.radii_checked,
-        },
+        "oracle": problem.oracle,
         "solver": {
             "relative_residual": sol.relative_residual,
             "residual_norm": sol.residual_norm,
@@ -196,16 +193,15 @@ def cmd_solve(config: RunConfig, out_dir: str):
             "origin_defect": sol.origin_defect,
             "smallest_singular_value": sol.smallest_singular_value,
         },
-        "mass": mass.to_dict(),
-        # closure: the gap identity's defect, unnormalized so a zero flux keeps it finite
-        "gap": {**gap.to_dict(), "closure": gap.gap + gap.crease_term},
+        "mass": mass,
+        "gap": gap,
         "poincare": {"estimate": lam, "coarse": lam_coarse},
     }
     # reduce_radial raises on an uncertified reduction and poincare_estimate on a nonpositive estimate
     flags = {
         "transmission": sol.transmission_defect <= 1e-9,
         "poincare_stable": abs(lam - lam_coarse) <= 0.2 * abs(lam),
-        "hypotheses_hold": gap.hypothesis_flags["gap_nonnegative_expected"],
+        "hypotheses_hold": gap.bulk_dec_satisfied and gap.dec_creased,
     }
     # flux - bulk is nonnegative in the continuum; where it vanishes, discretization may take it slightly below 0
     gap_ok = gap.gap >= -1e-4 * (abs(gap.flux_term) + 1e-12)
@@ -328,17 +324,18 @@ def main(argv=None) -> int:
     try:
         results, passed, flags = COMMANDS[args.command](config, out_dir)
         report = render_report(args.command, config.raw, results, passed, flags)
+        elapsed = time.perf_counter() - started
+        write_atomic(os.path.join(out_dir, "report.json"), report)
+        write_atomic(os.path.join(out_dir, "report_meta.json"), f'{{"wall_clock_seconds": {elapsed:.3f}}}\n')
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (GeometryError, NonFiniteReportError) as exc:
         print(f"numeric/internal error: {exc}", file=sys.stderr)
         return 3
-    elapsed = time.perf_counter() - started
-
-    write_atomic(os.path.join(out_dir, "report.json"), report)
-    meta = f'{{"wall_clock_seconds": {elapsed:.3f}}}\n'
-    write_atomic(os.path.join(out_dir, "report_meta.json"), meta)
+    except OSError as exc:  # a CSV or report path that cannot be written, e.g. a directory in its place
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.command}: {'pass' if passed else 'FAIL'} (report in {out_dir})")
     return 0 if passed else 1
 

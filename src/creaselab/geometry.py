@@ -3,7 +3,7 @@
 An initial data set is a chart in Cartesian coordinates together with
 vectorized closures for the metric g, the extrinsic curvature k, their
 first partial derivatives and the second partial derivatives of g, all in
-closed form.  Every function here takes point batches of shape (m, n), a
+closed form.  Every function here takes point batches of shape (m, 3), a
 single point being a batch of one; tensors append index axes, with the
 derivative indices last: dg[..., i, j, l] = d_l g_ij and
 d2g[..., i, j, l, m] = d_m d_l g_ij.  Curvature reads d2g; central
@@ -22,11 +22,11 @@ Conventions (fixed here, imported everywhere else):
   * k is taken with respect to the future timelike normal, signed so that
     the catalog's Minkowski graph slices satisfy the vacuum constraints.
   * Mean curvature of a round sphere with outward normal in flat space is
-    positive, H = (n-1)/r.
+    positive, H = 2/r.
   * Orthonormal frames come from Gram-Schmidt on the coordinate basis in
     fixed index order.  On coordinate spheres the frame is adapted: shared
     tangential vectors (Euclidean projections of the coordinate basis,
-    orthonormalized in the induced metric) followed by e_n = outward unit
+    orthonormalized in the induced metric) followed by e_3 = outward unit
     normal, with the last tangential vector flipped if needed to keep the
     frame positively oriented.
   * Units G = c = 1.
@@ -51,16 +51,14 @@ class GeometryError(ValueError):
 FD_STEP_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-def unit_sphere_volume(n: int) -> float:
-    """Volume of the unit (n-1)-sphere, 2 pi^{n/2} / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+SPHERE_AREA = 4.0 * math.pi  # area of the unit 2-sphere
 
 
-def as_points(x: np.ndarray, n: int) -> np.ndarray:
-    """A point batch (m, n) as a float array; any other shape is an error."""
+def as_points(x: np.ndarray) -> np.ndarray:
+    """A point batch (m, 3) as a float array; any other shape is an error."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != n:
-        raise GeometryError(f"points must have shape (m, {n}), got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise GeometryError(f"points must have shape (m, 3), got {arr.shape}")
     return arr
 
 
@@ -125,15 +123,14 @@ def matter_densities(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
 class InitialData:
     """Metric/extrinsic-curvature fields with closed-form derivatives on a chart.
 
-    Each closure maps a point batch (m, n) to its tensor field: g and k
-    (m, n, n), dg and dk (m, n, n, n) with the derivative index last, and
-    d2g (m, n, n, n, n) with d2g[..., i, j, l, m] = d_m d_l g_ij.
+    Each closure maps a point batch (m, 3) to its tensor field: g and k
+    (m, 3, 3), dg and dk (m, 3, 3, 3) with the derivative index last, and
+    d2g (m, 3, 3, 3, 3) with d2g[..., i, j, l, m] = d_m d_l g_ij.
     `profile` maps radii to the `RadialProfile` of spherically symmetric
     data, derived from the same radial functions as g and k; None means the
     data is not spherically symmetric.
     """
 
-    n: int
     chart: Chart
     g: Callable[[np.ndarray], np.ndarray]
     k: Callable[[np.ndarray], np.ndarray]
@@ -151,13 +148,12 @@ class CreaseAngle:
     `value` maps unit vectors (m, 3) to angles; `surface_gradient` maps
     them to the analytic unit-sphere gradient in Cartesian components
     (divide by the coordinate radius for the covector on a sphere of radius
-    r0).
+    r0).  `constant` is the angle's value when it is constant, else None.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     surface_gradient: Callable[[np.ndarray], np.ndarray]
-    is_constant: bool = False
-    constant: float = 0.0
+    constant: float | None = None
     description: str = ""
 
     @staticmethod
@@ -166,7 +162,6 @@ class CreaseAngle:
         return CreaseAngle(
             value=lambda omega: np.full(np.shape(omega)[0], c),
             surface_gradient=lambda omega: np.zeros_like(np.asarray(omega, dtype=float)),
-            is_constant=True,
             constant=c,
             description=f"constant {c:g}",
         )
@@ -211,7 +206,7 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 
 
 def christoffel(data: InitialData, x) -> np.ndarray:
-    """Gamma[..., k, i, j] = 1/2 g^{kl} (dg_jl,i + dg_il,j - dg_ij,l): g^-1 times the lowered terms as (m, n, n n)."""
+    """Gamma[..., k, i, j] = 1/2 g^{kl} (dg_jl,i + dg_il,j - dg_ij,l): g^-1 times the lowered terms as (m, 3, 3 3)."""
     f = as_fields(data, x)
     m, n = f.x.shape
     dg = f.dg  # the lowered terms below are in the order [..., l, i, j]
@@ -221,7 +216,7 @@ def christoffel(data: InitialData, x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PointFields:
-    """One data set's fields on one point batch x (m, n), each evaluated once.
+    """One data set's fields on one point batch x (m, 3), each evaluated once.
 
     Attributes are computed on first access by the functions a caller with
     raw points would use, and kept (shared by every reader, so never written
@@ -247,7 +242,7 @@ BLOCK_NODES = 1024  # nodes per bundle of a grid pass: two order-16 sphere shell
 
 def field_blocks(data: InitialData, x) -> Iterator[PointFields]:
     """Bundles of the consecutive blocks of at most BLOCK_NODES points of the batch x, in order."""
-    pts = as_points(x, data.n)
+    pts = as_points(x)
     return (PointFields(data, pts[start : start + BLOCK_NODES]) for start in range(0, len(pts), BLOCK_NODES))
 
 
@@ -257,16 +252,15 @@ def as_fields(data: InitialData, x) -> PointFields:
         if x.data is not data:
             raise GeometryError("field bundle belongs to another data set")
         return x
-    return PointFields(data, as_points(x, data.n))
+    return PointFields(data, as_points(x))
 
 
 def second_metric_derivative(data: InitialData, x: np.ndarray) -> np.ndarray:
     """d2g[..., i, j, l, m] = d_m d_l g_ij by central differences on dg: the oracle of `data.d2g`."""
-    pts = as_points(x, data.n)
-    n = data.n
+    pts = as_points(x)
     h = FD_STEP_SCALE * np.maximum(1.0, np.linalg.norm(pts, axis=1))
-    out = np.empty(pts.shape[:1] + (n, n, n, n))
-    for m in range(n):
+    out = np.empty(pts.shape[:1] + (3, 3, 3, 3))
+    for m in range(3):
         dx = np.zeros_like(pts)
         dx[:, m] = h
         out[..., m] = (data.dg(pts + dx) - data.dg(pts - dx)) / (2.0 * h)[:, None, None, None]
@@ -306,7 +300,7 @@ def scalar_curvature(data: InitialData, x) -> np.ndarray:
 @dataclass(frozen=True)
 class ConstraintValues:
     mu: np.ndarray
-    J: np.ndarray  # coordinate covector components, shape (m, n)
+    J: np.ndarray  # coordinate covector components, shape (m, 3)
 
     def momentum_norm(self, data: InitialData, x) -> np.ndarray:
         return np.sqrt((self.J[:, None] @ as_fields(data, x).ginv @ self.J[:, :, None])[:, 0, 0])
@@ -346,14 +340,18 @@ def constraint_fields(data: InitialData, x) -> ConstraintValues:
 # deterministic orthonormal frames
 
 
+# Phi of the bulk frame's derivative d_i F = -Phi(F d_i g F^T) F: keeps the strict lower triangle, halves the diagonal
+FRAME_PROJECTOR = np.tril(np.ones((3, 3)), -1) + 0.5 * np.eye(3)
+FRAME_PROJECTOR.flags.writeable = False
+
+
 def bulk_frame(data: InitialData, x) -> np.ndarray:
-    """Gram-Schmidt frame on the coordinate basis; rows are e_1 .. e_n."""
+    """Gram-Schmidt frame on the coordinate basis; rows are e_1, e_2, e_3."""
     f = as_fields(data, x)
     g = f.g
-    n = data.n
-    frame = np.zeros(f.x.shape[:1] + (n, n))
-    for i in range(n):
-        v = np.zeros(f.x.shape[:1] + (n,))
+    frame = np.zeros(f.x.shape[:1] + (3, 3))
+    for i in range(3):
+        v = np.zeros(f.x.shape[:1] + (3,))
         v[:, i] = 1.0
         for j in range(i):
             proj = np.einsum("...a,...ab,...b->...", frame[:, j], g, v)
@@ -367,12 +365,12 @@ def bulk_frame(data: InitialData, x) -> np.ndarray:
 class SphereFrame:
     """Adapted orthonormal frame on a coordinate sphere.
 
-    Rows of `frame` are (t_1, ..., t_{n-1}, nu_out); the tangential block is
+    Rows of `frame` are (t_1, t_2, nu_out); the tangential block is
     shared between data sets inducing the same boundary metric, and the
     whole frame is positively oriented.
     """
 
-    frame: np.ndarray  # (m, n, n)
+    frame: np.ndarray  # (m, 3, 3)
 
     @property
     def tangent(self) -> np.ndarray:
@@ -405,35 +403,34 @@ def sphere_frame(data: InitialData, x) -> SphereFrame:
     happens only on measure-zero degeneracy sets avoided by the grids.
     """
     f = as_fields(data, x)
-    n = data.n
     m = f.x.shape[0]
     r = np.linalg.norm(f.x, axis=1)
     omega = f.x / r[:, None]
     g = f.g
 
-    accepted = np.zeros((m, n - 1, n))
+    accepted = np.zeros((m, 2, 3))
     count = np.zeros(m, dtype=int)
-    for i in range(n):
+    for i in range(3):
         cand = -omega * omega[:, i:i+1]
         cand[:, i] += 1.0
         ref = np.sqrt(np.einsum("...a,...ab,...b->...", cand, g, cand))
-        for j in range(n - 1):
+        for j in range(2):
             sel = count > j  # points whose slot j is already filled
             proj = np.einsum("...a,...ab,...b->...", accepted[:, j], g, cand)
             cand = cand - np.where(sel, proj, 0.0)[:, None] * accepted[:, j]
         nrm = np.sqrt(np.einsum("...a,...ab,...b->...", cand, g, cand))
-        ok = (nrm > FRAME_SKIP_TOL * np.maximum(ref, 1e-300)) & (count < n - 1)
+        ok = (nrm > FRAME_SKIP_TOL * np.maximum(ref, 1e-300)) & (count < 2)
         idx = np.nonzero(ok)[0]
         accepted[idx, count[idx]] = cand[idx] / nrm[idx, None]
         count[idx] += 1
-    if np.any(count < n - 1):
+    if np.any(count < 2):
         raise GeometryError("tangential frame construction degenerated at a node")
 
     nu = outward_unit_normal(data, f)
     frame = np.concatenate([accepted, nu[:, None, :]], axis=1)
     # enforce positive orientation by flipping the last tangential vector
     neg = np.linalg.det(frame) < 0.0
-    frame[neg, n - 2, :] *= -1.0
+    frame[neg, 1, :] *= -1.0
     return SphereFrame(frame=frame)
 
 
@@ -446,10 +443,10 @@ class HypersurfaceGeometry:
     """Induced boundary data of a coordinate sphere at selected nodes, for the outward normal."""
 
     nu: np.ndarray  # outward unit normal
-    tangent: np.ndarray  # (m, n-1, n) shared tangential frame
+    tangent: np.ndarray  # (m, 2, 3) shared tangential frame
     H: np.ndarray
     trk: np.ndarray  # trace of k over the tangential frame
-    beta: np.ndarray  # (m, n-1), beta_alpha = k(nu, t_alpha)
+    beta: np.ndarray  # (m, 2), beta_alpha = k(nu, t_alpha)
     area_element: np.ndarray  # dA = area_element * dOmega
 
 
@@ -460,7 +457,7 @@ def _normal_derivative(f: PointFields) -> np.ndarray:
     dg, ginv = f.dg, f.ginv
     u = np.einsum("...jl,...l->...j", ginv, omega)
     s = np.einsum("...l,...l->...", omega, u)
-    domega = (np.eye(f.data.n)[None] - omega[:, :, None] * omega[:, None, :]) / r[:, None, None]
+    domega = (np.eye(3)[None] - omega[:, :, None] * omega[:, None, :]) / r[:, None, None]
     dginv = -np.einsum("...ja,...abi,...bl->...jli", ginv, dg, ginv)
     du = np.einsum("...jli,...l->...ji", dginv, omega) + np.einsum("...jl,...li->...ji", ginv, domega)
     ds = np.einsum("...jli,...j,...l->...i", dginv, omega, omega) + 2.0 * np.einsum(
@@ -470,7 +467,7 @@ def _normal_derivative(f: PointFields) -> np.ndarray:
 
 
 def hypersurface_geometry(data: InitialData, r0: float, x) -> HypersurfaceGeometry:
-    """Bartnik-type boundary quantities of the sphere r = r0 at its points x = r0 * omega (m, n).
+    """Bartnik-type boundary quantities of the sphere r = r0 at its points x = r0 * omega (m, 3).
 
     x is the point batch or its field bundle, whose g, dg, Gamma, k and
     sphere frame are read.  The normal is the outward one; a caller that

@@ -59,6 +59,8 @@ from numpy.polynomial.legendre import leggauss
 from .bartnik import bartnik_data, crease_margin
 from .cliffords import DIM, GAMMA, GAMMA_GAMMA, GAMMA_TAU, TAU, spinor_rotation
 from .geometry import (
+    FRAME_PROJECTOR,
+    SPHERE_AREA,
     CreasedData,
     GeometryError,
     InitialData,
@@ -68,7 +70,6 @@ from .geometry import (
     field_blocks,
     hypersurface_geometry,
     matter_densities,
-    unit_sphere_volume,
 )
 from .spheregrid import SphereGrid, sphere_grid, theta_phi_tangents, unit_vectors
 from .spinorfields import SpinorField, constant_spinor_field
@@ -135,20 +136,6 @@ class MassReport:
     monotone: bool
     warning: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "E": self.E,
-            "P": self.P.tolist(),
-            "m": self.m,
-            "radii": list(self.radii),
-            "E_by_radius": list(self.E_by_radius),
-            "P_by_radius": self.P_by_radius.tolist(),
-            "decay_exponent": self.decay_exponent,
-            "extrapolation_residual": self.extrapolation_residual,
-            "monotone": self.monotone,
-            "warning": self.warning,
-        }
-
 
 def _extrapolate_sequence(radii: np.ndarray, vals: np.ndarray):
     """Limit of vals = V + c r^-p from the last three entries; the last entry when no p in [0.05, 8] fits."""
@@ -189,18 +176,16 @@ def adm_energy_momentum(data: InitialData, radii: Sequence[float], order: int = 
     """ADM energy and linear momentum from coordinate-sphere flux integrals.
 
     E picks up the (d_i g_ij - d_j g_ii) nu^j integrand with normalization
-    1/(2 (n-1) omega_{n-1}); P_i the (k_ij - (tr k) g_ij) nu^j integrand
-    with 1/((n-1) omega_{n-1}); both against the Euclidean area element and
+    1/(16 pi); P_i the (k_ij - (tr k) g_ij) nu^j integrand with 1/(8 pi);
+    both against the Euclidean area element and
     outward coordinate normal, then extrapolated in the radius.
     """
     radii = np.asarray([float(r) for r in radii])
     if len(radii) < 1 or np.any(np.diff(radii) <= 0.0):
         raise IntegralsError("radii must be strictly increasing")
     data.chart.require(radii, what="ADM sphere")
-    n = data.n
     grid = sphere_grid(order)
-    norm_e = 1.0 / (2.0 * (n - 1) * unit_sphere_volume(n))
-    norm_p = 1.0 / ((n - 1) * unit_sphere_volume(n))
+    norm_e, norm_p = 1.0 / (16.0 * math.pi), 1.0 / (8.0 * math.pi)
 
     e_vals, p_vals = [], []
     for r in radii:
@@ -210,14 +195,14 @@ def adm_energy_momentum(data: InitialData, radii: Sequence[float], order: int = 
         t2 = np.einsum("miij->mj", f.dg)
         e_int = np.einsum("mj,mj->m", t1 - t2, grid.nodes)
         p_int = np.einsum("mij,mj->mi", f.k - trk[:, None, None] * f.g, grid.nodes)
-        e_vals.append(r ** (n - 1) * grid.integrate(e_int) * norm_e)
-        p_vals.append(r ** (n - 1) * np.einsum("m,mi->i", grid.weights, p_int) * norm_p)
+        e_vals.append(r**2 * grid.integrate(e_int) * norm_e)
+        p_vals.append(r**2 * np.einsum("m,mi->i", grid.weights, p_int) * norm_p)
     e_vals = np.asarray(e_vals)
     p_vals = np.asarray(p_vals)
 
     E, p_exp, resid = _extrapolate_sequence(radii, e_vals)
-    P = np.empty(n)
-    for i in range(n):
+    P = np.empty(3)
+    for i in range(3):
         P[i], _, _ = _extrapolate_sequence(radii, p_vals[:, i])
 
     diffs = np.abs(np.diff(e_vals))
@@ -240,51 +225,49 @@ def bulk_spin_coefficients(data: InitialData, x) -> np.ndarray:
 
     Gram-Schmidt on the coordinate basis in fixed order gives frame rows F
     with F g F^T = I and F lower-triangular, so F = L^{-1} for the Cholesky
-    factor g = L L^T, and d_i F = -Phi(F d_i g F^T) F, where Phi keeps the
-    strict lower triangle and halves the diagonal.  With the frame
+    factor g = L L^T, and d_i F = -Phi(F d_i g F^T) F, where Phi
+    (`geometry.FRAME_PROJECTOR`) keeps the strict lower triangle and halves
+    the diagonal.  With the frame
     components G[a, j, l] = (d_{e_a} g)(e_j, e_l) of dg, the frame
     derivative gives -Phi(G_a) and the Christoffel symbols the rest:
     W_ajl = -Phi(G_a)_jl + 1/2 (G_ajl + G_jla - G_laj).
     """
     f = as_fields(data, x)
-    m, n = f.x.shape
+    m = len(f.x)
     frame = f.frame
-    # G[m, a, j, l] = e_a^i e_j^p e_l^q d_i g_pq: F on one index of dg at a time, each an (m, n, n n) product
-    by_direction = (f.dg.reshape(m, n * n, n) @ np.swapaxes(frame, 1, 2)).reshape(m, n, n * n)  # [p, (q, a)]
-    half = np.ascontiguousarray((frame @ by_direction).reshape(m, n, n, n).swapaxes(1, 2))  # [q, j, a]
-    G = np.ascontiguousarray((frame @ half.reshape(m, n, n * n)).reshape(m, n, n, n).transpose(0, 3, 2, 1))
-    phi = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
-    return 0.5 * (G + G.transpose(0, 3, 1, 2) - G.transpose(0, 2, 3, 1)) - phi * G
+    # G[m, a, j, l] = e_a^i e_j^p e_l^q d_i g_pq: F on one index of dg at a time, each an (m, 3, 3 3) product
+    by_direction = (f.dg.reshape(m, 9, 3) @ np.swapaxes(frame, 1, 2)).reshape(m, 3, 9)  # [p, (q, a)]
+    half = np.ascontiguousarray((frame @ by_direction).reshape(m, 3, 3, 3).swapaxes(1, 2))  # [q, j, a]
+    G = np.ascontiguousarray((frame @ half.reshape(m, 3, 9)).reshape(m, 3, 3, 3).transpose(0, 3, 2, 1))
+    return 0.5 * (G + G.transpose(0, 3, 1, 2) - G.transpose(0, 2, 3, 1)) - FRAME_PROJECTOR * G
 
 
 def sen_derivatives(data: InitialData, field: SpinorField, x, values: np.ndarray | None = None) -> np.ndarray:
-    """Spacetime-connection derivatives in all frame directions; (..., m, I, n).
+    """Spacetime-connection derivatives in all frame directions; (..., m, I, 3).
 
     nabla-bar_a psi = e_a(c) + 1/4 W_{jl}(e_a) Gamma^j Gamma^l c
                       + 1/2 k(e_a, e_j) Gamma^j tau c.
     `values`, when the caller has them, are the field's components c at x.
     """
     f = as_fields(data, x)
-    n = data.n
     c = field.evaluate(f.x) if values is None else values
     W = bulk_spin_coefficients(data, f)
     kf = f.frame @ f.k @ np.swapaxes(f.frame, -1, -2)
     # the connection's algebraic part as one (m, a I, K) operator, applied once to the batch:
     # one real product of [W/4 | k/2] per direction with the float view of [Gamma^j Gamma^l; Gamma^j tau]
-    coeffs = np.concatenate([0.25 * W.reshape(-1, n * n), 0.5 * kf.reshape(-1, n)], axis=1)
-    products = np.concatenate([GAMMA_GAMMA.reshape(n * n, DIM * DIM), GAMMA_TAU.reshape(n, DIM * DIM)]).view(float)
-    conn = (coeffs @ products).view(complex).reshape(-1, n * DIM, DIM)
+    coeffs = np.concatenate([0.25 * W.reshape(-1, 9), 0.5 * kf.reshape(-1, 3)], axis=1)
+    products = np.concatenate([GAMMA_GAMMA.reshape(9, DIM * DIM), GAMMA_TAU.reshape(3, DIM * DIM)]).view(float)
+    conn = (coeffs @ products).view(complex).reshape(-1, 3 * DIM, DIM)
     out = np.asarray(field.frame_derivatives(data, f), dtype=complex)
     # the product lands in out's (..., m, a, I) memory
-    np.swapaxes(out, -1, -2)[...] += (conn @ c[..., None]).reshape(c.shape[:-1] + (n, DIM))
+    np.swapaxes(out, -1, -2)[...] += (conn @ c[..., None]).reshape(c.shape[:-1] + (3, DIM))
     return out
 
 
 def _gamma_contract(sen: np.ndarray) -> np.ndarray:
-    """Gamma^a applied to frame derivatives (..., I, n) and summed over a: one product over (a, K)."""
-    n, dim = GAMMA.shape[:2]
-    by_direction = np.swapaxes(sen, -1, -2).reshape(sen.shape[:-2] + (n * dim,))
-    return by_direction @ np.swapaxes(GAMMA, -1, -2).reshape(n * dim, dim)
+    """Gamma^a applied to frame derivatives (..., I, 3) and summed over a: one product over (a, K)."""
+    by_direction = np.swapaxes(sen, -1, -2).reshape(sen.shape[:-2] + (3 * DIM,))
+    return by_direction @ np.swapaxes(GAMMA, -1, -2).reshape(3 * DIM, DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -398,35 +381,32 @@ def witten_flux(data: InitialData, psi_inf: np.ndarray, r: float, order: int = 2
     """Spinor flux of constant spinors (..., I) through |x| = r; the leading axes of psi_inf batch them.
 
     In the limit of large r this converges to
-    (n-1) omega_{n-1} / 2 * (E |psi_inf|^2 - <psi_inf, P_i e^i tau psi_inf>).
+    4 pi (E |psi_inf|^2 - <psi_inf, P_i e^i tau psi_inf>).
     """
     return spinor_flux(data, constant_spinor_field(psi_inf), r, order)
 
 
 def flux_mass_pairing(E: float, P: np.ndarray, psi_inf: np.ndarray) -> float:
-    """(n-1) omega_{n-1}/2 (E |psi|^2 - <psi, P_i e^i tau psi>) for constant psi, n = 3."""
+    """4 pi (E |psi|^2 - <psi, P_i e^i tau psi>) for constant psi."""
     psi = np.asarray(psi_inf, dtype=complex)
     pmat = np.einsum("i,iIK->IK", np.asarray(P, dtype=float), GAMMA) @ TAU
     val = E * np.vdot(psi, psi) - np.vdot(psi, pmat @ psi)
-    n = len(GAMMA)
-    return float((n - 1) * unit_sphere_volume(n) / 2.0 * real_checked(val, label="flux pairing"))
+    return float(SPHERE_AREA * real_checked(val, label="flux pairing"))
 
 
 def flux_fit_energy_momentum(data: InitialData, r: float, order: int = 16):
     """Reconstruct (E, P) from Witten fluxes of a spinor basis by polarization.
 
     The flux of a constant spinor tends to C (E |psi|^2 - <psi, M psi>)
-    with C = (n-1) omega_{n-1}/2 and M = P_i Gamma^i tau Hermitian and
+    with C = 4 pi and M = P_i Gamma^i tau Hermitian and
     traceless; basis and pairwise fluxes determine E and M, and P_i is
     recovered by projecting M onto the Clifford directions.  All
     polarization spinors go through one batched flux evaluation.
     """
-    n = data.n
-    C = (n - 1) * unit_sphere_volume(n) / 2.0
     basis = np.eye(DIM, dtype=complex)
     l, mdx = np.triu_indices(DIM, k=1)
     spinors = np.concatenate([basis, basis[l] + basis[mdx], basis[l] + 1j * basis[mdx]])
-    F = witten_flux(data, spinors, r, order=order) / C
+    F = witten_flux(data, spinors, r, order=order) / SPHERE_AREA
     diag, f_re, f_im = F[:DIM], F[DIM : DIM + len(l)], F[DIM + len(l) :]
 
     E_fit = float(np.mean(diag))
@@ -473,7 +453,7 @@ def lsw_residual(
     if r_order is None:
         r_order = max(24, order)
     pts, w_flat = volume_quadrature(region, r_order, order)
-    gt = GAMMA_TAU.reshape(data.n, -1).view(float)
+    gt = GAMMA_TAU.reshape(3, -1).view(float)
     matter_int = dirichlet = dirac_sq = 0.0
     for f in field_blocks(data, pts):
         dV, w_flat = np.sqrt(np.linalg.det(f.g)) * w_flat[: len(f.x)], w_flat[len(f.x) :]  # later blocks' weights remain

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cliffords import GAMMA, TAU, TAU_GAMMA, spinor_rotation
+from .cliffords import TAU, TAU_GAMMA, spinor_rotation
 from .geometry import CreasedData, GeometryError, InitialData, PointFields, as_points, bulk_frame
 from .integrals import bulk_spin_coefficients
 from .spheregrid import sphere_grid
@@ -65,7 +65,7 @@ class LapseShift:
 
 
 def _lapse_shift(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u = |psi|^2 and Y_a = <tau e_a psi, psi> of spinor components c (m, I); Y is complex, (m, n),
+    """u = |psi|^2 and Y_a = <tau e_a psi, psi> of spinor components c (m, I); Y is complex, (m, 3),
     and real for a genuine shift."""
     u = np.einsum("mI,mI->m", np.conj(c), c).real
     # <tau e_a psi, psi> = conj pairing in the first slot
@@ -114,14 +114,13 @@ def crease_lorentz_check(
     c_plus = np.asarray(psi_plus(grid.theta, grid.phi), dtype=complex)
     c_minus = np.einsum("mIK,mK->mI", spinor_rotation(f), c_plus)
 
-    n = len(GAMMA)
     u_p, y_p = _lapse_shift(c_plus)
     u_m, y_m = _lapse_shift(c_minus)
     y_p, y_m = y_p.real, y_m.real
-    y_nu_p, y_nu_m = y_p[:, n - 1], y_m[:, n - 1]
+    y_nu_p, y_nu_m = y_p[:, 2], y_m[:, 2]  # the normal is the last frame vector, e_3
     a, b = np.cosh(f), np.sinh(f)
     return LorentzCheck(
-        tangential_residual=float(np.max(np.abs(y_m[:, : n - 1] - y_p[:, : n - 1]))),
+        tangential_residual=float(np.max(np.abs(y_m[:, :2] - y_p[:, :2]))),
         normal_residual=float(np.max(np.abs(y_nu_m - (a * y_nu_p - b * u_p)))),
         lapse_residual=float(np.max(np.abs(u_m - (a * u_p - b * y_nu_p)))),
         causal_invariant_residual=float(
@@ -159,7 +158,7 @@ class KillingResiduals:
 
 def killing_conditions_residual(data: InitialData, ls: LapseShift, pts: np.ndarray) -> KillingResiduals:
     """Residuals of the Killing initial-data equations at sample points, from closed-form derivatives."""
-    f = PointFields(data, as_points(pts, data.n))
+    f = PointFields(data, as_points(pts))
     kf = np.einsum("mai,mij,mbj->mab", f.frame, f.k, f.frame)
     u, Yf, du, nablaY = _lapse_shift_jet(data, ls, f)
     lie = nablaY + np.swapaxes(nablaY, 1, 2)

@@ -11,14 +11,14 @@ in the symmetric-square-root frame g^{-1/2} d/dx.  Writing F = 1/A,
 G = 1/B,
 
     mu_c = -B'/(A B) - 1/(r A) + 1/(r B),   gr = G/r - mu_c/2,
-    trk  = kappa_n + (n-1) kappa_t,
+    trk  = kappa_n + 2 kappa_t,
 
 the operator is D_W psi = -r1 + (omega . Gamma) r2, and the squared
-spacetime-connection norm integrates to omega_{n-1} (|P|^2 + |Q|^2 +
-(n-1)(|Pt|^2 + |Qt|^2)) A B^{n-1} r^{n-1} dr, for six blocks that each read
+spacetime-connection norm integrates to 4 pi (|P|^2 + |Q|^2 +
+2 (|Pt|^2 + |Qt|^2)) A B^2 r^2 dr, for six blocks that each read
 F X' (when differentiated) + a X + b tau Y on one field X, the other Y:
 
-    r1 = F V' + (n-1) gr V + trk/2 tau U      r2 = F U' - (n-1) mu_c/2 U + trk/2 tau V
+    r1 = F V' + 2 gr V + trk/2 tau U          r2 = F U' - mu_c U + trk/2 tau V
     P  = F U' + kappa_n/2 tau V               Q  = F V' + kappa_n/2 tau U
     Pt = gr V + kappa_t/2 tau U               Qt = mu_c/2 U - kappa_t/2 tau V
 
@@ -67,6 +67,8 @@ from . import banded as spla
 from .bartnik import crease_report_for
 from .cliffords import DIM, GAMMA, TAU
 from .geometry import (
+    FRAME_PROJECTOR,
+    SPHERE_AREA,
     CreasedData,
     GeometryError,
     InitialData,
@@ -74,7 +76,6 @@ from .geometry import (
     RadialProfile,
     as_fields,
     matter_densities,
-    unit_sphere_volume,
 )
 from .integrals import MassReport, _gamma_contract, flux_mass_pairing, sen_derivatives
 from .spinorfields import SpinorField, rotation_between_frames, spin_lift
@@ -116,13 +117,12 @@ class SideCoefficients:
 
     def blocks(self, p: RadialProfile) -> dict[str, Block]:
         """The six reduced blocks at p's radii: the equations r1, r2 and the connection-norm blocks P, Q, Pt, Qt."""
-        n1 = self.data.n - 1
         mu = mu_c(p)
         gr = (1.0 / p.B) / p.r - 0.5 * mu
-        trk, kn, kt = 0.5 * (p.kappa_n + n1 * p.kappa_t), 0.5 * p.kappa_n, 0.5 * p.kappa_t
+        trk, kn, kt = 0.5 * (p.kappa_n + 2.0 * p.kappa_t), 0.5 * p.kappa_n, 0.5 * p.kappa_t
         return {
-            "r1": Block("V", True, n1 * gr, trk),
-            "r2": Block("U", True, -(n1 * 0.5 * mu), trk),
+            "r1": Block("V", True, 2.0 * gr, trk),
+            "r2": Block("U", True, -mu, trk),
             "P": Block("U", True, None, kn),
             "Q": Block("V", True, None, kn),
             "Pt": Block("V", False, gr, kt),
@@ -130,7 +130,8 @@ class SideCoefficients:
         }
 
     def volume_factor(self, p: RadialProfile):
-        return p.A * p.B ** (self.data.n - 1) * p.r ** (self.data.n - 1)
+        """A B^2 r^2: the volume element per unit solid angle and unit r."""
+        return p.A * p.B**2 * p.r**2
 
 
 def apply_blocks(side: SideCoefficients, p: RadialProfile, U, dU, V, dV, tau=None) -> dict[str, np.ndarray]:
@@ -158,7 +159,7 @@ def apply_blocks(side: SideCoefficients, p: RadialProfile, U, dU, V, dV, tau=Non
 def spd_frame(p: RadialProfile, om: np.ndarray) -> np.ndarray:
     """Symmetric-square-root frame rows at the points r omega of spherically symmetric data, p its profile at r."""
     P = om[:, :, None] * om[:, None, :]
-    return (1.0 / p.B)[:, None, None] * (np.eye(om.shape[1]) - P) + (1.0 / p.A)[:, None, None] * P
+    return (1.0 / p.B)[:, None, None] * (np.eye(3) - P) + (1.0 / p.A)[:, None, None] * P
 
 
 def _spd_to_bulk_lift(data: InitialData, x) -> np.ndarray:
@@ -199,13 +200,12 @@ def mode_field(data: InitialData, modes) -> SpinorField:
         f, p = PointFields(data, pts), data.profile(r)
         A, B = p.A, p.B
         P, S, col = om[:, :, None] * om[:, None, :], spd_frame(p, om), (lambda s: s[:, None, None, None])
-        T = np.eye(data.n) - P
+        T = np.eye(3) - P
         # d_k S = omega_k (-(B'/B^2) T - (A'/A^2) P) + (1/A - 1/B) d_k P, with r d_k P_ij = T_ik om_j + om_i T_jk
         dS = om[:, :, None, None] * (col(-p.dB / B**2) * T[:, None] - col(p.dA / A**2) * P[:, None])
         dS += col((1.0 / A - 1.0 / B) / r) * (np.einsum("mik,mj->mkij", T, om) + np.einsum("mi,mjk->mkij", om, T))
         F, Fk, dg = f.frame, f.frame[:, None], np.moveaxis(f.dg, -1, 1)  # dg[m, k] = d_k g
-        phi = np.tril(np.ones((data.n, data.n)), -1) + 0.5 * np.eye(data.n)
-        dF = -(phi * (Fk @ dg @ np.swapaxes(Fk, -1, -2))) @ Fk  # d_k F_bulk
+        dF = -(FRAME_PROJECTOR * (Fk @ dg @ np.swapaxes(Fk, -1, -2))) @ Fk  # d_k F_bulk
         dO = (dF @ f.g[:, None] + Fk @ dg) @ S[:, None] + (F @ f.g)[:, None] @ dS  # S and dS are symmetric
         sigma, dsigma = spin_lift(F @ f.g @ S, dO)
         # d_k c_spd = (U' + (omega.Gamma) V') omega_k + (T_kj / r) Gamma^j V
@@ -238,7 +238,6 @@ class RadialProblem:
     cd: CreasedData
     minus: SideCoefficients
     plus: SideCoefficients
-    angle: float
     oracle: OracleReport
 
 
@@ -277,7 +276,7 @@ def _oracle_side(side: SideCoefficients, rng: np.random.Generator, n_radii: int)
     bmp = b["Pt"] + np.einsum("mIK,mK->mI", omg, b["Qt"])
     grad_sq_mode = (
         np.einsum("mI,mI->m", np.conj(amp), amp).real
-        + (side.data.n - 1) * np.einsum("mI,mI->m", np.conj(bmp), bmp).real
+        + 2.0 * np.einsum("mI,mI->m", np.conj(bmp), bmp).real
     )
     grad_defect = float(np.max(np.abs(grad_sq_full - grad_sq_mode) / (1.0 + np.abs(grad_sq_full))))
     return op_defect, grad_defect
@@ -293,7 +292,7 @@ def reduce_radial(cd: CreasedData) -> RadialProblem:
     """
     if cd.minus.profile is None or cd.plus.profile is None:
         raise RadialError("reduce_radial needs spherically symmetric data (radial profiles)")
-    if not cd.angle.is_constant:
+    if cd.angle.constant is None:
         raise RadialError("reduce_radial needs a constant hyperbolic angle on the crease")
     minus = SideCoefficients(data=cd.minus, r_lo=0.0, r_hi=cd.r0)
     plus = SideCoefficients(data=cd.plus, r_lo=cd.r0, r_hi=cd.plus.chart.r_max)
@@ -307,8 +306,7 @@ def reduce_radial(cd: CreasedData) -> RadialProblem:
             f"radial reduction disagrees with the full machinery: operator defect {op_defect:.3e}, gradient defect "
             f"{grad_defect:.3e} (tolerances {ORACLE_OPERATOR_TOL:g}, {ORACLE_GRADIENT_TOL:g})"
         )
-    return RadialProblem(cd=cd, minus=minus, plus=plus, angle=float(cd.angle.constant),
-                         oracle=OracleReport(op_defect, grad_defect, radii_checked=2 * per_side))
+    return RadialProblem(cd=cd, minus=minus, plus=plus, oracle=OracleReport(op_defect, grad_defect, 2 * per_side))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,7 @@ class AssembledSystem:
         """Channel values u_-, v_-, u_+, v_+ at every node of both sides for the free unknowns x."""
         Mm = len(self.r_minus)
         y = np.concatenate([[0.0], x, [0.0, 1.0]]).reshape(-1, 2)
-        minus = np.vstack([y[: Mm - 1], _rotation_blocks(np.eye(1), self.problem.angle) @ y[Mm - 1]])
+        minus = np.vstack([y[: Mm - 1], _rotation_blocks(np.eye(1), self.problem.cd.angle.constant) @ y[Mm - 1]])
         plus = y[Mm - 1 :]
         return minus[:, 1], minus[:, 0], plus[:, 1], plus[:, 0]
 
@@ -427,7 +425,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
     if math.isfinite(cd.plus.chart.r_max) and grid.r_max > cd.plus.chart.r_max:
         raise RadialError("r_max outside the exterior chart")
     n = 2 * (Mm + Mp) - 5
-    rot = _rotation_blocks(np.eye(1), problem.angle)  # the channel's transmission; the same on (v, u) as on (u, v)
+    rot = _rotation_blocks(np.eye(1), cd.angle.constant)  # the channel's transmission; the same on (v, u) as on (u, v)
     rho0 = 0.5 * cd.r0
 
     def side_rows(side: SideCoefficients, r, minus: bool):
@@ -439,7 +437,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
         """
         M = len(r)
         p = side.data.profile(np.where(r > 0, r, r[1]))
-        w = _hat_weights(r, moment=0) * side.volume_factor(p) * unit_sphere_volume(side.data.n)
+        w = _hat_weights(r, moment=0) * side.volume_factor(p) * SPHERE_AREA
         if minus:
             w[0] = 0.0
         keep = np.flatnonzero(w > 0)
@@ -462,10 +460,9 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
         table = side.blocks(pk)
         residual = np.concatenate([rows(table[k]) for k in ("r1", "r2")])
         grad = np.concatenate([rows(table[k]) for k in ("P", "Q", "Pt", "Qt")])
-        n1 = float(side.data.n - 1)
         residual *= np.tile(np.sqrt(w[keep]), 2)[:, None, None]
-        grad *= np.sqrt(np.concatenate([w[keep], w[keep], n1 * w[keep], n1 * w[keep]]))[:, None, None]
-        mass = _hat_weights(r, moment=2) * p.A * p.B**2 * unit_sphere_volume(3) / (r**2 + rho0**2)
+        grad *= np.sqrt(np.concatenate([w[keep], w[keep], 2.0 * w[keep], 2.0 * w[keep]]))[:, None, None]
+        mass = _hat_weights(r, moment=2) * p.A * p.B**2 * SPHERE_AREA / (r**2 + rho0**2)
         mass = np.sqrt(mass)[:, None, None] * np.eye(2)  # (M, 2 rows, (v, u))
         if minus:
             for a in (residual, grad):
@@ -486,7 +483,7 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
     A = spla.WindowRows(residual, start, n)
     return AssembledSystem(
         problem=problem, r_minus=r_m, r_plus=r_p, A=A, rhs=rhs,
-        transmission_block=_rotation_blocks(TAU.real, problem.angle),
+        transmission_block=_rotation_blocks(TAU.real, cd.angle.constant),
         grad_rows=spla.WindowRows(np.concatenate([grad_m, grad_p]), np.concatenate([gs_m, gs_p]), n),
         mass_rows=spla.WindowRows(np.concatenate([mass_m, mass_p]), np.concatenate([ms_m, ms_p]), n),
         norm_weights=np.concatenate([w_m, w_p]),
@@ -587,15 +584,10 @@ class MassGapReport:
     matter_part: float
     gap: float
     crease_term: float
+    closure: float  # gap + crease_term, the gap identity's defect; unnormalized, so a zero flux keeps it finite
     min_crease_margin: float
     bulk_dec_satisfied: bool
     dec_creased: bool
-    hypothesis_flags: dict
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["hypothesis_flags"] = dict(self.hypothesis_flags)
-        return d
 
 
 def _simpson(vals: np.ndarray, h: float) -> float:
@@ -625,7 +617,6 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
     dirichlet = 0.0
     matter = 0.0
     mu_ok = True
-    omega2 = unit_sphere_volume(3)
     for side, r, u, v in (
         (problem.minus, system.r_minus, sol.u_minus, sol.v_minus),
         (problem.plus, system.r_plus, sol.u_plus, sol.v_plus),
@@ -637,8 +628,8 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
         side.data.chart.require(rr, what="matter node")
         p = side.data.profile(rr)
         b = apply_blocks(side, p, u, du, v, dv)
-        dens = b["P"] ** 2 + b["Q"] ** 2 + (side.data.n - 1) * (b["Pt"] ** 2 + b["Qt"] ** 2)
-        vol = side.volume_factor(p) * omega2
+        dens = b["P"] ** 2 + b["Q"] ** 2 + 2.0 * (b["Pt"] ** 2 + b["Qt"] ** 2)
+        vol = side.volume_factor(p) * SPHERE_AREA
         dens = dens * vol
         dens[0] = 0.0 if r[0] == 0.0 else dens[0]
         dirichlet += _simpson(dens, h)
@@ -660,19 +651,14 @@ def mass_gap(sol: RadialSolution, mass: MassReport) -> MassGapReport:
     # suffices, so the report samples the smallest sphere grid
     report = crease_report_for(problem.cd, order=4)
     u0, v0 = sol.u_plus[0], sol.v_plus[0]
-    area = omega2 * float(report.area_element[0])
+    area = SPHERE_AREA * float(report.area_element[0])
     crease_term = -0.5 * area * psi_sq * (report.nu_component[0] * (u0 * u0 + v0 * v0)
                                           + report.tau_component[0] * (2.0 * (u0 * v0)))
 
-    flags = {
-        "bulk_dec": mu_ok,
-        "dec_creased": bool(report.dec_creased),
-        "gap_nonnegative_expected": bool(mu_ok and report.dec_creased),
-    }
     return MassGapReport(
         flux_term=flux, bulk_term=bulk, dirichlet_part=dirichlet, matter_part=matter,
-        gap=gap, crease_term=crease_term, min_crease_margin=report.min_margin,
-        bulk_dec_satisfied=mu_ok, dec_creased=bool(report.dec_creased), hypothesis_flags=flags,
+        gap=gap, crease_term=crease_term, closure=gap + crease_term, min_crease_margin=report.min_margin,
+        bulk_dec_satisfied=mu_ok, dec_creased=bool(report.dec_creased),
     )
 
 

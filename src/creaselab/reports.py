@@ -2,11 +2,13 @@
 
 The main report is byte-identical for identical configuration and seed:
 keys are sorted, floats use the shortest round-trip representation, and
-wall-clock timing goes to a separate sidecar file.
+wall-clock timing goes to a separate sidecar file.  A result dataclass
+is written as the mapping of its fields, so its fields are its report layout.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -20,6 +22,8 @@ SCHEMA_VERSION = 1
 
 
 def _plain(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -4,10 +4,10 @@ A spinor field is a closure for its component functions relative to the
 deterministic bulk Gram-Schmidt frame together with a closure for their
 analytic Cartesian gradient, the one derivative path.  Components
 may carry leading batch axes: a field of K spinors maps a point batch
-(m, n) to values (K, m, I) and gradients (K, m, I, n), so everything that
+(m, 3) to values (K, m, I) and gradients (K, m, I, 3), so everything that
 depends only on the points is computed once for the whole batch.
-Frame derivatives are stored direction-major, (..., m, n, I) in memory,
-and handed out as (..., m, I, n) views: the real frame acts on the float
+Frame derivatives are stored direction-major, (..., m, 3, I) in memory,
+and handed out as (..., m, I, 3) views: the real frame acts on the float
 view of that memory, and every contraction over the direction or the
 spinor index is one matrix product on contiguous memory.  Changing
 between two orthonormal frames of the same metric lifts the relating
@@ -32,7 +32,7 @@ class SpinGaugeError(GeometryError):
 
 
 def rotation_between_frames(g: np.ndarray, frame_from: np.ndarray, frame_to: np.ndarray) -> np.ndarray:
-    """SO(n) matrix O with (components in `frame_to`) = O (components in `frame_from`).
+    """SO(3) matrix O with (components in `frame_to`) = O (components in `frame_from`).
 
     Both arguments are batched orthonormal frames (rows are frame vectors)
     of the same metric g; O = F_to g F_from^T.
@@ -136,8 +136,8 @@ def anchored_spin_lift(O_anchor: np.ndarray, O: np.ndarray) -> np.ndarray:
 class SpinorField:
     """Spinor components in the deterministic bulk frame, with their Cartesian gradient.
 
-    `values` maps points (m, n) to components (..., m, I) and
-    `cartesian_gradient` maps them to the partials d_i c, (..., m, I, n);
+    `values` maps points (m, 3) to components (..., m, I) and
+    `cartesian_gradient` maps them to the partials d_i c, (..., m, I, 3);
     frame derivatives are the frame applied to that gradient.
     """
 
@@ -148,9 +148,9 @@ class SpinorField:
         return np.ascontiguousarray(self.values(np.asarray(x, dtype=float)), dtype=complex)
 
     def frame_derivatives(self, data: InitialData, x) -> np.ndarray:
-        """e_a(c) for all frame directions at points or a field bundle x; shape (..., m, I, n)."""
+        """e_a(c) for all frame directions at points or a field bundle x; shape (..., m, I, 3)."""
         f = as_fields(data, x)
-        # direction-major (..., m, n, I) memory, whose float view the real frame multiplies
+        # direction-major (..., m, 3, I) memory, whose float view the real frame multiplies
         by_direction = np.ascontiguousarray(np.swapaxes(self.cartesian_gradient(f.x), -1, -2), dtype=complex)
         return np.swapaxes((f.frame @ by_direction.view(float)).view(complex), -1, -2)
 
@@ -165,7 +165,7 @@ def constant_spinor_field(components: np.ndarray) -> SpinorField:
         return np.broadcast_to(comp[..., None, :], comp.shape[:-1] + (np.shape(x)[0], DIM)).copy()
 
     def gradient(x):
-        return np.zeros(comp.shape[:-1] + (np.shape(x)[0], DIM, len(GAMMA)), dtype=complex)
+        return np.zeros(comp.shape[:-1] + (np.shape(x)[0], DIM, 3), dtype=complex)
 
     return SpinorField(values=values, cartesian_gradient=gradient)
 
@@ -177,13 +177,12 @@ def polynomial_spinor_field(coeffs: np.ndarray, exponents: np.ndarray) -> Spinor
     nterms = exponents.shape[0]
     if coeffs.shape[-2:] != (DIM, nterms):
         raise GeometryError("coefficient array must have shape (..., I, nterms)")
-    n = len(GAMMA)
-    axes = np.arange(n)
+    axes = np.arange(3)
     # coefficients as a real (..., t, 2I) matrix (interleaved real and imaginary parts), so a real
     # monomial matrix multiplies it without a complex copy and the product views as complex
     coeffs_ri = np.ascontiguousarray(np.swapaxes(coeffs, -1, -2)).view(float)
     # d_i x^e = e_i x^(e - delta_i): exponents and factors per direction i
-    lowered = [np.maximum(exponents - np.eye(n, dtype=int)[i], 0) for i in range(n)]
+    lowered = [np.maximum(exponents - np.eye(3, dtype=int)[i], 0) for i in range(3)]
 
     def powers(x):  # powers[m, i, e] = x_i^e
         pw = np.ones(x.shape + (int(exponents.max(initial=0)) + 1,))
@@ -196,9 +195,9 @@ def polynomial_spinor_field(coeffs: np.ndarray, exponents: np.ndarray) -> Spinor
 
     def gradient(x):
         pw = powers(x)
-        dmono = np.stack([exponents[:, i] * np.prod(pw[:, axes, lowered[i]], axis=-1) for i in range(n)], axis=1)
-        grad = (dmono.reshape(-1, nterms) @ coeffs_ri).view(complex)  # (..., m n, I)
-        return np.swapaxes(grad.reshape(grad.shape[:-2] + (x.shape[0], n, DIM)), -1, -2)
+        dmono = np.stack([exponents[:, i] * np.prod(pw[:, axes, lowered[i]], axis=-1) for i in range(3)], axis=1)
+        grad = (dmono.reshape(-1, nterms) @ coeffs_ri).view(complex)  # (..., m 3, I)
+        return np.swapaxes(grad.reshape(grad.shape[:-2] + (x.shape[0], 3, DIM)), -1, -2)
 
     return SpinorField(values=values, cartesian_gradient=gradient)
 

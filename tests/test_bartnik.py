@@ -138,7 +138,7 @@ def test_argmin_node_is_stable_under_roundoff_noise(miao_pair, angle):
     for _ in range(4):
         noisy = dataclasses.replace(bp, H=bp.H + 1e-15 * rng.normal(size=bp.size))
         assert crease_margin(bm, noisy, angle).argmin_node == clean
-    if angle.is_constant:
+    if angle.constant is not None:
         assert clean == 0
 
 

@@ -529,3 +529,66 @@ def test_rotated_crease_keys_on_other_models_exit_2(tmp_path, capsys, key, value
     assert _run("crease-check", _write_config(tmp_path, "extra.yaml", doc), tmp_path / "out") == 2
     assert f"catalog.{key} applies to rotated_crease only" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["report.json", "crease_margin.csv"])
+def test_unwritable_output_exits_2(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()  # a directory where the file goes
+    assert _run("crease-check", CREASE_CHECK_SMALL, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and str(tmp_path / name) in err
+    assert "Traceback" not in err
+    assert (tmp_path / name).is_dir() and not list(tmp_path.glob("*.tmp"))
+
+
+def _paths(prefix: str, names: str) -> set[str]:
+    return {f"{prefix}.{name}" for name in names.split()}
+
+
+# the dotted key paths of each committed config's report.json; a list is one leaf
+_ENVELOPE = {"schema_version", "library_version", "command", "passed", "config.seed", "config.catalog.name"}
+_MASS = "E P m radii E_by_radius P_by_radius decay_exponent extrapolation_residual monotone warning"
+_IDENTITIES = (_paths("config", "ensembles.n_spinors quadrature.sphere_order") | _paths("flags", "lsw crease_boundary")
+               | _paths("results.lsw", "region max_scaled_residual roundoff_floor")
+               | _paths("results.crease_boundary", "max_relative_mismatch max_abs_mismatch bound_respected"))
+_SOLVE = (_paths("config", "grid.n_minus grid.n_plus grid.r_max quadrature.sphere_order radii")
+          | _paths("flags", "transmission poincare_stable hypotheses_hold gap_nonnegative") | {"results.label"}
+          | _paths("results.oracle", "operator_defect gradient_defect radii_checked")
+          | _paths("results.solver", "relative_residual residual_norm transmission_defect origin_defect "
+                                     "smallest_singular_value")
+          | _paths("results.mass", _MASS) | _paths("results.poincare", "estimate coarse")
+          | _paths("results.gap", "flux_term bulk_term dirichlet_part matter_part gap crease_term closure "
+                                  "min_crease_margin bulk_dec_satisfied dec_creased"))
+_ROTATED = _paths("config.catalog", "base base_params.m base_params.rho0 angle.type")
+REPORT_PATHS = {
+    "adm-small": (_paths("config", "catalog.params.m flux_check quadrature.sphere_order")
+                  | _paths("flags", "flux_consistent monotone") | {"results.label"}
+                  | _paths("results.flux_fit", "E P relative_energy_mismatch") | _paths("results.mass_report", _MASS)),
+    "crease-check-small": (_paths("config", "catalog.params.m catalog.params.rho0 quadrature.sphere_order")
+                           | {"flags.dec_creased"}
+                           | _paths("results", "label min_margin argmin_node dec_creased spacelike_form_nodes_true "
+                                               "nodes margin_summary.max margin_summary.mean")),
+    "identities-small": _IDENTITIES | _paths("config.catalog.params", "m rho0"),
+    "identities-small-rotated": _IDENTITIES | _ROTATED | {"config.catalog.angle.amplitude"},
+    "rigidity-small": (_paths("flags", "killing flatness drift lorentz negative_control_detects_curvature")
+                       | _paths("results", "killing_residuals.tensor killing_residuals.covector development_flatness "
+                                           "lorentz_length_drift crease_lorentz.angle crease_lorentz.max_residual "
+                                           "crease_lorentz.causal_invariant_residual negative_control.description "
+                                           "negative_control.riemann_norm negative_control.expected_fail")),
+    "solve-small": _SOLVE | _paths("config.catalog.params", "m rho0"),
+    "solve-small-rotated": _SOLVE | _ROTATED | {"config.catalog.angle.value"},
+}
+
+
+def _key_paths(obj, prefix: str = "") -> set[str]:
+    if not isinstance(obj, dict):
+        return {prefix}
+    return {p for key, value in obj.items() for p in _key_paths(value, f"{prefix}.{key}" if prefix else key)}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PATHS))
+def test_report_key_paths_match_the_layout(tmp_path, name):
+    assert sorted(path.stem for path in CONFIGS.glob("*.yaml")) == sorted(REPORT_PATHS)
+    assert _run(name.split("-small")[0], CONFIGS / f"{name}.yaml", tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert _key_paths(report) == _ENVELOPE | REPORT_PATHS[name]

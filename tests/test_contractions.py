@@ -63,7 +63,7 @@ def polynomial_data(seed: int = 3, eps: float = 0.05) -> InitialData:
     def dk(x):
         return np.broadcast_to(0.1 * K1, (len(x), 3, 3, 3)).copy()
 
-    return InitialData(n=3, chart=Chart(0.0, 2.0), g=g, k=k, dg=dg, dk=dk, d2g=d2g, label="polynomial")
+    return InitialData(chart=Chart(0.0, 2.0), g=g, k=k, dg=dg, dk=dk, d2g=d2g, label="polynomial")
 
 
 # each data set with volume nodes inside its chart

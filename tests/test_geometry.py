@@ -17,6 +17,7 @@ from creaselab.catalog import (
     trivial_crease,
 )
 from creaselab.geometry import (
+    SPHERE_AREA,
     Chart,
     GeometryError,
     InitialData,
@@ -28,7 +29,6 @@ from creaselab.geometry import (
     scalar_curvature,
     second_metric_derivative,
     sphere_frame,
-    unit_sphere_volume,
 )
 from creaselab.integrals import volume_quadrature
 from creaselab.spheregrid import sphere_grid, theta_phi_tangents
@@ -59,8 +59,8 @@ def matter_ball() -> InitialData:
 
 
 def test_unit_sphere_volume():
-    assert unit_sphere_volume(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
-    assert unit_sphere_volume(4) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+    # the unit 2-sphere's area 2 pi^(3/2) / Gamma(3/2), to the bit
+    assert SPHERE_AREA == 2.0 * math.pi**1.5 / math.gamma(1.5) == pytest.approx(4.0 * math.pi, rel=1e-15)
 
 
 def test_catalog_dispatch_and_errors():
@@ -196,7 +196,7 @@ def test_scalar_curvature_of_conformally_flat_metric():
 
     zero = minkowski_slice()
     data = InitialData(
-        n=3, chart=Chart(0.0, math.inf), g=lambda x: (phi(x) ** 4)[:, None, None] * eye,
+        chart=Chart(0.0, math.inf), g=lambda x: (phi(x) ** 4)[:, None, None] * eye,
         k=zero.k, dg=dg, dk=zero.dk, d2g=d2g, label="conformally-flat",
     )
     pts = sample_points(np.random.default_rng(21), 30, 0.5, 3.0)

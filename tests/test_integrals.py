@@ -181,7 +181,7 @@ def test_adm_rotation_invariance():
         return np.einsum("ia,jb,lc,nd,mabcd->mijln", R.T, R.T, R.T, R.T, d)
 
     rotated = InitialData(
-        n=3, chart=base.chart, g=rot_metric, k=base.k, dg=rot_dg, dk=base.dk, d2g=rot_d2g, label="rotated",
+        chart=base.chart, g=rot_metric, k=base.k, dg=rot_dg, dk=base.dk, d2g=rot_d2g, label="rotated",
     )
     r1 = adm_energy_momentum(base, [50.0, 100.0, 200.0], order=24)
     r2 = adm_energy_momentum(rotated, [50.0, 100.0, 200.0], order=24)
@@ -545,7 +545,7 @@ def test_lsw_identity_synthetic_full_terms():
         return out
 
     synth = InitialData(
-        n=3, chart=Chart(0.0, math.inf), g=flat.g, dg=flat.dg,
+        chart=Chart(0.0, math.inf), g=flat.g, dg=flat.dg,
         k=kfun, dk=dkfun, d2g=flat.d2g, label="synthetic-k",
     )
     rng = np.random.default_rng(4)
