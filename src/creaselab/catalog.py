@@ -26,6 +26,7 @@ from .geometry import (
     GeometryError,
     InitialData,
     RadialProfile,
+    positive_definite,
 )
 from .spheregrid import sphere_grid
 
@@ -146,7 +147,7 @@ def _validate_positive_definite(data: InitialData, radii) -> None:
         if not data.chart.contains(r):
             continue
         g = data.g(r * grid.nodes[::7])
-        if not np.all(np.linalg.eigvalsh(g) > 0.0):
+        if not positive_definite(g):
             raise GeometryError(f"{data.label}: metric not positive definite at r={r:g}")
 
 

@@ -41,8 +41,6 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .spheregrid import theta_phi_tangents
-
 
 class GeometryError(ValueError):
     """Invalid data, out-of-domain evaluation, or degenerate geometry."""
@@ -201,8 +199,30 @@ class CreasedData:
 # metric algebra
 
 
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]  # the cyclic successors i + 1 and i + 2 of the indices 0, 1, 2
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis: np.cross's products, without its generic axis handling."""
+    return a[..., _NEXT] * b[..., _AFTER] - a[..., _AFTER] * b[..., _NEXT]
+
+
+def determinant(g: np.ndarray) -> np.ndarray:
+    """det of a 3x3 batch (..., 3, 3): the triple product of its rows."""
+    return np.sum(g[..., 0, :] * _cross(g[..., 1, :], g[..., 2, :]), axis=-1)
+
+
+def positive_definite(g: np.ndarray) -> bool:
+    """Whether every matrix of the symmetric 3x3 batch g is positive definite: Sylvester's leading minors."""
+    minor2 = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    return bool(np.all((g[..., 0, 0] > 0.0) & (minor2 > 0.0) & (determinant(g) > 0.0)))
+
+
 def inverse_metric(g: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(g)
+    """g^-1 of a symmetric 3x3 batch by cofactors: row i of the cofactor matrix is the cross product of the
+    rows i + 1 and i + 2 (cyclic), row 0 dotted with it is det g, and for symmetric g it is its own transpose."""
+    cof = _cross(g[..., _NEXT, :], g[..., _AFTER, :])
+    return cof / np.sum(g[..., 0, :] * cof[..., 0, :], axis=-1)[..., None, None]
 
 
 def christoffel(data: InitialData, x) -> np.ndarray:
@@ -346,18 +366,23 @@ FRAME_PROJECTOR.flags.writeable = False
 
 
 def bulk_frame(data: InitialData, x) -> np.ndarray:
-    """Gram-Schmidt frame on the coordinate basis; rows are e_1, e_2, e_3."""
-    f = as_fields(data, x)
-    g = f.g
-    frame = np.zeros(f.x.shape[:1] + (3, 3))
-    for i in range(3):
-        v = np.zeros(f.x.shape[:1] + (3,))
-        v[:, i] = 1.0
-        for j in range(i):
-            proj = np.einsum("...a,...ab,...b->...", frame[:, j], g, v)
-            v = v - proj[:, None] * frame[:, j]
-        nrm = np.sqrt(np.einsum("...a,...ab,...b->...", v, g, v))
-        frame[:, i] = v / nrm[:, None]
+    """Gram-Schmidt frame on the coordinate basis in index order; rows are e_1, e_2, e_3.
+
+    The rows F are lower triangular with F g F^T = I, so F = L^-1 for the
+    Cholesky factor g = L L^T; both 3x3 triangles are written out entry by entry.
+    """
+    g = as_fields(data, x).g
+    l00 = np.sqrt(g[:, 0, 0])
+    l10, l20 = g[:, 1, 0] / l00, g[:, 2, 0] / l00
+    l11 = np.sqrt(g[:, 1, 1] - l10 * l10)
+    l21 = (g[:, 2, 1] - l20 * l10) / l11
+    l22 = np.sqrt(g[:, 2, 2] - l20 * l20 - l21 * l21)
+    f00, f11, f22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    f10 = -l10 * f00 * f11
+    frame = np.zeros(g.shape)
+    frame[:, 0, 0], frame[:, 1, 1], frame[:, 2, 2], frame[:, 1, 0] = f00, f11, f22, f10
+    frame[:, 2, 1] = -l21 * f11 * f22
+    frame[:, 2, 0] = -(l20 * f00 + l21 * f10) * f22
     return frame
 
 
@@ -381,13 +406,22 @@ class SphereFrame:
         return self.frame[:, -1, :]
 
 
-def outward_unit_normal(data: InitialData, x) -> np.ndarray:
-    """g-unit normal of the coordinate sphere through x, pointing outward."""
-    f = as_fields(data, x)
+def _quadratic(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . g . b per node of vector batches a, b (m, 3) and a matrix batch g (m, 3, 3)."""
+    return np.sum(a * (g @ b[:, :, None])[:, :, 0], axis=1)
+
+
+def _normal_parts(f: PointFields) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """r, omega = x / r, u = g^-1 omega and s = omega . u: the outward unit normal is u / sqrt(s)."""
     r = np.linalg.norm(f.x, axis=1)
     omega = f.x / r[:, None]
-    u = np.einsum("...ij,...j->...i", f.ginv, omega)
-    s = np.einsum("...i,...i->...", omega, u)
+    u = (f.ginv @ omega[:, :, None])[:, :, 0]
+    return r, omega, u, np.sum(omega * u, axis=1)
+
+
+def outward_unit_normal(data: InitialData, x) -> np.ndarray:
+    """g-unit normal of the coordinate sphere through x, pointing outward."""
+    _, _, u, s = _normal_parts(as_fields(data, x))
     return u / np.sqrt(s)[:, None]
 
 
@@ -411,14 +445,16 @@ def sphere_frame(data: InitialData, x) -> SphereFrame:
     accepted = np.zeros((m, 2, 3))
     count = np.zeros(m, dtype=int)
     for i in range(3):
+        if np.all(count == 2):  # the third candidate is needed only where one of the first two was skipped
+            break
         cand = -omega * omega[:, i:i+1]
         cand[:, i] += 1.0
-        ref = np.sqrt(np.einsum("...a,...ab,...b->...", cand, g, cand))
-        for j in range(2):
+        ref = np.sqrt(_quadratic(cand, g, cand))
+        for j in range(i):
             sel = count > j  # points whose slot j is already filled
-            proj = np.einsum("...a,...ab,...b->...", accepted[:, j], g, cand)
+            proj = _quadratic(accepted[:, j], g, cand)
             cand = cand - np.where(sel, proj, 0.0)[:, None] * accepted[:, j]
-        nrm = np.sqrt(np.einsum("...a,...ab,...b->...", cand, g, cand))
+        nrm = np.sqrt(_quadratic(cand, g, cand))
         ok = (nrm > FRAME_SKIP_TOL * np.maximum(ref, 1e-300)) & (count < 2)
         idx = np.nonzero(ok)[0]
         accepted[idx, count[idx]] = cand[idx] / nrm[idx, None]
@@ -429,7 +465,7 @@ def sphere_frame(data: InitialData, x) -> SphereFrame:
     nu = outward_unit_normal(data, f)
     frame = np.concatenate([accepted, nu[:, None, :]], axis=1)
     # enforce positive orientation by flipping the last tangential vector
-    neg = np.linalg.det(frame) < 0.0
+    neg = determinant(frame) < 0.0
     frame[neg, 1, :] *= -1.0
     return SphereFrame(frame=frame)
 
@@ -451,19 +487,42 @@ class HypersurfaceGeometry:
 
 
 def _normal_derivative(f: PointFields) -> np.ndarray:
-    """dN[..., j, i] = d_i N^j for the outward unit normal field N."""
-    r = np.linalg.norm(f.x, axis=1)
-    omega = f.x / r[:, None]
-    dg, ginv = f.dg, f.ginv
-    u = np.einsum("...jl,...l->...j", ginv, omega)
-    s = np.einsum("...l,...l->...", omega, u)
-    domega = (np.eye(3)[None] - omega[:, :, None] * omega[:, None, :]) / r[:, None, None]
-    dginv = -np.einsum("...ja,...abi,...bl->...jli", ginv, dg, ginv)
-    du = np.einsum("...jli,...l->...ji", dginv, omega) + np.einsum("...jl,...li->...ji", ginv, domega)
-    ds = np.einsum("...jli,...j,...l->...i", dginv, omega, omega) + 2.0 * np.einsum(
-        "...l,...li->...i", u, domega
-    )
+    """dN[..., j, i] = d_i N^j for the outward unit normal field N = u / sqrt(s).
+
+    With d_i g^-1 = -g^-1 (d_i g) g^-1 and W[..., a, i] = (d_i g)_ab u^b:
+    d_i u = g^-1 (d_i omega - W_i) and d_i s = u . (2 d_i omega - W_i).
+    """
+    r, omega, u, s = _normal_parts(f)
+    domega = (np.eye(3) - omega[:, :, None] * omega[:, None, :]) / r[:, None, None]
+    W = (u[:, None, None, :] @ f.dg)[:, :, 0, :]
+    du = f.ginv @ (domega - W)
+    ds = (u[:, None, :] @ (2.0 * domega - W))[:, 0, :]
     return du / np.sqrt(s)[:, None, None] - 0.5 * u[:, :, None] * (ds / s[:, None] ** 1.5)[:, None, :]
+
+
+def sphere_area_element(data: InitialData, r0: float, x) -> np.ndarray:
+    """dA / dOmega of the sphere r = r0 at its points x = r0 * omega (m, 3), a point batch or its bundle.
+
+    Raises GeometryError off the chart, where g is not positive definite,
+    and where the induced metric degenerates.  The chart is checked at the
+    nominal radius r0, since |r0 * omega| may miss it by an ulp.
+    """
+    f = as_fields(data, x)
+    data.chart.require(np.full(f.x.shape[0], r0), what="sphere")
+    g = f.g
+    if not positive_definite(g):
+        raise GeometryError("metric not positive definite on the sphere")
+    om = f.x / r0
+    sin2 = om[:, 0] ** 2 + om[:, 1] ** 2  # sin^2(theta)
+    # the coordinate tangents r0 d omega / d theta (times sin(theta)) and r0 d omega / d phi, without angles
+    xt = r0 * np.stack([om[:, 2] * om[:, 0], om[:, 2] * om[:, 1], -sin2], axis=1)
+    xp = r0 * np.stack([-om[:, 1], om[:, 0], np.zeros_like(sin2)], axis=1)
+    gxt = (g @ xt[:, :, None])[:, :, 0]
+    g_tp = np.sum(xp * gxt, axis=1)
+    det = np.sum(xt * gxt, axis=1) * _quadratic(xp, g, xp) - g_tp**2  # sin^2(theta) det of the induced metric
+    if np.any(det <= 0.0):
+        raise GeometryError("degenerate induced metric on the sphere")
+    return np.sqrt(det) / sin2
 
 
 def hypersurface_geometry(data: InitialData, r0: float, x) -> HypersurfaceGeometry:
@@ -471,39 +530,19 @@ def hypersurface_geometry(data: InitialData, r0: float, x) -> HypersurfaceGeomet
 
     x is the point batch or its field bundle, whose g, dg, Gamma, k and
     sphere frame are read.  The normal is the outward one; a caller that
-    needs the inward normal flips H and beta.  The chart is checked at the
-    nominal radius r0, since |r0 * omega| may miss it by an ulp.
+    needs the inward normal flips H and beta.  The guards of
+    `sphere_area_element` run before anything else is computed.
     """
     f = as_fields(data, x)
-    data.chart.require(np.full(f.x.shape[0], r0), what="sphere")
+    area_element = sphere_area_element(data, r0, f)
     g, k, gamma = f.g, f.k, f.gamma
     t = f.sphere.tangent
     nu = f.sphere.normal_out
 
-    cov = _normal_derivative(f) + np.einsum("...jil,...l->...ji", gamma, nu)  # nabla_i nu^j
-    # H = sum_alpha g(nabla_{t_alpha} nu, t_alpha)
-    Hval = np.einsum("...ai,...ji,...jl,...al->...", t, cov, g, t)
-
-    trk = np.einsum("...ai,...aj,...ij->...", t, t, k)
-    beta = np.einsum("...i,...ij,...aj->...a", nu, k, t)
-
-    # positive-definiteness and degeneracy guards
-    if not np.all(np.linalg.eigvalsh(g) > 0.0):
-        raise GeometryError("metric not positive definite on the sphere")
-
-    om = f.x / r0
-    theta = np.arccos(np.clip(om[:, 2], -1.0, 1.0))
-    phi = np.arctan2(om[:, 1], om[:, 0])
-    d_theta, d_phi = theta_phi_tangents(theta, phi)
-    xt = r0 * d_theta
-    xp = r0 * d_phi
-    g_tt = np.einsum("...i,...ij,...j->...", xt, g, xt)
-    g_tp = np.einsum("...i,...ij,...j->...", xt, g, xp)
-    g_pp = np.einsum("...i,...ij,...j->...", xp, g, xp)
-    det = g_tt * g_pp - g_tp**2
-    if np.any(det <= 0.0):
-        raise GeometryError("degenerate induced metric on the sphere")
-    area_element = np.sqrt(det) / np.sin(theta)
-
+    cov = _normal_derivative(f) + (gamma @ nu[:, None, :, None])[..., 0]  # nabla_i nu^j
+    # H = sum_alpha g(nabla_{t_alpha} nu, t_alpha), with (t g)[a, j] = g(t_a, .)_j and (t cov^T)[a, j] = (nabla_{t_a} nu)^j
+    Hval = np.sum((t @ np.swapaxes(cov, 1, 2)) * (t @ g), axis=(1, 2))
+    tk = t @ k  # k(t_alpha, .)
+    trk = np.sum(tk * t, axis=(1, 2))
+    beta = (tk @ nu[:, :, None])[:, :, 0]
     return HypersurfaceGeometry(nu=nu, tangent=t, H=Hval, trk=trk, beta=beta, area_element=area_element)
-

@@ -67,9 +67,12 @@ from .geometry import (
     PointFields,
     as_fields,
     constraint_fields,
+    determinant,
     field_blocks,
     hypersurface_geometry,
     matter_densities,
+    outward_unit_normal,
+    sphere_area_element,
 )
 from .spheregrid import SphereGrid, sphere_grid, theta_phi_tangents, unit_vectors
 from .spinorfields import SpinorField, constant_spinor_field
@@ -190,13 +193,13 @@ def adm_energy_momentum(data: InitialData, radii: Sequence[float], order: int = 
     e_vals, p_vals = [], []
     for r in radii:
         f = PointFields(data, r * grid.nodes)
-        trk = np.einsum("mij,mij->m", f.ginv, f.k)
-        t1 = np.einsum("miji->mj", f.dg)
-        t2 = np.einsum("miij->mj", f.dg)
-        e_int = np.einsum("mj,mj->m", t1 - t2, grid.nodes)
-        p_int = np.einsum("mij,mj->mi", f.k - trk[:, None, None] * f.g, grid.nodes)
+        trk = np.sum(f.ginv * f.k, axis=(1, 2))
+        # (d_i g_ij - d_j g_ii) nu^j: the two traces of dg[..., i, j, l] = d_l g_ij, summed over i
+        flux = sum(f.dg[:, i, :, i] - f.dg[:, i, i, :] for i in range(3))
+        e_int = np.sum(flux * grid.nodes, axis=1)
+        p_int = ((f.k - trk[:, None, None] * f.g) @ grid.nodes[:, :, None])[:, :, 0]
         e_vals.append(r**2 * grid.integrate(e_int) * norm_e)
-        p_vals.append(r**2 * np.einsum("m,mi->i", grid.weights, p_int) * norm_p)
+        p_vals.append(r**2 * (grid.weights @ p_int) * norm_p)
     e_vals = np.asarray(e_vals)
     p_vals = np.asarray(p_vals)
 
@@ -361,20 +364,23 @@ def spinor_flux(data: InitialData, field: SpinorField, r: float, order: int, nu_
 
     nu = nu_sign * outward unit normal.  Every factor is read in the bulk
     frame on one field bundle of the sphere grid's nodes, from the field's
-    analytic derivatives.  For a bulk field this is the D^Sigma - H/2 form
-    of `boundary_term_density` up to a tangential divergence, which
+    analytic derivatives; of the sphere's geometry only nu
+    (`outward_unit_normal`) and dA (`sphere_area_element`, with its chart
+    and metric guards) enter.  For a bulk field this is the D^Sigma - H/2
+    form of `boundary_term_density` up to a tangential divergence, which
     integrates to zero over the closed sphere.
     """
     grid = sphere_grid(order)
     f = PointFields(data, r * grid.nodes)
-    hg = hypersurface_geometry(data, r, f)
-    nu = nu_sign * np.einsum("mai,mij,mj->ma", f.frame, f.g, hg.nu)  # nu_a = e_a . g . nu
+    dA = sphere_area_element(data, r, f) * grid.weights
+    nu = nu_sign * (f.frame @ (f.g @ outward_unit_normal(data, f)[:, :, None]))[:, :, 0]  # nu_a = e_a . g . nu
     c = field.evaluate(f.x)
     sen = sen_derivatives(data, field, f, values=c)
     along = (sen @ nu[:, :, None])[..., 0]  # nabla-bar_nu psi
-    along += (np.einsum("ma,aIK->mIK", nu, GAMMA) @ _gamma_contract(sen)[..., None])[..., 0]
-    density = np.einsum("...mI,...mI->...m", np.conj(c), along).real
-    return density @ (hg.area_element * grid.weights)
+    nu_gamma = (nu @ GAMMA.reshape(3, DIM * DIM)).reshape(-1, DIM, DIM)  # nu_a Gamma^a
+    along += (nu_gamma @ _gamma_contract(sen)[..., None])[..., 0]
+    density = np.sum(c.real * along.real + c.imag * along.imag, axis=-1)  # Re<psi, along>
+    return density @ dA
 
 
 def witten_flux(data: InitialData, psi_inf: np.ndarray, r: float, order: int = 24):
@@ -456,7 +462,7 @@ def lsw_residual(
     gt = GAMMA_TAU.reshape(3, -1).view(float)
     matter_int = dirichlet = dirac_sq = 0.0
     for f in field_blocks(data, pts):
-        dV, w_flat = np.sqrt(np.linalg.det(f.g)) * w_flat[: len(f.x)], w_flat[len(f.x) :]  # later blocks' weights remain
+        dV, w_flat = np.sqrt(determinant(f.g)) * w_flat[: len(f.x)], w_flat[len(f.x) :]  # later blocks' weights remain
         if data.profile is None:
             cons = constraint_fields(data, f)
             mu, J = cons.mu, cons.J

@@ -2,15 +2,17 @@
 
 The grid is the product rule with Gauss-Legendre nodes in cos(theta) and a
 uniform azimuthal grid, spectrally accurate for smooth integrands.
-`surface_gradient` differentiates nodal values through their spherical-harmonic
-projection on the same grid: a Fourier transform on each polar ring and
-normalized associated Legendre functions in cos(theta), so band-limited
-values have their exact gradient.
+`sphere_grid` builds one grid per order and hands that one read-only grid
+to every caller.  `surface_gradient` differentiates nodal values through
+their spherical-harmonic projection on the same grid: a Fourier transform
+on each polar ring and normalized associated Legendre functions in
+cos(theta), so band-limited values have their exact gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -49,11 +51,13 @@ def theta_phi_tangents(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, 
     return d_theta, d_phi
 
 
+@lru_cache(maxsize=16)
 def sphere_grid(order: int) -> SphereGrid:
     """Grid with `order` (rounded up to even) Gauss-Legendre polar nodes.
 
     Even polar counts keep nodes off the equator, where the deterministic
-    tangential frame construction degenerates.
+    tangential frame construction degenerates.  Each order's grid is built
+    once and handed to every caller, so its arrays are read-only.
     """
     if order < 4:
         raise ValueError("sphere quadrature order must be >= 4")
@@ -65,13 +69,10 @@ def sphere_grid(order: int) -> SphereGrid:
     theta = np.repeat(theta_1d, nphi)
     phi = np.tile(phi_1d, ntheta)
     weights = np.repeat(wx, nphi) * (2.0 * np.pi / nphi)
-    return SphereGrid(
-        ntheta=ntheta,
-        theta=theta,
-        phi=phi,
-        nodes=unit_vectors(theta, phi),
-        weights=weights,
-    )
+    nodes = unit_vectors(theta, phi)
+    for arr in (theta, phi, nodes, weights):
+        arr.flags.writeable = False
+    return SphereGrid(ntheta=ntheta, theta=theta, phi=phi, nodes=nodes, weights=weights)
 
 
 def _legendre(x: np.ndarray, s: np.ndarray, L: int) -> np.ndarray:

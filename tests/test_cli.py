@@ -159,6 +159,24 @@ def test_adm_flux_check_on_graph_slice_passes_and_is_reproducible(tmp_path):
     assert json.loads(first)["results"]["mass_report"]["E"] == 0.0
 
 
+def test_adm_flux_check_reads_no_unit_of_length(tmp_path):
+    # m and the radii scaled by 2^-10, an exact power of two: E, E_fit and the floor radii[-1] / 200 scale alike,
+    # so the relative mismatch and the flag repeat bit for bit; a floor of 1 made the check absolute below m = 1
+    reports = {}
+    for scale in (1.0, 2.0**-10):
+        doc = {"catalog": {"name": "schwarzschild_isotropic", "params": {"m": scale}}, "flux_check": True,
+               "radii": [50.0 * scale, 100.0 * scale, 200.0 * scale], "quadrature": {"sphere_order": 12}}
+        out = tmp_path / f"scale-{scale!r}"
+        code = _run("adm", _write_config(tmp_path, f"adm-{scale!r}.yaml", doc), out)
+        reports[scale] = (code, json.loads((out / "report.json").read_text(encoding="utf-8")))
+    (code_1, unit), (code_s, scaled) = reports[1.0], reports[2.0**-10]
+    assert code_s == code_1 == 0
+    assert scaled["flags"]["flux_consistent"] is unit["flags"]["flux_consistent"] is True
+    rel = unit["results"]["flux_fit"]["relative_energy_mismatch"]
+    assert 1e-4 < rel <= 0.02
+    assert scaled["results"]["flux_fit"]["relative_energy_mismatch"] == rel
+
+
 def test_malformed_yaml_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("catalog: {name: miao_corner\ngrid: [", encoding="utf-8")

@@ -1,10 +1,12 @@
 """The batched matrix-product kernels against their index-by-index einsum forms.
 
 The geometry and spin layers contract per-node tensors as matrix products
-over flattened index pairs.  The reference implementations below are the
-plain einsum statements of the same formulas; every kernel must match them
-to 1e-13 of the scale of the terms it sums, on `graph_slice` (k != 0) and
-on a polynomial metric with no symmetry.
+over flattened index pairs, and write the per-node 3x3 algebra (inverse,
+determinant, frames) in closed form.  The reference implementations below
+are the plain einsum statements of the same formulas and the LAPACK calls
+and Gram-Schmidt loops they replace; every kernel must match them to 1e-13
+of the scale of the terms it sums, on `graph_slice` (k != 0), on a
+Schwarzschild sphere and on a polynomial metric with no symmetry.
 """
 
 import math
@@ -23,12 +25,19 @@ from creaselab.geometry import (
     Chart,
     InitialData,
     PointFields,
+    _normal_derivative,
+    bulk_frame,
     christoffel,
     constraint_fields,
+    hypersurface_geometry,
+    inverse_metric,
+    outward_unit_normal,
     scalar_curvature,
+    sphere_frame,
 )
 from creaselab.integrals import bulk_spin_coefficients, sen_derivatives, volume_quadrature
 from creaselab.killing import killing_development, lapse_shift_from_spinor, riemann_norm
+from creaselab.spheregrid import sphere_grid, theta_phi_tangents
 from creaselab.spinorfields import constant_spinor_field, random_polynomial_field
 
 TOL = 1e-13
@@ -72,6 +81,13 @@ DATA = [
     ("polynomial", polynomial_data(), volume_quadrature(("ball", 1.5), 6, 6)[0]),
 ]
 IDS = [name for name, _, _ in DATA]
+# each data set with a coordinate sphere r0 inside its chart, sampled on the nodes of an order-8 grid
+SPHERES = [
+    ("graph_slice", graph_slice(0.4, 4.5, 1.0), 4.5),
+    ("schwarzschild", schwarzschild_isotropic(1.0), 3.0),
+    ("polynomial", polynomial_data(), 1.5),
+]
+SPHERE_IDS = [name for name, _, _ in SPHERES]
 
 
 def close(new, ref, *terms):
@@ -131,6 +147,73 @@ def ref_sen_derivatives(f, field, W):
     spin = 0.25 * np.einsum("majl,jIK,lKL,...mL->...mIa", W, GAMMA, GAMMA, c)
     extrinsic = 0.5 * np.einsum("maj,jIK,KL,...mL->...mIa", kf, GAMMA, TAU, c)
     return e_c, spin, extrinsic
+
+
+def ref_bulk_frame(g):
+    """Gram-Schmidt on the coordinate basis in index order, one quadratic form per einsum."""
+    frame = np.zeros(g.shape)
+    for i in range(3):
+        v = np.zeros(g.shape[:-1])
+        v[:, i] = 1.0
+        for j in range(i):
+            v = v - np.einsum("...a,...ab,...b->...", frame[:, j], g, v)[:, None] * frame[:, j]
+        frame[:, i] = v / np.sqrt(np.einsum("...a,...ab,...b->...", v, g, v))[:, None]
+    return frame
+
+
+def ref_normal(ginv, x):
+    omega = x / np.linalg.norm(x, axis=1)[:, None]
+    u = np.einsum("...ij,...j->...i", ginv, omega)
+    return omega, u, np.einsum("...i,...i->...", omega, u)
+
+
+def ref_normal_derivative_terms(ginv, dg, x):
+    """The two terms of d_i N^j = d_i u^j / sqrt(s) - u^j d_i s / (2 s^3/2), N = u / sqrt(s)."""
+    omega, u, s = ref_normal(ginv, x)
+    domega = (np.eye(3) - omega[:, :, None] * omega[:, None, :]) / np.linalg.norm(x, axis=1)[:, None, None]
+    dginv = -np.einsum("...ja,...abi,...bl->...jli", ginv, dg, ginv)
+    du = np.einsum("...jli,...l->...ji", dginv, omega) + np.einsum("...jl,...li->...ji", ginv, domega)
+    ds = np.einsum("...jli,...j,...l->...i", dginv, omega, omega) + 2.0 * np.einsum("...l,...li->...i", u, domega)
+    return [du / np.sqrt(s)[:, None, None], -0.5 * u[:, :, None] * (ds / s[:, None] ** 1.5)[:, None, :]]
+
+
+def ref_sphere_frame(g, ginv, x, skip_tol=1e-8):
+    """Induced-metric Gram-Schmidt of the Euclidean projections of the coordinate basis, then the normal, then
+    the orientation by np.linalg.det."""
+    omega, u, s = ref_normal(ginv, x)
+    accepted, count = np.zeros((len(x), 2, 3)), np.zeros(len(x), dtype=int)
+    for i in range(3):
+        cand = np.eye(3)[i] - omega * omega[:, i:i + 1]
+        ref = np.sqrt(np.einsum("...a,...ab,...b->...", cand, g, cand))
+        for j in range(2):
+            proj = np.einsum("...a,...ab,...b->...", accepted[:, j], g, cand)
+            cand = cand - np.where(count > j, proj, 0.0)[:, None] * accepted[:, j]
+        nrm = np.sqrt(np.einsum("...a,...ab,...b->...", cand, g, cand))
+        idx = np.nonzero((nrm > skip_tol * ref) & (count < 2))[0]
+        accepted[idx, count[idx]] = cand[idx] / nrm[idx, None]
+        count[idx] += 1
+    frame = np.concatenate([accepted, (u / np.sqrt(s)[:, None])[:, None]], axis=1)
+    frame[np.linalg.det(frame) < 0.0, 1] *= -1.0
+    return frame
+
+
+def ref_boundary_terms(f, r0):
+    """Terms of H (normal derivative, connection), tr k, beta and the area element, each from einsums."""
+    frame = ref_sphere_frame(f.g, f.ginv, f.x)
+    t, nu = frame[:, :2], frame[:, 2]
+    dN = sum(ref_normal_derivative_terms(f.ginv, f.dg, f.x))
+    H_terms = [
+        np.einsum("...ai,...ji,...jl,...al->...", t, cov, f.g, t)
+        for cov in (dN, np.einsum("...jil,...l->...ji", f.gamma, nu))
+    ]
+    trk = np.einsum("...ai,...aj,...ij->...", t, t, f.k)
+    beta = np.einsum("...i,...ij,...aj->...a", nu, f.k, t)
+    om = f.x / r0
+    theta, phi = np.arccos(np.clip(om[:, 2], -1.0, 1.0)), np.arctan2(om[:, 1], om[:, 0])
+    xt, xp = (r0 * d for d in theta_phi_tangents(theta, phi))
+    g_tt, g_tp, g_pp = (np.einsum("...i,...ij,...j->...", a, f.g, b) for a, b in ((xt, xt), (xt, xp), (xp, xp)))
+    area_terms = [g_tt * g_pp / np.sin(theta) ** 2, g_tp**2 / np.sin(theta) ** 2]
+    return H_terms, trk, beta, area_terms
 
 
 def ref_radial_tensor_deriv(x, u, du, v, dv):
@@ -207,6 +290,36 @@ def test_spin_coefficients_and_sen_derivatives_match_reference(name, data, pts):
     sen = sen_derivatives(data, field, f)
     assert sen.shape == (3, 2, len(f.x), DIM, 3)
     close(sen, e_c + spin + extrinsic, e_c, spin, extrinsic)
+
+
+@pytest.mark.parametrize("name,data,r0", SPHERES, ids=SPHERE_IDS)
+def test_metric_inverse_and_bulk_frame_match_lapack_and_gram_schmidt(name, data, r0):
+    f = PointFields(data, r0 * sphere_grid(8).nodes)
+    ref_inv = np.linalg.inv(f.g)
+    close(inverse_metric(f.g), ref_inv)
+    close(bulk_frame(data, f), ref_bulk_frame(f.g))
+
+
+@pytest.mark.parametrize("name,data,r0", SPHERES, ids=SPHERE_IDS)
+def test_sphere_normal_and_frame_match_reference(name, data, r0):
+    f = PointFields(data, r0 * sphere_grid(8).nodes)
+    omega, u, s = ref_normal(f.ginv, f.x)
+    close(outward_unit_normal(data, f), u / np.sqrt(s)[:, None])
+    terms = ref_normal_derivative_terms(f.ginv, f.dg, f.x)
+    close(_normal_derivative(f), sum(terms), *terms)
+    close(sphere_frame(data, f).frame, ref_sphere_frame(f.g, f.ginv, f.x))
+
+
+@pytest.mark.parametrize("name,data,r0", SPHERES, ids=SPHERE_IDS)
+def test_boundary_geometry_matches_reference(name, data, r0):
+    f = PointFields(data, r0 * sphere_grid(8).nodes)
+    H_terms, trk, beta, area_terms = ref_boundary_terms(f, r0)
+    hg = hypersurface_geometry(data, r0, f)
+    close(hg.H, sum(H_terms), *H_terms)
+    close(hg.trk, trk, f.k)
+    close(hg.beta, beta, f.k)
+    # dA^2 = (g_tt g_pp - g_tp^2) / sin^2(theta): compared squared, against its two products
+    close(hg.area_element**2, area_terms[0] - area_terms[1], *area_terms)
 
 
 def test_radial_tensor_derivatives_match_reference():

@@ -6,6 +6,7 @@ import pytest
 
 from creaselab.catalog import (
     _radial_data,
+    _validate_positive_definite,
     build,
     check_spec,
     flat_ball,
@@ -281,6 +282,34 @@ def test_hypersurface_geometry_of_bundle_equals_points(side):
     from_bundle = hypersurface_geometry(data, 4.0, as_fields(data, pts))
     for name in ("nu", "tangent", "H", "trk", "beta", "area_element"):
         assert np.array_equal(getattr(from_points, name), getattr(from_bundle, name))
+
+
+# indefinite matrices whose only negative leading minor is the first, the second and the third
+INDEFINITE = {
+    "first-minor": np.diag([-1.0, -1.0, 1.0]),
+    "second-minor": np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]]),
+    "third-minor": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]),
+}
+
+
+def _indefinite_at_first_node(matrix) -> InitialData:
+    """Flat data whose metric is `matrix` at the first point of every batch: one bad node."""
+
+    def g(x):
+        out = np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
+        out[0] = matrix
+        return out
+
+    return dataclasses.replace(minkowski_slice(), g=g, label="indefinite")
+
+
+@pytest.mark.parametrize("matrix", INDEFINITE.values(), ids=INDEFINITE.keys())
+def test_indefinite_metric_at_one_node_is_rejected(matrix):
+    data = _indefinite_at_first_node(matrix)
+    with pytest.raises(GeometryError, match="not positive definite on the sphere"):
+        hypersurface_geometry(data, 2.0, 2.0 * sphere_grid(8).nodes)
+    with pytest.raises(GeometryError, match="indefinite: metric not positive definite at r=2"):
+        _validate_positive_definite(data, [2.0])
 
 
 def test_graph_slice_beta_matches_direct_contraction():

@@ -90,6 +90,14 @@ def test_sphere_grid_area():
     assert 2.0**2 * grid.integrate(np.ones(grid.size)) == pytest.approx(16.0 * math.pi, abs=1e-12)
 
 
+def test_sphere_grid_is_built_once_per_order_and_read_only():
+    grid = sphere_grid(16)
+    assert sphere_grid(16) is grid and sphere_grid(12) is not grid
+    for values in (grid.theta, grid.phi, grid.nodes, grid.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
 def test_sphere_grid_odd_symmetry():
     grid = sphere_grid(8)
     assert abs(grid.integrate(grid.nodes[:, 2])) < 1e-12
@@ -805,11 +813,12 @@ def _record_calls(monkeypatch, module, name):
     return calls
 
 
-def test_witten_flux_builds_one_sphere_frame_per_node_batch(monkeypatch):
+def test_witten_flux_builds_no_sphere_frame_or_hypersurface_geometry(monkeypatch):
     frames = _record_calls(monkeypatch, geometry, "sphere_frame")
+    geometries = _record_calls(monkeypatch, geometry, "hypersurface_geometry")
     witten_flux(schwarzschild_isotropic(1.0), np.eye(DIM, dtype=complex), 20.0, order=12)
-    # one bundle of the grid nodes serves the geometry and the density
-    assert len(frames) == 1
+    # the bulk-form flux reads the outward normal and the area element alone
+    assert frames == [] and geometries == []
 
 
 def test_boundary_density_builds_one_sphere_frame_per_side(monkeypatch):
