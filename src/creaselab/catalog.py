@@ -301,7 +301,7 @@ MODELS = {model.__name__: model for model in (minkowski_slice, schwarzschild_iso
           schwarzschild_exterior_area_radius, miao_corner, trivial_crease, graph_slice)}
 ANGLES = {"constant": CreaseAngle.from_constant, "cos_theta": CreaseAngle.cos_theta}
 # |f| bound of either angle type: the DEC-crease margin's roundoff eps cosh(f) |H| is 2.4e-12 |H| at |f| = 10,
-# far below bartnik.DEC_CREASE_TOL, but 6e5 |H| at |f| = 50, where it swamps the margin (cosh overflows at 711)
+# far below bartnik.DEC_CREASE_TOL |H|, but 6e5 |H| at |f| = 50, where it swamps the margin (cosh overflows at 711)
 MAX_ANGLE = 10.0
 
 

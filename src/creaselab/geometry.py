@@ -10,13 +10,14 @@ d2g[..., i, j, l, m] = d_m d_l g_ij.  Curvature reads d2g; central
 differences of dg (`second_metric_derivative`) are only its test oracle.
 
 Field bundles: `PointFields` holds one data set's fields on one point
-batch -- the points, g, g^-1, dg, Gamma, k, dk, d2g, the bulk frame and
-the adapted sphere frame -- each evaluated on first use and then kept.
-The layer functions take `(data, x)` with x a point batch or a bundle of
-the same data: given points they build the bundle (`as_fields`), given one
-they read it.  A bundle lives only as long as its batch: made for one set
-of nodes, passed down the calls on them, dropped with them; nothing is
-cached across batches, and a grid pass holds one per `field_blocks` block.
+batch -- the points, g, g^-1, dg, Gamma, k, dk, d2g and the bulk frame --
+each evaluated on first use and then kept.  The layer functions take
+`(data, x)` with x a point batch or a bundle of the same data: given
+points they build the bundle (`as_fields`), given one they read it.  A
+bundle lives only as long as its batch: made for one set of nodes, passed
+down the calls on them, dropped with them; nothing is cached across
+batches, and a grid pass holds one per `field_blocks` block.  The boundary
+data of a coordinate sphere are one record at unit vectors, `BartnikData`.
 
 Conventions (fixed here, imported everywhere else):
   * k is taken with respect to the future timelike normal, signed so that
@@ -254,7 +255,6 @@ class PointFields:
     dk = cached_property(lambda self: self.data.dk(self.x))
     d2g = cached_property(lambda self: self.data.d2g(self.x))
     frame = cached_property(lambda self: bulk_frame(self.data, self))  # bulk Gram-Schmidt frame
-    sphere = cached_property(lambda self: sphere_frame(self.data, self))  # adapted coordinate-sphere frame
 
 
 BLOCK_NODES = 1024  # nodes per bundle of a grid pass: two order-16 sphere shells, whose d2g (0.66 MB) stays in cache
@@ -386,26 +386,6 @@ def bulk_frame(data: InitialData, x) -> np.ndarray:
     return frame
 
 
-@dataclass(frozen=True)
-class SphereFrame:
-    """Adapted orthonormal frame on a coordinate sphere.
-
-    Rows of `frame` are (t_1, t_2, nu_out); the tangential block is
-    shared between data sets inducing the same boundary metric, and the
-    whole frame is positively oriented.
-    """
-
-    frame: np.ndarray  # (m, 3, 3)
-
-    @property
-    def tangent(self) -> np.ndarray:
-        return self.frame[:, :-1, :]
-
-    @property
-    def normal_out(self) -> np.ndarray:
-        return self.frame[:, -1, :]
-
-
 def _quadratic(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . g . b per node of vector batches a, b (m, 3) and a matrix batch g (m, 3, 3)."""
     return np.sum(a * (g @ b[:, :, None])[:, :, 0], axis=1)
@@ -428,13 +408,14 @@ def outward_unit_normal(data: InitialData, x) -> np.ndarray:
 FRAME_SKIP_TOL = 1e-8
 
 
-def sphere_frame(data: InitialData, x) -> SphereFrame:
-    """Adapted frame at points of a coordinate sphere (vectorized).
+def sphere_frame(data: InitialData, x) -> np.ndarray:
+    """Positively oriented adapted frame (m, 3, 3) at points of a coordinate sphere: rows t_1, t_2, outward nu.
 
     Tangential candidates are the Euclidean projections of the coordinate
-    basis in fixed order, orthonormalized in the induced metric; candidates
-    whose residual drops below FRAME_SKIP_TOL (relative) are skipped, which
-    happens only on measure-zero degeneracy sets avoided by the grids.
+    basis in fixed order, orthonormalized in the induced metric, so data
+    sets inducing one boundary metric share them; candidates whose residual
+    drops below FRAME_SKIP_TOL (relative) are skipped, which happens only on
+    measure-zero degeneracy sets avoided by the grids.
     """
     f = as_fields(data, x)
     m = f.x.shape[0]
@@ -467,7 +448,7 @@ def sphere_frame(data: InitialData, x) -> SphereFrame:
     # enforce positive orientation by flipping the last tangential vector
     neg = determinant(frame) < 0.0
     frame[neg, 1, :] *= -1.0
-    return SphereFrame(frame=frame)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +456,12 @@ def sphere_frame(data: InitialData, x) -> SphereFrame:
 
 
 @dataclass(frozen=True)
-class HypersurfaceGeometry:
-    """Induced boundary data of a coordinate sphere at selected nodes, for the outward normal."""
+class BartnikData:
+    """Bartnik data of the coordinate sphere r = r0 at unit vectors omega, for the outward normal."""
 
-    nu: np.ndarray  # outward unit normal
+    r0: float
+    omega: np.ndarray  # (m, 3) unit vectors
+    nu: np.ndarray  # (m, 3) outward unit normal
     tangent: np.ndarray  # (m, 2, 3) shared tangential frame
     H: np.ndarray
     trk: np.ndarray  # trace of k over the tangential frame
@@ -505,7 +488,9 @@ def sphere_area_element(data: InitialData, r0: float, x) -> np.ndarray:
 
     Raises GeometryError off the chart, where g is not positive definite,
     and where the induced metric degenerates.  The chart is checked at the
-    nominal radius r0, since |r0 * omega| may miss it by an ulp.
+    nominal radius r0, since |r0 * omega| may miss it by an ulp.  The exact
+    poles omega = (0, 0, +-1), which no grid node is, raise too: both
+    coordinate tangents below vanish with sin(theta), so the quotient is 0/0.
     """
     f = as_fields(data, x)
     data.chart.require(np.full(f.x.shape[0], r0), what="sphere")
@@ -525,19 +510,20 @@ def sphere_area_element(data: InitialData, r0: float, x) -> np.ndarray:
     return np.sqrt(det) / sin2
 
 
-def hypersurface_geometry(data: InitialData, r0: float, x) -> HypersurfaceGeometry:
-    """Bartnik-type boundary quantities of the sphere r = r0 at its points x = r0 * omega (m, 3).
+def hypersurface_geometry(data: InitialData, r0: float, omega) -> BartnikData:
+    """The Bartnik data of the sphere r = r0 at the unit vectors omega (m, 3).
 
-    x is the point batch or its field bundle, whose g, dg, Gamma, k and
-    sphere frame are read.  The normal is the outward one; a caller that
-    needs the inward normal flips H and beta.  The guards of
-    `sphere_area_element` run before anything else is computed.
+    The fields are read on one bundle of the points r0 * omega.  The normal
+    is the outward one; a caller that needs the inward normal flips H and
+    beta.  The guards of `sphere_area_element` run before anything else is
+    computed.
     """
-    f = as_fields(data, x)
+    r0, omega = float(r0), as_points(omega)
+    f = PointFields(data, r0 * omega)
     area_element = sphere_area_element(data, r0, f)
     g, k, gamma = f.g, f.k, f.gamma
-    t = f.sphere.tangent
-    nu = f.sphere.normal_out
+    frame = sphere_frame(data, f)
+    t, nu = frame[:, :-1, :], frame[:, -1, :]
 
     cov = _normal_derivative(f) + (gamma @ nu[:, None, :, None])[..., 0]  # nabla_i nu^j
     # H = sum_alpha g(nabla_{t_alpha} nu, t_alpha), with (t g)[a, j] = g(t_a, .)_j and (t cov^T)[a, j] = (nabla_{t_a} nu)^j
@@ -545,4 +531,4 @@ def hypersurface_geometry(data: InitialData, r0: float, x) -> HypersurfaceGeomet
     tk = t @ k  # k(t_alpha, .)
     trk = np.sum(tk * t, axis=(1, 2))
     beta = (tk @ nu[:, :, None])[:, :, 0]
-    return HypersurfaceGeometry(nu=nu, tangent=t, H=Hval, trk=trk, beta=beta, area_element=area_element)
+    return BartnikData(r0, omega, nu, t, Hval, trk, beta, area_element)

@@ -37,12 +37,13 @@ spinor result gains the same leading axes.  Unbatched spinors give
 unbatched (scalar) results.  Each batch of nodes -- a block of the LSW
 volume grid, a sphere grid -- gets one `geometry.PointFields` bundle,
 built where the batch is made and passed to every function that works on
-those nodes: boundary_term_density hands its sphere nodes' bundle to
-hypersurface_geometry and returns that geometry, from which
-crease_boundary_terms reads the Bartnik data.  A bundle is dropped with
-its batch.  lsw_residual sums the volume terms over `geometry.field_blocks`
-of at most BLOCK_NODES nodes, so its memory is set by the block, and the
-block size changes only the sums' order.  Its matter term reads mu and J
+those nodes; a bundle is dropped with its batch.  A crease side's Bartnik
+data come from one place: boundary_term_density reads its geometry off the
+record that `geometry.hypersurface_geometry` makes at the sphere grid's
+nodes and returns it, and crease_boundary_terms hands it to the margin.
+lsw_residual sums the volume terms over `geometry.field_blocks` of at most
+BLOCK_NODES nodes, so its memory is set by the block, and the block size
+changes only the sums' order.  Its matter term reads mu and J
 off the data's radial profile at |x| (`geometry.matter_densities`) when
 the data has one, and from `geometry.constraint_fields` otherwise.
 """
@@ -56,7 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bartnik import bartnik_data, crease_margin
+from .bartnik import crease_margin
 from .cliffords import DIM, GAMMA, GAMMA_GAMMA, GAMMA_TAU, TAU, spinor_rotation
 from .geometry import (
     FRAME_PROJECTOR,
@@ -287,14 +288,14 @@ def boundary_term_density(
     trace: Callable[[np.ndarray, np.ndarray], np.ndarray],
     nu_sign: int,
 ):
-    """Per-node D^Sigma - H/2 boundary integrand on |x| = r0, and the sphere's outward geometry hg there.
+    """Per-node D^Sigma - H/2 boundary integrand on |x| = r0, and the sphere's outward Bartnik data B there.
 
     trace(theta, phi) gives the adapted sphere-frame components (..., m, I)
     at the nodes r0 * omega(theta, phi); the density gains the same leading
     axes.  The tangential derivatives of the trace are 4th-order angle
     stencils, so the trace is called once at the grid and at each of 8
     shifted copies of it, while the fields are read on the grid nodes only.
-    hg's area element times grid.weights is the induced measure.  With
+    B's area element times grid.weights is the induced measure.  With
     nu = nu_sign * outward unit normal, the density is the outward-convention
     combination <psi, D psi - H/2 psi - 1/2[(tr k) nu - k(nu,t_a) t^a] tau psi>;
     H, k(nu,.) and the boundary Dirac operator all use the signed normal.
@@ -304,12 +305,9 @@ def boundary_term_density(
     so D psi is nu . Gamma^a times the trace's derivative along t_a alone.
     """
     theta, phi = grid.theta, grid.phi
-    f = PointFields(data, r0 * grid.nodes)
-    t = f.sphere.tangent  # (m, 2, 3)
-    hg = hypersurface_geometry(data, r0, f)
-    H = nu_sign * hg.H
-    trk = hg.trk
-    beta = nu_sign * hg.beta
+    B = hypersurface_geometry(data, r0, grid.nodes)
+    t = B.tangent  # (m, 2, 3)
+    H, beta = nu_sign * B.H, nu_sign * B.beta
 
     c0 = np.asarray(trace(theta, phi), dtype=complex)
 
@@ -341,7 +339,7 @@ def boundary_term_density(
     contracted = np.einsum("aIK,...maK->...mI", GAMMA[:2], along_t)
     dirac_b = nu_sign * np.einsum("IK,...mK->...mI", GAMMA[2], contracted)
 
-    tau_part = nu_sign * trk[:, None] * np.einsum("IK,...mK->...mI", GAMMA_TAU[2], c0) - np.einsum(
+    tau_part = nu_sign * B.trk[:, None] * np.einsum("IK,...mK->...mI", GAMMA_TAU[2], c0) - np.einsum(
         "ma,aIK,...mK->...mI", beta, GAMMA_TAU[:2], c0
     )
     # The boundary Dirac term is symmetrized pointwise: its anti-Hermitian
@@ -352,7 +350,7 @@ def boundary_term_density(
     dirac_density = np.einsum("...mI,...mI->...m", np.conj(c0), dirac_b).real
     algebraic_vec = -0.5 * H[:, None] * c0 - 0.5 * tau_part
     density = dirac_density + np.einsum("...mI,...mI->...m", np.conj(c0), algebraic_vec)
-    return density, hg
+    return density, B
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +538,8 @@ def crease_boundary_terms(
 
     def one_side(data, trace, nu_sign):
         # the Bartnik data are the density's geometry
-        density, hg = boundary_term_density(data, r0, grid, trace, nu_sign)
-        return np.sum(density * (hg.area_element * grid.weights), axis=-1), bartnik_data(grid, r0, hg)
+        density, B = boundary_term_density(data, r0, grid, trace, nu_sign)
+        return np.sum(density * (B.area_element * grid.weights), axis=-1), B
 
     i_minus, bm = one_side(cd.minus, minus_trace, 1)
     i_plus, bp = one_side(cd.plus, psi_plus, -1)

@@ -18,6 +18,7 @@ SOLVE_SMALL = CONFIGS / "solve-small.yaml"
 SOLVE_SMALL_ROTATED = CONFIGS / "solve-small-rotated.yaml"
 IDENTITIES_SMALL = CONFIGS / "identities-small.yaml"
 CREASE_CHECK_SMALL = CONFIGS / "crease-check-small.yaml"
+CREASE_CHECK_SMALL_ROTATED = CONFIGS / "crease-check-small-rotated.yaml"
 RIGIDITY_SMALL = CONFIGS / "rigidity-small.yaml"
 ADM_SMALL = CONFIGS / "adm-small.yaml"
 
@@ -78,7 +79,7 @@ def test_commands_run_without_scipy(tmp_path):
            "radii": [50.0, 100.0, 200.0], "quadrature": {"sphere_order": 16}}
     runs = [("adm", _write_config(tmp_path, "adm-schwarzschild.yaml", doc))]
     runs += [(path.stem.split("-small")[0], path) for path in sorted(CONFIGS.glob("*.yaml"))]
-    assert len(runs) == 8
+    assert len(runs) == 9
     script = (
         "import sys\n"
         "class NoScipy:\n"
@@ -95,13 +96,15 @@ def test_commands_run_without_scipy(tmp_path):
         "from creaselab.bartnik import angle_gradient_frame, bartnik_from_data, equivalence_angle, rotated_components\n"
         "from creaselab.catalog import miao_corner\n"
         "from creaselab.geometry import CreaseAngle\n"
+        "from creaselab.spheregrid import sphere_grid\n"
         "mc = miao_corner(1.0, 4.0)\n"
+        "grid = sphere_grid(16)\n"
         "bm = bartnik_from_data(mc.minus, mc.r0, order=16)\n"
         "angle = CreaseAngle.cos_theta(0.3)\n"
-        "nu, tau = rotated_components(bm, angle)\n"
+        "nu, tau = rotated_components(bm, angle.value(bm.omega))\n"
         "rotated = dataclasses.replace(bm, H=nu, trk=tau, beta=bm.beta + angle_gradient_frame(angle, bm))\n"
-        "f = equivalence_angle(bm, rotated)\n"
-        "assert abs(f - angle.value(bm.grid.nodes)).max() < 1e-10\n"
+        "f = equivalence_angle(grid, bm, rotated)\n"
+        "assert abs(f.value(grid.nodes) - angle.value(grid.nodes)).max() < 1e-10\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = _fresh_interpreter(script)
@@ -330,7 +333,8 @@ def test_solve_with_crease_radius_beyond_200(tmp_path):
 
 @pytest.mark.parametrize(
     "command,config",
-    [("crease-check", CREASE_CHECK_SMALL), ("rigidity", RIGIDITY_SMALL), ("adm", ADM_SMALL)],
+    [("crease-check", CREASE_CHECK_SMALL), ("rigidity", RIGIDITY_SMALL), ("adm", ADM_SMALL),
+     ("crease-check", CREASE_CHECK_SMALL_ROTATED)],
 )
 def test_small_config_report_is_byte_reproducible(tmp_path, command, config):
     assert _run(command, config, tmp_path / "a") == 0
@@ -350,6 +354,33 @@ def test_crease_check_with_negative_margin_exits_1(tmp_path):
     results = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["results"]
     assert results["min_margin"] == pytest.approx(-0.089, abs=1e-3)
     assert results["dec_creased"] is False
+
+
+def test_crease_check_verdict_reads_no_unit_of_length(tmp_path):
+    # f = 0.5493061456340547 lies 1.3e-9 above ln sqrt(3), where the margin of miao_corner(L, 3 L) vanishes: the
+    # margin is -5.0e-10 / L, within the slack relative to the curvature scale 2/(3 L) at every unit of length L
+    outcomes = []
+    for scale in (2.0**-10, 1.0, 2.0**10):
+        doc = {"catalog": {"name": "rotated_crease", "base": "miao_corner",
+                           "base_params": {"m": scale, "rho0": 3.0 * scale},
+                           "angle": {"type": "constant", "value": 0.5493061456340547}},
+               "quadrature": {"sphere_order": 12}}
+        out = tmp_path / f"unit-{scale:g}"
+        code = _run("crease-check", _write_config(tmp_path, f"unit-{scale:g}.yaml", doc), out)
+        results = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
+        outcomes.append((code, results["dec_creased"], results["min_margin"] * scale))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][:2] == (0, True) and outcomes[0][2] == pytest.approx(-5.0037e-10, rel=1e-4)
+
+
+def test_solve_exits_1_when_the_hypotheses_fail(tmp_path):
+    # the constant angle 1.0 drives the crease margin of miao_corner(1, 3) below 0: the report is written, and fails
+    doc = _solve_small()
+    doc["catalog"] = _rotated({"type": "constant", "value": 1.0})
+    assert _run("solve", _write_config(tmp_path, "steep.yaml", doc), tmp_path / "out") == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["passed"] is False and report["flags"]["hypotheses_hold"] is False
+    assert report["results"]["gap"]["min_crease_margin"] < 0.0
 
 
 @pytest.mark.parametrize(
@@ -578,14 +609,15 @@ _SOLVE = (_paths("config", "grid.n_minus grid.n_plus grid.r_max quadrature.spher
           | _paths("results.gap", "flux_term bulk_term dirichlet_part matter_part gap crease_term closure "
                                   "min_crease_margin bulk_dec_satisfied dec_creased"))
 _ROTATED = _paths("config.catalog", "base base_params.m base_params.rho0 angle.type")
+_CREASE_CHECK = ({"config.quadrature.sphere_order", "flags.dec_creased"}
+                 | _paths("results", "label min_margin argmin_node dec_creased spacelike_form_nodes_true "
+                                     "nodes margin_summary.max margin_summary.mean"))
 REPORT_PATHS = {
     "adm-small": (_paths("config", "catalog.params.m flux_check quadrature.sphere_order")
                   | _paths("flags", "flux_consistent monotone") | {"results.label"}
                   | _paths("results.flux_fit", "E P relative_energy_mismatch") | _paths("results.mass_report", _MASS)),
-    "crease-check-small": (_paths("config", "catalog.params.m catalog.params.rho0 quadrature.sphere_order")
-                           | {"flags.dec_creased"}
-                           | _paths("results", "label min_margin argmin_node dec_creased spacelike_form_nodes_true "
-                                               "nodes margin_summary.max margin_summary.mean")),
+    "crease-check-small": _CREASE_CHECK | _paths("config.catalog.params", "m rho0"),
+    "crease-check-small-rotated": _CREASE_CHECK | _ROTATED | {"config.catalog.angle.amplitude"},
     "identities-small": _IDENTITIES | _paths("config.catalog.params", "m rho0"),
     "identities-small-rotated": _IDENTITIES | _ROTATED | {"config.catalog.angle.amplitude"},
     "rigidity-small": (_paths("flags", "killing flatness drift lorentz negative_control_detects_curvature")

@@ -307,14 +307,14 @@ def test_sphere_normal_and_frame_match_reference(name, data, r0):
     close(outward_unit_normal(data, f), u / np.sqrt(s)[:, None])
     terms = ref_normal_derivative_terms(f.ginv, f.dg, f.x)
     close(_normal_derivative(f), sum(terms), *terms)
-    close(sphere_frame(data, f).frame, ref_sphere_frame(f.g, f.ginv, f.x))
+    close(sphere_frame(data, f), ref_sphere_frame(f.g, f.ginv, f.x))
 
 
 @pytest.mark.parametrize("name,data,r0", SPHERES, ids=SPHERE_IDS)
 def test_boundary_geometry_matches_reference(name, data, r0):
     f = PointFields(data, r0 * sphere_grid(8).nodes)
     H_terms, trk, beta, area_terms = ref_boundary_terms(f, r0)
-    hg = hypersurface_geometry(data, r0, f)
+    hg = hypersurface_geometry(data, r0, sphere_grid(8).nodes)
     close(hg.H, sum(H_terms), *H_terms)
     close(hg.trk, trk, f.k)
     close(hg.beta, beta, f.k)

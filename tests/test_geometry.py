@@ -29,6 +29,7 @@ from creaselab.geometry import (
     matter_densities,
     scalar_curvature,
     second_metric_derivative,
+    sphere_area_element,
     sphere_frame,
 )
 from creaselab.integrals import volume_quadrature
@@ -262,26 +263,29 @@ def test_flat_sphere_mean_curvature():
     flat = minkowski_slice()
     hg = hypersurface_geometry(flat, 1.0, unit([[0.3, -0.5, 0.8]]))
     assert hg.H[0] == pytest.approx(2.0, abs=1e-12)
-    hg2 = hypersurface_geometry(flat, 2.5, 2.5 * unit([[0.0, 1.0, 1.0]]))
+    hg2 = hypersurface_geometry(flat, 2.5, unit([[0.0, 1.0, 1.0]]))
     assert hg2.H[0] == pytest.approx(2.0 / 2.5, abs=1e-12)
 
 
 def test_schwarzschild_area_radius_mean_curvature():
     data = schwarzschild_exterior_area_radius(1.0)
-    hg = hypersurface_geometry(data, 4.0, 4.0 * unit([[0.2, 0.4, 0.6]]))
+    hg = hypersurface_geometry(data, 4.0, unit([[0.2, 0.4, 0.6]]))
     assert hg.H[0] == pytest.approx(0.5 * math.sqrt(0.5), abs=1e-12)
 
 
 @pytest.mark.parametrize("side", ["minus", "plus", None], ids=["flat_ball", "miao_plus", "graph_slice"])
 def test_hypersurface_geometry_of_bundle_equals_points(side):
-    # some order-12 nodes r0 * omega lie an ulp off r0, where the two sides' charts meet:
-    # the chart is checked at r0 itself
+    # the record at unit vectors omega is the geometry of the points r0 * omega, read off their bundle; some
+    # order-12 nodes r0 * omega lie an ulp off r0, where the two sides' charts meet: the chart is checked at r0 itself
     data = graph_slice() if side is None else getattr(miao_corner(1.0, 4.0), side)
-    pts = 4.0 * sphere_grid(12).nodes
-    from_points = hypersurface_geometry(data, 4.0, pts)
-    from_bundle = hypersurface_geometry(data, 4.0, as_fields(data, pts))
-    for name in ("nu", "tangent", "H", "trk", "beta", "area_element"):
-        assert np.array_equal(getattr(from_points, name), getattr(from_bundle, name))
+    omega = sphere_grid(12).nodes
+    record = hypersurface_geometry(data, 4.0, omega)
+    bundle = as_fields(data, 4.0 * omega)
+    frame = sphere_frame(data, bundle)
+    assert record.r0 == 4.0 and record.omega is omega
+    for got, want in ((record.tangent, frame[:, :2]), (record.nu, frame[:, 2]),
+                      (record.area_element, sphere_area_element(data, 4.0, bundle))):
+        assert np.array_equal(got, want)
 
 
 # indefinite matrices whose only negative leading minor is the first, the second and the third
@@ -307,7 +311,7 @@ def _indefinite_at_first_node(matrix) -> InitialData:
 def test_indefinite_metric_at_one_node_is_rejected(matrix):
     data = _indefinite_at_first_node(matrix)
     with pytest.raises(GeometryError, match="not positive definite on the sphere"):
-        hypersurface_geometry(data, 2.0, 2.0 * sphere_grid(8).nodes)
+        hypersurface_geometry(data, 2.0, sphere_grid(8).nodes)
     with pytest.raises(GeometryError, match="indefinite: metric not positive definite at r=2"):
         _validate_positive_definite(data, [2.0])
 
@@ -317,7 +321,7 @@ def test_graph_slice_beta_matches_direct_contraction():
     omega = np.array([[0.3, 0.5, 0.8], [0.6, -0.7, 0.2], [0.0, 0.6, 0.8]])
     omega /= np.linalg.norm(omega, axis=1)[:, None]
     r0 = 4.0
-    hg = hypersurface_geometry(data, r0, r0 * omega)
+    hg = hypersurface_geometry(data, r0, omega)
     k = data.k(r0 * omega)
     direct = np.einsum("mi,mij,maj->ma", hg.nu, k, hg.tangent)
     assert np.max(np.abs(direct - hg.beta)) < 1e-12
@@ -361,11 +365,11 @@ def test_frames_orthonormal(maker):
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
     sf = sphere_frame(data, pts)
-    gram2 = np.einsum("mai,mij,mbj->mab", sf.frame, g, sf.frame)
+    gram2 = np.einsum("mai,mij,mbj->mab", sf, g, sf)
     assert np.max(np.abs(gram2 - np.eye(3))) < 1e-12
     # positively oriented and normal-adapted
-    assert np.all(np.linalg.det(sf.frame) > 0.0)
-    radial = np.einsum("mi,mi->m", sf.normal_out, pts)
+    assert np.all(np.linalg.det(sf) > 0.0)
+    radial = np.einsum("mi,mi->m", sf[:, 2], pts)
     assert np.all(radial > 0.0)
 
 
@@ -377,4 +381,4 @@ def test_shared_tangential_frame_across_crease():
     pts = 4.0 * om
     fm = sphere_frame(mc.minus, pts)
     fp = sphere_frame(mc.plus, pts)
-    assert np.max(np.abs(fm.tangent - fp.tangent)) < 1e-10
+    assert np.max(np.abs(fm[:, :2] - fp[:, :2])) < 1e-10

@@ -449,7 +449,7 @@ def _sphere_gauge_trace(data, field, r, grid):
 
     def fields_and_rotation(theta, phi):
         f = PointFields(data, r * unit_vectors(theta, phi))
-        return f, rotation_between_frames(f.g, frame_from=f.sphere.frame, frame_to=f.frame)
+        return f, rotation_between_frames(f.g, frame_from=geometry.sphere_frame(data, f), frame_to=f.frame)
 
     _, anchor = fields_and_rotation(grid.theta, grid.phi)
 

@@ -629,7 +629,7 @@ def test_mass_gap_crease_term_matches_the_rotated_geometry_at_one_node():
     psi_inf = np.array([0.6, -0.3j, 0.2 + 0.5j, 0.1])  # not of unit norm, and with both tau-eigenparts
     sol = solve(assemble(reduce_radial(cd), RadialGrid(n_minus=64, n_plus=128, r_max=100.0)), psi_inf)
     gap = mass_gap(sol, adm_energy_momentum(cd.plus, [25.0, 50.0, 100.0], order=12))
-    hg_m, hg_p = (hypersurface_geometry(d, cd.r0, np.array([[cd.r0, 0.0, 0.0]])) for d in (cd.minus, cd.plus))
+    hg_m, hg_p = (hypersurface_geometry(d, cd.r0, np.array([[1.0, 0.0, 0.0]])) for d in (cd.minus, cd.plus))
     nu_rot = math.cosh(f) * hg_m.H[0] + math.sinh(f) * hg_m.trk[0]
     tau_rot = math.sinh(f) * hg_m.H[0] + math.cosh(f) * hg_m.trk[0]
     Up, Vp = sol.u_plus[0] * psi_inf, sol.v_plus[0] * (TAU @ psi_inf)
