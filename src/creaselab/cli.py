@@ -1,6 +1,9 @@
-"""Command-line driver: crease-lab <command> --config <path> [--out <dir>] [--seed <int>].
+"""Command-line driver: crease-lab COMMAND --config PATH [--out DIR] [--seed N].
 
-Commands: crease-check, adm, identities, solve, rigidity.  Each run writes
+Commands: crease-check, adm, identities, solve, rigidity.  The options
+follow the command in any order, as --name value or --name=value; a
+repeated option keeps its last value, and a name must be written in full.
+-h or --help anywhere prints this text and exits 0.  Each run writes
 a deterministic report.json (byte-identical for identical config + seed),
 CSV series for plotting, and a timing sidecar.  Exit codes: 0 pass,
 1 hypothesis or inequality failure, 2 usage/config error or an output
@@ -9,7 +12,6 @@ that cannot be written, 3 numeric error.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -284,34 +286,53 @@ COMMANDS = {
 }
 
 
+USAGE = "usage: crease-lab COMMAND --config PATH [--out DIR] [--seed N]"
+
+
+def _usage_error(message: str):
+    print(f"{USAGE}\ncrease-lab: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _seed(text: str) -> int:
-    """argparse type of --seed: a nonnegative integer, as numpy's generators require."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
-    return value
+    """The value of --seed: a nonnegative integer in decimal digits, as numpy's generators require."""
+    if not text.isdecimal():
+        _usage_error(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _parse_args(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The command and its options by name; -h exits 0 after the help, any other irregularity exits 2."""
+    if "-h" in argv or "--help" in argv:
+        print(f"{USAGE}\n\n{__doc__}")
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error(f"unknown command {argv[0]!r} (choose from {', '.join(COMMANDS)})" if argv else "no command")
+    options, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in ("--config", "--out", "--seed"):
+            _usage_error(f"unrecognized argument {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            # a separate value that starts with "-" is taken only if it reads as a negative integer
+            if value is None or (value.startswith("-") and not value[1:].isdigit()):
+                _usage_error(f"option {name} expects a value")
+        options[name] = value
+    if "--config" not in options:
+        _usage_error("the option --config is required")
+    return argv[0], options
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="crease-lab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=_seed, default=None)
-    args = parser.parse_args(argv)
+    command, options = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    seed = _seed(options["--seed"]) if "--seed" in options else None
 
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = int(args.seed)
-            config.raw = dict(config.raw)
-            config.raw["seed"] = int(args.seed)
-        out_dir = args.out if args.out is not None else config.out_dir
+        config = load_config(options["--config"])
+        if seed is not None:
+            config.seed, config.raw = seed, {**config.raw, "seed": seed}
+        out_dir = options.get("--out", config.out_dir)
         os.makedirs(out_dir, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -319,8 +340,8 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        results, passed, flags = COMMANDS[args.command](config, out_dir)
-        report = render_report(args.command, config.raw, results, passed, flags)
+        results, passed, flags = COMMANDS[command](config, out_dir)
+        report = render_report(command, config.raw, results, passed, flags)
         elapsed = time.perf_counter() - started
         write_atomic(os.path.join(out_dir, "report.json"), report)
         write_atomic(os.path.join(out_dir, "report_meta.json"), f'{{"wall_clock_seconds": {elapsed:.3f}}}\n')
@@ -333,7 +354,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # a CSV or report path that cannot be written, e.g. a directory in its place
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    print(f"{args.command}: {'pass' if passed else 'FAIL'} (report in {out_dir})")
+    print(f"{command}: {'pass' if passed else 'FAIL'} (report in {out_dir})")
     return 0 if passed else 1
 
 

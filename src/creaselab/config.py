@@ -19,6 +19,10 @@ before any command runs.  Keys, with their defaults and ranges:
 - flux_check: false.  seed: 0, nonnegative.  out_dir: ".".
 
 Pass criteria are fixed next to the flags that read them, not configured.
+
+libyaml's C parser reads the YAML (`yaml.CSafeLoader`), or PyYAML's pure-Python
+one where PyYAML was built without libyaml; the same `SafeConstructor` and
+resolver build the values from either, so they do not depend on the parser.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ _SCHEMA = {
 }
 
 
-def _construct_unique_mapping(loader: yaml.SafeLoader, node, deep=False) -> dict:
-    """SafeLoader's construct_mapping, refusing a mapping that repeats a key (plain PyYAML keeps the last value)."""
+def _construct_unique_mapping(loader, node, deep=False) -> dict:
+    """SafeConstructor's construct_mapping, refusing a repeated key (plain PyYAML keeps the last value)."""
     seen = []  # a list, not a set: an unhashable key is left for SafeLoader to report
     for key_node, _ in node.value:
         if key_node.tag == "tag:yaml.org,2002:merge":  # a << merge key may override; flatten_mapping does that
@@ -59,10 +63,10 @@ def _construct_unique_mapping(loader: yaml.SafeLoader, node, deep=False) -> dict
         if key in seen:
             raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {key!r}", key_node.start_mark)
         seen.append(key)
-    return yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
+    return yaml.constructor.SafeConstructor.construct_mapping(loader, node, deep=deep)
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     construct_mapping = _construct_unique_mapping  # PyYAML builds every mapping through this method
 
 

@@ -260,10 +260,13 @@ class PointFields:
 BLOCK_NODES = 1024  # nodes per bundle of a grid pass: two order-16 sphere shells, whose d2g (0.66 MB) stays in cache
 
 
-def field_blocks(data: InitialData, x) -> Iterator[PointFields]:
-    """Bundles of the consecutive blocks of at most BLOCK_NODES points of the batch x, in order."""
-    pts = as_points(x)
-    return (PointFields(data, pts[start : start + BLOCK_NODES]) for start in range(0, len(pts), BLOCK_NODES))
+def field_blocks(data: InitialData, x, radii=(1.0,)) -> Iterator[PointFields]:
+    """Bundles of the consecutive blocks of at most BLOCK_NODES points r_i x_j (the batch x by default), in order."""
+    pts, radii = as_points(x), np.asarray(radii, dtype=float)
+    total = len(radii) * len(pts)
+    for start in range(0, total, BLOCK_NODES):
+        shell, node = np.divmod(np.arange(start, min(start + BLOCK_NODES, total)), len(pts))
+        yield PointFields(data, radii[shell, None] * pts[node])
 
 
 def as_fields(data: InitialData, x) -> PointFields:

@@ -3,17 +3,19 @@
 Implements the ADM energy-momentum integrals over coordinate spheres (flat
 area element and Euclidean normal, the standard convention), the Sen
 connection and Dirac-Witten operator in the deterministic bulk frame, the
-spinor flux shared by the Witten flux and the integrated
+spinor flux of the Witten argument and of the integrated
 Lichnerowicz-Schrodinger-Weitzenbock identity, and the crease
 boundary-term identity with its Cauchy-Schwarz bound.
 
 A spinor boundary term takes one of two forms.  A bulk field -- the LSW
 test fields, the constant spinors of the Witten flux -- has analytic
-derivatives in every direction, so `spinor_flux` integrates the bulk form
+derivatives in every direction, so its flux is the bulk form
 
     Re<psi, nabla-bar_nu psi + nu . D_W psi>
 
-in the bulk frame, on one field bundle of the sphere nodes.  The crease
+in the bulk frame (`spinor_flux`).  A constant spinor has nabla-bar_a psi
+= C_a psi, so `witten_flux` integrates nu^a C_a + nu . Gamma Gamma^a C_a
+into one 4x4 matrix F and reads each spinor's flux as Re<psi, F psi>.  The crease
 traces are functions on the sphere only, so `crease_boundary_terms` uses
 the paper's outward-convention D^Sigma - H/2 form
 
@@ -35,14 +37,10 @@ coefficients and constraint fields depend only on the nodes, so each is
 computed once per point batch whatever the number of spinors, and every
 spinor result gains the same leading axes.  Unbatched spinors give
 unbatched (scalar) results.  Each batch of nodes -- a block of the LSW
-volume grid, a sphere grid -- gets one `geometry.PointFields` bundle,
-built where the batch is made and passed to every function that works on
-those nodes; a bundle is dropped with its batch.  A crease side's Bartnik
-data come from one place: boundary_term_density reads its geometry off the
-record that `geometry.hypersurface_geometry` makes at the sphere grid's
-nodes and returns it, and crease_boundary_terms hands it to the margin.
+volume grid, a sphere grid -- gets one `geometry.PointFields` bundle.
 lsw_residual sums the volume terms over `geometry.field_blocks` of at most
-BLOCK_NODES nodes, so its memory is set by the block, and the block size
+BLOCK_NODES nodes, each formed from the radial rule and the sphere grid
+when it is reached, so its memory is set by the block, and the block size
 changes only the sums' order.  Its matter term reads mu and J
 off the data's radial profile at |x| (`geometry.matter_densities`) when
 the data has one, and from `geometry.constraint_fields` otherwise.
@@ -76,7 +74,7 @@ from .geometry import (
     sphere_area_element,
 )
 from .spheregrid import SphereGrid, sphere_grid, theta_phi_tangents, unit_vectors
-from .spinorfields import SpinorField, constant_spinor_field
+from .spinorfields import SpinorField
 
 
 class IntegralsError(GeometryError):
@@ -100,27 +98,23 @@ def real_checked(value, scale=1.0, label: str = "integral"):
 # volume quadrature over radial regions
 
 
-def volume_quadrature(region: Sequence, r_order: int, sph_order: int):
-    """Flat-measure nodes and weights of ("ball", r) or ("annulus", lo, hi): sum w f = int f r^2 dr dOmega.
-
-    One Gauss-Legendre panel of r_order nodes in r times the sphere grid of sph_order.
-    """
-    kind = region[0]
-    if kind == "ball":
-        lo, hi = 0.0, float(region[1])
-    elif kind == "annulus":
-        lo, hi = float(region[1]), float(region[2])
-    else:
-        raise IntegralsError(f"unknown region kind {kind!r}")
+def _radial_rule(region: Sequence, r_order: int):
+    """One Gauss-Legendre panel of r_order radii over ("ball", r) or ("annulus", lo, hi); weights times r^2."""
+    if region[0] not in ("ball", "annulus"):
+        raise IntegralsError(f"unknown region kind {region[0]!r}")
+    lo, hi = (0.0, float(region[1])) if region[0] == "ball" else (float(region[1]), float(region[2]))
     if not hi > lo >= 0.0:
         raise IntegralsError("region radii must satisfy 0 <= lo < hi")
-    grid = sphere_grid(sph_order)
     x_gl, w_gl = leggauss(r_order)
     rr = 0.5 * (hi - lo) * x_gl + 0.5 * (hi + lo)
-    wr = 0.5 * (hi - lo) * w_gl * rr**2
-    pts = rr[:, None, None] * grid.nodes[None, :, :]
-    w = wr[:, None] * grid.weights[None, :]
-    return pts.reshape(-1, 3), w.reshape(-1)
+    return rr, 0.5 * (hi - lo) * w_gl * rr**2
+
+
+def volume_quadrature(region: Sequence, r_order: int, sph_order: int):
+    """Flat-measure nodes and weights, the radial rule times the sphere grid: sum w f = int f r^2 dr dOmega."""
+    rr, wr = _radial_rule(region, r_order)
+    grid = sphere_grid(sph_order)
+    return (rr[:, None, None] * grid.nodes).reshape(-1, 3), (wr[:, None] * grid.weights).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +240,25 @@ def bulk_spin_coefficients(data: InitialData, x) -> np.ndarray:
     return 0.5 * (G + G.transpose(0, 3, 1, 2) - G.transpose(0, 2, 3, 1)) - FRAME_PROJECTOR * G
 
 
+def _connection_operator(data: InitialData, f: PointFields) -> np.ndarray:
+    """C_a = 1/4 W_{jl}(e_a) Gamma^j Gamma^l + 1/2 k(e_a, e_j) Gamma^j tau per node, (m, a I, K): one real product of
+    [W/4 | k/2] per direction with the float view of [Gamma^j Gamma^l; Gamma^j tau]."""
+    W = bulk_spin_coefficients(data, f)
+    kf = f.frame @ f.k @ np.swapaxes(f.frame, -1, -2)
+    coeffs = np.concatenate([0.25 * W.reshape(-1, 9), 0.5 * kf.reshape(-1, 3)], axis=1)
+    products = np.concatenate([GAMMA_GAMMA.reshape(9, DIM * DIM), GAMMA_TAU.reshape(3, DIM * DIM)]).view(float)
+    return (coeffs @ products).view(complex).reshape(-1, 3 * DIM, DIM)
+
+
 def sen_derivatives(data: InitialData, field: SpinorField, x, values: np.ndarray | None = None) -> np.ndarray:
     """Spacetime-connection derivatives in all frame directions; (..., m, I, 3).
 
-    nabla-bar_a psi = e_a(c) + 1/4 W_{jl}(e_a) Gamma^j Gamma^l c
-                      + 1/2 k(e_a, e_j) Gamma^j tau c.
+    nabla-bar_a psi = e_a(c) + C_a c (`_connection_operator`).
     `values`, when the caller has them, are the field's components c at x.
     """
     f = as_fields(data, x)
     c = field.evaluate(f.x) if values is None else values
-    W = bulk_spin_coefficients(data, f)
-    kf = f.frame @ f.k @ np.swapaxes(f.frame, -1, -2)
-    # the connection's algebraic part as one (m, a I, K) operator, applied once to the batch:
-    # one real product of [W/4 | k/2] per direction with the float view of [Gamma^j Gamma^l; Gamma^j tau]
-    coeffs = np.concatenate([0.25 * W.reshape(-1, 9), 0.5 * kf.reshape(-1, 3)], axis=1)
-    products = np.concatenate([GAMMA_GAMMA.reshape(9, DIM * DIM), GAMMA_TAU.reshape(3, DIM * DIM)]).view(float)
-    conn = (coeffs @ products).view(complex).reshape(-1, 3 * DIM, DIM)
+    conn = _connection_operator(data, f)  # applied once to the whole batch
     out = np.asarray(field.frame_derivatives(data, f), dtype=complex)
     # the product lands in out's (..., m, a, I) memory
     np.swapaxes(out, -1, -2)[...] += (conn @ c[..., None]).reshape(c.shape[:-1] + (3, DIM))
@@ -299,10 +296,8 @@ def boundary_term_density(
     nu = nu_sign * outward unit normal, the density is the outward-convention
     combination <psi, D psi - H/2 psi - 1/2[(tr k) nu - k(nu,t_a) t^a] tau psi>;
     H, k(nu,.) and the boundary Dirac operator all use the signed normal.
-    The density keeps Re<psi, D psi>, to which the spin connection of the
-    tangent frame, 1/4 w_bc(t_a) nu . Gamma^a Gamma^b Gamma^c, adds nothing:
-    nu . Gamma^a Gamma^b Gamma^c is anti-Hermitian for tangential a, b, c,
-    so D psi is nu . Gamma^a times the trace's derivative along t_a alone.
+    D psi is nu . Gamma^a times the trace's derivative along t_a alone (no
+    spin connection of the tangent frame: see the module docstring).
     """
     theta, phi = grid.theta, grid.phi
     B = hypersurface_geometry(data, r0, grid.nodes)
@@ -357,21 +352,23 @@ def boundary_term_density(
 # spinor flux through coordinate spheres (bulk form)
 
 
-def spinor_flux(data: InitialData, field: SpinorField, r: float, order: int, nu_sign: int = 1):
-    """Integral of Re<psi, nabla-bar_nu psi + nu . D_W psi> over |x| = r; one value per batch member.
-
-    nu = nu_sign * outward unit normal.  Every factor is read in the bulk
-    frame on one field bundle of the sphere grid's nodes, from the field's
-    analytic derivatives; of the sphere's geometry only nu
-    (`outward_unit_normal`) and dA (`sphere_area_element`, with its chart
-    and metric guards) enter.  For a bulk field this is the D^Sigma - H/2
-    form of `boundary_term_density` up to a tangential divergence, which
-    integrates to zero over the closed sphere.
-    """
+def _flux_sphere(data: InitialData, r: float, order: int, nu_sign: int = 1):
+    """The field bundle of |x| = r's grid nodes, nu_a (frame components of nu_sign * outward unit normal) and dA;
+    of the sphere's geometry only nu (`outward_unit_normal`) and dA (`sphere_area_element`, with its guards) enter."""
     grid = sphere_grid(order)
     f = PointFields(data, r * grid.nodes)
     dA = sphere_area_element(data, r, f) * grid.weights
     nu = nu_sign * (f.frame @ (f.g @ outward_unit_normal(data, f)[:, :, None]))[:, :, 0]  # nu_a = e_a . g . nu
+    return f, nu, dA
+
+
+def spinor_flux(data: InitialData, field: SpinorField, r: float, order: int, nu_sign: int = 1):
+    """Integral of Re<psi, nabla-bar_nu psi + nu . D_W psi> over |x| = r; one value per batch member.
+
+    nu = nu_sign * outward unit normal.  Every factor is read in the bulk
+    frame on `_flux_sphere`'s nodes, from the field's analytic derivatives.
+    """
+    f, nu, dA = _flux_sphere(data, r, order, nu_sign)
     c = field.evaluate(f.x)
     sen = sen_derivatives(data, field, f, values=c)
     along = (sen @ nu[:, :, None])[..., 0]  # nabla-bar_nu psi
@@ -385,9 +382,16 @@ def witten_flux(data: InitialData, psi_inf: np.ndarray, r: float, order: int = 2
     """Spinor flux of constant spinors (..., I) through |x| = r; the leading axes of psi_inf batch them.
 
     In the limit of large r this converges to
-    4 pi (E |psi_inf|^2 - <psi_inf, P_i e^i tau psi_inf>).
+    4 pi (E |psi_inf|^2 - <psi_inf, P_i e^i tau psi_inf>).  A constant
+    field has nabla-bar_a psi = C_a psi, so the flux is Re<psi, F psi> with
+    the one matrix F = int (nu^a C_a + nu . Gamma Gamma^a C_a) dA.
     """
-    return spinor_flux(data, constant_spinor_field(psi_inf), r, order)
+    f, nu, dA = _flux_sphere(data, r, order)
+    # F = sum over the nodes of dA nu_a (delta_ab + Gamma^a Gamma^b) C_b: X_ab, the node sum, is taken first
+    X = ((dA[:, None] * nu).T @ _connection_operator(data, f).reshape(-1, 3 * DIM * DIM)).reshape(3, 3, DIM, DIM)
+    F = np.trace(X, axis1=0, axis2=1) + np.sum(GAMMA_GAMMA @ X, axis=(0, 1))
+    psi = np.asarray(psi_inf, dtype=complex)
+    return np.sum(np.conj(psi) * (psi @ F.T), axis=-1).real
 
 
 def flux_mass_pairing(E: float, P: np.ndarray, psi_inf: np.ndarray) -> float:
@@ -456,10 +460,12 @@ def lsw_residual(
     """
     if r_order is None:
         r_order = max(24, order)
-    pts, w_flat = volume_quadrature(region, r_order, order)
+    rr, wr = _radial_rule(region, r_order)  # volume_quadrature's nodes, formed one block at a time
+    grid = sphere_grid(order)
+    w_flat = (wr[:, None] * grid.weights).reshape(-1)
     gt = GAMMA_TAU.reshape(3, -1).view(float)
     matter_int = dirichlet = dirac_sq = 0.0
-    for f in field_blocks(data, pts):
+    for f in field_blocks(data, grid.nodes, rr):
         dV, w_flat = np.sqrt(determinant(f.g)) * w_flat[: len(f.x)], w_flat[len(f.x) :]  # later blocks' weights remain
         if data.profile is None:
             cons = constraint_fields(data, f)
@@ -485,14 +491,8 @@ def lsw_residual(
     boundary = spinor_flux(data, field, float(region[-1]), order)
     if region[0] == "annulus":
         boundary = boundary + spinor_flux(data, field, float(region[1]), order, nu_sign=-1)
-    return LswResult(
-        bulk=bulk,
-        boundary=boundary,
-        residual=bulk - boundary,
-        dirichlet=dirichlet,
-        dirac_sq=dirac_sq,
-        matter=matter_int,
-    )
+    return LswResult(bulk=bulk, boundary=boundary, residual=bulk - boundary, dirichlet=dirichlet,
+                     dirac_sq=dirac_sq, matter=matter_int)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from creaselab import cli
-from creaselab.config import ConfigError, parse_config
+from creaselab.config import ConfigError, _construct_unique_mapping, _UniqueKeyLoader, parse_config
 from creaselab.reports import NonFiniteReportError, render_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -642,3 +642,98 @@ def test_report_key_paths_match_the_layout(tmp_path, name):
     assert _run(name.split("-small")[0], CONFIGS / f"{name}.yaml", tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert _key_paths(report) == _ENVELOPE | REPORT_PATHS[name]
+
+
+# ---------------------------------------------------------------------------
+# the command line and the YAML loader
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "no command"),
+        (["nosuch", "--config", str(RIGIDITY_SMALL)], "unknown command 'nosuch'"),
+        (["rigidity", "--conf", str(RIGIDITY_SMALL)], "unrecognized argument '--conf'"),
+        (["rigidity", "--config", str(RIGIDITY_SMALL), "--verbose"], "unrecognized argument '--verbose'"),
+        (["rigidity", "--config", str(RIGIDITY_SMALL), "extra"], "unrecognized argument 'extra'"),
+        (["rigidity", "--config"], "option --config expects a value"),
+        (["rigidity", "--config", str(RIGIDITY_SMALL), "--seed", "--out", "x"], "option --seed expects a value"),
+        (["rigidity"], "the option --config is required"),
+        (["rigidity", "--config", str(RIGIDITY_SMALL), "--seed", "-3"], "seed must be a nonnegative integer"),
+        (["rigidity", "--config", str(RIGIDITY_SMALL), "--seed=1.5"], "seed must be a nonnegative integer"),
+        (["rigidity", "--config", str(RIGIDITY_SMALL), "--seed", "x"], "seed must be a nonnegative integer"),
+    ],
+    ids=["no-command", "unknown-command", "abbreviation", "unknown-option", "stray-word", "no-value-at-end",
+         "option-as-value", "no-config", "negative-seed", "float-seed", "word-seed"],
+)
+def test_usage_errors_exit_2_before_any_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + (["--out", str(out)] if argv else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: crease-lab COMMAND --config PATH")
+    assert f"crease-lab: error: {message}" in err
+    assert not (out / "report.json").exists()
+
+
+def test_options_in_any_order_and_inline_values(tmp_path):
+    assert cli.main(["rigidity", "--config", str(RIGIDITY_SMALL), "--out", str(tmp_path / "a"), "--seed", "5"]) == 0
+    # --name=value, another order, and a repeated option whose last value wins
+    argv = ["rigidity", "--seed=1", "--out", str(tmp_path / "b"), f"--config={RIGIDITY_SMALL}", "--seed", "5"]
+    assert cli.main(argv) == 0
+    report = (tmp_path / "b" / "report.json").read_bytes()
+    assert json.loads(report)["config"]["seed"] == 5
+    assert report == (tmp_path / "a" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["adm", "--help"]], ids=["--help", "-h", "after-command"])
+def test_help_exits_0_with_the_command_list(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: crease-lab COMMAND")
+    assert all(name in out for name in cli.COMMANDS)
+
+
+def test_a_run_imports_neither_argparse_nor_locale(tmp_path):
+    # the fixed cost of every run: the command line is read by hand, so a run loads neither module
+    script = (
+        "import sys\n"
+        "import creaselab.cli as cli\n"
+        f"assert cli.main(['rigidity', '--config', {str(RIGIDITY_SMALL)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = _fresh_interpreter(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _pure_python_loader():
+    """The config loader on PyYAML's pure-Python scanner and parser, whatever PyYAML was built with."""
+    return type("PureUniqueKeyLoader", (yaml.SafeLoader,), {"construct_mapping": _construct_unique_mapping})
+
+
+LOADERS = [_UniqueKeyLoader, _pure_python_loader()]
+
+
+def test_the_config_loader_uses_libyaml_where_pyyaml_has_it():
+    assert issubclass(_UniqueKeyLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_both_loaders_parse_the_committed_configs_alike(path):
+    text = path.read_text(encoding="utf-8")
+    c_data, pure_data = (yaml.load(text, Loader=loader) for loader in LOADERS)
+    assert c_data == pure_data
+    assert json.dumps(c_data, sort_keys=True) == json.dumps(pure_data, sort_keys=True)  # types too: 1 vs 1.0
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=["config-loader", "pure-python"])
+def test_both_loaders_refuse_a_repeated_key_and_honour_merge_keys(loader):
+    with pytest.raises(yaml.constructor.ConstructorError, match="found duplicate key 'a'"):
+        yaml.load("a: 1\nb: 2\na: 3\n", Loader=loader)
+    # a << merge key is no repeat: a key written in the mapping overrides the merged one
+    doc = "base: &b {sphere_order: 8, n: 2}\nquadrature:\n  <<: *b\n  sphere_order: 16\n"
+    assert yaml.load(doc, Loader=loader)["quadrature"] == {"sphere_order": 16, "n": 2}

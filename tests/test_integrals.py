@@ -439,6 +439,19 @@ def test_witten_flux_batch_matches_single_spinors():
         assert abs(batch[idx] - single) <= 1e-13 * abs(single)
 
 
+@pytest.mark.parametrize("order", [12, 16])
+@pytest.mark.parametrize("data, r", [(graph_slice(), 4.5), (schwarzschild_exterior_area_radius(1.0), 10.0)],
+                         ids=["graph_slice", "schwarzschild_exterior_area_radius"])
+def test_witten_flux_matrix_matches_the_spinor_flux_of_constant_fields(data, r, order):
+    # the one-matrix flux against the bulk form carried through every node; graph_slice has k != 0 at r = 4.5
+    rng = np.random.default_rng(35)
+    psi = rng.normal(size=(8, DIM)) + 1j * rng.normal(size=(8, DIM))
+    fast = witten_flux(data, psi, r, order=order)
+    reference = spinor_flux(data, constant_spinor_field(psi), r, order)
+    assert fast.shape == (8,)
+    assert np.all(np.abs(fast - reference) <= 1e-13 * np.maximum(np.abs(reference), 1.0))
+
+
 def _sphere_gauge_trace(data, field, r, grid):
     """trace(theta, phi) of a bulk-frame field on |x| = r in the adapted sphere frame.
 
