@@ -57,6 +57,7 @@ only at the two crease traces, for the transmission defect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 from typing import NamedTuple
 
@@ -344,7 +345,7 @@ def _hat_weights(r: np.ndarray, moment: int = 0) -> np.ndarray:
     return w
 
 
-MAX_INTERVALS = 32768  # per side, 4x the finest benchmark grid; the solve's memory grows linearly with it
+MAX_INTERVALS = 32768  # per side, 4x the finest benchmark grid; solve's traced peak is ~640 B per unknown: 80 MiB here
 # 1250x the farthest benchmark r_max (800); an unbounded one overflows the r^2 quadrature weights and the volume factor
 MAX_R_MAX = 1e6
 
@@ -366,6 +367,45 @@ class RadialGrid:
             raise RadialError(f"r_max must be at most {MAX_R_MAX:g}, got {self.r_max:g}")
 
 
+class _SideNodes(NamedTuple):
+    """One side's nodes as every row set reads them.
+
+    Coefficients at r = 0 take their node-1 value; the minus side gives node
+    0 zero weight, so it has no residual or gradient rows, and folds its
+    trace, node M - 1, onto plus node 0 through the transmission rotation.
+    """
+
+    side: SideCoefficients
+    r: np.ndarray
+    w: np.ndarray  # node quadrature weights
+    mass: np.ndarray  # root of the mass form's node weight
+    node0: int  # x column of node j's v is 2 (node0 + j) - 1
+    rot: np.ndarray | None  # the minus side's channel transmission R (the same on (v, u) as on (u, v)); plus: None
+
+    def rows(self, names: tuple[str, ...], factors: tuple[float, ...]):
+        """Rows of blocks `names` at the nodes of positive weight, block k's times sqrt(factors[k] w), and x starts."""
+        M, keep = len(self.r), np.flatnonzero(self.w > 0)
+        p = self.side.data.profile(np.where(self.r > 0, self.r, self.r[1])[keep])
+        coef, start = derivative_matrix(M, self.r[1] - self.r[0])
+        FD, start, K, table = (1.0 / p.A)[:, None] * coef[keep], start[keep], len(keep), self.side.blocks(p)
+        out = np.zeros((len(names), K, 5, 2))  # block, node, stencil node, (v, u)
+        for rows, b in zip(out, (table[k] for k in names)):
+            at = int(b.field == "U")  # the (v, u) slot of the block's field
+            if b.derivative:
+                rows[:, :, at] = FD
+            diag = np.zeros((K, 2))
+            if b.own is not None:
+                diag[:, at] = b.own
+            diag[:, 1 - at] = b.tau_coef
+            rows[np.arange(K), keep - start] += diag
+        out = out.reshape(-1, 5, 2)
+        out *= np.sqrt(np.concatenate([f * self.w[keep] for f in factors]))[:, None, None]
+        if self.rot is not None:
+            trace = np.tile(start == M - 5, len(names))
+            out[trace, 4] = out[trace, 4] @ self.rot
+        return out.reshape(-1, 10), np.tile(2 * (self.node0 + start) - 1, len(names))
+
+
 @dataclass(frozen=True)
 class AssembledSystem:
     """The problem on the scalar channel tau -> 1, on the free unknowns x.
@@ -375,23 +415,58 @@ class AssembledSystem:
     of plus node 0.  x is that vector without its first entry, v_-(0) = 0, and
     its last two, the Dirichlet values v_+ = 0 and u_+ = 1 at r_max.  Every
     row below is nonzero only on the five nodes of one derivative stencil.
+    Each row set is built on its first read, from the per-side nodes that
+    `assemble` builds once: `solve` reads only A and rhs, and
+    `poincare_estimate` only grad_rows and mass_rows.
     """
 
     problem: RadialProblem
     r_minus: np.ndarray
     r_plus: np.ndarray
-    A: spla.WindowRows  # weighted residual rows on x: the minus side's r1 and r2 rows, then the plus side's
-    rhs: np.ndarray  # the Dirichlet datum's part of the residual moved to the right: residual = A x - rhs
     transmission_block: np.ndarray  # (2 dim, 2 dim) spinor map plus trace -> minus trace
-    grad_rows: spla.WindowRows  # P, Q, Pt, Qt rows of both sides times the roots of their weights: |nabla-bar|^2 = |B x|^2
-    mass_rows: spla.WindowRows  # |psi/rho|^2 = |C x|^2
     norm_weights: np.ndarray  # residual-row quadrature weights (squared scale)
+    sides: tuple[_SideNodes, _SideNodes]  # minus, plus
+    n: int  # unknowns
+
+    def _rows(self, names: tuple[str, ...], factors: tuple[float, ...]):
+        coef, start = zip(*(s.rows(names, factors) for s in self.sides))
+        return np.concatenate(coef), np.concatenate(start)
+
+    @cached_property
+    def _residual(self) -> tuple[spla.WindowRows, np.ndarray]:
+        residual, start = self._rows(("r1", "r2"), (1.0, 1.0))
+        # the Dirichlet value u_+(r_max) = 1 is column n + 1, which WindowRows drops
+        at = np.clip(self.n + 1 - start, 0, 9)
+        rhs = -np.where(start + at == self.n + 1, residual[np.arange(len(at)), at], 0.0)
+        return spla.WindowRows(residual, start, self.n), rhs
+
+    # weighted residual rows on x, the minus side's r1 and r2 rows, then the plus side's; and the Dirichlet
+    # datum's part of the residual moved to the right: residual = A x - rhs
+    A = property(lambda self: self._residual[0])
+    rhs = property(lambda self: self._residual[1])
+
+    @cached_property
+    def grad_rows(self) -> spla.WindowRows:
+        """P, Q, Pt, Qt rows of both sides times the roots of their weights: |nabla-bar|^2 = |B x|^2."""
+        return spla.WindowRows(*self._rows(("P", "Q", "Pt", "Qt"), (1.0, 1.0, 2.0, 2.0)), self.n)
+
+    @cached_property
+    def mass_rows(self) -> spla.WindowRows:
+        """|psi/rho|^2 = |C x|^2."""
+        coef, start = [], []
+        for s in self.sides:
+            mass = s.mass[:, None, None] * np.eye(2)  # (M, 2 rows, (v, u))
+            if s.rot is not None:
+                mass[-1] = mass[-1] @ s.rot
+            coef.append(mass.reshape(-1, 2))
+            start.append(np.repeat(2 * (s.node0 + np.arange(len(s.mass))) - 1, 2))
+        return spla.WindowRows(np.concatenate(coef), np.concatenate(start), self.n)
 
     def nodes(self, x: np.ndarray):
         """Channel values u_-, v_-, u_+, v_+ at every node of both sides for the free unknowns x."""
         Mm = len(self.r_minus)
         y = np.concatenate([[0.0], x, [0.0, 1.0]]).reshape(-1, 2)
-        minus = np.vstack([y[: Mm - 1], _rotation_blocks(np.eye(1), self.problem.cd.angle.constant) @ y[Mm - 1]])
+        minus = np.vstack([y[: Mm - 1], self.sides[0].rot @ y[Mm - 1]])
         plus = y[Mm - 1 :]
         return minus[:, 1], minus[:, 0], plus[:, 1], plus[:, 0]
 
@@ -413,7 +488,8 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
     trade a constraint defect for residual.
     Only `transmission_block` is built on spinor components; the rest is the
     scalar channel tau -> 1, which holds as TAU is real, symmetric and squares to 1.
-    The Poincare forms are left as their rows, for `poincare_estimate` to form.
+    Here each side's node weights are formed; the rows are left to the
+    system's readers, each building the row sets it reads.
     """
     grid.validate()
     cd = problem.cd
@@ -424,69 +500,22 @@ def assemble(problem: RadialProblem, grid: RadialGrid) -> AssembledSystem:
         raise RadialError("r_max must exceed the crease radius")
     if math.isfinite(cd.plus.chart.r_max) and grid.r_max > cd.plus.chart.r_max:
         raise RadialError("r_max outside the exterior chart")
-    n = 2 * (Mm + Mp) - 5
-    rot = _rotation_blocks(np.eye(1), cd.angle.constant)  # the channel's transmission; the same on (v, u) as on (u, v)
     rho0 = 0.5 * cd.r0
 
-    def side_rows(side: SideCoefficients, r, minus: bool):
-        """Residual, gradient and mass rows of one side as windows on x, and its node weights.
-
-        Coefficients at r = 0 take their node-1 value; the minus side gives
-        node 0 zero weight, so it has no residual or gradient rows, and
-        folds its trace, node Mm - 1, onto plus node 0 through R.
-        """
-        M = len(r)
+    def side_nodes(side: SideCoefficients, r, minus: bool) -> _SideNodes:
         p = side.data.profile(np.where(r > 0, r, r[1]))
         w = _hat_weights(r, moment=0) * side.volume_factor(p) * SPHERE_AREA
         if minus:
             w[0] = 0.0
-        keep = np.flatnonzero(w > 0)
-        K, pk = len(keep), p._make(a[keep] for a in p)
-        coef, start = derivative_matrix(M, r[1] - r[0])
-        FD, start = (1.0 / pk.A)[:, None] * coef[keep], start[keep]
-
-        def rows(b: Block):
-            """Block b's rows at the kept nodes, as (K, 5 nodes, (v, u))."""
-            out, at = np.zeros((K, 5, 2)), int(b.field == "U")  # the (v, u) slot of the block's field
-            if b.derivative:
-                out[:, :, at] = FD
-            diag = np.zeros((K, 2))
-            if b.own is not None:
-                diag[:, at] = b.own
-            diag[:, 1 - at] = b.tau_coef
-            out[np.arange(K), keep - start] += diag
-            return out
-
-        table = side.blocks(pk)
-        residual = np.concatenate([rows(table[k]) for k in ("r1", "r2")])
-        grad = np.concatenate([rows(table[k]) for k in ("P", "Q", "Pt", "Qt")])
-        residual *= np.tile(np.sqrt(w[keep]), 2)[:, None, None]
-        grad *= np.sqrt(np.concatenate([w[keep], w[keep], 2.0 * w[keep], 2.0 * w[keep]]))[:, None, None]
         mass = _hat_weights(r, moment=2) * p.A * p.B**2 * SPHERE_AREA / (r**2 + rho0**2)
-        mass = np.sqrt(mass)[:, None, None] * np.eye(2)  # (M, 2 rows, (v, u))
-        if minus:
-            for a in (residual, grad):
-                trace = np.tile(start == M - 5, len(a) // K)
-                a[trace, 4] = a[trace, 4] @ rot
-            mass[-1] = mass[-1] @ rot
-        node0 = 0 if minus else Mm - 1  # x column of node j's v is 2 (node0 + j) - 1
-        starts = 2 * (node0 + start) - 1
-        return (residual.reshape(-1, 10), np.tile(starts, 2), grad.reshape(-1, 10), np.tile(starts, 4),
-                mass.reshape(-1, 2), np.repeat(2 * (node0 + np.arange(M)) - 1, 2), w)
+        return _SideNodes(side=side, r=r, w=w, mass=np.sqrt(mass), node0=0 if minus else Mm - 1,
+                          rot=_rotation_blocks(np.eye(1), cd.angle.constant) if minus else None)
 
-    res_m, s_m, grad_m, gs_m, mass_m, ms_m, w_m = side_rows(problem.minus, r_m, minus=True)
-    res_p, s_p, grad_p, gs_p, mass_p, ms_p, w_p = side_rows(problem.plus, r_p, minus=False)
-    residual, start = np.concatenate([res_m, res_p]), np.concatenate([s_m, s_p])
-    # the Dirichlet value u_+(r_max) = 1 is column n + 1, which WindowRows drops
-    at = np.clip(n + 1 - start, 0, 9)
-    rhs = -np.where(start + at == n + 1, residual[np.arange(len(at)), at], 0.0)
-    A = spla.WindowRows(residual, start, n)
+    sides = (side_nodes(problem.minus, r_m, minus=True), side_nodes(problem.plus, r_p, minus=False))
     return AssembledSystem(
-        problem=problem, r_minus=r_m, r_plus=r_p, A=A, rhs=rhs,
+        problem=problem, r_minus=r_m, r_plus=r_p,
         transmission_block=_rotation_blocks(TAU.real, cd.angle.constant),
-        grad_rows=spla.WindowRows(np.concatenate([grad_m, grad_p]), np.concatenate([gs_m, gs_p]), n),
-        mass_rows=spla.WindowRows(np.concatenate([mass_m, mass_p]), np.concatenate([ms_m, ms_p]), n),
-        norm_weights=np.concatenate([w_m, w_p]),
+        norm_weights=np.concatenate([s.w for s in sides]), sides=sides, n=2 * (Mm + Mp) - 5,
     )
 
 
@@ -537,9 +566,8 @@ def solve(system: AssembledSystem, psi_inf: np.ndarray) -> RadialSolution:
     if psi_inf.shape != (DIM,):
         raise RadialError("psi_inf must be a single spinor")
     A = system.A
-    N = A.gram()
     try:
-        lu = spla.splu(N)
+        lu = spla.splu(A.gram())  # the normal matrix N = A^T A, freed once factored
         # full-rank diagnostic: N's smallest eigenvalue, by Lanczos on the factorization at hand; a residual
         # of 1e-6 leaves an eigenvalue error of order 1e-12
         lam_min = spla.lanczos(lu, None, default_rng(0).normal(size=A.shape[1]), tol=1e-6)

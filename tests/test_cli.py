@@ -210,6 +210,22 @@ def test_identities_report_is_byte_reproducible(tmp_path):
     assert 0.0 < report["results"]["lsw"]["roundoff_floor"] < 1e-10
 
 
+def test_identities_roundoff_floor_is_eps_times_the_largest_volume_sum(tmp_path, monkeypatch):
+    # the floor is eps times the largest |dirichlet| + |dirac_sq| of the ensemble, the two sums the residual subtracts
+    original, captured = cli.lsw_residual, []
+
+    def lsw_residual(*args, **kwargs):
+        captured.append(original(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "lsw_residual", lsw_residual)
+    assert _run("identities", IDENTITIES_SMALL, tmp_path / "out") == 0
+    (res,) = captured
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    floor = report["results"]["lsw"]["roundoff_floor"]
+    assert floor == np.finfo(float).eps * np.max(np.abs(res.dirichlet) + np.abs(res.dirac_sq))
+
+
 def test_identities_crease_check_passes_when_the_crease_term_nearly_vanishes(tmp_path):
     # m = 1e-9: the crease term is about 1e-7 of the one-sided integrals it is the sum of, so
     # dividing the mismatch by |formula| + 1e-12 read 3.2e-7 against the 1e-8 tolerance

@@ -111,6 +111,8 @@ CATALOG_SIDES = [
     ("minkowski_slice", lambda: minkowski_slice(), 0.5, 10.0),
     ("schwarzschild_isotropic", lambda: schwarzschild_isotropic(1.0), 1.0, 12.0),
     ("schwarzschild_exterior_area_radius", lambda: schwarzschild_exterior_area_radius(1.0), 3.0, 12.0),
+    # m != 1, so that a closed form confusing m with 1/m shows
+    ("schwarzschild_exterior_area_radius(0.6)", lambda: schwarzschild_exterior_area_radius(0.6), 1.8, 12.0),
     ("flat_ball", lambda: flat_ball(3.0), 0.5, 2.8),
     ("miao_corner.minus", lambda: miao_corner(1.0, 3.0).minus, 0.5, 2.8),
     ("miao_corner.plus", lambda: miao_corner(1.0, 3.0).plus, 3.2, 12.0),
@@ -133,6 +135,21 @@ def test_closed_form_d2g_matches_finite_differences(name, maker, rlo, rhi):
     assert np.max(np.abs(d2g - np.swapaxes(d2g, 3, 4))) < roundoff  # and in l, m
     fd = second_metric_derivative(data, pts)
     assert np.max(np.abs(d2g - fd)) <= 1e-8 * np.max(np.abs(d2g))
+
+
+@pytest.mark.parametrize("name,maker,rlo,rhi", CATALOG_SIDES, ids=[c[0] for c in CATALOG_SIDES])
+def test_closed_form_dk_matches_finite_differences(name, maker, rlo, rhi):
+    data = maker()
+    pts = sample_points(np.random.default_rng(19), 60, rlo, rhi)
+    dk = data.dk(pts)
+    assert dk.shape == (60, 3, 3, 3)
+    h = 1e-5 * np.maximum(1.0, np.linalg.norm(pts, axis=1))
+    fd = np.empty_like(dk)
+    for m in range(3):
+        dx = np.zeros_like(pts)
+        dx[:, m] = h
+        fd[..., m] = (data.k(pts + dx) - data.k(pts - dx)) / (2.0 * h)[:, None, None]
+    assert np.max(np.abs(dk - fd)) <= 1e-8 * np.max(np.abs(dk))
 
 
 @pytest.mark.parametrize("name,maker,rlo,rhi", CATALOG_SIDES, ids=[c[0] for c in CATALOG_SIDES])

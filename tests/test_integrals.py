@@ -197,6 +197,27 @@ def test_adm_rotation_invariance():
     assert np.max(np.abs(r1.P - r2.P)) <= 1e-3 * (abs(r1.E) + 1.0)
 
 
+def test_adm_momentum_of_a_dipole_extrinsic_curvature():
+    """g = delta and k_ij = (p_i x_j + p_j x_i) / |x|^3: the flux (k_ij - tr k g_ij) nu^j integrates to 8 pi p / 3 at
+    every radius, since k_ij nu^j = p_i / r^2 + x_i (p.x) / r^4 and tr k nu_i = 2 x_i (p.x) / r^4; so P = p / 3."""
+    flat, p = minkowski_slice(), np.array([0.3, -0.2, 0.5])
+
+    def k(x):
+        r = np.linalg.norm(x, axis=1)[:, None, None]
+        return (p[None, :, None] * x[:, None, :] + x[:, :, None] * p[None, None, :]) / r**3
+
+    def dk(x):
+        r = np.linalg.norm(x, axis=1)[:, None, None, None]
+        sym = np.eye(3)[None, None, :, :] * p[None, :, None, None]  # p_i delta_jl
+        return (sym + np.swapaxes(sym, 1, 2)) / r**3 - 3.0 * k(x)[..., None] * x[:, None, None, :] / r**2
+
+    data = InitialData(chart=Chart(0.0, math.inf), g=flat.g, k=k, dg=flat.dg, dk=dk, d2g=flat.d2g, label="dipole-k")
+    rep = adm_energy_momentum(data, [10.0, 20.0, 40.0], order=8)
+    assert rep.E == 0.0
+    assert np.max(np.abs(rep.P_by_radius - p / 3.0)) <= 1e-15
+    assert np.max(np.abs(rep.P - p / 3.0)) <= 1e-15
+
+
 def test_adm_radii_validation():
     with pytest.raises(IntegralsError):
         adm_energy_momentum(minkowski_slice(), [20.0, 10.0], order=8)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -545,6 +546,42 @@ def test_poincare_matches_spinor_component_eigenvalue(miao_problem):
     Z = sla.null_space(C)
     lam = sla.eigh(Z.T @ grad @ Z, (Z.T * mass) @ Z, eigvals_only=True, subset_by_index=[0, 0])[0]
     assert poincare_estimate(problem, grid) == pytest.approx(lam, rel=1e-10)
+
+
+def test_each_reader_builds_only_the_row_sets_it_reads(monkeypatch, miao_problem):
+    """solve builds the residual rows alone; poincare_estimate the gradient rows (width 10) and mass rows (width 2)."""
+    widths = []
+
+    class Counted(radial.spla.WindowRows):
+        def __post_init__(self):
+            widths.append(self.coef.shape[1])
+            super().__post_init__()
+
+    monkeypatch.setattr(radial.spla, "WindowRows", Counted)
+    grid = RadialGrid(n_minus=64, n_plus=128, r_max=40.0)
+    solve(assemble(miao_problem, grid), PSI_INF)
+    assert widths == [10]
+    widths.clear()
+    poincare_estimate(miao_problem, grid)
+    assert sorted(widths) == [2, 10]
+
+
+def test_solve_peak_memory_per_unknown():
+    """The traced peak of assembling and solving stays below 700 bytes per unknown; building the gradient and mass
+    rows for solve too, and holding the normal matrix to the end, reads 834."""
+    problem = reduce_radial(miao_corner(1.0, 3.0))
+
+    def peak_per_unknown(grid):
+        tracemalloc.start()
+        try:
+            system = assemble(problem, grid)
+            solve(system, PSI_INF)
+            return tracemalloc.get_traced_memory()[1] / system.A.shape[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_per_unknown(RadialGrid(64, 128, 40.0))  # fills the module caches before anything is measured
+    assert peak_per_unknown(RadialGrid(256, 1024, 400.0)) <= 700.0
 
 
 def test_grid_validation():
